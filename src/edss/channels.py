@@ -9,6 +9,7 @@ decomposition is ever required for maps defined by their action alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import prod
 from typing import Mapping, Union
@@ -131,10 +132,14 @@ QuditChannel = Union[CanonicalChannel, KrausChannel, DepolarizingChannel]
 def canonical_channel(
     lambda1: float, lambda2: float, lambda3: float, t3: float = 0.0
 ) -> CanonicalChannel:
-    """Canonical affine qubit channel. Parameters are not CP-validated here;
-    use :func:`is_cpt` to check and note that protocol drivers refuse
-    non-CPT channels."""
-    return CanonicalChannel(float(lambda1), float(lambda2), float(lambda3), float(t3))
+    """Canonical affine qubit channel. Parameters must be finite but are not
+    CP-validated here; use :func:`is_cpt` to check and note that protocol
+    drivers refuse non-CPT channels."""
+    params = (float(lambda1), float(lambda2), float(lambda3), float(t3))
+    for name, value in zip(CHANNEL_PARAMS["canonical"], params):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    return CanonicalChannel(*params)
 
 
 def depolarizing(d: int, p: float) -> QuditChannel:
@@ -232,14 +237,15 @@ def is_cpt(ch: QuditChannel, tol: float = VALIDITY_ATOL) -> CptReport:
 
     The trace defect is reported as the max-entry deviation of the Choi
     matrix traced over its output factor from the identity, which for Kraus
-    channels coincides with the usual completeness defect.
+    channels coincides with the usual completeness defect. A transfer tensor
+    with non-finite entries fails without reaching the eigensolver.
     """
     d = ch.dim
     t4 = ch.transfer_tensor()
     choi = t4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
     herm_err = float(np.max(np.abs(choi - choi.conj().T)))
     tp_err = float(np.max(np.abs(np.einsum("aakl->kl", t4) - np.eye(d))))
-    if herm_err > tol:
+    if herm_err > tol or not np.isfinite(t4).all():
         return CptReport(False, float("nan"), tp_err, herm_err)
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))))
     ok = min_eig >= -tol and tp_err <= tol
@@ -288,31 +294,39 @@ def has_canonical_form(ch: QuditChannel, atol: float = 1e-12) -> bool:
     return float(np.max(np.abs(off))) <= atol and abs(t[0]) <= atol and abs(t[1]) <= atol
 
 
-def channel_from_config(config: Mapping[str, object]) -> QuditChannel:
-    """Build a channel from a flat mapping.
+# Channel kinds and their parameters, in the order the factories take them.
+CHANNEL_PARAMS = {
+    "depolarizing": ("p",),
+    "amplitude_damping": ("gamma",),
+    "canonical": ("lambda1", "lambda2", "lambda3", "t3"),
+}
 
-    Recognized keys: ``kind`` (depolarizing | amplitude_damping | canonical),
-    ``d``, ``p``, ``gamma``, ``lambda1``, ``lambda2``, ``lambda3``, ``t3``.
+
+def channel_from_config(config: Mapping[str, object]) -> QuditChannel:
+    """Build a channel from a flat mapping; the one factory keyed by kind.
+
+    Recognized keys: ``kind`` (one of ``CHANNEL_PARAMS``), ``d`` (default 2)
+    and the kind's parameters from ``CHANNEL_PARAMS``; ``t3`` defaults to 0.
+    Other keys are ignored.
     """
     kind = str(config.get("kind", "")).strip()
+    if kind not in CHANNEL_PARAMS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    values = {"t3": 0.0, **config}
+    try:
+        params = [float(values[name]) for name in CHANNEL_PARAMS[kind]]
+    except KeyError as exc:
+        raise ValueError(f"{kind} channel requires key {exc}") from exc
     d = int(config.get("d", 2))
     if kind == "depolarizing":
-        if "p" not in config:
-            raise ValueError("depolarizing channel requires key 'p'")
-        return depolarizing(d, float(config["p"]))
+        return depolarizing(d, *params)
     if kind == "amplitude_damping":
-        if "gamma" not in config:
-            raise ValueError("amplitude_damping channel requires key 'gamma'")
-        return amplitude_damping(d, float(config["gamma"]))
-    if kind == "canonical":
-        if d != 2:
-            raise ValueError("canonical channels are qubit (d=2) channels")
-        try:
-            l1 = float(config["lambda1"])
-            l2 = float(config["lambda2"])
-            l3 = float(config["lambda3"])
-        except KeyError as exc:
-            raise ValueError(f"canonical channel requires key {exc}") from exc
-        t3 = float(config.get("t3", 0.0))
-        return canonical_channel(l1, l2, l3, t3)
-    raise ValueError(f"unknown channel kind {kind!r}")
+        return amplitude_damping(d, *params)
+    if d != 2:
+        raise ValueError("canonical channels are qubit (d=2) channels")
+    return canonical_channel(*params)
+
+
+def noise_channel(kind: str, d: int, x: float) -> QuditChannel:
+    """One-parameter channel (depolarizing or amplitude damping) at ``x``."""
+    return channel_from_config({"kind": kind, "d": d, CHANNEL_PARAMS[kind][0]: x})

@@ -1,40 +1,34 @@
 """Batch verification suites: identity chains, separability, closed forms.
 
-These back the ``edss check`` command. Each suite returns a list of
-:class:`CheckResult` rows with the observed worst-case deviation against
-its threshold.
+These back the ``edss check`` command. Each suite walks the protocol table
+``edss.protocols.SPECS`` and returns a list of :class:`CheckResult` rows
+with the observed worst-case deviation against its threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .channels import (
-    CanonicalChannel,
-    amplitude_damping,
-    canonical_channel,
-    depolarizing,
-    is_cpt,
-)
-from .measures import average_negativity, negativity
+from .channels import CHANNEL_PARAMS, CanonicalChannel, canonical_channel, is_cpt, noise_channel
 from .protocols import (
     CHAIN_ATOL,
+    CLOSED_FORM_KINDS,
+    PROTOCOLS,
     SEPARABILITY_ATOL,
+    SPECS,
+    ProtocolSpec,
+    ProtocolTrace,
     critical_noise,
-    ghz_states,
-    qudit_states,
-    run_ghz,
-    run_qudit,
-    run_two_qubit,
     separability_audit,
     verify_identity_chain,
 )
+
+# The average-only paths live with the driver; callers import them from here.
+from .protocols import ghz_average_only, qudit_average_only, two_qubit_average_only  # noqa: F401
 from .reference import FORMULAS, Formula
-from .states import measure_computational
-from .tensor import Bipartition
 
 DEFAULT_SEED = 20230711
 CLOSED_FORM_ATOL = 1e-9
@@ -67,49 +61,32 @@ def _grid(points: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, points)
 
 
-def _qubit_channel(kind: str, x: float):
-    return depolarizing(2, x) if kind == "depolarizing" else amplitude_damping(2, x)
+def _default_specs() -> list[ProtocolSpec]:
+    """The probabilistic entry of every protocol, in table order."""
+    return [SPECS[protocol, "probabilistic"] for protocol in PROTOCOLS]
 
 
-def _qudit_channel(kind: str, d: int, x: float):
-    return depolarizing(d, x) if kind == "depolarizing" else amplitude_damping(d, x)
+def _dims(spec: ProtocolSpec, qudit_dims: Iterable[int]) -> tuple[int, ...]:
+    return tuple(qudit_dims) if spec.takes_d else (2,)
 
 
-def qudit_average_only(d: int, kind: str, x: float) -> float:
-    """Branch-averaged a|b negativity of the qudit protocol, nothing else.
-
-    Skips all full-register partition spectra, which makes it cheap enough
-    for root finding.
-    """
-    states = qudit_states(d, _qudit_channel(kind, d, x))
-    branches = measure_computational(states[-1][1], target=2)
-    return average_negativity(branches, Bipartition.split({0}, 2))
+def _suffix(spec: ProtocolSpec, d: int) -> str:
+    return f"_d{d}" if spec.takes_d else ""
 
 
-def ghz_average_only(kind: str, x: float, side: int) -> float:
-    """Branch-averaged one-vs-rest negativity of the GHZ protocol post states."""
-    ch = _qubit_channel(kind, x)
-    states = ghz_states(ch, ch)
-    final = states[-1][1]
-    part = Bipartition.split({side}, 3)
-    total = 0.0
-    for first in measure_computational(final, target=3):
-        if first.post_state is None:
-            continue
-        for second in measure_computational(first.post_state, target=3):
-            if second.post_state is None:
-                continue
-            prob = first.probability * second.probability
-            total += prob * negativity(second.post_state, part).value
-    return total
+def _grid_traces(
+    spec: ProtocolSpec, kind: str, d: int, points: int
+) -> Iterator[ProtocolTrace]:
+    """Runs of ``spec`` over a [0, 1] grid of the ``kind`` noise parameter."""
+    return (spec.run(noise_channel(kind, d, x), d) for x in _grid(points))
 
 
-def two_qubit_average_only(kind: str, x: float) -> float:
-    from .protocols import two_qubit_states
+def _chain_deviation(traces: Iterable[ProtocolTrace]) -> float:
+    return max((verify_identity_chain(trace).max_deviation for trace in traces), default=0.0)
 
-    states = two_qubit_states(_qubit_channel(kind, x))
-    branches = measure_computational(states[-1][1], target=2)
-    return average_negativity(branches, Bipartition.split({0}, 2))
+
+def _exchange_negativity(traces: Iterable[ProtocolTrace]) -> float:
+    return max((separability_audit(trace).max_negativity for trace in traces), default=0.0)
 
 
 def identity_suite(
@@ -118,51 +95,24 @@ def identity_suite(
     seed: int = DEFAULT_SEED,
     qudit_dims: Iterable[int] = (2, 3),
 ) -> list[CheckResult]:
-    """Identity-chain deviations across random channels and noise grids."""
+    """Identity-chain deviations across random channels and noise grids.
+
+    A protocol draws ``random_channels // random_divisor`` random CP
+    canonical channels (its table entry sets the divisor).
+    """
     rng = np.random.default_rng(seed)
     results = []
-
-    dev = 0.0
-    for _ in range(random_channels):
-        trace = run_two_qubit(random_cp_canonical(rng))
-        dev = max(dev, verify_identity_chain(trace).max_deviation)
-    results.append(
-        CheckResult.from_deviation("identity_two_qubit_random_canonical", dev, CHAIN_ATOL)
-    )
-
-    for kind in ("depolarizing", "amplitude_damping"):
-        dev = 0.0
-        for x in _grid(grid_points):
-            trace = run_two_qubit(_qubit_channel(kind, x))
-            dev = max(dev, verify_identity_chain(trace).max_deviation)
-        results.append(
-            CheckResult.from_deviation(f"identity_two_qubit_{kind}", dev, CHAIN_ATOL)
-        )
-
-    dev = 0.0
-    for _ in range(10):
-        trace = run_ghz(random_cp_canonical(rng))
-        dev = max(dev, verify_identity_chain(trace).max_deviation)
-    results.append(
-        CheckResult.from_deviation("identity_ghz_random_canonical", dev, CHAIN_ATOL)
-    )
-
-    for kind in ("depolarizing", "amplitude_damping"):
-        dev = 0.0
-        for x in _grid(grid_points):
-            trace = run_ghz(_qubit_channel(kind, x))
-            dev = max(dev, verify_identity_chain(trace).max_deviation)
-        results.append(CheckResult.from_deviation(f"identity_ghz_{kind}", dev, CHAIN_ATOL))
-
-    for kind in ("depolarizing", "amplitude_damping"):
-        for d in qudit_dims:
-            dev = 0.0
-            for x in _grid(grid_points):
-                trace = run_qudit(d, _qudit_channel(kind, d, x))
-                dev = max(dev, verify_identity_chain(trace).max_deviation)
-            results.append(
-                CheckResult.from_deviation(f"identity_qudit_{kind}_d{d}", dev, CHAIN_ATOL)
-            )
+    for spec in _default_specs():
+        if spec.random_divisor:
+            count = random_channels // spec.random_divisor
+            dev = _chain_deviation(spec.run(random_cp_canonical(rng)) for _ in range(count))
+            name = f"identity_{spec.protocol}_random_canonical"
+            results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))
+        for kind in CLOSED_FORM_KINDS:
+            for d in _dims(spec, qudit_dims):
+                dev = _chain_deviation(_grid_traces(spec, kind, d, grid_points))
+                name = f"identity_{spec.protocol}_{kind}{_suffix(spec, d)}"
+                results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))
     return results
 
 
@@ -171,48 +121,38 @@ def separability_suite(
 ) -> list[CheckResult]:
     """Exchange-vs-rest negativities stay at zero at every protocol step."""
     results = []
-    for kind in ("depolarizing", "amplitude_damping"):
-        dev = 0.0
-        for x in _grid(grid_points):
-            dev = max(
-                dev,
-                separability_audit(run_two_qubit(_qubit_channel(kind, x))).max_negativity,
-            )
-        results.append(
-            CheckResult.from_deviation(
-                f"separability_two_qubit_{kind}", dev, SEPARABILITY_ATOL
-            )
-        )
-
-        dev = 0.0
-        for x in _grid(grid_points):
-            dev = max(
-                dev, separability_audit(run_ghz(_qubit_channel(kind, x))).max_negativity
-            )
-        results.append(
-            CheckResult.from_deviation(f"separability_ghz_{kind}", dev, SEPARABILITY_ATOL)
-        )
-
-        for d in qudit_dims:
-            dev = 0.0
-            for x in _grid(grid_points):
-                dev = max(
-                    dev,
-                    separability_audit(
-                        run_qudit(d, _qudit_channel(kind, d, x))
-                    ).max_negativity,
-                )
-            results.append(
-                CheckResult.from_deviation(
-                    f"separability_qudit_{kind}_d{d}", dev, SEPARABILITY_ATOL
-                )
-            )
+    for kind in CLOSED_FORM_KINDS:
+        for spec in _default_specs():
+            for d in _dims(spec, qudit_dims):
+                dev = _exchange_negativity(_grid_traces(spec, kind, d, grid_points))
+                name = f"separability_{spec.protocol}_{kind}{_suffix(spec, d)}"
+                results.append(CheckResult.from_deviation(name, dev, SEPARABILITY_ATOL))
     return results
 
 
 def _eval_formula(formulas: Mapping[str, Formula], fid: str, **params) -> float:
     formula = formulas[fid]
     return float(formula.fn(*[params[name] for name in formula.params]))
+
+
+def _closed_form_rows(
+    spec: ProtocolSpec, formulas: Mapping[str, Formula], kind: str, d: int, points: int
+) -> list[CheckResult]:
+    """Worst deviation of every per-point closed form of ``spec`` on a grid."""
+    forms = spec.formulas(kind)
+    keys = dict(spec.columns)
+    param = CHANNEL_PARAMS[kind][0]
+    devs = dict.fromkeys(forms, 0.0)
+    for x in _grid(points):
+        trace = spec.run(noise_channel(kind, d, x), d)
+        for fid, columns in forms.items():
+            ref = _eval_formula(formulas, fid, d=d, **{param: x})
+            for column in columns:
+                devs[fid] = max(devs[fid], abs(trace.value_of(keys[column]) - ref))
+    return [
+        CheckResult.from_deviation(f"{fid}{_suffix(spec, d)}", dev, CLOSED_FORM_ATOL)
+        for fid, dev in devs.items()
+    ]
 
 
 def closed_form_suite(
@@ -226,118 +166,39 @@ def closed_form_suite(
     suite itself is tested against deliberately wrong constants.
     """
     formulas = FORMULAS if formulas is None else formulas
-    grid = _grid(grid_points)
     results = []
+    for protocol in PROTOCOLS:
+        specs = [spec for spec in SPECS.values() if spec.protocol == protocol]
+        for kind in CLOSED_FORM_KINDS:
+            for d in _dims(specs[0], qudit_dims):
+                for spec in specs:
+                    results.extend(_closed_form_rows(spec, formulas, kind, d, grid_points))
 
-    for kind, pname in (("depolarizing", "p"), ("amplitude_damping", "gamma")):
-        devs = {
-            f"two_qubit_{kind}_success_probability": 0.0,
-            f"two_qubit_{kind}_success_negativity": 0.0,
-            f"two_qubit_{kind}_average_negativity": 0.0,
-            f"two_qubit_{kind}_deterministic_negativity": 0.0,
-        }
-        for x in grid:
-            prob = run_two_qubit(_qubit_channel(kind, x))
-            det = run_two_qubit(_qubit_channel(kind, x), mode="deterministic")
-            sims = {
-                f"two_qubit_{kind}_success_probability": prob.success_probability,
-                f"two_qubit_{kind}_success_negativity": prob.partition_negativities[
-                    "a|b@success"
-                ],
-                f"two_qubit_{kind}_average_negativity": prob.average_negativity,
-                f"two_qubit_{kind}_deterministic_negativity": det.deterministic_output.negativity,
-            }
-            for fid, sim in sims.items():
-                ref = _eval_formula(formulas, fid, **{pname: x})
-                devs[fid] = max(devs[fid], abs(sim - ref))
-        results.extend(
-            CheckResult.from_deviation(fid, dev, CLOSED_FORM_ATOL)
-            for fid, dev in devs.items()
-        )
-
-    for kind, pname in (("depolarizing", "p"), ("amplitude_damping", "gamma")):
-        devs = {
-            f"ghz_{kind}_success_probability": 0.0,
-            f"ghz_{kind}_negativity_a_bc": 0.0,
-            f"ghz_{kind}_negativity_b_ac": 0.0,
-            f"ghz_{kind}_average_a_bc": 0.0,
-            f"ghz_{kind}_average_b_ac": 0.0,
-        }
-        for x in grid:
-            trace = run_ghz(_qubit_channel(kind, x))
-            parts = trace.partition_negativities
-            pairs = [
-                (f"ghz_{kind}_success_probability", [trace.success_probability]),
-                (f"ghz_{kind}_negativity_a_bc", [parts["a|bc@success"]]),
-                (
-                    f"ghz_{kind}_negativity_b_ac",
-                    [parts["b|ac@success"], parts["c|ab@success"]],
-                ),
-                (f"ghz_{kind}_average_a_bc", [trace.averages["a|bc"]]),
-                (
-                    f"ghz_{kind}_average_b_ac",
-                    [trace.averages["b|ac"], trace.averages["c|ab"]],
-                ),
-            ]
-            for fid, sims in pairs:
-                ref = _eval_formula(formulas, fid, **{pname: x})
-                for sim in sims:
-                    devs[fid] = max(devs[fid], abs(sim - ref))
-        results.extend(
-            CheckResult.from_deviation(fid, dev, CLOSED_FORM_ATOL)
-            for fid, dev in devs.items()
-        )
-
-    for kind, pname in (("depolarizing", "p"), ("amplitude_damping", "gamma")):
-        for d in qudit_dims:
-            devs = {
-                f"qudit_{kind}_success_probability": 0.0,
-                f"qudit_{kind}_success_negativity": 0.0,
-                f"qudit_{kind}_average_negativity": 0.0,
-            }
-            for x in grid:
-                trace = run_qudit(d, _qudit_channel(kind, d, x))
-                sims = {
-                    f"qudit_{kind}_success_probability": trace.success_probability,
-                    f"qudit_{kind}_success_negativity": trace.partition_negativities[
-                        "a|b@success"
-                    ],
-                    f"qudit_{kind}_average_negativity": trace.average_negativity,
-                }
-                for fid, sim in sims.items():
-                    ref = _eval_formula(formulas, fid, d=d, **{pname: x})
-                    devs[fid] = max(devs[fid], abs(sim - ref))
-            results.extend(
-                CheckResult.from_deviation(f"{fid}_d{d}", dev, CLOSED_FORM_ATOL)
-                for fid, dev in devs.items()
+    for spec in _default_specs():
+        if spec.critical_kind is None:
+            continue
+        fid = spec.critical_formula(spec.critical_kind)
+        for d in _dims(spec, qudit_dims):
+            found = critical_noise(lambda x: spec.average_only(spec.critical_kind, x, d))
+            ref = _eval_formula(formulas, fid, d=d)
+            results.append(
+                CheckResult.from_deviation(
+                    f"{fid}{_suffix(spec, d)}", abs(found - ref), CLOSED_FORM_ATOL
+                )
             )
-
-    for d in qudit_dims:
-        found = critical_noise(lambda x: qudit_average_only(d, "depolarizing", x))
-        ref = _eval_formula(formulas, "qudit_depolarizing_critical_noise", d=d)
-        results.append(
-            CheckResult.from_deviation(
-                f"qudit_depolarizing_critical_noise_d{d}", abs(found - ref), CLOSED_FORM_ATOL
-            )
-        )
     return results
 
 
-SUITES = ("identity", "separability", "closed_form")
+SUITES = {
+    "identity": identity_suite,
+    "separability": separability_suite,
+    "closed_form": closed_form_suite,
+}
 
 
 def run_checks(suite: str = "all", **kwargs) -> list[CheckResult]:
     """Run one named suite or all of them; keyword args reach the suites."""
-    if suite == "all":
-        results = []
-        results.extend(identity_suite(**kwargs.get("identity", {})))
-        results.extend(separability_suite(**kwargs.get("separability", {})))
-        results.extend(closed_form_suite(**kwargs.get("closed_form", {})))
-        return results
-    if suite == "identity":
-        return identity_suite(**kwargs.get("identity", {}))
-    if suite == "separability":
-        return separability_suite(**kwargs.get("separability", {}))
-    if suite == "closed_form":
-        return closed_form_suite(**kwargs.get("closed_form", {}))
-    raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {('all', *SUITES)}")
+    names = SUITES if suite == "all" else (suite,)
+    return [row for name in names for row in SUITES[name](**kwargs.get(name, {}))]

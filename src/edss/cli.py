@@ -9,27 +9,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .checks import run_checks
-from .sweep import SweepError, SweepSpec, run_sweep
-
-CONFIG_KEYS = {
-    "protocol",
-    "mode",
-    "channel",
-    "d",
-    "param",
-    "from",
-    "to",
-    "points",
-    "csv",
-    "svg",
-    "check",
-    "lambda1",
-    "lambda2",
-    "lambda3",
-    "t3",
-    "max_dim",
-}
+from .channels import CHANNEL_PARAMS
+from .checks import SUITES, run_checks
+from .protocols import PROTOCOLS, SPECS
+from .sweep import CHECK_NAMES, MAX_DIM_CEILING, MAX_POINTS, SweepError, SweepSpec, run_sweep
 
 MODE_ALIASES = {
     "prob": "probabilistic",
@@ -38,58 +21,29 @@ MODE_ALIASES = {
     "deterministic": "deterministic",
 }
 
-DESCRIPTIONS = {
-    "two_qubit": """\
-two_qubit: distribute a two-qubit entangled pair between distant nodes a and b
-using an exchange qubit c that stays separable from them throughout.
-
-  I    initial           separable three-qubit state of (a, b, c) prepared at node a
-  II   alice_cnot        CNOT, control a, target c
-  III  channel           c travels to node b through the noisy channel
-  IV   bob_cnot          CNOT, control b, target c
-  V    finish            probabilistic: measure c in the computational basis
-                         (2 outcomes; outcome 0 carries the entangled pair)
-                         deterministic: apply the local (b, c) channel, trace out c
-
-partitions reported: c|ab at every step; a|bc after III and IV; b|ac after IV;
-a|b on the success branch.
-identity chain: avg a|b = a|bc@channel = a|bc@bob_cnot = b|ac@bob_cnot
-closed forms: two_qubit_depolarizing_*, two_qubit_amplitude_damping_*
-""",
-    "ghz": """\
-ghz: distribute a three-qubit GHZ state between nodes a, b, c using two
-exchange qubits d1, d2 that stay separable from the targets throughout.
-
-  I    initial           separable five-qubit state of (a, b, c, d1, d2)
-  II   alice_cnots       CNOTs, control a, targets d1 and d2
-  III  channels          d1 goes to node b, d2 to node c, each through its channel
-  IV   bob_charlie_cnots CNOTs, controls b and c, targets d1 and d2
-  V    finish            measure d1 and d2; 4 outcomes (l, l') with (0, 0) the
-                         success branch carrying the three-party state
-
-partitions reported: d1d2|abc at every step; a|bcd1d2, b|acd1d2, c|abd1d2 after
-III and IV; a|bc, b|ac, c|ab and the qubit pairs on the success branch.
-identity chains: avg a|bc = a|bcd1d2@final = a|bcd1d2@channels;
-avg b|ac = b|acd1d2@final; avg c|ab = c|abd1d2@final
-closed forms: ghz_depolarizing_*, ghz_amplitude_damping_*
-""",
-    "qudit": """\
-qudit: distribute a d-level entangled pair between nodes a and b using an
-exchange qudit c that stays separable from them throughout.
-
-  I    initial           separable three-qudit state of (a, b, c)
-  II   alice_cnot        generalized CNOT, control a, target c (addition mod d)
-  III  channel           c travels to node b through the noisy channel
-  IV   bob_inverse_cnot  inverse generalized CNOT, control b, target c
-  V    finish            measure c in the computational basis; d outcomes with
-                         outcome 0 the success branch
-
-partitions reported: c|ab at every step; a|bc and b|ac after III and IV; a|b on
-the success branch.
-identity chain: avg a|b = a|bc@channel = a|bc@bob_inverse_cnot = b|ac@bob_inverse_cnot
-closed forms: qudit_depolarizing_*, qudit_amplitude_damping_*
-""",
+# Every sweep option is both a --flag and a config-file key.
+SWEEP_OPTIONS: dict[str, dict] = {
+    "protocol": {"choices": PROTOCOLS},
+    "mode": {"choices": tuple(MODE_ALIASES)},
+    "channel": {"choices": tuple(CHANNEL_PARAMS)},
+    "d": {"type": int, "help": "qudit dimension (qudit protocol only)"},
+    "param": {
+        "choices": tuple(name for names in CHANNEL_PARAMS.values() for name in names),
+        "help": "swept channel parameter",
+    },
+    "from": {"type": float, "help": "grid start"},
+    "to": {"type": float, "help": "grid stop"},
+    "points": {"type": int, "help": f"number of grid points (2 to {MAX_POINTS})"},
+    "csv": {"help": "output CSV path"},
+    "svg": {"help": "optional output SVG chart path"},
+    "check": {"help": f"comma-separated subset of {','.join(CHECK_NAMES)}"},
+    **{
+        name: {"type": float, "help": "fixed canonical parameter"}
+        for name in CHANNEL_PARAMS["canonical"]
+    },
+    "max_dim": {"type": int, "help": f"qudit dimension cap (at most {MAX_DIM_CEILING})"},
 }
+CONFIG_KEYS = set(SWEEP_OPTIONS)
 
 
 def load_config(path: str | Path) -> dict[str, str]:
@@ -119,34 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a protocol over a noise-parameter grid")
     sweep.add_argument("--config", help="flat key-value config file; flags override it")
-    sweep.add_argument("--protocol", choices=("two_qubit", "ghz", "qudit"))
-    sweep.add_argument("--mode", choices=tuple(MODE_ALIASES))
-    sweep.add_argument(
-        "--channel", choices=("depolarizing", "amplitude_damping", "canonical")
-    )
-    sweep.add_argument("--d", type=int, help="qudit dimension (qudit protocol only)")
-    sweep.add_argument(
-        "--param",
-        choices=("p", "gamma", "lambda1", "lambda2", "lambda3", "t3"),
-        help="swept channel parameter",
-    )
-    sweep.add_argument("--from", dest="start", type=float, help="grid start")
-    sweep.add_argument("--to", dest="stop", type=float, help="grid stop")
-    sweep.add_argument("--points", type=int, help="number of grid points (>= 2)")
-    sweep.add_argument("--csv", help="output CSV path")
-    sweep.add_argument("--svg", help="optional output SVG chart path")
-    sweep.add_argument(
-        "--check",
-        help="comma-separated subset of identity,separability,closed_form",
-    )
-    for name in ("lambda1", "lambda2", "lambda3", "t3"):
-        sweep.add_argument(f"--{name}", type=float, help="fixed canonical parameter")
-    sweep.add_argument("--max-dim", dest="max_dim", type=int, help="qudit dimension cap")
+    for key, options in SWEEP_OPTIONS.items():
+        sweep.add_argument(f"--{key.replace('_', '-')}", dest=key, **options)
 
     check = sub.add_parser("check", help="run verification suites")
-    check.add_argument(
-        "suite", choices=("all", "identity", "separability", "closed_form")
-    )
+    check.add_argument("suite", choices=("all", *SUITES))
 
     describe = sub.add_parser("describe", help="print a protocol summary")
     describe.add_argument("protocol")
@@ -157,24 +88,7 @@ def _merged_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     merged: dict[str, str | float | int | None] = {}
     if args.config:
         merged.update(load_config(args.config))
-    overrides = {
-        "protocol": args.protocol,
-        "mode": args.mode,
-        "channel": args.channel,
-        "d": args.d,
-        "param": args.param,
-        "from": args.start,
-        "to": args.stop,
-        "points": args.points,
-        "csv": args.csv,
-        "svg": args.svg,
-        "check": args.check,
-        "lambda1": args.lambda1,
-        "lambda2": args.lambda2,
-        "lambda3": args.lambda3,
-        "t3": args.t3,
-        "max_dim": args.max_dim,
-    }
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     merged.update({k: v for k, v in overrides.items() if v is not None})
 
     missing = [key for key in ("protocol", "channel", "param", "csv") if key not in merged]
@@ -185,31 +99,28 @@ def _merged_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     if mode is None:
         raise SweepError(f"unknown mode {merged['mode']!r}")
 
-    channel_args = {
-        name: float(merged[name]) for name in ("lambda1", "lambda2", "lambda3", "t3")
-        if name in merged
-    }
     checks: frozenset[str] = frozenset()
     if merged.get("check"):
         checks = frozenset(
             token.strip() for token in str(merged["check"]).split(",") if token.strip()
         )
 
+    # SweepSpec fields that may be left out and keep their defaults
+    optional = {"d": "d", "from": "start", "to": "stop", "points": "points", "max_dim": "max_dim"}
     try:
+        values = {key: SWEEP_OPTIONS[key].get("type", str)(value) for key, value in merged.items()}
         return SweepSpec(
-            protocol=str(merged["protocol"]),
+            protocol=values["protocol"],
             mode=mode,
-            channel=str(merged["channel"]),
-            d=int(merged.get("d", 2)),
-            param=str(merged["param"]),
-            start=float(merged.get("from", 0.0)),
-            stop=float(merged.get("to", 1.0)),
-            points=int(merged.get("points", 21)),
-            csv_path=str(merged["csv"]),
-            svg_path=str(merged["svg"]) if merged.get("svg") else None,
+            channel=values["channel"],
+            param=values["param"],
+            csv_path=values["csv"],
+            svg_path=values.get("svg") or None,
             checks=checks,
-            channel_args=channel_args,
-            max_dim=int(merged.get("max_dim", 6)),
+            channel_args={
+                name: values[name] for name in CHANNEL_PARAMS["canonical"] if name in values
+            },
+            **{field: values[key] for key, field in optional.items() if key in values},
         )
     except (TypeError, ValueError) as exc:
         raise SweepError(str(exc)) from exc
@@ -244,15 +155,14 @@ def _run_check_command(args: argparse.Namespace) -> int:
 
 
 def _run_describe_command(args: argparse.Namespace) -> int:
-    text = DESCRIPTIONS.get(args.protocol)
-    if text is None:
+    spec = SPECS.get((args.protocol, "probabilistic"))
+    if spec is None:
         print(
-            f"unknown protocol {args.protocol!r}; choose from "
-            f"{', '.join(DESCRIPTIONS)}",
+            f"unknown protocol {args.protocol!r}; choose from {', '.join(PROTOCOLS)}",
             file=sys.stderr,
         )
         return 2
-    print(text, end="")
+    print(spec.describe, end="")
     return 0
 
 

@@ -10,20 +10,25 @@ Three variants are covered:
 * ``qudit``: the d-level generalization of the two-qubit variant, finished
   with an inverse CNOT on (b, c) before measuring c.
 
+Each (protocol, mode) pair is one :class:`ProtocolSpec` in ``SPECS``: its
+register, its ordered CNOT and channel steps, the partitions recorded at
+each step, its finish, its identity chains, its CSV columns with their
+closed forms and its ``edss describe`` text. One driver walks an entry;
+sweeps, check suites and the CLI read the same table.
+
 Every intermediate state is materialized as a dense matrix so the traces
 can be checked elementwise against analytic block forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QuditChannel, apply_to_subsystem, has_canonical_form, is_cpt
+from .channels import QuditChannel, apply_to_subsystem, has_canonical_form, is_cpt, noise_channel
 from .measures import average_negativity, concurrence, negativity
-from .reference import FORMULAS, Formula, closed_form  # noqa: F401  (re-exported)
 from .states import (
     MeasurementBranch,
     bob_deterministic_map,
@@ -37,9 +42,12 @@ from .tensor import Bipartition, DensityOperator, partial_trace
 
 CHAIN_ATOL = 1e-9
 SEPARABILITY_ATOL = 1e-9
+DEFAULT_MAX_DIM = 6
 
-TWO_QUBIT_LABELS = ("a", "b", "c")
-GHZ_LABELS = ("a", "b", "c", "d1", "d2")
+# Channel kinds with closed-form curves; the check suites sweep these.
+CLOSED_FORM_KINDS = ("depolarizing", "amplitude_damping")
+
+PAIR = Bipartition.split({0}, 2)
 
 
 def partition_name(labels: Sequence[str], side_a: Sequence[int]) -> str:
@@ -85,8 +93,21 @@ class ProtocolTrace:
     warnings: list[str] = field(default_factory=list)
 
     def value_of(self, key: str) -> float:
+        """Value behind a trace key.
+
+        Keys are ``success_probability``, ``average_negativity``,
+        ``deterministic:<field>``, ``avg:<partition>`` or
+        ``<partition>@<step>``; a ``@success`` key reads 0 when the success
+        branch has probability zero.
+        """
+        if key in ("success_probability", "average_negativity"):
+            return getattr(self, key)
+        if key.startswith("deterministic:"):
+            return getattr(self.deterministic_output, key.split(":", 1)[1])
         if key.startswith("avg:"):
             return self.averages[key[4:]]
+        if key.endswith("@success"):
+            return self.partition_negativities.get(key, 0.0)
         return self.partition_negativities[key]
 
     def step_state(self, label: str) -> DensityOperator:
@@ -94,6 +115,91 @@ class ProtocolTrace:
             if name == label:
                 return state
         raise KeyError(f"no step labeled {label!r}")
+
+
+class Cnot(NamedTuple):
+    """Generalized CNOT; ``inverse`` subtracts the control digit instead."""
+
+    control: int
+    target: int
+    inverse: bool = False
+
+
+class Noise(NamedTuple):
+    """Channel number ``channel`` of the run acts on subsystem ``target``."""
+
+    target: int
+    channel: int = 0
+
+
+class Step(NamedTuple):
+    """A labelled step: its operations, then the one-vs-rest sides recorded
+    there besides the exchange side, which is recorded at every step."""
+
+    label: str
+    ops: tuple[Cnot | Noise, ...] = ()
+    record: tuple[tuple[int, ...], ...] = ()
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ProtocolSpec:
+    """Declarative description of one (protocol, mode) pair.
+
+    The callables call module-level functions by name, so wrappers
+    installed on those names (profilers, tracers) see every call.
+    """
+
+    protocol: str
+    mode: str
+    subsystems: tuple[str, ...]
+    # d -> start state; the first step holds it unchanged
+    initial: Callable[[int], DensityOperator]
+    steps: tuple[Step, ...]
+    # exchange side: must stay PPT with the rest at every step
+    exchange: tuple[int, ...]
+    # one role per channel of a run, in ``Noise.channel`` order
+    channel_roles: tuple[str, ...]
+    # (channel, d, max_dim) -> trace, through the public driver
+    run: Callable[..., ProtocolTrace]
+    # (kind, x, d) -> branch average across the first finish partition
+    average_only: Callable[..., float]
+    # exchange subsystems measured at the finish, in order
+    measured: tuple[str, ...] = ()
+    # one-vs-rest sides of the post-measurement register; the first one
+    # carries the distributed entanglement
+    finish: tuple[tuple[int, ...], ...] = ((0,),)
+    # pairs of the post-measurement register recorded on the success branch
+    success_pairs: tuple[tuple[int, int], ...] = ()
+    # local map replacing the measurement in the deterministic mode
+    deterministic: Callable[[DensityOperator], DensityOperator] | None = None
+    identity_chains: dict[str, tuple[str, ...]]
+    # chains that need the same channel on every exchange subsystem
+    symmetry_chains: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # CSV column -> trace key (see ProtocolTrace.value_of)
+    columns: tuple[tuple[str, str], ...]
+    # groups of columns one closed form predicts; the formula id is
+    # <protocol>_<kind>_<first column>
+    closed_forms: tuple[tuple[str, ...], ...]
+    # channel kind whose sweeps root-find the noise where the average vanishes
+    critical_kind: str | None = None
+    # the register dimension d is a parameter of the protocol
+    takes_d: bool = False
+    # the identity suite draws random_channels // random_divisor random
+    # canonical channels for this entry (0: none)
+    random_divisor: int = 0
+    describe: str
+
+    def formulas(self, kind: str) -> dict[str, tuple[str, ...]]:
+        """Per-point formula id -> predicted columns for a ``kind`` sweep."""
+        if kind not in CLOSED_FORM_KINDS:
+            return {}
+        return {f"{self.protocol}_{kind}_{cols[0]}": cols for cols in self.closed_forms}
+
+    def critical_formula(self, kind: str) -> str | None:
+        """Formula id of the critical noise level, for ``critical_kind`` only."""
+        if self.critical_kind is None or kind != self.critical_kind:
+            return None
+        return f"{self.protocol}_{kind}_critical_noise"
 
 
 def _noise_summary(*channels: QuditChannel) -> dict[str, object]:
@@ -116,56 +222,152 @@ def _require_cpt(ch: QuditChannel, role: str) -> None:
         )
 
 
+def _evolve(
+    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int
+) -> list[tuple[str, DensityOperator]]:
+    """Labelled state sequence of ``spec`` with ``channels`` on the exchange."""
+    state = spec.initial(d)
+    states = []
+    for step in spec.steps:
+        for op in step.ops:
+            if isinstance(op, Cnot):
+                state = cnot(state, control=op.control, target=op.target, inverse=op.inverse)
+            else:
+                state = apply_to_subsystem(channels[op.channel], state, target=op.target)
+        states.append((step.label, state))
+    return states
+
+
+def _measure(spec: ProtocolSpec, final: DensityOperator) -> list[MeasurementBranch]:
+    """Measure ``spec.measured`` in order; several outcomes form a tuple."""
+    labels = list(spec.subsystems)
+    branches = [MeasurementBranch((), 1.0, final)]
+    for name in spec.measured:
+        target = labels.index(name)
+        labels.pop(target)
+        composed = []
+        for branch in branches:
+            if branch.post_state is None:
+                dim = final.dims[spec.subsystems.index(name)]
+                composed.extend(
+                    MeasurementBranch(branch.outcome + (m,), 0.0, None) for m in range(dim)
+                )
+                continue
+            for sub in measure_computational(branch.post_state, target=target):
+                prob = branch.probability * sub.probability
+                post = sub.post_state if prob > 0.0 else None
+                composed.append(MeasurementBranch(branch.outcome + (sub.outcome,), prob, post))
+        branches = composed
+    if len(spec.measured) == 1:
+        return [MeasurementBranch(b.outcome[0], b.probability, b.post_state) for b in branches]
+    return branches
+
+
+def _finish_parts(spec: ProtocolSpec) -> tuple[list[str], dict[str, Bipartition]]:
+    rest = [label for label in spec.subsystems if label not in spec.measured]
+    parts = {
+        partition_name(rest, side): Bipartition.split(side, len(rest)) for side in spec.finish
+    }
+    return rest, parts
+
+
+def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> ProtocolTrace:
+    """Run ``spec`` with every partition, branch and chain recorded."""
+    for role, ch in zip(spec.channel_roles, channels):
+        if ch.dim != d:
+            raise ValueError(f"{role} has dimension {ch.dim}; the register needs {d}")
+        _require_cpt(ch, role)
+    noise = _noise_summary(*channels)
+    if spec.takes_d:
+        noise["d"] = d
+    trace = ProtocolTrace(
+        protocol=spec.protocol,
+        mode=spec.mode,
+        noise=noise,
+        subsystems=spec.subsystems,
+        steps=_evolve(spec, channels, d),
+    )
+    for step, (label, state) in zip(spec.steps, trace.steps):
+        for side in (spec.exchange, *step.record):
+            key = f"{partition_name(spec.subsystems, side)}@{label}"
+            part = Bipartition.split(side, len(state.dims))
+            trace.partition_negativities[key] = negativity(state, part).value
+    exchange = partition_name(spec.subsystems, spec.exchange)
+    trace.exchange_keys = tuple(f"{exchange}@{step.label}" for step in spec.steps)
+
+    for role, ch in zip(spec.channel_roles, channels):
+        if ch.dim == 2 and not has_canonical_form(ch, atol=1e-10):
+            trace.warnings.append(
+                f"{role} is not Bloch-diagonal with z shift only; identity chains "
+                "are not guaranteed"
+            )
+    trace.identity_chains = dict(spec.identity_chains)
+    first = channels[0].transfer_tensor() if len(channels) > 1 else None
+    if all(
+        np.allclose(first, ch.transfer_tensor(), atol=1e-12, rtol=0.0) for ch in channels[1:]
+    ):
+        trace.identity_chains.update(spec.symmetry_chains)
+    else:
+        targets = " and ".join(spec.subsystems[i] for i in spec.exchange)
+        trace.warnings.append(
+            f"channels on {targets} differ; the symmetry relations are not guaranteed"
+        )
+
+    final = trace.steps[-1][1]
+    if spec.deterministic is not None:
+        out = spec.deterministic(final)
+        trace.deterministic_output = DeterministicOutcome(
+            state=out, negativity=negativity(out, PAIR).value, concurrence=concurrence(out)
+        )
+        return trace
+
+    rest, parts = _finish_parts(spec)
+    trace.branches = _measure(spec, final)
+    for branch in trace.branches:
+        if branch.post_state is None:
+            trace.branch_negativities.append({})
+        else:
+            trace.branch_negativities.append(
+                {name: negativity(branch.post_state, part).value for name, part in parts.items()}
+            )
+    for name, part in parts.items():
+        trace.averages[name] = average_negativity(trace.branches, part)
+    trace.average_negativity = trace.averages[next(iter(parts))]
+    trace.success_probability = trace.branches[0].probability
+    success = trace.branches[0].post_state
+    if success is not None:
+        for name, value in trace.branch_negativities[0].items():
+            trace.partition_negativities[f"{name}@success"] = value
+        for pair in spec.success_pairs:
+            key = f"{''.join(rest[i] for i in pair)}_pair@success"
+            reduced = partial_trace(success, keep=pair)
+            trace.partition_negativities[key] = negativity(reduced, PAIR).value
+    return trace
+
+
+def _average_only(
+    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2, side: int = 0
+) -> float:
+    """The driver with recording switched off: the branch-averaged
+    negativity across finish partition number ``side``, nothing else."""
+    branches = _measure(spec, _evolve(spec, channels, d)[-1][1])
+    _, parts = _finish_parts(spec)
+    return average_negativity(branches, list(parts.values())[side])
+
+
 def two_qubit_states(ch: QuditChannel) -> list[tuple[str, DensityOperator]]:
     """State sequence of the two-qubit protocol under channel ``ch`` on c."""
-    rho0 = edss_initial_two_qubit()
-    rho1 = cnot(rho0, control=0, target=2)
-    rho1_noisy = apply_to_subsystem(ch, rho1, target=2)
-    rho2_noisy = cnot(rho1_noisy, control=1, target=2)
-    return [
-        ("initial", rho0),
-        ("alice_cnot", rho1),
-        ("channel", rho1_noisy),
-        ("bob_cnot", rho2_noisy),
-    ]
+    return _evolve(SPECS["two_qubit", "probabilistic"], (ch,), 2)
 
 
 def ghz_states(ch1: QuditChannel, ch2: QuditChannel) -> list[tuple[str, DensityOperator]]:
     """State sequence of the GHZ protocol; ``ch1`` acts on d1, ``ch2`` on d2."""
-    sigma0 = ghz_initial_state()
-    sigma1 = cnot(cnot(sigma0, control=0, target=3), control=0, target=4)
-    noisy = apply_to_subsystem(ch2, apply_to_subsystem(ch1, sigma1, target=3), target=4)
-    final = cnot(cnot(noisy, control=1, target=3), control=2, target=4)
-    return [
-        ("initial", sigma0),
-        ("alice_cnots", sigma1),
-        ("channels", noisy),
-        ("bob_charlie_cnots", final),
-    ]
+    return _evolve(SPECS["ghz", "probabilistic"], (ch1, ch2), 2)
 
 
 def qudit_states(d: int, ch: QuditChannel) -> list[tuple[str, DensityOperator]]:
     """State sequence of the d-level protocol under channel ``ch`` on c."""
-    omega0 = qudit_initial_state(d)
-    omega1 = cnot(omega0, control=0, target=2)
-    omega1_noisy = apply_to_subsystem(ch, omega1, target=2)
-    omega2_noisy = cnot(omega1_noisy, control=1, target=2, inverse=True)
-    return [
-        ("initial", omega0),
-        ("alice_cnot", omega1),
-        ("channel", omega1_noisy),
-        ("bob_inverse_cnot", omega2_noisy),
-    ]
-
-
-def _record_partition(
-    trace: ProtocolTrace, state: DensityOperator, side_a: Sequence[int], step: str
-) -> float:
-    part = Bipartition.split(side_a, len(state.dims))
-    key = f"{partition_name(trace.subsystems, side_a)}@{step}"
-    value = negativity(state, part).value
-    trace.partition_negativities[key] = value
-    return value
+    return _evolve(SPECS["qudit", "probabilistic"], (ch,), d)
 
 
 def run_two_qubit(ch: QuditChannel, mode: str = "probabilistic") -> ProtocolTrace:
@@ -175,86 +377,9 @@ def run_two_qubit(ch: QuditChannel, mode: str = "probabilistic") -> ProtocolTrac
     ``"deterministic"`` (local channel on b, c and trace c out). Non-CPT
     channels are refused.
     """
-    if mode not in ("probabilistic", "deterministic"):
+    if ("two_qubit", mode) not in SPECS:
         raise ValueError(f"unknown mode {mode!r}")
-    if ch.dim != 2:
-        raise ValueError("the two-qubit protocol needs a qubit channel")
-    _require_cpt(ch, "communication channel")
-
-    trace = ProtocolTrace(
-        protocol="two_qubit",
-        mode=mode,
-        noise=_noise_summary(ch),
-        subsystems=TWO_QUBIT_LABELS,
-        steps=two_qubit_states(ch),
-    )
-    states = dict(trace.steps)
-    for step in ("initial", "alice_cnot", "channel", "bob_cnot"):
-        _record_partition(trace, states[step], (2,), step)
-    _record_partition(trace, states["channel"], (0,), "channel")
-    _record_partition(trace, states["bob_cnot"], (0,), "bob_cnot")
-    _record_partition(trace, states["bob_cnot"], (1,), "bob_cnot")
-    trace.exchange_keys = tuple(
-        f"c|ab@{step}" for step in ("initial", "alice_cnot", "channel", "bob_cnot")
-    )
-
-    if not has_canonical_form(ch, atol=1e-10):
-        trace.warnings.append(
-            "channel is not Bloch-diagonal with z shift only; identity chains "
-            "are not guaranteed"
-        )
-
-    pair = Bipartition.split({0}, 2)
-    if mode == "probabilistic":
-        trace.branches = measure_computational(states["bob_cnot"], target=2)
-        for branch in trace.branches:
-            if branch.post_state is None:
-                trace.branch_negativities.append({})
-            else:
-                value = negativity(branch.post_state, pair).value
-                trace.branch_negativities.append({"a|b": value})
-        trace.averages["a|b"] = average_negativity(trace.branches, pair)
-        trace.average_negativity = trace.averages["a|b"]
-        trace.success_probability = trace.branches[0].probability
-        if trace.branch_negativities[0]:
-            trace.partition_negativities["a|b@success"] = trace.branch_negativities[0]["a|b"]
-        trace.identity_chains = {
-            "distribution": (
-                "avg:a|b",
-                "a|bc@channel",
-                "a|bc@bob_cnot",
-                "b|ac@bob_cnot",
-            )
-        }
-    else:
-        final = bob_deterministic_map(states["bob_cnot"])
-        trace.deterministic_output = DeterministicOutcome(
-            state=final,
-            negativity=negativity(final, pair).value,
-            concurrence=concurrence(final),
-        )
-        trace.identity_chains = {
-            "distribution": ("a|bc@channel", "a|bc@bob_cnot", "b|ac@bob_cnot")
-        }
-    return trace
-
-
-def _ghz_branches(final: DensityOperator) -> list[MeasurementBranch]:
-    """Measure d1 then d2, composing outcomes into (l, l') branches."""
-    branches: list[MeasurementBranch] = []
-    for first in measure_computational(final, target=3):
-        if first.post_state is None:
-            branches.extend(
-                MeasurementBranch((first.outcome, second), 0.0, None) for second in range(2)
-            )
-            continue
-        for second in measure_computational(first.post_state, target=3):
-            prob = first.probability * second.probability
-            post = second.post_state if prob > 0.0 else None
-            branches.append(
-                MeasurementBranch((first.outcome, second.outcome), prob, post)
-            )
-    return branches
+    return _drive(SPECS["two_qubit", mode], (ch,))
 
 
 def run_ghz(ch1: QuditChannel, ch2: QuditChannel | None = None) -> ProtocolTrace:
@@ -264,90 +389,10 @@ def run_ghz(ch1: QuditChannel, ch2: QuditChannel | None = None) -> ProtocolTrace
     allowed but flagged, since the cross-partition symmetry argument assumes
     identical independent noise.
     """
-    if ch2 is None:
-        ch2 = ch1
-    for role, ch in (("channel on d1", ch1), ("channel on d2", ch2)):
-        if ch.dim != 2:
-            raise ValueError(f"{role} must be a qubit channel")
-        _require_cpt(ch, role)
-
-    trace = ProtocolTrace(
-        protocol="ghz",
-        mode="probabilistic",
-        noise=_noise_summary(ch1, ch2),
-        subsystems=GHZ_LABELS,
-        steps=ghz_states(ch1, ch2),
-    )
-    states = dict(trace.steps)
-    step_names = ("initial", "alice_cnots", "channels", "bob_charlie_cnots")
-    for step in step_names:
-        _record_partition(trace, states[step], (3, 4), step)
-    for step in ("channels", "bob_charlie_cnots"):
-        for side in ((0,), (1,), (2,)):
-            _record_partition(trace, states[step], side, step)
-    trace.exchange_keys = tuple(f"d1d2|abc@{step}" for step in step_names)
-
-    identical = bool(
-        np.allclose(ch1.transfer_tensor(), ch2.transfer_tensor(), atol=1e-12, rtol=0.0)
-    )
-    for role, ch in (("d1", ch1), ("d2", ch2)):
-        if not has_canonical_form(ch, atol=1e-10):
-            trace.warnings.append(
-                f"channel on {role} is not Bloch-diagonal with z shift only; "
-                "identity chains are not guaranteed"
-            )
-    if not identical:
-        trace.warnings.append(
-            "channels on d1 and d2 differ; the b/c symmetry relation is not guaranteed"
-        )
-
-    trace.branches = _ghz_branches(states["bob_charlie_cnots"])
-    three = {
-        "a|bc": Bipartition.split({0}, 3),
-        "b|ac": Bipartition.split({1}, 3),
-        "c|ab": Bipartition.split({2}, 3),
-    }
-    for branch in trace.branches:
-        if branch.post_state is None:
-            trace.branch_negativities.append({})
-            continue
-        trace.branch_negativities.append(
-            {name: negativity(branch.post_state, part).value for name, part in three.items()}
-        )
-    for name, part in three.items():
-        trace.averages[name] = average_negativity(trace.branches, part)
-    trace.average_negativity = trace.averages["a|bc"]
-    trace.success_probability = trace.branches[0].probability
-
-    success = trace.branches[0].post_state
-    if success is not None:
-        for name, value in trace.branch_negativities[0].items():
-            trace.partition_negativities[f"{name}@success"] = value
-        pair_part = Bipartition.split({0}, 2)
-        for pair_name, keep in (("ab", (0, 1)), ("bc", (1, 2)), ("ac", (0, 2))):
-            reduced = partial_trace(success, keep=keep)
-            trace.partition_negativities[f"{pair_name}_pair@success"] = negativity(
-                reduced, pair_part
-            ).value
-
-    trace.identity_chains = {
-        "a_side": (
-            "avg:a|bc",
-            "a|bcd1d2@bob_charlie_cnots",
-            "a|bcd1d2@channels",
-        ),
-        "b_side": ("avg:b|ac", "b|acd1d2@bob_charlie_cnots"),
-        "c_side": ("avg:c|ab", "c|abd1d2@bob_charlie_cnots"),
-    }
-    if identical:
-        trace.identity_chains["bc_symmetry"] = (
-            "b|acd1d2@bob_charlie_cnots",
-            "c|abd1d2@bob_charlie_cnots",
-        )
-    return trace
+    return _drive(SPECS["ghz", "probabilistic"], (ch1, ch1 if ch2 is None else ch2))
 
 
-def run_qudit(d: int, ch: QuditChannel, max_dim: int = 6) -> ProtocolTrace:
+def run_qudit(d: int, ch: QuditChannel, max_dim: int = DEFAULT_MAX_DIM) -> ProtocolTrace:
     """Run the d-level pair distribution protocol under ``ch`` on c.
 
     ``d`` is capped at ``max_dim`` (default 6) to bound the d^3-sided
@@ -356,56 +401,216 @@ def run_qudit(d: int, ch: QuditChannel, max_dim: int = 6) -> ProtocolTrace:
     """
     if d < 2 or d > max_dim:
         raise ValueError(f"dimension {d} outside the allowed range [2, {max_dim}]")
-    if ch.dim != d:
-        raise ValueError(f"channel dimension {ch.dim} does not match d={d}")
     if d > 2 and ch.kind not in ("depolarizing", "amplitude_damping", "identity"):
         raise ValueError(
             f"unsupported channel kind {ch.kind!r} for d={d}; "
             "use depolarizing or amplitude_damping"
         )
-    _require_cpt(ch, "communication channel")
+    return _drive(SPECS["qudit", "probabilistic"], (ch,), d)
 
-    trace = ProtocolTrace(
-        protocol="qudit",
+
+def qudit_average_only(d: int, kind: str, x: float) -> float:
+    """Branch-averaged a|b negativity of the qudit protocol, nothing else.
+
+    Skips all full-register partition spectra, which makes it cheap enough
+    for root finding.
+    """
+    return _average_only(SPECS["qudit", "probabilistic"], (noise_channel(kind, d, x),), d)
+
+
+def ghz_average_only(kind: str, x: float, side: int) -> float:
+    """Branch-averaged one-vs-rest negativity of the GHZ protocol post states."""
+    ch = noise_channel(kind, 2, x)
+    return _average_only(SPECS["ghz", "probabilistic"], (ch, ch), side=side)
+
+
+def two_qubit_average_only(kind: str, x: float) -> float:
+    """Branch-averaged a|b negativity of the two-qubit protocol, nothing else."""
+    return _average_only(SPECS["two_qubit", "probabilistic"], (noise_channel(kind, 2, x),))
+
+
+_TWO_QUBIT = ProtocolSpec(
+    protocol="two_qubit",
+    mode="probabilistic",
+    subsystems=("a", "b", "c"),
+    initial=lambda d: edss_initial_two_qubit(),
+    steps=(
+        Step("initial"),
+        Step("alice_cnot", (Cnot(0, 2),)),
+        Step("channel", (Noise(2),), record=((0,),)),
+        Step("bob_cnot", (Cnot(1, 2),), record=((0,), (1,))),
+    ),
+    exchange=(2,),
+    channel_roles=("communication channel",),
+    run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_two_qubit(ch),
+    average_only=lambda kind, x, d=2: two_qubit_average_only(kind, x),
+    measured=("c",),
+    identity_chains={
+        "distribution": ("avg:a|b", "a|bc@channel", "a|bc@bob_cnot", "b|ac@bob_cnot")
+    },
+    columns=(
+        ("success_probability", "success_probability"),
+        ("success_negativity", "a|b@success"),
+        ("average_negativity", "average_negativity"),
+        ("negativity_a_bc_channel", "a|bc@channel"),
+        ("negativity_a_bc_final", "a|bc@bob_cnot"),
+        ("negativity_b_ac_final", "b|ac@bob_cnot"),
+    ),
+    closed_forms=(("success_probability",), ("success_negativity",), ("average_negativity",)),
+    random_divisor=1,
+    describe="""\
+two_qubit: distribute a two-qubit entangled pair between distant nodes a and b
+using an exchange qubit c that stays separable from them throughout.
+
+  I    initial           separable three-qubit state of (a, b, c) prepared at node a
+  II   alice_cnot        CNOT, control a, target c
+  III  channel           c travels to node b through the noisy channel
+  IV   bob_cnot          CNOT, control b, target c
+  V    finish            probabilistic: measure c in the computational basis
+                         (2 outcomes; outcome 0 carries the entangled pair)
+                         deterministic: apply the local (b, c) channel, trace out c
+
+partitions reported: c|ab at every step; a|bc after III and IV; b|ac after IV;
+a|b on the success branch.
+identity chain: avg a|b = a|bc@channel = a|bc@bob_cnot = b|ac@bob_cnot
+closed forms: two_qubit_depolarizing_*, two_qubit_amplitude_damping_*
+""",
+)
+
+SPECS: dict[tuple[str, str], ProtocolSpec] = {
+    ("two_qubit", "probabilistic"): _TWO_QUBIT,
+    ("two_qubit", "deterministic"): replace(
+        _TWO_QUBIT,
+        mode="deterministic",
+        run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_two_qubit(ch, mode="deterministic"),
+        measured=(),
+        deterministic=lambda rho: bob_deterministic_map(rho),
+        identity_chains={"distribution": ("a|bc@channel", "a|bc@bob_cnot", "b|ac@bob_cnot")},
+        columns=(
+            ("deterministic_negativity", "deterministic:negativity"),
+            ("deterministic_concurrence", "deterministic:concurrence"),
+            *_TWO_QUBIT.columns[3:],
+        ),
+        closed_forms=(("deterministic_negativity",),),
+        random_divisor=0,
+    ),
+    ("ghz", "probabilistic"): ProtocolSpec(
+        protocol="ghz",
         mode="probabilistic",
-        noise={**_noise_summary(ch), "d": d},
-        subsystems=TWO_QUBIT_LABELS,
-        steps=qudit_states(d, ch),
-    )
-    states = dict(trace.steps)
-    step_names = ("initial", "alice_cnot", "channel", "bob_inverse_cnot")
-    for step in step_names:
-        _record_partition(trace, states[step], (2,), step)
-    _record_partition(trace, states["channel"], (0,), "channel")
-    _record_partition(trace, states["channel"], (1,), "channel")
-    _record_partition(trace, states["bob_inverse_cnot"], (0,), "bob_inverse_cnot")
-    _record_partition(trace, states["bob_inverse_cnot"], (1,), "bob_inverse_cnot")
-    trace.exchange_keys = tuple(f"c|ab@{step}" for step in step_names)
+        subsystems=("a", "b", "c", "d1", "d2"),
+        initial=lambda d: ghz_initial_state(),
+        steps=(
+            Step("initial"),
+            Step("alice_cnots", (Cnot(0, 3), Cnot(0, 4))),
+            Step("channels", (Noise(3, 0), Noise(4, 1)), record=((0,), (1,), (2,))),
+            Step("bob_charlie_cnots", (Cnot(1, 3), Cnot(2, 4)), record=((0,), (1,), (2,))),
+        ),
+        exchange=(3, 4),
+        channel_roles=("channel on d1", "channel on d2"),
+        run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_ghz(ch),
+        average_only=lambda kind, x, d=2: ghz_average_only(kind, x, 0),
+        measured=("d1", "d2"),
+        finish=((0,), (1,), (2,)),
+        success_pairs=((0, 1), (1, 2), (0, 2)),
+        identity_chains={
+            "a_side": ("avg:a|bc", "a|bcd1d2@bob_charlie_cnots", "a|bcd1d2@channels"),
+            "b_side": ("avg:b|ac", "b|acd1d2@bob_charlie_cnots"),
+            "c_side": ("avg:c|ab", "c|abd1d2@bob_charlie_cnots"),
+        },
+        symmetry_chains={
+            "bc_symmetry": ("b|acd1d2@bob_charlie_cnots", "c|abd1d2@bob_charlie_cnots")
+        },
+        columns=(
+            ("success_probability", "success_probability"),
+            ("negativity_a_bc", "a|bc@success"),
+            ("negativity_b_ac", "b|ac@success"),
+            ("negativity_c_ab", "c|ab@success"),
+            ("pairwise_ab", "ab_pair@success"),
+            ("pairwise_bc", "bc_pair@success"),
+            ("pairwise_ac", "ac_pair@success"),
+            ("average_a_bc", "avg:a|bc"),
+            ("average_b_ac", "avg:b|ac"),
+            ("average_c_ab", "avg:c|ab"),
+            ("negativity_a_bcd1d2_channel", "a|bcd1d2@channels"),
+            ("negativity_a_bcd1d2_final", "a|bcd1d2@bob_charlie_cnots"),
+            ("negativity_b_acd1d2_final", "b|acd1d2@bob_charlie_cnots"),
+            ("negativity_c_abd1d2_final", "c|abd1d2@bob_charlie_cnots"),
+        ),
+        closed_forms=(
+            ("success_probability",),
+            ("negativity_a_bc",),
+            ("negativity_b_ac", "negativity_c_ab"),
+            ("average_a_bc",),
+            ("average_b_ac", "average_c_ab"),
+        ),
+        random_divisor=5,
+        describe="""\
+ghz: distribute a three-qubit GHZ state between nodes a, b, c using two
+exchange qubits d1, d2 that stay separable from the targets throughout.
 
-    pair = Bipartition.split({0}, 2)
-    trace.branches = measure_computational(states["bob_inverse_cnot"], target=2)
-    for branch in trace.branches:
-        if branch.post_state is None:
-            trace.branch_negativities.append({})
-        else:
-            trace.branch_negativities.append(
-                {"a|b": negativity(branch.post_state, pair).value}
+  I    initial           separable five-qubit state of (a, b, c, d1, d2)
+  II   alice_cnots       CNOTs, control a, targets d1 and d2
+  III  channels          d1 goes to node b, d2 to node c, each through its channel
+  IV   bob_charlie_cnots CNOTs, controls b and c, targets d1 and d2
+  V    finish            measure d1 and d2; 4 outcomes (l, l') with (0, 0) the
+                         success branch carrying the three-party state
+
+partitions reported: d1d2|abc at every step; a|bcd1d2, b|acd1d2, c|abd1d2 after
+III and IV; a|bc, b|ac, c|ab and the qubit pairs on the success branch.
+identity chains: avg a|bc = a|bcd1d2@final = a|bcd1d2@channels;
+avg b|ac = b|acd1d2@final; avg c|ab = c|abd1d2@final
+closed forms: ghz_depolarizing_*, ghz_amplitude_damping_*
+""",
+    ),
+    ("qudit", "probabilistic"): replace(
+        _TWO_QUBIT,
+        protocol="qudit",
+        initial=lambda d: qudit_initial_state(d),
+        steps=(
+            Step("initial"),
+            Step("alice_cnot", (Cnot(0, 2),)),
+            Step("channel", (Noise(2),), record=((0,), (1,))),
+            Step("bob_inverse_cnot", (Cnot(1, 2, inverse=True),), record=((0,), (1,))),
+        ),
+        run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_qudit(d, ch, max_dim=max_dim),
+        average_only=lambda kind, x, d=2: qudit_average_only(d, kind, x),
+        identity_chains={
+            "distribution": (
+                "avg:a|b",
+                "a|bc@channel",
+                "a|bc@bob_inverse_cnot",
+                "b|ac@bob_inverse_cnot",
             )
-    trace.averages["a|b"] = average_negativity(trace.branches, pair)
-    trace.average_negativity = trace.averages["a|b"]
-    trace.success_probability = trace.branches[0].probability
-    if trace.branch_negativities[0]:
-        trace.partition_negativities["a|b@success"] = trace.branch_negativities[0]["a|b"]
+        },
+        columns=(
+            *_TWO_QUBIT.columns[:4],
+            ("negativity_a_bc_final", "a|bc@bob_inverse_cnot"),
+            ("negativity_b_ac_final", "b|ac@bob_inverse_cnot"),
+        ),
+        critical_kind="depolarizing",
+        takes_d=True,
+        random_divisor=0,
+        describe="""\
+qudit: distribute a d-level entangled pair between nodes a and b using an
+exchange qudit c that stays separable from them throughout.
 
-    trace.identity_chains = {
-        "distribution": (
-            "avg:a|b",
-            "a|bc@channel",
-            "a|bc@bob_inverse_cnot",
-            "b|ac@bob_inverse_cnot",
-        )
-    }
-    return trace
+  I    initial           separable three-qudit state of (a, b, c)
+  II   alice_cnot        generalized CNOT, control a, target c (addition mod d)
+  III  channel           c travels to node b through the noisy channel
+  IV   bob_inverse_cnot  inverse generalized CNOT, control b, target c
+  V    finish            measure c in the computational basis; d outcomes with
+                         outcome 0 the success branch
+
+partitions reported: c|ab at every step; a|bc and b|ac after III and IV; a|b on
+the success branch.
+identity chain: avg a|b = a|bc@channel = a|bc@bob_inverse_cnot = b|ac@bob_inverse_cnot
+closed forms: qudit_depolarizing_*, qudit_amplitude_damping_*
+""",
+    ),
+}
+
+PROTOCOLS = tuple(dict.fromkeys(protocol for protocol, _ in SPECS))
+MODES = ("probabilistic", "deterministic")
 
 
 @dataclass

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .channels import CHANNEL_PARAMS
+
 
 @dataclass(frozen=True)
 class Formula:
@@ -152,159 +154,63 @@ def _qudit_ad_average(d: int, g: float) -> float:
     return (1.0 - g) / (2.0 * d - 1.0)
 
 
+# One row per (protocol, quantity): its description, then its curve under
+# depolarizing and under amplitude-damping noise. The formula id is
+# <protocol>_<kind>_<quantity>; qudit curves take the dimension d first.
+_CURVES = (
+    ("two_qubit", "success_probability",
+     "probability of the entangling measurement outcome",
+     _tq_depol_success_prob, _tq_ad_success_prob),
+    ("two_qubit", "success_negativity",
+     "negativity of the post-measurement pair on success",
+     _tq_depol_success_neg, _tq_ad_success_neg),
+    ("two_qubit", "average_negativity",
+     "branch-averaged negativity distributed between a and b",
+     _tq_depol_average, _tq_ad_average),
+    ("two_qubit", "deterministic_negativity",
+     "negativity of the deterministic-variant output pair",
+     _tq_depol_deterministic, _tq_ad_deterministic),
+    ("ghz", "success_probability",
+     "probability of the (0, 0) ancilla outcome",
+     _ghz_depol_success_prob, _ghz_ad_success_prob),
+    ("ghz", "negativity_a_bc",
+     "a|bc negativity of the success branch",
+     _ghz_depol_neg_a_bc, _ghz_ad_neg_a_bc),
+    ("ghz", "negativity_b_ac",
+     "b|ac (= c|ab) negativity of the success branch",
+     _ghz_depol_neg_b_ac, _ghz_ad_neg_b_ac),
+    ("ghz", "average_a_bc",
+     "branch-averaged a|bc negativity",
+     _ghz_depol_avg_a_bc, _ghz_ad_avg_a_bc),
+    ("ghz", "average_b_ac",
+     "branch-averaged b|ac (= c|ab) negativity",
+     _ghz_depol_avg_b_ac, _ghz_ad_avg_b_ac),
+    ("qudit", "success_probability",
+     "probability of the entangling measurement outcome",
+     _qudit_depol_success_prob, _qudit_ad_success_prob),
+    ("qudit", "success_negativity",
+     "negativity of the post-measurement qudit pair on success",
+     _qudit_depol_success_neg, _qudit_ad_success_neg),
+    ("qudit", "average_negativity",
+     "branch-averaged negativity distributed between a and b",
+     _qudit_depol_average, _qudit_ad_average),
+)
+
+
 def _registry() -> dict[str, Formula]:
     entries = [
-        Formula(
-            "two_qubit_depolarizing_success_probability",
-            ("p",),
-            "probability of the entangling measurement outcome",
-            _tq_depol_success_prob,
-        ),
-        Formula(
-            "two_qubit_depolarizing_success_negativity",
-            ("p",),
-            "negativity of the post-measurement pair on success",
-            _tq_depol_success_neg,
-        ),
-        Formula(
-            "two_qubit_depolarizing_average_negativity",
-            ("p",),
-            "branch-averaged negativity distributed between a and b",
-            _tq_depol_average,
-        ),
-        Formula(
-            "two_qubit_depolarizing_deterministic_negativity",
-            ("p",),
-            "negativity of the deterministic-variant output pair",
-            _tq_depol_deterministic,
-        ),
-        Formula(
-            "two_qubit_amplitude_damping_success_probability",
-            ("gamma",),
-            "probability of the entangling measurement outcome",
-            _tq_ad_success_prob,
-        ),
-        Formula(
-            "two_qubit_amplitude_damping_success_negativity",
-            ("gamma",),
-            "negativity of the post-measurement pair on success",
-            _tq_ad_success_neg,
-        ),
-        Formula(
-            "two_qubit_amplitude_damping_average_negativity",
-            ("gamma",),
-            "branch-averaged negativity distributed between a and b",
-            _tq_ad_average,
-        ),
-        Formula(
-            "two_qubit_amplitude_damping_deterministic_negativity",
-            ("gamma",),
-            "negativity of the deterministic-variant output pair",
-            _tq_ad_deterministic,
-        ),
-        Formula(
-            "ghz_depolarizing_success_probability",
-            ("p",),
-            "probability of the (0, 0) ancilla outcome",
-            _ghz_depol_success_prob,
-        ),
-        Formula(
-            "ghz_depolarizing_negativity_a_bc",
-            ("p",),
-            "a|bc negativity of the success branch",
-            _ghz_depol_neg_a_bc,
-        ),
-        Formula(
-            "ghz_depolarizing_negativity_b_ac",
-            ("p",),
-            "b|ac (= c|ab) negativity of the success branch",
-            _ghz_depol_neg_b_ac,
-        ),
-        Formula(
-            "ghz_depolarizing_average_a_bc",
-            ("p",),
-            "branch-averaged a|bc negativity",
-            _ghz_depol_avg_a_bc,
-        ),
-        Formula(
-            "ghz_depolarizing_average_b_ac",
-            ("p",),
-            "branch-averaged b|ac (= c|ab) negativity",
-            _ghz_depol_avg_b_ac,
-        ),
-        Formula(
-            "ghz_amplitude_damping_success_probability",
-            ("gamma",),
-            "probability of the (0, 0) ancilla outcome",
-            _ghz_ad_success_prob,
-        ),
-        Formula(
-            "ghz_amplitude_damping_negativity_a_bc",
-            ("gamma",),
-            "a|bc negativity of the success branch",
-            _ghz_ad_neg_a_bc,
-        ),
-        Formula(
-            "ghz_amplitude_damping_negativity_b_ac",
-            ("gamma",),
-            "b|ac (= c|ab) negativity of the success branch",
-            _ghz_ad_neg_b_ac,
-        ),
-        Formula(
-            "ghz_amplitude_damping_average_a_bc",
-            ("gamma",),
-            "branch-averaged a|bc negativity",
-            _ghz_ad_avg_a_bc,
-        ),
-        Formula(
-            "ghz_amplitude_damping_average_b_ac",
-            ("gamma",),
-            "branch-averaged b|ac (= c|ab) negativity",
-            _ghz_ad_avg_b_ac,
-        ),
-        Formula(
-            "qudit_depolarizing_success_probability",
-            ("d", "p"),
-            "probability of the entangling measurement outcome",
-            _qudit_depol_success_prob,
-        ),
-        Formula(
-            "qudit_depolarizing_success_negativity",
-            ("d", "p"),
-            "negativity of the post-measurement qudit pair on success",
-            _qudit_depol_success_neg,
-        ),
-        Formula(
-            "qudit_depolarizing_average_negativity",
-            ("d", "p"),
-            "branch-averaged negativity distributed between a and b",
-            _qudit_depol_average,
-        ),
         Formula(
             "qudit_depolarizing_critical_noise",
             ("d",),
             "noise level beyond which the average negativity vanishes",
             _qudit_depol_critical,
-        ),
-        Formula(
-            "qudit_amplitude_damping_success_probability",
-            ("d", "gamma"),
-            "probability of the entangling measurement outcome",
-            _qudit_ad_success_prob,
-        ),
-        Formula(
-            "qudit_amplitude_damping_success_negativity",
-            ("d", "gamma"),
-            "negativity of the post-measurement qudit pair on success",
-            _qudit_ad_success_neg,
-        ),
-        Formula(
-            "qudit_amplitude_damping_average_negativity",
-            ("d", "gamma"),
-            "branch-averaged negativity distributed between a and b",
-            _qudit_ad_average,
-        ),
+        )
     ]
+    for protocol, quantity, description, depolarizing, damping in _CURVES:
+        for kind, fn in (("depolarizing", depolarizing), ("amplitude_damping", damping)):
+            noise = CHANNEL_PARAMS[kind][0]
+            params = ("d", noise) if protocol == "qudit" else (noise,)
+            entries.append(Formula(f"{protocol}_{kind}_{quantity}", params, description, fn))
     return {f.formula_id: f for f in entries}
 
 

@@ -15,27 +15,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import amplitude_damping, canonical_channel, depolarizing, is_cpt
+from .channels import CHANNEL_PARAMS, channel_from_config, is_cpt
 from .protocols import (
-    ProtocolTrace,
+    PROTOCOLS,
+    SPECS,
     critical_noise,
-    run_ghz,
-    run_qudit,
-    run_two_qubit,
     separability_audit,
     verify_identity_chain,
 )
-from .reference import closed_form
-from .checks import qudit_average_only
+from .reference import FORMULAS, closed_form
 from .svgchart import render_line_chart
 
-PROTOCOLS = ("two_qubit", "ghz", "qudit")
-MODES = ("probabilistic", "deterministic")
-CHANNEL_KINDS = ("depolarizing", "amplitude_damping", "canonical")
 CHECK_NAMES = ("identity", "separability", "closed_form")
-CANONICAL_PARAM_NAMES = ("lambda1", "lambda2", "lambda3", "t3")
+# Canonical parameters a sweep leaves unset take their identity-channel values.
+CANONICAL_DEFAULTS = {"lambda1": 1.0, "lambda2": 1.0, "lambda3": 1.0, "t3": 0.0}
 
 CHECK_ATOL = 1e-9
+# 50x the largest grid any caller uses (201 points), so a typo such as
+# --points 100000000 fails at once instead of running for days.
+MAX_POINTS = 10_001
+# Dense states have side d^3: 1000 (16 MB) at d = 10, the largest dimension
+# the dense path is meant for; a larger --max-dim would only admit slower runs.
+MAX_DIM_CEILING = 10
 
 
 class SweepError(ValueError):
@@ -63,13 +64,13 @@ class SweepSpec:
     def validate(self) -> "SweepSpec":
         if self.protocol not in PROTOCOLS:
             raise SweepError(f"unknown protocol {self.protocol!r}")
-        if self.mode not in MODES:
-            raise SweepError(f"unknown mode {self.mode!r}")
-        if self.mode == "deterministic" and self.protocol != "two_qubit":
-            raise SweepError("deterministic mode exists only for the two_qubit protocol")
-        if self.channel not in CHANNEL_KINDS:
+        if (self.protocol, self.mode) not in SPECS:
+            raise SweepError(f"mode {self.mode!r} does not exist for the {self.protocol} protocol")
+        if self.channel not in CHANNEL_PARAMS:
             raise SweepError(f"unknown channel kind {self.channel!r}")
-        if self.protocol == "qudit":
+        if self.max_dim > MAX_DIM_CEILING:
+            raise SweepError(f"max_dim must be <= {MAX_DIM_CEILING}, got {self.max_dim}")
+        if SPECS[self.protocol, self.mode].takes_d:
             if not 2 <= self.d <= self.max_dim:
                 raise SweepError(
                     f"d={self.d} outside the allowed range [2, {self.max_dim}]"
@@ -78,29 +79,25 @@ class SweepSpec:
                 raise SweepError("canonical channels are qubit channels; d must be 2")
         elif self.d != 2:
             raise SweepError(f"protocol {self.protocol} works with qubits; drop d={self.d}")
-        expected_param = {
-            "depolarizing": ("p",),
-            "amplitude_damping": ("gamma",),
-            "canonical": CANONICAL_PARAM_NAMES,
-        }[self.channel]
+        expected_param = CHANNEL_PARAMS[self.channel]
         if self.param not in expected_param:
             raise SweepError(
                 f"param {self.param!r} does not fit channel {self.channel!r}; "
                 f"expected one of {expected_param}"
             )
-        unknown_args = set(self.channel_args) - set(CANONICAL_PARAM_NAMES)
+        unknown_args = set(self.channel_args) - set(CANONICAL_DEFAULTS)
         if unknown_args:
             raise SweepError(f"unknown channel arguments {sorted(unknown_args)}")
         if not 0.0 <= self.start <= self.stop <= 1.0:
             raise SweepError(
                 f"need 0 <= start <= stop <= 1, got [{self.start}, {self.stop}]"
             )
-        if self.points < 2:
-            raise SweepError(f"points must be >= 2, got {self.points}")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise SweepError(f"points must be in [2, {MAX_POINTS}], got {self.points}")
         bad_checks = set(self.checks) - set(CHECK_NAMES)
         if bad_checks:
             raise SweepError(f"unknown checks {sorted(bad_checks)}")
-        if "closed_form" in self.checks and self.channel == "canonical":
+        if "closed_form" in self.checks and not _ref_columns(self):
             raise SweepError(
                 "closed_form check needs a depolarizing or amplitude_damping sweep"
             )
@@ -112,15 +109,15 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.points)
 
     def channel_at(self, x: float):
-        d = self.d if self.protocol == "qudit" else 2
-        if self.channel == "depolarizing":
-            return depolarizing(d, x)
-        if self.channel == "amplitude_damping":
-            return amplitude_damping(d, x)
-        args = {"lambda1": 1.0, "lambda2": 1.0, "lambda3": 1.0, "t3": 0.0}
-        args.update(self.channel_args)
-        args[self.param] = x
-        return canonical_channel(**args)
+        return channel_from_config(
+            {
+                "kind": self.channel,
+                "d": self.d,
+                **CANONICAL_DEFAULTS,
+                **self.channel_args,
+                self.param: x,
+            }
+        )
 
 
 @dataclass
@@ -146,195 +143,51 @@ def format_float(x: float) -> str:
 
 def _ref_columns(spec: SweepSpec) -> dict[str, str]:
     """Map CSV reference columns to formula ids for this sweep."""
-    if spec.channel == "canonical":
-        return {}
-    kind = spec.channel
-    if spec.protocol == "two_qubit":
-        if spec.mode == "deterministic":
-            return {
-                "ref_deterministic_negativity": f"two_qubit_{kind}_deterministic_negativity"
-            }
-        return {
-            "ref_success_probability": f"two_qubit_{kind}_success_probability",
-            "ref_success_negativity": f"two_qubit_{kind}_success_negativity",
-            "ref_average_negativity": f"two_qubit_{kind}_average_negativity",
-        }
-    if spec.protocol == "ghz":
-        return {
-            "ref_success_probability": f"ghz_{kind}_success_probability",
-            "ref_negativity_a_bc": f"ghz_{kind}_negativity_a_bc",
-            "ref_negativity_b_ac": f"ghz_{kind}_negativity_b_ac",
-            "ref_average_a_bc": f"ghz_{kind}_average_a_bc",
-            "ref_average_b_ac": f"ghz_{kind}_average_b_ac",
-        }
-    refs = {
-        "ref_success_probability": f"qudit_{kind}_success_probability",
-        "ref_success_negativity": f"qudit_{kind}_success_negativity",
-        "ref_average_negativity": f"qudit_{kind}_average_negativity",
-    }
-    if kind == "depolarizing":
-        refs["ref_critical_noise"] = "qudit_depolarizing_critical_noise"
+    entry = SPECS[spec.protocol, spec.mode]
+    refs = {f"ref_{cols[0]}": fid for fid, cols in entry.formulas(spec.channel).items()}
+    critical = entry.critical_formula(spec.channel)
+    if critical is not None:
+        refs["ref_critical_noise"] = critical
     return refs
 
 
 def sweep_columns(spec: SweepSpec) -> list[str]:
     """Fixed column order for this (protocol, mode, channel) combination."""
-    if spec.protocol == "two_qubit":
-        if spec.mode == "deterministic":
-            cols = [
-                spec.param,
-                "deterministic_negativity",
-                "deterministic_concurrence",
-                "negativity_a_bc_channel",
-                "negativity_a_bc_final",
-                "negativity_b_ac_final",
-                "exchange_negativity_max",
-                "chain_max_deviation",
-            ]
-        else:
-            cols = [
-                spec.param,
-                "success_probability",
-                "success_negativity",
-                "average_negativity",
-                "negativity_a_bc_channel",
-                "negativity_a_bc_final",
-                "negativity_b_ac_final",
-                "exchange_negativity_max",
-                "chain_max_deviation",
-            ]
-    elif spec.protocol == "ghz":
-        cols = [
-            spec.param,
-            "success_probability",
-            "negativity_a_bc",
-            "negativity_b_ac",
-            "negativity_c_ab",
-            "pairwise_ab",
-            "pairwise_bc",
-            "pairwise_ac",
-            "average_a_bc",
-            "average_b_ac",
-            "average_c_ab",
-            "negativity_a_bcd1d2_channel",
-            "negativity_a_bcd1d2_final",
-            "negativity_b_acd1d2_final",
-            "negativity_c_abd1d2_final",
-            "exchange_negativity_max",
-            "chain_max_deviation",
-        ]
-    else:
-        cols = [
-            spec.param,
-            "success_probability",
-            "success_negativity",
-            "average_negativity",
-            "negativity_a_bc_channel",
-            "negativity_a_bc_final",
-            "negativity_b_ac_final",
-            "exchange_negativity_max",
-            "chain_max_deviation",
-        ]
-        if spec.channel == "depolarizing":
-            cols.append("critical_noise")
-    cols.extend(_ref_columns(spec))
-    return cols
+    entry = SPECS[spec.protocol, spec.mode]
+    cols = [spec.param, *(column for column, _ in entry.columns)]
+    cols += ["exchange_negativity_max", "chain_max_deviation"]
+    if entry.critical_formula(spec.channel) is not None:
+        cols.append("critical_noise")
+    return cols + list(_ref_columns(spec))
 
 
-def _two_qubit_row(spec: SweepSpec, x: float) -> dict[str, float]:
-    trace = run_two_qubit(spec.channel_at(x), mode=spec.mode)
-    parts = trace.partition_negativities
-    row = {
-        spec.param: x,
-        "negativity_a_bc_channel": parts["a|bc@channel"],
-        "negativity_a_bc_final": parts["a|bc@bob_cnot"],
-        "negativity_b_ac_final": parts["b|ac@bob_cnot"],
-        "exchange_negativity_max": separability_audit(trace).max_negativity,
-        "chain_max_deviation": verify_identity_chain(trace).max_deviation,
-    }
-    if spec.mode == "deterministic":
-        out = trace.deterministic_output
-        row["deterministic_negativity"] = out.negativity
-        row["deterministic_concurrence"] = out.concurrence
-    else:
-        row["success_probability"] = trace.success_probability
-        row["success_negativity"] = parts.get("a|b@success", 0.0)
-        row["average_negativity"] = trace.average_negativity
-    return row
-
-
-def _ghz_row(spec: SweepSpec, x: float) -> dict[str, float]:
-    trace = run_ghz(spec.channel_at(x))
-    parts = trace.partition_negativities
-    return {
-        spec.param: x,
-        "success_probability": trace.success_probability,
-        "negativity_a_bc": parts.get("a|bc@success", 0.0),
-        "negativity_b_ac": parts.get("b|ac@success", 0.0),
-        "negativity_c_ab": parts.get("c|ab@success", 0.0),
-        "pairwise_ab": parts.get("ab_pair@success", 0.0),
-        "pairwise_bc": parts.get("bc_pair@success", 0.0),
-        "pairwise_ac": parts.get("ac_pair@success", 0.0),
-        "average_a_bc": trace.averages["a|bc"],
-        "average_b_ac": trace.averages["b|ac"],
-        "average_c_ab": trace.averages["c|ab"],
-        "negativity_a_bcd1d2_channel": parts["a|bcd1d2@channels"],
-        "negativity_a_bcd1d2_final": parts["a|bcd1d2@bob_charlie_cnots"],
-        "negativity_b_acd1d2_final": parts["b|acd1d2@bob_charlie_cnots"],
-        "negativity_c_abd1d2_final": parts["c|abd1d2@bob_charlie_cnots"],
-        "exchange_negativity_max": separability_audit(trace).max_negativity,
-        "chain_max_deviation": verify_identity_chain(trace).max_deviation,
-    }
-
-
-def _qudit_row(spec: SweepSpec, x: float, crit: float | None) -> dict[str, float]:
-    trace = run_qudit(spec.d, spec.channel_at(x), max_dim=spec.max_dim)
-    parts = trace.partition_negativities
-    row = {
-        spec.param: x,
-        "success_probability": trace.success_probability,
-        "success_negativity": parts.get("a|b@success", 0.0),
-        "average_negativity": trace.average_negativity,
-        "negativity_a_bc_channel": parts["a|bc@channel"],
-        "negativity_a_bc_final": parts["a|bc@bob_inverse_cnot"],
-        "negativity_b_ac_final": parts["b|ac@bob_inverse_cnot"],
-        "exchange_negativity_max": separability_audit(trace).max_negativity,
-        "chain_max_deviation": verify_identity_chain(trace).max_deviation,
-    }
+def _row(spec: SweepSpec, x: float, crit: float | None) -> dict[str, float]:
+    """Run the protocol at grid point ``x``; simulated and reference columns."""
+    entry = SPECS[spec.protocol, spec.mode]
+    trace = entry.run(spec.channel_at(x), spec.d, spec.max_dim)
+    row = {spec.param: x, **{column: trace.value_of(key) for column, key in entry.columns}}
+    row["exchange_negativity_max"] = separability_audit(trace).max_negativity
+    row["chain_max_deviation"] = verify_identity_chain(trace).max_deviation
     if crit is not None:
         row["critical_noise"] = crit
+    values = {"d": spec.d, spec.param: x}
+    for column, fid in _ref_columns(spec).items():
+        row[column] = closed_form(fid, **{name: values[name] for name in FORMULAS[fid].params})
     return row
-
-
-def _apply_refs(spec: SweepSpec, row: dict[str, float]) -> None:
-    refs = _ref_columns(spec)
-    for column, fid in refs.items():
-        params: dict[str, float] = {}
-        if fid.startswith("qudit_"):
-            params["d"] = spec.d
-        if "critical" not in fid:
-            params[spec.param] = row[spec.param]
-        row[column] = closed_form(fid, **params)
 
 
 def _row_checks(spec: SweepSpec, row: dict[str, float]) -> list[str]:
     failures = []
     x = row[spec.param]
-    if "identity" in spec.checks and row["chain_max_deviation"] > CHECK_ATOL:
-        failures.append(
-            f"{spec.param}={format_float(x)}: identity chain deviation "
-            f"{row['chain_max_deviation']:.3e}"
-        )
-    if "separability" in spec.checks and row["exchange_negativity_max"] > CHECK_ATOL:
-        failures.append(
-            f"{spec.param}={format_float(x)}: exchange negativity "
-            f"{row['exchange_negativity_max']:.3e}"
-        )
+    for check, column, what in (
+        ("identity", "chain_max_deviation", "identity chain deviation"),
+        ("separability", "exchange_negativity_max", "exchange negativity"),
+    ):
+        if check in spec.checks and row[column] > CHECK_ATOL:
+            failures.append(f"{spec.param}={format_float(x)}: {what} {row[column]:.3e}")
     if "closed_form" in spec.checks:
         for column in _ref_columns(spec):
             sim_column = column[len("ref_") :]
-            if sim_column not in row:
-                continue
             dev = abs(row[sim_column] - row[column])
             if dev > CHECK_ATOL:
                 failures.append(
@@ -355,20 +208,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             )
 
     crit = None
-    if spec.protocol == "qudit" and spec.channel == "depolarizing":
-        crit = critical_noise(lambda x: qudit_average_only(spec.d, "depolarizing", x))
-
-    rows: list[dict[str, float]] = []
-    for x in grid:
-        x = float(x)
-        if spec.protocol == "two_qubit":
-            row = _two_qubit_row(spec, x)
-        elif spec.protocol == "ghz":
-            row = _ghz_row(spec, x)
-        else:
-            row = _qudit_row(spec, x, crit)
-        _apply_refs(spec, row)
-        rows.append(row)
+    entry = SPECS[spec.protocol, spec.mode]
+    if entry.critical_formula(spec.channel) is not None:
+        crit = critical_noise(lambda x: entry.average_only(spec.channel, x, spec.d))
+    rows = [_row(spec, float(x), crit) for x in grid]
 
     columns = sweep_columns(spec)
     check_failures: list[str] = []

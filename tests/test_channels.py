@@ -304,3 +304,19 @@ class TestCanonicalFormDetection:
         ch = KrausChannel((h,))
         assert is_cpt(ch)
         assert not has_canonical_form(ch)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3", "t3"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_canonical_channel_names_the_parameter(self, name, bad):
+        params = {"lambda1": 0.5, "lambda2": 0.5, "lambda3": 0.5, "t3": 0.0, name: bad}
+        with pytest.raises(ValueError, match=name):
+            canonical_channel(**params)
+
+    def test_is_cpt_fails_instead_of_raising(self):
+        for bad in (float("nan"), float("inf")):
+            with np.errstate(invalid="ignore"):
+                report = is_cpt(CanonicalChannel(bad, 1.0, 1.0))
+            assert not report
+            assert np.isnan(report.min_choi_eigenvalue)

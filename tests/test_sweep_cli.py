@@ -9,7 +9,7 @@ from edss.checks import CheckResult, closed_form_suite, run_checks
 from edss.cli import load_config, main
 from edss.reference import Formula
 from edss.svgchart import render_line_chart
-from edss.sweep import format_float, sweep_columns
+from edss.sweep import MAX_DIM_CEILING, MAX_POINTS, format_float, sweep_columns
 
 
 def read_csv(path):
@@ -383,3 +383,53 @@ class TestConfigParser:
         path.write_text("protocol two_qubit\n", encoding="utf-8")
         with pytest.raises(SweepError):
             load_config(path)
+
+
+class TestInputGuards:
+    def test_non_finite_canonical_parameter_exits_2(self, tmp_path, capsys):
+        code = main(
+            [
+                "sweep",
+                "--protocol",
+                "two_qubit",
+                "--channel",
+                "canonical",
+                "--param",
+                "lambda3",
+                "--lambda1",
+                "nan",
+                "--points",
+                "3",
+                "--csv",
+                str(tmp_path / "x.csv"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "lambda1" in err
+        assert "converge" not in err and "LinAlgError" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--protocol", "two_qubit", "--points", str(MAX_POINTS + 1)],
+            ["--protocol", "two_qubit", "--points", "100000000"],
+            ["--protocol", "qudit", "--d", "3", "--max-dim", str(MAX_DIM_CEILING + 1)],
+            ["--protocol", "qudit", "--d", "1000", "--max-dim", "1000"],
+        ],
+    )
+    def test_resource_caps_exit_2_before_any_grid(self, tmp_path, monkeypatch, capsys, extra):
+        def no_grid(spec):
+            raise AssertionError("grid built before validation")
+
+        monkeypatch.setattr(SweepSpec, "grid", no_grid)
+        argv = ["sweep", "--channel", "depolarizing", "--param", "p"]
+        code = main(argv + extra + ["--csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_caps_are_inclusive(self, tmp_path):
+        assert small_spec(tmp_path, points=MAX_POINTS).validate()
+        spec = small_spec(tmp_path, protocol="qudit", d=3, max_dim=MAX_DIM_CEILING)
+        assert spec.validate() is spec
