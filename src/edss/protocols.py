@@ -212,16 +212,6 @@ def _noise_summary(*channels: QuditChannel) -> dict[str, object]:
     }
 
 
-def _require_cpt(ch: QuditChannel, role: str) -> None:
-    report = is_cpt(ch)
-    if not report:
-        raise ValueError(
-            f"{role} is not a CPT map (min Choi eigenvalue "
-            f"{report.min_choi_eigenvalue:.3e}, trace defect "
-            f"{report.trace_preservation_error:.3e})"
-        )
-
-
 def _evolve(
     spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int
 ) -> list[tuple[str, DensityOperator]]:
@@ -273,10 +263,20 @@ def _finish_parts(spec: ProtocolSpec) -> tuple[list[str], dict[str, Bipartition]
 
 def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> ProtocolTrace:
     """Run ``spec`` with every partition, branch and chain recorded."""
+    # GHZ passes one channel object for both exchange qubits: check it once.
+    reports = {}
     for role, ch in zip(spec.channel_roles, channels):
         if ch.dim != d:
             raise ValueError(f"{role} has dimension {ch.dim}; the register needs {d}")
-        _require_cpt(ch, role)
+        if ch not in reports:
+            reports[ch] = is_cpt(ch)
+        report = reports[ch]
+        if not report:
+            raise ValueError(
+                f"{role} is not a CPT map (min Choi eigenvalue "
+                f"{report.min_choi_eigenvalue:.3e}, trace defect "
+                f"{report.trace_preservation_error:.3e})"
+            )
     noise = _noise_summary(*channels)
     if spec.takes_d:
         noise["d"] = d
@@ -295,8 +295,9 @@ def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> 
     exchange = partition_name(spec.subsystems, spec.exchange)
     trace.exchange_keys = tuple(f"{exchange}@{step.label}" for step in spec.steps)
 
+    canonical = {ch: ch.dim != 2 or has_canonical_form(ch, atol=1e-10) for ch in reports}
     for role, ch in zip(spec.channel_roles, channels):
-        if ch.dim == 2 and not has_canonical_form(ch, atol=1e-10):
+        if not canonical[ch]:
             trace.warnings.append(
                 f"{role} is not Bloch-diagonal with z shift only; identity chains "
                 "are not guaranteed"
@@ -323,15 +324,14 @@ def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> 
 
     rest, parts = _finish_parts(spec)
     trace.branches = _measure(spec, final)
+    trace.averages = dict.fromkeys(parts, 0.0)
     for branch in trace.branches:
-        if branch.post_state is None:
-            trace.branch_negativities.append({})
-        else:
-            trace.branch_negativities.append(
-                {name: negativity(branch.post_state, part).value for name, part in parts.items()}
-            )
-    for name, part in parts.items():
-        trace.averages[name] = average_negativity(trace.branches, part)
+        state = branch.post_state
+        values = {} if state is None else {n: negativity(state, p).value for n, p in parts.items()}
+        trace.branch_negativities.append(values)
+        # average_negativity's sum, term for term in branch order, without its eigensolves
+        for name, value in values.items():
+            trace.averages[name] += branch.probability * value
     trace.average_negativity = trace.averages[next(iter(parts))]
     trace.success_probability = trace.branches[0].probability
     success = trace.branches[0].post_state

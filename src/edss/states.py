@@ -1,18 +1,20 @@
 """Initial states, reference entangled states, and circuit elements.
 
-The protocol start states are built literally from their phase-state
-mixtures. Their correctness is pinned down in the test suite by comparing
-the post-CNOT forms against independently constructed projector sums.
+The protocol start states are phase-state mixtures whose k-average keeps
+exactly the coherences with phase exponents equal modulo the phase count;
+``_phase_mixture`` writes that 0/1 pattern directly. The tests compare them
+with literal k-sums, and their post-CNOT forms with projector sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .tensor import DensityOperator, kron_all, partial_trace
+from .tensor import DensityOperator, partial_trace
 
 # Branch probabilities below this are reported as exactly zero with a null
 # post state, keeping branch indexing stable across noise values.
@@ -60,11 +62,6 @@ def basis_ket(d: int, i: int) -> np.ndarray:
     return v
 
 
-def _equator_qubit(phase: complex) -> np.ndarray:
-    """(|0> + phase |1>) / sqrt(2) for a unit-modulus phase."""
-    return np.array([1.0, phase], dtype=complex) / np.sqrt(2.0)
-
-
 def _flat_index(dims: tuple[int, ...], digits: tuple[int, ...]) -> int:
     idx = 0
     for d, x in zip(dims, digits):
@@ -93,28 +90,45 @@ def psi_plus() -> PureState:
     return ghz_state(2, 2)
 
 
+def _phase_mixture(
+    exponents: Sequence[Sequence[int]],
+    modulus: int,
+    weight: float,
+    exchange_dims: tuple[int, ...],
+    tags: Mapping[tuple[int, ...], float],
+) -> DensityOperator:
+    """``weight * M (x) |0...0><0...0|`` on the exchange register, plus
+    ``tags[t] |t><t|`` for every tag digit tuple t.
+
+    M is the even mixture over k < D = ``modulus`` of the product phase
+    states with amplitudes w^(k e(x)) / sqrt(side), w = exp(2 pi i / D) and
+    e(x) = sum_t exponents[t][x_t]. Its entries are exact 0/1 values, since
+    (1/D) sum_{k<D} w^(k (e(x) - e(y))) = [e(x) = e(y) mod D]:
+    M[x, y] = [e(x) = e(y) mod D] / side.
+    """
+    e = np.zeros(1, dtype=np.int64)
+    for row in exponents:
+        e = (e[:, None] + np.asarray(row, dtype=np.int64)[None, :]).reshape(-1)
+    dims = tuple(len(row) for row in exponents) + exchange_dims
+    stride = prod(exchange_dims)
+    mat = np.zeros((e.size * stride,) * 2, dtype=complex)
+    same = (e[:, None] - e[None, :]) % modulus == 0
+    mat[::stride, ::stride] = same * (weight / e.size)
+    for digits, tag_weight in tags.items():
+        idx = _flat_index(dims, digits)
+        mat[idx, idx] += tag_weight
+    return DensityOperator(mat, dims).validate()
+
+
 def edss_initial_two_qubit() -> DensityOperator:
     """Separable three-qubit start state for two-qubit distribution.
 
-    An even mixture of four equator-phase product pairs |psi_k, psi_-k>
+    An even mixture of four pairs |psi_k, psi_-k>, psi_k = (|0> + i^k |1>)/sqrt(2),
     tagged by |0> on the exchange qubit, plus the two correlated basis
     states tagged by |1>, all at weight 1/6.
     """
-    dims = (2, 2, 2)
-    mat = np.zeros((8, 8), dtype=complex)
-    e0 = basis_ket(2, 0)
-    for k in range(4):
-        phase = np.exp(1j * k * np.pi / 2.0)
-        vec = kron_all(
-            _equator_qubit(phase).reshape(2, 1),
-            _equator_qubit(np.conj(phase)).reshape(2, 1),
-            e0.reshape(2, 1),
-        ).reshape(-1)
-        mat += np.outer(vec, vec.conj()) / 6.0
-    for i in range(2):
-        idx = _flat_index(dims, (i, i, 1))
-        mat[idx, idx] += 1.0 / 6.0
-    return DensityOperator(mat, dims).validate()
+    tags = dict.fromkeys([(0, 0, 1), (1, 1, 1)], 1.0 / 6.0)
+    return _phase_mixture(((0, 1), (0, -1)), 4, 2.0 / 3.0, (2,), tags)
 
 
 def ghz_initial_state() -> DensityOperator:
@@ -125,24 +139,9 @@ def ghz_initial_state() -> DensityOperator:
     on the ancilla pair, with basis terms |mmm> tagged by the remaining
     ancilla basis states.
     """
-    dims = (2, 2, 2, 2, 2)
-    mat = np.zeros((32, 32), dtype=complex)
-    anc00 = basis_ket(4, 0)
-    for k in range(7):
-        parts = [
-            _equator_qubit(np.exp(1j * np.pi * (2**n) * k / 7.0)).reshape(2, 1)
-            for n in (1, 2, 3)
-        ]
-        vec = kron_all(parts[0], parts[1], parts[2], anc00.reshape(4, 1)).reshape(-1)
-        mat += (4.0 / 49.0) * np.outer(vec, vec.conj())
-    for m in range(2):
-        for j in range(2):
-            for l in range(2):
-                if (j, l) == (0, 0):
-                    continue
-                idx = _flat_index(dims, (m, m, m, j, l))
-                mat[idx, idx] += 1.0 / 14.0
-    return DensityOperator(mat, dims).validate()
+    basis = [(m, m, m, j, l) for m in range(2) for j in range(2) for l in range(2) if j or l]
+    tags = dict.fromkeys(basis, 1.0 / 14.0)
+    return _phase_mixture(((0, 1), (0, 2), (0, 4)), 7, 4.0 / 7.0, (2, 2), tags)
 
 
 def qudit_initial_state(d: int) -> DensityOperator:
@@ -155,28 +154,10 @@ def qudit_initial_state(d: int) -> DensityOperator:
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    dims = (d, d, d)
-    side = d**3
-    big_d = 2**d - 1
     s = [2**j - 1 for j in range(d)]
-    w = np.exp(2j * np.pi / big_d)
-    mat = np.zeros((side, side), dtype=complex)
-    e0 = basis_ket(d, 0)
-    weight = d / (big_d * (2 * d - 1))
-    for k in range(big_d):
-        phi_p = np.array([w ** (s[j] * k) for j in range(d)], dtype=complex) / np.sqrt(d)
-        phi_m = np.array([w ** (-s[j] * k) for j in range(d)], dtype=complex) / np.sqrt(d)
-        vec = kron_all(
-            phi_p.reshape(d, 1), phi_m.reshape(d, 1), e0.reshape(d, 1)
-        ).reshape(-1)
-        mat += weight * np.outer(vec, vec.conj())
-    for j in range(d):
-        for l in range(d):
-            if j == l:
-                continue
-            idx = _flat_index(dims, (j, j, (l - j) % d))
-            mat[idx, idx] += 1.0 / (d * (2 * d - 1))
-    return DensityOperator(mat, dims).validate()
+    basis = [(j, j, (l - j) % d) for j in range(d) for l in range(d) if j != l]
+    tags = dict.fromkeys(basis, 1.0 / (d * (2 * d - 1)))
+    return _phase_mixture((s, [-x for x in s]), 2**d - 1, d / (2 * d - 1), (d,), tags)
 
 
 def _cnot_permutation(

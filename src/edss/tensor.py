@@ -26,14 +26,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of any number of matrices, left to right."""
-    out = np.array([[1.0 + 0.0j]])
-    for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 

@@ -49,6 +49,69 @@ def psi_plus_matrix():
 
 
 # ---------------------------------------------------------------------------
+# The three start states as literal k-sums of product phase states.
+
+
+def _phase_ket(phases):
+    """(1/sqrt(n)) sum_j exp(i phases[j]) |j>."""
+    phases = np.asarray(phases, dtype=float)
+    return np.exp(1j * phases) / np.sqrt(phases.size)
+
+
+def _mix(kets, tags, tag_weight, dims):
+    """sum_k ket_k ket_k^dagger plus tag_weight on every tag projector."""
+    m = sum(np.outer(v, v.conj()) for v in kets)
+    for digits in tags:
+        m = m + tag_weight * proj(dims, digits)
+    return m
+
+
+def two_qubit_initial_ksum():
+    """(1/6) sum_{k<4} |psi_k, psi_-k, 0><...| + (|001><001| + |111><111|)/6,
+    psi_k = (|0> + exp(i k pi/2) |1>)/sqrt(2)."""
+    e0 = np.array([1.0, 0.0])
+    kets = [
+        np.kron(np.kron(_phase_ket([0, k * np.pi / 2]), _phase_ket([0, -k * np.pi / 2])), e0)
+        / np.sqrt(6.0)
+        for k in range(4)
+    ]
+    return _mix(kets, [(0, 0, 1), (1, 1, 1)], 1.0 / 6.0, (2, 2, 2))
+
+
+def ghz_initial_ksum():
+    """(4/49) sum_{k<7} |phi_1(k) phi_2(k) phi_3(k), 00><...| + |mmm, jl><...|/14
+    for jl != 00, phi_n(k) = (|0> + exp(2^n pi i k / 7) |1>)/sqrt(2)."""
+    anc00 = np.array([1.0, 0.0, 0.0, 0.0])
+    kets = []
+    for k in range(7):
+        vec = np.ones(1)
+        for n in (1, 2, 3):
+            vec = np.kron(vec, _phase_ket([0, 2**n * np.pi * k / 7]))
+        kets.append(np.kron(vec, anc00) * np.sqrt(4.0 / 49.0))
+    tags = [(m, m, m, j, l) for m, j, l in product(range(2), repeat=3) if (j, l) != (0, 0)]
+    return _mix(kets, tags, 1.0 / 14.0, (2,) * 5)
+
+
+def qudit_initial_ksum(d):
+    """d/(D(2d-1)) sum_{k<D} |phi(k), phi(-k), 0><...| + |j, j, l-j><...|/(d(2d-1))
+    for j != l, phi(+-k) = (1/sqrt(d)) sum_j w^(+-s_j k) |j>, w = exp(2 pi i/D),
+    D = 2^d - 1, s_j = 2^j - 1."""
+    big_d = 2**d - 1
+    s = 2.0 ** np.arange(d) - 1
+    e0 = np.eye(d)[0]
+    kets = [
+        np.kron(
+            np.kron(_phase_ket(2 * np.pi * s * k / big_d), _phase_ket(-2 * np.pi * s * k / big_d)),
+            e0,
+        )
+        * np.sqrt(d / (big_d * (2 * d - 1)))
+        for k in range(big_d)
+    ]
+    tags = [(j, j, (l - j) % d) for j in range(d) for l in range(d) if j != l]
+    return _mix(kets, tags, 1.0 / (d * (2 * d - 1)), (d, d, d))
+
+
+# ---------------------------------------------------------------------------
 # Post-CNOT forms of the three start states.
 
 

@@ -3,7 +3,9 @@ import pytest
 
 from edss import (
     FORMULAS,
+    Bipartition,
     amplitude_damping,
+    average_negativity,
     bloch_affine,
     canonical_channel,
     closed_form,
@@ -17,7 +19,9 @@ from edss import (
     separability_audit,
     verify_identity_chain,
 )
+from edss import protocols
 from edss.channels import KrausChannel
+from edss.protocols import SPECS
 
 from explicit_forms import (
     ad_deterministic_output,
@@ -340,3 +344,65 @@ class TestCriticalNoise:
 
     def test_zero_everywhere_returns_lo(self):
         assert critical_noise(lambda x: 0.0) == 0.0
+
+
+class TestRecordedAverages:
+    """``averages`` is summed from the recorded branch negativities; it must
+    equal ``average_negativity`` over the branches bit for bit."""
+
+    @pytest.mark.parametrize(
+        "protocol, run",
+        [
+            ("two_qubit", lambda ch: run_two_qubit(ch)),
+            ("ghz", lambda ch: run_ghz(ch)),
+            ("qudit", lambda ch: run_qudit(2, ch)),
+        ],
+    )
+    @pytest.mark.parametrize("channel", ["depolarizing", "amplitude_damping", "random"])
+    def test_averages_equal_average_negativity(self, protocol, run, channel):
+        if channel == "random":
+            # this draw leaves entanglement on the success branch of every protocol
+            ch = sample_cp_canonical(np.random.default_rng(102))
+        else:
+            ch = depolarizing(2, 0.3) if channel == "depolarizing" else amplitude_damping(2, 0.4)
+        trace = run(ch)
+        spec = SPECS[protocol, "probabilistic"]
+        rest = len(spec.subsystems) - len(spec.measured)
+        assert len(trace.averages) == len(spec.finish)
+        assert trace.average_negativity > 0.0
+        for name, side in zip(trace.averages, spec.finish):
+            part = Bipartition.split(side, rest)
+            assert trace.averages[name] == average_negativity(trace.branches, part)
+
+    def test_qudit_averages_above_two(self):
+        trace = run_qudit(4, depolarizing(4, 0.1))
+        part = Bipartition.split({0}, 2)
+        assert trace.averages["a|b"] == average_negativity(trace.branches, part)
+
+
+class TestSharedChannelChecks:
+    def test_shared_ghz_channel_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting(ch, *args, **kwargs):
+            calls.append(ch)
+            return is_cpt(ch, *args, **kwargs)
+
+        monkeypatch.setattr(protocols, "is_cpt", counting)
+        run_ghz(depolarizing(2, 0.3))
+        assert len(calls) == 1
+        ch = amplitude_damping(2, 0.2)
+        run_ghz(ch, ch)
+        assert len(calls) == 2
+        run_ghz(depolarizing(2, 0.3), amplitude_damping(2, 0.2))
+        assert len(calls) == 4
+
+    def test_shared_non_canonical_channel_warns_for_both_roles(self):
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        trace = run_ghz(KrausChannel((h,)))
+        assert any(w.startswith("channel on d1 is not Bloch-diagonal") for w in trace.warnings)
+        assert any(w.startswith("channel on d2 is not Bloch-diagonal") for w in trace.warnings)
+
+    def test_shared_non_cpt_channel_names_first_role(self):
+        with pytest.raises(ValueError, match="channel on d1 is not a CPT map"):
+            run_ghz(canonical_channel(1.0, 1.0, -1.0, 0.0))

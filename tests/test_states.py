@@ -22,10 +22,13 @@ from explicit_forms import (
     depol_deterministic_output,
     flat,
     ghz_after_alice_cnots,
+    ghz_initial_ksum,
     ghz_matrix,
     proj,
     qudit_after_alice_cnot,
+    qudit_initial_ksum,
     two_qubit_after_alice_cnot,
+    two_qubit_initial_ksum,
 )
 
 
@@ -128,6 +131,37 @@ class TestConstructionOracles:
         assert np.max(
             np.abs(qudit_initial_state(2).matrix - edss_initial_two_qubit().matrix)
         ) < 1e-12
+
+
+class TestPhaseMixtures:
+    """The start states against literal k-sums of their product phase states,
+    and the exact 0/1 coherence pattern that the k-average leaves."""
+
+    def test_two_qubit_matches_k_sum(self):
+        assert np.max(np.abs(edss_initial_two_qubit().matrix - two_qubit_initial_ksum())) < 1e-12
+
+    def test_ghz_matches_k_sum(self):
+        assert np.max(np.abs(ghz_initial_state().matrix - ghz_initial_ksum())) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_qudit_matches_k_sum(self, d):
+        assert np.max(np.abs(qudit_initial_state(d).matrix - qudit_initial_ksum(d))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "build, nonzeros",
+        [
+            pytest.param(edss_initial_two_qubit, 8, id="two_qubit"),
+            pytest.param(ghz_initial_state, 16, id="ghz"),
+        ]
+        + [
+            pytest.param(lambda d=d: qudit_initial_state(d), 3 * d * d - 2 * d, id=f"qudit-d{d}")
+            for d in range(2, 7)
+        ],
+    )
+    def test_exact_structure(self, build, nonzeros):
+        m = build().matrix
+        assert np.all(m.imag == 0)
+        assert np.count_nonzero(m) == nonzeros
 
 
 class TestCnot:
