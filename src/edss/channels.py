@@ -1,10 +1,10 @@
 """Quantum channels: canonical affine qubit maps, depolarizing, amplitude damping.
 
-Each channel exposes its action on single-qudit operators through
-``apply_matrix`` and a transfer tensor ``T[i, j, k, l]`` holding the matrix
-element ``E(|k><l|)[i, j]``. The transfer tensor drives embedding into a
-larger register, the Choi matrix, and the CPT checks, so no Kraus
-decomposition is ever required for maps defined by their action alone.
+A channel is defined by its transfer tensor ``T[i, j, k, l]``, the matrix
+element ``E(|k><l|)[i, j]``; each class writes only that tensor. Everything
+else reads it: the action ``apply_matrix``, the embedding into a larger
+register, the Choi matrix, the CPT check and the Bloch representation, so no
+Kraus decomposition is ever required for maps defined by their action alone.
 """
 
 from __future__ import annotations
@@ -23,10 +23,23 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# (I, sx, sy, sz): the basis of the Pauli transfer matrix R[m, n] = tr(s_m E(s_n)) / 2.
+_PAULI_BASIS = np.stack((I2, *PAULIS))
+
+
+class _Channel:
+    """The action shared by every channel: contract the transfer tensor with x."""
+
+    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        d = self.dim
+        if x.shape != (d, d):
+            raise ValueError(f"{self.kind} channel acts on {d}x{d} operators, got shape {x.shape}")
+        return np.einsum("ijkl,kl->ij", self.transfer_tensor(), x)
 
 
 @dataclass(frozen=True, eq=False)
-class CanonicalChannel:
+class CanonicalChannel(_Channel):
     """Qubit channel acting on the Bloch vector as r -> (l1 rx, l2 ry, l3 rz + t3).
 
     Equivalently: identity maps to I + t3*sz, and each Pauli sx, sy, sz is
@@ -45,24 +58,16 @@ class CanonicalChannel:
     def dim(self) -> int:
         return 2
 
-    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (2, 2):
-            raise ValueError("canonical channels act on 2x2 operators")
-        x0 = 0.5 * np.trace(x)
-        bloch = [0.5 * np.trace(s @ x) for s in PAULIS]
-        out = x0 * (I2 + self.t3 * SIGMA_Z)
-        out = out + self.lambda1 * bloch[0] * SIGMA_X
-        out = out + self.lambda2 * bloch[1] * SIGMA_Y
-        out = out + self.lambda3 * bloch[2] * SIGMA_Z
-        return out
-
     def transfer_tensor(self) -> np.ndarray:
-        return _transfer_from_action(self, 2)
+        # T[i,j,k,l] = (1/2) sum_mn R[m,n] s_m[i,j] s_n[l,k], since
+        # tr(s_n |k><l|) = s_n[l,k]; R holds 1, the lambdas and the z shift.
+        r = np.diag([1.0, self.lambda1, self.lambda2, self.lambda3])
+        r[3, 0] = self.t3
+        return 0.5 * np.einsum("mn,mij,nlk->ijkl", r, _PAULI_BASIS, _PAULI_BASIS)
 
 
 @dataclass(frozen=True, eq=False)
-class KrausChannel:
+class KrausChannel(_Channel):
     """Channel given by an explicit operator-sum representation."""
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -83,10 +88,6 @@ class KrausChannel:
     def dim(self) -> int:
         return self.kraus_ops[0].shape[0]
 
-    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        return sum(a @ x @ a.conj().T for a in self.kraus_ops)
-
     def transfer_tensor(self) -> np.ndarray:
         ops = np.stack(self.kraus_ops)
         return np.einsum("mik,mjl->ijkl", ops, ops.conj())
@@ -99,8 +100,8 @@ class KrausChannel:
 
 
 @dataclass(frozen=True, eq=False)
-class DepolarizingChannel:
-    """Qudit map X -> (1-p) X + (p/d) tr(X) I, applied directly by its action."""
+class DepolarizingChannel(_Channel):
+    """Qudit map X -> (1-p) X + (p/d) tr(X) I."""
 
     d: int
     p: float
@@ -113,10 +114,6 @@ class DepolarizingChannel:
     @property
     def noise_param(self) -> float:
         return self.p
-
-    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        return (1.0 - self.p) * x + (self.p / self.d) * np.trace(x) * np.eye(self.d)
 
     def transfer_tensor(self) -> np.ndarray:
         d, p = self.d, self.p
@@ -183,17 +180,6 @@ def identity_channel(d: int = 2) -> QuditChannel:
     return DepolarizingChannel(d, 0.0, kind="identity")
 
 
-def _transfer_from_action(ch, d: int) -> np.ndarray:
-    t4 = np.empty((d, d, d, d), dtype=complex)
-    basis = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            basis[k, l] = 1.0
-            t4[:, :, k, l] = ch.apply_matrix(basis)
-            basis[k, l] = 0.0
-    return t4
-
-
 def apply_to_subsystem(
     ch: QuditChannel, rho: DensityOperator, target: int
 ) -> DensityOperator:
@@ -241,11 +227,10 @@ def is_cpt(ch: QuditChannel, tol: float = VALIDITY_ATOL) -> CptReport:
     with non-finite entries fails without reaching the eigensolver.
     """
     d = ch.dim
-    t4 = ch.transfer_tensor()
-    choi = t4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    choi = choi_matrix(ch)
     herm_err = float(np.max(np.abs(choi - choi.conj().T)))
-    tp_err = float(np.max(np.abs(np.einsum("aakl->kl", t4) - np.eye(d))))
-    if herm_err > tol or not np.isfinite(t4).all():
+    tp_err = float(np.max(np.abs(np.einsum("kili->kl", choi.reshape(d, d, d, d)) - np.eye(d))))
+    if herm_err > tol or not np.isfinite(choi).all():
         return CptReport(False, float("nan"), tp_err, herm_err)
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))))
     ok = min_eig >= -tol and tp_err <= tol
@@ -277,13 +262,9 @@ def bloch_affine(ch: QuditChannel) -> tuple[np.ndarray, np.ndarray]:
     """Affine Bloch representation (matrix, shift) of a qubit channel."""
     if ch.dim != 2:
         raise ValueError("Bloch representation applies to qubit channels")
-    lam = np.empty((3, 3))
-    t = np.empty(3)
-    for j, sj in enumerate(PAULIS):
-        t[j] = float(np.real(0.5 * np.trace(sj @ ch.apply_matrix(I2))))
-        for k, sk in enumerate(PAULIS):
-            lam[j, k] = float(np.real(0.5 * np.trace(sj @ ch.apply_matrix(sk))))
-    return lam, t
+    # R[m, n] = tr(s_m E(s_n)) / 2 with E(s_n) = sum_kl T[:, :, k, l] s_n[k, l].
+    r = 0.5 * np.einsum("mji,ijkl,nkl->mn", _PAULI_BASIS, ch.transfer_tensor(), _PAULI_BASIS).real
+    return r[1:, 1:], r[1:, 0]
 
 
 def has_canonical_form(ch: QuditChannel, atol: float = 1e-12) -> bool:

@@ -104,7 +104,8 @@ def _phase_mixture(
     states with amplitudes w^(k e(x)) / sqrt(side), w = exp(2 pi i / D) and
     e(x) = sum_t exponents[t][x_t]. Its entries are exact 0/1 values, since
     (1/D) sum_{k<D} w^(k (e(x) - e(y))) = [e(x) = e(y) mod D]:
-    M[x, y] = [e(x) = e(y) mod D] / side.
+    M[x, y] = [e(x) = e(y) mod D] / side. A mixture of positive terms, the
+    result is positive by construction and gets no eigenvalue check.
     """
     e = np.zeros(1, dtype=np.int64)
     for row in exponents:
@@ -117,7 +118,7 @@ def _phase_mixture(
     for digits, tag_weight in tags.items():
         idx = _flat_index(dims, digits)
         mat[idx, idx] += tag_weight
-    return DensityOperator(mat, dims).validate()
+    return DensityOperator(mat, dims)
 
 
 def edss_initial_two_qubit() -> DensityOperator:

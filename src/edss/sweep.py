@@ -17,6 +17,7 @@ import numpy as np
 
 from .channels import CHANNEL_PARAMS, channel_from_config, is_cpt
 from .protocols import (
+    DEFAULT_MAX_DIM,
     PROTOCOLS,
     SPECS,
     critical_noise,
@@ -59,7 +60,7 @@ class SweepSpec:
     svg_path: Path | str | None = None
     checks: frozenset[str] = frozenset()
     channel_args: dict[str, float] = field(default_factory=dict)
-    max_dim: int = 6
+    max_dim: int = DEFAULT_MAX_DIM
 
     def validate(self) -> "SweepSpec":
         if self.protocol not in PROTOCOLS:

@@ -398,3 +398,34 @@ def qudit_ad_success_pair(d, g):
             ketbra(dims, (0, 0), (mm, mm)) + ketbra(dims, (mm, mm), (0, 0))
         )
     return m / (d + (d - 1.0) * g)
+
+
+# ---------------------------------------------------------------------------
+# Channel actions written out from their definitions, and the transfer tensor
+# T[i, j, k, l] = E(|k><l|)[i, j] probed one basis operator at a time.
+
+
+def canonical_action(l1, l2, l3, t3, x):
+    """Bloch action r -> (l1 rx, l2 ry, l3 rz + t3), extended linearly from
+    x = (tr(x) I + rx sx + ry sy + rz sz) / 2 with r_m = tr(s_m x)."""
+    x0 = np.trace(x)
+    rx, ry, rz = (np.trace(s @ x) for s in (SX, SY, SZ))
+    return 0.5 * (x0 * I2 + l1 * rx * SX + l2 * ry * SY + (l3 * rz + t3 * x0) * SZ)
+
+
+def kraus_action(ops, x):
+    """Operator sum sum_A A x A^dagger."""
+    return sum(a @ x @ a.conj().T for a in ops)
+
+
+def depolarizing_action(d, p, x):
+    """(1 - p) x + (p / d) tr(x) I."""
+    return (1.0 - p) * x + (p / d) * np.trace(x) * np.eye(d)
+
+
+def transfer_from_action(action, d):
+    t4 = np.empty((d, d, d, d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            t4[:, :, k, l] = action(ketbra((d,), (k,), (l,)))
+    return t4

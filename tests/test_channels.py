@@ -1,5 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edss import (
     DensityOperator,
@@ -19,7 +23,19 @@ from edss import (
 )
 from edss.channels import CanonicalChannel, KrausChannel, has_canonical_form
 
-from explicit_forms import ghz_matrix, proj, two_qubit_noisy_middle
+from explicit_forms import (
+    canonical_action,
+    depolarizing_action,
+    ghz_matrix,
+    kraus_action,
+    proj,
+    transfer_from_action,
+    two_qubit_noisy_middle,
+)
+
+# Finite channel parameters; the algebra below holds whether or not the map is CP.
+unit = st.floats(-1.0, 1.0)
+probability = st.floats(0.0, 1.0)
 
 
 def random_density(rng, side):
@@ -59,11 +75,13 @@ class TestCanonicalChannel:
         expected = (1 - g) * proj((2,), (1,)) + g * proj((2,), (0,))
         assert np.allclose(out, expected, atol=1e-14)
 
-    def test_bloch_affine_roundtrip(self):
-        ch = canonical_channel(0.3, -0.2, 0.7, 0.1)
+    @settings(deadline=None)
+    @given(unit, unit, unit, unit)
+    def test_bloch_affine_roundtrip(self, l1, l2, l3, t3):
+        ch = canonical_channel(l1, l2, l3, t3)
         lam, t = bloch_affine(ch)
-        assert np.allclose(lam, np.diag([0.3, -0.2, 0.7]), atol=1e-14)
-        assert np.allclose(t, [0.0, 0.0, 0.1], atol=1e-14)
+        assert np.allclose(lam, np.diag([l1, l2, l3]), atol=1e-14)
+        assert np.allclose(t, [0.0, 0.0, t3], atol=1e-14)
 
 
 class TestDepolarizing:
@@ -129,6 +147,78 @@ class TestAmplitudeDamping:
             assert np.max(
                 np.abs(kraus.transfer_tensor() - canon.transfer_tensor())
             ) < 1e-12
+
+
+def _oracle_cases():
+    """(channel, literal action) for random CP canonical channels, amplitude
+    damping and depolarizing at d = 2..6; depolarizing(2, p) is canonical."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for i in range(5):
+        ch = random_cp_canonical(rng)
+        action = partial(canonical_action, ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
+        cases.append(pytest.param(ch, action, id=f"canonical-{i}"))
+    for d in range(2, 7):
+        ch = amplitude_damping(d, rng.uniform())
+        cases.append(pytest.param(ch, partial(kraus_action, ch.kraus_ops), id=f"damping-d{d}"))
+        p = rng.uniform()
+        cases.append(pytest.param(
+            depolarizing(d, p), partial(depolarizing_action, d, p), id=f"depolarizing-d{d}"
+        ))
+    return cases
+
+
+class TestExplicitActions:
+    """Every channel class against its action written out from its definition."""
+
+    @pytest.mark.parametrize("ch, action", _oracle_cases())
+    def test_transfer_tensor(self, ch, action):
+        expected = transfer_from_action(action, ch.dim)
+        assert np.max(np.abs(ch.transfer_tensor() - expected)) < 1e-14
+
+    @pytest.mark.parametrize("ch, action", _oracle_cases())
+    def test_apply_matrix(self, ch, action):
+        rng = np.random.default_rng(12)
+        d = ch.dim
+        general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for x in (random_density(rng, d), general):
+            assert np.max(np.abs(ch.apply_matrix(x) - action(x))) < 1e-14
+
+    @pytest.mark.parametrize(
+        "ch",
+        [canonical_channel(0.5, 0.5, 0.5, 0.1), amplitude_damping(3, 0.2), depolarizing(4, 0.3)],
+        ids=["canonical", "kraus", "depolarizing"],
+    )
+    def test_wrong_shape_is_rejected(self, ch):
+        d = ch.dim
+        for shape in ((d + 1, d + 1), (1, 1), (d,)):
+            with pytest.raises(ValueError, match="operators"):
+                ch.apply_matrix(np.zeros(shape))
+
+
+def compose(t_after, t_before):
+    """Transfer tensor of E_after after E_before."""
+    return np.einsum("ijab,abkl->ijkl", t_after, t_before)
+
+
+class TestChannelAlgebra:
+    @settings(deadline=None)
+    @given(st.integers(2, 6), probability, probability)
+    def test_depolarizing_composition(self, d, p, q):
+        first, second = depolarizing(d, p), depolarizing(d, q)
+        composed = compose(second.transfer_tensor(), first.transfer_tensor())
+        expected = depolarizing(d, 1.0 - (1.0 - p) * (1.0 - q)).transfer_tensor()
+        assert np.max(np.abs(composed - expected)) < 1e-14
+
+    @settings(deadline=None)
+    @given(st.tuples(unit, unit, unit, unit), st.tuples(unit, unit, unit, unit))
+    def test_canonical_composition(self, first, second):
+        (l1, l2, l3, t3), (m1, m2, m3, s3) = first, second
+        composed = compose(
+            CanonicalChannel(*second).transfer_tensor(), CanonicalChannel(*first).transfer_tensor()
+        )
+        expected = CanonicalChannel(l1 * m1, l2 * m2, l3 * m3, m3 * t3 + s3).transfer_tensor()
+        assert np.max(np.abs(composed - expected)) < 1e-14
 
 
 class TestApplyToSubsystem:

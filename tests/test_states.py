@@ -89,7 +89,9 @@ class TestInitialStates:
         assert abs(np.trace(rho.matrix) - 1.0) < 1e-14
         assert np.min(np.linalg.eigvalsh(rho.matrix)) > -1e-12
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    # d = 7 is past the default cap: the builders carry no positivity check,
+    # so their spectra are pinned here.
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_qudit_initial_is_valid(self, d):
         rho = qudit_initial_state(d)
         assert rho.dims == (d, d, d)
