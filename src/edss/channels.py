@@ -194,7 +194,8 @@ def apply_to_subsystem(
     right = prod(rho.dims[target + 1 :])
     t4 = ch.transfer_tensor()
     r6 = rho.matrix.reshape(left, d, right, left, d, right)
-    out = np.einsum("ijkl,akbcle->aibcje", t4, r6)
+    # out[a,i,b,c,j,e] = sum_kl T[i,j,k,l] r6[a,k,b,c,l,e], as one BLAS product
+    out = np.tensordot(t4, r6, axes=([2, 3], [1, 4])).transpose(2, 0, 3, 4, 1, 5)
     return DensityOperator(out.reshape(rho.matrix.shape), rho.dims)
 
 

@@ -2,17 +2,18 @@
 
 These back the ``edss check`` command. Each suite walks the protocol table
 ``edss.protocols.SPECS`` and returns a list of :class:`CheckResult` rows
-with the observed worst-case deviation against its threshold.
+with the observed worst-case deviation against its threshold; on a noise
+grid that is the largest ``edss.sweep.row_deviations`` over the sweep rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .channels import CHANNEL_PARAMS, CanonicalChannel, canonical_channel, is_cpt, noise_channel
+from .channels import CHANNEL_PARAMS, CanonicalChannel, canonical_channel, is_cpt
 from .protocols import (
     CHAIN_ATOL,
     CLOSED_FORM_KINDS,
@@ -20,18 +21,16 @@ from .protocols import (
     SEPARABILITY_ATOL,
     SPECS,
     ProtocolSpec,
-    ProtocolTrace,
     critical_noise,
-    separability_audit,
     verify_identity_chain,
 )
 
 # The average-only paths live with the driver; callers import them from here.
 from .protocols import ghz_average_only, qudit_average_only, two_qubit_average_only  # noqa: F401
-from .reference import FORMULAS, Formula
+from .reference import CLOSED_FORM_ATOL, FORMULAS, Formula
+from .sweep import SweepSpec, row_deviations, sweep_rows
 
 DEFAULT_SEED = 20230711
-CLOSED_FORM_ATOL = 1e-9
 QUDIT_DIMS = (2, 3, 4, 5, 6)
 
 
@@ -57,10 +56,6 @@ def random_cp_canonical(rng: np.random.Generator, max_tries: int = 10_000) -> Ca
     raise RuntimeError("could not sample a CP canonical channel")
 
 
-def _grid(points: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, points)
-
-
 def _default_specs() -> list[ProtocolSpec]:
     """The probabilistic entry of every protocol, in table order."""
     return [SPECS[protocol, "probabilistic"] for protocol in PROTOCOLS]
@@ -74,19 +69,17 @@ def _suffix(spec: ProtocolSpec, d: int) -> str:
     return f"_d{d}" if spec.takes_d else ""
 
 
-def _grid_traces(
-    spec: ProtocolSpec, kind: str, d: int, points: int
-) -> Iterator[ProtocolTrace]:
-    """Runs of ``spec`` over a [0, 1] grid of the ``kind`` noise parameter."""
-    return (spec.run(noise_channel(kind, d, x), d) for x in _grid(points))
-
-
-def _chain_deviation(traces: Iterable[ProtocolTrace]) -> float:
-    return max((verify_identity_chain(trace).max_deviation for trace in traces), default=0.0)
-
-
-def _exchange_negativity(traces: Iterable[ProtocolTrace]) -> float:
-    return max((separability_audit(trace).max_negativity for trace in traces), default=0.0)
+def _worst(
+    spec: ProtocolSpec, kind: str, d: int, points: int, formulas: Mapping[str, Formula] = FORMULAS
+) -> dict[str, float]:
+    """Largest ``row_deviations`` per check over a [0, 1] sweep of ``kind`` noise."""
+    param = CHANNEL_PARAMS[kind][0]
+    sweep = SweepSpec(spec.protocol, kind, param, "", mode=spec.mode, d=d, points=points)
+    worst: dict[str, float] = {}
+    for row in sweep_rows(sweep, formulas):
+        for check, dev in row_deviations(sweep, row).items():
+            worst[check] = max(worst.get(check, 0.0), dev)
+    return worst
 
 
 def identity_suite(
@@ -105,12 +98,13 @@ def identity_suite(
     for spec in _default_specs():
         if spec.random_divisor:
             count = random_channels // spec.random_divisor
-            dev = _chain_deviation(spec.run(random_cp_canonical(rng)) for _ in range(count))
+            runs = (spec.run(random_cp_canonical(rng)) for _ in range(count))
+            dev = max((verify_identity_chain(t).max_deviation for t in runs), default=0.0)
             name = f"identity_{spec.protocol}_random_canonical"
             results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))
         for kind in CLOSED_FORM_KINDS:
             for d in _dims(spec, qudit_dims):
-                dev = _chain_deviation(_grid_traces(spec, kind, d, grid_points))
+                dev = _worst(spec, kind, d, grid_points)["identity"]
                 name = f"identity_{spec.protocol}_{kind}{_suffix(spec, d)}"
                 results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))
     return results
@@ -124,35 +118,10 @@ def separability_suite(
     for kind in CLOSED_FORM_KINDS:
         for spec in _default_specs():
             for d in _dims(spec, qudit_dims):
-                dev = _exchange_negativity(_grid_traces(spec, kind, d, grid_points))
+                dev = _worst(spec, kind, d, grid_points)["separability"]
                 name = f"separability_{spec.protocol}_{kind}{_suffix(spec, d)}"
                 results.append(CheckResult.from_deviation(name, dev, SEPARABILITY_ATOL))
     return results
-
-
-def _eval_formula(formulas: Mapping[str, Formula], fid: str, **params) -> float:
-    formula = formulas[fid]
-    return float(formula.fn(*[params[name] for name in formula.params]))
-
-
-def _closed_form_rows(
-    spec: ProtocolSpec, formulas: Mapping[str, Formula], kind: str, d: int, points: int
-) -> list[CheckResult]:
-    """Worst deviation of every per-point closed form of ``spec`` on a grid."""
-    forms = spec.formulas(kind)
-    keys = dict(spec.columns)
-    param = CHANNEL_PARAMS[kind][0]
-    devs = dict.fromkeys(forms, 0.0)
-    for x in _grid(points):
-        trace = spec.run(noise_channel(kind, d, x), d)
-        for fid, columns in forms.items():
-            ref = _eval_formula(formulas, fid, d=d, **{param: x})
-            for column in columns:
-                devs[fid] = max(devs[fid], abs(trace.value_of(keys[column]) - ref))
-    return [
-        CheckResult.from_deviation(f"{fid}{_suffix(spec, d)}", dev, CLOSED_FORM_ATOL)
-        for fid, dev in devs.items()
-    ]
 
 
 def closed_form_suite(
@@ -172,20 +141,20 @@ def closed_form_suite(
         for kind in CLOSED_FORM_KINDS:
             for d in _dims(specs[0], qudit_dims):
                 for spec in specs:
-                    results.extend(_closed_form_rows(spec, formulas, kind, d, grid_points))
+                    worst = _worst(spec, kind, d, grid_points, formulas)
+                    results.extend(
+                        CheckResult.from_deviation(
+                            f"{fid}{_suffix(spec, d)}", worst[fid], CLOSED_FORM_ATOL
+                        )
+                        for fid in spec.formulas(kind)
+                    )
 
-    for spec in _default_specs():
-        if spec.critical_kind is None:
-            continue
+    for spec in [spec for spec in _default_specs() if spec.critical_kind is not None]:
         fid = spec.critical_formula(spec.critical_kind)
         for d in _dims(spec, qudit_dims):
             found = critical_noise(lambda x: spec.average_only(spec.critical_kind, x, d))
-            ref = _eval_formula(formulas, fid, d=d)
-            results.append(
-                CheckResult.from_deviation(
-                    f"{fid}{_suffix(spec, d)}", abs(found - ref), CLOSED_FORM_ATOL
-                )
-            )
+            name, dev = f"{fid}{_suffix(spec, d)}", abs(found - formulas[fid].fn(d))
+            results.append(CheckResult.from_deviation(name, dev, CLOSED_FORM_ATOL))
     return results
 
 
@@ -197,8 +166,12 @@ SUITES = {
 
 
 def run_checks(suite: str = "all", **kwargs) -> list[CheckResult]:
-    """Run one named suite or all of them; keyword args reach the suites."""
+    """Run one named suite or all of them; ``kwargs`` maps a suite name to
+    the keyword arguments of that suite."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all', *SUITES)}")
+    unknown = sorted(set(kwargs) - set(SUITES))
+    if unknown:
+        raise ValueError(f"unknown suite keywords {unknown}; choose from {tuple(SUITES)}")
     names = SUITES if suite == "all" else (suite,)
     return [row for name in names for row in SUITES[name](**kwargs.get(name, {}))]

@@ -13,6 +13,9 @@ from typing import Callable
 
 from .channels import CHANNEL_PARAMS
 
+# Simulated values carry ~1e-15 rounding and the root search stops at 1e-12.
+CLOSED_FORM_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Formula:

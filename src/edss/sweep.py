@@ -12,26 +12,28 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
-from .channels import CHANNEL_PARAMS, channel_from_config, is_cpt
+from .channels import CHANNEL_PARAMS, channel_from_config
 from .protocols import (
+    CHAIN_ATOL,
     DEFAULT_MAX_DIM,
     PROTOCOLS,
+    SEPARABILITY_ATOL,
     SPECS,
     critical_noise,
     separability_audit,
     verify_identity_chain,
 )
-from .reference import FORMULAS, closed_form
+from .reference import CLOSED_FORM_ATOL, FORMULAS, Formula
 from .svgchart import render_line_chart
 
 CHECK_NAMES = ("identity", "separability", "closed_form")
 # Canonical parameters a sweep leaves unset take their identity-channel values.
 CANONICAL_DEFAULTS = {"lambda1": 1.0, "lambda2": 1.0, "lambda3": 1.0, "t3": 0.0}
 
-CHECK_ATOL = 1e-9
 # 50x the largest grid any caller uses (201 points), so a typo such as
 # --points 100000000 fails at once instead of running for days.
 MAX_POINTS = 10_001
@@ -89,6 +91,8 @@ class SweepSpec:
         unknown_args = set(self.channel_args) - set(CANONICAL_DEFAULTS)
         if unknown_args:
             raise SweepError(f"unknown channel arguments {sorted(unknown_args)}")
+        if self.channel_args and self.channel != "canonical":
+            raise SweepError(f"fixed parameters {sorted(self.channel_args)} need a canonical sweep")
         if not 0.0 <= self.start <= self.stop <= 1.0:
             raise SweepError(
                 f"need 0 <= start <= stop <= 1, got [{self.start}, {self.stop}]"
@@ -98,7 +102,7 @@ class SweepSpec:
         bad_checks = set(self.checks) - set(CHECK_NAMES)
         if bad_checks:
             raise SweepError(f"unknown checks {sorted(bad_checks)}")
-        if "closed_form" in self.checks and not _ref_columns(self):
+        if "closed_form" in self.checks and not _closed_forms(self):
             raise SweepError(
                 "closed_form check needs a depolarizing or amplitude_damping sweep"
             )
@@ -142,14 +146,14 @@ def format_float(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _ref_columns(spec: SweepSpec) -> dict[str, str]:
-    """Map CSV reference columns to formula ids for this sweep."""
+def _closed_forms(spec: SweepSpec) -> dict[str, tuple[str, ...]]:
+    """Formula id -> the columns it predicts; ``ref_<first column>`` holds its value."""
     entry = SPECS[spec.protocol, spec.mode]
-    refs = {f"ref_{cols[0]}": fid for fid, cols in entry.formulas(spec.channel).items()}
+    forms = entry.formulas(spec.channel)
     critical = entry.critical_formula(spec.channel)
     if critical is not None:
-        refs["ref_critical_noise"] = critical
-    return refs
+        forms[critical] = ("critical_noise",)
+    return forms
 
 
 def sweep_columns(spec: SweepSpec) -> list[str]:
@@ -159,60 +163,76 @@ def sweep_columns(spec: SweepSpec) -> list[str]:
     cols += ["exchange_negativity_max", "chain_max_deviation"]
     if entry.critical_formula(spec.channel) is not None:
         cols.append("critical_noise")
-    return cols + list(_ref_columns(spec))
+    return cols + [f"ref_{columns[0]}" for columns in _closed_forms(spec).values()]
 
 
-def _row(spec: SweepSpec, x: float, crit: float | None) -> dict[str, float]:
+def _row(spec: SweepSpec, x: float, formulas: Mapping[str, Formula]) -> dict[str, float]:
     """Run the protocol at grid point ``x``; simulated and reference columns."""
     entry = SPECS[spec.protocol, spec.mode]
-    trace = entry.run(spec.channel_at(x), spec.d, spec.max_dim)
+    channel = spec.channel_at(x)
+    try:
+        trace = entry.run(channel, spec.d, spec.max_dim)
+    except ValueError as exc:
+        raise SweepError(f"{spec.param}={format_float(x)}: {exc}") from exc
     row = {spec.param: x, **{column: trace.value_of(key) for column, key in entry.columns}}
     row["exchange_negativity_max"] = separability_audit(trace).max_negativity
     row["chain_max_deviation"] = verify_identity_chain(trace).max_deviation
-    if crit is not None:
-        row["critical_noise"] = crit
     values = {"d": spec.d, spec.param: x}
-    for column, fid in _ref_columns(spec).items():
-        row[column] = closed_form(fid, **{name: values[name] for name in FORMULAS[fid].params})
+    for fid, columns in _closed_forms(spec).items():
+        formula = formulas[fid]
+        row[f"ref_{columns[0]}"] = float(formula.fn(*(values[n] for n in formula.params)))
     return row
 
 
+def sweep_rows(
+    spec: SweepSpec, formulas: Mapping[str, Formula] = FORMULAS
+) -> list[dict[str, float]]:
+    """The rows ``run_sweep`` writes for a valid ``spec``, without I/O and
+    without ``critical_noise``; the ``ref_*`` columns come from ``formulas``."""
+    return [_row(spec, float(x), formulas) for x in spec.grid()]
+
+
+def row_deviations(spec: SweepSpec, row: Mapping[str, float]) -> dict[str, float]:
+    """Check name -> deviation of one row: ``identity``, ``separability``, and per
+    formula id the worst of its columns against its reference (critical noise
+    once the row has it). ``edss sweep --check`` and ``edss check`` read this."""
+    devs = {
+        "identity": row["chain_max_deviation"],
+        "separability": row["exchange_negativity_max"],
+    }
+    for fid, columns in _closed_forms(spec).items():
+        if columns[0] in row:
+            ref = row[f"ref_{columns[0]}"]
+            devs[fid] = max(abs(row[column] - ref) for column in columns)
+    return devs
+
+
 def _row_checks(spec: SweepSpec, row: dict[str, float]) -> list[str]:
+    at = f"{spec.param}={format_float(row[spec.param])}"
+    devs = row_deviations(spec, row)
     failures = []
-    x = row[spec.param]
-    for check, column, what in (
-        ("identity", "chain_max_deviation", "identity chain deviation"),
-        ("separability", "exchange_negativity_max", "exchange negativity"),
+    for check, what, atol in (
+        ("identity", "identity chain deviation", CHAIN_ATOL),
+        ("separability", "exchange negativity", SEPARABILITY_ATOL),
     ):
-        if check in spec.checks and row[column] > CHECK_ATOL:
-            failures.append(f"{spec.param}={format_float(x)}: {what} {row[column]:.3e}")
-    if "closed_form" in spec.checks:
-        for column in _ref_columns(spec):
-            sim_column = column[len("ref_") :]
-            dev = abs(row[sim_column] - row[column])
-            if dev > CHECK_ATOL:
-                failures.append(
-                    f"{spec.param}={format_float(x)}: {sim_column} deviates from "
-                    f"closed form by {dev:.3e}"
-                )
+        dev = devs.pop(check)
+        if check in spec.checks and dev > atol:
+            failures.append(f"{at}: {what} {dev:.3e}")
+    for fid, dev in devs.items():
+        if "closed_form" in spec.checks and dev > CLOSED_FORM_ATOL:
+            failures.append(f"{at}: {fid} deviates from closed form by {dev:.3e}")
     return failures
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid, write CSV (and SVG if requested), run row checks."""
     spec = replace(spec, checks=frozenset(spec.checks)).validate()
-    grid = spec.grid()
-    for x in grid:
-        if not is_cpt(spec.channel_at(float(x))):
-            raise SweepError(
-                f"channel is not CPT at grid point {spec.param}={format_float(float(x))}"
-            )
-
-    crit = None
+    rows = sweep_rows(spec)
     entry = SPECS[spec.protocol, spec.mode]
     if entry.critical_formula(spec.channel) is not None:
         crit = critical_noise(lambda x: entry.average_only(spec.channel, x, spec.d))
-    rows = [_row(spec, float(x), crit) for x in grid]
+        for row in rows:
+            row["critical_noise"] = crit
 
     columns = sweep_columns(spec)
     check_failures: list[str] = []

@@ -423,6 +423,19 @@ def depolarizing_action(d, p, x):
     return (1.0 - p) * x + (p / d) * np.trace(x) * np.eye(d)
 
 
+def depolarizing_kraus(d, p):
+    """Kraus set of the depolarizing map: sqrt(1 - p) I and (sqrt(p) / d) X^a Z^b
+    over all d^2 Weyl operators, whose twirl sends x to tr(x) I / d."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    weyl = [
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a in range(d)
+        for b in range(d)
+    ]
+    return [np.sqrt(1.0 - p) * np.eye(d)] + [np.sqrt(p) / d * w for w in weyl]
+
+
 def transfer_from_action(action, d):
     t4 = np.empty((d, d, d, d), dtype=complex)
     for k in range(d):

@@ -26,6 +26,7 @@ from edss.channels import CanonicalChannel, KrausChannel, has_canonical_form
 from explicit_forms import (
     canonical_action,
     depolarizing_action,
+    depolarizing_kraus,
     ghz_matrix,
     kraus_action,
     proj,
@@ -261,6 +262,24 @@ class TestApplyToSubsystem:
         out = apply_to_subsystem(ch, joint, target=1)
         expected = np.kron(rho_a, ch.apply_matrix(rho_b))
         assert np.allclose(out.matrix, expected, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "ch, ops",
+        [
+            (amplitude_damping(3, 0.35), amplitude_damping(3, 0.35).kraus_ops),
+            (depolarizing(3, 0.4), depolarizing_kraus(3, 0.4)),
+        ],
+        ids=["amplitude_damping", "depolarizing"],
+    )
+    def test_matches_literal_operator_sum_at_a_middle_target(self, ch, ops):
+        # Both neighbours of the target are larger than 1, so every axis of
+        # the contraction is exercised: sum_A (I (x) A (x) I) rho (I (x) A (x) I)^dagger.
+        rng = np.random.default_rng(23)
+        rho = DensityOperator(random_density(rng, 12), (2, 3, 2))
+        out = apply_to_subsystem(ch, rho, target=1)
+        embedded = [np.kron(np.kron(np.eye(2), a), np.eye(2)) for a in ops]
+        expected = sum(e @ rho.matrix @ e.conj().T for e in embedded)
+        assert np.max(np.abs(out.matrix - expected)) < 1e-13
 
     def test_outputs_stay_valid_states(self):
         rng = np.random.default_rng(9)

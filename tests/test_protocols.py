@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edss import (
     FORMULAS,
@@ -13,6 +15,7 @@ from edss import (
     depolarizing,
     identity_channel,
     is_cpt,
+    is_extreme_point,
     run_ghz,
     run_qudit,
     run_two_qubit,
@@ -406,3 +409,20 @@ class TestSharedChannelChecks:
     def test_shared_non_cpt_channel_names_first_role(self):
         with pytest.raises(ValueError, match="channel on d1 is not a CPT map"):
             run_ghz(canonical_channel(1.0, 1.0, -1.0, 0.0))
+
+
+angle = st.floats(0.0, 2 * np.pi, exclude_max=True)
+
+
+class TestExtremePoints:
+    @settings(deadline=None, max_examples=50)
+    @given(angle, angle)
+    def test_identity_chains_hold_at_extreme_points(self, u, v):
+        # The Ruskai-Szarek-Werner extreme points of the canonical qubit maps.
+        ch = canonical_channel(
+            np.cos(u), np.cos(v), np.cos(u) * np.cos(v), np.sin(u) * np.sin(v)
+        )
+        assert is_cpt(ch)
+        assert is_extreme_point(ch)
+        assert verify_identity_chain(run_two_qubit(ch)).passed
+        assert verify_identity_chain(run_ghz(ch)).passed

@@ -1,15 +1,24 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import edss.reference
 from edss import SweepError, SweepSpec, closed_form, run_sweep
-from edss.checks import CheckResult, closed_form_suite, run_checks
+from edss.checks import CheckResult, closed_form_suite, identity_suite, run_checks
 from edss.cli import load_config, main
+from edss.protocols import SPECS
 from edss.reference import Formula
 from edss.svgchart import render_line_chart
-from edss.sweep import MAX_DIM_CEILING, MAX_POINTS, format_float, sweep_columns
+from edss.sweep import (
+    MAX_DIM_CEILING,
+    MAX_POINTS,
+    format_float,
+    row_deviations,
+    sweep_columns,
+    sweep_rows,
+)
 
 
 def read_csv(path):
@@ -73,8 +82,10 @@ class TestSpecValidation:
             param="lambda3",
             channel_args={"lambda1": 1.0, "lambda2": 1.0, "t3": 0.5},
         )
-        with pytest.raises(SweepError):
+        with pytest.raises(SweepError) as excinfo:
             run_sweep(spec)
+        assert str(excinfo.value).startswith("lambda3=0: communication channel is not a CPT map")
+        assert not spec.csv_path.exists()
 
 
 class TestSweepOutput:
@@ -218,6 +229,47 @@ class TestChecksSuites:
         with pytest.raises(ValueError):
             run_checks("everything")
 
+    def test_misspelled_suite_keyword_rejected(self):
+        with pytest.raises(ValueError, match="separabilty"):
+            run_checks("separability", separabilty={"grid_points": 2})
+
+    def test_grid_rows_are_worst_sweep_row_deviations(self, tmp_path):
+        spec = small_spec(tmp_path, protocol="qudit", d=2, points=3).validate()
+        rows = sweep_rows(spec)
+        by_name = {r.name: r for r in identity_suite(random_channels=0, grid_points=3)}
+        worst = max(row_deviations(spec, row)["identity"] for row in rows)
+        assert by_name["identity_qudit_depolarizing_d2"].max_deviation == worst
+
+
+class TestSweepRows:
+    def test_rows_are_the_rows_run_sweep_writes(self, tmp_path):
+        spec = small_spec(tmp_path, protocol="qudit", d=3, points=4)
+        written = run_sweep(spec).rows
+        rows = sweep_rows(spec.validate())
+        assert all("critical_noise" not in row for row in rows)
+        crit = written[0]["critical_noise"]
+        assert [{**row, "critical_noise": crit} for row in rows] == written
+
+    def test_deviation_of_every_check(self, tmp_path):
+        spec = small_spec(tmp_path, protocol="ghz", points=2).validate()
+        row = sweep_rows(spec)[1]
+        devs = row_deviations(spec, row)
+        assert devs["identity"] == row["chain_max_deviation"]
+        assert devs["separability"] == row["exchange_negativity_max"]
+        ref = row["ref_negativity_b_ac"]
+        assert devs["ghz_depolarizing_negativity_b_ac"] == max(
+            abs(row["negativity_b_ac"] - ref), abs(row["negativity_c_ab"] - ref)
+        )
+        fids = SPECS["ghz", "probabilistic"].formulas("depolarizing")
+        assert set(devs) == {"identity", "separability", *fids}
+
+    def test_critical_noise_deviation_once_the_row_has_it(self, tmp_path):
+        spec = small_spec(tmp_path, protocol="qudit", d=3, points=2).validate()
+        row = sweep_rows(spec)[0]
+        assert "qudit_depolarizing_critical_noise" not in row_deviations(spec, row)
+        devs = row_deviations(spec, {**row, "critical_noise": 0.5})
+        assert devs["qudit_depolarizing_critical_noise"] == pytest.approx(0.25)
+
 
 class TestCli:
     def test_sweep_roundtrip(self, tmp_path, capsys):
@@ -331,6 +383,23 @@ class TestCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("column", ["negativity_c_ab", "average_c_ab"])
+    def test_every_column_of_a_grouped_closed_form_is_checked(
+        self, tmp_path, monkeypatch, capsys, column
+    ):
+        # Wire the second column of a grouped formula to the a|bc value.
+        entry = SPECS["ghz", "probabilistic"]
+        columns = dict(entry.columns)
+        columns[column] = columns[column].replace("c|ab", "a|bc")
+        monkeypatch.setitem(
+            SPECS, ("ghz", "probabilistic"), replace(entry, columns=tuple(columns.items()))
+        )
+        argv = ["sweep", "--protocol", "ghz", "--channel", "depolarizing", "--param", "p"]
+        argv += ["--points", "5", "--csv", str(tmp_path / "x.csv"), "--check", "closed_form"]
+        assert main(argv) == 1
+        fid = "ghz_depolarizing_" + column.replace("c_ab", "b_ac")
+        assert f"{fid} deviates from closed form" in capsys.readouterr().err
+
     def test_check_command_uses_suite_results(self, monkeypatch, capsys):
         fake = [CheckResult("demo_check", 1e-12, 1e-9, True)]
         monkeypatch.setattr("edss.cli.run_checks", lambda suite: fake)
@@ -408,6 +477,14 @@ class TestInputGuards:
         assert code == 2
         assert "lambda1" in err
         assert "converge" not in err and "LinAlgError" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_canonical_parameter_on_depolarizing_sweep_exits_2(self, tmp_path, capsys):
+        argv = ["sweep", "--protocol", "two_qubit", "--channel", "depolarizing"]
+        argv += ["--param", "p", "--lambda1", "0.3", "--points", "3"]
+        code = main(argv + ["--csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "lambda1" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
