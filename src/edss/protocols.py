@@ -397,8 +397,8 @@ def run_qudit(d: int, ch: QuditChannel, max_dim: int = DEFAULT_MAX_DIM) -> Proto
     """Run the d-level pair distribution protocol under ``ch`` on c.
 
     ``d`` is capped at ``max_dim`` (default 6) to bound the d^3-sided
-    matrices. For d > 2 only depolarizing and amplitude damping channels
-    are supported.
+    matrices. For d > 2 only depolarizing, amplitude damping and identity
+    channels are accepted.
     """
     if d < 2 or d > max_dim:
         raise ValueError(f"dimension {d} outside the allowed range [2, {max_dim}]")

@@ -93,6 +93,11 @@ class SweepSpec:
             raise SweepError(f"unknown channel arguments {sorted(unknown_args)}")
         if self.channel_args and self.channel != "canonical":
             raise SweepError(f"fixed parameters {sorted(self.channel_args)} need a canonical sweep")
+        if self.param in self.channel_args:
+            raise SweepError(
+                f"{self.param} is the swept parameter; drop its fixed value "
+                f"{self.channel_args[self.param]}"
+            )
         if not 0.0 <= self.start <= self.stop <= 1.0:
             raise SweepError(
                 f"need 0 <= start <= stop <= 1, got [{self.start}, {self.stop}]"

@@ -1,0 +1,162 @@
+"""Differential oracle for the block-split spectra of ``hermitian_eigenvalues``.
+
+The dense ``np.linalg.eigvalsh`` of the whole matrix is the reference:
+eigenvalues agree within 1e-12 and every reported negativity quantity
+within 1e-9.
+"""
+
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import edss.measures
+import edss.protocols
+import edss.tensor
+from edss.channels import KrausChannel, apply_to_subsystem, identity_channel, noise_channel
+from edss.measures import negativity
+from edss.protocols import qudit_states, run_qudit
+from edss.tensor import (
+    BLOCK_SPLIT_MIN_SIDE,
+    VALIDITY_ATOL,
+    Bipartition,
+    _block_eigenvalues,
+    _component_labels,
+    hermitian_eigenvalues,
+    partial_transpose,
+)
+
+EIG_ATOL = 1e-12
+REPORTED_ATOL = 1e-9
+NOISE_LEVELS = np.linspace(0.0, 1.0, 21)
+ONE_VS_REST = [Bipartition.split({side}, 3) for side in range(3)]
+
+
+def assert_matches_dense(rho, part, dense_spectra):
+    """Compare against one dense ``eigvalsh``, kept in ``dense_spectra`` for
+    partial transposes that repeat across noise levels."""
+    pt = partial_transpose(rho, part)
+    key = pt.tobytes()
+    if key not in dense_spectra:
+        dense_spectra[key] = np.linalg.eigvalsh(pt)
+    dense = dense_spectra[key]
+    assert np.max(np.abs(hermitian_eigenvalues(pt) - dense)) <= EIG_ATOL
+    got = negativity(rho, part)
+    with patch.object(edss.measures, "hermitian_eigenvalues", lambda h: dense):
+        want = negativity(rho, part)
+    assert abs(got.value - want.value) <= REPORTED_ATOL
+    assert abs(got.trace_norm - want.trace_norm) <= REPORTED_ATOL
+    assert len(got.negative_eigenvalues) == len(want.negative_eigenvalues)
+    assert np.allclose(
+        got.negative_eigenvalues, want.negative_eigenvalues, atol=REPORTED_ATOL, rtol=0
+    )
+    return pt
+
+
+def largest_block(pt):
+    return int(np.bincount(_component_labels(pt)).max())
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_every_qudit_partial_transpose_matches_dense(d, kind):
+    dense_spectra = {}
+    for x in NOISE_LEVELS:
+        with patch.object(edss.protocols, "negativity", wraps=negativity) as spy:
+            run_qudit(d, noise_channel(kind, d, x), max_dim=8)
+        assert spy.call_count == 8 + d
+        for call in spy.call_args_list:
+            pt = assert_matches_dense(*call.args, dense_spectra)
+            if pt.shape[0] >= BLOCK_SPLIT_MIN_SIDE:
+                assert largest_block(pt) <= d
+
+
+def stinespring_kraus(seed, d, count=2):
+    """Kraus operators of a random channel: the blocks of a random isometry."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count * d, d)) + 1j * rng.standard_normal((count * d, d))
+    isometry = np.linalg.qr(g)[0]
+    return [isometry[m * d : (m + 1) * d] for m in range(count)]
+
+
+def z_twirl(ops, d):
+    """Kraus operators of the channel averaged over conjugation by Z^s: it
+    keeps only the transfer entries with i - j = k - l (mod d)."""
+    phases = np.exp(2j * np.pi * np.arange(d) / d)
+    return [
+        (phases**s)[:, None] * a * (phases**-s)[None, :] / np.sqrt(d)
+        for a in ops
+        for s in range(d)
+    ]
+
+
+def after_channel(d, ops):
+    post_cnot = qudit_states(d, identity_channel(d))[1][1]
+    return apply_to_subsystem(KrausChannel(tuple(ops)), post_cnot, target=2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+def test_phase_covariant_channels_take_the_block_route(d, seed):
+    rho = after_channel(d, z_twirl(stinespring_kraus(seed, d), d))
+    for part in ONE_VS_REST:
+        pt = assert_matches_dense(rho, part, {})
+        labels = _component_labels(pt)
+        assert labels.any()
+        blocks = _block_eigenvalues(pt, labels, VALIDITY_ATOL)
+        assert np.max(np.abs(blocks - np.linalg.eigvalsh(pt))) <= EIG_ATOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+def test_random_kraus_channels_match_dense(d, seed):
+    rho = after_channel(d, stinespring_kraus(seed, d))
+    for part in ONE_VS_REST:
+        assert_matches_dense(rho, part, {})
+
+
+def test_one_component_takes_the_dense_route():
+    rng = np.random.default_rng(61)
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    h = g + g.conj().T
+    with patch.object(edss.tensor, "is_hermitian", wraps=edss.tensor.is_hermitian) as spy:
+        eigs = hermitian_eigenvalues(h)
+    assert spy.call_count == 1
+    assert np.array_equal(eigs, np.linalg.eigvalsh(h))
+
+
+def test_split_pattern_skips_the_whole_matrix_check():
+    rho = qudit_states(4, noise_channel("depolarizing", 4, 0.3))[-1][1]
+    pt = partial_transpose(rho, ONE_VS_REST[0])
+    with patch.object(edss.tensor, "is_hermitian", wraps=edss.tensor.is_hermitian) as spy:
+        hermitian_eigenvalues(pt)
+    assert spy.call_count == 0
+
+
+class TestNonHermitianInput:
+    """The block route rejects what the dense check rejects, with its message."""
+
+    @pytest.fixture
+    def pt(self):
+        rho = qudit_states(4, noise_channel("depolarizing", 4, 0.3))[-1][1]
+        pt = partial_transpose(rho, ONE_VS_REST[0])
+        assert pt.shape[0] >= BLOCK_SPLIT_MIN_SIDE
+        return pt
+
+    def test_perturbation_inside_a_block(self, pt):
+        labels = _component_labels(pt)
+        i, j = next((i, j) for i, j in zip(*np.nonzero(pt)) if i != j)
+        assert labels[i] == labels[j]
+        pt[i, j] += 1e-6
+        with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
+            hermitian_eigenvalues(pt)
+
+    def test_one_sided_entry_between_blocks(self, pt):
+        labels = _component_labels(pt)
+        i, j = 0, int(np.flatnonzero(labels != labels[0])[0])
+        assert pt[i, j] == 0 and pt[j, i] == 0
+        pt[i, j] = 1e-6
+        with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
+            hermitian_eigenvalues(pt)

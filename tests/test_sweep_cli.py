@@ -487,6 +487,16 @@ class TestInputGuards:
         assert "lambda1" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_fixed_value_for_the_swept_parameter_exits_2(self, tmp_path, capsys):
+        argv = ["sweep", "--protocol", "two_qubit", "--channel", "canonical"]
+        argv += ["--param", "lambda3", "--lambda3", "0.3", "--lambda1", "0.4"]
+        argv += ["--lambda2", "0.4", "--to", "0.5", "--points", "3"]
+        code = main(argv + ["--csv", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "lambda3" in err and "0.3" in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize(
         "extra",
         [

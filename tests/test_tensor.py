@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edss import (
     Bipartition,
     DensityOperator,
     hermitian_eigenvalues,
     kron,
+    negativity,
     partial_trace,
     partial_transpose,
+    qudit_states,
     trace_norm,
 )
+from edss.channels import noise_channel
 from edss.states import ghz_state, psi_plus
+from edss.tensor import BLOCK_SPLIT_MIN_SIDE, _component_labels
 
 from explicit_forms import SX, SZ, ghz_matrix, proj
 
@@ -24,6 +30,12 @@ def random_density(rng, side):
 def random_hermitian(rng, side):
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     return 0.5 * (g + g.conj().T)
+
+
+def random_unitary(rng, side):
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def hermitian_2x2_roots(h):
@@ -210,6 +222,24 @@ class TestPartialTranspose:
             assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
             assert abs(np.trace(pt) - 1.0) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.lists(st.integers(2, 3), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_involution_and_trace_property(self, dims, seed, data):
+        side = int(np.prod(dims))
+        rho = DensityOperator(random_density(np.random.default_rng(seed), side), tuple(dims))
+        side_a = data.draw(
+            st.sets(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims) - 1)
+        )
+        part = Bipartition.split(side_a, len(dims))
+        pt = partial_transpose(rho, part)
+        assert abs(np.trace(pt) - np.trace(rho.matrix)) < 1e-14
+        back = partial_transpose(DensityOperator(pt, rho.dims), part)
+        assert np.array_equal(back, rho.matrix)
+
     def test_invalid_partition(self):
         rho = psi_plus().density()
         with pytest.raises(ValueError):
@@ -259,6 +289,26 @@ class TestHermitianEigenvalues:
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
             hermitian_eigenvalues(m)
+
+
+class TestLocalUnitaryInvariance:
+    @settings(max_examples=15, deadline=None)
+    @given(d=st.integers(3, 5), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_negativity_invariant_under_local_unitaries(self, d, p, seed):
+        rng = np.random.default_rng(seed)
+        rho = qudit_states(d, noise_channel("depolarizing", d, p))[-1][1]
+        u = kron(kron(random_unitary(rng, d), random_unitary(rng, d)), random_unitary(rng, d))
+        rotated = DensityOperator(u @ rho.matrix @ u.conj().T, rho.dims)
+        for side in range(3):
+            part = Bipartition.split({side}, 3)
+            # the rotation fills the pattern: one component, the dense route
+            assert not _component_labels(partial_transpose(rotated, part)).any()
+            before = negativity(rho, part)
+            after = negativity(rotated, part)
+            assert abs(after.value - before.value) < 1e-10
+            assert abs(after.trace_norm - before.trace_norm) < 1e-10
+            if rho.dim >= BLOCK_SPLIT_MIN_SIDE:
+                assert _component_labels(partial_transpose(rho, part)).any()
 
 
 class TestTraceNorm:

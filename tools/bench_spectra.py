@@ -1,0 +1,213 @@
+"""Block-split against dense spectra, then the benchmark on two checkouts.
+
+    python3 tools/bench_spectra.py --parent DIR --out BENCH.json \\
+        [--run WORKLOAD:SEED:PAIRS ...] [--seconds 20] [--repeat 7]
+
+Two parts, both written to ``--out`` as JSON:
+
+* ``micro``: for d = 2..8, every partial transpose that one depolarizing
+  ``run_qudit`` (p = 0.5) records, solved by ``hermitian_eigenvalues`` and
+  by the dense path it replaces (``is_hermitian`` plus one ``eigvalsh``).
+  Each timing is the minimum of ``--repeat`` repeats, with the median and
+  maximum as its spread. ``crossover`` times the block split against the
+  dense solve on each distinct side, the block split forced below
+  ``BLOCK_SPLIT_MIN_SIDE`` too, and names the smallest side from which the
+  block split is faster at every larger side.
+* ``end_to_end``: ``benchmarks/run.py`` of the parent checkout ``--parent``
+  and of this checkout, run in alternating order, ``PAIRS`` pairs per
+  ``--run`` entry (default: each workload at seed 0, two pairs). Each run
+  keeps the result line (the last stdout line) and the environment line
+  before it; ``summary`` gives each side's ``wall_s`` median and quartiles
+  and how many pairs the change won.
+
+BLAS and OpenMP pools are pinned to one thread, as ``benchmarks/run.py``
+pins them for its passes. Run from the repository root.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("qubit_sweeps", "qudit_d6_sweeps", "check_all")
+THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+DIMS = range(2, 9)
+
+
+def timed(fn, repeat: int, number: int) -> dict[str, float]:
+    """Seconds per call of ``fn``: min, median and max over ``repeat`` repeats."""
+    samples = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        samples.append((time.perf_counter() - start) / number)
+    return {"min": min(samples), "median": statistics.median(samples), "max": max(samples)}
+
+
+def recorded_partial_transposes(d: int) -> list:
+    """Every partial transpose ``run_qudit(d, depolarizing 0.5)`` solves."""
+    import edss.protocols
+    from edss.channels import noise_channel
+    from edss.tensor import partial_transpose
+
+    recorded = []
+    original = edss.protocols.negativity
+
+    def recording(rho, part):
+        recorded.append(partial_transpose(rho, part))
+        return original(rho, part)
+
+    edss.protocols.negativity = recording
+    try:
+        edss.protocols.run_qudit(d, noise_channel("depolarizing", d, 0.5), max_dim=max(DIMS))
+    finally:
+        edss.protocols.negativity = original
+    return recorded
+
+
+def micro(repeat: int) -> dict:
+    import numpy as np
+
+    from edss import tensor
+
+    def dense(h):
+        if not tensor.is_hermitian(h):
+            raise ValueError("input is not Hermitian within tolerance")
+        return np.linalg.eigvalsh(h)
+
+    def forced_block(h):
+        return tensor._block_eigenvalues(h, tensor._component_labels(h), tensor.VALIDITY_ATOL)
+
+    rows, by_side = [], {}
+    for d in DIMS:
+        pts = recorded_partial_transposes(d)
+        number = max(1, 64 // d**2)
+        row = {
+            "d": d,
+            "partial_transposes": len(pts),
+            "sides": sorted({h.shape[0] for h in pts}),
+            "largest_block": max(int(np.bincount(tensor._component_labels(h)).max()) for h in pts),
+            "max_abs_eig_diff": max(
+                float(np.max(np.abs(tensor.hermitian_eigenvalues(h) - np.linalg.eigvalsh(h))))
+                for h in pts
+            ),
+            "hermitian_eigenvalues_s": timed(
+                lambda: [tensor.hermitian_eigenvalues(h) for h in pts], repeat, number
+            ),
+            "dense_s": timed(lambda: [dense(h) for h in pts], repeat, number),
+        }
+        row["speedup_min"] = row["dense_s"]["min"] / row["hermitian_eigenvalues_s"]["min"]
+        rows.append(row)
+        for h in pts:
+            by_side.setdefault(h.shape[0], h)
+
+    crossover = []
+    for side, h in sorted(by_side.items()):
+        number = max(1, 20_000 // side**2)
+        crossover.append({
+            "side": side,
+            "block_s": timed(lambda: forced_block(h), repeat, number),
+            "dense_s": timed(lambda: dense(h), repeat, number),
+        })
+    faster = [c["block_s"]["min"] < c["dense_s"]["min"] for c in crossover]
+    crossover_side = next(
+        (c["side"] for i, c in enumerate(crossover) if all(faster[i:])), None
+    )
+    return {
+        "workload": "partial transposes of one run_qudit(d, depolarizing p=0.5)",
+        "repeat": repeat,
+        "block_split_min_side": tensor.BLOCK_SPLIT_MIN_SIDE,
+        "per_d": rows,
+        "crossover": crossover,
+        "crossover_side": crossover_side,
+    }
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, timeout=seconds + 300,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}: {proc.stderr[-1000:]}")
+    lines = proc.stdout.strip().splitlines()
+    return {"environment": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"q1": q1, "median": q2, "q3": q3}
+
+
+def end_to_end(parent: Path, runs: list[tuple[str, int, int]], seconds: int) -> tuple[list, list]:
+    records, summary = [], []
+    for workload, seed, pairs in runs:
+        walls = {"parent": [], "change": []}
+        for pair in range(pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                out = bench_run(parent if side == "parent" else ROOT, workload, seed, seconds)
+                metrics = out["result"]["metrics"]
+                walls[side].append(metrics["wall_s"]["value"])
+                records.append({"workload": workload, "seed": seed, "pair": pair,
+                                "side": side, **out})
+                print(f"{workload} seed {seed} pair {pair} {side}: "
+                      f"wall_s {metrics['wall_s']['value']:.3f}, "
+                      f"failed {out['result']['failed']}", flush=True)
+        wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
+        summary.append({
+            "workload": workload, "seed": seed, "pairs": pairs,
+            "wall_s": {side: {"runs": v, **quartiles(v)} for side, v in walls.items()},
+            "change_wins": wins,
+        })
+    return records, summary
+
+
+def parse_run(text: str) -> tuple[str, int, int]:
+    workload, seed, pairs = text.split(":")
+    if workload not in WORKLOADS:
+        raise argparse.ArgumentTypeError(f"unknown workload {workload!r}")
+    return workload, int(seed), int(pairs)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--run", type=parse_run, action="append",
+                        help="WORKLOAD:SEED:PAIRS; repeatable")
+    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--repeat", type=int, default=7)
+    args = parser.parse_args()
+    if any(os.environ.get(name) != "1" for name in THREAD_VARS):
+        env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
+        os.execve(sys.executable, [sys.executable, *sys.argv], env)
+    if not (args.parent / "benchmarks" / "run.py").is_file():
+        print(f"error: no benchmarks/run.py under {args.parent}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "src"))
+    runs = args.run or [(w, 0, 2) for w in WORKLOADS]
+    report = {"micro": micro(args.repeat)}
+    print(json.dumps(report["micro"]["per_d"], indent=1), flush=True)
+    records, summary = end_to_end(args.parent, runs, args.seconds)
+    report.update({"seconds": args.seconds, "end_to_end": records, "summary": summary})
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(json.dumps(summary, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
