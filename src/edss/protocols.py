@@ -405,7 +405,7 @@ def run_qudit(d: int, ch: QuditChannel, max_dim: int = DEFAULT_MAX_DIM) -> Proto
     if d > 2 and ch.kind not in ("depolarizing", "amplitude_damping", "identity"):
         raise ValueError(
             f"unsupported channel kind {ch.kind!r} for d={d}; "
-            "use depolarizing or amplitude_damping"
+            "use depolarizing, amplitude_damping or identity"
         )
     return _drive(SPECS["qudit", "probabilistic"], (ch,), d)
 

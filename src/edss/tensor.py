@@ -183,7 +183,7 @@ def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndar
     h = np.asarray(h, dtype=complex)
     if h.ndim == 2 and h.shape[0] == h.shape[1] >= BLOCK_SPLIT_MIN_SIDE:
         labels = _component_labels(h)
-        if labels.any():
+        if labels.any():  # all zero: one component
             return _block_eigenvalues(h, labels, atol)
     if not is_hermitian(h, atol):
         raise ValueError("input is not Hermitian within tolerance")
