@@ -39,7 +39,7 @@ def negativity(rho: DensityOperator, part: Bipartition) -> NegativityResult:
     dim_a = prod(rho.dims[i] for i in part.side_a)
     dim_b = prod(rho.dims[i] for i in part.side_b)
     min_dim = min(dim_a, dim_b)
-    negatives = tuple(float(e) for e in eigs if e < -NEGATIVE_EIG_ATOL)
+    negatives = tuple(eigs[eigs < -NEGATIVE_EIG_ATOL].tolist())
     value = max(0.0, (tn - 1.0) / (min_dim - 1))
     return NegativityResult(value, tn, min_dim, negatives)
 

@@ -265,19 +265,28 @@ def _finish_parts(spec: ProtocolSpec) -> tuple[list[str], dict[str, Bipartition]
 def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> ProtocolTrace:
     """Run ``spec`` with every partition, branch and chain recorded."""
     # GHZ passes one channel object for both exchange qubits: check it once.
-    reports = {}
+    covariant = {}
+    warnings = []
     for role, ch in zip(spec.channel_roles, channels):
         if ch.dim != d:
             raise ValueError(f"{role} has dimension {ch.dim}; the register needs {d}")
-        if ch not in reports:
-            reports[ch] = is_cpt(ch)
-        report = reports[ch]
-        if not report:
-            raise ValueError(
-                f"{role} is not a CPT map (min Choi eigenvalue "
-                f"{report.min_choi_eigenvalue:.3e}, trace defect "
-                f"{report.trace_preservation_error:.3e})"
-            )
+        if ch not in covariant:
+            report = is_cpt(ch)
+            if not report:
+                raise ValueError(
+                    f"{role} is not a CPT map (min Choi eigenvalue "
+                    f"{report.min_choi_eigenvalue:.3e}, trace defect "
+                    f"{report.trace_preservation_error:.3e})"
+                )
+            covariant[ch] = has_canonical_form(ch)
+        if covariant[ch]:
+            continue
+        if d > 2:
+            raise ValueError(f"{role} is not phase-covariant, which d > 2 requires")
+        warnings.append(
+            f"{role} is not Bloch-diagonal or otherwise phase-covariant; identity chains "
+            "are not guaranteed"
+        )
     noise = _noise_summary(*channels)
     if spec.takes_d:
         noise["d"] = d
@@ -287,6 +296,7 @@ def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> 
         noise=noise,
         subsystems=spec.subsystems,
         steps=_evolve(spec, channels, d),
+        warnings=warnings,
     )
     for step, (label, state) in zip(spec.steps, trace.steps):
         for side in (spec.exchange, *step.record):
@@ -296,13 +306,6 @@ def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> 
     exchange = partition_name(spec.subsystems, spec.exchange)
     trace.exchange_keys = tuple(f"{exchange}@{step.label}" for step in spec.steps)
 
-    canonical = {ch: ch.dim != 2 or has_canonical_form(ch, atol=1e-10) for ch in reports}
-    for role, ch in zip(spec.channel_roles, channels):
-        if not canonical[ch]:
-            trace.warnings.append(
-                f"{role} is not Bloch-diagonal with z shift only; identity chains "
-                "are not guaranteed"
-            )
     trace.identity_chains = dict(spec.identity_chains)
     first = channels[0].transfer_tensor() if len(channels) > 1 else None
     if all(
@@ -397,16 +400,11 @@ def run_qudit(d: int, ch: QuditChannel, max_dim: int = DEFAULT_MAX_DIM) -> Proto
     """Run the d-level pair distribution protocol under ``ch`` on c.
 
     ``d`` is capped at ``max_dim`` (default 6) to bound the d^3-sided
-    matrices. For d > 2 only depolarizing, amplitude damping and identity
-    channels are accepted.
+    matrices. For d > 2, a channel that is not phase-covariant (see
+    ``channels.has_canonical_form``) is refused before any state is built.
     """
     if d < 2 or d > max_dim:
         raise ValueError(f"dimension {d} outside the allowed range [2, {max_dim}]")
-    if d > 2 and ch.kind not in ("depolarizing", "amplitude_damping", "identity"):
-        raise ValueError(
-            f"unsupported channel kind {ch.kind!r} for d={d}; "
-            "use depolarizing, amplitude_damping or identity"
-        )
     return _drive(SPECS["qudit", "probabilistic"], (ch,), d)
 
 

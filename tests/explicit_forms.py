@@ -423,17 +423,48 @@ def depolarizing_action(d, p, x):
     return (1.0 - p) * x + (p / d) * np.trace(x) * np.eye(d)
 
 
-def depolarizing_kraus(d, p):
-    """Kraus set of the depolarizing map: sqrt(1 - p) I and (sqrt(p) / d) X^a Z^b
-    over all d^2 Weyl operators, whose twirl sends x to tr(x) I / d."""
+def weyl_operators(d):
+    """The d^2 Weyl operators X^a Z^b (shift X|k> = |k+1>, clock Z|k> = w^k |k>),
+    ordered by a, then b."""
     shift = np.roll(np.eye(d), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    weyl = [
+    return [
         np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
         for a in range(d)
         for b in range(d)
     ]
-    return [np.sqrt(1.0 - p) * np.eye(d)] + [np.sqrt(p) / d * w for w in weyl]
+
+
+def depolarizing_kraus(d, p):
+    """Kraus set of the depolarizing map: sqrt(1 - p) I and (sqrt(p) / d) X^a Z^b
+    over all d^2 Weyl operators, whose twirl sends x to tr(x) I / d."""
+    return [np.sqrt(1.0 - p) * np.eye(d)] + [np.sqrt(p) / d * w for w in weyl_operators(d)]
+
+
+def weyl_diagonal_kraus(weights):
+    """Kraus set {sqrt(p_ab) X^a Z^b} of the Weyl-diagonal channel whose d x d
+    probabilities p_ab are ``weights``."""
+    d = len(weights)
+    return [np.sqrt(p) * w for p, w in zip(np.ravel(weights), weyl_operators(d))]
+
+
+def stinespring_kraus(seed, d, count=2):
+    """Kraus operators of a random channel: the blocks of a random isometry."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count * d, d)) + 1j * rng.standard_normal((count * d, d))
+    isometry = np.linalg.qr(g)[0]
+    return [isometry[m * d : (m + 1) * d] for m in range(count)]
+
+
+def z_twirl(ops, d):
+    """Kraus operators of the channel averaged over conjugation by Z^s: it
+    keeps only the transfer entries with i - j = k - l (mod d)."""
+    phases = np.exp(2j * np.pi * np.arange(d) / d)
+    return [
+        (phases**s)[:, None] * a * (phases**-s)[None, :] / np.sqrt(d)
+        for a in ops
+        for s in range(d)
+    ]
 
 
 def transfer_from_action(action, d):

@@ -28,6 +28,8 @@ from edss.tensor import (
     partial_transpose,
 )
 
+from explicit_forms import stinespring_kraus, z_twirl
+
 EIG_ATOL = 1e-12
 REPORTED_ATOL = 1e-9
 NOISE_LEVELS = np.linspace(0.0, 1.0, 21)
@@ -71,25 +73,6 @@ def test_every_qudit_partial_transpose_matches_dense(d, kind):
             pt = assert_matches_dense(*call.args, dense_spectra)
             if pt.shape[0] >= BLOCK_SPLIT_MIN_SIDE:
                 assert largest_block(pt) <= d
-
-
-def stinespring_kraus(seed, d, count=2):
-    """Kraus operators of a random channel: the blocks of a random isometry."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count * d, d)) + 1j * rng.standard_normal((count * d, d))
-    isometry = np.linalg.qr(g)[0]
-    return [isometry[m * d : (m + 1) * d] for m in range(count)]
-
-
-def z_twirl(ops, d):
-    """Kraus operators of the channel averaged over conjugation by Z^s: it
-    keeps only the transfer entries with i - j = k - l (mod d)."""
-    phases = np.exp(2j * np.pi * np.arange(d) / d)
-    return [
-        (phases**s)[:, None] * a * (phases**-s)[None, :] / np.sqrt(d)
-        for a in ops
-        for s in range(d)
-    ]
 
 
 def after_channel(d, ops):

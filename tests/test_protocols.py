@@ -23,8 +23,8 @@ from edss import (
     verify_identity_chain,
 )
 from edss import protocols
-from edss.channels import KrausChannel
-from edss.protocols import SPECS
+from edss.channels import KrausChannel, has_canonical_form
+from edss.protocols import CHAIN_ATOL, SEPARABILITY_ATOL, SPECS
 
 from explicit_forms import (
     ad_deterministic_output,
@@ -37,7 +37,10 @@ from explicit_forms import (
     qudit_ad_success_pair,
     qudit_depol_final_state,
     qudit_depol_success_pair,
+    stinespring_kraus,
     two_qubit_pair_branches,
+    weyl_diagonal_kraus,
+    z_twirl,
 )
 
 
@@ -218,8 +221,8 @@ class TestQuditProtocol:
         assert trace.noise["d"] == 7
 
     def test_channel_kind_restriction_above_two(self):
-        with pytest.raises(ValueError):
-            run_qudit(3, KrausChannel(tuple(np.eye(3, dtype=complex)[None])))
+        with pytest.raises(ValueError, match="phase-covariant"):
+            run_qudit(3, KrausChannel(tuple(stinespring_kraus(7, 3))))
 
     def test_qubit_case_accepts_any_cpt_channel(self):
         rng = np.random.default_rng(79)
@@ -426,3 +429,87 @@ class TestExtremePoints:
         assert is_extreme_point(ch)
         assert verify_identity_chain(run_two_qubit(ch)).passed
         assert verify_identity_chain(run_ghz(ch)).passed
+
+
+seed = st.integers(0, 2**32 - 1)
+probability = st.floats(0.0, 1.0)
+
+# Every protocol entry that runs at d = 2.
+QUBIT_RUNS = (
+    run_two_qubit,
+    lambda ch: run_two_qubit(ch, mode="deterministic"),
+    run_ghz,
+    lambda ch: run_qudit(2, ch),
+)
+
+
+def assert_admitted(ch, d):
+    """The channel passes the admission rule and every run under it (every
+    entry at d = 2, the qudit run above) keeps its identity chains and its
+    separable exchange, without a warning."""
+    assert has_canonical_form(ch)
+    for run in QUBIT_RUNS if d == 2 else (lambda ch: run_qudit(d, ch),):
+        trace = run(ch)
+        assert verify_identity_chain(trace).max_deviation <= CHAIN_ATOL
+        assert separability_audit(trace).max_negativity <= SEPARABILITY_ATOL
+        assert trace.warnings == []
+
+
+class TestAdmittedClass:
+    """Phase-covariant channels are the admitted class: an empirical class,
+    held to the identity chains here rather than proved."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(2, 5), seed)
+    def test_z_twirled_random_channels(self, d, s):
+        assert_admitted(KrausChannel(tuple(z_twirl(stinespring_kraus(s, d), d))), d)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(3, 5), seed)
+    def test_weyl_diagonal_channels(self, d, s):
+        weights = np.random.default_rng(s).dirichlet(np.ones(d * d)).reshape(d, d)
+        assert_admitted(KrausChannel(tuple(weyl_diagonal_kraus(weights))), d)
+
+    def test_identity_kraus_channel_above_two(self):
+        assert_admitted(KrausChannel(tuple(np.eye(3, dtype=complex)[None])), 3)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_random_channel_refused_before_any_state(self, d, monkeypatch):
+        ch = KrausChannel(tuple(stinespring_kraus(11, d)))
+        assert is_cpt(ch) and not has_canonical_form(ch)
+
+        def evolve(*args):
+            raise AssertionError("a refused channel reached _evolve")
+
+        monkeypatch.setattr(protocols, "_evolve", evolve)
+        with pytest.raises(ValueError, match="communication channel is not phase-covariant"):
+            run_qudit(d, ch)
+
+    def test_random_qubit_channel_warns_and_breaks_the_chain(self):
+        trace = run_two_qubit(KrausChannel(tuple(stinespring_kraus(11, 2))))
+        assert trace.warnings[0].startswith("communication channel is not Bloch-diagonal")
+        assert verify_identity_chain(trace).max_deviation > CHAIN_ATOL
+
+
+class TestExtraCarrierNoise:
+    """Extra local noise on the carrier never raises the distributed
+    negativity. Depolarizing q after a channel is the same family with
+    composed parameters (pinned in test_channels.TestChannelAlgebra)."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(seed, probability)
+    def test_qubit_entries(self, s, q):
+        ch = sample_cp_canonical(np.random.default_rng(s))
+        params = (ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
+        noisier = canonical_channel(*((1.0 - q) * x for x in params))
+        before, after = run_two_qubit(ch), run_two_qubit(noisier)
+        for key in ("average_negativity", "a|bc@channel"):
+            assert after.value_of(key) <= before.value_of(key) + 1e-12
+        assert run_ghz(noisier).averages["a|bc"] <= run_ghz(ch).averages["a|bc"] + 1e-12
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.sampled_from([3, 4]), probability, probability)
+    def test_qudit_depolarizing(self, d, p, q):
+        before = run_qudit(d, depolarizing(d, p)).average_negativity
+        after = run_qudit(d, depolarizing(d, 1.0 - (1.0 - p) * (1.0 - q))).average_negativity
+        assert after <= before + 1e-12
