@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .channels import QuditChannel, apply_to_subsystem, has_canonical_form, is_cpt, noise_channel
-from .measures import average_negativity, concurrence, negativity
+from .measures import concurrence, negativity
 from .states import (
     MeasurementBranch,
     bob_deterministic_map,
@@ -162,8 +162,8 @@ class ProtocolSpec:
     channel_roles: tuple[str, ...]
     # (channel, d, max_dim) -> trace, through the public driver
     run: Callable[..., ProtocolTrace]
-    # (kind, x, d) -> branch average across the first finish partition
-    average_only: Callable[..., float]
+    # (kind, x, d) -> the a|b branch average that a critical_kind search reads
+    average_only: Callable[..., float] | None = None
     # exchange subsystems measured at the finish, in order
     measured: tuple[str, ...] = ()
     # one-vs-rest sides of the post-measurement register; the first one
@@ -254,14 +254,6 @@ def _measure(spec: ProtocolSpec, final: DensityOperator) -> list[MeasurementBran
     return branches
 
 
-def _finish_parts(spec: ProtocolSpec) -> tuple[list[str], dict[str, Bipartition]]:
-    rest = [label for label in spec.subsystems if label not in spec.measured]
-    parts = {
-        partition_name(rest, side): Bipartition.split(side, len(rest)) for side in spec.finish
-    }
-    return rest, parts
-
-
 def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> ProtocolTrace:
     """Run ``spec`` with every partition, branch and chain recorded."""
     # GHZ passes one channel object for both exchange qubits: check it once.
@@ -326,7 +318,8 @@ def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> 
         )
         return trace
 
-    rest, parts = _finish_parts(spec)
+    rest = [label for label in spec.subsystems if label not in spec.measured]
+    parts = {partition_name(rest, s): Bipartition.split(s, len(rest)) for s in spec.finish}
     trace.branches = _measure(spec, final)
     trace.averages = dict.fromkeys(parts, 0.0)
     for branch in trace.branches:
@@ -347,16 +340,6 @@ def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> 
             reduced = partial_trace(success, keep=pair)
             trace.partition_negativities[key] = negativity(reduced, PAIR).value
     return trace
-
-
-def _average_only(
-    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2, side: int = 0
-) -> float:
-    """The driver with recording switched off: the branch-averaged
-    negativity across finish partition number ``side``, nothing else."""
-    branches = _measure(spec, _evolve(spec, channels, d)[-1][1])
-    _, parts = _finish_parts(spec)
-    return average_negativity(branches, list(parts.values())[side])
 
 
 def two_qubit_states(ch: QuditChannel) -> list[tuple[str, DensityOperator]]:
@@ -409,23 +392,21 @@ def run_qudit(d: int, ch: QuditChannel, max_dim: int = DEFAULT_MAX_DIM) -> Proto
 
 
 def qudit_average_only(d: int, kind: str, x: float) -> float:
-    """Branch-averaged a|b negativity of the qudit protocol, nothing else.
-
-    Skips all full-register partition spectra, which makes it cheap enough
-    for root finding.
-    """
-    return _average_only(SPECS["qudit", "probabilistic"], (noise_channel(kind, d, x),), d)
+    """Branch-averaged a|b negativity of one full qudit run, with no ``max_dim`` cap."""
+    ch = noise_channel(kind, d, x)
+    return _drive(SPECS["qudit", "probabilistic"], (ch,), d).average_negativity
 
 
 def ghz_average_only(kind: str, x: float, side: int) -> float:
-    """Branch-averaged one-vs-rest negativity of the GHZ protocol post states."""
+    """Branch-averaged GHZ negativity across a|bc, b|ac or c|ab (``side`` 0, 1, 2)."""
     ch = noise_channel(kind, 2, x)
-    return _average_only(SPECS["ghz", "probabilistic"], (ch, ch), side=side)
+    return list(_drive(SPECS["ghz", "probabilistic"], (ch, ch)).averages.values())[side]
 
 
 def two_qubit_average_only(kind: str, x: float) -> float:
-    """Branch-averaged a|b negativity of the two-qubit protocol, nothing else."""
-    return _average_only(SPECS["two_qubit", "probabilistic"], (noise_channel(kind, 2, x),))
+    """Branch-averaged a|b negativity of the two-qubit protocol, from one full run."""
+    spec = SPECS["two_qubit", "probabilistic"]
+    return _drive(spec, (noise_channel(kind, 2, x),)).average_negativity
 
 
 _TWO_QUBIT = ProtocolSpec(
@@ -442,7 +423,6 @@ _TWO_QUBIT = ProtocolSpec(
     exchange=(2,),
     channel_roles=("communication channel",),
     run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_two_qubit(ch),
-    average_only=lambda kind, x, d=2: two_qubit_average_only(kind, x),
     measured=("c",),
     identity_chains={
         "distribution": ("avg:a|b", "a|bc@channel", "a|bc@bob_cnot", "b|ac@bob_cnot")
@@ -507,7 +487,6 @@ SPECS: dict[tuple[str, str], ProtocolSpec] = {
         exchange=(3, 4),
         channel_roles=("channel on d1", "channel on d2"),
         run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_ghz(ch),
-        average_only=lambda kind, x, d=2: ghz_average_only(kind, x, 0),
         measured=("d1", "d2"),
         finish=((0,), (1,), (2,)),
         success_pairs=((0, 1), (1, 2), (0, 2)),
@@ -669,18 +648,39 @@ def critical_noise(
 ) -> float:
     """Boundary above which a nonincreasing nonnegative curve is (numerically) zero.
 
-    Returns ``hi`` when the curve is still positive at ``hi`` and ``lo``
-    when it already vanishes there.
+    Returns ``hi`` if the curve is positive at ``hi``, ``lo`` if it vanishes
+    there, else a point within ``tol/2`` of the boundary. Secants through the
+    last two positive points aim at ``zero_atol``; a guess stands once ``fn``
+    straddles it at guess ± tol/2, and both probes narrow the bracket. The
+    first step, guesses outside the bracket and all after five failures bisect.
     """
+    for name, value in (("lo", lo), ("hi", hi), ("zero_atol", zero_atol), ("tol", tol)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if lo > hi:
+        raise ValueError(f"lo ({lo!r}) exceeds hi ({hi!r})")
     if fn(hi) > zero_atol:
         return hi
-    if fn(lo) <= zero_atol:
+    # The last two points where fn > zero_atol; both start at lo, so step one bisects.
+    prev = last = (lo, fn(lo))
+    if last[1] <= zero_atol:
         return lo
-    low, high = lo, hi
+    low, high, failed = lo, hi, 0
     while high - low > tol:
-        mid = 0.5 * (low + high)
-        if fn(mid) > zero_atol:
-            low = mid
-        else:
-            high = mid
+        (x0, f0), (x1, f1) = prev, last
+        # Five tries keep the kinked GHZ averages at 13 evaluations; three cost 48.
+        guess = x1 + (zero_atol - f1) * (x1 - x0) / (f1 - f0) if failed < 5 and f1 != f0 else low
+        probes = (guess - tol / 2, guess + tol / 2) if low < guess < high else ((low + high) / 2,)
+        values = [fn(x) for x in probes]
+        for x, value in zip(probes, values):
+            if value > zero_atol:
+                low = max(low, x)
+                prev, last = last, (x, value)
+            else:
+                high = min(high, x)
+        if len(probes) == 2 and values[0] > zero_atol >= values[1]:
+            return guess
+        failed += len(probes) == 2
     return 0.5 * (low + high)

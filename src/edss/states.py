@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .channels import KrausChannel, apply_to_subsystem
 from .tensor import DensityOperator, partial_trace
 
 # Branch probabilities below this are reported as exactly zero with a null
@@ -242,8 +243,6 @@ def bob_deterministic_map(rho: DensityOperator) -> DensityOperator:
     """Deterministic finish: local channel on (b, c), then trace out c."""
     if rho.dims != (2, 2, 2):
         raise ValueError(f"expected a three-qubit register, got dims {rho.dims}")
-    out = np.zeros_like(rho.matrix)
-    for a in bob_deterministic_kraus():
-        lifted = np.kron(np.eye(2, dtype=complex), a)
-        out += lifted @ rho.matrix @ lifted.conj().T
-    return partial_trace(DensityOperator(out, (2, 2, 2)), keep={0, 1})
+    bc = DensityOperator(rho.matrix, (2, 4))
+    out = apply_to_subsystem(KrausChannel(bob_deterministic_kraus()), bc, target=1)
+    return partial_trace(DensityOperator(out.matrix, (2, 2, 2)), keep={0, 1})

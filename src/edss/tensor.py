@@ -15,10 +15,9 @@ from typing import Iterable
 import numpy as np
 
 # Validity checks (hermiticity, unit trace, positivity) tolerate eigensolver
-# noise; algebraic identities are held to a tighter bound. All matrices here
-# are small (side <= ~512) with entries of magnitude <= 1.
+# noise. All matrices here are small (side <= ~512) with entries of
+# magnitude <= 1.
 VALIDITY_ATOL = 1e-9
-ALGEBRA_ATOL = 1e-12
 # Smallest side whose spectrum is solved block by block: with one BLAS thread
 # on an x86-64 Xeon the split ties the dense solve at side 49 and wins from 64.
 BLOCK_SPLIT_MIN_SIDE = 64

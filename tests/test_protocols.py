@@ -351,6 +351,97 @@ class TestCriticalNoise:
     def test_zero_everywhere_returns_lo(self):
         assert critical_noise(lambda x: 0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("tol", {"tol": 0.0}),
+            ("tol", {"tol": -1.0}),
+            ("tol", {"tol": float("nan")}),
+            ("tol", {"tol": float("inf")}),
+            ("zero_atol", {"zero_atol": float("nan")}),
+            ("lo", {"lo": float("nan")}),
+            ("lo", {"lo": float("-inf")}),
+            ("hi", {"hi": float("nan")}),
+            ("hi", {"hi": float("inf")}),
+            ("lo", {"lo": 0.8, "hi": 0.2}),
+        ],
+    )
+    def test_bad_arguments_rejected_before_any_evaluation(self, name, kwargs):
+        def fn(x):
+            pytest.fail(f"fn evaluated at {x} despite bad arguments {kwargs}")
+
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            critical_noise(fn, **kwargs)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_linear_qudit_curve_takes_five_evaluations(self, d):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return protocols.qudit_average_only(d, "depolarizing", x)
+
+        found = critical_noise(fn)
+        assert len(calls) == 5
+        assert abs(found - d / (d + 1)) < 1e-9
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_kinked_ghz_curves_land_on_the_bisection_root(self, side):
+        """The GHZ a|bc and b|ac averages have kinks where a branch's
+        negativity vanishes, so the secant steps are not exact there."""
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return protocols.ghz_average_only("depolarizing", x, side)
+
+        found = critical_noise(fn)
+        assert len(calls) <= 13
+        assert abs(found - _bisection_root(fn)) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        curve=st.sampled_from(
+            ["power0.5", "power1", "power2", "power3", "power4", "exp", "quadratic", "step"]
+        ),
+        r=st.floats(0.01, 0.99),
+        a=st.floats(0.01, 5.0),
+    )
+    def test_contract_on_cheap_curves(self, curve, r, a):
+        def shape(x):
+            if x >= r:
+                return 0.0
+            if curve.startswith("power"):
+                return a * (r - x) ** float(curve[5:])
+            if curve == "exp":
+                return max(0.0, np.exp(-a * x) - np.exp(-a * r))
+            if curve == "quadratic":
+                return a * (r - x) * (r - x + 0.3)
+            return a
+
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return shape(x)
+
+        tol = zero_atol = 1e-12
+        x = critical_noise(fn, zero_atol=zero_atol, tol=tol)
+        assert len(calls) <= 52
+        assert shape(x - tol) > zero_atol >= shape(x + tol)
+
+
+def _bisection_root(fn, lo=0.0, hi=1.0, zero_atol=1e-12, tol=1e-12):
+    """Plain bisection for the boundary where ``fn`` falls to ``zero_atol``."""
+    low, high = lo, hi
+    while high - low > tol:
+        mid = 0.5 * (low + high)
+        if fn(mid) > zero_atol:
+            low = mid
+        else:
+            high = mid
+    return 0.5 * (low + high)
+
 
 class TestRecordedAverages:
     """``averages`` is summed from the recorded branch negativities; it must

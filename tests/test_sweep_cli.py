@@ -149,6 +149,15 @@ class TestSweepOutput:
             assert record["critical_noise"] == pytest.approx(0.75, abs=1e-9)
             assert record["ref_critical_noise"] == 0.75
 
+    def test_critical_noise_above_the_default_dimension_cap(self, tmp_path):
+        """The root search of a d=7 sweep runs under the sweep's own
+        ``max_dim``, not the default cap of ``run_qudit``."""
+        spec = small_spec(tmp_path, protocol="qudit", d=7, max_dim=7, points=2)
+        header, rows = read_csv(run_sweep(spec).csv_path)
+        for row in rows:
+            record = dict(zip(header, (float(v) for v in row)))
+            assert record["critical_noise"] == pytest.approx(7 / 8, abs=1e-9)
+
     def test_svg_polylines_reproducible_from_csv(self, tmp_path):
         spec = small_spec(tmp_path, svg_path=tmp_path / "chart.svg", points=9)
         result = run_sweep(spec)
