@@ -10,6 +10,7 @@ no Kraus decomposition is ever required for maps defined by their action alone.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from math import prod
 from typing import Mapping, Union
@@ -27,8 +28,22 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_BASIS = np.stack((I2, *PAULIS))
 
 
+# channel -> its read-only transfer tensor. Kept outside the channel objects, so
+# ``vars(ch)`` holds only the parameters; channels hash by identity (eq=False).
+_TRANSFER_TENSORS: "weakref.WeakKeyDictionary[_Channel, np.ndarray]" = weakref.WeakKeyDictionary()
+
+
 class _Channel:
-    """The action shared by every channel: contract the transfer tensor with x."""
+    """What every channel shares: the cached transfer tensor and its action on x."""
+
+    def transfer_tensor(self) -> np.ndarray:
+        """``T[i, j, k, l] = E(|k><l|)[i, j]``, built once per channel, read-only."""
+        t4 = _TRANSFER_TENSORS.get(self)
+        if t4 is None:
+            t4 = self._build_transfer_tensor()
+            t4.flags.writeable = False
+            _TRANSFER_TENSORS[self] = t4
+        return t4
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -58,7 +73,7 @@ class CanonicalChannel(_Channel):
     def dim(self) -> int:
         return 2
 
-    def transfer_tensor(self) -> np.ndarray:
+    def _build_transfer_tensor(self) -> np.ndarray:
         # T[i,j,k,l] = (1/2) sum_mn R[m,n] s_m[i,j] s_n[l,k], since
         # tr(s_n |k><l|) = s_n[l,k]; R holds 1, the lambdas and the z shift.
         r = np.diag([1.0, self.lambda1, self.lambda2, self.lambda3])
@@ -88,7 +103,7 @@ class KrausChannel(_Channel):
     def dim(self) -> int:
         return self.kraus_ops[0].shape[0]
 
-    def transfer_tensor(self) -> np.ndarray:
+    def _build_transfer_tensor(self) -> np.ndarray:
         ops = np.stack(self.kraus_ops)
         return np.einsum("mik,mjl->ijkl", ops, ops.conj())
 
@@ -115,7 +130,7 @@ class DepolarizingChannel(_Channel):
     def noise_param(self) -> float:
         return self.p
 
-    def transfer_tensor(self) -> np.ndarray:
+    def _build_transfer_tensor(self) -> np.ndarray:
         d, p = self.d, self.p
         eye = np.eye(d)
         t4 = (1.0 - p) * np.einsum("ik,jl->ijkl", eye, eye).astype(complex)
@@ -190,13 +205,22 @@ def apply_to_subsystem(
     d = rho.dims[target]
     if ch.dim != d:
         raise ValueError(f"channel dimension {ch.dim} != subsystem dimension {d}")
-    left = prod(rho.dims[:target])
-    right = prod(rho.dims[target + 1 :])
-    t4 = ch.transfer_tensor()
-    r6 = rho.matrix.reshape(left, d, right, left, d, right)
-    # out[a,i,b,c,j,e] = sum_kl T[i,j,k,l] r6[a,k,b,c,l,e], as one BLAS product
-    out = np.tensordot(t4, r6, axes=([2, 3], [1, 4])).transpose(2, 0, 3, 4, 1, 5)
-    return DensityOperator(out.reshape(rho.matrix.shape), rho.dims)
+    return DensityOperator(_embed(ch.transfer_tensor(), rho.matrix, rho.dims, target), rho.dims)
+
+
+def _embed(t4: np.ndarray, m: np.ndarray, dims: tuple[int, ...], target: int) -> np.ndarray:
+    """Transfer tensors ``t4`` (``(..., d, d, d, d)``) applied to subsystem
+    ``target`` of the matrices ``m`` (``(..., n, n)``), leading axes broadcast."""
+    d = dims[target]
+    left, right = prod(dims[:target]), prod(dims[target + 1 :])
+    r6 = m.reshape(*m.shape[:-2], left, d, right, left, d, right)
+    # out[a,i,b,c,j,e] = sum_kl T[i,j,k,l] r6[a,k,b,c,l,e]: one (d^2, d^2) @ (d^2, rest)
+    # product per matrix, the orientation tensordot takes
+    rest = np.moveaxis(r6, (-5, -2), (-6, -5)).reshape(*m.shape[:-2], d * d, -1)
+    out = t4.reshape(*t4.shape[:-4], d * d, d * d) @ rest
+    out = out.reshape(*out.shape[:-2], d, d, left, right, left, right)
+    out = np.moveaxis(out, (-6, -5), (-5, -2))
+    return out.reshape(*out.shape[:-6], *m.shape[-2:])
 
 
 def choi_matrix(ch: QuditChannel) -> np.ndarray:

@@ -10,7 +10,14 @@ import numpy as np
 
 from .channels import SIGMA_Y
 from .states import MeasurementBranch
-from .tensor import Bipartition, DensityOperator, hermitian_eigenvalues, partial_transpose
+from .tensor import (
+    Bipartition,
+    DensityOperator,
+    _partial_transpose,
+    _spectra,
+    hermitian_eigenvalues,
+    partial_transpose,
+)
 
 # Eigenvalues in (-NEGATIVE_EIG_ATOL, 0) are treated as solver noise.
 NEGATIVE_EIG_ATOL = 1e-10
@@ -33,15 +40,24 @@ class NegativityResult:
 
 def negativity(rho: DensityOperator, part: Bipartition) -> NegativityResult:
     """Negativity of ``rho`` across ``part`` (transpose applied to side_a)."""
-    pt = partial_transpose(rho, part)
-    eigs = hermitian_eigenvalues(pt)
-    tn = float(np.sum(np.abs(eigs)))
-    dim_a = prod(rho.dims[i] for i in part.side_a)
-    dim_b = prod(rho.dims[i] for i in part.side_b)
-    min_dim = min(dim_a, dim_b)
+    eigs = hermitian_eigenvalues(partial_transpose(rho, part))
+    tn, value, min_dim = _from_spectra(eigs, rho.dims, part)
     negatives = tuple(eigs[eigs < -NEGATIVE_EIG_ATOL].tolist())
-    value = max(0.0, (tn - 1.0) / (min_dim - 1))
-    return NegativityResult(value, tn, min_dim, negatives)
+    return NegativityResult(float(value), float(tn), min_dim, negatives)
+
+
+def _negativities(m: np.ndarray, dims: tuple[int, ...], part: Bipartition) -> np.ndarray:
+    """Negativity value across ``part`` of each matrix of the stack ``m``."""
+    return _from_spectra(_spectra(_partial_transpose(m, dims, part.side_a)), dims, part)[1]
+
+
+def _from_spectra(
+    eigs: np.ndarray, dims: tuple[int, ...], part: Bipartition
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Trace norms, negativity values and min_dim from partial-transpose spectra."""
+    tn = np.sum(np.abs(eigs), axis=-1)
+    min_dim = min(prod(dims[i] for i in part.side_a), prod(dims[i] for i in part.side_b))
+    return tn, np.maximum(0.0, (tn - 1.0) / (min_dim - 1)), min_dim
 
 
 def concurrence(rho: DensityOperator) -> float:
@@ -53,14 +69,18 @@ def concurrence(rho: DensityOperator) -> float:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"concurrence is defined for two qubits, got dims {rho.dims}")
+    return float(_concurrences(rho.matrix))
+
+
+def _concurrences(m: np.ndarray) -> np.ndarray:
+    """Concurrence of each two-qubit matrix of the stack ``m``."""
     yy = np.kron(SIGMA_Y, SIGMA_Y)
-    rho_tilde = yy @ rho.matrix.conj() @ yy
-    roots = np.real(np.linalg.eigvals(rho.matrix @ rho_tilde))
+    roots = np.real(np.linalg.eigvals(m @ (yy @ m.conj() @ yy)))
     # Zero roots come back from the solver as ~1e-16 values whose square
     # roots would pollute the differences below; genuine roots sit far above.
     roots[roots < 1e-13] = 0.0
-    lams = np.sort(np.sqrt(roots))[::-1]
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    lams = np.sort(np.sqrt(roots), axis=-1)[..., ::-1]
+    return np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
 
 
 def average_negativity(branches: Iterable[MeasurementBranch], part: Bipartition) -> float:

@@ -17,7 +17,9 @@ closed forms and its ``edss describe`` text. One driver walks an entry;
 sweeps, check suites and the CLI read the same table.
 
 Every intermediate state is materialized as a dense matrix so the traces
-can be checked elementwise against analytic block forms.
+can be checked elementwise against analytic block forms. The driver runs a
+batch of points at once: each state is a stack with one matrix per point,
+and every operation acts on the whole stack.
 """
 
 from __future__ import annotations
@@ -27,18 +29,18 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QuditChannel, apply_to_subsystem, has_canonical_form, is_cpt, noise_channel
-from .measures import concurrence, negativity
+from .channels import QuditChannel, _embed, has_canonical_form, is_cpt, noise_channel
+from .measures import _concurrences, _negativities
 from .states import (
     MeasurementBranch,
-    bob_deterministic_map,
-    cnot,
+    _bob_deterministic,
+    _cnot,
+    _measure,
     edss_initial_two_qubit,
     ghz_initial_state,
-    measure_computational,
     qudit_initial_state,
 )
-from .tensor import Bipartition, DensityOperator, partial_trace
+from .tensor import Bipartition, DensityOperator, _check_unit_trace, _partial_trace
 
 # Where the paper's identities hold, chain spreads and exchange negativities are ~1e-15.
 CHAIN_ATOL = 1e-9
@@ -48,7 +50,7 @@ DEFAULT_MAX_DIM = 6
 # Channel kinds with closed-form curves; the check suites sweep these.
 CLOSED_FORM_KINDS = ("depolarizing", "amplitude_damping")
 
-PAIR = Bipartition.split({0}, 2)
+PAIR_DIMS = (2, 2)
 
 
 def partition_name(labels: Sequence[str], side_a: Sequence[int]) -> str:
@@ -171,8 +173,9 @@ class ProtocolSpec:
     finish: tuple[tuple[int, ...], ...] = ((0,),)
     # pairs of the post-measurement register recorded on the success branch
     success_pairs: tuple[tuple[int, int], ...] = ()
-    # local map replacing the measurement in the deterministic mode
-    deterministic: Callable[[DensityOperator], DensityOperator] | None = None
+    # local map replacing the measurement in the deterministic mode, from a
+    # stack of final states to a stack of (2, 2) pair states
+    deterministic: Callable[[np.ndarray], np.ndarray] | None = None
     identity_chains: dict[str, tuple[str, ...]]
     # chains that need the same channel on every exchange subsystem
     symmetry_chains: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -214,48 +217,52 @@ def _noise_summary(*channels: QuditChannel) -> dict[str, object]:
 
 
 def _evolve(
-    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int
-) -> list[tuple[str, DensityOperator]]:
-    """Labelled state sequence of ``spec`` with ``channels`` on the exchange."""
-    state = spec.initial(d)
+    spec: ProtocolSpec, batch: Sequence[Sequence[QuditChannel]], d: int
+) -> list[tuple[str, np.ndarray]]:
+    """Labelled state stacks of ``spec``, row b evolved under the channels
+    ``batch[b]``. Until the first channel every point holds the same state, so
+    those stacks keep one row; the channel step broadcasts to the batch."""
+    state = spec.initial(d).matrix[None]
+    dims = _register(spec, d)
     states = []
     for step in spec.steps:
         for op in step.ops:
             if isinstance(op, Cnot):
-                state = cnot(state, control=op.control, target=op.target, inverse=op.inverse)
+                state = _cnot(state, dims, op.control, op.target, op.inverse)
             else:
-                state = apply_to_subsystem(channels[op.channel], state, target=op.target)
+                t4 = np.stack([channels[op.channel].transfer_tensor() for channels in batch])
+                state = _embed(t4, state, dims, op.target)
+            _check_unit_trace(state)
         states.append((step.label, state))
     return states
 
 
-def _measure(spec: ProtocolSpec, final: DensityOperator) -> list[MeasurementBranch]:
-    """Measure ``spec.measured`` in order; several outcomes form a tuple."""
+def _register(spec: ProtocolSpec, d: int) -> tuple[int, ...]:
+    return (d,) * len(spec.subsystems)
+
+
+def _branches(
+    spec: ProtocolSpec, final: np.ndarray, dims: tuple[int, ...]
+) -> tuple[list[tuple[tuple[int, ...], np.ndarray, np.ndarray]], tuple[int, ...]]:
+    """Measure ``spec.measured`` in order on the stack ``final``: per outcome
+    tuple the probabilities and post states (see ``states._measure``), and
+    the dims of the post states. A branch is null where its probability is 0."""
     labels = list(spec.subsystems)
-    branches = [MeasurementBranch((), 1.0, final)]
+    branches = [((), np.ones(len(final)), final)]
     for name in spec.measured:
         target = labels.index(name)
         labels.pop(target)
-        composed = []
-        for branch in branches:
-            if branch.post_state is None:
-                dim = final.dims[spec.subsystems.index(name)]
-                composed.extend(
-                    MeasurementBranch(branch.outcome + (m,), 0.0, None) for m in range(dim)
-                )
-                continue
-            for sub in measure_computational(branch.post_state, target=target):
-                prob = branch.probability * sub.probability
-                post = sub.post_state if prob > 0.0 else None
-                composed.append(MeasurementBranch(branch.outcome + (sub.outcome,), prob, post))
-        branches = composed
-    if len(spec.measured) == 1:
-        return [MeasurementBranch(b.outcome[0], b.probability, b.post_state) for b in branches]
-    return branches
+        branches = [
+            (outcome + (m,), prob * p, post)
+            for outcome, prob, state in branches
+            for m, (p, post) in enumerate(_measure(state, dims, target))
+        ]
+        dims = dims[:target] + dims[target + 1 :]
+    return branches, dims
 
 
-def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> ProtocolTrace:
-    """Run ``spec`` with every partition, branch and chain recorded."""
+def _admit(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int) -> list[str]:
+    """Warnings of one point's channels; a channel the protocol refuses raises."""
     # GHZ passes one channel object for both exchange qubits: check it once.
     covariant = {}
     warnings = []
@@ -279,82 +286,152 @@ def _drive(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int = 2) -> 
             f"{role} is not Bloch-diagonal or otherwise phase-covariant; identity chains "
             "are not guaranteed"
         )
+    return warnings
+
+
+def _new_trace(
+    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int, warnings: list[str]
+) -> ProtocolTrace:
+    """An empty trace of one point, with its identity chains and warnings."""
     noise = _noise_summary(*channels)
     if spec.takes_d:
         noise["d"] = d
+    exchange = partition_name(spec.subsystems, spec.exchange)
     trace = ProtocolTrace(
         protocol=spec.protocol,
         mode=spec.mode,
         noise=noise,
         subsystems=spec.subsystems,
-        steps=_evolve(spec, channels, d),
+        steps=[],
+        identity_chains=dict(spec.identity_chains),
+        exchange_keys=tuple(f"{exchange}@{step.label}" for step in spec.steps),
         warnings=warnings,
     )
-    for step, (label, state) in zip(spec.steps, trace.steps):
-        for side in (spec.exchange, *step.record):
-            key = f"{partition_name(spec.subsystems, side)}@{label}"
-            part = Bipartition.split(side, len(state.dims))
-            trace.partition_negativities[key] = negativity(state, part).value
-    exchange = partition_name(spec.subsystems, spec.exchange)
-    trace.exchange_keys = tuple(f"{exchange}@{step.label}" for step in spec.steps)
-
-    trace.identity_chains = dict(spec.identity_chains)
-    first = channels[0].transfer_tensor() if len(channels) > 1 else None
-    if all(
-        np.allclose(first, ch.transfer_tensor(), atol=1e-12, rtol=0.0) for ch in channels[1:]
-    ):
+    first = channels[0].transfer_tensor()
+    if all(np.allclose(first, ch.transfer_tensor(), atol=1e-12, rtol=0.0) for ch in channels[1:]):
         trace.identity_chains.update(spec.symmetry_chains)
     else:
         targets = " and ".join(spec.subsystems[i] for i in spec.exchange)
         trace.warnings.append(
             f"channels on {targets} differ; the symmetry relations are not guaranteed"
         )
+    return trace
 
-    final = trace.steps[-1][1]
+
+def _record(
+    stack: np.ndarray, dims: tuple[int, ...], side: Sequence[int], count: int
+) -> list[float]:
+    """Negativity across ``side`` of each of ``count`` points in ``stack``, which
+    has one row per point or one row that they all share."""
+    if not count:
+        return []
+    values = _negativities(stack, dims, Bipartition.split(side, len(dims)))
+    return np.broadcast_to(values, (count,)).tolist()
+
+
+def _drive(
+    spec: ProtocolSpec,
+    batch: Sequence[Sequence[QuditChannel]],
+    d: int = 2,
+    labels: Sequence[str] = (),
+) -> list[ProtocolTrace]:
+    """Run ``spec`` once per channel tuple in ``batch``, with every partition,
+    branch and chain recorded; one trace per tuple, in order.
+
+    The points are evolved, transposed, solved and measured together, as
+    stacks with one row per point. Every channel is admitted, in point order,
+    before any state is built; a refusal is prefixed with ``labels[b]`` when
+    labels are given.
+    """
+    admitted = []
+    for b, channels in enumerate(batch):
+        try:
+            admitted.append(_admit(spec, channels, d))
+        except ValueError as exc:
+            if not labels:
+                raise
+            raise ValueError(f"{labels[b]}: {exc}") from exc
+    traces = [_new_trace(spec, ch, d, warnings) for ch, warnings in zip(batch, admitted)]
+    dims = _register(spec, d)
+    states = _evolve(spec, batch, d)
+    for step, (label, stack) in zip(spec.steps, states):
+        for b, trace in enumerate(traces):
+            trace.steps.append((label, DensityOperator._trusted(stack[b % len(stack)], dims)))
+        for side in (spec.exchange, *step.record):
+            key = f"{partition_name(spec.subsystems, side)}@{label}"
+            for trace, value in zip(traces, _record(stack, dims, side, len(traces))):
+                trace.partition_negativities[key] = value
+
+    final = states[-1][1]
     if spec.deterministic is not None:
         out = spec.deterministic(final)
-        trace.deterministic_output = DeterministicOutcome(
-            state=out, negativity=negativity(out, PAIR).value, concurrence=concurrence(out)
-        )
-        return trace
+        _check_unit_trace(out)
+        values = zip(_record(out, PAIR_DIMS, (0,), len(traces)), _concurrences(out).tolist())
+        for b, (trace, (value, conc)) in enumerate(zip(traces, values)):
+            state = DensityOperator._trusted(out[b], PAIR_DIMS)
+            trace.deterministic_output = DeterministicOutcome(state, value, conc)
+        return traces
 
     rest = [label for label in spec.subsystems if label not in spec.measured]
-    parts = {partition_name(rest, s): Bipartition.split(s, len(rest)) for s in spec.finish}
-    trace.branches = _measure(spec, final)
-    trace.averages = dict.fromkeys(parts, 0.0)
-    for branch in trace.branches:
-        state = branch.post_state
-        values = {} if state is None else {n: negativity(state, p).value for n, p in parts.items()}
-        trace.branch_negativities.append(values)
-        # average_negativity's sum, term for term in branch order, without its eigensolves
-        for name, value in values.items():
-            trace.averages[name] += branch.probability * value
-    trace.average_negativity = trace.averages[next(iter(parts))]
-    trace.success_probability = trace.branches[0].probability
-    success = trace.branches[0].post_state
-    if success is not None:
-        for name, value in trace.branch_negativities[0].items():
-            trace.partition_negativities[f"{name}@success"] = value
-        for pair in spec.success_pairs:
-            key = f"{''.join(rest[i] for i in pair)}_pair@success"
-            reduced = partial_trace(success, keep=pair)
-            trace.partition_negativities[key] = negativity(reduced, PAIR).value
-    return trace
+    parts = {partition_name(rest, s): s for s in spec.finish}
+    for trace in traces:
+        trace.averages = dict.fromkeys(parts, 0.0)
+    branches, rest_dims = _branches(spec, final, dims)
+    for n, (outcome, probs, posts) in enumerate(branches):
+        outcome = outcome[0] if len(spec.measured) == 1 else outcome
+        live = probs > 0.0
+        posts = posts[live]
+        _check_unit_trace(posts)
+        values = {name: _record(posts, rest_dims, s, len(posts)) for name, s in parts.items()}
+        success = {}  # partition_negativities of the success branch, the first
+        if n == 0:
+            success = {f"{name}@success": value for name, value in values.items()}
+            for pair in spec.success_pairs:
+                reduced, pair_dims = _partial_trace(posts, rest_dims, pair)
+                _check_unit_trace(reduced)
+                key = f"{''.join(rest[i] for i in pair)}_pair@success"
+                success[key] = _record(reduced, pair_dims, (0,), len(posts))
+        rows = iter(range(len(posts)))  # live points only
+        for trace, prob, alive in zip(traces, probs.tolist(), live):
+            state, negs = None, {}
+            if alive:
+                i = next(rows)
+                state = DensityOperator._trusted(posts[i], rest_dims)
+                negs = {name: value[i] for name, value in values.items()}
+                trace.partition_negativities.update((k, v[i]) for k, v in success.items())
+            trace.branches.append(MeasurementBranch(outcome, prob, state))
+            trace.branch_negativities.append(negs)
+            # average_negativity's sum, term for term in branch order
+            for name, value in negs.items():
+                trace.averages[name] += prob * value
+    for trace in traces:
+        trace.average_negativity = trace.averages[next(iter(parts))]
+        trace.success_probability = trace.branches[0].probability
+    return traces
+
+
+def _states(
+    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int
+) -> list[tuple[str, DensityOperator]]:
+    """The labelled states of one point, each built with its full check."""
+    dims = _register(spec, d)
+    states = _evolve(spec, [channels], d)
+    return [(label, DensityOperator(stack[0], dims)) for label, stack in states]
 
 
 def two_qubit_states(ch: QuditChannel) -> list[tuple[str, DensityOperator]]:
     """State sequence of the two-qubit protocol under channel ``ch`` on c."""
-    return _evolve(SPECS["two_qubit", "probabilistic"], (ch,), 2)
+    return _states(SPECS["two_qubit", "probabilistic"], (ch,), 2)
 
 
 def ghz_states(ch1: QuditChannel, ch2: QuditChannel) -> list[tuple[str, DensityOperator]]:
     """State sequence of the GHZ protocol; ``ch1`` acts on d1, ``ch2`` on d2."""
-    return _evolve(SPECS["ghz", "probabilistic"], (ch1, ch2), 2)
+    return _states(SPECS["ghz", "probabilistic"], (ch1, ch2), 2)
 
 
 def qudit_states(d: int, ch: QuditChannel) -> list[tuple[str, DensityOperator]]:
     """State sequence of the d-level protocol under channel ``ch`` on c."""
-    return _evolve(SPECS["qudit", "probabilistic"], (ch,), d)
+    return _states(SPECS["qudit", "probabilistic"], (ch,), d)
 
 
 def run_two_qubit(ch: QuditChannel, mode: str = "probabilistic") -> ProtocolTrace:
@@ -366,7 +443,7 @@ def run_two_qubit(ch: QuditChannel, mode: str = "probabilistic") -> ProtocolTrac
     """
     if ("two_qubit", mode) not in SPECS:
         raise ValueError(f"unknown mode {mode!r}")
-    return _drive(SPECS["two_qubit", mode], (ch,))
+    return _drive(SPECS["two_qubit", mode], [(ch,)])[0]
 
 
 def run_ghz(ch1: QuditChannel, ch2: QuditChannel | None = None) -> ProtocolTrace:
@@ -376,7 +453,7 @@ def run_ghz(ch1: QuditChannel, ch2: QuditChannel | None = None) -> ProtocolTrace
     allowed but flagged, since the cross-partition symmetry argument assumes
     identical independent noise.
     """
-    return _drive(SPECS["ghz", "probabilistic"], (ch1, ch1 if ch2 is None else ch2))
+    return _drive(SPECS["ghz", "probabilistic"], [(ch1, ch1 if ch2 is None else ch2)])[0]
 
 
 def run_qudit(d: int, ch: QuditChannel, max_dim: int = DEFAULT_MAX_DIM) -> ProtocolTrace:
@@ -388,25 +465,25 @@ def run_qudit(d: int, ch: QuditChannel, max_dim: int = DEFAULT_MAX_DIM) -> Proto
     """
     if d < 2 or d > max_dim:
         raise ValueError(f"dimension {d} outside the allowed range [2, {max_dim}]")
-    return _drive(SPECS["qudit", "probabilistic"], (ch,), d)
+    return _drive(SPECS["qudit", "probabilistic"], [(ch,)], d)[0]
 
 
 def qudit_average_only(d: int, kind: str, x: float) -> float:
     """Branch-averaged a|b negativity of one full qudit run, with no ``max_dim`` cap."""
     ch = noise_channel(kind, d, x)
-    return _drive(SPECS["qudit", "probabilistic"], (ch,), d).average_negativity
+    return _drive(SPECS["qudit", "probabilistic"], [(ch,)], d)[0].average_negativity
 
 
 def ghz_average_only(kind: str, x: float, side: int) -> float:
     """Branch-averaged GHZ negativity across a|bc, b|ac or c|ab (``side`` 0, 1, 2)."""
     ch = noise_channel(kind, 2, x)
-    return list(_drive(SPECS["ghz", "probabilistic"], (ch, ch)).averages.values())[side]
+    return list(_drive(SPECS["ghz", "probabilistic"], [(ch, ch)])[0].averages.values())[side]
 
 
 def two_qubit_average_only(kind: str, x: float) -> float:
     """Branch-averaged a|b negativity of the two-qubit protocol, from one full run."""
     spec = SPECS["two_qubit", "probabilistic"]
-    return _drive(spec, (noise_channel(kind, 2, x),)).average_negativity
+    return _drive(spec, [(noise_channel(kind, 2, x),)])[0].average_negativity
 
 
 _TWO_QUBIT = ProtocolSpec(
@@ -463,7 +540,7 @@ SPECS: dict[tuple[str, str], ProtocolSpec] = {
         mode="deterministic",
         run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_two_qubit(ch, mode="deterministic"),
         measured=(),
-        deterministic=lambda rho: bob_deterministic_map(rho),
+        deterministic=lambda m: _bob_deterministic(m),
         identity_chains={"distribution": ("a|bc@channel", "a|bc@bob_cnot", "b|ac@bob_cnot")},
         columns=(
             ("deterministic_negativity", "deterministic:negativity"),

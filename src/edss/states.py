@@ -14,8 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, apply_to_subsystem
-from .tensor import DensityOperator, partial_trace
+from .channels import KrausChannel, _embed
+from .tensor import DensityOperator, _partial_trace
 
 # Branch probabilities below this are reported as exactly zero with a null
 # post state, keeping branch indexing stable across noise values.
@@ -193,9 +193,15 @@ def cnot(
             f"control and target dimensions differ: "
             f"{rho.dims[control]} vs {rho.dims[target]}"
         )
-    perm = _cnot_permutation(rho.dims, control, target, inverse)
-    pinv = np.argsort(perm)
-    return DensityOperator(rho.matrix[np.ix_(pinv, pinv)], rho.dims)
+    return DensityOperator(_cnot(rho.matrix, rho.dims, control, target, inverse), rho.dims)
+
+
+def _cnot(
+    m: np.ndarray, dims: tuple[int, ...], control: int, target: int, inverse: bool
+) -> np.ndarray:
+    """Each matrix of the stack ``m`` conjugated by the generalized CNOT."""
+    pinv = np.argsort(_cnot_permutation(dims, control, target, inverse))
+    return m[..., pinv[:, None], pinv]
 
 
 def measure_computational(rho: DensityOperator, target: int) -> list[MeasurementBranch]:
@@ -210,22 +216,29 @@ def measure_computational(rho: DensityOperator, target: int) -> list[Measurement
         raise ValueError(f"target {target} out of range for {n} subsystems")
     if n == 1:
         raise ValueError("measuring the only subsystem leaves an empty register")
-    d = rho.dims[target]
-    left = prod(rho.dims[:target])
-    right = prod(rho.dims[target + 1 :])
     rest_dims = rho.dims[:target] + rho.dims[target + 1 :]
-    r6 = rho.matrix.reshape(left, d, right, left, d, right)
-    branches: list[MeasurementBranch] = []
-    for m in range(d):
-        block = r6[:, m, :, :, m, :].reshape(left * right, left * right)
-        p = float(np.real(np.trace(block)))
-        if p < ZERO_PROBABILITY_ATOL:
-            branches.append(MeasurementBranch(m, 0.0, None))
-        else:
-            branches.append(
-                MeasurementBranch(m, p, DensityOperator(block / p, rest_dims))
-            )
-    return branches
+    return [
+        MeasurementBranch(m, float(p), DensityOperator(post, rest_dims) if p else None)
+        for m, (p, post) in enumerate(_measure(rho.matrix, rho.dims, target))
+    ]
+
+
+def _measure(
+    m: np.ndarray, dims: tuple[int, ...], target: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per outcome of measuring subsystem ``target`` of each matrix of the stack
+    ``m``: the probabilities, 0 below ``ZERO_PROBABILITY_ATOL``, and the post
+    states, normalized where the probability is not 0 (left unscaled there)."""
+    d = dims[target]
+    left, right = prod(dims[:target]), prod(dims[target + 1 :])
+    r6 = m.reshape(*m.shape[:-2], left, d, right, left, d, right)
+    outcomes = []
+    for k in range(d):
+        block = r6[..., :, k, :, :, k, :].reshape(*m.shape[:-2], left * right, left * right)
+        p = np.trace(block, axis1=-2, axis2=-1).real
+        p = np.where(p < ZERO_PROBABILITY_ATOL, 0.0, p)
+        outcomes.append((p, block / np.where(p > 0.0, p, 1.0)[..., None, None]))
+    return outcomes
 
 
 def bob_deterministic_kraus() -> tuple[np.ndarray, ...]:
@@ -239,10 +252,18 @@ def bob_deterministic_kraus() -> tuple[np.ndarray, ...]:
     return (a1, a2, a3)
 
 
+_BOB_MAP = KrausChannel(bob_deterministic_kraus())
+
+
 def bob_deterministic_map(rho: DensityOperator) -> DensityOperator:
     """Deterministic finish: local channel on (b, c), then trace out c."""
     if rho.dims != (2, 2, 2):
         raise ValueError(f"expected a three-qubit register, got dims {rho.dims}")
-    bc = DensityOperator(rho.matrix, (2, 4))
-    out = apply_to_subsystem(KrausChannel(bob_deterministic_kraus()), bc, target=1)
-    return partial_trace(DensityOperator(out.matrix, (2, 2, 2)), keep={0, 1})
+    return DensityOperator(_bob_deterministic(rho.matrix), (2, 2))
+
+
+def _bob_deterministic(m: np.ndarray) -> np.ndarray:
+    """The deterministic finish on each three-qubit matrix of the stack ``m``:
+    the local channel on the (b, c) pair as one subsystem, then c traced out."""
+    out = _embed(_BOB_MAP.transfer_tensor(), m, (2, 4), 1)
+    return _partial_trace(out, (2, 2, 2), (0, 1))[0]

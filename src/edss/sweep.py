@@ -23,6 +23,8 @@ from .protocols import (
     PROTOCOLS,
     SEPARABILITY_ATOL,
     SPECS,
+    ProtocolTrace,
+    _drive,
     critical_noise,
     separability_audit,
     verify_identity_chain,
@@ -40,6 +42,9 @@ MAX_POINTS = 10_001
 # Dense states have side d^3: 1000 (16 MB) at d = 10, the largest dimension
 # the dense path is meant for; a larger --max-dim would only admit slower runs.
 MAX_DIM_CEILING = 10
+# Bytes per stacked state: a chunk holds STACK_BYTES // (16 n^2) grid points, at least
+# one. Over one-point chunks, 256 KiB adds 0.5 MB peak RSS on qubit_sweeps, 1 MiB 4.6 MB.
+STACK_BYTES = 256 * 1024
 
 
 class SweepError(ValueError):
@@ -171,14 +176,11 @@ def sweep_columns(spec: SweepSpec) -> list[str]:
     return cols + [f"ref_{columns[0]}" for columns in _closed_forms(spec).values()]
 
 
-def _row(spec: SweepSpec, x: float, formulas: Mapping[str, Formula]) -> dict[str, float]:
-    """Run the protocol at grid point ``x``; simulated and reference columns."""
+def _row(
+    spec: SweepSpec, x: float, trace: ProtocolTrace, formulas: Mapping[str, Formula]
+) -> dict[str, float]:
+    """Simulated and reference columns of grid point ``x`` from its trace."""
     entry = SPECS[spec.protocol, spec.mode]
-    channel = spec.channel_at(x)
-    try:
-        trace = entry.run(channel, spec.d, spec.max_dim)
-    except ValueError as exc:
-        raise SweepError(f"{spec.param}={format_float(x)}: {exc}") from exc
     row = {spec.param: x, **{column: trace.value_of(key) for column, key in entry.columns}}
     row["exchange_negativity_max"] = separability_audit(trace).max_negativity
     row["chain_max_deviation"] = verify_identity_chain(trace).max_deviation
@@ -193,8 +195,37 @@ def sweep_rows(
     spec: SweepSpec, formulas: Mapping[str, Formula] = FORMULAS
 ) -> list[dict[str, float]]:
     """The rows ``run_sweep`` writes for a valid ``spec``, without I/O and
-    without ``critical_noise``; the ``ref_*`` columns come from ``formulas``."""
-    return [_row(spec, float(x), formulas) for x in spec.grid()]
+    without ``critical_noise``; the ``ref_*`` columns come from ``formulas``.
+
+    The grid runs in chunks of points that the driver evolves as one stack,
+    each chunk within ``STACK_BYTES`` per stacked state; a chunk becomes rows
+    before the next one runs."""
+    entry = SPECS[spec.protocol, spec.mode]
+    if entry.takes_d and not 2 <= spec.d <= spec.max_dim:
+        raise SweepError(f"d={spec.d} outside the allowed range [2, {spec.max_dim}]")
+    xs = [float(x) for x in spec.grid()]
+    side = spec.d ** len(entry.subsystems)
+    size = max(1, STACK_BYTES // (16 * side * side))
+    rows = []
+    for start in range(0, len(xs), size):
+        rows.extend(_chunk_rows(spec, xs[start : start + size], formulas))
+    return rows
+
+
+def _chunk_rows(
+    spec: SweepSpec, xs: list[float], formulas: Mapping[str, Formula]
+) -> list[dict[str, float]]:
+    """Rows of the grid points ``xs``, from one stacked driver pass; the
+    traces, and the states they hold, are freed on return."""
+    entry = SPECS[spec.protocol, spec.mode]
+    # one channel per point, on every exchange subsystem
+    batch = [(spec.channel_at(x),) * len(entry.channel_roles) for x in xs]
+    labels = [f"{spec.param}={format_float(x)}" for x in xs]
+    try:
+        traces = _drive(entry, batch, spec.d, labels)
+    except ValueError as exc:
+        raise SweepError(str(exc)) from exc
+    return [_row(spec, x, trace, formulas) for x, trace in zip(xs, traces)]
 
 
 def row_deviations(spec: SweepSpec, row: Mapping[str, float]) -> dict[str, float]:

@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edss.measures
-import edss.protocols
 import edss.tensor
 from edss.channels import KrausChannel, apply_to_subsystem, identity_channel, noise_channel
 from edss.measures import negativity
-from edss.protocols import qudit_states, run_qudit
+from edss.protocols import SPECS, partition_name, qudit_states, run_qudit
 from edss.tensor import (
     BLOCK_SPLIT_MIN_SIDE,
     VALIDITY_ATOL,
@@ -61,16 +60,37 @@ def largest_block(pt):
     return int(np.bincount(_component_labels(pt)).max())
 
 
+def recorded_pairs(trace):
+    """(recorded value, state, partition) for every negativity a qudit trace
+    records: each step against its recorded sides, then each branch post
+    state against the finish sides."""
+    spec = SPECS["qudit", "probabilistic"]
+    pairs = []
+    for step, (label, state) in zip(spec.steps, trace.steps):
+        for side in (spec.exchange, *step.record):
+            key = f"{partition_name(spec.subsystems, side)}@{label}"
+            pairs.append((trace.partition_negativities[key], state, Bipartition.split(side, 3)))
+    rest = [name for name in spec.subsystems if name not in spec.measured]
+    for branch, values in zip(trace.branches, trace.branch_negativities):
+        if branch.post_state is not None:
+            for side in spec.finish:
+                part = Bipartition.split(side, len(rest))
+                pairs.append((values[partition_name(rest, side)], branch.post_state, part))
+    return pairs
+
+
 @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
 @pytest.mark.parametrize("d", range(2, 9))
 def test_every_qudit_partial_transpose_matches_dense(d, kind):
     dense_spectra = {}
     for x in NOISE_LEVELS:
-        with patch.object(edss.protocols, "negativity", wraps=negativity) as spy:
-            run_qudit(d, noise_channel(kind, d, x), max_dim=8)
-        assert spy.call_count == 8 + d
-        for call in spy.call_args_list:
-            pt = assert_matches_dense(*call.args, dense_spectra)
+        pairs = recorded_pairs(run_qudit(d, noise_channel(kind, d, x), max_dim=8))
+        assert len(pairs) == 8 + d
+        for recorded, rho, part in pairs:
+            pt = assert_matches_dense(rho, part, dense_spectra)
+            dense = dense_spectra[pt.tobytes()]
+            with patch.object(edss.measures, "hermitian_eigenvalues", lambda h: dense):
+                assert abs(recorded - negativity(rho, part).value) <= REPORTED_ATOL
             if pt.shape[0] >= BLOCK_SPLIT_MIN_SIDE:
                 assert largest_block(pt) <= d
 

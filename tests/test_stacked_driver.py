@@ -1,0 +1,259 @@
+"""The stacked driver against one point at a time.
+
+``protocols._drive`` evolves, transposes, solves and measures a batch of
+channel tuples as one stack. Every trace it returns must match the trace of
+the same tuple run alone: recorded values, averages and branch
+probabilities within 1e-12, states within 1e-14, and identical warnings,
+chains and null branches.
+"""
+
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edss import protocols, sweep
+from edss.channels import (
+    CanonicalChannel,
+    DepolarizingChannel,
+    KrausChannel,
+    amplitude_damping,
+    depolarizing,
+    identity_channel,
+)
+from edss.checks import random_cp_canonical
+from edss.measures import _negativities
+from edss.protocols import SPECS, _drive, run_ghz, run_qudit, run_two_qubit
+from edss.states import qudit_initial_state
+from edss.sweep import SweepError, SweepSpec, run_sweep, sweep_rows
+from edss.tensor import Bipartition, DensityOperator, _spectra
+
+from explicit_forms import stinespring_kraus, z_twirl
+
+VALUE_ATOL = 1e-12
+STATE_ATOL = 1e-14
+
+seed = st.integers(0, 2**32 - 1)
+probability = st.floats(0.0, 1.0)
+
+
+def qubit_channel():
+    """Depolarizing, amplitude damping (often at its end point gamma = 1),
+    random CP canonical, non-covariant Kraus."""
+    return st.one_of(
+        probability.map(lambda p: depolarizing(2, p)),
+        st.one_of(st.just(1.0), probability).map(lambda g: amplitude_damping(2, g)),
+        seed.map(lambda s: random_cp_canonical(np.random.default_rng(s))),
+        seed.map(lambda s: KrausChannel(tuple(stinespring_kraus(s, 2)))),
+    )
+
+
+def qutrit_channel():
+    """The admitted qudit class at d = 3: depolarizing, amplitude damping and
+    Z-twirled random channels."""
+    return st.one_of(
+        probability.map(lambda p: depolarizing(3, p)),
+        st.one_of(st.just(1.0), probability).map(lambda g: amplitude_damping(3, g)),
+        seed.map(lambda s: KrausChannel(tuple(z_twirl(stinespring_kraus(s, 3), 3)))),
+    )
+
+
+@st.composite
+def batches(draw, key):
+    """(d, batch) for one SPECS entry: 1 to 7 channel tuples."""
+    spec = SPECS[key]
+    d = draw(st.sampled_from([2, 3])) if spec.takes_d else 2
+    channel = qubit_channel() if d == 2 else qutrit_channel()
+    batch = []
+    for _ in range(draw(st.integers(1, 7))):
+        ch = draw(channel)
+        if len(spec.channel_roles) == 2:
+            # the same channel object on both exchange qubits, or a distinct pair
+            batch.append((ch, draw(st.one_of(st.just(ch), channel))))
+        else:
+            batch.append((ch,))
+    return d, batch
+
+
+def assert_close(a, b, atol):
+    assert np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0) <= atol
+
+
+def assert_same_trace(got, want):
+    assert got.warnings == want.warnings
+    assert got.identity_chains == want.identity_chains
+    assert got.exchange_keys == want.exchange_keys
+    assert got.noise == want.noise
+    assert list(got.partition_negativities) == list(want.partition_negativities)
+    for key, value in want.partition_negativities.items():
+        assert_close(got.partition_negativities[key], value, VALUE_ATOL)
+    assert [label for label, _ in got.steps] == [label for label, _ in want.steps]
+    for (_, a), (_, b) in zip(got.steps, want.steps):
+        assert a.dims == b.dims
+        assert_close(a.matrix, b.matrix, STATE_ATOL)
+    assert list(got.averages) == list(want.averages)
+    for name, value in want.averages.items():
+        assert_close(got.averages[name], value, VALUE_ATOL)
+    for key in ("average_negativity", "success_probability"):
+        if getattr(want, key) is None:
+            assert getattr(got, key) is None
+        else:
+            assert_close(getattr(got, key), getattr(want, key), VALUE_ATOL)
+    assert [b.outcome for b in got.branches] == [b.outcome for b in want.branches]
+    assert [b.post_state is None for b in got.branches] == [
+        b.post_state is None for b in want.branches
+    ]
+    for a, b in zip(got.branches, want.branches):
+        assert_close(a.probability, b.probability, VALUE_ATOL)
+        if b.post_state is not None:
+            assert a.post_state.dims == b.post_state.dims
+            assert_close(a.post_state.matrix, b.post_state.matrix, STATE_ATOL)
+    assert [list(v) for v in got.branch_negativities] == [
+        list(v) for v in want.branch_negativities
+    ]
+    for a, b in zip(got.branch_negativities, want.branch_negativities):
+        for name, value in b.items():
+            assert_close(a[name], value, VALUE_ATOL)
+    if want.deterministic_output is None:
+        assert got.deterministic_output is None
+    else:
+        a, b = got.deterministic_output, want.deterministic_output
+        assert_close(a.negativity, b.negativity, VALUE_ATOL)
+        assert_close(a.concurrence, b.concurrence, VALUE_ATOL)
+        assert_close(a.state.matrix, b.state.matrix, STATE_ATOL)
+
+
+@pytest.mark.parametrize("key", list(SPECS), ids=["-".join(key) for key in SPECS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_stacked_traces_match_one_point_runs(key, data):
+    d, batch = data.draw(batches(key))
+    stacked = _drive(SPECS[key], batch, d)
+    assert len(stacked) == len(batch)
+    for got, channels in zip(stacked, batch):
+        assert_same_trace(got, _drive(SPECS[key], [channels], d)[0])
+
+
+@pytest.mark.parametrize("protocol", ["two_qubit", "ghz"])
+def test_null_branches_differ_across_one_batch(protocol):
+    # From the all-zero product state, a noiseless exchange leaves only the
+    # all-zero outcome, while depolarizing noise reaches every outcome.
+    spec = SPECS[protocol, "probabilistic"]
+    side = 2 ** len(spec.subsystems)
+    start = np.zeros((side, side), dtype=complex)
+    start[0, 0] = 1.0
+    spec = replace(spec, initial=lambda d: DensityOperator(start, (2,) * len(spec.subsystems)))
+    roles = len(spec.channel_roles)
+    batch = [(depolarizing(2, 0.5),) * roles, (identity_channel(2),) * roles]
+    traces = _drive(spec, batch)
+    nulls = [[b.post_state is None for b in t.branches] for t in traces]
+    assert not any(nulls[0]) and nulls[1] == [False] + [True] * (len(nulls[1]) - 1)
+    for got, channels in zip(traces, batch):
+        assert_same_trace(got, _drive(spec, [channels])[0])
+
+
+def test_ghz_sweep_spans_chunks_and_matches_point_by_point(monkeypatch):
+    spec = SweepSpec("ghz", "amplitude_damping", "gamma", "", points=101)
+    sizes = []
+
+    def counting(entry, batch, *args):
+        sizes.append(len(batch))
+        return _drive(entry, batch, *args)
+
+    monkeypatch.setattr(sweep, "_drive", counting)
+    rows = sweep_rows(spec)
+    assert len(sizes) > 1 and sum(sizes) == 101
+    assert max(sizes) == sweep.STACK_BYTES // (16 * 32 * 32)
+    monkeypatch.setattr(sweep, "STACK_BYTES", 0)  # one point per chunk
+    sizes.clear()
+    single = sweep_rows(spec)
+    assert sizes == [1] * 101
+    for got, want in zip(rows, single):
+        assert list(got) == list(want)
+        for column, value in want.items():
+            assert abs(got[column] - value) <= VALUE_ATOL
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_one_perturbed_matrix_fails_the_stacked_solve(d):
+    # side 8 (one batched eigvalsh) and side 64 (block split per matrix)
+    rho = qudit_initial_state(d).matrix
+    stack = np.stack([rho] * 5)
+    part = Bipartition.split({0}, 3)
+    assert _negativities(stack, (d,) * 3, part).shape == (5,)
+    i, j = np.argwhere(np.abs(rho) > 0)[-1]
+    j = (j + 1) % rho.shape[0] if i == j else j
+    stack[3, i, j] += 1e-6
+    with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
+        _spectra(stack)
+    with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
+        _negativities(stack, (d,) * 3, part)
+
+
+def test_unit_trace_checked_per_stack(monkeypatch):
+    leaky = KrausChannel((np.sqrt(0.5) * np.eye(2, dtype=complex),))
+    monkeypatch.setattr(protocols, "_admit", lambda spec, channels, d: [])
+    batch = [(depolarizing(2, 0.1),), (leaky,), (depolarizing(2, 0.3),)]
+    with pytest.raises(ValueError, match="density operator must have unit trace"):
+        _drive(SPECS["two_qubit", "probabilistic"], batch)
+
+
+def test_non_cpt_point_mid_batch_is_named(tmp_path):
+    # CP needs |lambda1 + lambda2| <= 1 + lambda3 here: it fails from lambda1 = 0.75
+    spec = SweepSpec(
+        "two_qubit", "canonical", "lambda1", tmp_path / "out.csv", points=5,
+        channel_args={"lambda2": 0.5, "lambda3": 0.0},
+    )
+    with pytest.raises(SweepError) as excinfo:
+        run_sweep(spec)
+    assert str(excinfo.value).startswith("lambda1=0.75: communication channel is not a CPT map")
+    assert not spec.csv_path.exists()
+
+
+class TestTransferTensorCache:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = Counter()
+        for cls in (CanonicalChannel, KrausChannel, DepolarizingChannel):
+            original = cls._build_transfer_tensor
+
+            def counting(ch, original=original):
+                built[id(ch)] += 1
+                return original(ch)
+
+            monkeypatch.setattr(cls, "_build_transfer_tensor", counting)
+        return built
+
+    def test_one_build_per_distinct_channel_per_run(self, builds):
+        ch = amplitude_damping(2, 0.3)
+        run_two_qubit(ch)
+        assert builds == {id(ch): 1}
+        run_two_qubit(ch, mode="deterministic")
+        assert builds[id(ch)] == 1 and max(builds.values()) == 1
+        builds.clear()
+        shared, other = depolarizing(2, 0.2), amplitude_damping(2, 0.6)
+        run_ghz(shared)
+        assert builds == {id(shared): 1}
+        run_ghz(shared, other)
+        assert builds == {id(shared): 1, id(other): 1}
+        builds.clear()
+        qutrit = depolarizing(3, 0.4)
+        run_qudit(3, qutrit)
+        assert builds == {id(qutrit): 1}
+
+    def test_sweep_builds_each_point_once(self, builds):
+        sweep_rows(SweepSpec("ghz", "depolarizing", "p", "", points=21))
+        assert len(builds) == 21 and set(builds.values()) == {1}
+
+    def test_read_only_and_kept_out_of_the_fields(self):
+        ch = amplitude_damping(3, 0.5)
+        fields = dict(vars(ch))
+        t4 = ch.transfer_tensor()
+        assert ch.transfer_tensor() is t4
+        assert not t4.flags.writeable
+        with pytest.raises(ValueError):
+            t4[0, 0, 0, 0] = 2.0
+        assert vars(ch).keys() == fields.keys()

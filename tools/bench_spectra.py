@@ -56,23 +56,26 @@ def timed(fn, repeat: int, number: int) -> dict[str, float]:
 
 
 def recorded_partial_transposes(d: int) -> list:
-    """Every partial transpose ``run_qudit(d, depolarizing 0.5)`` solves."""
-    import edss.protocols
+    """Every partial transpose ``run_qudit(d, depolarizing 0.5)`` solves: each
+    step against its recorded sides, each branch post state against the
+    finish sides."""
     from edss.channels import noise_channel
-    from edss.tensor import partial_transpose
+    from edss.protocols import SPECS, run_qudit
+    from edss.tensor import Bipartition, partial_transpose
 
-    recorded = []
-    original = edss.protocols.negativity
-
-    def recording(rho, part):
-        recorded.append(partial_transpose(rho, part))
-        return original(rho, part)
-
-    edss.protocols.negativity = recording
-    try:
-        edss.protocols.run_qudit(d, noise_channel("depolarizing", d, 0.5), max_dim=max(DIMS))
-    finally:
-        edss.protocols.negativity = original
+    spec = SPECS["qudit", "probabilistic"]
+    trace = run_qudit(d, noise_channel("depolarizing", d, 0.5), max_dim=max(DIMS))
+    recorded = [
+        partial_transpose(state, Bipartition.split(side, 3))
+        for step, (_, state) in zip(spec.steps, trace.steps)
+        for side in (spec.exchange, *step.record)
+    ]
+    recorded += [
+        partial_transpose(branch.post_state, Bipartition.split(side, 2))
+        for branch in trace.branches
+        if branch.post_state is not None
+        for side in spec.finish
+    ]
     return recorded
 
 
