@@ -251,15 +251,24 @@ def is_cpt(ch: QuditChannel, tol: float = VALIDITY_ATOL) -> CptReport:
     channels coincides with the usual completeness defect. A transfer tensor
     with non-finite entries fails without reaching the eigensolver.
     """
-    d = ch.dim
-    choi = choi_matrix(ch)
-    herm_err = float(np.max(np.abs(choi - choi.conj().T)))
-    tp_err = float(np.max(np.abs(np.einsum("kili->kl", choi.reshape(d, d, d, d)) - np.eye(d))))
-    if herm_err > tol or not np.isfinite(choi).all():
-        return CptReport(False, float("nan"), tp_err, herm_err)
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))))
-    ok = min_eig >= -tol and tp_err <= tol
-    return CptReport(ok, min_eig, tp_err, herm_err)
+    return _cpt_reports(ch.transfer_tensor()[None], tol)[0]
+
+
+def _cpt_reports(t4: np.ndarray, tol: float = VALIDITY_ATOL) -> list[CptReport]:
+    """``is_cpt`` of each transfer tensor in the stack ``t4`` (``(B, d, d, d, d)``):
+    one batched eigensolve over the Choi matrices that are finite and Hermitian;
+    the others report ``nan`` and never reach LAPACK."""
+    count, d = t4.shape[0], t4.shape[-1]
+    choi = t4.transpose(0, 3, 1, 4, 2).reshape(count, d * d, d * d)
+    herm_err = np.abs(choi - choi.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    tp = np.einsum("bkili->bkl", choi.reshape(count, d, d, d, d)) - np.eye(d)
+    tp_err = np.abs(tp).max(axis=(1, 2))
+    solve = ~(herm_err > tol) & np.isfinite(choi).all(axis=(1, 2))
+    min_eig = np.full(count, np.nan)
+    h = choi[solve]
+    min_eig[solve] = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(1, 2))).min(axis=1)
+    ok = (min_eig >= -tol) & (tp_err <= tol)
+    return list(map(CptReport, ok.tolist(), min_eig.tolist(), tp_err.tolist(), herm_err.tolist()))
 
 
 def is_extreme_point(ch: CanonicalChannel, tol: float = VALIDITY_ATOL) -> bool:
@@ -298,9 +307,15 @@ def has_canonical_form(ch: QuditChannel, atol: float = 1e-10) -> bool:
     ``i - j = k - l (mod d)``: the class, empirical and backed by property tests,
     for which the protocol identity chains are admitted. At d = 2 it contains
     the Bloch-diagonal channels with a z shift."""
-    i, j, k, l = np.indices((ch.dim,) * 4, sparse=True)
-    off = ch.transfer_tensor()[(i - j - k + l) % ch.dim != 0]
-    return float(np.max(np.abs(off), initial=0.0)) <= atol
+    return bool(_covariant(ch.transfer_tensor()[None], atol)[0])
+
+
+def _covariant(t4: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+    """``has_canonical_form`` of each transfer tensor in the stack ``t4``."""
+    d = t4.shape[-1]
+    i, j, k, l = np.indices((d,) * 4, sparse=True)
+    off = t4[:, (i - j - k + l) % d != 0]
+    return np.abs(off).max(axis=1, initial=0.0) <= atol
 
 
 # Channel kinds and their parameters, in the order the factories take them.

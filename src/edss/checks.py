@@ -21,6 +21,7 @@ from .protocols import (
     SEPARABILITY_ATOL,
     SPECS,
     ProtocolSpec,
+    _drive,
     critical_noise,
     verify_identity_chain,
 )
@@ -28,7 +29,7 @@ from .protocols import (
 # The average-only paths live with the driver; callers import them from here.
 from .protocols import ghz_average_only, qudit_average_only, two_qubit_average_only  # noqa: F401
 from .reference import CLOSED_FORM_ATOL, FORMULAS, Formula
-from .sweep import SweepSpec, row_deviations, sweep_rows
+from .sweep import SweepSpec, _chunk_points, row_deviations, sweep_rows
 
 DEFAULT_SEED = 20230711
 QUDIT_DIMS = (2, 3, 4, 5, 6)
@@ -91,14 +92,17 @@ def identity_suite(
     """Identity-chain deviations across random channels and noise grids.
 
     A protocol draws ``random_channels // random_divisor`` random CP
-    canonical channels (its table entry sets the divisor).
+    canonical channels (its table entry sets the divisor), then runs them
+    in stacked driver passes, chunked as a sweep's grid is.
     """
     rng = np.random.default_rng(seed)
     results = []
     for spec in _default_specs():
         if spec.random_divisor:
             count = random_channels // spec.random_divisor
-            runs = (spec.run(random_cp_canonical(rng)) for _ in range(count))
+            drawn = [(random_cp_canonical(rng),) * len(spec.channel_roles) for _ in range(count)]
+            size = _chunk_points(spec, 2)
+            runs = [t for i in range(0, count, size) for t in _drive(spec, drawn[i : i + size])]
             dev = max((verify_identity_chain(t).max_deviation for t in runs), default=0.0)
             name = f"identity_{spec.protocol}_random_canonical"
             results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))

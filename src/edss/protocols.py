@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QuditChannel, _embed, has_canonical_form, is_cpt, noise_channel
+from .channels import QuditChannel, _covariant, _cpt_reports, _embed, noise_channel
 from .measures import _concurrences, _negativities
 from .states import (
     MeasurementBranch,
@@ -261,38 +261,59 @@ def _branches(
     return branches, dims
 
 
-def _admit(spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int) -> list[str]:
-    """Warnings of one point's channels; a channel the protocol refuses raises."""
-    # GHZ passes one channel object for both exchange qubits: check it once.
-    covariant = {}
-    warnings = []
-    for role, ch in zip(spec.channel_roles, channels):
-        if ch.dim != d:
-            raise ValueError(f"{role} has dimension {ch.dim}; the register needs {d}")
-        if ch not in covariant:
-            report = is_cpt(ch)
+def _admit(
+    spec: ProtocolSpec, batch: Sequence[Sequence[QuditChannel]], d: int, labels: Sequence[str] = ()
+) -> list[list[str]]:
+    """Warnings of each point's channels, in batch order; the first channel the
+    protocol refuses raises, prefixed with ``labels[b]`` when labels are given.
+    Each distinct channel of dimension ``d`` is checked once: all of them by one
+    stacked CPT test and one stacked covariance mask, before the points are walked."""
+    distinct = list(dict.fromkeys(ch for channels in batch for ch in channels if ch.dim == d))
+    t4 = np.array([ch.transfer_tensor() for ch in distinct]).reshape(-1, d, d, d, d)
+    checked = dict(zip(distinct, zip(_cpt_reports(t4), _covariant(t4).tolist())))
+    admitted = []
+    for b, channels in enumerate(batch):
+        at, warnings = f"{labels[b]}: " if labels else "", []
+        for role, ch in zip(spec.channel_roles, channels):
+            if ch.dim != d:
+                raise ValueError(f"{at}{role} has dimension {ch.dim}; the register needs {d}")
+            report, covariant = checked[ch]
             if not report:
                 raise ValueError(
-                    f"{role} is not a CPT map (min Choi eigenvalue "
+                    f"{at}{role} is not a CPT map (min Choi eigenvalue "
                     f"{report.min_choi_eigenvalue:.3e}, trace defect "
                     f"{report.trace_preservation_error:.3e})"
                 )
-            covariant[ch] = has_canonical_form(ch)
-        if covariant[ch]:
-            continue
-        if d > 2:
-            raise ValueError(f"{role} is not phase-covariant, which d > 2 requires")
-        warnings.append(
-            f"{role} is not Bloch-diagonal or otherwise phase-covariant; identity chains "
-            "are not guaranteed"
-        )
-    return warnings
+            if covariant:
+                continue
+            if d > 2:
+                raise ValueError(f"{at}{role} is not phase-covariant, which d > 2 requires")
+            warnings.append(
+                f"{role} is not Bloch-diagonal or otherwise phase-covariant; identity chains "
+                "are not guaranteed"
+            )
+        admitted.append(warnings)
+    return admitted
+
+
+def _symmetric(batch: Sequence[Sequence[QuditChannel]]) -> list[bool]:
+    """Per point, whether every channel's transfer tensor is within 1e-12 of the
+    first one's: one test over the points whose roles hold distinct objects."""
+    same = [all(ch is channels[0] for ch in channels) for channels in batch]
+    differ = [b for b, ok in enumerate(same) if not ok]
+    if differ:
+        t4 = np.array([[ch.transfer_tensor() for ch in batch[b]] for b in differ])
+        close = (np.abs(t4 - t4[:, :1]) <= 1e-12).reshape(len(differ), -1).all(axis=1)
+        for b, ok in zip(differ, close.tolist()):
+            same[b] = ok
+    return same
 
 
 def _new_trace(
-    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int, warnings: list[str]
+    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int, warnings: list[str], same: bool
 ) -> ProtocolTrace:
-    """An empty trace of one point, with its identity chains and warnings."""
+    """An empty trace of one point, with its identity chains and warnings; ``same``
+    is its ``_symmetric`` verdict."""
     noise = _noise_summary(*channels)
     if spec.takes_d:
         noise["d"] = d
@@ -307,8 +328,7 @@ def _new_trace(
         exchange_keys=tuple(f"{exchange}@{step.label}" for step in spec.steps),
         warnings=warnings,
     )
-    first = channels[0].transfer_tensor()
-    if all(np.allclose(first, ch.transfer_tensor(), atol=1e-12, rtol=0.0) for ch in channels[1:]):
+    if same:
         trace.identity_chains.update(spec.symmetry_chains)
     else:
         targets = " and ".join(spec.subsystems[i] for i in spec.exchange)
@@ -343,15 +363,8 @@ def _drive(
     before any state is built; a refusal is prefixed with ``labels[b]`` when
     labels are given.
     """
-    admitted = []
-    for b, channels in enumerate(batch):
-        try:
-            admitted.append(_admit(spec, channels, d))
-        except ValueError as exc:
-            if not labels:
-                raise
-            raise ValueError(f"{labels[b]}: {exc}") from exc
-    traces = [_new_trace(spec, ch, d, warnings) for ch, warnings in zip(batch, admitted)]
+    points = zip(batch, _admit(spec, batch, d, labels), _symmetric(batch))
+    traces = [_new_trace(spec, chs, d, warnings, same) for chs, warnings, same in points]
     dims = _register(spec, d)
     states = _evolve(spec, batch, d)
     for step, (label, stack) in zip(spec.steps, states):

@@ -23,6 +23,7 @@ from .protocols import (
     PROTOCOLS,
     SEPARABILITY_ATOL,
     SPECS,
+    ProtocolSpec,
     ProtocolTrace,
     _drive,
     critical_noise,
@@ -204,12 +205,18 @@ def sweep_rows(
     if entry.takes_d and not 2 <= spec.d <= spec.max_dim:
         raise SweepError(f"d={spec.d} outside the allowed range [2, {spec.max_dim}]")
     xs = [float(x) for x in spec.grid()]
-    side = spec.d ** len(entry.subsystems)
-    size = max(1, STACK_BYTES // (16 * side * side))
+    size = _chunk_points(entry, spec.d)
     rows = []
     for start in range(0, len(xs), size):
         rows.extend(_chunk_rows(spec, xs[start : start + size], formulas))
     return rows
+
+
+def _chunk_points(entry: ProtocolSpec, d: int) -> int:
+    """Points of ``entry`` the driver stacks per pass: as many as fit in
+    ``STACK_BYTES`` per stacked state, and at least one."""
+    side = d ** len(entry.subsystems)
+    return max(1, STACK_BYTES // (16 * side * side))
 
 
 def _chunk_rows(

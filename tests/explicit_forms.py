@@ -473,3 +473,79 @@ def transfer_from_action(action, d):
         for l in range(d):
             t4[:, :, k, l] = action(ketbra((d,), (k,), (l,)))
     return t4
+
+
+# ---------------------------------------------------------------------------
+# Channel admission one channel and one point at a time, as the driver did it
+# before it checked a batch with stacked kernels.
+
+
+def cpt_report_fields(t4, tol=1e-9):
+    """(is_cpt, min Choi eigenvalue, trace defect, Choi hermiticity defect) of
+    one transfer tensor: a Choi matrix that is non-finite or non-Hermitian
+    fails with a nan eigenvalue, before the eigensolver."""
+    d = t4.shape[0]
+    choi = np.ascontiguousarray(t4.transpose(2, 0, 3, 1).reshape(d * d, d * d))
+    herm_err = float(np.max(np.abs(choi - choi.conj().T)))
+    tp_err = float(np.max(np.abs(np.einsum("kili->kl", choi.reshape(d, d, d, d)) - np.eye(d))))
+    if herm_err > tol or not np.isfinite(choi).all():
+        return False, float("nan"), tp_err, herm_err
+    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))))
+    return min_eig >= -tol and tp_err <= tol, min_eig, tp_err, herm_err
+
+
+def phase_covariant(t4, atol=1e-10):
+    """Whether T[i, j, k, l] = 0, within ``atol``, unless i - j = k - l (mod d)."""
+    d = t4.shape[0]
+    i, j, k, l = np.indices((d,) * 4, sparse=True)
+    off = t4[(i - j - k + l) % d != 0]
+    return float(np.max(np.abs(off), initial=0.0)) <= atol
+
+
+def admit_point(roles, channels, d):
+    """Warnings of one point's channels, each role checked in order; a channel
+    used in several roles is tested once. A refused channel raises."""
+    covariant = {}
+    warnings = []
+    for role, ch in zip(roles, channels):
+        if ch.dim != d:
+            raise ValueError(f"{role} has dimension {ch.dim}; the register needs {d}")
+        if ch not in covariant:
+            ok, min_eig, tp_err, _ = cpt_report_fields(ch.transfer_tensor())
+            if not ok:
+                raise ValueError(
+                    f"{role} is not a CPT map (min Choi eigenvalue "
+                    f"{min_eig:.3e}, trace defect {tp_err:.3e})"
+                )
+            covariant[ch] = phase_covariant(ch.transfer_tensor())
+        if covariant[ch]:
+            continue
+        if d > 2:
+            raise ValueError(f"{role} is not phase-covariant, which d > 2 requires")
+        warnings.append(
+            f"{role} is not Bloch-diagonal or otherwise phase-covariant; identity chains "
+            "are not guaranteed"
+        )
+    return warnings
+
+
+def admit_batch(roles, batch, d, labels=()):
+    """``admit_point`` over the points in order; a refusal is prefixed with
+    ``labels[b]`` when labels are given."""
+    admitted = []
+    for b, channels in enumerate(batch):
+        try:
+            admitted.append(admit_point(roles, channels, d))
+        except ValueError as exc:
+            if not labels:
+                raise
+            raise ValueError(f"{labels[b]}: {exc}") from exc
+    return admitted
+
+
+def same_channels(channels):
+    """Whether every channel's transfer tensor is the first one's within 1e-12."""
+    first = channels[0].transfer_tensor()
+    return all(
+        np.allclose(first, ch.transfer_tensor(), atol=1e-12, rtol=0.0) for ch in channels[1:]
+    )

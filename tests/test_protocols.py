@@ -480,12 +480,13 @@ class TestRecordedAverages:
 class TestSharedChannelChecks:
     def test_shared_ghz_channel_checked_once(self, monkeypatch):
         calls = []
+        stacked = protocols._cpt_reports
 
-        def counting(ch, *args, **kwargs):
-            calls.append(ch)
-            return is_cpt(ch, *args, **kwargs)
+        def counting(t4, *args, **kwargs):
+            calls.extend(t4)
+            return stacked(t4, *args, **kwargs)
 
-        monkeypatch.setattr(protocols, "is_cpt", counting)
+        monkeypatch.setattr(protocols, "_cpt_reports", counting)
         run_ghz(depolarizing(2, 0.3))
         assert len(calls) == 1
         ch = amplitude_damping(2, 0.2)

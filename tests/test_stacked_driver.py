@@ -195,7 +195,7 @@ def test_one_perturbed_matrix_fails_the_stacked_solve(d):
 
 def test_unit_trace_checked_per_stack(monkeypatch):
     leaky = KrausChannel((np.sqrt(0.5) * np.eye(2, dtype=complex),))
-    monkeypatch.setattr(protocols, "_admit", lambda spec, channels, d: [])
+    monkeypatch.setattr(protocols, "_admit", lambda spec, batch, d, labels: [[] for _ in batch])
     batch = [(depolarizing(2, 0.1),), (leaky,), (depolarizing(2, 0.3),)]
     with pytest.raises(ValueError, match="density operator must have unit trace"):
         _drive(SPECS["two_qubit", "probabilistic"], batch)
