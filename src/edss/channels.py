@@ -9,6 +9,7 @@ no Kraus decomposition is ever required for maps defined by their action alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -312,10 +313,15 @@ def has_canonical_form(ch: QuditChannel, atol: float = 1e-10) -> bool:
 
 def _covariant(t4: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     """``has_canonical_form`` of each transfer tensor in the stack ``t4``."""
-    d = t4.shape[-1]
-    i, j, k, l = np.indices((d,) * 4, sparse=True)
-    off = t4[:, (i - j - k + l) % d != 0]
+    off = t4[:, _off_phase(t4.shape[-1])]
     return np.abs(off).max(axis=1, initial=0.0) <= atol
+
+
+@functools.cache
+def _off_phase(d: int) -> np.ndarray:
+    """Mask of the transfer-tensor entries with ``i - j != k - l (mod d)``."""
+    i, j, k, l = np.indices((d,) * 4, sparse=True)
+    return (i - j - k + l) % d != 0
 
 
 # Channel kinds and their parameters, in the order the factories take them.

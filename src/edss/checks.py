@@ -102,7 +102,7 @@ def identity_suite(
             count = random_channels // spec.random_divisor
             drawn = [(random_cp_canonical(rng),) * len(spec.channel_roles) for _ in range(count)]
             size = _chunk_points(spec, 2)
-            runs = [t for i in range(0, count, size) for t in _drive(spec, drawn[i : i + size])]
+            runs = (t for i in range(0, count, size) for t in _drive(spec, drawn[i : i + size]))
             dev = max((verify_identity_chain(t).max_deviation for t in runs), default=0.0)
             name = f"identity_{spec.protocol}_random_canonical"
             results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))

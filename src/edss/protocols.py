@@ -296,24 +296,10 @@ def _admit(
     return admitted
 
 
-def _symmetric(batch: Sequence[Sequence[QuditChannel]]) -> list[bool]:
-    """Per point, whether every channel's transfer tensor is within 1e-12 of the
-    first one's: one test over the points whose roles hold distinct objects."""
-    same = [all(ch is channels[0] for ch in channels) for channels in batch]
-    differ = [b for b, ok in enumerate(same) if not ok]
-    if differ:
-        t4 = np.array([[ch.transfer_tensor() for ch in batch[b]] for b in differ])
-        close = (np.abs(t4 - t4[:, :1]) <= 1e-12).reshape(len(differ), -1).all(axis=1)
-        for b, ok in zip(differ, close.tolist()):
-            same[b] = ok
-    return same
-
-
 def _new_trace(
-    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int, warnings: list[str], same: bool
+    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int, warnings: list[str]
 ) -> ProtocolTrace:
-    """An empty trace of one point, with its identity chains and warnings; ``same``
-    is its ``_symmetric`` verdict."""
+    """An empty trace of one point, with its identity chains and warnings."""
     noise = _noise_summary(*channels)
     if spec.takes_d:
         noise["d"] = d
@@ -328,7 +314,11 @@ def _new_trace(
         exchange_keys=tuple(f"{exchange}@{step.label}" for step in spec.steps),
         warnings=warnings,
     )
-    if same:
+    first = channels[0].transfer_tensor()
+    if all(
+        ch is channels[0] or np.allclose(first, ch.transfer_tensor(), atol=1e-12, rtol=0.0)
+        for ch in channels[1:]
+    ):
         trace.identity_chains.update(spec.symmetry_chains)
     else:
         targets = " and ".join(spec.subsystems[i] for i in spec.exchange)
@@ -363,8 +353,7 @@ def _drive(
     before any state is built; a refusal is prefixed with ``labels[b]`` when
     labels are given.
     """
-    points = zip(batch, _admit(spec, batch, d, labels), _symmetric(batch))
-    traces = [_new_trace(spec, chs, d, warnings, same) for chs, warnings, same in points]
+    traces = [_new_trace(spec, ch, d, w) for ch, w in zip(batch, _admit(spec, batch, d, labels))]
     dims = _register(spec, d)
     states = _evolve(spec, batch, d)
     for step, (label, stack) in zip(spec.steps, states):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from edss import protocols
 from edss.channels import (
-    CanonicalChannel,
     DepolarizingChannel,
     KrausChannel,
     _cpt_reports,
@@ -25,7 +24,7 @@ from edss.channels import (
     canonical_channel,
     depolarizing,
 )
-from edss.protocols import SPECS, _admit, _drive, _symmetric
+from edss.protocols import SPECS, _admit, _drive, _new_trace
 
 from explicit_forms import (
     admit_batch,
@@ -81,6 +80,14 @@ def admission_batches(draw):
     return spec, batch, d, labels
 
 
+def symmetric(spec, channels, d):
+    """Whether ``_new_trace`` grants the point its symmetry chains."""
+    trace = _new_trace(spec, channels, d, [])
+    granted = set(spec.symmetry_chains) <= set(trace.identity_chains)
+    assert granted == (not trace.warnings)
+    return granted
+
+
 def outcome(admit, *args):
     try:
         return "ok", admit(*args)
@@ -98,7 +105,8 @@ class TestStackedAdmission:
             got = outcome(_admit, spec, batch, d, labels)
         assert got == expected
         if expected[0] == "ok":
-            assert _symmetric(batch) == [same_channels(channels) for channels in batch]
+            got = [symmetric(spec, channels, d) for channels in batch]
+            assert got == [same_channels(channels) for channels in batch]
 
     def test_first_refusal_wins_over_later_dimension_error(self):
         spec = SPECS["two_qubit", "probabilistic"]
@@ -122,13 +130,14 @@ class TestStackedAdmission:
 
     def test_symmetry_matches_allclose_on_every_pair(self):
         channels = POOLS[2]["cpt"] + POOLS[2]["non_covariant"]
-        batch = [(a, b) for a in channels for b in channels]
-        assert _symmetric(batch) == [same_channels(pair) for pair in batch]
+        spec = SPECS["ghz", "probabilistic"]
+        pairs = [(a, b) for a in channels for b in channels]
+        assert [symmetric(spec, pair, 2) for pair in pairs] == list(map(same_channels, pairs))
 
-    def test_symmetry_reads_no_tensor_when_one_object_fills_every_role(self, monkeypatch):
+    def test_symmetry_compares_no_tensors_when_one_object_fills_every_role(self, monkeypatch):
         ch = depolarizing(2, 0.4)
-        monkeypatch.setattr(CanonicalChannel, "transfer_tensor", lambda self: pytest.fail("read"))
-        assert _symmetric([(ch, ch), (ch, ch)]) == [True, True]
+        monkeypatch.setattr(np, "allclose", lambda *args, **kwargs: pytest.fail("compared"))
+        assert symmetric(SPECS["ghz", "probabilistic"], (ch, ch), 2)
 
 
 def random_transfer_tensors(rng, d, count):
