@@ -162,8 +162,6 @@ class ProtocolSpec:
     exchange: tuple[int, ...]
     # one role per channel of a run, in ``Noise.channel`` order
     channel_roles: tuple[str, ...]
-    # (channel, d, max_dim) -> trace, through the public driver
-    run: Callable[..., ProtocolTrace]
     # (kind, x, d) -> the a|b branch average that a critical_kind search reads
     average_only: Callable[..., float] | None = None
     # exchange subsystems measured at the finish, in order
@@ -415,7 +413,8 @@ def _drive(
 def _states(
     spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int
 ) -> list[tuple[str, DensityOperator]]:
-    """The labelled states of one point, each built with its full check."""
+    """The labelled states of one admitted point, each built with its full check."""
+    _admit(spec, [channels], d)
     dims = _register(spec, d)
     states = _evolve(spec, [channels], d)
     return [(label, DensityOperator(stack[0], dims)) for label, stack in states]
@@ -501,7 +500,6 @@ _TWO_QUBIT = ProtocolSpec(
     ),
     exchange=(2,),
     channel_roles=("communication channel",),
-    run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_two_qubit(ch),
     measured=("c",),
     identity_chains={
         "distribution": ("avg:a|b", "a|bc@channel", "a|bc@bob_cnot", "b|ac@bob_cnot")
@@ -540,7 +538,6 @@ SPECS: dict[tuple[str, str], ProtocolSpec] = {
     ("two_qubit", "deterministic"): replace(
         _TWO_QUBIT,
         mode="deterministic",
-        run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_two_qubit(ch, mode="deterministic"),
         measured=(),
         deterministic=lambda m: _bob_deterministic(m),
         identity_chains={"distribution": ("a|bc@channel", "a|bc@bob_cnot", "b|ac@bob_cnot")},
@@ -565,7 +562,6 @@ SPECS: dict[tuple[str, str], ProtocolSpec] = {
         ),
         exchange=(3, 4),
         channel_roles=("channel on d1", "channel on d2"),
-        run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_ghz(ch),
         measured=("d1", "d2"),
         finish=((0,), (1,), (2,)),
         success_pairs=((0, 1), (1, 2), (0, 2)),
@@ -629,7 +625,6 @@ closed forms: ghz_depolarizing_*, ghz_amplitude_damping_*
             Step("channel", (Noise(2),), record=((0,), (1,))),
             Step("bob_inverse_cnot", (Cnot(1, 2, inverse=True),), record=((0,), (1,))),
         ),
-        run=lambda ch, d=2, max_dim=DEFAULT_MAX_DIM: run_qudit(d, ch, max_dim=max_dim),
         average_only=lambda kind, x, d=2: qudit_average_only(d, kind, x),
         identity_chains={
             "distribution": (

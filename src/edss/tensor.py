@@ -173,11 +173,13 @@ def _partial_transpose(m: np.ndarray, dims: tuple[int, ...], side_a: Iterable[in
 
 
 def _component_labels(h: np.ndarray) -> np.ndarray:
-    """Smallest row index of each row's connected component in the pattern
-    ``(h != 0) | (h != 0).T``: min-label propagation along both directions
-    of every nonzero, with pointer jumping."""
-    rows, cols = np.divmod(np.flatnonzero(h != 0), h.shape[0])
-    labels = np.arange(h.shape[0])
+    """Smallest row index of each row's connected component in the joint
+    pattern of the stack ``h``, where a nonzero ``(i, j)`` of any matrix links
+    ``i`` and ``j``: one scan of the whole stack, then min-label propagation
+    along both directions of every nonzero, with pointer jumping."""
+    n = h.shape[-1]
+    rows, cols = np.divmod(np.flatnonzero(h != 0) % (n * n), n)
+    labels = np.arange(n)
     while True:
         hooked = labels.copy()
         np.minimum.at(hooked, rows, labels[cols])
@@ -204,23 +206,19 @@ def _spectra(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarray:
     machine precision for the well-conditioned matrices used here.
 
     From side ``BLOCK_SPLIT_MIN_SIDE`` on, the rows are split into the
-    connected components of the nonzero pattern ``(h != 0) | (h != 0).T``.
-    Entries between components are exact zeros, so the spectrum is the union
-    of the components' spectra: each component's block is gathered, blocks
-    of one size are solved by one batched ``eigvalsh``, and the eigenvalues
-    are returned sorted. The qudit partial transposes split into blocks of
+    connected components of the stack's joint nonzero pattern (see
+    :func:`_component_labels`), labelled once for the whole stack. Entries
+    between components are then exact zeros in every matrix, so each
+    spectrum is the union of its blocks' spectra: all blocks are gathered at
+    once, those of one size are solved by one batched ``eigvalsh``, and each
+    spectrum is sorted. The qudit partial transposes split into blocks of
     side at most d. The hermiticity defect is taken over the blocks; it
-    equals the whole matrix's, as the entries outside them are zero in both
-    triangles. A pattern that is one component (after a random local
-    unitary, say) takes the dense solve. A stack of such sides is solved
-    matrix by matrix; a stack of smaller sides is checked for hermiticity
-    once and solved by one batched ``eigvalsh``.
+    equals the whole stack's, as the entries outside them are zero in both
+    triangles. A stack of smaller sides, or whose joint pattern is one
+    component (after a random local unitary, say), is checked for
+    hermiticity once and solved by one batched dense ``eigvalsh``.
     """
-    if h.ndim > 2 and h.shape[-1] == h.shape[-2] >= BLOCK_SPLIT_MIN_SIDE:
-        side = h.shape[-1]
-        flat = [_spectra(m, atol) for m in h.reshape(-1, side, side)]
-        return np.stack(flat).reshape(h.shape[:-1])
-    if h.ndim == 2 and h.shape[0] == h.shape[1] >= BLOCK_SPLIT_MIN_SIDE:
+    if h.ndim >= 2 and h.shape[-1] == h.shape[-2] >= BLOCK_SPLIT_MIN_SIDE:
         labels = _component_labels(h)
         if labels.any():  # all zero: one component
             return _block_eigenvalues(h, labels, atol)
@@ -230,19 +228,20 @@ def _spectra(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarray:
 
 
 def _block_eigenvalues(h: np.ndarray, labels: np.ndarray, atol: float) -> np.ndarray:
-    """Ascending spectrum of ``h`` from its diagonal blocks, one block per
-    distinct value of ``labels``; ``h`` vanishes between different labels."""
+    """Ascending spectra of the stack ``h`` from its diagonal blocks, one block
+    per distinct value of ``labels``; ``h`` vanishes between different labels."""
     sizes = np.unique(labels, return_counts=True)[1]
     rows = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
     blocks = []
     for size in np.unique(sizes):
         index = rows[starts[sizes == size, None] + np.arange(size)]
-        blocks.append(h[index[:, :, None], index[:, None, :]])
-    # max |h - h^H| of each stack of blocks, as is_hermitian takes it
-    if not all(np.max(np.abs(b - b.conj().swapaxes(1, 2))) <= atol for b in blocks):
+        blocks.append(h[..., index[:, :, None], index[:, None, :]])
+    # max |h - h^H| over each stack of blocks, as is_hermitian takes it
+    if not all(np.max(np.abs(b - b.conj().swapaxes(-1, -2))) <= atol for b in blocks):
         raise ValueError("input is not Hermitian within tolerance")
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+    eigs = [np.linalg.eigvalsh(b).reshape(*h.shape[:-2], -1) for b in blocks]
+    return np.sort(np.concatenate(eigs, axis=-1), axis=-1)
 
 
 def trace_norm(h: np.ndarray) -> float:

@@ -16,7 +16,7 @@ import edss.measures
 import edss.tensor
 from edss.channels import KrausChannel, apply_to_subsystem, identity_channel, noise_channel
 from edss.measures import negativity
-from edss.protocols import SPECS, partition_name, qudit_states, run_qudit
+from edss.protocols import SPECS, _drive, partition_name, qudit_states, run_qudit
 from edss.tensor import (
     BLOCK_SPLIT_MIN_SIDE,
     VALIDITY_ATOL,
@@ -163,3 +163,50 @@ class TestNonHermitianInput:
         pt[i, j] = 1e-6
         with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
             hermitian_eigenvalues(pt)
+
+
+def joint_stack(d, part):
+    """Partial transposes across ``part`` of the final qudit states under four
+    channels whose patterns differ, stacked one row per channel."""
+    channels = [
+        identity_channel(d),
+        noise_channel("depolarizing", d, 0.3),
+        noise_channel("amplitude_damping", d, 1.0),
+        KrausChannel(tuple(z_twirl(stinespring_kraus(d, d), d))),
+    ]
+    return np.stack([partial_transpose(qudit_states(d, ch)[-1][1], part) for ch in channels])
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_joint_pattern_stack_matches_each_row_dense(d):
+    for part in ONE_VS_REST:
+        stack = joint_stack(d, part)
+        assert stack.shape[-1] >= BLOCK_SPLIT_MIN_SIDE
+        assert len({_component_labels(row).tobytes() for row in stack}) > 1
+        joint = _component_labels(stack)
+        assert np.array_equal(joint, _component_labels(np.logical_or.reduce(stack != 0)))
+        assert joint.any()
+        spectra = edss.tensor._spectra(stack)
+        for row, eigs in zip(stack, spectra):
+            assert np.max(np.abs(eigs - np.linalg.eigvalsh(row))) <= EIG_ATOL
+
+
+def test_stacked_drive_labels_each_stack_once():
+    batch = [(noise_channel("depolarizing", 4, p),) for p in (0.1, 0.3, 0.5, 0.7)]
+    with patch.object(
+        edss.tensor, "_component_labels", wraps=edss.tensor._component_labels
+    ) as spy:
+        _drive(SPECS["qudit", "probabilistic"], batch, 4)
+    # one c|ab solve at each of the four steps, a|bc and b|ac after the
+    # channel and after Bob's CNOT; the post-measurement states are side 16
+    assert spy.call_count == 8
+
+
+def test_one_sided_entry_between_joint_components_of_a_stack():
+    stack = joint_stack(4, ONE_VS_REST[0])[1:]
+    labels = _component_labels(stack)
+    i, j = 0, int(np.flatnonzero(labels != labels[0])[0])
+    assert not stack[:, i, j].any() and not stack[:, j, i].any()
+    stack[1, i, j] = 1e-6
+    with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
+        edss.tensor._spectra(stack)

@@ -13,13 +13,16 @@ from edss import (
     closed_form,
     critical_noise,
     depolarizing,
+    ghz_states,
     identity_channel,
     is_cpt,
     is_extreme_point,
+    qudit_states,
     run_ghz,
     run_qudit,
     run_two_qubit,
     separability_audit,
+    two_qubit_states,
     verify_identity_chain,
 )
 from edss import protocols
@@ -504,6 +507,51 @@ class TestSharedChannelChecks:
     def test_shared_non_cpt_channel_names_first_role(self):
         with pytest.raises(ValueError, match="channel on d1 is not a CPT map"):
             run_ghz(canonical_channel(1.0, 1.0, -1.0, 0.0))
+
+
+class TestStatesAdmission:
+    """Each ``*_states`` function refuses what the matching ``run_*`` refuses,
+    with the same message."""
+
+    def assert_same_refusal(self, run, states):
+        with pytest.raises(ValueError) as refused:
+            run()
+        with pytest.raises(ValueError) as states_refused:
+            states()
+        assert str(states_refused.value) == str(refused.value)
+        return str(refused.value)
+
+    def test_wrong_dimension(self):
+        ch = depolarizing(2, 0.1)
+        message = self.assert_same_refusal(
+            lambda: run_qudit(3, ch), lambda: qudit_states(3, ch)
+        )
+        assert message == "communication channel has dimension 2; the register needs 3"
+        ch = depolarizing(3, 0.1)
+        self.assert_same_refusal(lambda: run_two_qubit(ch), lambda: two_qubit_states(ch))
+        self.assert_same_refusal(
+            lambda: run_ghz(depolarizing(2, 0.1), ch),
+            lambda: ghz_states(depolarizing(2, 0.1), ch),
+        )
+
+    def test_non_cpt(self):
+        ch = canonical_channel(1.0, 1.0, -1.0, 0.0)
+        message = self.assert_same_refusal(
+            lambda: run_two_qubit(ch), lambda: two_qubit_states(ch)
+        )
+        assert message.startswith("communication channel is not a CPT map")
+        self.assert_same_refusal(lambda: run_qudit(2, ch), lambda: qudit_states(2, ch))
+        self.assert_same_refusal(
+            lambda: run_ghz(depolarizing(2, 0.1), ch),
+            lambda: ghz_states(depolarizing(2, 0.1), ch),
+        )
+
+    def test_non_covariant_above_two(self):
+        ch = KrausChannel(tuple(stinespring_kraus(7, 3)))
+        message = self.assert_same_refusal(
+            lambda: run_qudit(3, ch), lambda: qudit_states(3, ch)
+        )
+        assert "phase-covariant" in message
 
 
 angle = st.floats(0.0, 2 * np.pi, exclude_max=True)

@@ -12,7 +12,7 @@ import pytest
 
 from edss import FORMULAS, SweepError, SweepSpec, run_sweep
 from edss.channels import CHANNEL_PARAMS
-from edss.protocols import MODES, PROTOCOLS, SPECS
+from edss.protocols import MODES, PROTOCOLS, SPECS, _drive
 from edss.sweep import sweep_columns
 
 # With these fixed values every lambda3 in [0, 0.8] gives a CPT channel.
@@ -65,7 +65,7 @@ def test_table_entry_matches_its_runs(spec, tmp_path):
     for fid in fids:
         assert fid in FORMULAS
 
-    trace = entry.run(spec.channel_at(0.25), spec.d, spec.max_dim)
+    trace = _drive(entry, [(spec.channel_at(0.25),) * len(entry.channel_roles)], spec.d)[0]
     recorded = set(trace.partition_negativities) | {f"avg:{k}" for k in trace.averages}
     for chain in trace.identity_chains.values():
         assert set(chain) <= recorded
