@@ -21,7 +21,7 @@ from .protocols import (
     SEPARABILITY_ATOL,
     SPECS,
     ProtocolSpec,
-    _drive,
+    _runs,
     critical_noise,
     verify_identity_chain,
 )
@@ -29,7 +29,7 @@ from .protocols import (
 # The average-only paths live with the driver; callers import them from here.
 from .protocols import ghz_average_only, qudit_average_only, two_qubit_average_only  # noqa: F401
 from .reference import CLOSED_FORM_ATOL, FORMULAS, Formula
-from .sweep import SweepSpec, _chunk_points, row_deviations, sweep_rows
+from .sweep import SweepSpec, row_deviations, sweep_rows
 
 DEFAULT_SEED = 20230711
 QUDIT_DIMS = (2, 3, 4, 5, 6)
@@ -92,18 +92,17 @@ def identity_suite(
     """Identity-chain deviations across random channels and noise grids.
 
     A protocol draws ``random_channels // random_divisor`` random CP
-    canonical channels (its table entry sets the divisor), then runs them
-    in stacked driver passes, chunked as a sweep's grid is.
+    canonical channels (its table entry sets the divisor), one chunk at a
+    time as the driver's chunk loop ``protocols._runs`` runs them.
     """
     rng = np.random.default_rng(seed)
     results = []
     for spec in _default_specs():
         if spec.random_divisor:
             count = random_channels // spec.random_divisor
-            drawn = [(random_cp_canonical(rng),) * len(spec.channel_roles) for _ in range(count)]
-            size = _chunk_points(spec, 2)
-            runs = (t for i in range(0, count, size) for t in _drive(spec, drawn[i : i + size]))
-            dev = max((verify_identity_chain(t).max_deviation for t in runs), default=0.0)
+            drawn = ((random_cp_canonical(rng),) * len(spec.channel_roles) for _ in range(count))
+            chains = map(verify_identity_chain, _runs(spec, drawn))
+            dev = max((chain.max_deviation for chain in chains), default=0.0)
             name = f"identity_{spec.protocol}_random_canonical"
             results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))
         for kind in CLOSED_FORM_KINDS:

@@ -179,9 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _run_check_command(args)
         return _run_describe_command(args)
-    except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

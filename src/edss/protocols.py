@@ -25,7 +25,8 @@ and every operation acts on the whole stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +47,12 @@ from .tensor import Bipartition, DensityOperator, _check_unit_trace, _partial_tr
 CHAIN_ATOL = 1e-9
 SEPARABILITY_ATOL = 1e-9
 DEFAULT_MAX_DIM = 6
+# Dense states have side d^3: 1000 (16 MB) at d = 10, the largest dimension
+# the dense path is meant for; a larger --max-dim would only admit slower runs.
+MAX_DIM_CEILING = 10
+# Bytes per stacked state of one driver pass (see _chunk_points). Over one-point
+# chunks, 256 KiB adds 0.5 MB peak RSS on qubit_sweeps, 1 MiB 4.6 MB.
+STACK_BYTES = 256 * 1024
 
 # Channel kinds with closed-form curves; the check suites sweep these.
 CLOSED_FORM_KINDS = ("depolarizing", "amplitude_damping")
@@ -148,8 +155,8 @@ class Step(NamedTuple):
 class ProtocolSpec:
     """Declarative description of one (protocol, mode) pair.
 
-    The callables call module-level functions by name, so wrappers
-    installed on those names (profilers, tracers) see every call.
+    ``initial`` and ``average_only`` call module-level functions by name, so
+    wrappers installed on those names (profilers, tracers) see every call.
     """
 
     protocol: str
@@ -236,6 +243,8 @@ def _evolve(
 
 
 def _register(spec: ProtocolSpec, d: int) -> tuple[int, ...]:
+    if not 2 <= d <= MAX_DIM_CEILING:
+        raise ValueError(f"dimension {d} outside the allowed range [2, {MAX_DIM_CEILING}]")
     return (d,) * len(spec.subsystems)
 
 
@@ -351,8 +360,8 @@ def _drive(
     before any state is built; a refusal is prefixed with ``labels[b]`` when
     labels are given.
     """
-    traces = [_new_trace(spec, ch, d, w) for ch, w in zip(batch, _admit(spec, batch, d, labels))]
     dims = _register(spec, d)
+    traces = [_new_trace(spec, ch, d, w) for ch, w in zip(batch, _admit(spec, batch, d, labels))]
     states = _evolve(spec, batch, d)
     for step, (label, stack) in zip(spec.steps, states):
         for b, trace in enumerate(traces):
@@ -410,12 +419,32 @@ def _drive(
     return traces
 
 
+def _chunk_points(spec: ProtocolSpec, d: int) -> int:
+    """Points per pass: as many as fit in ``STACK_BYTES`` per stacked state, and at least one."""
+    return max(1, STACK_BYTES // (16 * d ** (2 * len(spec.subsystems))))
+
+
+def _runs(
+    spec: ProtocolSpec,
+    batch: Iterable[Sequence[QuditChannel]],
+    d: int = 2,
+    labels: Iterable[str] = (),
+) -> Iterator[ProtocolTrace]:
+    """``_drive`` over a batch of any length, ``_chunk_points`` points per pass;
+    a chunk is drawn only once the previous chunk's traces are all taken, so a
+    consumer that keeps none of them holds one chunk's states at a time."""
+    size = _chunk_points(spec, d)
+    batch, labels = iter(batch), iter(labels)
+    while chunk := list(islice(batch, size)):
+        yield from _drive(spec, chunk, d, list(islice(labels, size)))
+
+
 def _states(
     spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int
 ) -> list[tuple[str, DensityOperator]]:
     """The labelled states of one admitted point, each built with its full check."""
-    _admit(spec, [channels], d)
     dims = _register(spec, d)
+    _admit(spec, [channels], d)
     states = _evolve(spec, [channels], d)
     return [(label, DensityOperator(stack[0], dims)) for label, stack in states]
 
@@ -460,8 +489,8 @@ def run_ghz(ch1: QuditChannel, ch2: QuditChannel | None = None) -> ProtocolTrace
 def run_qudit(d: int, ch: QuditChannel, max_dim: int = DEFAULT_MAX_DIM) -> ProtocolTrace:
     """Run the d-level pair distribution protocol under ``ch`` on c.
 
-    ``d`` is capped at ``max_dim`` (default 6) to bound the d^3-sided
-    matrices. For d > 2, a channel that is not phase-covariant (see
+    ``d`` is capped at ``max_dim`` (default 6) and ``MAX_DIM_CEILING`` to bound
+    the d^3-sided matrices. For d > 2, a channel that is not phase-covariant (see
     ``channels.has_canonical_form``) is refused before any state is built.
     """
     if d < 2 or d > max_dim:
@@ -470,7 +499,7 @@ def run_qudit(d: int, ch: QuditChannel, max_dim: int = DEFAULT_MAX_DIM) -> Proto
 
 
 def qudit_average_only(d: int, kind: str, x: float) -> float:
-    """Branch-averaged a|b negativity of one full qudit run, with no ``max_dim`` cap."""
+    """Branch-averaged a|b negativity of one full qudit run, for d up to ``MAX_DIM_CEILING``."""
     ch = noise_channel(kind, d, x)
     return _drive(SPECS["qudit", "probabilistic"], [(ch,)], d)[0].average_negativity
 
@@ -539,7 +568,7 @@ SPECS: dict[tuple[str, str], ProtocolSpec] = {
         _TWO_QUBIT,
         mode="deterministic",
         measured=(),
-        deterministic=lambda m: _bob_deterministic(m),
+        deterministic=_bob_deterministic,
         identity_chains={"distribution": ("a|bc@channel", "a|bc@bob_cnot", "b|ac@bob_cnot")},
         columns=(
             ("deterministic_negativity", "deterministic:negativity"),

@@ -20,12 +20,12 @@ from .channels import CHANNEL_PARAMS, channel_from_config
 from .protocols import (
     CHAIN_ATOL,
     DEFAULT_MAX_DIM,
+    MAX_DIM_CEILING,
     PROTOCOLS,
     SEPARABILITY_ATOL,
     SPECS,
-    ProtocolSpec,
     ProtocolTrace,
-    _drive,
+    _runs,
     critical_noise,
     separability_audit,
     verify_identity_chain,
@@ -40,12 +40,6 @@ CANONICAL_DEFAULTS = {"lambda1": 1.0, "lambda2": 1.0, "lambda3": 1.0, "t3": 0.0}
 # 50x the largest grid any caller uses (201 points), so a typo such as
 # --points 100000000 fails at once instead of running for days.
 MAX_POINTS = 10_001
-# Dense states have side d^3: 1000 (16 MB) at d = 10, the largest dimension
-# the dense path is meant for; a larger --max-dim would only admit slower runs.
-MAX_DIM_CEILING = 10
-# Bytes per stacked state: a chunk holds STACK_BYTES // (16 n^2) grid points, at least
-# one. Over one-point chunks, 256 KiB adds 0.5 MB peak RSS on qubit_sweeps, 1 MiB 4.6 MB.
-STACK_BYTES = 256 * 1024
 
 
 class SweepError(ValueError):
@@ -198,41 +192,20 @@ def sweep_rows(
     """The rows ``run_sweep`` writes for a valid ``spec``, without I/O and
     without ``critical_noise``; the ``ref_*`` columns come from ``formulas``.
 
-    The grid runs in chunks of points that the driver evolves as one stack,
-    each chunk within ``STACK_BYTES`` per stacked state; a chunk becomes rows
-    before the next one runs."""
+    The grid runs through the driver's chunk loop (``protocols._runs``); each
+    trace becomes a row, and is dropped, before the next chunk's channels
+    are built."""
     entry = SPECS[spec.protocol, spec.mode]
-    if entry.takes_d and not 2 <= spec.d <= spec.max_dim:
-        raise SweepError(f"d={spec.d} outside the allowed range [2, {spec.max_dim}]")
     xs = [float(x) for x in spec.grid()]
-    size = _chunk_points(entry, spec.d)
-    rows = []
-    for start in range(0, len(xs), size):
-        rows.extend(_chunk_rows(spec, xs[start : start + size], formulas))
-    return rows
-
-
-def _chunk_points(entry: ProtocolSpec, d: int) -> int:
-    """Points of ``entry`` the driver stacks per pass: as many as fit in
-    ``STACK_BYTES`` per stacked state, and at least one."""
-    side = d ** len(entry.subsystems)
-    return max(1, STACK_BYTES // (16 * side * side))
-
-
-def _chunk_rows(
-    spec: SweepSpec, xs: list[float], formulas: Mapping[str, Formula]
-) -> list[dict[str, float]]:
-    """Rows of the grid points ``xs``, from one stacked driver pass; the
-    traces, and the states they hold, are freed on return."""
-    entry = SPECS[spec.protocol, spec.mode]
     # one channel per point, on every exchange subsystem
-    batch = [(spec.channel_at(x),) * len(entry.channel_roles) for x in xs]
-    labels = [f"{spec.param}={format_float(x)}" for x in xs]
+    batch = ((spec.channel_at(x),) * len(entry.channel_roles) for x in xs)
+    labels = (f"{spec.param}={format_float(x)}" for x in xs)
+    runs = _runs(entry, batch, spec.d, labels)
     try:
-        traces = _drive(entry, batch, spec.d, labels)
+        # map, unlike a loop variable, keeps no trace while the next chunk runs
+        return list(map(lambda x, trace: _row(spec, x, trace, formulas), xs, runs))
     except ValueError as exc:
         raise SweepError(str(exc)) from exc
-    return [_row(spec, x, trace, formulas) for x, trace in zip(xs, traces)]
 
 
 def row_deviations(spec: SweepSpec, row: Mapping[str, float]) -> dict[str, float]:

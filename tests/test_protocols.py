@@ -25,9 +25,9 @@ from edss import (
     two_qubit_states,
     verify_identity_chain,
 )
-from edss import protocols
+from edss import checks, protocols
 from edss.channels import KrausChannel, has_canonical_form
-from edss.protocols import CHAIN_ATOL, SEPARABILITY_ATOL, SPECS
+from edss.protocols import CHAIN_ATOL, MAX_DIM_CEILING, SEPARABILITY_ATOL, SPECS
 
 from explicit_forms import (
     ad_deterministic_output,
@@ -222,6 +222,23 @@ class TestQuditProtocol:
         # the cap is configurable
         trace = run_qudit(7, depolarizing(7, 0.1), max_dim=7)
         assert trace.noise["d"] == 7
+
+    def test_ceiling_holds_on_every_driver_path(self, monkeypatch):
+        # a d^3-sided start state is 28 MB at d = 11: refuse d before building it
+        def refuse(*args):
+            raise AssertionError("a d above the ceiling reached admission or the start state")
+
+        monkeypatch.setattr(protocols, "qudit_initial_state", refuse)
+        monkeypatch.setattr(protocols, "_admit", refuse)
+        d = MAX_DIM_CEILING + 1
+        ch = depolarizing(d, 0.1)
+        for call in (
+            lambda: qudit_states(d, ch),
+            lambda: checks.qudit_average_only(d, "depolarizing", 0.1),
+            lambda: run_qudit(d, ch, max_dim=d),
+        ):
+            with pytest.raises(ValueError, match=rf"allowed range \[2, {MAX_DIM_CEILING}\]"):
+                call()
 
     def test_channel_kind_restriction_above_two(self):
         with pytest.raises(ValueError, match="phase-covariant"):

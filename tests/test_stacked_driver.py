@@ -7,6 +7,7 @@ probabilities within 1e-12, states within 1e-14, and identical warnings,
 chains and null branches.
 """
 
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edss import protocols, sweep
+from edss import protocols
 from edss.channels import (
     CanonicalChannel,
     DepolarizingChannel,
@@ -24,7 +25,7 @@ from edss.channels import (
     depolarizing,
     identity_channel,
 )
-from edss.checks import random_cp_canonical
+from edss.checks import identity_suite, random_cp_canonical
 from edss.measures import _negativities
 from edss.protocols import SPECS, _drive, run_ghz, run_qudit, run_two_qubit
 from edss.states import qudit_initial_state
@@ -163,11 +164,11 @@ def test_ghz_sweep_spans_chunks_and_matches_point_by_point(monkeypatch):
         sizes.append(len(batch))
         return _drive(entry, batch, *args)
 
-    monkeypatch.setattr(sweep, "_drive", counting)
+    monkeypatch.setattr(protocols, "_drive", counting)
     rows = sweep_rows(spec)
     assert len(sizes) > 1 and sum(sizes) == 101
-    assert max(sizes) == sweep.STACK_BYTES // (16 * 32 * 32)
-    monkeypatch.setattr(sweep, "STACK_BYTES", 0)  # one point per chunk
+    assert max(sizes) == protocols.STACK_BYTES // (16 * 32 * 32)
+    monkeypatch.setattr(protocols, "STACK_BYTES", 0)  # one point per chunk
     sizes.clear()
     single = sweep_rows(spec)
     assert sizes == [1] * 101
@@ -177,9 +178,34 @@ def test_ghz_sweep_spans_chunks_and_matches_point_by_point(monkeypatch):
             assert abs(got[column] - value) <= VALUE_ATOL
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: sweep_rows(SweepSpec("ghz", "depolarizing", "p", "", points=101)),
+        # 17 GHZ draws: one full chunk of 16, then one more
+        lambda: identity_suite(random_channels=85, grid_points=2, qudit_dims=(2,)),
+    ],
+    ids=["sweep_rows", "identity_suite"],
+)
+def test_no_trace_outlives_its_chunk(monkeypatch, run):
+    chunks = []
+
+    def tracking(entry, batch, *args):
+        alive = sum(ref() is not None for chunk in chunks for ref in chunk)
+        assert not alive, f"{alive} traces of earlier chunks alive as a chunk starts"
+        traces = _drive(entry, batch, *args)
+        chunks.append([weakref.ref(trace) for trace in traces])
+        return traces
+
+    monkeypatch.setattr(protocols, "_drive", tracking)
+    run()
+    assert 16 in map(len, chunks) and len(chunks) > 2  # a full GHZ chunk, then more
+
+
 @pytest.mark.parametrize("d", [2, 4])
 def test_one_perturbed_matrix_fails_the_stacked_solve(d):
-    # side 8 (one batched eigvalsh) and side 64 (block split per matrix)
+    # side 8 (one batched eigvalsh) and side 64 (block split, labelled once from
+    # the stack's joint pattern)
     rho = qudit_initial_state(d).matrix
     stack = np.stack([rho] * 5)
     part = Bipartition.split({0}, 3)

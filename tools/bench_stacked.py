@@ -8,8 +8,9 @@ Two parts, both written to ``--out`` as JSON:
 * ``micro``: seconds per grid point of one stacked ``protocols._drive``
   pass over a chunk of depolarizing points, against the same points run one
   at a time, for the two-qubit and GHZ protocols and the qudit protocol at
-  d = 2..6. A chunk holds as many points as ``sweep_rows`` stacks at that
-  register side (``sweep.STACK_BYTES``), at most ``MAX_POINTS``. Each timing
+  d = 2..6. A chunk holds as many points as the driver's chunk loop
+  ``protocols._runs`` stacks at that register side
+  (``protocols._chunk_points``), at most ``MAX_POINTS``. Each timing
   is the minimum of ``--repeat`` repeats, with the median and maximum as
   its spread.
 * ``end_to_end``: ``benchmarks/run.py`` of the parent checkout ``--parent``
@@ -38,15 +39,14 @@ DEFAULT_RUNS = [("qubit_sweeps", 0, 10), ("qudit_d6_sweeps", 0, 4), ("check_all"
 def micro(repeat: int) -> list[dict]:
     import numpy as np
 
-    from edss import sweep
     from edss.channels import noise_channel
-    from edss.protocols import SPECS, _drive
+    from edss.protocols import SPECS, _chunk_points, _drive
 
     rows = []
     for protocol, d in CASES:
         spec = SPECS[protocol, "probabilistic"]
         side = d ** len(spec.subsystems)
-        points = min(MAX_POINTS, max(1, sweep.STACK_BYTES // (16 * side * side)))
+        points = min(MAX_POINTS, _chunk_points(spec, d))
         batch = [
             (noise_channel("depolarizing", d, x),) * len(spec.channel_roles)
             for x in np.linspace(0.0, 1.0, points)
