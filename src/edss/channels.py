@@ -27,6 +27,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # (I, sx, sy, sz): the basis of the Pauli transfer matrix R[m, n] = tr(s_m E(s_n)) / 2.
 _PAULI_BASIS = np.stack((I2, *PAULIS))
+# Built channels leave ~1e-16 off the covariance mask; an entry e there moved chains < 0.05 e.
+_COVARIANCE_ATOL = 1e-10
 
 
 # channel -> its read-only transfer tensor. Kept outside the channel objects, so
@@ -226,9 +228,13 @@ def _embed(t4: np.ndarray, m: np.ndarray, dims: tuple[int, ...], target: int) ->
 
 def choi_matrix(ch: QuditChannel) -> np.ndarray:
     """Block matrix sum_{kl} |k><l| (x) E(|k><l|); PSD iff the map is CP."""
-    d = ch.dim
-    t4 = ch.transfer_tensor()
-    return np.ascontiguousarray(t4.transpose(2, 0, 3, 1).reshape(d * d, d * d))
+    return np.ascontiguousarray(_choi(ch.transfer_tensor()))
+
+
+def _choi(t4: np.ndarray) -> np.ndarray:
+    """Choi matrices ``[(k, i), (l, j)]`` of the transfer tensors ``t4`` (``(..., d, d, d, d)``)."""
+    side = t4.shape[-1] ** 2
+    return np.moveaxis(t4, (-2, -1), (-4, -2)).reshape(*t4.shape[:-4], side, side)
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,7 @@ def _cpt_reports(t4: np.ndarray, tol: float = VALIDITY_ATOL) -> list[CptReport]:
     one batched eigensolve over the Choi matrices that are finite and Hermitian;
     the others report ``nan`` and never reach LAPACK."""
     count, d = t4.shape[0], t4.shape[-1]
-    choi = t4.transpose(0, 3, 1, 4, 2).reshape(count, d * d, d * d)
+    choi = _choi(t4)
     herm_err = np.abs(choi - choi.conj().swapaxes(1, 2)).max(axis=(1, 2))
     tp = np.einsum("bkili->bkl", choi.reshape(count, d, d, d, d)) - np.eye(d)
     tp_err = np.abs(tp).max(axis=(1, 2))
@@ -302,8 +308,7 @@ def bloch_affine(ch: QuditChannel) -> tuple[np.ndarray, np.ndarray]:
     return r[1:, 1:], r[1:, 0]
 
 
-# atol: built channels leave ~1e-16 off the mask, and an entry e there moved chains < 0.05 e.
-def has_canonical_form(ch: QuditChannel, atol: float = 1e-10) -> bool:
+def has_canonical_form(ch: QuditChannel, atol: float = _COVARIANCE_ATOL) -> bool:
     """True when the channel is Z_d phase-covariant, ``T[i, j, k, l] = 0`` unless
     ``i - j = k - l (mod d)``: the class, empirical and backed by property tests,
     for which the protocol identity chains are admitted. At d = 2 it contains
@@ -311,7 +316,7 @@ def has_canonical_form(ch: QuditChannel, atol: float = 1e-10) -> bool:
     return bool(_covariant(ch.transfer_tensor()[None], atol)[0])
 
 
-def _covariant(t4: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+def _covariant(t4: np.ndarray, atol: float = _COVARIANCE_ATOL) -> np.ndarray:
     """``has_canonical_form`` of each transfer tensor in the stack ``t4``."""
     off = t4[:, _off_phase(t4.shape[-1])]
     return np.abs(off).max(axis=1, initial=0.0) <= atol

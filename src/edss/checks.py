@@ -75,7 +75,7 @@ def _worst(
 ) -> dict[str, float]:
     """Largest ``row_deviations`` per check over a [0, 1] sweep of ``kind`` noise."""
     param = CHANNEL_PARAMS[kind][0]
-    sweep = SweepSpec(spec.protocol, kind, param, "", mode=spec.mode, d=d, points=points)
+    sweep = SweepSpec(spec.protocol, kind, param, "", mode=spec.mode, d=d, points=points).validate()
     worst: dict[str, float] = {}
     for row in sweep_rows(sweep, formulas):
         for check, dev in row_deviations(sweep, row).items():

@@ -26,7 +26,7 @@ SWEEP_OPTIONS: dict[str, dict] = {
     "protocol": {"choices": PROTOCOLS},
     "mode": {"choices": tuple(MODE_ALIASES)},
     "channel": {"choices": tuple(CHANNEL_PARAMS)},
-    "d": {"type": int, "help": "qudit dimension (qudit protocol only)"},
+    "d": {"type": int, "help": f"qudit dimension, 2 to {MAX_DIM_CEILING} (qudit protocol only)"},
     "param": {
         "choices": tuple(name for names in CHANNEL_PARAMS.values() for name in names),
         "help": "swept channel parameter",
@@ -41,7 +41,6 @@ SWEEP_OPTIONS: dict[str, dict] = {
         name: {"type": float, "help": "fixed canonical parameter"}
         for name in CHANNEL_PARAMS["canonical"]
     },
-    "max_dim": {"type": int, "help": f"qudit dimension cap (at most {MAX_DIM_CEILING})"},
 }
 CONFIG_KEYS = set(SWEEP_OPTIONS)
 
@@ -106,7 +105,7 @@ def _merged_sweep_spec(args: argparse.Namespace) -> SweepSpec:
         )
 
     # SweepSpec fields that may be left out and keep their defaults
-    optional = {"d": "d", "from": "start", "to": "stop", "points": "points", "max_dim": "max_dim"}
+    optional = {"d": "d", "from": "start", "to": "stop", "points": "points"}
     try:
         values = {key: SWEEP_OPTIONS[key].get("type", str)(value) for key, value in merged.items()}
         return SweepSpec(

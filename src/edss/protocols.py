@@ -46,9 +46,8 @@ from .tensor import Bipartition, DensityOperator, _check_unit_trace, _partial_tr
 # Where the paper's identities hold, chain spreads and exchange negativities are ~1e-15.
 CHAIN_ATOL = 1e-9
 SEPARABILITY_ATOL = 1e-9
-DEFAULT_MAX_DIM = 6
 # Dense states have side d^3: 1000 (16 MB) at d = 10, the largest dimension
-# the dense path is meant for; a larger --max-dim would only admit slower runs.
+# the dense path is meant for; _register holds every run and sweep to it.
 MAX_DIM_CEILING = 10
 # Bytes per stacked state of one driver pass (see _chunk_points). Over one-point
 # chunks, 256 KiB adds 0.5 MB peak RSS on qubit_sweeps, 1 MiB 4.6 MB.
@@ -222,13 +221,12 @@ def _noise_summary(*channels: QuditChannel) -> dict[str, object]:
 
 
 def _evolve(
-    spec: ProtocolSpec, batch: Sequence[Sequence[QuditChannel]], d: int
+    spec: ProtocolSpec, batch: Sequence[Sequence[QuditChannel]], dims: tuple[int, ...]
 ) -> list[tuple[str, np.ndarray]]:
-    """Labelled state stacks of ``spec``, row b evolved under the channels
-    ``batch[b]``. Until the first channel every point holds the same state, so
-    those stacks keep one row; the channel step broadcasts to the batch."""
-    state = spec.initial(d).matrix[None]
-    dims = _register(spec, d)
+    """Labelled state stacks of ``spec`` on the register ``dims``, row b evolved
+    under the channels ``batch[b]``. Until the first channel every point holds the
+    same state, so those stacks keep one row; the channel step broadcasts to the batch."""
+    state = spec.initial(dims[0]).matrix[None]
     states = []
     for step in spec.steps:
         for op in step.ops:
@@ -243,6 +241,10 @@ def _evolve(
 
 
 def _register(spec: ProtocolSpec, d: int) -> tuple[int, ...]:
+    if not isinstance(d, (int, np.integer)):
+        raise ValueError(f"dimension d must be an integer, got {d!r}")
+    if not spec.takes_d and d != 2:
+        raise ValueError(f"protocol {spec.protocol} works with qubits; drop d={d}")
     if not 2 <= d <= MAX_DIM_CEILING:
         raise ValueError(f"dimension {d} outside the allowed range [2, {MAX_DIM_CEILING}]")
     return (d,) * len(spec.subsystems)
@@ -362,7 +364,7 @@ def _drive(
     """
     dims = _register(spec, d)
     traces = [_new_trace(spec, ch, d, w) for ch, w in zip(batch, _admit(spec, batch, d, labels))]
-    states = _evolve(spec, batch, d)
+    states = _evolve(spec, batch, dims)
     for step, (label, stack) in zip(spec.steps, states):
         for b, trace in enumerate(traces):
             trace.steps.append((label, DensityOperator._trusted(stack[b % len(stack)], dims)))
@@ -445,7 +447,7 @@ def _states(
     """The labelled states of one admitted point, each built with its full check."""
     dims = _register(spec, d)
     _admit(spec, [channels], d)
-    states = _evolve(spec, [channels], d)
+    states = _evolve(spec, [channels], dims)
     return [(label, DensityOperator(stack[0], dims)) for label, stack in states]
 
 
@@ -486,15 +488,13 @@ def run_ghz(ch1: QuditChannel, ch2: QuditChannel | None = None) -> ProtocolTrace
     return _drive(SPECS["ghz", "probabilistic"], [(ch1, ch1 if ch2 is None else ch2)])[0]
 
 
-def run_qudit(d: int, ch: QuditChannel, max_dim: int = DEFAULT_MAX_DIM) -> ProtocolTrace:
+def run_qudit(d: int, ch: QuditChannel) -> ProtocolTrace:
     """Run the d-level pair distribution protocol under ``ch`` on c.
 
-    ``d`` is capped at ``max_dim`` (default 6) and ``MAX_DIM_CEILING`` to bound
-    the d^3-sided matrices. For d > 2, a channel that is not phase-covariant (see
+    ``d`` is an integer in [2, ``MAX_DIM_CEILING``], which bounds the d^3-sided
+    matrices. For d > 2, a channel that is not phase-covariant (see
     ``channels.has_canonical_form``) is refused before any state is built.
     """
-    if d < 2 or d > max_dim:
-        raise ValueError(f"dimension {d} outside the allowed range [2, {max_dim}]")
     return _drive(SPECS["qudit", "probabilistic"], [(ch,)], d)[0]
 
 
@@ -756,6 +756,7 @@ def critical_noise(
     last two positive points aim at ``zero_atol``; a guess stands once ``fn``
     straddles it at guess ± tol/2, and both probes narrow the bracket. The
     first step, guesses outside the bracket and all after five failures bisect.
+    A non-finite value of ``fn`` raises, since no comparison could place it.
     """
     for name, value in (("lo", lo), ("hi", hi), ("zero_atol", zero_atol), ("tol", tol)):
         if not np.isfinite(value):
@@ -764,10 +765,16 @@ def critical_noise(
         raise ValueError(f"tol must be positive, got {tol!r}")
     if lo > hi:
         raise ValueError(f"lo ({lo!r}) exceeds hi ({hi!r})")
-    if fn(hi) > zero_atol:
+
+    def f(x: float) -> float:
+        if not np.isfinite(value := fn(x)):
+            raise ValueError(f"curve value at x={x!r} is not finite: {value!r}")
+        return value
+
+    if f(hi) > zero_atol:
         return hi
     # The last two points where fn > zero_atol; both start at lo, so step one bisects.
-    prev = last = (lo, fn(lo))
+    prev = last = (lo, f(lo))
     if last[1] <= zero_atol:
         return lo
     low, high, failed = lo, hi, 0
@@ -776,7 +783,7 @@ def critical_noise(
         # Five tries keep the kinked GHZ averages at 13 evaluations; three cost 48.
         guess = x1 + (zero_atol - f1) * (x1 - x0) / (f1 - f0) if failed < 5 and f1 != f0 else low
         probes = (guess - tol / 2, guess + tol / 2) if low < guess < high else ((low + high) / 2,)
-        values = [fn(x) for x in probes]
+        values = [f(x) for x in probes]
         for x, value in zip(probes, values):
             if value > zero_atol:
                 low = max(low, x)

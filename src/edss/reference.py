@@ -33,10 +33,9 @@ def _check_unit(name: str, value: float) -> float:
 
 
 def _check_dim(d: int) -> int:
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    return d
+    if not float(d).is_integer() or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    return int(d)
 
 
 def _tq_depol_success_prob(p: float) -> float:

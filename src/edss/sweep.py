@@ -19,12 +19,12 @@ import numpy as np
 from .channels import CHANNEL_PARAMS, channel_from_config
 from .protocols import (
     CHAIN_ATOL,
-    DEFAULT_MAX_DIM,
-    MAX_DIM_CEILING,
+    MAX_DIM_CEILING,  # noqa: F401  (re-exported: edss.sweep.MAX_DIM_CEILING)
     PROTOCOLS,
     SEPARABILITY_ATOL,
     SPECS,
     ProtocolTrace,
+    _register,
     _runs,
     critical_noise,
     separability_audit,
@@ -62,7 +62,6 @@ class SweepSpec:
     svg_path: Path | str | None = None
     checks: frozenset[str] = frozenset()
     channel_args: dict[str, float] = field(default_factory=dict)
-    max_dim: int = DEFAULT_MAX_DIM
 
     def validate(self) -> "SweepSpec":
         if self.protocol not in PROTOCOLS:
@@ -71,17 +70,12 @@ class SweepSpec:
             raise SweepError(f"mode {self.mode!r} does not exist for the {self.protocol} protocol")
         if self.channel not in CHANNEL_PARAMS:
             raise SweepError(f"unknown channel kind {self.channel!r}")
-        if self.max_dim > MAX_DIM_CEILING:
-            raise SweepError(f"max_dim must be <= {MAX_DIM_CEILING}, got {self.max_dim}")
-        if SPECS[self.protocol, self.mode].takes_d:
-            if not 2 <= self.d <= self.max_dim:
-                raise SweepError(
-                    f"d={self.d} outside the allowed range [2, {self.max_dim}]"
-                )
-            if self.channel == "canonical" and self.d != 2:
-                raise SweepError("canonical channels are qubit channels; d must be 2")
-        elif self.d != 2:
-            raise SweepError(f"protocol {self.protocol} works with qubits; drop d={self.d}")
+        try:
+            _register(SPECS[self.protocol, self.mode], self.d)
+        except ValueError as exc:
+            raise SweepError(str(exc)) from exc
+        if self.channel == "canonical" and self.d != 2:
+            raise SweepError("canonical channels are qubit channels; d must be 2")
         expected_param = CHANNEL_PARAMS[self.channel]
         if self.param not in expected_param:
             raise SweepError(
@@ -111,8 +105,6 @@ class SweepSpec:
             raise SweepError(
                 "closed_form check needs a depolarizing or amplitude_damping sweep"
             )
-        if not self.csv_path:
-            raise SweepError("csv output path is required")
         return self
 
     def grid(self) -> np.ndarray:
@@ -243,6 +235,8 @@ def _row_checks(spec: SweepSpec, row: dict[str, float]) -> list[str]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid, write CSV (and SVG if requested), run row checks."""
     spec = replace(spec, checks=frozenset(spec.checks)).validate()
+    if not spec.csv_path:
+        raise SweepError("csv output path is required")
     rows = sweep_rows(spec)
     entry = SPECS[spec.protocol, spec.mode]
     if entry.critical_formula(spec.channel) is not None:

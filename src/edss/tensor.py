@@ -16,8 +16,8 @@ from typing import Iterable
 import numpy as np
 
 # Validity checks (hermiticity, unit trace, positivity) tolerate eigensolver
-# noise. All matrices here are small (side <= ~512) with entries of
-# magnitude <= 1.
+# noise. All matrices here are small (side <= 1000, the qudit register at
+# d = 10) with entries of magnitude <= 1.
 VALIDITY_ATOL = 1e-9
 # Smallest side whose spectrum is solved block by block: with one BLAS thread
 # on an x86-64 Xeon the split ties the dense solve at side 49 and wins from 64.

@@ -84,7 +84,7 @@ def recorded_pairs(trace):
 def test_every_qudit_partial_transpose_matches_dense(d, kind):
     dense_spectra = {}
     for x in NOISE_LEVELS:
-        pairs = recorded_pairs(run_qudit(d, noise_channel(kind, d, x), max_dim=8))
+        pairs = recorded_pairs(run_qudit(d, noise_channel(kind, d, x)))
         assert len(pairs) == 8 + d
         for recorded, rho, part in pairs:
             pt = assert_matches_dense(rho, part, dense_spectra)

@@ -216,12 +216,15 @@ class TestGhzProtocol:
 class TestQuditProtocol:
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):
-            run_qudit(7, depolarizing(7, 0.1))
+            run_qudit(11, depolarizing(11, 0.1))
         with pytest.raises(ValueError):
             run_qudit(1, depolarizing(2, 0.1))
-        # the cap is configurable
-        trace = run_qudit(7, depolarizing(7, 0.1), max_dim=7)
+        trace = run_qudit(7, depolarizing(7, 0.1))
         assert trace.noise["d"] == 7
+
+    def test_non_integer_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"dimension d must be an integer, got 3\.0"):
+            run_qudit(3.0, depolarizing(3, 0.1))
 
     def test_ceiling_holds_on_every_driver_path(self, monkeypatch):
         # a d^3-sided start state is 28 MB at d = 11: refuse d before building it
@@ -235,7 +238,7 @@ class TestQuditProtocol:
         for call in (
             lambda: qudit_states(d, ch),
             lambda: checks.qudit_average_only(d, "depolarizing", 0.1),
-            lambda: run_qudit(d, ch, max_dim=d),
+            lambda: run_qudit(d, ch),
         ):
             with pytest.raises(ValueError, match=rf"allowed range \[2, {MAX_DIM_CEILING}\]"):
                 call()
@@ -359,6 +362,13 @@ class TestClosedFormRegistry:
         with pytest.raises(ValueError):
             closed_form("two_qubit_depolarizing_average_negativity", p=0.5, gamma=0.5)
 
+    def test_non_integral_dimension_rejected(self):
+        fid = "qudit_depolarizing_average_negativity"
+        for d in (2.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=rf"integer >= 2, got {d}"):
+                closed_form(fid, d=d, p=0.1)
+        assert closed_form(fid, d=3.0, p=0.1) == closed_form(fid, d=3, p=0.1)
+
 
 class TestCriticalNoise:
     def test_analytic_ramp(self):
@@ -370,6 +380,17 @@ class TestCriticalNoise:
 
     def test_zero_everywhere_returns_lo(self):
         assert critical_noise(lambda x: 0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "fn, at",
+        [
+            (lambda x: float("nan"), "x=1.0"),
+            (lambda x: {0.0: 1.0, 1.0: 0.0}.get(x, float("inf")), "x=0.5"),
+        ],
+    )
+    def test_non_finite_curve_value_rejected(self, fn, at):
+        with pytest.raises(ValueError, match=rf"{at}\b.*not finite: (nan|inf)"):
+            critical_noise(fn)
 
     @pytest.mark.parametrize(
         "name, kwargs",

@@ -8,6 +8,7 @@ import edss.reference
 from edss import SweepError, SweepSpec, closed_form, run_sweep
 from edss.checks import CheckResult, closed_form_suite, identity_suite, run_checks
 from edss.cli import load_config, main
+from edss import protocols
 from edss.protocols import SPECS
 from edss.reference import Formula
 from edss.svgchart import render_line_chart
@@ -71,9 +72,14 @@ class TestSpecValidation:
 
     def test_qudit_dimension_cap(self, tmp_path):
         with pytest.raises(SweepError):
-            small_spec(tmp_path, protocol="qudit", d=9).validate()
-        spec = small_spec(tmp_path, protocol="qudit", d=9, max_dim=9)
-        assert spec.validate() is spec
+            small_spec(tmp_path, protocol="qudit", d=11).validate()
+        for d in (9, 10):
+            spec = small_spec(tmp_path, protocol="qudit", d=d)
+            assert spec.validate() is spec
+
+    def test_non_integer_dimension_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"dimension d must be an integer, got 2\.5"):
+            small_spec(tmp_path, protocol="qudit", d=2.5).validate()
 
     def test_non_cpt_grid_point_rejected(self, tmp_path):
         spec = small_spec(
@@ -150,9 +156,9 @@ class TestSweepOutput:
             assert record["ref_critical_noise"] == 0.75
 
     def test_critical_noise_above_the_default_dimension_cap(self, tmp_path):
-        """The root search of a d=7 sweep runs under the sweep's own
-        ``max_dim``, not the default cap of ``run_qudit``."""
-        spec = small_spec(tmp_path, protocol="qudit", d=7, max_dim=7, points=2)
+        """The root search of a d=7 sweep runs under the one dimension
+        ceiling that the sweep itself is held to."""
+        spec = small_spec(tmp_path, protocol="qudit", d=7, points=2)
         header, rows = read_csv(run_sweep(spec).csv_path)
         for row in rows:
             record = dict(zip(header, (float(v) for v in row)))
@@ -238,6 +244,15 @@ class TestChecksSuites:
         with pytest.raises(ValueError):
             run_checks("everything")
 
+    @pytest.mark.parametrize("points", [0, 1, -3, MAX_POINTS + 1])
+    def test_bad_grid_refused_before_any_run(self, monkeypatch, points):
+        def no_run(*args):
+            raise AssertionError("a check grid ran before validation")
+
+        monkeypatch.setattr(protocols, "_drive", no_run)
+        with pytest.raises(SweepError, match=rf"points must be in \[2, {MAX_POINTS}\]"):
+            run_checks("separability", separability={"grid_points": points})
+
     def test_misspelled_suite_keyword_rejected(self):
         with pytest.raises(ValueError, match="separabilty"):
             run_checks("separability", separabilty={"grid_points": 2})
@@ -271,6 +286,11 @@ class TestSweepRows:
         )
         fids = SPECS["ghz", "probabilistic"].formulas("depolarizing")
         assert set(devs) == {"identity", "separability", *fids}
+
+    def test_qubit_protocol_refuses_a_qudit_dimension(self):
+        spec = SweepSpec("ghz", "depolarizing", "p", "", d=3, points=2)
+        with pytest.raises(SweepError, match="works with qubits"):
+            sweep_rows(spec)
 
     def test_critical_noise_deviation_once_the_row_has_it(self, tmp_path):
         spec = small_spec(tmp_path, protocol="qudit", d=3, points=2).validate()
@@ -442,6 +462,21 @@ class TestCli:
         assert main(["sweep", "--protocol", "warp"]) == 2
         capsys.readouterr()
 
+    def test_qudit_above_six_runs_without_a_flag(self, tmp_path, capsys):
+        argv = ["sweep", "--protocol", "qudit", "--d", "7", "--channel", "depolarizing"]
+        argv += ["--param", "p", "--points", "2", "--csv", str(tmp_path / "x.csv")]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+    def test_max_dim_is_an_unknown_config_key(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("protocol = qudit\nd = 7\nmax_dim = 8\n", encoding="utf-8")
+        argv = ["sweep", "--config", str(config), "--channel", "depolarizing"]
+        code = main(argv + ["--param", "p", "--csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "unknown key 'max_dim'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestConfigParser:
     def test_values_and_comments(self, tmp_path):
@@ -511,8 +546,8 @@ class TestInputGuards:
         [
             ["--protocol", "two_qubit", "--points", str(MAX_POINTS + 1)],
             ["--protocol", "two_qubit", "--points", "100000000"],
-            ["--protocol", "qudit", "--d", "3", "--max-dim", str(MAX_DIM_CEILING + 1)],
-            ["--protocol", "qudit", "--d", "1000", "--max-dim", "1000"],
+            ["--protocol", "qudit", "--d", str(MAX_DIM_CEILING + 1)],
+            ["--protocol", "qudit", "--d", "1000"],
         ],
     )
     def test_resource_caps_exit_2_before_any_grid(self, tmp_path, monkeypatch, capsys, extra):
@@ -527,5 +562,8 @@ class TestInputGuards:
 
     def test_caps_are_inclusive(self, tmp_path):
         assert small_spec(tmp_path, points=MAX_POINTS).validate()
-        spec = small_spec(tmp_path, protocol="qudit", d=3, max_dim=MAX_DIM_CEILING)
-        assert spec.validate() is spec
+        for d in (MAX_DIM_CEILING - 1, MAX_DIM_CEILING):
+            spec = small_spec(tmp_path, protocol="qudit", d=d)
+            assert spec.validate() is spec
+        with pytest.raises(SweepError):
+            small_spec(tmp_path, protocol="qudit", d=MAX_DIM_CEILING + 1).validate()

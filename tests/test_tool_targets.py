@@ -3,10 +3,13 @@ functions; a rename or removal must fail here, not when a script is rerun.
 
 Each script is parsed, not run: every ``from edss... import name`` must
 resolve, and so must every attribute read on a name bound to an edss module.
+Every keyword argument passed to an imported edss callable must be one of
+its parameters.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 from types import ModuleType
 
@@ -50,3 +53,39 @@ def test_edss_names_resolve(path):
         ):
             module = modules[node.value.id]
             assert hasattr(module, node.attr), f"{module.__name__}.{node.attr}"
+
+
+def edss_callee(func: ast.expr, modules: dict[str, ModuleType], names: dict[str, object]):
+    """The edss object a call's ``func`` names, or None."""
+    if isinstance(func, ast.Name):
+        return names.get(func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        module = modules.get(func.value.id)
+        return None if module is None else getattr(module, func.attr, None)
+    return None
+
+
+@pytest.mark.parametrize("path", TOOLS, ids=[p.name for p in TOOLS])
+def test_edss_keyword_arguments_exist(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    _, modules = edss_bindings(tree)
+    names = {
+        alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "edss"
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = edss_callee(node.func, modules, names)
+        if not callable(callee):
+            continue
+        params = inspect.signature(callee).parameters
+        takes_any = any(p.kind is p.VAR_KEYWORD for p in params.values())
+        for keyword in node.keywords:
+            if keyword.arg is not None and not takes_any:
+                assert keyword.arg in params, (
+                    f"{path.name}:{node.lineno}: {callee.__qualname__} has no "
+                    f"parameter {keyword.arg!r}"
+                )

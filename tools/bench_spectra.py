@@ -64,7 +64,7 @@ def recorded_partial_transposes(d: int) -> list:
     from edss.tensor import Bipartition, partial_transpose
 
     spec = SPECS["qudit", "probabilistic"]
-    trace = run_qudit(d, noise_channel("depolarizing", d, 0.5), max_dim=max(DIMS))
+    trace = run_qudit(d, noise_channel("depolarizing", d, 0.5))
     recorded = [
         partial_transpose(state, Bipartition.split(side, 3))
         for step, (_, state) in zip(spec.steps, trace.steps)
