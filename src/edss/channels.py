@@ -18,7 +18,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .tensor import VALIDITY_ATOL, DensityOperator
+from .tensor import VALIDITY_ATOL, DensityOperator, _Entries
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -211,11 +211,15 @@ def apply_to_subsystem(
     return DensityOperator(_embed(ch.transfer_tensor(), rho.matrix, rho.dims, target), rho.dims)
 
 
-def _embed(t4: np.ndarray, m: np.ndarray, dims: tuple[int, ...], target: int) -> np.ndarray:
+def _embed(
+    t4: np.ndarray, m: np.ndarray | _Entries, dims: tuple[int, ...], target: int
+) -> np.ndarray | _Entries:
     """Transfer tensors ``t4`` (``(..., d, d, d, d)``) applied to subsystem
     ``target`` of the matrices ``m`` (``(..., n, n)``), leading axes broadcast."""
     d = dims[target]
     left, right = prod(dims[:target]), prod(dims[target + 1 :])
+    if isinstance(m, _Entries):
+        return _embed_entries(t4, m, d, right)
     r6 = m.reshape(*m.shape[:-2], left, d, right, left, d, right)
     # out[a,i,b,c,j,e] = sum_kl T[i,j,k,l] r6[a,k,b,c,l,e]: one (d^2, d^2) @ (d^2, rest)
     # product per matrix, the orientation tensordot takes
@@ -224,6 +228,27 @@ def _embed(t4: np.ndarray, m: np.ndarray, dims: tuple[int, ...], target: int) ->
     out = out.reshape(*out.shape[:-2], d, d, left, right, left, right)
     out = np.moveaxis(out, (-6, -5), (-5, -2))
     return out.reshape(*out.shape[:-6], *m.shape[-2:])
+
+
+def _embed_entries(t4: np.ndarray, m: _Entries, d: int, stride: int) -> _Entries:
+    """``_embed`` on entries, for the target digit of place value ``stride``.
+
+    The entry at ``(k, l)`` in the target digits becomes one entry per
+    ``(i, j)`` where some tensor of the stack has ``T[i, j, k, l] != 0``, with
+    each point's value ``T[i, j, k, l]`` times its own; entries that land on
+    one position are then summed."""
+    joint = np.any(t4 != 0, axis=tuple(range(t4.ndim - 4)))
+    k, l, i, j = np.nonzero(joint.transpose(2, 3, 0, 1))  # ordered by (k, l)
+    count = np.bincount(k * d + l, minlength=d * d)
+    entry_key = (m.rows // stride) % d * d + (m.cols // stride) % d
+    fan = count[entry_key]
+    source = np.repeat(np.arange(len(entry_key)), fan)
+    first = np.cumsum(count) - count
+    term = np.arange(fan.sum()) + np.repeat(first[entry_key] - (np.cumsum(fan) - fan), fan)
+    i, j, k, l = i[term], j[term], k[term], l[term]
+    rows = m.rows[source] + (i - k) * stride
+    cols = m.cols[source] + (j - l) * stride
+    return _Entries.summed(rows, cols, t4[..., i, j, k, l] * m.values[..., source], m.dims)
 
 
 def choi_matrix(ch: QuditChannel) -> np.ndarray:
@@ -340,9 +365,10 @@ CHANNEL_PARAMS = {
 def channel_from_config(config: Mapping[str, object]) -> QuditChannel:
     """Build a channel from a flat mapping; the one factory keyed by kind.
 
-    Recognized keys: ``kind`` (one of ``CHANNEL_PARAMS``), ``d`` (default 2)
-    and the kind's parameters from ``CHANNEL_PARAMS``; ``t3`` defaults to 0.
-    Other keys are ignored.
+    Recognized keys: ``kind`` (one of ``CHANNEL_PARAMS``), ``d`` (default 2;
+    integral floats such as 3.0 are accepted, 2.5 is refused) and the kind's
+    parameters from ``CHANNEL_PARAMS``; ``t3`` defaults to 0. Other keys are
+    ignored.
     """
     kind = str(config.get("kind", "")).strip()
     if kind not in CHANNEL_PARAMS:
@@ -352,7 +378,10 @@ def channel_from_config(config: Mapping[str, object]) -> QuditChannel:
         params = [float(values[name]) for name in CHANNEL_PARAMS[kind]]
     except KeyError as exc:
         raise ValueError(f"{kind} channel requires key {exc}") from exc
-    d = int(config.get("d", 2))
+    d = config.get("d", 2)
+    if not float(d).is_integer():
+        raise ValueError(f"channel dimension d must be an integer, got {d!r}")
+    d = int(float(d))
     if kind == "depolarizing":
         return depolarizing(d, *params)
     if kind == "amplitude_damping":

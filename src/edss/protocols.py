@@ -16,16 +16,20 @@ each step, its finish, its identity chains, its CSV columns with their
 closed forms and its ``edss describe`` text. One driver walks an entry;
 sweeps, check suites and the CLI read the same table.
 
-Every intermediate state is materialized as a dense matrix so the traces
-can be checked elementwise against analytic block forms. The driver runs a
-batch of points at once: each state is a stack with one matrix per point,
-and every operation acts on the whole stack.
+The driver runs a batch of points at once: each state is a stack with one
+matrix per point, and every operation acts on the whole stack. The register
+side picks the stack's kind: dense matrices below
+``tensor.BLOCK_SPLIT_MIN_SIDE``, entry lists that share one pattern from
+there on (the qudit register from d = 4), whose trace states build their
+dense matrix only when it is read. Either way the traces can be checked
+elementwise against analytic block forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -41,13 +45,21 @@ from .states import (
     ghz_initial_state,
     qudit_initial_state,
 )
-from .tensor import Bipartition, DensityOperator, _check_unit_trace, _partial_trace
+from .tensor import (
+    BLOCK_SPLIT_MIN_SIDE,
+    Bipartition,
+    DensityOperator,
+    _check_unit_trace,
+    _Entries,
+    _partial_trace,
+)
 
 # Where the paper's identities hold, chain spreads and exchange negativities are ~1e-15.
 CHAIN_ATOL = 1e-9
 SEPARABILITY_ATOL = 1e-9
-# Dense states have side d^3: 1000 (16 MB) at d = 10, the largest dimension
-# the dense path is meant for; _register holds every run and sweep to it.
+# A qudit state held as entries has at most d^3 + d^2 - d of them; what caps d
+# is channel admission: at d = 32 one transfer tensor is 16 MB and its CPT
+# eigensolve takes about 0.5 s. _register holds every run and sweep to it.
 MAX_DIM_CEILING = 10
 # Bytes per stacked state of one driver pass (see _chunk_points). Over one-point
 # chunks, 256 KiB adds 0.5 MB peak RSS on qubit_sweeps, 1 MiB 4.6 MB.
@@ -222,11 +234,13 @@ def _noise_summary(*channels: QuditChannel) -> dict[str, object]:
 
 def _evolve(
     spec: ProtocolSpec, batch: Sequence[Sequence[QuditChannel]], dims: tuple[int, ...]
-) -> list[tuple[str, np.ndarray]]:
+) -> list[tuple[str, np.ndarray | _Entries]]:
     """Labelled state stacks of ``spec`` on the register ``dims``, row b evolved
     under the channels ``batch[b]``. Until the first channel every point holds the
-    same state, so those stacks keep one row; the channel step broadcasts to the batch."""
-    state = spec.initial(dims[0]).matrix[None]
+    same state, so those stacks keep one row; the channel step broadcasts to the batch.
+    From side ``BLOCK_SPLIT_MIN_SIDE`` on the stacks are entries, not dense."""
+    start = spec.initial(dims[0])
+    state = (start._entries() if prod(dims) >= BLOCK_SPLIT_MIN_SIDE else start.matrix)[None]
     states = []
     for step in spec.steps:
         for op in step.ops:
@@ -251,8 +265,8 @@ def _register(spec: ProtocolSpec, d: int) -> tuple[int, ...]:
 
 
 def _branches(
-    spec: ProtocolSpec, final: np.ndarray, dims: tuple[int, ...]
-) -> tuple[list[tuple[tuple[int, ...], np.ndarray, np.ndarray]], tuple[int, ...]]:
+    spec: ProtocolSpec, final: np.ndarray | _Entries, dims: tuple[int, ...]
+) -> tuple[list[tuple[tuple[int, ...], np.ndarray, np.ndarray | _Entries]], tuple[int, ...]]:
     """Measure ``spec.measured`` in order on the stack ``final``: per outcome
     tuple the probabilities and post states (see ``states._measure``), and
     the dims of the post states. A branch is null where its probability is 0."""
@@ -338,7 +352,7 @@ def _new_trace(
 
 
 def _record(
-    stack: np.ndarray, dims: tuple[int, ...], side: Sequence[int], count: int
+    stack: np.ndarray | _Entries, dims: tuple[int, ...], side: Sequence[int], count: int
 ) -> list[float]:
     """Negativity across ``side`` of each of ``count`` points in ``stack``, which
     has one row per point or one row that they all share."""
@@ -422,8 +436,18 @@ def _drive(
 
 
 def _chunk_points(spec: ProtocolSpec, d: int) -> int:
-    """Points per pass: as many as fit in ``STACK_BYTES`` per stacked state, and at least one."""
-    return max(1, STACK_BYTES // (16 * d ** (2 * len(spec.subsystems))))
+    """Points per pass: as many as fit in ``STACK_BYTES`` per stacked state, and
+    at least one. A dense state holds side^2 values per point. An entry state
+    holds at most d entries per entry of the start state for each channel step:
+    entry registers have d > 2, where only phase-covariant channels are
+    admitted, and those map |k><l| into the d entries with i - j = k - l (mod d)."""
+    side = prod(_register(spec, d))
+    if side < BLOCK_SPLIT_MIN_SIDE:
+        values = side * side
+    else:
+        steps = sum(isinstance(op, Noise) for step in spec.steps for op in step.ops)
+        values = len(spec.initial(d)._entries().rows) * d**steps
+    return max(1, STACK_BYTES // (16 * values))
 
 
 def _runs(
@@ -448,7 +472,10 @@ def _states(
     dims = _register(spec, d)
     _admit(spec, [channels], d)
     states = _evolve(spec, [channels], dims)
-    return [(label, DensityOperator(stack[0], dims)) for label, stack in states]
+    return [
+        (label, DensityOperator(DensityOperator._trusted(stack[0], dims).matrix, dims))
+        for label, stack in states
+    ]
 
 
 def two_qubit_states(ch: QuditChannel) -> list[tuple[str, DensityOperator]]:

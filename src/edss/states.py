@@ -2,20 +2,28 @@
 
 The protocol start states are phase-state mixtures whose k-average keeps
 exactly the coherences with phase exponents equal modulo the phase count;
-``_phase_mixture`` writes that 0/1 pattern directly. The tests compare them
-with literal k-sums, and their post-CNOT forms with projector sums.
+``_phase_mixture`` writes that 0/1 pattern directly, as entries built once
+per state. The tests compare them with literal k-sums, and their post-CNOT
+forms with projector sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from math import prod
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .channels import KrausChannel, _embed
-from .tensor import DensityOperator, _partial_trace
+from .tensor import (
+    DensityOperator,
+    _check_unit_trace,
+    _Entries,
+    _partial_trace,
+    _scatter,
+    _traces,
+)
 
 # Branch probabilities below this are reported as exactly zero with a null
 # post state, keeping branch indexing stable across noise values.
@@ -91,35 +99,42 @@ def psi_plus() -> PureState:
     return ghz_state(2, 2)
 
 
+@functools.cache
 def _phase_mixture(
-    exponents: Sequence[Sequence[int]],
+    exponents: tuple[tuple[int, ...], ...],
     modulus: int,
     weight: float,
     exchange_dims: tuple[int, ...],
-    tags: Mapping[tuple[int, ...], float],
-) -> DensityOperator:
-    """``weight * M (x) |0...0><0...0|`` on the exchange register, plus
-    ``tags[t] |t><t|`` for every tag digit tuple t.
+    tags: tuple[tuple[int, ...], ...],
+    tag_weight: float,
+) -> _Entries:
+    """Entries of ``weight * M (x) |0...0><0...0|`` on the exchange register,
+    plus ``tag_weight |t><t|`` for every tag digit tuple t; built once per
+    argument tuple, read-only.
 
     M is the even mixture over k < D = ``modulus`` of the product phase
     states with amplitudes w^(k e(x)) / sqrt(side), w = exp(2 pi i / D) and
     e(x) = sum_t exponents[t][x_t]. Its entries are exact 0/1 values, since
     (1/D) sum_{k<D} w^(k (e(x) - e(y))) = [e(x) = e(y) mod D]:
-    M[x, y] = [e(x) = e(y) mod D] / side. A mixture of positive terms, the
-    result is positive by construction and gets no eigenvalue check.
+    M[x, y] = [e(x) = e(y) mod D] / side. A mixture of positive terms with
+    real symmetric entries, the result is positive and Hermitian by
+    construction and gets no eigenvalue or hermiticity check.
     """
     e = np.zeros(1, dtype=np.int64)
     for row in exponents:
         e = (e[:, None] + np.asarray(row, dtype=np.int64)[None, :]).reshape(-1)
     dims = tuple(len(row) for row in exponents) + exchange_dims
     stride = prod(exchange_dims)
-    mat = np.zeros((e.size * stride,) * 2, dtype=complex)
-    same = (e[:, None] - e[None, :]) % modulus == 0
-    mat[::stride, ::stride] = same * (weight / e.size)
-    for digits, tag_weight in tags.items():
-        idx = _flat_index(dims, digits)
-        mat[idx, idx] += tag_weight
-    return DensityOperator(mat, dims)
+    x, y = np.nonzero((e[:, None] - e[None, :]) % modulus == 0)
+    tagged = np.array([_flat_index(dims, digits) for digits in tags], dtype=np.int64)
+    values = np.concatenate([np.full(x.size, weight / e.size), np.full(tagged.size, tag_weight)])
+    entries = _Entries.summed(
+        np.concatenate([x * stride, tagged]), np.concatenate([y * stride, tagged]), values, dims
+    )
+    _check_unit_trace(entries)
+    for array in (entries.rows, entries.cols, entries.values):
+        array.flags.writeable = False
+    return entries
 
 
 def edss_initial_two_qubit() -> DensityOperator:
@@ -129,8 +144,8 @@ def edss_initial_two_qubit() -> DensityOperator:
     tagged by |0> on the exchange qubit, plus the two correlated basis
     states tagged by |1>, all at weight 1/6.
     """
-    tags = dict.fromkeys([(0, 0, 1), (1, 1, 1)], 1.0 / 6.0)
-    return _phase_mixture(((0, 1), (0, -1)), 4, 2.0 / 3.0, (2,), tags)
+    start = _phase_mixture(((0, 1), (0, -1)), 4, 2.0 / 3.0, (2,), ((0, 0, 1), (1, 1, 1)), 1.0 / 6.0)
+    return DensityOperator(_scatter(start), start.dims)
 
 
 def ghz_initial_state() -> DensityOperator:
@@ -141,9 +156,9 @@ def ghz_initial_state() -> DensityOperator:
     on the ancilla pair, with basis terms |mmm> tagged by the remaining
     ancilla basis states.
     """
-    basis = [(m, m, m, j, l) for m in range(2) for j in range(2) for l in range(2) if j or l]
-    tags = dict.fromkeys(basis, 1.0 / 14.0)
-    return _phase_mixture(((0, 1), (0, 2), (0, 4)), 7, 4.0 / 7.0, (2, 2), tags)
+    basis = tuple((m, m, m, j, l) for m in range(2) for j in range(2) for l in range(2) if j or l)
+    start = _phase_mixture(((0, 1), (0, 2), (0, 4)), 7, 4.0 / 7.0, (2, 2), basis, 1.0 / 14.0)
+    return DensityOperator(_scatter(start), start.dims)
 
 
 def qudit_initial_state(d: int) -> DensityOperator:
@@ -152,14 +167,17 @@ def qudit_initial_state(d: int) -> DensityOperator:
     Built from phase states |phi(+-k)> = (1/sqrt(d)) sum_j w^(+-s_j k) |j>
     with w = exp(2 pi i / D), D = 2^d - 1 and s_j = 2^j - 1, mixed over all
     k and tagged by |0> on the exchange qudit, plus the diagonal correlated
-    terms |j, j, l-j> for j != l.
+    terms |j, j, l-j> for j != l. The state is held as its entries; its
+    dense matrix is built on its first read.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    s = [2**j - 1 for j in range(d)]
-    basis = [(j, j, (l - j) % d) for j in range(d) for l in range(d) if j != l]
-    tags = dict.fromkeys(basis, 1.0 / (d * (2 * d - 1)))
-    return _phase_mixture((s, [-x for x in s]), 2**d - 1, d / (2 * d - 1), (d,), tags)
+    s = tuple(2**j - 1 for j in range(d))
+    basis = tuple((j, j, (l - j) % d) for j in range(d) for l in range(d) if j != l)
+    start = _phase_mixture(
+        (s, tuple(-x for x in s)), 2**d - 1, d / (2 * d - 1), (d,), basis, 1.0 / (d * (2 * d - 1))
+    )
+    return DensityOperator._trusted(start, start.dims)
 
 
 def _cnot_permutation(
@@ -197,10 +215,14 @@ def cnot(
 
 
 def _cnot(
-    m: np.ndarray, dims: tuple[int, ...], control: int, target: int, inverse: bool
-) -> np.ndarray:
-    """Each matrix of the stack ``m`` conjugated by the generalized CNOT."""
-    pinv = np.argsort(_cnot_permutation(dims, control, target, inverse))
+    m: np.ndarray | _Entries, dims: tuple[int, ...], control: int, target: int, inverse: bool
+) -> np.ndarray | _Entries:
+    """Each matrix of the stack ``m`` conjugated by the generalized CNOT, which
+    moves the entry at ``(i, j)`` to ``(perm[i], perm[j])``."""
+    perm = _cnot_permutation(dims, control, target, inverse)
+    if isinstance(m, _Entries):
+        return _Entries(perm[m.rows], perm[m.cols], m.values, m.dims)
+    pinv = np.argsort(perm)
     return m[..., pinv[:, None], pinv]
 
 
@@ -224,20 +246,38 @@ def measure_computational(rho: DensityOperator, target: int) -> list[Measurement
 
 
 def _measure(
-    m: np.ndarray, dims: tuple[int, ...], target: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
+    m: np.ndarray | _Entries, dims: tuple[int, ...], target: int
+) -> list[tuple[np.ndarray, np.ndarray | _Entries]]:
     """Per outcome of measuring subsystem ``target`` of each matrix of the stack
     ``m``: the probabilities, 0 below ``ZERO_PROBABILITY_ATOL``, and the post
     states, normalized where the probability is not 0 (left unscaled there)."""
     d = dims[target]
     left, right = prod(dims[:target]), prod(dims[target + 1 :])
-    r6 = m.reshape(*m.shape[:-2], left, d, right, left, d, right)
+    if isinstance(m, _Entries):
+        row_digit, col_digit = (m.rows // right) % d, (m.cols // right) % d
+
+        def drop(index: np.ndarray) -> np.ndarray:  # the target digit of each index
+            return index // (d * right) * right + index % right
+
+        rest = dims[:target] + dims[target + 1 :]
+        blocks = [
+            _Entries(drop(m.rows[at]), drop(m.cols[at]), m.values[..., at], rest)
+            for at in ((row_digit == k) & (col_digit == k) for k in range(d))
+        ]
+    else:
+        lead = m.shape[:-2]
+        r6 = m.reshape(*lead, left, d, right, left, d, right)
+        side = left * right
+        blocks = [r6[..., :, k, :, :, k, :].reshape(*lead, side, side) for k in range(d)]
     outcomes = []
-    for k in range(d):
-        block = r6[..., :, k, :, :, k, :].reshape(*m.shape[:-2], left * right, left * right)
-        p = np.trace(block, axis1=-2, axis2=-1).real
+    for block in blocks:
+        p = _traces(block).real
         p = np.where(p < ZERO_PROBABILITY_ATOL, 0.0, p)
-        outcomes.append((p, block / np.where(p > 0.0, p, 1.0)[..., None, None]))
+        scale = np.where(p > 0.0, p, 1.0)[..., None]
+        if isinstance(block, _Entries):
+            outcomes.append((p, replace(block, values=block.values / scale)))
+        else:
+            outcomes.append((p, block / scale[..., None]))
     return outcomes
 
 

@@ -1,10 +1,11 @@
-"""Dense complex linear algebra for multi-qudit density operators.
+"""Complex linear algebra for multi-qudit density operators.
 
-Everything here works on plain ``numpy`` arrays of ``complex`` dtype in
-row-major order. Registers are described by a tuple of subsystem
-dimensions; the full matrix side is always the product of those
-dimensions. The private kernels act on stacks of shape ``(..., n, n)``; the
-public functions are those kernels on one state.
+Registers are described by a tuple of subsystem dimensions; the full matrix
+side is always the product of those dimensions, and indices are row-major.
+A stack of states is either dense, a ``complex`` array of shape
+``(..., n, n)``, or an :class:`_Entries` list, whose matrices share one
+pattern of entries. The private kernels act on stacks of either kind; the
+public functions are those kernels on one dense state.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import numpy as np
 VALIDITY_ATOL = 1e-9
 # Smallest side whose spectrum is solved block by block: with one BLAS thread
 # on an x86-64 Xeon the split ties the dense solve at side 49 and wins from 64.
+# The protocol driver holds its states as entries from this side on. Per qudit
+# point on the same machine, entries lose at side 27 (0.19 against 0.18 ms in a
+# 21-point stack, 2.4 against 0.9 ms alone) and win at 64 (0.28 against 0.60,
+# 2.3 against 3.3 ms).
 BLOCK_SPLIT_MIN_SIDE = 64
 
 
@@ -38,9 +43,71 @@ def is_hermitian(m: np.ndarray, atol: float = VALIDITY_ATOL) -> bool:
     return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0)) <= atol
 
 
-def _check_unit_trace(m: np.ndarray) -> None:
+@dataclass(frozen=True, eq=False)
+class _Entries:
+    """A stack of matrices on the register ``dims`` that share one pattern:
+    matrix ``b`` holds ``values[b, e]`` at ``(rows[e], cols[e])`` and zeros
+    elsewhere, with no two entries at one position. Values of shape ``(nnz,)``
+    are one matrix; indexing selects matrices, as on a dense stack."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    dims: tuple[int, ...]
+
+    @classmethod
+    def of(cls, m: np.ndarray, dims: tuple[int, ...]) -> "_Entries":
+        """The dense stack ``m`` at its joint nonzero pattern."""
+        rows, cols = _pattern(m)
+        return cls(rows, cols, m[..., rows, cols], dims)
+
+    @classmethod
+    def summed(
+        cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dims: tuple[int, ...]
+    ) -> "_Entries":
+        """Entries at positions that may repeat: the values at one position are
+        summed, and positions that are zero in every matrix dropped."""
+        side = prod(dims)
+        keys, where = np.unique(rows * side + cols, return_inverse=True)
+        flat = values.reshape(-1, values.shape[-1])
+        at = (where + len(keys) * np.arange(len(flat))[:, None]).ravel()
+        size = len(flat) * len(keys)
+        real, imag = (np.bincount(at, part.ravel(), size) for part in (flat.real, flat.imag))
+        sums = (real + 1j * imag).reshape(*values.shape[:-1], len(keys))
+        keep = np.any(sums != 0, axis=tuple(range(sums.ndim - 1)))
+        return cls(*np.divmod(keys[keep], side), sums[..., keep], dims)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index) -> "_Entries":
+        return _Entries(self.rows, self.cols, self.values[index], self.dims)
+
+
+def _pattern(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the joint nonzero pattern of the stack ``h``: one scan."""
+    n = h.shape[-1]
+    return np.divmod(np.flatnonzero(np.any(h != 0, axis=tuple(range(h.ndim - 2)))), n)
+
+
+def _scatter(e: _Entries) -> np.ndarray:
+    """The dense stack of the entries ``e``."""
+    side = prod(e.dims)
+    m = np.zeros((*e.values.shape[:-1], side, side), dtype=complex)
+    m[..., e.rows, e.cols] = e.values
+    return m
+
+
+def _traces(m: np.ndarray | _Entries) -> np.ndarray:
+    """Trace of each matrix of the stack ``m``."""
+    if isinstance(m, _Entries):
+        return m.values[..., m.rows == m.cols].sum(axis=-1)
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _check_unit_trace(m: np.ndarray | _Entries) -> None:
     """Raise unless every matrix of the stack ``m`` has unit trace within tolerance."""
-    tr = np.trace(m, axis1=-2, axis2=-1)
+    tr = _traces(m)
     bad = np.abs(tr - 1.0) > VALIDITY_ATOL
     if bad.any():
         raise ValueError(f"density operator must have unit trace, got {complex(tr[bad].flat[0])}")
@@ -78,17 +145,26 @@ class DensityOperator:
         object.__setattr__(self, "dims", dims)
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityOperator":
-        """A state from a checked stack: no conversion and no per-object check."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", matrix)
+    def _trusted(cls, matrix: np.ndarray | _Entries, dims: tuple[int, ...]) -> "DensityOperator":
+        """A state from a checked stack: no conversion and no per-object check.
+        The entries of one matrix give an entry-held state (see ``_EntryOperator``)."""
+        if isinstance(matrix, _Entries):
+            rho = object.__new__(_EntryOperator)
+            object.__setattr__(rho, "entries", matrix)
+        else:
+            rho = object.__new__(cls)
+            object.__setattr__(rho, "matrix", matrix)
         object.__setattr__(rho, "dims", dims)
         return rho
+
+    def _entries(self) -> _Entries:
+        """The state as the entries of one matrix."""
+        return _Entries.of(self.matrix, self.dims)
 
     @property
     def dim(self) -> int:
         """Side of the full matrix."""
-        return self.matrix.shape[0]
+        return prod(self.dims)
 
     @property
     def subsystem_count(self) -> int:
@@ -100,6 +176,24 @@ class DensityOperator:
         if min_eig < -atol:
             raise ValueError(f"density operator has negative eigenvalue {min_eig}")
         return self
+
+
+class _EntryOperator(DensityOperator):
+    """A trusted state held as the entries of one matrix. ``matrix`` scatters
+    them on its first read and keeps the result; ``dim`` and ``dims`` never do."""
+
+    entries: _Entries
+
+    @property
+    def matrix(self) -> np.ndarray:
+        dense = self.__dict__.get("_dense")
+        if dense is None:
+            dense = _scatter(self.entries)
+            object.__setattr__(self, "_dense", dense)
+        return dense
+
+    def _entries(self) -> _Entries:
+        return self.entries
 
 
 @dataclass(frozen=True)
@@ -162,8 +256,18 @@ def partial_transpose(rho: DensityOperator, part: Bipartition) -> np.ndarray:
     return _partial_transpose(rho.matrix, rho.dims, part.side_a)
 
 
-def _partial_transpose(m: np.ndarray, dims: tuple[int, ...], side_a: Iterable[int]) -> np.ndarray:
-    """Each matrix of the stack ``m`` with the indices of ``side_a`` transposed."""
+def _partial_transpose(
+    m: np.ndarray | _Entries, dims: tuple[int, ...], side_a: Iterable[int]
+) -> np.ndarray | _Entries:
+    """Each matrix of the stack ``m`` with the indices of ``side_a`` transposed;
+    on entries, each entry's row and column digits of ``side_a`` swap."""
+    if isinstance(m, _Entries):
+        rows, cols = m.rows, m.cols
+        for i in side_a:
+            stride = prod(dims[i + 1 :])
+            shift = ((cols // stride) % dims[i] - (rows // stride) % dims[i]) * stride
+            rows, cols = rows + shift, cols - shift
+        return _Entries(rows, cols, m.values, m.dims)
     n, lead = len(dims), m.ndim - 2
     tensor = m.reshape(*m.shape[:lead], *dims, *dims)
     axes = list(range(lead + 2 * n))
@@ -172,13 +276,16 @@ def _partial_transpose(m: np.ndarray, dims: tuple[int, ...], side_a: Iterable[in
     return np.ascontiguousarray(tensor.transpose(axes).reshape(m.shape))
 
 
-def _component_labels(h: np.ndarray) -> np.ndarray:
+def _component_labels(h: np.ndarray | _Entries) -> np.ndarray:
     """Smallest row index of each row's connected component in the joint
-    pattern of the stack ``h``, where a nonzero ``(i, j)`` of any matrix links
-    ``i`` and ``j``: one scan of the whole stack, then min-label propagation
-    along both directions of every nonzero, with pointer jumping."""
-    n = h.shape[-1]
-    rows, cols = np.divmod(np.flatnonzero(h != 0) % (n * n), n)
+    pattern of the stack ``h``, where an entry ``(i, j)`` links ``i`` and
+    ``j``: the entries' positions, or one scan of a dense stack for its
+    nonzeros, then min-label propagation along both directions of every
+    entry, with pointer jumping."""
+    if isinstance(h, _Entries):
+        n, rows, cols = prod(h.dims), h.rows, h.cols
+    else:
+        n, (rows, cols) = h.shape[-1], _pattern(h)
     labels = np.arange(n)
     while True:
         hooked = labels.copy()
@@ -199,48 +306,63 @@ def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndar
 
 # Stacks reach the solver through this name, so wrappers installed on the public
 # one-matrix name (profilers, the benchmark tracer) see one matrix per call.
-def _spectra(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarray:
+def _spectra(h: np.ndarray | _Entries, atol: float = VALIDITY_ATOL) -> np.ndarray:
     """Ascending real eigenvalues of each Hermitian matrix of the stack ``h``.
 
     Backed by LAPACK (Householder reduction plus QL/QR), which is accurate to
     machine precision for the well-conditioned matrices used here.
 
-    From side ``BLOCK_SPLIT_MIN_SIDE`` on, the rows are split into the
-    connected components of the stack's joint nonzero pattern (see
+    Entries, and dense stacks from side ``BLOCK_SPLIT_MIN_SIDE`` on, are split
+    into the connected components of the stack's joint pattern (see
     :func:`_component_labels`), labelled once for the whole stack. Entries
     between components are then exact zeros in every matrix, so each
-    spectrum is the union of its blocks' spectra: all blocks are gathered at
-    once, those of one size are solved by one batched ``eigvalsh``, and each
-    spectrum is sorted. The qudit partial transposes split into blocks of
-    side at most d. The hermiticity defect is taken over the blocks; it
-    equals the whole stack's, as the entries outside them are zero in both
-    triangles. A stack of smaller sides, or whose joint pattern is one
-    component (after a random local unitary, say), is checked for
-    hermiticity once and solved by one batched dense ``eigvalsh``.
+    spectrum is the union of its blocks' spectra: all blocks are filled from
+    the entries at once, those of one size are solved by one batched
+    ``eigvalsh``, and each spectrum is sorted. The qudit partial transposes
+    split into blocks of side at most d. The hermiticity defect is taken over
+    the blocks; it equals the whole stack's, as the entries outside them are
+    zero in both triangles. A dense stack of smaller sides, or whose joint
+    pattern is one component (after a random local unitary, say), is checked
+    for hermiticity once and solved by one batched dense ``eigvalsh``.
     """
+    if isinstance(h, _Entries):
+        return _block_eigenvalues(h, _component_labels(h), atol)
     if h.ndim >= 2 and h.shape[-1] == h.shape[-2] >= BLOCK_SPLIT_MIN_SIDE:
-        labels = _component_labels(h)
+        entries = _Entries.of(h, (h.shape[-1],))
+        labels = _component_labels(entries)
         if labels.any():  # all zero: one component
-            return _block_eigenvalues(h, labels, atol)
+            return _block_eigenvalues(entries, labels, atol)
     if not is_hermitian(h, atol):
         raise ValueError("input is not Hermitian within tolerance")
     return np.linalg.eigvalsh(h)
 
 
-def _block_eigenvalues(h: np.ndarray, labels: np.ndarray, atol: float) -> np.ndarray:
+def _block_eigenvalues(h: np.ndarray | _Entries, labels: np.ndarray, atol: float) -> np.ndarray:
     """Ascending spectra of the stack ``h`` from its diagonal blocks, one block
-    per distinct value of ``labels``; ``h`` vanishes between different labels."""
-    sizes = np.unique(labels, return_counts=True)[1]
-    rows = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    blocks = []
-    for size in np.unique(sizes):
-        index = rows[starts[sizes == size, None] + np.arange(size)]
-        blocks.append(h[..., index[:, :, None], index[:, None, :]])
-    # max |h - h^H| over each stack of blocks, as is_hermitian takes it
-    if not all(np.max(np.abs(b - b.conj().swapaxes(-1, -2))) <= atol for b in blocks):
-        raise ValueError("input is not Hermitian within tolerance")
-    eigs = [np.linalg.eigvalsh(b).reshape(*h.shape[:-2], -1) for b in blocks]
+    per distinct value of ``labels`` (row indices, as :func:`_component_labels`
+    gives); entries of ``h`` between different labels are left out."""
+    e = h if isinstance(h, _Entries) else _Entries.of(h, (h.shape[-1],))
+    n, lead = len(labels), e.values.shape[:-1]
+    count = np.bincount(labels, minlength=n)  # rows per label
+    order = np.argsort(labels, kind="stable")
+    slot = np.empty(n, dtype=np.int64)  # position of each row in its block
+    slot[order] = np.arange(n) - (np.cumsum(count) - count)[labels[order]]
+    inside = labels[e.rows] == labels[e.cols]
+    rows, cols, values = e.rows[inside], e.cols[inside], e.values[..., inside]
+    eigs = []
+    for size in np.unique(count[count > 0]):
+        of_size = count == size
+        index = np.cumsum(of_size) - 1  # position of each such block among them
+        at = of_size[labels[rows]]
+        r, c = rows[at], cols[at]
+        blocks = np.zeros((*lead, int(of_size.sum()), size, size), dtype=complex)
+        blocks[..., index[labels[r]], slot[r], slot[c]] = values[..., at]
+        # max |h - h^H| over the stack of blocks, as is_hermitian takes it
+        if np.max(np.abs(blocks - blocks.conj().swapaxes(-1, -2)), initial=0.0) > atol:
+            raise ValueError("input is not Hermitian within tolerance")
+        # eigvalsh of a 1 x 1 block is the real part of its entry
+        solved = blocks[..., 0, 0].real if size == 1 else np.linalg.eigvalsh(blocks)
+        eigs.append(solved.reshape(*lead, -1))
     return np.sort(np.concatenate(eigs, axis=-1), axis=-1)
 
 

@@ -14,15 +14,18 @@ from hypothesis import strategies as st
 
 import edss.measures
 import edss.tensor
-from edss.channels import KrausChannel, apply_to_subsystem, identity_channel, noise_channel
+from edss.channels import KrausChannel, _embed, apply_to_subsystem, identity_channel, noise_channel
 from edss.measures import negativity
-from edss.protocols import SPECS, _drive, partition_name, qudit_states, run_qudit
+from edss.protocols import SPECS, Cnot, _drive, partition_name, qudit_states, run_qudit
+from edss.states import _cnot, qudit_initial_state
 from edss.tensor import (
     BLOCK_SPLIT_MIN_SIDE,
     VALIDITY_ATOL,
     Bipartition,
     _block_eigenvalues,
     _component_labels,
+    _partial_transpose,
+    _spectra,
     hermitian_eigenvalues,
     partial_transpose,
 )
@@ -60,6 +63,20 @@ def largest_block(pt):
     return int(np.bincount(_component_labels(pt)).max())
 
 
+def dense_steps(d, ch):
+    """The qudit step states under ``ch`` from the dense start state, through
+    the dense CNOT and channel kernels."""
+    dims, state, states = (d,) * 3, qudit_initial_state(d).matrix, []
+    for step in SPECS["qudit", "probabilistic"].steps:
+        for op in step.ops:
+            if isinstance(op, Cnot):
+                state = _cnot(state, dims, op.control, op.target, op.inverse)
+            else:
+                state = _embed(ch.transfer_tensor(), state, dims, op.target)
+        states.append(state)
+    return states
+
+
 def recorded_pairs(trace):
     """(recorded value, state, partition) for every negativity a qudit trace
     records: each step against its recorded sides, then each branch post
@@ -84,11 +101,17 @@ def recorded_pairs(trace):
 def test_every_qudit_partial_transpose_matches_dense(d, kind):
     dense_spectra = {}
     for x in NOISE_LEVELS:
-        pairs = recorded_pairs(run_qudit(d, noise_channel(kind, d, x)))
+        ch = noise_channel(kind, d, x)
+        trace = run_qudit(d, ch)
+        for (_, rho), want in zip(trace.steps, dense_steps(d, ch), strict=True):
+            assert np.max(np.abs(rho.matrix - want)) <= EIG_ATOL
+        pairs = recorded_pairs(trace)
         assert len(pairs) == 8 + d
         for recorded, rho, part in pairs:
             pt = assert_matches_dense(rho, part, dense_spectra)
             dense = dense_spectra[pt.tobytes()]
+            entries = _partial_transpose(rho._entries(), rho.dims, part.side_a)
+            assert np.max(np.abs(_spectra(entries) - dense)) <= EIG_ATOL
             with patch.object(edss.measures, "hermitian_eigenvalues", lambda h: dense):
                 assert abs(recorded - negativity(rho, part).value) <= REPORTED_ATOL
             if pt.shape[0] >= BLOCK_SPLIT_MIN_SIDE:
@@ -198,8 +221,9 @@ def test_stacked_drive_labels_each_stack_once():
     ) as spy:
         _drive(SPECS["qudit", "probabilistic"], batch, 4)
     # one c|ab solve at each of the four steps, a|bc and b|ac after the
-    # channel and after Bob's CNOT; the post-measurement states are side 16
-    assert spy.call_count == 8
+    # channel and after Bob's CNOT, and a|b on each of the four outcomes' post
+    # states, which are entry stacks as well
+    assert spy.call_count == 12
 
 
 def test_one_sided_entry_between_joint_components_of_a_stack():

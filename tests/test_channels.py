@@ -21,7 +21,7 @@ from edss import (
     is_extreme_point,
     unital_cp_condition,
 )
-from edss.channels import CanonicalChannel, KrausChannel, has_canonical_form
+from edss.channels import CanonicalChannel, KrausChannel, has_canonical_form, noise_channel
 
 from explicit_forms import (
     canonical_action,
@@ -400,6 +400,27 @@ class TestChannelFromConfig:
             channel_from_config({"kind": "depolarizing"})
         with pytest.raises(ValueError):
             channel_from_config({"kind": "canonical", "d": 3, "lambda1": 1})
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "depolarizing", "d": 2.5, "p": 0.1},
+            {"kind": "amplitude_damping", "d": 3.9, "gamma": 0.1},
+            {"kind": "depolarizing", "d": float("inf"), "p": 0.1},
+            {"kind": "amplitude_damping", "d": float("nan"), "gamma": 0.1},
+        ],
+    )
+    def test_non_integral_dimension_rejected(self, config):
+        message = f"dimension d must be an integer, got {config['d']!r}"
+        with pytest.raises(ValueError, match=message):
+            channel_from_config(config)
+
+    def test_integral_float_dimension_accepted(self):
+        for kind, param in (("depolarizing", "p"), ("amplitude_damping", "gamma")):
+            ch = channel_from_config({"kind": kind, "d": 3.0, param: 0.2})
+            assert ch.dim == 3 and type(ch.dim) is int
+            want = noise_channel(kind, 3, 0.2).transfer_tensor()
+            assert np.array_equal(ch.transfer_tensor(), want)
 
 
 class TestCanonicalFormDetection:

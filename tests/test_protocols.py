@@ -28,6 +28,7 @@ from edss import (
 from edss import checks, protocols
 from edss.channels import KrausChannel, has_canonical_form
 from edss.protocols import CHAIN_ATOL, MAX_DIM_CEILING, SEPARABILITY_ATOL, SPECS
+from edss.reference import CLOSED_FORM_ATOL
 
 from explicit_forms import (
     ad_deterministic_output,
@@ -425,6 +426,20 @@ class TestCriticalNoise:
         found = critical_noise(fn)
         assert len(calls) == 5
         assert abs(found - d / (d + 1)) < 1e-9
+
+    @pytest.mark.parametrize("d", range(2, MAX_DIM_CEILING + 1))
+    def test_qudit_root_is_d_over_d_plus_one_up_to_the_ceiling(self, d):
+        """The simulated root, not the closed form: the driver's qudit average
+        at every admitted d, entry stacks from d = 4 on."""
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return protocols.qudit_average_only(d, "depolarizing", x)
+
+        found = critical_noise(fn)
+        assert len(calls) == 5
+        assert abs(found - d / (d + 1)) <= CLOSED_FORM_ATOL
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_kinked_ghz_curves_land_on_the_bisection_root(self, side):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edss import protocols
+from edss import protocols, tensor
 from edss.channels import (
     CanonicalChannel,
     DepolarizingChannel,
@@ -52,22 +52,23 @@ def qubit_channel():
     )
 
 
-def qutrit_channel():
-    """The admitted qudit class at d = 3: depolarizing, amplitude damping and
+def qudit_channel(d):
+    """The admitted qudit class at d > 2: depolarizing, amplitude damping and
     Z-twirled random channels."""
     return st.one_of(
-        probability.map(lambda p: depolarizing(3, p)),
-        st.one_of(st.just(1.0), probability).map(lambda g: amplitude_damping(3, g)),
-        seed.map(lambda s: KrausChannel(tuple(z_twirl(stinespring_kraus(s, 3), 3)))),
+        probability.map(lambda p: depolarizing(d, p)),
+        st.one_of(st.just(1.0), probability).map(lambda g: amplitude_damping(d, g)),
+        seed.map(lambda s: KrausChannel(tuple(z_twirl(stinespring_kraus(s, d), d)))),
     )
 
 
 @st.composite
 def batches(draw, key):
-    """(d, batch) for one SPECS entry: 1 to 7 channel tuples."""
+    """(d, batch) for one SPECS entry: 1 to 7 channel tuples. At d = 4 the
+    qudit register (side 64) holds entry stacks, below it dense ones."""
     spec = SPECS[key]
-    d = draw(st.sampled_from([2, 3])) if spec.takes_d else 2
-    channel = qubit_channel() if d == 2 else qutrit_channel()
+    d = draw(st.sampled_from([2, 3, 4])) if spec.takes_d else 2
+    channel = qubit_channel() if d == 2 else qudit_channel(d)
     batch = []
     for _ in range(draw(st.integers(1, 7))):
         ch = draw(channel)
@@ -178,6 +179,25 @@ def test_ghz_sweep_spans_chunks_and_matches_point_by_point(monkeypatch):
             assert abs(got[column] - value) <= VALUE_ATOL
 
 
+def test_qudit_sweep_builds_no_dense_state(monkeypatch):
+    # d = 6: every stack and trace state is an entry list, and the 21 points fit one chunk
+    sizes, scattered = [], []
+    scatter = tensor._scatter
+
+    def counting(entry, batch, *args):
+        sizes.append(len(batch))
+        return _drive(entry, batch, *args)
+
+    monkeypatch.setattr(protocols, "_drive", counting)
+    monkeypatch.setattr(tensor, "_scatter", lambda e: scattered.append(e) or scatter(e))
+    rows = sweep_rows(SweepSpec("qudit", "depolarizing", "p", "", d=6, points=21))
+    assert len(rows) == 21 and sizes == [21]
+    assert len(scattered) == 0
+    # the spy sees a dense read of an entry state
+    run_qudit(6, depolarizing(6, 0.3)).steps[-1][1].matrix
+    assert len(scattered) == 1
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -220,11 +240,13 @@ def test_one_perturbed_matrix_fails_the_stacked_solve(d):
 
 
 def test_unit_trace_checked_per_stack(monkeypatch):
-    leaky = KrausChannel((np.sqrt(0.5) * np.eye(2, dtype=complex),))
     monkeypatch.setattr(protocols, "_admit", lambda spec, batch, d, labels: [[] for _ in batch])
-    batch = [(depolarizing(2, 0.1),), (leaky,), (depolarizing(2, 0.3),)]
-    with pytest.raises(ValueError, match="density operator must have unit trace"):
-        _drive(SPECS["two_qubit", "probabilistic"], batch)
+    # a dense stack (side 8) and an entry stack (side 64)
+    for key, d in ((("two_qubit", "probabilistic"), 2), (("qudit", "probabilistic"), 4)):
+        leaky = KrausChannel((np.sqrt(0.5) * np.eye(d, dtype=complex),))
+        batch = [(depolarizing(d, 0.1),), (leaky,), (depolarizing(d, 0.3),)]
+        with pytest.raises(ValueError, match="density operator must have unit trace"):
+            _drive(SPECS[key], batch, d)
 
 
 def test_non_cpt_point_mid_batch_is_named(tmp_path):
