@@ -17,12 +17,11 @@ closed forms and its ``edss describe`` text. One driver walks an entry;
 sweeps, check suites and the CLI read the same table.
 
 The driver runs a batch of points at once: each state is a stack with one
-matrix per point, and every operation acts on the whole stack. The register
-side picks the stack's kind: dense matrices below
-``tensor.BLOCK_SPLIT_MIN_SIDE``, entry lists that share one pattern from
-there on (the qudit register from d = 4), whose trace states build their
-dense matrix only when it is read. Either way the traces can be checked
-elementwise against analytic block forms.
+matrix per point, and every operation acts on the whole stack. A stack is an
+entry list (``tensor._Entries``): one pattern of positions that every point
+shares, and one row of values per point. The states of a trace build their
+dense matrix only when it is read, and can then be checked elementwise
+against analytic block forms.
 """
 
 from __future__ import annotations
@@ -46,12 +45,12 @@ from .states import (
     qudit_initial_state,
 )
 from .tensor import (
-    BLOCK_SPLIT_MIN_SIDE,
     Bipartition,
     DensityOperator,
     _check_unit_trace,
     _Entries,
     _partial_trace,
+    _scatter,
 )
 
 # Where the paper's identities hold, chain spreads and exchange negativities are ~1e-15.
@@ -191,7 +190,7 @@ class ProtocolSpec:
     success_pairs: tuple[tuple[int, int], ...] = ()
     # local map replacing the measurement in the deterministic mode, from a
     # stack of final states to a stack of (2, 2) pair states
-    deterministic: Callable[[np.ndarray], np.ndarray] | None = None
+    deterministic: Callable[[_Entries], _Entries] | None = None
     identity_chains: dict[str, tuple[str, ...]]
     # chains that need the same channel on every exchange subsystem
     symmetry_chains: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -234,13 +233,11 @@ def _noise_summary(*channels: QuditChannel) -> dict[str, object]:
 
 def _evolve(
     spec: ProtocolSpec, batch: Sequence[Sequence[QuditChannel]], dims: tuple[int, ...]
-) -> list[tuple[str, np.ndarray | _Entries]]:
+) -> list[tuple[str, _Entries]]:
     """Labelled state stacks of ``spec`` on the register ``dims``, row b evolved
     under the channels ``batch[b]``. Until the first channel every point holds the
-    same state, so those stacks keep one row; the channel step broadcasts to the batch.
-    From side ``BLOCK_SPLIT_MIN_SIDE`` on the stacks are entries, not dense."""
-    start = spec.initial(dims[0])
-    state = (start._entries() if prod(dims) >= BLOCK_SPLIT_MIN_SIDE else start.matrix)[None]
+    same state, so those stacks keep one row; the channel step broadcasts to the batch."""
+    state = spec.initial(dims[0])._entries()[None]
     states = []
     for step in spec.steps:
         for op in step.ops:
@@ -265,8 +262,8 @@ def _register(spec: ProtocolSpec, d: int) -> tuple[int, ...]:
 
 
 def _branches(
-    spec: ProtocolSpec, final: np.ndarray | _Entries, dims: tuple[int, ...]
-) -> tuple[list[tuple[tuple[int, ...], np.ndarray, np.ndarray | _Entries]], tuple[int, ...]]:
+    spec: ProtocolSpec, final: _Entries, dims: tuple[int, ...]
+) -> tuple[list[tuple[tuple[int, ...], np.ndarray, _Entries]], tuple[int, ...]]:
     """Measure ``spec.measured`` in order on the stack ``final``: per outcome
     tuple the probabilities and post states (see ``states._measure``), and
     the dims of the post states. A branch is null where its probability is 0."""
@@ -278,7 +275,7 @@ def _branches(
         branches = [
             (outcome + (m,), prob * p, post)
             for outcome, prob, state in branches
-            for m, (p, post) in enumerate(_measure(state, dims, target))
+            for m, (p, post) in enumerate(_measure(state, target))
         ]
         dims = dims[:target] + dims[target + 1 :]
     return branches, dims
@@ -351,9 +348,7 @@ def _new_trace(
     return trace
 
 
-def _record(
-    stack: np.ndarray | _Entries, dims: tuple[int, ...], side: Sequence[int], count: int
-) -> list[float]:
+def _record(stack: _Entries, dims: tuple[int, ...], side: Sequence[int], count: int) -> list[float]:
     """Negativity across ``side`` of each of ``count`` points in ``stack``, which
     has one row per point or one row that they all share."""
     if not count:
@@ -381,7 +376,7 @@ def _drive(
     states = _evolve(spec, batch, dims)
     for step, (label, stack) in zip(spec.steps, states):
         for b, trace in enumerate(traces):
-            trace.steps.append((label, DensityOperator._trusted(stack[b % len(stack)], dims)))
+            trace.steps.append((label, DensityOperator._trusted(stack[b % len(stack)])))
         for side in (spec.exchange, *step.record):
             key = f"{partition_name(spec.subsystems, side)}@{label}"
             for trace, value in zip(traces, _record(stack, dims, side, len(traces))):
@@ -391,9 +386,10 @@ def _drive(
     if spec.deterministic is not None:
         out = spec.deterministic(final)
         _check_unit_trace(out)
-        values = zip(_record(out, PAIR_DIMS, (0,), len(traces)), _concurrences(out).tolist())
+        concurrences = _concurrences(_scatter(out)).tolist()
+        values = zip(_record(out, PAIR_DIMS, (0,), len(traces)), concurrences)
         for b, (trace, (value, conc)) in enumerate(zip(traces, values)):
-            state = DensityOperator._trusted(out[b], PAIR_DIMS)
+            state = DensityOperator._trusted(out[b])
             trace.deterministic_output = DeterministicOutcome(state, value, conc)
         return traces
 
@@ -412,16 +408,16 @@ def _drive(
         if n == 0:
             success = {f"{name}@success": value for name, value in values.items()}
             for pair in spec.success_pairs:
-                reduced, pair_dims = _partial_trace(posts, rest_dims, pair)
+                reduced = _partial_trace(posts, pair)
                 _check_unit_trace(reduced)
                 key = f"{''.join(rest[i] for i in pair)}_pair@success"
-                success[key] = _record(reduced, pair_dims, (0,), len(posts))
+                success[key] = _record(reduced, reduced.dims, (0,), len(posts))
         rows = iter(range(len(posts)))  # live points only
         for trace, prob, alive in zip(traces, probs.tolist(), live):
             state, negs = None, {}
             if alive:
                 i = next(rows)
-                state = DensityOperator._trusted(posts[i], rest_dims)
+                state = DensityOperator._trusted(posts[i])
                 negs = {name: value[i] for name, value in values.items()}
                 trace.partition_negativities.update((k, v[i]) for k, v in success.items())
             trace.branches.append(MeasurementBranch(outcome, prob, state))
@@ -437,16 +433,15 @@ def _drive(
 
 def _chunk_points(spec: ProtocolSpec, d: int) -> int:
     """Points per pass: as many as fit in ``STACK_BYTES`` per stacked state, and
-    at least one. A dense state holds side^2 values per point. An entry state
-    holds at most d entries per entry of the start state for each channel step:
-    entry registers have d > 2, where only phase-covariant channels are
-    admitted, and those map |k><l| into the d entries with i - j = k - l (mod d)."""
+    at least one. A state holds at most side^2 entries per point, and at most the
+    start state's entry count times, for each channel step, the entries one entry
+    can fan out to: d at d > 2, where only phase-covariant channels are admitted
+    and map |k><l| into the d entries with i - j = k - l (mod d), and d^2 at
+    d = 2, where any CPT channel is admitted."""
     side = prod(_register(spec, d))
-    if side < BLOCK_SPLIT_MIN_SIDE:
-        values = side * side
-    else:
-        steps = sum(isinstance(op, Noise) for step in spec.steps for op in step.ops)
-        values = len(spec.initial(d)._entries().rows) * d**steps
+    steps = sum(isinstance(op, Noise) for step in spec.steps for op in step.ops)
+    fan_out = d if d > 2 else d * d
+    values = min(side * side, len(spec.initial(d)._entries().rows) * fan_out**steps)
     return max(1, STACK_BYTES // (16 * values))
 
 
@@ -473,7 +468,7 @@ def _states(
     _admit(spec, [channels], d)
     states = _evolve(spec, [channels], dims)
     return [
-        (label, DensityOperator(DensityOperator._trusted(stack[0], dims).matrix, dims))
+        (label, DensityOperator(_scatter(stack[0]), dims))
         for label, stack in states
     ]
 
@@ -779,11 +774,15 @@ def critical_noise(
     """Boundary above which a nonincreasing nonnegative curve is (numerically) zero.
 
     Returns ``hi`` if the curve is positive at ``hi``, ``lo`` if it vanishes
-    there, else a point within ``tol/2`` of the boundary. Secants through the
-    last two positive points aim at ``zero_atol``; a guess stands once ``fn``
-    straddles it at guess ± tol/2, and both probes narrow the bracket. The
-    first step, guesses outside the bracket and all after five failures bisect.
-    A non-finite value of ``fn`` raises, since no comparison could place it.
+    there, else a point within ``tol/2`` of the boundary. Each round aims the
+    secant through the last two positive iterates at ``zero_atol`` and adds one
+    iterate: probes tol apart differ by ~1e-13 against rounding noise of ~1e-16,
+    too little to aim by. The guess is probed once while the miss it predicts
+    (step^2 / previous step) exceeds tol/2; below that, and right after a
+    bisection, it is probed at guess ± tol/2 and stands once ``fn`` straddles
+    ``zero_atol`` there. The first step, guesses outside the bracket and all
+    rounds after three failed pairs bisect. A non-finite value of ``fn`` raises,
+    since no comparison could place it.
     """
     for name, value in (("lo", lo), ("hi", hi), ("zero_atol", zero_atol), ("tol", tol)):
         if not np.isfinite(value):
@@ -804,20 +803,24 @@ def critical_noise(
     prev = last = (lo, f(lo))
     if last[1] <= zero_atol:
         return lo
-    low, high, failed = lo, hi, 0
+    low, high, failed, bisected = lo, hi, 0, True
     while high - low > tol:
         (x0, f0), (x1, f1) = prev, last
-        # Five tries keep the kinked GHZ averages at 13 evaluations; three cost 48.
-        guess = x1 + (zero_atol - f1) * (x1 - x0) / (f1 - f0) if failed < 5 and f1 != f0 else low
-        probes = (guess - tol / 2, guess + tol / 2) if low < guess < high else ((low + high) / 2,)
+        # The kinked GHZ averages fail at most two pairs; a concave curve fails every one.
+        guess = x1 + (zero_atol - f1) * (x1 - x0) / (f1 - f0) if failed < 3 and f1 != f0 else low
+        if not low < guess < high:
+            probes = ((low + high) / 2,)
+        elif bisected or (guess - x1) ** 2 <= tol / 2 * (x1 - x0):
+            probes = (guess - tol / 2, guess + tol / 2)
+        else:
+            probes = (guess,)
+        bisected = not low < guess < high
         values = [f(x) for x in probes]
-        for x, value in zip(probes, values):
-            if value > zero_atol:
-                low = max(low, x)
-                prev, last = last, (x, value)
-            else:
-                high = min(high, x)
         if len(probes) == 2 and values[0] > zero_atol >= values[1]:
             return guess
+        high = min([high] + [x for x, value in zip(probes, values) if value <= zero_atol])
+        if above := [(x, value) for x, value in zip(probes, values) if value > zero_atol]:
+            prev, last = last, above[-1]
+            low = max(low, last[0])
         failed += len(probes) == 2
     return 0.5 * (low + high)

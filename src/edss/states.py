@@ -3,8 +3,9 @@
 The protocol start states are phase-state mixtures whose k-average keeps
 exactly the coherences with phase exponents equal modulo the phase count;
 ``_phase_mixture`` writes that 0/1 pattern directly, as entries built once
-per state. The tests compare them with literal k-sums, and their post-CNOT
-forms with projector sums.
+per state. Each start state is held as those entries and builds its dense
+matrix on its first read. The tests compare them with literal k-sums, and
+their post-CNOT forms with projector sums.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def edss_initial_two_qubit() -> DensityOperator:
     states tagged by |1>, all at weight 1/6.
     """
     start = _phase_mixture(((0, 1), (0, -1)), 4, 2.0 / 3.0, (2,), ((0, 0, 1), (1, 1, 1)), 1.0 / 6.0)
-    return DensityOperator(_scatter(start), start.dims)
+    return DensityOperator._trusted(start)
 
 
 def ghz_initial_state() -> DensityOperator:
@@ -158,7 +159,7 @@ def ghz_initial_state() -> DensityOperator:
     """
     basis = tuple((m, m, m, j, l) for m in range(2) for j in range(2) for l in range(2) if j or l)
     start = _phase_mixture(((0, 1), (0, 2), (0, 4)), 7, 4.0 / 7.0, (2, 2), basis, 1.0 / 14.0)
-    return DensityOperator(_scatter(start), start.dims)
+    return DensityOperator._trusted(start)
 
 
 def qudit_initial_state(d: int) -> DensityOperator:
@@ -167,8 +168,7 @@ def qudit_initial_state(d: int) -> DensityOperator:
     Built from phase states |phi(+-k)> = (1/sqrt(d)) sum_j w^(+-s_j k) |j>
     with w = exp(2 pi i / D), D = 2^d - 1 and s_j = 2^j - 1, mixed over all
     k and tagged by |0> on the exchange qudit, plus the diagonal correlated
-    terms |j, j, l-j> for j != l. The state is held as its entries; its
-    dense matrix is built on its first read.
+    terms |j, j, l-j> for j != l.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -177,7 +177,7 @@ def qudit_initial_state(d: int) -> DensityOperator:
     start = _phase_mixture(
         (s, tuple(-x for x in s)), 2**d - 1, d / (2 * d - 1), (d,), basis, 1.0 / (d * (2 * d - 1))
     )
-    return DensityOperator._trusted(start, start.dims)
+    return DensityOperator._trusted(start)
 
 
 def _cnot_permutation(
@@ -238,46 +238,31 @@ def measure_computational(rho: DensityOperator, target: int) -> list[Measurement
         raise ValueError(f"target {target} out of range for {n} subsystems")
     if n == 1:
         raise ValueError("measuring the only subsystem leaves an empty register")
-    rest_dims = rho.dims[:target] + rho.dims[target + 1 :]
     return [
-        MeasurementBranch(m, float(p), DensityOperator(post, rest_dims) if p else None)
-        for m, (p, post) in enumerate(_measure(rho.matrix, rho.dims, target))
+        MeasurementBranch(m, float(p), DensityOperator(_scatter(post), post.dims) if p else None)
+        for m, (p, post) in enumerate(_measure(rho._entries(), target))
     ]
 
 
-def _measure(
-    m: np.ndarray | _Entries, dims: tuple[int, ...], target: int
-) -> list[tuple[np.ndarray, np.ndarray | _Entries]]:
+def _measure(m: _Entries, target: int) -> list[tuple[np.ndarray, _Entries]]:
     """Per outcome of measuring subsystem ``target`` of each matrix of the stack
     ``m``: the probabilities, 0 below ``ZERO_PROBABILITY_ATOL``, and the post
     states, normalized where the probability is not 0 (left unscaled there)."""
-    d = dims[target]
-    left, right = prod(dims[:target]), prod(dims[target + 1 :])
-    if isinstance(m, _Entries):
-        row_digit, col_digit = (m.rows // right) % d, (m.cols // right) % d
+    d, right = m.dims[target], prod(m.dims[target + 1 :])
+    row_digit, col_digit = (m.rows // right) % d, (m.cols // right) % d
 
-        def drop(index: np.ndarray) -> np.ndarray:  # the target digit of each index
-            return index // (d * right) * right + index % right
+    def drop(index: np.ndarray) -> np.ndarray:  # the target digit of each index
+        return index // (d * right) * right + index % right
 
-        rest = dims[:target] + dims[target + 1 :]
-        blocks = [
-            _Entries(drop(m.rows[at]), drop(m.cols[at]), m.values[..., at], rest)
-            for at in ((row_digit == k) & (col_digit == k) for k in range(d))
-        ]
-    else:
-        lead = m.shape[:-2]
-        r6 = m.reshape(*lead, left, d, right, left, d, right)
-        side = left * right
-        blocks = [r6[..., :, k, :, :, k, :].reshape(*lead, side, side) for k in range(d)]
+    rest = m.dims[:target] + m.dims[target + 1 :]
     outcomes = []
-    for block in blocks:
+    for k in range(d):
+        at = (row_digit == k) & (col_digit == k)
+        block = _Entries(drop(m.rows[at]), drop(m.cols[at]), m.values[..., at], rest)
         p = _traces(block).real
         p = np.where(p < ZERO_PROBABILITY_ATOL, 0.0, p)
         scale = np.where(p > 0.0, p, 1.0)[..., None]
-        if isinstance(block, _Entries):
-            outcomes.append((p, replace(block, values=block.values / scale)))
-        else:
-            outcomes.append((p, block / scale[..., None]))
+        outcomes.append((p, replace(block, values=block.values / scale)))
     return outcomes
 
 
@@ -299,11 +284,11 @@ def bob_deterministic_map(rho: DensityOperator) -> DensityOperator:
     """Deterministic finish: local channel on (b, c), then trace out c."""
     if rho.dims != (2, 2, 2):
         raise ValueError(f"expected a three-qubit register, got dims {rho.dims}")
-    return DensityOperator(_bob_deterministic(rho.matrix), (2, 2))
+    return DensityOperator(_scatter(_bob_deterministic(rho._entries())), (2, 2))
 
 
-def _bob_deterministic(m: np.ndarray) -> np.ndarray:
+def _bob_deterministic(m: _Entries) -> _Entries:
     """The deterministic finish on each three-qubit matrix of the stack ``m``:
     the local channel on the (b, c) pair as one subsystem, then c traced out."""
     out = _embed(_BOB_MAP.transfer_tensor(), m, (2, 4), 1)
-    return _partial_trace(out, (2, 2, 2), (0, 1))[0]
+    return _partial_trace(out, (0, 1))

@@ -4,8 +4,10 @@ Registers are described by a tuple of subsystem dimensions; the full matrix
 side is always the product of those dimensions, and indices are row-major.
 A stack of states is either dense, a ``complex`` array of shape
 ``(..., n, n)``, or an :class:`_Entries` list, whose matrices share one
-pattern of entries. The private kernels act on stacks of either kind; the
-public functions are those kernels on one dense state.
+pattern of entries. The protocol driver holds entries. The dense kernels
+serve the public one-state functions and the tests' oracles; where a kernel
+takes entries only (:func:`_partial_trace`, ``states._measure``), its public
+function converts at the call.
 """
 
 from __future__ import annotations
@@ -20,12 +22,8 @@ import numpy as np
 # noise. All matrices here are small (side <= 1000, the qudit register at
 # d = 10) with entries of magnitude <= 1.
 VALIDITY_ATOL = 1e-9
-# Smallest side whose spectrum is solved block by block: with one BLAS thread
-# on an x86-64 Xeon the split ties the dense solve at side 49 and wins from 64.
-# The protocol driver holds its states as entries from this side on. Per qudit
-# point on the same machine, entries lose at side 27 (0.19 against 0.18 ms in a
-# 21-point stack, 2.4 against 0.9 ms alone) and win at 64 (0.28 against 0.60,
-# 2.3 against 3.3 ms).
+# Smallest side whose dense spectrum is solved block by block: with one BLAS
+# thread on an x86-64 Xeon the split ties the dense solve at side 49 and wins from 64.
 BLOCK_SPLIT_MIN_SIDE = 64
 
 
@@ -144,17 +142,13 @@ class DensityOperator:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
 
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray | _Entries, dims: tuple[int, ...]) -> "DensityOperator":
-        """A state from a checked stack: no conversion and no per-object check.
-        The entries of one matrix give an entry-held state (see ``_EntryOperator``)."""
-        if isinstance(matrix, _Entries):
-            rho = object.__new__(_EntryOperator)
-            object.__setattr__(rho, "entries", matrix)
-        else:
-            rho = object.__new__(cls)
-            object.__setattr__(rho, "matrix", matrix)
-        object.__setattr__(rho, "dims", dims)
+    @staticmethod
+    def _trusted(entries: _Entries) -> "DensityOperator":
+        """The state of the entries of one matrix of a checked stack, on their
+        register: no conversion and no per-object check (see ``_EntryOperator``)."""
+        rho = object.__new__(_EntryOperator)
+        object.__setattr__(rho, "entries", entries)
+        object.__setattr__(rho, "dims", entries.dims)
         return rho
 
     def _entries(self) -> _Entries:
@@ -233,21 +227,26 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
         raise ValueError("keep must be nonempty")
     if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
         raise ValueError(f"subsystem index out of range for {n} subsystems")
-    return DensityOperator(*_partial_trace(rho.matrix, rho.dims, keep_sorted))
+    reduced = _partial_trace(rho._entries(), keep_sorted)
+    return DensityOperator(_scatter(reduced), reduced.dims)
 
 
-def _partial_trace(
-    m: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Each matrix of the stack ``m`` reduced to the subsystems ``keep``, and their dims."""
-    lead = m.ndim - 2
-    tensor = m.reshape(*m.shape[:lead], *dims, *dims)
-    dims_left = list(dims)
-    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        tensor = np.trace(tensor, axis1=lead + idx, axis2=lead + idx + len(dims_left))
-        dims_left.pop(idx)
-    side = prod(dims_left)
-    return tensor.reshape(*m.shape[:lead], side, side), tuple(dims_left)
+def _partial_trace(m: _Entries, keep: Iterable[int]) -> _Entries:
+    """Each matrix of the stack ``m`` reduced to the subsystems ``keep``: the
+    entries whose row and column digits agree on every other subsystem, with
+    those digits dropped, summed where they land on one position."""
+    keep, dims = set(keep), m.dims
+    rows = cols = np.zeros_like(m.rows)
+    same = np.ones(len(m.rows), dtype=bool)
+    for i, d in enumerate(dims):
+        stride = prod(dims[i + 1 :])
+        row, col = (m.rows // stride) % d, (m.cols // stride) % d
+        if i in keep:
+            rows, cols = rows * d + row, cols * d + col
+        else:
+            same &= row == col
+    kept = tuple(d for i, d in enumerate(dims) if i in keep)
+    return _Entries.summed(rows[same], cols[same], m.values[..., same], kept)
 
 
 def partial_transpose(rho: DensityOperator, part: Bipartition) -> np.ndarray:

@@ -441,15 +441,24 @@ class TestCriticalNoise:
         assert len(calls) == 5
         assert abs(found - d / (d + 1)) <= CLOSED_FORM_ATOL
 
-    @pytest.mark.parametrize("side", [0, 1])
-    def test_kinked_ghz_curves_land_on_the_bisection_root(self, side):
+    @pytest.mark.parametrize(
+        "side, ulps",
+        [
+            pytest.param(side, k, id=f"{side}" if k == 0 else f"{side}{k:+d}ulp")
+            for side in (0, 1)
+            for k in range(-4, 5)
+        ],
+    )
+    def test_kinked_ghz_curves_land_on_the_bisection_root(self, side, ulps):
         """The GHZ a|bc and b|ac averages have kinks where a branch's
-        negativity vanishes, so the secant steps are not exact there."""
+        negativity vanishes, so the secant steps are not exact there. Scaled by
+        1 + ulps * 2^-52, a curve moves by rounding noise only, which must not
+        steer the search."""
         calls = []
 
         def fn(x):
             calls.append(x)
-            return protocols.ghz_average_only("depolarizing", x, side)
+            return protocols.ghz_average_only("depolarizing", x, side) * (1 + ulps * 2.0**-52)
 
         found = critical_noise(fn)
         assert len(calls) <= 13

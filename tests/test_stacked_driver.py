@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edss import protocols, tensor
+from edss import protocols, states, tensor
 from edss.channels import (
     CanonicalChannel,
     DepolarizingChannel,
@@ -36,6 +36,7 @@ from explicit_forms import stinespring_kraus, z_twirl
 
 VALUE_ATOL = 1e-12
 STATE_ATOL = 1e-14
+GHZ_CHUNK = protocols._chunk_points(SPECS["ghz", "probabilistic"], 2)
 
 seed = st.integers(0, 2**32 - 1)
 probability = st.floats(0.0, 1.0)
@@ -64,8 +65,7 @@ def qudit_channel(d):
 
 @st.composite
 def batches(draw, key):
-    """(d, batch) for one SPECS entry: 1 to 7 channel tuples. At d = 4 the
-    qudit register (side 64) holds entry stacks, below it dense ones."""
+    """(d, batch) for one SPECS entry: 1 to 7 channel tuples."""
     spec = SPECS[key]
     d = draw(st.sampled_from([2, 3, 4])) if spec.takes_d else 2
     channel = qubit_channel() if d == 2 else qudit_channel(d)
@@ -168,7 +168,7 @@ def test_ghz_sweep_spans_chunks_and_matches_point_by_point(monkeypatch):
     monkeypatch.setattr(protocols, "_drive", counting)
     rows = sweep_rows(spec)
     assert len(sizes) > 1 and sum(sizes) == 101
-    assert max(sizes) == protocols.STACK_BYTES // (16 * 32 * 32)
+    assert max(sizes) == GHZ_CHUNK
     monkeypatch.setattr(protocols, "STACK_BYTES", 0)  # one point per chunk
     sizes.clear()
     single = sweep_rows(spec)
@@ -180,7 +180,8 @@ def test_ghz_sweep_spans_chunks_and_matches_point_by_point(monkeypatch):
 
 
 def test_qudit_sweep_builds_no_dense_state(monkeypatch):
-    # d = 6: every stack and trace state is an entry list, and the 21 points fit one chunk
+    # every stack and trace state is an entry list: at d = 6 the 21 points fit
+    # one chunk, and the 101-point two-qubit and GHZ sweeps scatter nothing either
     sizes, scattered = [], []
     scatter = tensor._scatter
 
@@ -189,9 +190,13 @@ def test_qudit_sweep_builds_no_dense_state(monkeypatch):
         return _drive(entry, batch, *args)
 
     monkeypatch.setattr(protocols, "_drive", counting)
-    monkeypatch.setattr(tensor, "_scatter", lambda e: scattered.append(e) or scatter(e))
+    for module in (tensor, states, protocols):
+        monkeypatch.setattr(module, "_scatter", lambda e: scattered.append(e) or scatter(e))
     rows = sweep_rows(SweepSpec("qudit", "depolarizing", "p", "", d=6, points=21))
     assert len(rows) == 21 and sizes == [21]
+    for protocol in ("two_qubit", "ghz"):
+        rows = sweep_rows(SweepSpec(protocol, "depolarizing", "p", "", points=101))
+        assert len(rows) == 101
     assert len(scattered) == 0
     # the spy sees a dense read of an entry state
     run_qudit(6, depolarizing(6, 0.3)).steps[-1][1].matrix
@@ -202,8 +207,12 @@ def test_qudit_sweep_builds_no_dense_state(monkeypatch):
     "run",
     [
         lambda: sweep_rows(SweepSpec("ghz", "depolarizing", "p", "", points=101)),
-        # 17 GHZ draws: one full chunk of 16, then one more
-        lambda: identity_suite(random_channels=85, grid_points=2, qudit_dims=(2,)),
+        # GHZ_CHUNK + 1 GHZ draws: one full chunk, then one more
+        lambda: identity_suite(
+            random_channels=SPECS["ghz", "probabilistic"].random_divisor * (GHZ_CHUNK + 1),
+            grid_points=2,
+            qudit_dims=(2,),
+        ),
     ],
     ids=["sweep_rows", "identity_suite"],
 )
@@ -219,7 +228,17 @@ def test_no_trace_outlives_its_chunk(monkeypatch, run):
 
     monkeypatch.setattr(protocols, "_drive", tracking)
     run()
-    assert 16 in map(len, chunks) and len(chunks) > 2  # a full GHZ chunk, then more
+    assert GHZ_CHUNK in map(len, chunks[:-1])  # a full GHZ chunk, then more
+
+
+def test_ghz_stacks_hold_no_more_entries_than_the_chunk_assumes():
+    # At d = 2 any CPT channel is admitted, and a Hadamard conjugation spreads
+    # each entry over all four positions of its target qubit.
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    hadamard, noisy = KrausChannel((h,)), depolarizing(2, 0.3)
+    batch = [(hadamard, hadamard), (hadamard, noisy), (noisy, noisy)]
+    for label, stack in protocols._evolve(SPECS["ghz", "probabilistic"], batch, (2,) * 5):
+        assert 16 * len(stack.rows) * GHZ_CHUNK <= protocols.STACK_BYTES, label
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -241,7 +260,7 @@ def test_one_perturbed_matrix_fails_the_stacked_solve(d):
 
 def test_unit_trace_checked_per_stack(monkeypatch):
     monkeypatch.setattr(protocols, "_admit", lambda spec, batch, d, labels: [[] for _ in batch])
-    # a dense stack (side 8) and an entry stack (side 64)
+    # entry stacks of side 8 and side 64
     for key, d in ((("two_qubit", "probabilistic"), 2), (("qudit", "probabilistic"), 4)):
         leaky = KrausChannel((np.sqrt(0.5) * np.eye(d, dtype=complex),))
         batch = [(depolarizing(d, 0.1),), (leaky,), (depolarizing(d, 0.3),)]

@@ -3,7 +3,7 @@
     python3 tools/bench_stacked.py --parent DIR --out BENCH.json \\
         [--run WORKLOAD:SEED:PAIRS ...] [--seconds 20] [--repeat 7]
 
-Three parts, all written to ``--out`` as JSON:
+Two parts, both written to ``--out`` as JSON:
 
 * ``micro``: seconds per grid point of one stacked ``protocols._drive``
   pass over a chunk of depolarizing points, against the same points run one
@@ -13,9 +13,6 @@ Three parts, all written to ``--out`` as JSON:
   (``protocols._chunk_points``), at most ``MAX_POINTS``. Each timing
   is the minimum of ``--repeat`` repeats, with the median and maximum as
   its spread.
-* ``crossover``: the same two timings for the qudit protocol at sides
-  around ``tensor.BLOCK_SPLIT_MIN_SIDE``, over a 21-point grid, once with
-  the driver's states dense and once as entries (the cut-off patched).
 * ``end_to_end``: ``benchmarks/run.py`` of the parent checkout ``--parent``
   and of this checkout in alternating order, through the runner of
   ``tools/bench_spectra.py`` (default: ``qubit_sweeps`` at seed 0 for ten
@@ -36,8 +33,6 @@ from bench_spectra import ROOT, THREAD_VARS, end_to_end, parse_run, timed
 
 MAX_POINTS = 101
 CASES = [("two_qubit", 2), ("ghz", 2)] + [("qudit", d) for d in range(2, 11)]
-CROSSOVER_DIMS = (3, 4, 5)  # sides 27, 64 and 125
-CROSSOVER_POINTS = 21
 DEFAULT_RUNS = [("qubit_sweeps", 0, 10), ("qudit_d6_sweeps", 0, 4), ("check_all", 0, 4)]
 
 
@@ -71,34 +66,6 @@ def micro(repeat: int) -> list[dict]:
     return rows
 
 
-def crossover(repeat: int) -> list[dict]:
-    from unittest.mock import patch
-
-    import numpy as np
-
-    from edss import protocols
-    from edss.channels import noise_channel
-
-    spec = protocols.SPECS["qudit", "probabilistic"]
-    rows = []
-    for d in CROSSOVER_DIMS:
-        xs = np.linspace(0.0, 1.0, CROSSOVER_POINTS)
-        grid = [(noise_channel("depolarizing", d, x),) for x in xs]
-        row = {"d": d, "side": d**3, "points": CROSSOVER_POINTS}
-        # the cut-off above every side holds the states dense, 0 makes them entries
-        for kind, cut in (("dense", sys.maxsize), ("entries", 0)):
-            with patch.object(protocols, "BLOCK_SPLIT_MIN_SIDE", cut):
-                stacked = timed(lambda: protocols._drive(spec, grid, d), repeat, 2)
-                single = timed(lambda: [protocols._drive(spec, [t], d) for t in grid], repeat, 1)
-            row[kind] = {
-                name: {k: v / CROSSOVER_POINTS for k, v in t.items()}
-                for name, t in (("stacked_s", stacked), ("one_point_s", single))
-            }
-        rows.append(row)
-        print(json.dumps(rows[-1]), flush=True)
-    return rows
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -116,10 +83,7 @@ def main() -> int:
         print(f"error: no benchmarks/run.py under {args.parent}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))
-    report = {
-        "micro": {"repeat": args.repeat, "per_case": micro(args.repeat)},
-        "crossover": crossover(args.repeat),
-    }
+    report = {"micro": {"repeat": args.repeat, "per_case": micro(args.repeat)}}
     records, summary = end_to_end(args.parent, args.run or DEFAULT_RUNS, args.seconds)
     report.update({"seconds": args.seconds, "end_to_end": records, "summary": summary})
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
