@@ -71,15 +71,26 @@ def _suffix(spec: ProtocolSpec, d: int) -> str:
 
 
 def _worst(
-    spec: ProtocolSpec, kind: str, d: int, points: int, formulas: Mapping[str, Formula] = FORMULAS
+    grids: dict,
+    spec: ProtocolSpec,
+    kind: str,
+    d: int,
+    points: int,
+    formulas: Mapping[str, Formula] = FORMULAS,
 ) -> dict[str, float]:
-    """Largest ``row_deviations`` per check over a [0, 1] sweep of ``kind`` noise."""
+    """Largest ``row_deviations`` per check over a [0, 1] sweep of ``kind`` noise,
+    kept in ``grids`` under ``(spec, kind, d, points)``: a grid memo for one
+    formula registry, so the suites that share it sweep each grid once."""
+    key = (spec, kind, d, points)
+    if key in grids:
+        return grids[key]
     param = CHANNEL_PARAMS[kind][0]
     sweep = SweepSpec(spec.protocol, kind, param, "", mode=spec.mode, d=d, points=points).validate()
     worst: dict[str, float] = {}
     for row in sweep_rows(sweep, formulas):
         for check, dev in row_deviations(sweep, row).items():
             worst[check] = max(worst.get(check, 0.0), dev)
+    grids[key] = worst
     return worst
 
 
@@ -88,14 +99,18 @@ def identity_suite(
     grid_points: int = 11,
     seed: int = DEFAULT_SEED,
     qudit_dims: Iterable[int] = (2, 3),
+    *,
+    grids: dict | None = None,
 ) -> list[CheckResult]:
     """Identity-chain deviations across random channels and noise grids.
 
     A protocol draws ``random_channels // random_divisor`` random CP
     canonical channels (its table entry sets the divisor), one chunk at a
-    time as the driver's chunk loop ``protocols._runs`` runs them.
+    time as the driver's chunk loop ``protocols._runs`` runs them. ``grids``
+    is a grid memo shared with the other suites of one ``run_checks`` call
+    (see ``_worst``).
     """
-    rng = np.random.default_rng(seed)
+    rng, grids = np.random.default_rng(seed), {} if grids is None else grids
     results = []
     for spec in _default_specs():
         if spec.random_divisor:
@@ -107,21 +122,21 @@ def identity_suite(
             results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))
         for kind in CLOSED_FORM_KINDS:
             for d in _dims(spec, qudit_dims):
-                dev = _worst(spec, kind, d, grid_points)["identity"]
+                dev = _worst(grids, spec, kind, d, grid_points)["identity"]
                 name = f"identity_{spec.protocol}_{kind}{_suffix(spec, d)}"
                 results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))
     return results
 
 
 def separability_suite(
-    grid_points: int = 11, qudit_dims: Iterable[int] = (2, 3)
+    grid_points: int = 11, qudit_dims: Iterable[int] = (2, 3), *, grids: dict | None = None
 ) -> list[CheckResult]:
     """Exchange-vs-rest negativities stay at zero at every protocol step."""
-    results = []
+    grids, results = {} if grids is None else grids, []
     for kind in CLOSED_FORM_KINDS:
         for spec in _default_specs():
             for d in _dims(spec, qudit_dims):
-                dev = _worst(spec, kind, d, grid_points)["separability"]
+                dev = _worst(grids, spec, kind, d, grid_points)["separability"]
                 name = f"separability_{spec.protocol}_{kind}{_suffix(spec, d)}"
                 results.append(CheckResult.from_deviation(name, dev, SEPARABILITY_ATOL))
     return results
@@ -131,12 +146,16 @@ def closed_form_suite(
     formulas: Mapping[str, Formula] | None = None,
     grid_points: int = 21,
     qudit_dims: Iterable[int] = QUDIT_DIMS,
+    *,
+    grids: dict | None = None,
 ) -> list[CheckResult]:
     """Compare every closed-form curve against the simulation on a grid.
 
     ``formulas`` may substitute an alternative registry, which is how the
     suite itself is tested against deliberately wrong constants.
     """
+    if grids is None or formulas is not None:  # a shared memo holds FORMULAS grids
+        grids = {}
     formulas = FORMULAS if formulas is None else formulas
     results = []
     for protocol in PROTOCOLS:
@@ -144,7 +163,7 @@ def closed_form_suite(
         for kind in CLOSED_FORM_KINDS:
             for d in _dims(specs[0], qudit_dims):
                 for spec in specs:
-                    worst = _worst(spec, kind, d, grid_points, formulas)
+                    worst = _worst(grids, spec, kind, d, grid_points, formulas)
                     results.extend(
                         CheckResult.from_deviation(
                             f"{fid}{_suffix(spec, d)}", worst[fid], CLOSED_FORM_ATOL
@@ -170,11 +189,14 @@ SUITES = {
 
 def run_checks(suite: str = "all", **kwargs) -> list[CheckResult]:
     """Run one named suite or all of them; ``kwargs`` maps a suite name to
-    the keyword arguments of that suite."""
+    the keyword arguments of that suite. The suites of one call share a grid
+    memo, so a noise grid that two of them check is swept once per call."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all', *SUITES)}")
     unknown = sorted(set(kwargs) - set(SUITES))
     if unknown:
         raise ValueError(f"unknown suite keywords {unknown}; choose from {tuple(SUITES)}")
-    names = SUITES if suite == "all" else (suite,)
-    return [row for name in names for row in SUITES[name](**kwargs.get(name, {}))]
+    names, grids = SUITES if suite == "all" else (suite,), {}
+    return [
+        row for name in names for row in SUITES[name](**kwargs.get(name, {}), grids=grids)
+    ]

@@ -13,7 +13,10 @@ from .states import MeasurementBranch
 from .tensor import (
     Bipartition,
     DensityOperator,
+    _Entries,
     _partial_transpose,
+    _plan,
+    _plan_spectra,
     _spectra,
     hermitian_eigenvalues,
     partial_transpose,
@@ -46,9 +49,16 @@ def negativity(rho: DensityOperator, part: Bipartition) -> NegativityResult:
     return NegativityResult(float(value), float(tn), min_dim, negatives)
 
 
-def _negativities(m: np.ndarray, dims: tuple[int, ...], part: Bipartition) -> np.ndarray:
-    """Negativity value across ``part`` of each matrix of the stack ``m``."""
-    return _from_spectra(_spectra(_partial_transpose(m, dims, part.side_a)), dims, part)[1]
+def _negativities(
+    m: np.ndarray | _Entries, dims: tuple[int, ...], part: Bipartition
+) -> np.ndarray:
+    """Negativity value across ``part`` of each matrix of the stack ``m``; the
+    partial transposes of entries are solved through their pattern's plan."""
+    if isinstance(m, _Entries):
+        eigs = _plan_spectra(_plan(m, part.side_a), m.values)
+    else:
+        eigs = _spectra(_partial_transpose(m, dims, part.side_a))
+    return _from_spectra(eigs, dims, part)[1]
 
 
 def _from_spectra(

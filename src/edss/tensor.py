@@ -8,6 +8,12 @@ pattern of entries. The protocol driver holds entries. The dense kernels
 serve the public one-state functions and the tests' oracles; where a kernel
 takes entries only (:func:`_partial_trace`, ``states._measure``), its public
 function converts at the call.
+
+Block spectra go through a plan (:func:`_plan`): the index arrays that put a
+pattern's entries, partially transposed, into its diagonal blocks. A plan
+depends on positions only, so the last ``PLAN_CACHE_SIZE`` plans are kept,
+keyed by ``(dims, side_a, rows bytes, cols bytes)``; they hold integer arrays
+and never a value.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ VALIDITY_ATOL = 1e-9
 # Smallest side whose dense spectrum is solved block by block: with one BLAS
 # thread on an x86-64 Xeon the split ties the dense solve at side 49 and wins from 64.
 BLOCK_SPLIT_MIN_SIDE = 64
+# Block plans kept, least recently used dropped first: run_checks("all") solves
+# 222 distinct patterns, whose plans and keys take 0.35 MB.
+PLAN_CACHE_SIZE = 256
+_PLANS: dict[tuple, tuple] = {}
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -313,7 +323,9 @@ def _spectra(h: np.ndarray | _Entries, atol: float = VALIDITY_ATOL) -> np.ndarra
 
     Entries, and dense stacks from side ``BLOCK_SPLIT_MIN_SIDE`` on, are split
     into the connected components of the stack's joint pattern (see
-    :func:`_component_labels`), labelled once for the whole stack. Entries
+    :func:`_component_labels`), labelled once per pattern: the block plan
+    (:func:`_plan`) is kept, by ``(dims, side_a, rows bytes, cols bytes)``,
+    for the last ``PLAN_CACHE_SIZE`` patterns, and holds no values. Entries
     between components are then exact zeros in every matrix, so each
     spectrum is the union of its blocks' spectra: all blocks are filled from
     the entries at once, those of one size are solved by one batched
@@ -325,37 +337,64 @@ def _spectra(h: np.ndarray | _Entries, atol: float = VALIDITY_ATOL) -> np.ndarra
     for hermiticity once and solved by one batched dense ``eigvalsh``.
     """
     if isinstance(h, _Entries):
-        return _block_eigenvalues(h, _component_labels(h), atol)
+        return _plan_spectra(_plan(h), h.values, atol)
     if h.ndim >= 2 and h.shape[-1] == h.shape[-2] >= BLOCK_SPLIT_MIN_SIDE:
         entries = _Entries.of(h, (h.shape[-1],))
-        labels = _component_labels(entries)
-        if labels.any():  # all zero: one component
-            return _block_eigenvalues(entries, labels, atol)
+        plan = _plan(entries)
+        if len(plan) > 1 or plan[0][1] > 1:  # more than one component
+            return _plan_spectra(plan, entries.values, atol)
     if not is_hermitian(h, atol):
         raise ValueError("input is not Hermitian within tolerance")
     return np.linalg.eigvalsh(h)
 
 
-def _block_eigenvalues(h: np.ndarray | _Entries, labels: np.ndarray, atol: float) -> np.ndarray:
-    """Ascending spectra of the stack ``h`` from its diagonal blocks, one block
-    per distinct value of ``labels`` (row indices, as :func:`_component_labels`
-    gives); entries of ``h`` between different labels are left out."""
-    e = h if isinstance(h, _Entries) else _Entries.of(h, (h.shape[-1],))
-    n, lead = len(labels), e.values.shape[:-1]
+def _plan(e: _Entries, side_a: Iterable[int] = ()) -> tuple:
+    """The block plan of the partial transposes across ``side_a`` of the stack
+    ``e`` (see :func:`_block_plan`), built on the first call for its pattern."""
+    side_a = tuple(sorted(side_a))
+    key = (e.dims, side_a, e.rows.tobytes(), e.cols.tobytes())
+    plan = _PLANS.pop(key, None)
+    if plan is None:
+        pt = _partial_transpose(e, e.dims, side_a)
+        plan = _block_plan(pt.rows, pt.cols, _component_labels(pt))
+        if len(_PLANS) >= PLAN_CACHE_SIZE:  # pop, not del: another thread may evict too
+            _PLANS.pop(next(iter(_PLANS)), None)
+    _PLANS[key] = plan
+    return plan
+
+
+def _block_plan(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> tuple:
+    """Per block size, ascending, ``(size, count, take, at)``: ``count`` diagonal
+    blocks of side ``size``, one per distinct value of ``labels`` with that
+    many rows (row indices, as :func:`_component_labels` gives), filled with
+    the entries ``take`` of the pattern ``(rows, cols)`` at the flat positions
+    ``at`` of a ``(count, size, size)`` array. Entries between different
+    labels are left out."""
+    n = len(labels)
     count = np.bincount(labels, minlength=n)  # rows per label
     order = np.argsort(labels, kind="stable")
     slot = np.empty(n, dtype=np.int64)  # position of each row in its block
     slot[order] = np.arange(n) - (np.cumsum(count) - count)[labels[order]]
-    inside = labels[e.rows] == labels[e.cols]
-    rows, cols, values = e.rows[inside], e.cols[inside], e.values[..., inside]
-    eigs = []
+    inside = np.flatnonzero(labels[rows] == labels[cols])
+    plan = []
     for size in np.unique(count[count > 0]):
         of_size = count == size
         index = np.cumsum(of_size) - 1  # position of each such block among them
-        at = of_size[labels[rows]]
-        r, c = rows[at], cols[at]
-        blocks = np.zeros((*lead, int(of_size.sum()), size, size), dtype=complex)
-        blocks[..., index[labels[r]], slot[r], slot[c]] = values[..., at]
+        take = inside[of_size[labels[rows[inside]]]]
+        r, c = rows[take], cols[take]
+        at = (index[labels[r]] * size + slot[r]) * size + slot[c]
+        plan.append((int(size), int(of_size.sum()), take, at))
+    return tuple(plan)
+
+
+def _plan_spectra(plan: tuple, values: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarray:
+    """Ascending spectra of the stack of entries ``values`` (shape ``(..., nnz)``)
+    from the diagonal blocks that ``plan`` (see :func:`_block_plan`) fills."""
+    lead, eigs = values.shape[:-1], []
+    for size, count, take, at in plan:
+        blocks = np.zeros((*lead, count * size * size), dtype=complex)
+        blocks[..., at] = values[..., take]
+        blocks = blocks.reshape(*lead, count, size, size)
         # max |h - h^H| over the stack of blocks, as is_hermitian takes it
         if np.max(np.abs(blocks - blocks.conj().swapaxes(-1, -2)), initial=0.0) > atol:
             raise ValueError("input is not Hermitian within tolerance")
@@ -363,6 +402,13 @@ def _block_eigenvalues(h: np.ndarray | _Entries, labels: np.ndarray, atol: float
         solved = blocks[..., 0, 0].real if size == 1 else np.linalg.eigvalsh(blocks)
         eigs.append(solved.reshape(*lead, -1))
     return np.sort(np.concatenate(eigs, axis=-1), axis=-1)
+
+
+def _block_eigenvalues(h: np.ndarray | _Entries, labels: np.ndarray, atol: float) -> np.ndarray:
+    """Ascending spectra of the stack ``h`` from its diagonal blocks, one block
+    per distinct value of ``labels``, through an uncached plan."""
+    e = h if isinstance(h, _Entries) else _Entries.of(h, (h.shape[-1],))
+    return _plan_spectra(_block_plan(e.rows, e.cols, labels), e.values, atol)
 
 
 def trace_norm(h: np.ndarray) -> float:

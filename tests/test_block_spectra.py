@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import edss.measures
 import edss.tensor
 from edss.channels import KrausChannel, _embed, apply_to_subsystem, identity_channel, noise_channel
-from edss.measures import negativity
+from edss.measures import _negativities, negativity
 from edss.protocols import SPECS, Cnot, _drive, partition_name, qudit_states, run_qudit
 from edss.states import _cnot, qudit_initial_state
 from edss.tensor import (
@@ -25,6 +25,8 @@ from edss.tensor import (
     _block_eigenvalues,
     _component_labels,
     _partial_transpose,
+    _plan,
+    _plan_spectra,
     _spectra,
     hermitian_eigenvalues,
     partial_transpose,
@@ -188,16 +190,21 @@ class TestNonHermitianInput:
             hermitian_eigenvalues(pt)
 
 
-def joint_stack(d, part):
-    """Partial transposes across ``part`` of the final qudit states under four
-    channels whose patterns differ, stacked one row per channel."""
+def final_states(d):
+    """The final qudit states under four channels whose patterns differ."""
     channels = [
         identity_channel(d),
         noise_channel("depolarizing", d, 0.3),
         noise_channel("amplitude_damping", d, 1.0),
         KrausChannel(tuple(z_twirl(stinespring_kraus(d, d), d))),
     ]
-    return np.stack([partial_transpose(qudit_states(d, ch)[-1][1], part) for ch in channels])
+    return [qudit_states(d, ch)[-1][1] for ch in channels]
+
+
+def joint_stack(d, part):
+    """Partial transposes across ``part`` of ``final_states``, stacked one row
+    per channel."""
+    return np.stack([partial_transpose(rho, part) for rho in final_states(d)])
 
 
 @pytest.mark.parametrize("d", [4, 5])
@@ -214,16 +221,81 @@ def test_joint_pattern_stack_matches_each_row_dense(d):
             assert np.max(np.abs(eigs - np.linalg.eigvalsh(row))) <= EIG_ATOL
 
 
-def test_stacked_drive_labels_each_stack_once():
+def test_stacked_drive_labels_each_stack_once(monkeypatch):
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
     batch = [(noise_channel("depolarizing", 4, p),) for p in (0.1, 0.3, 0.5, 0.7)]
     with patch.object(
         edss.tensor, "_component_labels", wraps=edss.tensor._component_labels
     ) as spy:
         _drive(SPECS["qudit", "probabilistic"], batch, 4)
-    # one c|ab solve at each of the four steps, a|bc and b|ac after the
-    # channel and after Bob's CNOT, and a|b on each of the four outcomes' post
-    # states, which are entry stacks as well
-    assert spy.call_count == 12
+        # 12 solves: one c|ab at each of the four steps, a|bc and b|ac after
+        # the channel and after Bob's CNOT, and a|b on each of the four
+        # outcomes' post states, which are entry stacks as well; the post
+        # states of outcomes 1 to 3 share one pattern
+        assert spy.call_count == 10
+        _drive(SPECS["qudit", "probabilistic"], batch, 4)
+        assert spy.call_count == 10  # every pattern again: all plan hits
+
+
+def entry_stack(d):
+    """``final_states`` as one entry stack on their joint pattern."""
+    states = np.stack([rho.matrix for rho in final_states(d)])
+    return edss.tensor._Entries.of(states, (d,) * 3)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_plan_hit_spectra_equal_a_cold_solve_bit_for_bit(monkeypatch, d):
+    e = entry_stack(d)
+    for part in ONE_VS_REST:
+        stack = joint_stack(d, part)  # the dense partial transposes of e
+        solves = [
+            lambda: _spectra(stack),
+            lambda: _plan_spectra(_plan(e, part.side_a), e.values),
+            lambda: _negativities(e, e.dims, part),
+        ]
+        monkeypatch.setattr(edss.tensor, "_PLANS", {})
+        cold = [solve() for solve in solves]
+        assert len(edss.tensor._PLANS) == 2
+        hit = [solve() for solve in solves]
+        assert len(edss.tensor._PLANS) == 2
+        for got, want in zip(hit, cold):
+            assert got.tobytes() == want.tobytes()
+        for row, eigs in zip(stack, cold[1]):
+            assert np.max(np.abs(eigs - np.linalg.eigvalsh(row))) <= EIG_ATOL
+
+
+def test_plan_hit_refuses_non_hermitian_values():
+    e = entry_stack(4)
+    part = ONE_VS_REST[0]
+    take = next(block[2] for block in _plan(e, part.side_a) if block[0] > 1)
+    values = e.values.copy()
+    values[2, take[0]] += 1e-6j  # one entry of a block, on one point
+    bad = edss.tensor._Entries(e.rows, e.cols, values, e.dims)
+    with patch.object(edss.tensor, "_component_labels") as spy:
+        with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
+            _negativities(bad, e.dims, part)
+    assert spy.call_count == 0
+
+
+def test_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    monkeypatch.setattr(edss.tensor, "PLAN_CACHE_SIZE", 5)
+    batch = [(noise_channel("amplitude_damping", 3, g),) for g in (0.2, 0.6)]
+    seen = []
+    build = edss.tensor._block_plan
+
+    def bounded(*args):
+        assert len(edss.tensor._PLANS) <= 5
+        seen.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(edss.tensor, "_block_plan", bounded)
+    _drive(SPECS["qudit", "probabilistic"], batch, 3)
+    assert len(seen) > 5 and len(edss.tensor._PLANS) == 5
+    for plan in edss.tensor._PLANS.values():
+        for size, count, take, at in plan:
+            assert isinstance(size, int) and isinstance(count, int)
+            assert take.dtype.kind == at.dtype.kind == "i"
 
 
 def test_one_sided_entry_between_joint_components_of_a_stack():

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import edss.checks
 import edss.reference
 from edss import SweepError, SweepSpec, closed_form, run_sweep
-from edss.checks import CheckResult, closed_form_suite, identity_suite, run_checks
+from edss.checks import SUITES, CheckResult, closed_form_suite, identity_suite, run_checks
 from edss.cli import load_config, main
 from edss import protocols
 from edss.protocols import SPECS
@@ -263,6 +264,36 @@ class TestChecksSuites:
         by_name = {r.name: r for r in identity_suite(random_channels=0, grid_points=3)}
         worst = max(row_deviations(spec, row)["identity"] for row in rows)
         assert by_name["identity_qudit_depolarizing_d2"].max_deviation == worst
+
+    @staticmethod
+    def count_sweeps(monkeypatch):
+        calls = []
+
+        def counting(spec, *args):
+            calls.append(spec)
+            return sweep_rows(spec, *args)
+
+        monkeypatch.setattr(edss.checks, "sweep_rows", counting)
+        return calls
+
+    def test_all_sweeps_each_grid_once(self, monkeypatch):
+        # identity and separability check the same 8 (protocol, kind, d) grids
+        # at 11 points; closed_form adds 16 grids at 21 points
+        calls = self.count_sweeps(monkeypatch)
+        run_checks("all")
+        assert len(calls) == 24
+        assert len({(s.protocol, s.mode, s.channel, s.d, s.points) for s in calls}) == 24
+        calls.clear()  # a later call shares nothing with this one
+        run_checks("separability")
+        assert len(calls) == 8
+
+    def test_all_rows_are_the_suites_run_alone(self):
+        alone = [row for name in SUITES for row in run_checks(name)]
+        together = run_checks("all")
+        assert [r.name for r in together] == [r.name for r in alone]
+        for got, want in zip(together, alone):
+            assert got.max_deviation.hex() == want.max_deviation.hex(), got.name
+            assert (got.threshold, got.passed) == (want.threshold, want.passed)
 
 
 class TestSweepRows:

@@ -3,16 +3,21 @@
     python3 tools/bench_spectra.py --parent DIR --out BENCH.json \\
         [--run WORKLOAD:SEED:PAIRS ...] [--seconds 20] [--repeat 7]
 
-Two parts, both written to ``--out`` as JSON:
+Three parts, all written to ``--out`` as JSON:
 
 * ``micro``: for d = 2..8, every partial transpose that one depolarizing
   ``run_qudit`` (p = 0.5) records, solved by ``hermitian_eigenvalues`` and
   by the dense path it replaces (``is_hermitian`` plus one ``eigvalsh``).
   Each timing is the minimum of ``--repeat`` repeats, with the median and
-  maximum as its spread. ``crossover`` times the block split against the
-  dense solve on each distinct side, the block split forced below
-  ``BLOCK_SPLIT_MIN_SIDE`` too, and names the smallest side from which the
-  block split is faster at every larger side.
+  maximum as its spread. From side ``BLOCK_SPLIT_MIN_SIDE`` on, repeats
+  after the first hit the cached block plans. ``crossover`` times the block
+  split against the dense solve on each distinct side, the block split
+  forced below ``BLOCK_SPLIT_MIN_SIDE`` too, and names the smallest side
+  from which the block split is faster at every larger side.
+* ``plans``: ``measures._negativities`` on the final state stack of a
+  one-point two-qubit run (side 8) and of a 21-point d = 6 qudit sweep
+  (side 216), with the block plan cache emptied before every call (a miss)
+  and kept (a hit), timed as in ``micro``.
 * ``end_to_end``: ``benchmarks/run.py`` of the parent checkout ``--parent``
   and of this checkout, run in alternating order, ``PAIRS`` pairs per
   ``--run`` entry (default: each workload at seed 0, two pairs). Each run
@@ -137,6 +142,41 @@ def micro(repeat: int) -> dict:
     }
 
 
+def plans(repeat: int) -> list[dict]:
+    import numpy as np
+
+    from edss import tensor
+    from edss.channels import noise_channel
+    from edss.measures import _negativities
+    from edss.protocols import SPECS, _evolve
+    from edss.tensor import Bipartition
+
+    rows = []
+    for protocol, d, points in (("two_qubit", 2, 1), ("qudit", 6, 21)):
+        spec = SPECS[protocol, "probabilistic"]
+        batch = [
+            (noise_channel("depolarizing", d, x),) * len(spec.channel_roles)
+            for x in np.linspace(0.0, 1.0, points)
+        ]
+        dims = (d,) * len(spec.subsystems)
+        stack = _evolve(spec, batch, dims)[-1][1]
+        part = Bipartition.split({0}, len(dims))
+        number = max(1, 2000 // len(stack.rows))
+
+        def cold():
+            tensor._PLANS.clear()
+            return _negativities(stack, dims, part)
+
+        rows.append({
+            "protocol": protocol, "d": d, "side": d ** len(dims), "points": points,
+            "entries": len(stack.rows),
+            "miss_s": timed(cold, repeat, number),
+            "hit_s": timed(lambda: _negativities(stack, dims, part), repeat, number),
+        })
+        rows[-1]["hit_speedup_min"] = rows[-1]["miss_s"]["min"] / rows[-1]["hit_s"]["min"]
+    return rows
+
+
 def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
@@ -203,8 +243,9 @@ def main() -> int:
         return 2
     sys.path.insert(0, str(ROOT / "src"))
     runs = args.run or [(w, 0, 2) for w in WORKLOADS]
-    report = {"micro": micro(args.repeat)}
+    report = {"micro": micro(args.repeat), "plans": plans(args.repeat)}
     print(json.dumps(report["micro"]["per_d"], indent=1), flush=True)
+    print(json.dumps(report["plans"], indent=1), flush=True)
     records, summary = end_to_end(args.parent, runs, args.seconds)
     report.update({"seconds": args.seconds, "end_to_end": records, "summary": summary})
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -12,7 +12,8 @@ Two parts, both written to ``--out`` as JSON:
   ``protocols._runs`` stacks at that register side
   (``protocols._chunk_points``), at most ``MAX_POINTS``. Each timing
   is the minimum of ``--repeat`` repeats, with the median and maximum as
-  its spread.
+  its spread. Both loops run in one process, so every repeat after the
+  first hits the cached block plans (``tensor._plan``, one per pattern).
 * ``end_to_end``: ``benchmarks/run.py`` of the parent checkout ``--parent``
   and of this checkout in alternating order, through the runner of
   ``tools/bench_spectra.py`` (default: ``qubit_sweeps`` at seed 0 for ten
