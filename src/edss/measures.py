@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -14,9 +14,9 @@ from .tensor import (
     Bipartition,
     DensityOperator,
     _Entries,
+    _batch_spectra,
     _partial_transpose,
     _plan,
-    _plan_spectra,
     _spectra,
     hermitian_eigenvalues,
     partial_transpose,
@@ -52,13 +52,20 @@ def negativity(rho: DensityOperator, part: Bipartition) -> NegativityResult:
 def _negativities(
     m: np.ndarray | _Entries, dims: tuple[int, ...], part: Bipartition
 ) -> np.ndarray:
-    """Negativity value across ``part`` of each matrix of the stack ``m``; the
-    partial transposes of entries are solved through their pattern's plan."""
+    """Negativity value across ``part`` of each matrix of the stack ``m``; an
+    entry stack is a batch of one for :func:`_batch_negativities`."""
     if isinstance(m, _Entries):
-        eigs = _plan_spectra(_plan(m, part.side_a), m.values)
-    else:
-        eigs = _spectra(_partial_transpose(m, dims, part.side_a))
-    return _from_spectra(eigs, dims, part)[1]
+        return _batch_negativities([(m, part)])[0]
+    return _from_spectra(_spectra(_partial_transpose(m, dims, part.side_a)), dims, part)[1]
+
+
+def _batch_negativities(items: Sequence[tuple[_Entries, Bipartition]]) -> list[np.ndarray]:
+    """Negativity values of each ``(stack, part)`` of ``items``, one per matrix
+    of the entry stack across ``part``: every partial transpose goes through
+    its pattern's plan, and all of them are solved in one pass (see
+    ``tensor._batch_spectra``). The plans are held until the pass is done."""
+    spectra = _batch_spectra([(_plan(m, part.side_a), m.values) for m, part in items])
+    return [_from_spectra(eigs, m.dims, part)[1] for (m, part), eigs in zip(items, spectra)]
 
 
 def _from_spectra(

@@ -21,7 +21,10 @@ matrix per point, and every operation acts on the whole stack. A stack is an
 entry list (``tensor._Entries``): one pattern of positions that every point
 shares, and one row of values per point. The states of a trace build their
 dense matrix only when it is read, and can then be checked elementwise
-against analytic block forms.
+against analytic block forms. The negativities a pass records (each step's
+partitions, each live branch's finish sides, the GHZ success pairs and the
+deterministic output) are queued as the pass reaches them and solved
+together at its end, one batched ``eigvalsh`` per block size.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .channels import QuditChannel, _covariant, _cpt_reports, _embed, noise_channel
-from .measures import _concurrences, _negativities
+from .measures import _batch_negativities, _concurrences
 from .states import (
     MeasurementBranch,
     _bob_deterministic,
@@ -66,8 +69,6 @@ STACK_BYTES = 256 * 1024
 
 # Channel kinds with closed-form curves; the check suites sweep these.
 CLOSED_FORM_KINDS = ("depolarizing", "amplitude_damping")
-
-PAIR_DIMS = (2, 2)
 
 
 def partition_name(labels: Sequence[str], side_a: Sequence[int]) -> str:
@@ -262,11 +263,11 @@ def _register(spec: ProtocolSpec, d: int) -> tuple[int, ...]:
 
 
 def _branches(
-    spec: ProtocolSpec, final: _Entries, dims: tuple[int, ...]
-) -> tuple[list[tuple[tuple[int, ...], np.ndarray, _Entries]], tuple[int, ...]]:
+    spec: ProtocolSpec, final: _Entries
+) -> list[tuple[tuple[int, ...], np.ndarray, _Entries]]:
     """Measure ``spec.measured`` in order on the stack ``final``: per outcome
-    tuple the probabilities and post states (see ``states._measure``), and
-    the dims of the post states. A branch is null where its probability is 0."""
+    tuple the probabilities and post states (see ``states._measure``). A
+    branch is null where its probability is 0."""
     labels = list(spec.subsystems)
     branches = [((), np.ones(len(final)), final)]
     for name in spec.measured:
@@ -277,8 +278,7 @@ def _branches(
             for outcome, prob, state in branches
             for m, (p, post) in enumerate(_measure(state, target))
         ]
-        dims = dims[:target] + dims[target + 1 :]
-    return branches, dims
+    return branches
 
 
 def _admit(
@@ -348,15 +348,6 @@ def _new_trace(
     return trace
 
 
-def _record(stack: _Entries, dims: tuple[int, ...], side: Sequence[int], count: int) -> list[float]:
-    """Negativity across ``side`` of each of ``count`` points in ``stack``, which
-    has one row per point or one row that they all share."""
-    if not count:
-        return []
-    values = _negativities(stack, dims, Bipartition.split(side, len(dims)))
-    return np.broadcast_to(values, (count,)).tolist()
-
-
 def _drive(
     spec: ProtocolSpec,
     batch: Sequence[Sequence[QuditChannel]],
@@ -367,59 +358,78 @@ def _drive(
     branch and chain recorded; one trace per tuple, in order.
 
     The points are evolved, transposed, solved and measured together, as
-    stacks with one row per point. Every channel is admitted, in point order,
-    before any state is built; a refusal is prefixed with ``labels[b]`` when
-    labels are given.
+    stacks with one row per point. Every negativity the traces record is
+    queued as its stack comes up, and the queue is solved in one pass
+    (``measures._batch_negativities``) before any value is recorded. Every
+    channel is admitted, in point order, before any state is built; a refusal
+    is prefixed with ``labels[b]`` when labels are given.
     """
     dims = _register(spec, d)
     traces = [_new_trace(spec, ch, d, w) for ch, w in zip(batch, _admit(spec, batch, d, labels))]
     states = _evolve(spec, batch, dims)
+    queue: list[tuple[_Entries, Bipartition]] = []
+
+    def queued(stack: _Entries, side: Sequence[int]) -> int:
+        queue.append((stack, Bipartition.split(side, len(stack.dims))))
+        return len(queue) - 1
+
+    recorded = {}  # step key -> queue index; a stack of one row holds for every point
     for step, (label, stack) in zip(spec.steps, states):
         for b, trace in enumerate(traces):
             trace.steps.append((label, DensityOperator._trusted(stack[b % len(stack)])))
         for side in (spec.exchange, *step.record):
-            key = f"{partition_name(spec.subsystems, side)}@{label}"
-            for trace, value in zip(traces, _record(stack, dims, side, len(traces))):
-                trace.partition_negativities[key] = value
+            recorded[f"{partition_name(spec.subsystems, side)}@{label}"] = queued(stack, side)
 
     final = states[-1][1]
     if spec.deterministic is not None:
         out = spec.deterministic(final)
         _check_unit_trace(out)
+        queued(out, (0,))  # the last item
+    else:
+        rest = [label for label in spec.subsystems if label not in spec.measured]
+        parts = {partition_name(rest, s): s for s in spec.finish}
+        measured = []  # per branch: outcome, probabilities, live posts, queue indices
+        for n, (outcome, probs, posts) in enumerate(_branches(spec, final)):
+            posts = posts[probs > 0.0]
+            _check_unit_trace(posts)
+            names, success = {}, {}  # a branch null at every point queues nothing
+            if len(posts):
+                names = {name: queued(posts, s) for name, s in parts.items()}
+            if len(posts) and n == 0:  # the success branch
+                success = {f"{name}@success": i for name, i in names.items()}
+                for pair in spec.success_pairs:
+                    reduced = _partial_trace(posts, pair)
+                    _check_unit_trace(reduced)
+                    key = f"{''.join(rest[i] for i in pair)}_pair@success"
+                    success[key] = queued(reduced, (0,))
+            measured.append((outcome, probs, posts, names, success))
+
+    solved = _batch_negativities(queue)
+    for key, i in recorded.items():
+        for trace, value in zip(traces, np.broadcast_to(solved[i], (len(traces),)).tolist()):
+            trace.partition_negativities[key] = value
+    if spec.deterministic is not None:
         concurrences = _concurrences(_scatter(out)).tolist()
-        values = zip(_record(out, PAIR_DIMS, (0,), len(traces)), concurrences)
+        values = zip(np.broadcast_to(solved[-1], (len(traces),)).tolist(), concurrences)
         for b, (trace, (value, conc)) in enumerate(zip(traces, values)):
             state = DensityOperator._trusted(out[b])
             trace.deterministic_output = DeterministicOutcome(state, value, conc)
         return traces
 
-    rest = [label for label in spec.subsystems if label not in spec.measured]
-    parts = {partition_name(rest, s): s for s in spec.finish}
     for trace in traces:
         trace.averages = dict.fromkeys(parts, 0.0)
-    branches, rest_dims = _branches(spec, final, dims)
-    for n, (outcome, probs, posts) in enumerate(branches):
+    for outcome, probs, posts, names, success in measured:
         outcome = outcome[0] if len(spec.measured) == 1 else outcome
-        live = probs > 0.0
-        posts = posts[live]
-        _check_unit_trace(posts)
-        values = {name: _record(posts, rest_dims, s, len(posts)) for name, s in parts.items()}
-        success = {}  # partition_negativities of the success branch, the first
-        if n == 0:
-            success = {f"{name}@success": value for name, value in values.items()}
-            for pair in spec.success_pairs:
-                reduced = _partial_trace(posts, pair)
-                _check_unit_trace(reduced)
-                key = f"{''.join(rest[i] for i in pair)}_pair@success"
-                success[key] = _record(reduced, reduced.dims, (0,), len(posts))
+        negs_of = {name: solved[i].tolist() for name, i in names.items()}
+        success_of = {key: solved[i].tolist() for key, i in success.items()}
         rows = iter(range(len(posts)))  # live points only
-        for trace, prob, alive in zip(traces, probs.tolist(), live):
+        for trace, prob in zip(traces, probs.tolist()):
             state, negs = None, {}
-            if alive:
+            if prob > 0.0:
                 i = next(rows)
                 state = DensityOperator._trusted(posts[i])
-                negs = {name: value[i] for name, value in values.items()}
-                trace.partition_negativities.update((k, v[i]) for k, v in success.items())
+                negs = {name: value[i] for name, value in negs_of.items()}
+                trace.partition_negativities.update((k, v[i]) for k, v in success_of.items())
             trace.branches.append(MeasurementBranch(outcome, prob, state))
             trace.branch_negativities.append(negs)
             # average_negativity's sum, term for term in branch order

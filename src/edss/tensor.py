@@ -13,14 +13,15 @@ Block spectra go through a plan (:func:`_plan`): the index arrays that put a
 pattern's entries, partially transposed, into its diagonal blocks. A plan
 depends on positions only, so the last ``PLAN_CACHE_SIZE`` plans are kept,
 keyed by ``(dims, side_a, rows bytes, cols bytes)``; they hold integer arrays
-and never a value.
+and never a value. :func:`_batch_spectra` solves any number of
+``(plan, values)`` items in one pass, one batched ``eigvalsh`` per block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -327,14 +328,17 @@ def _spectra(h: np.ndarray | _Entries, atol: float = VALIDITY_ATOL) -> np.ndarra
     (:func:`_plan`) is kept, by ``(dims, side_a, rows bytes, cols bytes)``,
     for the last ``PLAN_CACHE_SIZE`` patterns, and holds no values. Entries
     between components are then exact zeros in every matrix, so each
-    spectrum is the union of its blocks' spectra: all blocks are filled from
-    the entries at once, those of one size are solved by one batched
-    ``eigvalsh``, and each spectrum is sorted. The qudit partial transposes
-    split into blocks of side at most d. The hermiticity defect is taken over
-    the blocks; it equals the whole stack's, as the entries outside them are
-    zero in both triangles. A dense stack of smaller sides, or whose joint
-    pattern is one component (after a random local unitary, say), is checked
-    for hermiticity once and solved by one batched dense ``eigvalsh``.
+    spectrum is the union of its blocks' spectra. The stack is solved as a
+    batch of one by :func:`_batch_spectra`, the pass that also solves every
+    negativity of a protocol drive at once: all blocks are filled from the
+    entries, those of one size are solved by one batched ``eigvalsh`` (a
+    block of side 1 is the real part of its entry), and each spectrum is
+    sorted. The qudit partial transposes split into blocks of side at most d.
+    The hermiticity defect is taken over the blocks, before any is solved; it
+    equals the whole stack's, as the entries outside them are zero in both
+    triangles. A dense stack of smaller sides, or whose joint pattern is one
+    component (after a random local unitary, say), is checked for
+    hermiticity once and solved by one batched dense ``eigvalsh``.
     """
     if isinstance(h, _Entries):
         return _plan_spectra(_plan(h), h.values, atol)
@@ -377,7 +381,8 @@ def _block_plan(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> tuple
     slot[order] = np.arange(n) - (np.cumsum(count) - count)[labels[order]]
     inside = np.flatnonzero(labels[rows] == labels[cols])
     plan = []
-    for size in np.unique(count[count > 0]):
+    # the sizes present, ascending; np.unique would import numpy.ma
+    for size in np.flatnonzero(np.bincount(count)[1:]) + 1:
         of_size = count == size
         index = np.cumsum(of_size) - 1  # position of each such block among them
         take = inside[of_size[labels[rows[inside]]]]
@@ -390,18 +395,47 @@ def _block_plan(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> tuple
 def _plan_spectra(plan: tuple, values: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarray:
     """Ascending spectra of the stack of entries ``values`` (shape ``(..., nnz)``)
     from the diagonal blocks that ``plan`` (see :func:`_block_plan`) fills."""
-    lead, eigs = values.shape[:-1], []
-    for size, count, take, at in plan:
-        blocks = np.zeros((*lead, count * size * size), dtype=complex)
-        blocks[..., at] = values[..., take]
-        blocks = blocks.reshape(*lead, count, size, size)
+    return _batch_spectra([(plan, values)], atol)[0]
+
+
+def _batch_spectra(
+    items: Sequence[tuple[tuple, np.ndarray]], atol: float = VALIDITY_ATOL
+) -> list[np.ndarray]:
+    """Ascending spectra of each item ``(plan, values)`` of ``items``, as
+    :func:`_plan_spectra` gives them, in one pass: per block size, the blocks
+    of every item are gathered into one zeroed array, checked for hermiticity
+    together, and, once every size has passed, solved by one batched
+    ``eigvalsh``. Each item's spectra are then sorted from its blocks in
+    ascending size order, as if it had been solved alone."""
+    groups: dict[int, list] = {}  # size -> (item, points, count, take, at)
+    for i, (plan, values) in enumerate(items):
+        points = prod(values.shape[:-1])
+        for size, count, take, at in plan:
+            groups.setdefault(size, []).append((i, points, count, take, at))
+    blocks = {}
+    for size, group in sorted(groups.items()):
+        stack = np.zeros((sum(p * c for _, p, c, _, _ in group), size * size), dtype=complex)
+        start = 0
+        for i, points, count, take, at in group:
+            values = items[i][1]
+            rows = stack[start : start + points * count].reshape(points, count * size * size)
+            rows[:, at] = values.reshape(points, values.shape[-1])[:, take]
+            start += points * count
+        stack = stack.reshape(-1, size, size)
         # max |h - h^H| over the stack of blocks, as is_hermitian takes it
-        if np.max(np.abs(blocks - blocks.conj().swapaxes(-1, -2)), initial=0.0) > atol:
+        if np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), initial=0.0) > atol:
             raise ValueError("input is not Hermitian within tolerance")
+        blocks[size] = stack
+    spectra: list[list] = [[] for _ in items]
+    for size, stack in blocks.items():
         # eigvalsh of a 1 x 1 block is the real part of its entry
-        solved = blocks[..., 0, 0].real if size == 1 else np.linalg.eigvalsh(blocks)
-        eigs.append(solved.reshape(*lead, -1))
-    return np.sort(np.concatenate(eigs, axis=-1), axis=-1)
+        solved = stack[:, 0, 0].real if size == 1 else np.linalg.eigvalsh(stack)
+        start = 0
+        for i, points, count, _, _ in groups[size]:
+            lead = items[i][1].shape[:-1]
+            spectra[i].append(solved[start : start + points * count].reshape(*lead, count * size))
+            start += points * count
+    return [np.sort(np.concatenate(eigs, axis=-1), axis=-1) for eigs in spectra]
 
 
 def _block_eigenvalues(h: np.ndarray | _Entries, labels: np.ndarray, atol: float) -> np.ndarray:

@@ -3,7 +3,7 @@
     python3 tools/bench_spectra.py --parent DIR --out BENCH.json \\
         [--run WORKLOAD:SEED:PAIRS ...] [--seconds 20] [--repeat 7]
 
-Three parts, all written to ``--out`` as JSON:
+Four parts, all written to ``--out`` as JSON:
 
 * ``micro``: for d = 2..8, every partial transpose that one depolarizing
   ``run_qudit`` (p = 0.5) records, solved by ``hermitian_eigenvalues`` and
@@ -18,6 +18,11 @@ Three parts, all written to ``--out`` as JSON:
   one-point two-qubit run (side 8) and of a 21-point d = 6 qudit sweep
   (side 216), with the block plan cache emptied before every call (a miss)
   and kept (a hit), timed as in ``micro``.
+* ``drives``: warm one-point ``protocols._drive`` runs (depolarizing,
+  p = 0.5) of the qudit protocol at d = 2..6 and of the GHZ protocol, on the
+  parent checkout and on this one, each in a fresh interpreter: seconds per
+  drive (min, median and max of ``--repeat``), and the ``np.linalg.eigvalsh``
+  calls of one drive, channel admission included.
 * ``end_to_end``: ``benchmarks/run.py`` of the parent checkout ``--parent``
   and of this checkout, run in alternating order, ``PAIRS`` pairs per
   ``--run`` entry (default: each workload at seed 0, two pairs). Each run
@@ -177,6 +182,48 @@ def plans(repeat: int) -> list[dict]:
     return rows
 
 
+DRIVES = [("qudit", d) for d in range(2, 7)] + [("ghz", 2)]
+
+
+def drive_rows(repeat: int) -> list[dict]:
+    """The ``drives`` rows of the ``edss`` on ``sys.path``."""
+    from unittest.mock import patch
+
+    import numpy as np
+
+    from edss.channels import noise_channel
+    from edss.protocols import SPECS, _drive
+
+    rows = []
+    for protocol, d in DRIVES:
+        spec = SPECS[protocol, "probabilistic"]
+        batch = [(noise_channel("depolarizing", d, 0.5),) * len(spec.channel_roles)]
+        _drive(spec, batch, d)  # warm: block plans built, transfer tensors kept
+        with patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            _drive(spec, batch, d)
+        rows.append({
+            "protocol": protocol, "d": d, "eigvalsh_calls": spy.call_count,
+            "drive_s": timed(lambda: _drive(spec, batch, d), repeat, 50),
+        })
+    return rows
+
+
+def drives(parent: Path, repeat: int) -> dict[str, list[dict]]:
+    """``drive_rows`` of the parent checkout and of this one, each in a fresh
+    interpreter with that checkout's sources first on ``sys.path``."""
+    report = {}
+    for side, checkout in (("parent", parent), ("change", ROOT)):
+        code = (
+            f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
+            f"{str(ROOT / 'tools')!r}]; import bench_spectra; "
+            f"print(json.dumps(bench_spectra.drive_rows({repeat})))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=600, check=True)
+        report[side] = json.loads(proc.stdout.strip().splitlines()[-1])
+    return report
+
+
 def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
@@ -243,9 +290,14 @@ def main() -> int:
         return 2
     sys.path.insert(0, str(ROOT / "src"))
     runs = args.run or [(w, 0, 2) for w in WORKLOADS]
-    report = {"micro": micro(args.repeat), "plans": plans(args.repeat)}
+    report = {
+        "micro": micro(args.repeat),
+        "plans": plans(args.repeat),
+        "drives": drives(args.parent.resolve(), args.repeat),
+    }
     print(json.dumps(report["micro"]["per_d"], indent=1), flush=True)
     print(json.dumps(report["plans"], indent=1), flush=True)
+    print(json.dumps(report["drives"], indent=1), flush=True)
     records, summary = end_to_end(args.parent, runs, args.seconds)
     report.update({"seconds": args.seconds, "end_to_end": records, "summary": summary})
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
