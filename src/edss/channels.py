@@ -201,7 +201,14 @@ def identity_channel(d: int = 2) -> QuditChannel:
 def apply_to_subsystem(
     ch: QuditChannel, rho: DensityOperator, target: int
 ) -> DensityOperator:
-    """Apply ``ch`` to one subsystem of ``rho``, identity on the others."""
+    """Apply ``ch`` to one subsystem of ``rho``, identity on the others.
+
+    Of the public one-state functions, this one alone keeps a dense kernel:
+    ``_embed`` contracts a dense state with one ``(d^2, d^2)`` product, while
+    its entry kernel fans every entry out to up to d^2 terms, which a dense
+    state would pay on each of its side^2 entries. A two-Kraus channel on a
+    full-rank d = 6 three-qudit state took 1.9 ms dense, against 0.36 s and
+    a 250 MB peak through the entries (one BLAS thread)."""
     n = len(rho.dims)
     if not 0 <= target < n:
         raise ValueError(f"target {target} out of range for {n} subsystems")

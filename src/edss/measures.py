@@ -15,9 +15,7 @@ from .tensor import (
     DensityOperator,
     _Entries,
     _batch_spectra,
-    _partial_transpose,
     _plan,
-    _spectra,
     hermitian_eigenvalues,
     partial_transpose,
 )
@@ -47,16 +45,6 @@ def negativity(rho: DensityOperator, part: Bipartition) -> NegativityResult:
     tn, value, min_dim = _from_spectra(eigs, rho.dims, part)
     negatives = tuple(eigs[eigs < -NEGATIVE_EIG_ATOL].tolist())
     return NegativityResult(float(value), float(tn), min_dim, negatives)
-
-
-def _negativities(
-    m: np.ndarray | _Entries, dims: tuple[int, ...], part: Bipartition
-) -> np.ndarray:
-    """Negativity value across ``part`` of each matrix of the stack ``m``; an
-    entry stack is a batch of one for :func:`_batch_negativities`."""
-    if isinstance(m, _Entries):
-        return _batch_negativities([(m, part)])[0]
-    return _from_spectra(_spectra(_partial_transpose(m, dims, part.side_a)), dims, part)[1]
 
 
 def _batch_negativities(items: Sequence[tuple[_Entries, Bipartition]]) -> list[np.ndarray]:

@@ -243,7 +243,7 @@ def _evolve(
     for step in spec.steps:
         for op in step.ops:
             if isinstance(op, Cnot):
-                state = _cnot(state, dims, op.control, op.target, op.inverse)
+                state = _cnot(state, op.control, op.target, op.inverse)
             else:
                 t4 = np.stack([channels[op.channel].transfer_tensor() for channels in batch])
                 state = _embed(t4, state, dims, op.target)

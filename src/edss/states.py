@@ -211,19 +211,14 @@ def cnot(
             f"control and target dimensions differ: "
             f"{rho.dims[control]} vs {rho.dims[target]}"
         )
-    return DensityOperator(_cnot(rho.matrix, rho.dims, control, target, inverse), rho.dims)
+    return DensityOperator(_scatter(_cnot(rho._entries(), control, target, inverse)), rho.dims)
 
 
-def _cnot(
-    m: np.ndarray | _Entries, dims: tuple[int, ...], control: int, target: int, inverse: bool
-) -> np.ndarray | _Entries:
+def _cnot(m: _Entries, control: int, target: int, inverse: bool) -> _Entries:
     """Each matrix of the stack ``m`` conjugated by the generalized CNOT, which
     moves the entry at ``(i, j)`` to ``(perm[i], perm[j])``."""
-    perm = _cnot_permutation(dims, control, target, inverse)
-    if isinstance(m, _Entries):
-        return _Entries(perm[m.rows], perm[m.cols], m.values, m.dims)
-    pinv = np.argsort(perm)
-    return m[..., pinv[:, None], pinv]
+    perm = _cnot_permutation(m.dims, control, target, inverse)
+    return _Entries(perm[m.rows], perm[m.cols], m.values, m.dims)
 
 
 def measure_computational(rho: DensityOperator, target: int) -> list[MeasurementBranch]:

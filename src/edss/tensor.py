@@ -2,14 +2,13 @@
 
 Registers are described by a tuple of subsystem dimensions; the full matrix
 side is always the product of those dimensions, and indices are row-major.
-A stack of states is either dense, a ``complex`` array of shape
-``(..., n, n)``, or an :class:`_Entries` list, whose matrices share one
-pattern of entries. The protocol driver holds entries. The dense kernels
-serve the public one-state functions and the tests' oracles; where a kernel
-takes entries only (:func:`_partial_trace`, ``states._measure``), its public
-function converts at the call.
+The protocol driver holds each stack of states as an :class:`_Entries` list,
+whose matrices share one pattern of entries, and every kernel here takes
+entries only (``channels._embed`` also keeps a dense contraction; see
+``apply_to_subsystem``). A public one-state function converts its dense
+matrix at the call and scatters the result back.
 
-Block spectra go through a plan (:func:`_plan`): the index arrays that put a
+Spectra go through a block plan (:func:`_plan`): the index arrays that put a
 pattern's entries, partially transposed, into its diagonal blocks. A plan
 depends on positions only, so the last ``PLAN_CACHE_SIZE`` plans are kept,
 keyed by ``(dims, side_a, rows bytes, cols bytes)``; they hold integer arrays
@@ -29,9 +28,6 @@ import numpy as np
 # noise. All matrices here are small (side <= 1000, the qudit register at
 # d = 10) with entries of magnitude <= 1.
 VALIDITY_ATOL = 1e-9
-# Smallest side whose dense spectrum is solved block by block: with one BLAS
-# thread on an x86-64 Xeon the split ties the dense solve at side 49 and wins from 64.
-BLOCK_SPLIT_MIN_SIDE = 64
 # Block plans kept, least recently used dropped first: run_checks("all") solves
 # 222 distinct patterns, whose plans and keys take 0.35 MB.
 PLAN_CACHE_SIZE = 256
@@ -263,44 +259,29 @@ def _partial_trace(m: _Entries, keep: Iterable[int]) -> _Entries:
 def partial_transpose(rho: DensityOperator, part: Bipartition) -> np.ndarray:
     """Matrix with the indices of ``part.side_a`` transposed."""
     part.check(len(rho.dims))
-    return _partial_transpose(rho.matrix, rho.dims, part.side_a)
+    return _scatter(_partial_transpose(rho._entries(), part.side_a))
 
 
-def _partial_transpose(
-    m: np.ndarray | _Entries, dims: tuple[int, ...], side_a: Iterable[int]
-) -> np.ndarray | _Entries:
-    """Each matrix of the stack ``m`` with the indices of ``side_a`` transposed;
-    on entries, each entry's row and column digits of ``side_a`` swap."""
-    if isinstance(m, _Entries):
-        rows, cols = m.rows, m.cols
-        for i in side_a:
-            stride = prod(dims[i + 1 :])
-            shift = ((cols // stride) % dims[i] - (rows // stride) % dims[i]) * stride
-            rows, cols = rows + shift, cols - shift
-        return _Entries(rows, cols, m.values, m.dims)
-    n, lead = len(dims), m.ndim - 2
-    tensor = m.reshape(*m.shape[:lead], *dims, *dims)
-    axes = list(range(lead + 2 * n))
+def _partial_transpose(m: _Entries, side_a: Iterable[int]) -> _Entries:
+    """Each matrix of the stack ``m`` with the indices of ``side_a`` transposed:
+    each entry's row and column digits of ``side_a`` swap."""
+    rows, cols, dims = m.rows, m.cols, m.dims
     for i in side_a:
-        axes[lead + i], axes[lead + n + i] = axes[lead + n + i], axes[lead + i]
-    return np.ascontiguousarray(tensor.transpose(axes).reshape(m.shape))
+        stride = prod(dims[i + 1 :])
+        shift = ((cols // stride) % dims[i] - (rows // stride) % dims[i]) * stride
+        rows, cols = rows + shift, cols - shift
+    return _Entries(rows, cols, m.values, dims)
 
 
-def _component_labels(h: np.ndarray | _Entries) -> np.ndarray:
-    """Smallest row index of each row's connected component in the joint
-    pattern of the stack ``h``, where an entry ``(i, j)`` links ``i`` and
-    ``j``: the entries' positions, or one scan of a dense stack for its
-    nonzeros, then min-label propagation along both directions of every
-    entry, with pointer jumping."""
-    if isinstance(h, _Entries):
-        n, rows, cols = prod(h.dims), h.rows, h.cols
-    else:
-        n, (rows, cols) = h.shape[-1], _pattern(h)
-    labels = np.arange(n)
+def _component_labels(h: _Entries) -> np.ndarray:
+    """Smallest row index of each row's connected component in the pattern of
+    the stack ``h``, where an entry ``(i, j)`` links ``i`` and ``j``: min-label
+    propagation along both directions of every entry, with pointer jumping."""
+    labels = np.arange(prod(h.dims))
     while True:
         hooked = labels.copy()
-        np.minimum.at(hooked, rows, labels[cols])
-        np.minimum.at(hooked, cols, labels[rows])
+        np.minimum.at(hooked, h.rows, labels[h.cols])
+        np.minimum.at(hooked, h.cols, labels[h.rows])
         jumped = hooked[hooked]
         while not np.array_equal(jumped, hooked):
             hooked, jumped = jumped, jumped[jumped]
@@ -310,46 +291,30 @@ def _component_labels(h: np.ndarray | _Entries) -> np.ndarray:
 
 
 def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, ascending (see :func:`_spectra`)."""
-    return _spectra(np.asarray(h, dtype=complex), atol)
-
-
-# Stacks reach the solver through this name, so wrappers installed on the public
-# one-matrix name (profilers, the benchmark tracer) see one matrix per call.
-def _spectra(h: np.ndarray | _Entries, atol: float = VALIDITY_ATOL) -> np.ndarray:
-    """Ascending real eigenvalues of each Hermitian matrix of the stack ``h``.
+    """Ascending real eigenvalues of a Hermitian matrix, or of each matrix of
+    a stack ``h`` (shape ``(..., n, n)``).
 
     Backed by LAPACK (Householder reduction plus QL/QR), which is accurate to
     machine precision for the well-conditioned matrices used here.
 
-    Entries, and dense stacks from side ``BLOCK_SPLIT_MIN_SIDE`` on, are split
-    into the connected components of the stack's joint pattern (see
-    :func:`_component_labels`), labelled once per pattern: the block plan
-    (:func:`_plan`) is kept, by ``(dims, side_a, rows bytes, cols bytes)``,
-    for the last ``PLAN_CACHE_SIZE`` patterns, and holds no values. Entries
-    between components are then exact zeros in every matrix, so each
-    spectrum is the union of its blocks' spectra. The stack is solved as a
-    batch of one by :func:`_batch_spectra`, the pass that also solves every
-    negativity of a protocol drive at once: all blocks are filled from the
-    entries, those of one size are solved by one batched ``eigvalsh`` (a
-    block of side 1 is the real part of its entry), and each spectrum is
-    sorted. The qudit partial transposes split into blocks of side at most d.
-    The hermiticity defect is taken over the blocks, before any is solved; it
-    equals the whole stack's, as the entries outside them are zero in both
-    triangles. A dense stack of smaller sides, or whose joint pattern is one
-    component (after a random local unitary, say), is checked for
-    hermiticity once and solved by one batched dense ``eigvalsh``.
+    The stack is taken at its joint nonzero pattern and split into the
+    connected components of that pattern (see :func:`_component_labels`),
+    through its block plan (:func:`_plan`); entries between components are
+    exact zeros in every matrix, so each spectrum is the union of its blocks'
+    spectra. :func:`_batch_spectra` fills the blocks, checks their
+    hermiticity, solves the blocks of one size with one batched ``eigvalsh``
+    (a block of side 1 is the real part of its entry) and sorts each
+    spectrum. The hermiticity defect is taken over the blocks before any is
+    solved; it equals the whole stack's, as every other entry is zero. The
+    qudit partial transposes split into blocks of side at most d. A pattern
+    of one component (after a random local unitary, say) is one block, and
+    its spectrum is the dense ``eigvalsh`` of the matrix, bit for bit.
     """
-    if isinstance(h, _Entries):
-        return _plan_spectra(_plan(h), h.values, atol)
-    if h.ndim >= 2 and h.shape[-1] == h.shape[-2] >= BLOCK_SPLIT_MIN_SIDE:
-        entries = _Entries.of(h, (h.shape[-1],))
-        plan = _plan(entries)
-        if len(plan) > 1 or plan[0][1] > 1:  # more than one component
-            return _plan_spectra(plan, entries.values, atol)
-    if not is_hermitian(h, atol):
-        raise ValueError("input is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(h)
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or not h.shape[-1] == h.shape[-2] > 0:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    entries = _Entries.of(h, (h.shape[-1],))
+    return _plan_spectra(_plan(entries), entries.values, atol)
 
 
 def _plan(e: _Entries, side_a: Iterable[int] = ()) -> tuple:
@@ -359,7 +324,7 @@ def _plan(e: _Entries, side_a: Iterable[int] = ()) -> tuple:
     key = (e.dims, side_a, e.rows.tobytes(), e.cols.tobytes())
     plan = _PLANS.pop(key, None)
     if plan is None:
-        pt = _partial_transpose(e, e.dims, side_a)
+        pt = _partial_transpose(e, side_a)
         plan = _block_plan(pt.rows, pt.cols, _component_labels(pt))
         if len(_PLANS) >= PLAN_CACHE_SIZE:  # pop, not del: another thread may evict too
             _PLANS.pop(next(iter(_PLANS)), None)
@@ -370,22 +335,21 @@ def _plan(e: _Entries, side_a: Iterable[int] = ()) -> tuple:
 def _block_plan(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> tuple:
     """Per block size, ascending, ``(size, count, take, at)``: ``count`` diagonal
     blocks of side ``size``, one per distinct value of ``labels`` with that
-    many rows (row indices, as :func:`_component_labels` gives), filled with
-    the entries ``take`` of the pattern ``(rows, cols)`` at the flat positions
-    ``at`` of a ``(count, size, size)`` array. Entries between different
-    labels are left out."""
+    many rows, filled with the entries ``take`` of the pattern ``(rows, cols)``
+    at the flat positions ``at`` of a ``(count, size, size)`` array. The
+    labels are the pattern's components (:func:`_component_labels`), so every
+    entry lies in a block."""
     n = len(labels)
     count = np.bincount(labels, minlength=n)  # rows per label
     order = np.argsort(labels, kind="stable")
     slot = np.empty(n, dtype=np.int64)  # position of each row in its block
     slot[order] = np.arange(n) - (np.cumsum(count) - count)[labels[order]]
-    inside = np.flatnonzero(labels[rows] == labels[cols])
     plan = []
     # the sizes present, ascending; np.unique would import numpy.ma
     for size in np.flatnonzero(np.bincount(count)[1:]) + 1:
         of_size = count == size
         index = np.cumsum(of_size) - 1  # position of each such block among them
-        take = inside[of_size[labels[rows[inside]]]]
+        take = np.flatnonzero(of_size[labels[rows]])
         r, c = rows[take], cols[take]
         at = (index[labels[r]] * size + slot[r]) * size + slot[c]
         plan.append((int(size), int(of_size.sum()), take, at))
@@ -422,8 +386,9 @@ def _batch_spectra(
             rows[:, at] = values.reshape(points, values.shape[-1])[:, take]
             start += points * count
         stack = stack.reshape(-1, size, size)
-        # max |h - h^H| over the stack of blocks, as is_hermitian takes it
-        if np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), initial=0.0) > atol:
+        # max |h - h^H| over the stack of blocks, as is_hermitian takes it; a
+        # NaN defect (NaN or inf input) fails too, before LAPACK sees it
+        if not np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), initial=0.0) <= atol:
             raise ValueError("input is not Hermitian within tolerance")
         blocks[size] = stack
     spectra: list[list] = [[] for _ in items]
@@ -436,13 +401,6 @@ def _batch_spectra(
             spectra[i].append(solved[start : start + points * count].reshape(*lead, count * size))
             start += points * count
     return [np.sort(np.concatenate(eigs, axis=-1), axis=-1) for eigs in spectra]
-
-
-def _block_eigenvalues(h: np.ndarray | _Entries, labels: np.ndarray, atol: float) -> np.ndarray:
-    """Ascending spectra of the stack ``h`` from its diagonal blocks, one block
-    per distinct value of ``labels``, through an uncached plan."""
-    e = h if isinstance(h, _Entries) else _Entries.of(h, (h.shape[-1],))
-    return _plan_spectra(_block_plan(e.rows, e.cols, labels), e.values, atol)
 
 
 def trace_norm(h: np.ndarray) -> float:

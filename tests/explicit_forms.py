@@ -400,6 +400,19 @@ def qudit_ad_success_pair(d, g):
     return m / (d + (d - 1.0) * g)
 
 
+def cnot_gather(m, dims, control, target, inverse=False):
+    """The stack ``m`` conjugated by the generalized CNOT |.., c, .., t, ..> ->
+    |.., c, .., t + c mod d, ..> (t - c with ``inverse``), as a gather of the
+    dense matrices: entry (x, y) of the result is entry (s(x), s(y)) of ``m``,
+    where s undoes the gate's move of the target digit."""
+    digits = np.indices(dims).reshape(len(dims), -1)
+    source = digits.copy()
+    sign = 1 if inverse else -1
+    source[target] = (digits[target] + sign * digits[control]) % dims[target]
+    s = np.ravel_multi_index(tuple(source), dims)
+    return m[..., s[:, None], s]
+
+
 # ---------------------------------------------------------------------------
 # Channel actions written out from their definitions, and the transfer tensor
 # T[i, j, k, l] = E(|k><l|)[i, j] probed one basis operator at a time.

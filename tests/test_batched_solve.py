@@ -3,9 +3,9 @@
 ``protocols._drive`` queues every negativity a batch of traces records and
 solves the queue through ``measures._batch_negativities``: per block size,
 one hermiticity check and one batched ``eigvalsh`` over every record. The
-reference is the per-record loop it replaced, one ``_negativities`` call per
-stack and partition; the arithmetic of each spectrum is unchanged, so every
-recorded value must be equal bit for bit.
+reference is the per-record loop it replaced, one batch of one (``solo``)
+per stack and partition; the arithmetic of each spectrum is unchanged, so
+every recorded value must be equal bit for bit.
 """
 
 import os
@@ -21,7 +21,7 @@ import pytest
 import edss
 from edss import protocols
 from edss.channels import amplitude_damping, depolarizing, identity_channel
-from edss.measures import _batch_negativities, _negativities
+from edss.measures import _batch_negativities
 from edss.protocols import SPECS, _branches, _drive, _evolve, partition_name
 from edss.tensor import Bipartition, DensityOperator, _partial_trace, _plan
 
@@ -53,23 +53,28 @@ def batches(spec, d):
     ]
 
 
+def solo(stack, part):
+    """Negativity values of the entry stack ``stack`` across ``part``, solved alone."""
+    return _batch_negativities([(stack, part)])[0]
+
+
 def one_item_records(spec, batch, d):
-    """What ``_drive`` records for each point of ``batch``, from one
-    ``_negativities`` call per stack and partition: per point, the
-    partition negativities in key order, the branch negativities, and the
-    deterministic negativity (``None`` in the probabilistic mode)."""
+    """What ``_drive`` records for each point of ``batch``, from one ``solo``
+    solve per stack and partition: per point, the partition negativities in
+    key order, the branch negativities, and the deterministic negativity
+    (``None`` in the probabilistic mode)."""
     dims, n = (d,) * len(spec.subsystems), len(batch)
     states = _evolve(spec, batch, dims)
     parts = [{} for _ in batch]
     for step, (label, stack) in zip(spec.steps, states):
         for side in (spec.exchange, *step.record):
-            values = _negativities(stack, dims, Bipartition.split(side, len(dims)))
+            values = solo(stack, Bipartition.split(side, len(dims)))
             for b, value in enumerate(np.broadcast_to(values, (n,)).tolist()):
                 parts[b][f"{partition_name(spec.subsystems, side)}@{label}"] = value
     final = states[-1][1]
     if spec.deterministic is not None:
         out = spec.deterministic(final)
-        values = np.broadcast_to(_negativities(out, out.dims, Bipartition.split((0,), 2)), (n,))
+        values = np.broadcast_to(solo(out, Bipartition.split((0,), 2)), (n,))
         return [(p, [], value) for p, value in zip(parts, values.tolist())]
     rest = [label for label in spec.subsystems if label not in spec.measured]
     branch_values = [[] for _ in batch]
@@ -77,9 +82,7 @@ def one_item_records(spec, batch, d):
         live = np.flatnonzero(probs > 0.0)
         posts = posts[live]
         values = {
-            partition_name(rest, side): _negativities(
-                posts, posts.dims, Bipartition.split(side, len(rest))
-            ).tolist()
+            partition_name(rest, side): solo(posts, Bipartition.split(side, len(rest))).tolist()
             for side in spec.finish
         } if len(posts) else {}
         for b in range(n):
@@ -91,7 +94,7 @@ def one_item_records(spec, batch, d):
         for pair in spec.success_pairs if k == 0 and len(posts) else ():
             reduced = _partial_trace(posts, pair)
             pt = Bipartition.split((0,), 2)
-            for row, value in enumerate(_negativities(reduced, reduced.dims, pt).tolist()):
+            for row, value in enumerate(solo(reduced, pt).tolist()):
                 parts[live[row]][f"{''.join(rest[i] for i in pair)}_pair@success"] = value
     return [(p, v, None) for p, v in zip(parts, branch_values)]
 

@@ -2,7 +2,8 @@
 
 The dense ``np.linalg.eigvalsh`` of the whole matrix is the reference:
 eigenvalues agree within 1e-12 and every reported negativity quantity
-within 1e-9.
+within 1e-9. Every side takes the block route, so NaN and inf must be
+refused there before any solve.
 """
 
 from unittest.mock import patch
@@ -15,24 +16,20 @@ from hypothesis import strategies as st
 import edss.measures
 import edss.tensor
 from edss.channels import KrausChannel, _embed, apply_to_subsystem, identity_channel, noise_channel
-from edss.measures import _negativities, negativity
+from edss.measures import _batch_negativities, negativity
 from edss.protocols import SPECS, Cnot, _drive, partition_name, qudit_states, run_qudit
-from edss.states import _cnot, qudit_initial_state
+from edss.states import qudit_initial_state
 from edss.tensor import (
-    BLOCK_SPLIT_MIN_SIDE,
-    VALIDITY_ATOL,
     Bipartition,
-    _block_eigenvalues,
     _component_labels,
-    _partial_transpose,
+    _Entries,
     _plan,
     _plan_spectra,
-    _spectra,
     hermitian_eigenvalues,
     partial_transpose,
 )
 
-from explicit_forms import stinespring_kraus, z_twirl
+from explicit_forms import cnot_gather, stinespring_kraus, z_twirl
 
 EIG_ATOL = 1e-12
 REPORTED_ATOL = 1e-9
@@ -61,18 +58,23 @@ def assert_matches_dense(rho, part, dense_spectra):
     return pt
 
 
+def labels_of(h):
+    """Component labels of the joint nonzero pattern of the dense stack ``h``."""
+    return _component_labels(_Entries.of(h, (h.shape[-1],)))
+
+
 def largest_block(pt):
-    return int(np.bincount(_component_labels(pt)).max())
+    return int(np.bincount(labels_of(pt)).max())
 
 
 def dense_steps(d, ch):
     """The qudit step states under ``ch`` from the dense start state, through
-    the dense CNOT and channel kernels."""
+    the dense CNOT gather and the dense channel contraction."""
     dims, state, states = (d,) * 3, qudit_initial_state(d).matrix, []
     for step in SPECS["qudit", "probabilistic"].steps:
         for op in step.ops:
             if isinstance(op, Cnot):
-                state = _cnot(state, dims, op.control, op.target, op.inverse)
+                state = cnot_gather(state, dims, op.control, op.target, op.inverse)
             else:
                 state = _embed(ch.transfer_tensor(), state, dims, op.target)
         states.append(state)
@@ -112,12 +114,12 @@ def test_every_qudit_partial_transpose_matches_dense(d, kind):
         for recorded, rho, part in pairs:
             pt = assert_matches_dense(rho, part, dense_spectra)
             dense = dense_spectra[pt.tobytes()]
-            entries = _partial_transpose(rho._entries(), rho.dims, part.side_a)
-            assert np.max(np.abs(_spectra(entries) - dense)) <= EIG_ATOL
+            entries = rho._entries()
+            eigs = _plan_spectra(_plan(entries, part.side_a), entries.values)
+            assert np.max(np.abs(eigs - dense)) <= EIG_ATOL
             with patch.object(edss.measures, "hermitian_eigenvalues", lambda h: dense):
                 assert abs(recorded - negativity(rho, part).value) <= REPORTED_ATOL
-            if pt.shape[0] >= BLOCK_SPLIT_MIN_SIDE:
-                assert largest_block(pt) <= d
+            assert largest_block(pt) <= d
 
 
 def after_channel(d, ops):
@@ -131,9 +133,8 @@ def test_phase_covariant_channels_take_the_block_route(d, seed):
     rho = after_channel(d, z_twirl(stinespring_kraus(seed, d), d))
     for part in ONE_VS_REST:
         pt = assert_matches_dense(rho, part, {})
-        labels = _component_labels(pt)
-        assert labels.any()
-        blocks = _block_eigenvalues(pt, labels, VALIDITY_ATOL)
+        assert labels_of(pt).any()
+        blocks = hermitian_eigenvalues(pt)
         assert np.max(np.abs(blocks - np.linalg.eigvalsh(pt))) <= EIG_ATOL
 
 
@@ -145,14 +146,13 @@ def test_random_kraus_channels_match_dense(d, seed):
         assert_matches_dense(rho, part, {})
 
 
-def test_one_component_takes_the_dense_route():
+@pytest.mark.parametrize("side", [2, 4, 8, 64, 216])
+def test_one_component_equals_dense_eigvalsh_bit_for_bit(side):
     rng = np.random.default_rng(61)
-    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     h = g + g.conj().T
-    with patch.object(edss.tensor, "is_hermitian", wraps=edss.tensor.is_hermitian) as spy:
-        eigs = hermitian_eigenvalues(h)
-    assert spy.call_count == 1
-    assert np.array_equal(eigs, np.linalg.eigvalsh(h))
+    assert not labels_of(h).any()
+    assert hermitian_eigenvalues(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
 
 
 def test_split_pattern_skips_the_whole_matrix_check():
@@ -170,11 +170,11 @@ class TestNonHermitianInput:
     def pt(self):
         rho = qudit_states(4, noise_channel("depolarizing", 4, 0.3))[-1][1]
         pt = partial_transpose(rho, ONE_VS_REST[0])
-        assert pt.shape[0] >= BLOCK_SPLIT_MIN_SIDE
+        assert labels_of(pt).any()
         return pt
 
     def test_perturbation_inside_a_block(self, pt):
-        labels = _component_labels(pt)
+        labels = labels_of(pt)
         i, j = next((i, j) for i, j in zip(*np.nonzero(pt)) if i != j)
         assert labels[i] == labels[j]
         pt[i, j] += 1e-6
@@ -182,7 +182,7 @@ class TestNonHermitianInput:
             hermitian_eigenvalues(pt)
 
     def test_one_sided_entry_between_blocks(self, pt):
-        labels = _component_labels(pt)
+        labels = labels_of(pt)
         i, j = 0, int(np.flatnonzero(labels != labels[0])[0])
         assert pt[i, j] == 0 and pt[j, i] == 0
         pt[i, j] = 1e-6
@@ -211,12 +211,11 @@ def joint_stack(d, part):
 def test_joint_pattern_stack_matches_each_row_dense(d):
     for part in ONE_VS_REST:
         stack = joint_stack(d, part)
-        assert stack.shape[-1] >= BLOCK_SPLIT_MIN_SIDE
-        assert len({_component_labels(row).tobytes() for row in stack}) > 1
-        joint = _component_labels(stack)
-        assert np.array_equal(joint, _component_labels(np.logical_or.reduce(stack != 0)))
+        assert len({labels_of(row).tobytes() for row in stack}) > 1
+        joint = labels_of(stack)
+        assert np.array_equal(joint, labels_of(np.logical_or.reduce(stack != 0)))
         assert joint.any()
-        spectra = edss.tensor._spectra(stack)
+        spectra = hermitian_eigenvalues(stack)
         for row, eigs in zip(stack, spectra):
             assert np.max(np.abs(eigs - np.linalg.eigvalsh(row))) <= EIG_ATOL
 
@@ -240,7 +239,7 @@ def test_stacked_drive_labels_each_stack_once(monkeypatch):
 def entry_stack(d):
     """``final_states`` as one entry stack on their joint pattern."""
     states = np.stack([rho.matrix for rho in final_states(d)])
-    return edss.tensor._Entries.of(states, (d,) * 3)
+    return _Entries.of(states, (d,) * 3)
 
 
 @pytest.mark.parametrize("d", [4, 5])
@@ -249,9 +248,9 @@ def test_plan_hit_spectra_equal_a_cold_solve_bit_for_bit(monkeypatch, d):
     for part in ONE_VS_REST:
         stack = joint_stack(d, part)  # the dense partial transposes of e
         solves = [
-            lambda: _spectra(stack),
+            lambda: hermitian_eigenvalues(stack),
             lambda: _plan_spectra(_plan(e, part.side_a), e.values),
-            lambda: _negativities(e, e.dims, part),
+            lambda: _batch_negativities([(e, part)])[0],
         ]
         monkeypatch.setattr(edss.tensor, "_PLANS", {})
         cold = [solve() for solve in solves]
@@ -270,10 +269,10 @@ def test_plan_hit_refuses_non_hermitian_values():
     take = next(block[2] for block in _plan(e, part.side_a) if block[0] > 1)
     values = e.values.copy()
     values[2, take[0]] += 1e-6j  # one entry of a block, on one point
-    bad = edss.tensor._Entries(e.rows, e.cols, values, e.dims)
+    bad = _Entries(e.rows, e.cols, values, e.dims)
     with patch.object(edss.tensor, "_component_labels") as spy:
         with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
-            _negativities(bad, e.dims, part)
+            _batch_negativities([(bad, part)])
     assert spy.call_count == 0
 
 
@@ -300,9 +299,28 @@ def test_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
 
 def test_one_sided_entry_between_joint_components_of_a_stack():
     stack = joint_stack(4, ONE_VS_REST[0])[1:]
-    labels = _component_labels(stack)
+    labels = labels_of(stack)
     i, j = 0, int(np.flatnonzero(labels != labels[0])[0])
     assert not stack[:, i, j].any() and not stack[:, j, i].any()
     stack[1, i, j] = 1e-6
     with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
-        edss.tensor._spectra(stack)
+        hermitian_eigenvalues(stack)
+
+
+@pytest.mark.parametrize("route", ["hermitian_eigenvalues", "entry_stack"])
+@pytest.mark.parametrize("d", [2, 4], ids=["side8", "side64"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_input_is_refused_before_any_solve(route, d, bad):
+    # a diagonal entry stays on the diagonal under every partial transpose; its
+    # hermiticity defect is NaN, which must fail the check as is_hermitian fails it
+    rho = qudit_initial_state(d).matrix
+    stack = np.stack([rho] * 3)
+    i = int(np.flatnonzero(np.diag(rho))[-1])
+    stack[1, i, i] = bad
+    with patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
+            if route == "hermitian_eigenvalues":
+                hermitian_eigenvalues(stack[1])
+            else:
+                _batch_negativities([(_Entries.of(stack, (d,) * 3), ONE_VS_REST[0])])
+    assert spy.call_count == 0

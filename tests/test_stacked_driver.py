@@ -26,11 +26,11 @@ from edss.channels import (
     identity_channel,
 )
 from edss.checks import identity_suite, random_cp_canonical
-from edss.measures import _negativities
+from edss.measures import _batch_negativities
 from edss.protocols import SPECS, _drive, run_ghz, run_qudit, run_two_qubit
 from edss.states import qudit_initial_state
 from edss.sweep import SweepError, SweepSpec, run_sweep, sweep_rows
-from edss.tensor import Bipartition, DensityOperator, _spectra
+from edss.tensor import Bipartition, DensityOperator, _Entries, hermitian_eigenvalues
 
 from explicit_forms import stinespring_kraus, z_twirl
 
@@ -243,19 +243,18 @@ def test_ghz_stacks_hold_no_more_entries_than_the_chunk_assumes():
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_one_perturbed_matrix_fails_the_stacked_solve(d):
-    # side 8 (one batched eigvalsh) and side 64 (block split, labelled once from
-    # the stack's joint pattern)
+    # sides 8 and 64, each stack labelled once from its joint pattern
     rho = qudit_initial_state(d).matrix
     stack = np.stack([rho] * 5)
     part = Bipartition.split({0}, 3)
-    assert _negativities(stack, (d,) * 3, part).shape == (5,)
+    assert _batch_negativities([(_Entries.of(stack, (d,) * 3), part)])[0].shape == (5,)
     i, j = np.argwhere(np.abs(rho) > 0)[-1]
     j = (j + 1) % rho.shape[0] if i == j else j
     stack[3, i, j] += 1e-6
     with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
-        _spectra(stack)
+        hermitian_eigenvalues(stack)
     with pytest.raises(ValueError, match="input is not Hermitian within tolerance"):
-        _negativities(stack, (d,) * 3, part)
+        _batch_negativities([(_Entries.of(stack, (d,) * 3), part)])
 
 
 def test_unit_trace_checked_per_stack(monkeypatch):

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,14 @@ from edss import (
 )
 from edss.channels import noise_channel
 from edss.states import ghz_state, psi_plus
-from edss.tensor import BLOCK_SPLIT_MIN_SIDE, _component_labels
+from edss.tensor import _component_labels, _Entries
 
 from explicit_forms import SX, SZ, ghz_matrix, proj
+
+
+def labels_of(h):
+    """Component labels of the nonzero pattern of the dense matrix ``h``."""
+    return _component_labels(_Entries.of(h, (h.shape[-1],)))
 
 
 def random_density(rng, side):
@@ -289,6 +296,12 @@ class TestHermitianEigenvalues:
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
             hermitian_eigenvalues(m)
+        # shapes that are not square, or empty, are refused before any index work
+        for shape in ((3, 4), (64, 65), (4,), (0, 0)):
+            with patch.object(_Entries, "of", wraps=_Entries.of) as spy:
+                with pytest.raises(ValueError, match="square"):
+                    hermitian_eigenvalues(np.ones(shape, dtype=complex))
+            assert spy.call_count == 0
 
 
 class TestLocalUnitaryInvariance:
@@ -301,14 +314,13 @@ class TestLocalUnitaryInvariance:
         rotated = DensityOperator(u @ rho.matrix @ u.conj().T, rho.dims)
         for side in range(3):
             part = Bipartition.split({side}, 3)
-            # the rotation fills the pattern: one component, the dense route
-            assert not _component_labels(partial_transpose(rotated, part)).any()
+            # the rotation fills the pattern: one component, one block
+            assert not labels_of(partial_transpose(rotated, part)).any()
             before = negativity(rho, part)
             after = negativity(rotated, part)
             assert abs(after.value - before.value) < 1e-10
             assert abs(after.trace_norm - before.trace_norm) < 1e-10
-            if rho.dim >= BLOCK_SPLIT_MIN_SIDE:
-                assert _component_labels(partial_transpose(rho, part)).any()
+            assert labels_of(partial_transpose(rho, part)).any()
 
 
 class TestTraceNorm:

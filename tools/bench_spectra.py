@@ -6,18 +6,15 @@
 Four parts, all written to ``--out`` as JSON:
 
 * ``micro``: for d = 2..8, every partial transpose that one depolarizing
-  ``run_qudit`` (p = 0.5) records, solved by ``hermitian_eigenvalues`` and
-  by the dense path it replaces (``is_hermitian`` plus one ``eigvalsh``).
-  Each timing is the minimum of ``--repeat`` repeats, with the median and
-  maximum as its spread. From side ``BLOCK_SPLIT_MIN_SIDE`` on, repeats
-  after the first hit the cached block plans. ``crossover`` times the block
-  split against the dense solve on each distinct side, the block split
-  forced below ``BLOCK_SPLIT_MIN_SIDE`` too, and names the smallest side
-  from which the block split is faster at every larger side.
-* ``plans``: ``measures._negativities`` on the final state stack of a
+  ``run_qudit`` (p = 0.5) records, solved by ``hermitian_eigenvalues`` (the
+  block route, at every side) and by a dense solve (``is_hermitian`` plus
+  one ``eigvalsh``). Each timing is the minimum of ``--repeat`` repeats,
+  with the median and maximum as its spread. Repeats after the first hit
+  the cached block plans.
+* ``plans``: ``measures._batch_negativities`` on the final state stack of a
   one-point two-qubit run (side 8) and of a 21-point d = 6 qudit sweep
-  (side 216), with the block plan cache emptied before every call (a miss)
-  and kept (a hit), timed as in ``micro``.
+  (side 216), as a batch of one, with the block plan cache emptied before
+  every call (a miss) and kept (a hit), timed as in ``micro``.
 * ``drives``: warm one-point ``protocols._drive`` runs (depolarizing,
   p = 0.5) of the qudit protocol at d = 2..6 and of the GHZ protocol, on the
   parent checkout and on this one, each in a fresh interpreter: seconds per
@@ -99,10 +96,11 @@ def micro(repeat: int) -> dict:
             raise ValueError("input is not Hermitian within tolerance")
         return np.linalg.eigvalsh(h)
 
-    def forced_block(h):
-        return tensor._block_eigenvalues(h, tensor._component_labels(h), tensor.VALIDITY_ATOL)
+    def largest_block(h):
+        labels = tensor._component_labels(tensor._Entries.of(h, (h.shape[-1],)))
+        return int(np.bincount(labels).max())
 
-    rows, by_side = [], {}
+    rows = []
     for d in DIMS:
         pts = recorded_partial_transposes(d)
         number = max(1, 64 // d**2)
@@ -110,7 +108,7 @@ def micro(repeat: int) -> dict:
             "d": d,
             "partial_transposes": len(pts),
             "sides": sorted({h.shape[0] for h in pts}),
-            "largest_block": max(int(np.bincount(tensor._component_labels(h)).max()) for h in pts),
+            "largest_block": max(largest_block(h) for h in pts),
             "max_abs_eig_diff": max(
                 float(np.max(np.abs(tensor.hermitian_eigenvalues(h) - np.linalg.eigvalsh(h))))
                 for h in pts
@@ -122,28 +120,10 @@ def micro(repeat: int) -> dict:
         }
         row["speedup_min"] = row["dense_s"]["min"] / row["hermitian_eigenvalues_s"]["min"]
         rows.append(row)
-        for h in pts:
-            by_side.setdefault(h.shape[0], h)
-
-    crossover = []
-    for side, h in sorted(by_side.items()):
-        number = max(1, 20_000 // side**2)
-        crossover.append({
-            "side": side,
-            "block_s": timed(lambda: forced_block(h), repeat, number),
-            "dense_s": timed(lambda: dense(h), repeat, number),
-        })
-    faster = [c["block_s"]["min"] < c["dense_s"]["min"] for c in crossover]
-    crossover_side = next(
-        (c["side"] for i, c in enumerate(crossover) if all(faster[i:])), None
-    )
     return {
         "workload": "partial transposes of one run_qudit(d, depolarizing p=0.5)",
         "repeat": repeat,
-        "block_split_min_side": tensor.BLOCK_SPLIT_MIN_SIDE,
         "per_d": rows,
-        "crossover": crossover,
-        "crossover_side": crossover_side,
     }
 
 
@@ -152,7 +132,7 @@ def plans(repeat: int) -> list[dict]:
 
     from edss import tensor
     from edss.channels import noise_channel
-    from edss.measures import _negativities
+    from edss.measures import _batch_negativities
     from edss.protocols import SPECS, _evolve
     from edss.tensor import Bipartition
 
@@ -170,13 +150,13 @@ def plans(repeat: int) -> list[dict]:
 
         def cold():
             tensor._PLANS.clear()
-            return _negativities(stack, dims, part)
+            return _batch_negativities([(stack, part)])
 
         rows.append({
             "protocol": protocol, "d": d, "side": d ** len(dims), "points": points,
             "entries": len(stack.rows),
             "miss_s": timed(cold, repeat, number),
-            "hit_s": timed(lambda: _negativities(stack, dims, part), repeat, number),
+            "hit_s": timed(lambda: _batch_negativities([(stack, part)]), repeat, number),
         })
         rows[-1]["hit_speedup_min"] = rows[-1]["miss_s"]["min"] / rows[-1]["hit_s"]["min"]
     return rows
