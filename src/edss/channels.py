@@ -18,7 +18,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .tensor import VALIDITY_ATOL, DensityOperator, _Entries
+from .tensor import VALIDITY_ATOL, DensityOperator, _Entries, _hermitian_defect
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -299,7 +299,7 @@ def _cpt_reports(t4: np.ndarray, tol: float = VALIDITY_ATOL) -> list[CptReport]:
     the others report ``nan`` and never reach LAPACK."""
     count, d = t4.shape[0], t4.shape[-1]
     choi = _choi(t4)
-    herm_err = np.abs(choi - choi.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    herm_err = _hermitian_defect(choi)
     tp = np.einsum("bkili->bkl", choi.reshape(count, d, d, d, d)) - np.eye(d)
     tp_err = np.abs(tp).max(axis=(1, 2))
     solve = ~(herm_err > tol) & np.isfinite(choi).all(axis=(1, 2))

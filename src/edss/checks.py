@@ -9,14 +9,13 @@ grid that is the largest ``edss.sweep.row_deviations`` over the sweep rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .channels import CHANNEL_PARAMS, CanonicalChannel, canonical_channel, is_cpt
 from .protocols import (
     CHAIN_ATOL,
-    CLOSED_FORM_KINDS,
     PROTOCOLS,
     SEPARABILITY_ATOL,
     SPECS,
@@ -28,7 +27,7 @@ from .protocols import (
 
 # The average-only paths live with the driver; callers import them from here.
 from .protocols import ghz_average_only, qudit_average_only, two_qubit_average_only  # noqa: F401
-from .reference import CLOSED_FORM_ATOL, FORMULAS, Formula
+from .reference import CLOSED_FORM_ATOL, CLOSED_FORM_KINDS, FORMULAS
 from .sweep import SweepSpec, row_deviations, sweep_rows
 
 DEFAULT_SEED = 20230711
@@ -70,24 +69,17 @@ def _suffix(spec: ProtocolSpec, d: int) -> str:
     return f"_d{d}" if spec.takes_d else ""
 
 
-def _worst(
-    grids: dict,
-    spec: ProtocolSpec,
-    kind: str,
-    d: int,
-    points: int,
-    formulas: Mapping[str, Formula] = FORMULAS,
-) -> dict[str, float]:
+def _worst(grids: dict, spec: ProtocolSpec, kind: str, d: int, points: int) -> dict[str, float]:
     """Largest ``row_deviations`` per check over a [0, 1] sweep of ``kind`` noise,
-    kept in ``grids`` under ``(spec, kind, d, points)``: a grid memo for one
-    formula registry, so the suites that share it sweep each grid once."""
+    kept in ``grids`` under ``(spec, kind, d, points)``: a grid memo, so the
+    suites that share it sweep each grid once."""
     key = (spec, kind, d, points)
     if key in grids:
         return grids[key]
     param = CHANNEL_PARAMS[kind][0]
     sweep = SweepSpec(spec.protocol, kind, param, "", mode=spec.mode, d=d, points=points).validate()
     worst: dict[str, float] = {}
-    for row in sweep_rows(sweep, formulas):
+    for row in sweep_rows(sweep):
         for check, dev in row_deviations(sweep, row).items():
             worst[check] = max(worst.get(check, 0.0), dev)
     grids[key] = worst
@@ -143,27 +135,17 @@ def separability_suite(
 
 
 def closed_form_suite(
-    formulas: Mapping[str, Formula] | None = None,
-    grid_points: int = 21,
-    qudit_dims: Iterable[int] = QUDIT_DIMS,
-    *,
-    grids: dict | None = None,
+    grid_points: int = 21, qudit_dims: Iterable[int] = QUDIT_DIMS, *, grids: dict | None = None
 ) -> list[CheckResult]:
-    """Compare every closed-form curve against the simulation on a grid.
-
-    ``formulas`` may substitute an alternative registry, which is how the
-    suite itself is tested against deliberately wrong constants.
-    """
-    if grids is None or formulas is not None:  # a shared memo holds FORMULAS grids
-        grids = {}
-    formulas = FORMULAS if formulas is None else formulas
-    results = []
+    """Compare every closed-form curve of ``reference.FORMULAS`` against the
+    simulation on a grid, and every critical noise level against a root search."""
+    grids, results = {} if grids is None else grids, []
     for protocol in PROTOCOLS:
         specs = [spec for spec in SPECS.values() if spec.protocol == protocol]
         for kind in CLOSED_FORM_KINDS:
             for d in _dims(specs[0], qudit_dims):
                 for spec in specs:
-                    worst = _worst(grids, spec, kind, d, grid_points, formulas)
+                    worst = _worst(grids, spec, kind, d, grid_points)
                     results.extend(
                         CheckResult.from_deviation(
                             f"{fid}{_suffix(spec, d)}", worst[fid], CLOSED_FORM_ATOL
@@ -171,12 +153,14 @@ def closed_form_suite(
                         for fid in spec.formulas(kind)
                     )
 
-    for spec in [spec for spec in _default_specs() if spec.critical_kind is not None]:
-        fid = spec.critical_formula(spec.critical_kind)
-        for d in _dims(spec, qudit_dims):
-            found = critical_noise(lambda x: spec.average_only(spec.critical_kind, x, d))
-            name, dev = f"{fid}{_suffix(spec, d)}", abs(found - formulas[fid].fn(d))
-            results.append(CheckResult.from_deviation(name, dev, CLOSED_FORM_ATOL))
+    for spec in _default_specs():
+        for kind in CLOSED_FORM_KINDS:
+            if (fid := spec.critical_formula(kind)) is None:
+                continue
+            for d in _dims(spec, qudit_dims):
+                found = critical_noise(lambda x: spec.average_only(kind, x, d))
+                name, dev = f"{fid}{_suffix(spec, d)}", abs(found - FORMULAS[fid].fn(d))
+                results.append(CheckResult.from_deviation(name, dev, CLOSED_FORM_ATOL))
     return results
 
 

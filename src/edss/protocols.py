@@ -38,6 +38,7 @@ import numpy as np
 
 from .channels import QuditChannel, _covariant, _cpt_reports, _embed, noise_channel
 from .measures import _batch_negativities, _concurrences
+from .reference import CLOSED_FORM_KINDS, FORMULAS
 from .states import (
     MeasurementBranch,
     _bob_deterministic,
@@ -66,9 +67,6 @@ MAX_DIM_CEILING = 10
 # Bytes per stacked state of one driver pass (see _chunk_points). Over one-point
 # chunks, 256 KiB adds 0.5 MB peak RSS on qubit_sweeps, 1 MiB 4.6 MB.
 STACK_BYTES = 256 * 1024
-
-# Channel kinds with closed-form curves; the check suites sweep these.
-CLOSED_FORM_KINDS = ("depolarizing", "amplitude_damping")
 
 
 def partition_name(labels: Sequence[str], side_a: Sequence[int]) -> str:
@@ -166,8 +164,12 @@ class Step(NamedTuple):
 class ProtocolSpec:
     """Declarative description of one (protocol, mode) pair.
 
-    ``initial`` and ``average_only`` call module-level functions by name, so
-    wrappers installed on those names (profilers, tracers) see every call.
+    Each fact is stated once. The exchange subsystems are the targets of the
+    ``Noise`` steps, and a probabilistic finish measures them; closed forms
+    and critical noise levels are the ``reference.FORMULAS`` ids the spec's
+    protocol and columns name. ``initial`` and ``average_only`` call
+    module-level functions by name, so wrappers installed on those names
+    (profilers, tracers) see every call.
     """
 
     protocol: str
@@ -176,14 +178,11 @@ class ProtocolSpec:
     # d -> start state; the first step holds it unchanged
     initial: Callable[[int], DensityOperator]
     steps: tuple[Step, ...]
-    # exchange side: must stay PPT with the rest at every step
-    exchange: tuple[int, ...]
     # one role per channel of a run, in ``Noise.channel`` order
     channel_roles: tuple[str, ...]
-    # (kind, x, d) -> the a|b branch average that a critical_kind search reads
+    # (kind, x, d) -> the a|b branch average whose root a critical_formula
+    # level predicts
     average_only: Callable[..., float] | None = None
-    # exchange subsystems measured at the finish, in order
-    measured: tuple[str, ...] = ()
     # one-vs-rest sides of the post-measurement register; the first one
     # carries the distributed entanglement
     finish: tuple[tuple[int, ...], ...] = ((0,),)
@@ -200,14 +199,26 @@ class ProtocolSpec:
     # groups of columns one closed form predicts; the formula id is
     # <protocol>_<kind>_<first column>
     closed_forms: tuple[tuple[str, ...], ...]
-    # channel kind whose sweeps root-find the noise where the average vanishes
-    critical_kind: str | None = None
     # the register dimension d is a parameter of the protocol
     takes_d: bool = False
     # the identity suite draws random_channels // random_divisor random
     # canonical channels for this entry (0: none)
     random_divisor: int = 0
     describe: str
+
+    @property
+    def exchange(self) -> tuple[int, ...]:
+        """The subsystems the channels act on, in step order; this side must
+        stay PPT with the rest at every step."""
+        return tuple(op.target for step in self.steps for op in step.ops if isinstance(op, Noise))
+
+    @property
+    def measured(self) -> tuple[str, ...]:
+        """Labels of the subsystems measured at the finish, in order: the
+        exchange, unless a deterministic map replaces the measurement."""
+        if self.deterministic is not None:
+            return ()
+        return tuple(self.subsystems[i] for i in self.exchange)
 
     def formulas(self, kind: str) -> dict[str, tuple[str, ...]]:
         """Per-point formula id -> predicted columns for a ``kind`` sweep."""
@@ -216,10 +227,10 @@ class ProtocolSpec:
         return {f"{self.protocol}_{kind}_{cols[0]}": cols for cols in self.closed_forms}
 
     def critical_formula(self, kind: str) -> str | None:
-        """Formula id of the critical noise level, for ``critical_kind`` only."""
-        if self.critical_kind is None or kind != self.critical_kind:
-            return None
-        return f"{self.protocol}_{kind}_critical_noise"
+        """Formula id of the noise level where a ``kind`` sweep's average
+        vanishes, if ``reference.FORMULAS`` has one for this protocol."""
+        fid = f"{self.protocol}_{kind}_critical_noise"
+        return fid if fid in FORMULAS else None
 
 
 def _noise_summary(*channels: QuditChannel) -> dict[str, object]:
@@ -473,14 +484,9 @@ def _runs(
 def _states(
     spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int
 ) -> list[tuple[str, DensityOperator]]:
-    """The labelled states of one admitted point, each built with its full check."""
-    dims = _register(spec, d)
-    _admit(spec, [channels], d)
-    states = _evolve(spec, [channels], dims)
-    return [
-        (label, DensityOperator(_scatter(stack[0]), dims))
-        for label, stack in states
-    ]
+    """The labelled states of one run's trace, each rebuilt with its full check."""
+    steps = _drive(spec, [channels], d)[0].steps
+    return [(label, DensityOperator(rho.matrix, rho.dims)) for label, rho in steps]
 
 
 def two_qubit_states(ch: QuditChannel) -> list[tuple[str, DensityOperator]]:
@@ -559,9 +565,7 @@ _TWO_QUBIT = ProtocolSpec(
         Step("channel", (Noise(2),), record=((0,),)),
         Step("bob_cnot", (Cnot(1, 2),), record=((0,), (1,))),
     ),
-    exchange=(2,),
     channel_roles=("communication channel",),
-    measured=("c",),
     identity_chains={
         "distribution": ("avg:a|b", "a|bc@channel", "a|bc@bob_cnot", "b|ac@bob_cnot")
     },
@@ -599,7 +603,6 @@ SPECS: dict[tuple[str, str], ProtocolSpec] = {
     ("two_qubit", "deterministic"): replace(
         _TWO_QUBIT,
         mode="deterministic",
-        measured=(),
         deterministic=_bob_deterministic,
         identity_chains={"distribution": ("a|bc@channel", "a|bc@bob_cnot", "b|ac@bob_cnot")},
         columns=(
@@ -621,9 +624,7 @@ SPECS: dict[tuple[str, str], ProtocolSpec] = {
             Step("channels", (Noise(3, 0), Noise(4, 1)), record=((0,), (1,), (2,))),
             Step("bob_charlie_cnots", (Cnot(1, 3), Cnot(2, 4)), record=((0,), (1,), (2,))),
         ),
-        exchange=(3, 4),
         channel_roles=("channel on d1", "channel on d2"),
-        measured=("d1", "d2"),
         finish=((0,), (1,), (2,)),
         success_pairs=((0, 1), (1, 2), (0, 2)),
         identity_chains={
@@ -671,8 +672,8 @@ exchange qubits d1, d2 that stay separable from the targets throughout.
 
 partitions reported: d1d2|abc at every step; a|bcd1d2, b|acd1d2, c|abd1d2 after
 III and IV; a|bc, b|ac, c|ab and the qubit pairs on the success branch.
-identity chains: avg a|bc = a|bcd1d2@final = a|bcd1d2@channels;
-avg b|ac = b|acd1d2@final; avg c|ab = c|abd1d2@final
+identity chains: avg a|bc = a|bcd1d2@bob_charlie_cnots = a|bcd1d2@channels;
+avg b|ac = b|acd1d2@bob_charlie_cnots; avg c|ab = c|abd1d2@bob_charlie_cnots
 closed forms: ghz_depolarizing_*, ghz_amplitude_damping_*
 """,
     ),
@@ -700,7 +701,6 @@ closed forms: ghz_depolarizing_*, ghz_amplitude_damping_*
             ("negativity_a_bc_final", "a|bc@bob_inverse_cnot"),
             ("negativity_b_ac_final", "b|ac@bob_inverse_cnot"),
         ),
-        critical_kind="depolarizing",
         takes_d=True,
         random_divisor=0,
         describe="""\

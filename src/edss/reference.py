@@ -15,6 +15,9 @@ from .channels import CHANNEL_PARAMS
 
 # Simulated values carry ~1e-15 rounding and the root search stops at 1e-12.
 CLOSED_FORM_ATOL = 1e-9
+# Channel kinds with closed-form curves, in the column order of ``_CURVES``;
+# the check suites sweep these.
+CLOSED_FORM_KINDS = ("depolarizing", "amplitude_damping")
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def _registry() -> dict[str, Formula]:
         )
     ]
     for protocol, quantity, description, depolarizing, damping in _CURVES:
-        for kind, fn in (("depolarizing", depolarizing), ("amplitude_damping", damping)):
+        for kind, fn in zip(CLOSED_FORM_KINDS, (depolarizing, damping)):
             noise = CHANNEL_PARAMS[kind][0]
             params = ("d", noise) if protocol == "qudit" else (noise,)
             entries.append(Formula(f"{protocol}_{kind}_{quantity}", params, description, fn))

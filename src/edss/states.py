@@ -180,22 +180,6 @@ def qudit_initial_state(d: int) -> DensityOperator:
     return DensityOperator._trusted(start)
 
 
-def _cnot_permutation(
-    dims: tuple[int, ...], control: int, target: int, inverse: bool
-) -> np.ndarray:
-    n = len(dims)
-    total = prod(dims)
-    strides = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    full = np.arange(total, dtype=np.int64)
-    d = dims[control]
-    c = (full // strides[control]) % d
-    t = (full // strides[target]) % d
-    t_new = (t - c) % d if inverse else (t + c) % d
-    return full + (t_new - t) * strides[target]
-
-
 def cnot(
     rho: DensityOperator, control: int, target: int, inverse: bool = False
 ) -> DensityOperator:
@@ -215,10 +199,18 @@ def cnot(
 
 
 def _cnot(m: _Entries, control: int, target: int, inverse: bool) -> _Entries:
-    """Each matrix of the stack ``m`` conjugated by the generalized CNOT, which
-    moves the entry at ``(i, j)`` to ``(perm[i], perm[j])``."""
-    perm = _cnot_permutation(m.dims, control, target, inverse)
-    return _Entries(perm[m.rows], perm[m.cols], m.values, m.dims)
+    """Each matrix of the stack ``m`` conjugated by the generalized CNOT: each
+    entry's row and column target digits gain (under ``inverse``, lose) their
+    control digit mod d."""
+    d, dims = m.dims[control], m.dims
+    at, by = prod(dims[target + 1 :]), prod(dims[control + 1 :])
+    sign = -1 if inverse else 1
+
+    def moved(index: np.ndarray) -> np.ndarray:
+        t = (index // at) % d
+        return index + ((t + sign * ((index // by) % d)) % d - t) * at
+
+    return _Entries(moved(m.rows), moved(m.cols), m.values, dims)
 
 
 def measure_computational(rho: DensityOperator, target: int) -> list[MeasurementBranch]:

@@ -30,7 +30,7 @@ from .protocols import (
     separability_audit,
     verify_identity_chain,
 )
-from .reference import CLOSED_FORM_ATOL, FORMULAS, Formula
+from .reference import CLOSED_FORM_ATOL, FORMULAS
 from .svgchart import render_line_chart
 
 CHECK_NAMES = ("identity", "separability", "closed_form")
@@ -163,9 +163,7 @@ def sweep_columns(spec: SweepSpec) -> list[str]:
     return cols + [f"ref_{columns[0]}" for columns in _closed_forms(spec).values()]
 
 
-def _row(
-    spec: SweepSpec, x: float, trace: ProtocolTrace, formulas: Mapping[str, Formula]
-) -> dict[str, float]:
+def _row(spec: SweepSpec, x: float, trace: ProtocolTrace) -> dict[str, float]:
     """Simulated and reference columns of grid point ``x`` from its trace."""
     entry = SPECS[spec.protocol, spec.mode]
     row = {spec.param: x, **{column: trace.value_of(key) for column, key in entry.columns}}
@@ -173,16 +171,14 @@ def _row(
     row["chain_max_deviation"] = verify_identity_chain(trace).max_deviation
     values = {"d": spec.d, spec.param: x}
     for fid, columns in _closed_forms(spec).items():
-        formula = formulas[fid]
+        formula = FORMULAS[fid]
         row[f"ref_{columns[0]}"] = float(formula.fn(*(values[n] for n in formula.params)))
     return row
 
 
-def sweep_rows(
-    spec: SweepSpec, formulas: Mapping[str, Formula] = FORMULAS
-) -> list[dict[str, float]]:
+def sweep_rows(spec: SweepSpec) -> list[dict[str, float]]:
     """The rows ``run_sweep`` writes for a valid ``spec``, without I/O and
-    without ``critical_noise``; the ``ref_*`` columns come from ``formulas``.
+    without ``critical_noise``; the ``ref_*`` columns come from ``FORMULAS``.
 
     The grid runs through the driver's chunk loop (``protocols._runs``); each
     trace becomes a row, and is dropped, before the next chunk's channels
@@ -195,7 +191,7 @@ def sweep_rows(
     runs = _runs(entry, batch, spec.d, labels)
     try:
         # map, unlike a loop variable, keeps no trace while the next chunk runs
-        return list(map(lambda x, trace: _row(spec, x, trace, formulas), xs, runs))
+        return list(map(lambda x, trace: _row(spec, x, trace), xs, runs))
     except ValueError as exc:
         raise SweepError(str(exc)) from exc
 

@@ -45,7 +45,15 @@ def is_hermitian(m: np.ndarray, atol: float = VALIDITY_ATOL) -> bool:
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0)) <= atol
+    return float(np.max(_hermitian_defect(m), initial=0.0)) <= atol
+
+
+def _hermitian_defect(m: np.ndarray) -> np.ndarray:
+    """Largest ``|m - m^H|`` entry of each matrix of the stack ``m``. A NaN or inf
+    entry gives a NaN defect, which fails every ``<= atol`` gate; inf - inf
+    raises no warning on the way, as the caller refuses the input anyway."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +322,7 @@ def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndar
     if h.ndim < 2 or not h.shape[-1] == h.shape[-2] > 0:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
     entries = _Entries.of(h, (h.shape[-1],))
-    return _plan_spectra(_plan(entries), entries.values, atol)
+    return _batch_spectra([(_plan(entries), entries.values)], atol)[0]
 
 
 def _plan(e: _Entries, side_a: Iterable[int] = ()) -> tuple:
@@ -356,21 +364,16 @@ def _block_plan(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> tuple
     return tuple(plan)
 
 
-def _plan_spectra(plan: tuple, values: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarray:
-    """Ascending spectra of the stack of entries ``values`` (shape ``(..., nnz)``)
-    from the diagonal blocks that ``plan`` (see :func:`_block_plan`) fills."""
-    return _batch_spectra([(plan, values)], atol)[0]
-
-
 def _batch_spectra(
     items: Sequence[tuple[tuple, np.ndarray]], atol: float = VALIDITY_ATOL
 ) -> list[np.ndarray]:
-    """Ascending spectra of each item ``(plan, values)`` of ``items``, as
-    :func:`_plan_spectra` gives them, in one pass: per block size, the blocks
-    of every item are gathered into one zeroed array, checked for hermiticity
-    together, and, once every size has passed, solved by one batched
-    ``eigvalsh``. Each item's spectra are then sorted from its blocks in
-    ascending size order, as if it had been solved alone."""
+    """Ascending spectra of each item ``(plan, values)`` of ``items``: the stack
+    of entries ``values`` (shape ``(..., nnz)``) in the diagonal blocks that
+    ``plan`` (see :func:`_block_plan`) fills. In one pass, per block size, the
+    blocks of every item are gathered into one zeroed array, checked for
+    hermiticity together, and, once every size has passed, solved by one
+    batched ``eigvalsh``. Each item's spectra are then sorted from its blocks
+    in ascending size order, as if it had been solved alone."""
     groups: dict[int, list] = {}  # size -> (item, points, count, take, at)
     for i, (plan, values) in enumerate(items):
         points = prod(values.shape[:-1])
@@ -386,9 +389,8 @@ def _batch_spectra(
             rows[:, at] = values.reshape(points, values.shape[-1])[:, take]
             start += points * count
         stack = stack.reshape(-1, size, size)
-        # max |h - h^H| over the stack of blocks, as is_hermitian takes it; a
-        # NaN defect (NaN or inf input) fails too, before LAPACK sees it
-        if not np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), initial=0.0) <= atol:
+        # as is_hermitian takes it; a NaN defect fails too, before LAPACK sees it
+        if not np.max(_hermitian_defect(stack), initial=0.0) <= atol:
             raise ValueError("input is not Hermitian within tolerance")
         blocks[size] = stack
     spectra: list[list] = [[] for _ in items]

@@ -21,10 +21,10 @@ from edss.protocols import SPECS, Cnot, _drive, partition_name, qudit_states, ru
 from edss.states import qudit_initial_state
 from edss.tensor import (
     Bipartition,
+    _batch_spectra,
     _component_labels,
     _Entries,
     _plan,
-    _plan_spectra,
     hermitian_eigenvalues,
     partial_transpose,
 )
@@ -115,7 +115,7 @@ def test_every_qudit_partial_transpose_matches_dense(d, kind):
             pt = assert_matches_dense(rho, part, dense_spectra)
             dense = dense_spectra[pt.tobytes()]
             entries = rho._entries()
-            eigs = _plan_spectra(_plan(entries, part.side_a), entries.values)
+            eigs = _batch_spectra([(_plan(entries, part.side_a), entries.values)])[0]
             assert np.max(np.abs(eigs - dense)) <= EIG_ATOL
             with patch.object(edss.measures, "hermitian_eigenvalues", lambda h: dense):
                 assert abs(recorded - negativity(rho, part).value) <= REPORTED_ATOL
@@ -249,7 +249,7 @@ def test_plan_hit_spectra_equal_a_cold_solve_bit_for_bit(monkeypatch, d):
         stack = joint_stack(d, part)  # the dense partial transposes of e
         solves = [
             lambda: hermitian_eigenvalues(stack),
-            lambda: _plan_spectra(_plan(e, part.side_a), e.values),
+            lambda: _batch_spectra([(_plan(e, part.side_a), e.values)])[0],
             lambda: _batch_negativities([(e, part)])[0],
         ]
         monkeypatch.setattr(edss.tensor, "_PLANS", {})

@@ -446,7 +446,6 @@ class TestNonFiniteParameters:
 
     def test_is_cpt_fails_instead_of_raising(self):
         for bad in (float("nan"), float("inf")):
-            with np.errstate(invalid="ignore"):
-                report = is_cpt(CanonicalChannel(bad, 1.0, 1.0))
+            report = is_cpt(CanonicalChannel(bad, 1.0, 1.0))
             assert not report
             assert np.isnan(report.min_choi_eigenvalue)

@@ -7,12 +7,14 @@ KeyError in one combination only.
 
 import csv
 import itertools
+import re
 
 import pytest
 
 from edss import FORMULAS, SweepError, SweepSpec, run_sweep
 from edss.channels import CHANNEL_PARAMS
 from edss.protocols import MODES, PROTOCOLS, SPECS, _drive
+from edss.reference import CLOSED_FORM_KINDS
 from edss.sweep import sweep_columns
 
 # With these fixed values every lambda3 in [0, 0.8] gives a CPT channel.
@@ -81,3 +83,36 @@ def test_table_entry_matches_its_runs(spec, tmp_path):
     assert rows[0] == columns
     assert len(rows) == 1 + spec.points
     assert all(len(row) == len(columns) for row in rows)
+
+
+# The exchange and measured subsystems each entry once listed by hand.
+EXCHANGE = {
+    ("two_qubit", "probabilistic"): ((2,), ("c",)),
+    ("two_qubit", "deterministic"): ((2,), ()),
+    ("ghz", "probabilistic"): ((3, 4), ("d1", "d2")),
+    ("qudit", "probabilistic"): ((2,), ("c",)),
+}
+
+
+@pytest.mark.parametrize("key", list(SPECS), ids="-".join)
+def test_exchange_and_measured_follow_from_the_steps(key):
+    spec = SPECS[key]
+    assert (spec.exchange, spec.measured) == EXCHANGE[key]
+    for kind in CHANNEL_PARAMS:
+        critical = spec.critical_formula(kind)
+        assert (critical is not None) == ((spec.protocol, kind) == ("qudit", "depolarizing"))
+
+
+def test_every_formula_is_read_by_some_entry():
+    reached = set()
+    for spec, kind in itertools.product(SPECS.values(), CLOSED_FORM_KINDS):
+        reached.update(spec.formulas(kind), [spec.critical_formula(kind)])
+    assert set(FORMULAS) <= reached
+
+
+@pytest.mark.parametrize("key", list(SPECS), ids="-".join)
+def test_describe_cites_only_step_labels(key):
+    spec = SPECS[key]
+    cited = set(re.findall(r"@(\w+)", spec.describe))
+    assert cited
+    assert cited <= {step.label for step in spec.steps} | {"success"}

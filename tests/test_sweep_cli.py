@@ -211,15 +211,13 @@ class TestFloatFormat:
 
 
 class TestChecksSuites:
-    def test_closed_form_negative_control(self):
-        formulas = dict(edss.reference.FORMULAS)
-        formulas["two_qubit_depolarizing_average_negativity"] = Formula(
-            "two_qubit_depolarizing_average_negativity",
-            ("p",),
-            "wrong constant",
-            lambda p: (2.0 - 3.0 * p) / 7.0 if p <= 2 / 3 else 0.0,
+    def test_closed_form_negative_control(self, monkeypatch):
+        fid = "two_qubit_depolarizing_average_negativity"
+        wrong = Formula(
+            fid, ("p",), "wrong constant", lambda p: (2.0 - 3.0 * p) / 7.0 if p <= 2 / 3 else 0.0
         )
-        results = closed_form_suite(formulas=formulas, grid_points=5, qudit_dims=(2,))
+        monkeypatch.setitem(edss.reference.FORMULAS, fid, wrong)
+        results = closed_form_suite(grid_points=5, qudit_dims=(2,))
         by_name = {r.name: r for r in results}
         bad = by_name["two_qubit_depolarizing_average_negativity"]
         assert not bad.passed
