@@ -31,6 +31,8 @@ from .reference import CLOSED_FORM_ATOL, CLOSED_FORM_KINDS, FORMULAS
 from .sweep import SweepSpec, row_deviations, sweep_rows
 
 DEFAULT_SEED = 20230711
+# Draws are CP up to eigensolver rounding, not merely within admission's VALIDITY_ATOL.
+RANDOM_CP_TOL = 1e-12
 QUDIT_DIMS = (2, 3, 4, 5, 6)
 
 
@@ -51,7 +53,7 @@ def random_cp_canonical(rng: np.random.Generator, max_tries: int = 10_000) -> Ca
     for _ in range(max_tries):
         l1, l2, l3, t3 = rng.uniform(-1.0, 1.0, size=4)
         ch = canonical_channel(l1, l2, l3, t3)
-        if is_cpt(ch, tol=1e-12):
+        if is_cpt(ch, tol=RANDOM_CP_TOL):
             return ch
     raise RuntimeError("could not sample a CP canonical channel")
 

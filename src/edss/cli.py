@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .channels import CHANNEL_PARAMS
 from .checks import SUITES, run_checks
-from .protocols import PROTOCOLS, SPECS
+from .protocols import PROTOCOLS, describe
 from .sweep import CHECK_NAMES, MAX_DIM_CEILING, MAX_POINTS, SweepError, SweepSpec, run_sweep
 
 MODE_ALIASES = {
@@ -154,14 +154,7 @@ def _run_check_command(args: argparse.Namespace) -> int:
 
 
 def _run_describe_command(args: argparse.Namespace) -> int:
-    spec = SPECS.get((args.protocol, "probabilistic"))
-    if spec is None:
-        print(
-            f"unknown protocol {args.protocol!r}; choose from {', '.join(PROTOCOLS)}",
-            file=sys.stderr,
-        )
-        return 2
-    print(spec.describe, end="")
+    print(describe(args.protocol), end="")
     return 0
 
 

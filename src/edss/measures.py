@@ -22,6 +22,8 @@ from .tensor import (
 
 # Eigenvalues in (-NEGATIVE_EIG_ATOL, 0) are treated as solver noise.
 NEGATIVE_EIG_ATOL = 1e-10
+# Zero roots of the concurrence's eigenproblem come back as ~1e-16; genuine ones sit far above.
+ZERO_ROOT_ATOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,7 @@ def _concurrences(m: np.ndarray) -> np.ndarray:
     """Concurrence of each two-qubit matrix of the stack ``m``."""
     yy = np.kron(SIGMA_Y, SIGMA_Y)
     roots = np.real(np.linalg.eigvals(m @ (yy @ m.conj() @ yy)))
-    # Zero roots come back from the solver as ~1e-16 values whose square
-    # roots would pollute the differences below; genuine roots sit far above.
-    roots[roots < 1e-13] = 0.0
+    roots[roots < ZERO_ROOT_ATOL] = 0.0
     lams = np.sort(np.sqrt(roots), axis=-1)[..., ::-1]
     return np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
 

@@ -12,9 +12,9 @@ Three variants are covered:
 
 Each (protocol, mode) pair is one :class:`ProtocolSpec` in ``SPECS``: its
 register, its ordered CNOT and channel steps, the partitions recorded at
-each step, its finish, its identity chains, its CSV columns with their
-closed forms and its ``edss describe`` text. One driver walks an entry;
-sweeps, check suites and the CLI read the same table.
+each step, its finish, its identity chains and its CSV columns with their
+closed forms. One driver walks an entry; sweeps, check suites and the
+``edss describe`` text (:func:`describe`) read the same table.
 
 The driver runs a batch of points at once: each state is a stack with one
 matrix per point, and every operation acts on the whole stack. A stack is an
@@ -29,6 +29,7 @@ together at its end, one batched ``eigvalsh`` per block size.
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from math import prod
@@ -60,6 +61,13 @@ from .tensor import (
 # Where the paper's identities hold, chain spreads and exchange negativities are ~1e-15.
 CHAIN_ATOL = 1e-9
 SEPARABILITY_ATOL = 1e-9
+# Channels whose tensors agree this closely count as one (for the symmetry chains).
+SAME_CHANNEL_ATOL = 1e-12
+# critical_noise's zero: far above ~1e-16 rounding; the root bias it makes, atol / |slope|,
+# stays under 1e-9 up to d ~ 500.
+ROOT_ZERO_ATOL = 1e-12
+# critical_noise stops at a bracket this wide, a thousandth of CLOSED_FORM_ATOL.
+ROOT_TOL = 1e-12
 # A qudit state held as entries has at most d^3 + d^2 - d of them; what caps d
 # is channel admission: at d = 32 one transfer tensor is 16 MB and its CPT
 # eigensolve takes about 0.5 s. _register holds every run and sweep to it.
@@ -167,9 +175,11 @@ class ProtocolSpec:
     Each fact is stated once. The exchange subsystems are the targets of the
     ``Noise`` steps, and a probabilistic finish measures them; closed forms
     and critical noise levels are the ``reference.FORMULAS`` ids the spec's
-    protocol and columns name. ``initial`` and ``average_only`` call
-    module-level functions by name, so wrappers installed on those names
-    (profilers, tracers) see every call.
+    protocol and columns name. The trace keys a run records are those of
+    ``recorded`` and ``outcome_sides``, and :func:`describe` renders the
+    ``edss describe`` text from the entries alone. ``initial`` and
+    ``average_only`` call module-level functions by name, so wrappers
+    installed on those names (profilers, tracers) see every call.
     """
 
     protocol: str
@@ -204,7 +214,6 @@ class ProtocolSpec:
     # the identity suite draws random_channels // random_divisor random
     # canonical channels for this entry (0: none)
     random_divisor: int = 0
-    describe: str
 
     @property
     def exchange(self) -> tuple[int, ...]:
@@ -219,6 +228,20 @@ class ProtocolSpec:
         if self.deterministic is not None:
             return ()
         return tuple(self.subsystems[i] for i in self.exchange)
+
+    def recorded(self, step: Step) -> dict[str, tuple[int, ...]]:
+        """Trace key -> side of each partition recorded at ``step``: the exchange,
+        then ``step.record``."""
+        sides = (self.exchange, *step.record)
+        return {f"{partition_name(self.subsystems, side)}@{step.label}": side for side in sides}
+
+    def outcome_sides(self) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, int]]]:
+        """The post-measurement register's ``finish`` partitions (name -> side)
+        and its success pairs (trace key -> pair)."""
+        rest = [label for label in self.subsystems if label not in self.measured]
+        parts = {partition_name(rest, side): side for side in self.finish}
+        pairs = {f"{''.join(rest[i] for i in p)}_pair@success": p for p in self.success_pairs}
+        return parts, pairs
 
     def formulas(self, kind: str) -> dict[str, tuple[str, ...]]:
         """Per-point formula id -> predicted columns for a ``kind`` sweep."""
@@ -347,7 +370,8 @@ def _new_trace(
     )
     first = channels[0].transfer_tensor()
     if all(
-        ch is channels[0] or np.allclose(first, ch.transfer_tensor(), atol=1e-12, rtol=0.0)
+        ch is channels[0]
+        or np.allclose(first, ch.transfer_tensor(), atol=SAME_CHANNEL_ATOL, rtol=0.0)
         for ch in channels[1:]
     ):
         trace.identity_chains.update(spec.symmetry_chains)
@@ -388,8 +412,8 @@ def _drive(
     for step, (label, stack) in zip(spec.steps, states):
         for b, trace in enumerate(traces):
             trace.steps.append((label, DensityOperator._trusted(stack[b % len(stack)])))
-        for side in (spec.exchange, *step.record):
-            recorded[f"{partition_name(spec.subsystems, side)}@{label}"] = queued(stack, side)
+        for key, side in spec.recorded(step).items():
+            recorded[key] = queued(stack, side)
 
     final = states[-1][1]
     if spec.deterministic is not None:
@@ -397,8 +421,7 @@ def _drive(
         _check_unit_trace(out)
         queued(out, (0,))  # the last item
     else:
-        rest = [label for label in spec.subsystems if label not in spec.measured]
-        parts = {partition_name(rest, s): s for s in spec.finish}
+        parts, pairs = spec.outcome_sides()
         measured = []  # per branch: outcome, probabilities, live posts, queue indices
         for n, (outcome, probs, posts) in enumerate(_branches(spec, final)):
             posts = posts[probs > 0.0]
@@ -408,10 +431,9 @@ def _drive(
                 names = {name: queued(posts, s) for name, s in parts.items()}
             if len(posts) and n == 0:  # the success branch
                 success = {f"{name}@success": i for name, i in names.items()}
-                for pair in spec.success_pairs:
+                for key, pair in pairs.items():
                     reduced = _partial_trace(posts, pair)
                     _check_unit_trace(reduced)
-                    key = f"{''.join(rest[i] for i in pair)}_pair@success"
                     success[key] = queued(reduced, (0,))
             measured.append((outcome, probs, posts, names, success))
 
@@ -579,23 +601,6 @@ _TWO_QUBIT = ProtocolSpec(
     ),
     closed_forms=(("success_probability",), ("success_negativity",), ("average_negativity",)),
     random_divisor=1,
-    describe="""\
-two_qubit: distribute a two-qubit entangled pair between distant nodes a and b
-using an exchange qubit c that stays separable from them throughout.
-
-  I    initial           separable three-qubit state of (a, b, c) prepared at node a
-  II   alice_cnot        CNOT, control a, target c
-  III  channel           c travels to node b through the noisy channel
-  IV   bob_cnot          CNOT, control b, target c
-  V    finish            probabilistic: measure c in the computational basis
-                         (2 outcomes; outcome 0 carries the entangled pair)
-                         deterministic: apply the local (b, c) channel, trace out c
-
-partitions reported: c|ab at every step; a|bc after III and IV; b|ac after IV;
-a|b on the success branch.
-identity chain: avg a|b = a|bc@channel = a|bc@bob_cnot = b|ac@bob_cnot
-closed forms: two_qubit_depolarizing_*, two_qubit_amplitude_damping_*
-""",
 )
 
 SPECS: dict[tuple[str, str], ProtocolSpec] = {
@@ -659,23 +664,6 @@ SPECS: dict[tuple[str, str], ProtocolSpec] = {
             ("average_b_ac", "average_c_ab"),
         ),
         random_divisor=5,
-        describe="""\
-ghz: distribute a three-qubit GHZ state between nodes a, b, c using two
-exchange qubits d1, d2 that stay separable from the targets throughout.
-
-  I    initial           separable five-qubit state of (a, b, c, d1, d2)
-  II   alice_cnots       CNOTs, control a, targets d1 and d2
-  III  channels          d1 goes to node b, d2 to node c, each through its channel
-  IV   bob_charlie_cnots CNOTs, controls b and c, targets d1 and d2
-  V    finish            measure d1 and d2; 4 outcomes (l, l') with (0, 0) the
-                         success branch carrying the three-party state
-
-partitions reported: d1d2|abc at every step; a|bcd1d2, b|acd1d2, c|abd1d2 after
-III and IV; a|bc, b|ac, c|ab and the qubit pairs on the success branch.
-identity chains: avg a|bc = a|bcd1d2@bob_charlie_cnots = a|bcd1d2@channels;
-avg b|ac = b|acd1d2@bob_charlie_cnots; avg c|ab = c|abd1d2@bob_charlie_cnots
-closed forms: ghz_depolarizing_*, ghz_amplitude_damping_*
-""",
     ),
     ("qudit", "probabilistic"): replace(
         _TWO_QUBIT,
@@ -703,27 +691,63 @@ closed forms: ghz_depolarizing_*, ghz_amplitude_damping_*
         ),
         takes_d=True,
         random_divisor=0,
-        describe="""\
-qudit: distribute a d-level entangled pair between nodes a and b using an
-exchange qudit c that stays separable from them throughout.
-
-  I    initial           separable three-qudit state of (a, b, c)
-  II   alice_cnot        generalized CNOT, control a, target c (addition mod d)
-  III  channel           c travels to node b through the noisy channel
-  IV   bob_inverse_cnot  inverse generalized CNOT, control b, target c
-  V    finish            measure c in the computational basis; d outcomes with
-                         outcome 0 the success branch
-
-partitions reported: c|ab at every step; a|bc and b|ac after III and IV; a|b on
-the success branch.
-identity chain: avg a|b = a|bc@channel = a|bc@bob_inverse_cnot = b|ac@bob_inverse_cnot
-closed forms: qudit_depolarizing_*, qudit_amplitude_damping_*
-""",
     ),
 }
 
 PROTOCOLS = tuple(dict.fromkeys(protocol for protocol, _ in SPECS))
 MODES = ("probabilistic", "deterministic")
+
+
+def _op_text(spec: ProtocolSpec, op: Cnot | Noise) -> str:
+    labels = spec.subsystems
+    if isinstance(op, Noise):
+        return f"noise on {labels[op.target]} ({spec.channel_roles[op.channel]})"
+    return f"{'inverse ' * op.inverse}CNOT {labels[op.control]} -> {labels[op.target]}"
+
+
+def _wrapped(text: str) -> list[str]:
+    return textwrap.wrap(
+        text, 79, initial_indent="  ", subsequent_indent="      ",
+        break_long_words=False, break_on_hyphens=False,
+    )
+
+
+def describe(protocol: str) -> str:
+    """The ``edss describe`` text of ``protocol``, rendered from its ``SPECS``
+    entries: the register, one numbered row per step (the modes share their
+    steps), then per mode its finish, the trace keys it records, its identity
+    and symmetry chains and its closed-form formula ids."""
+    modes = [spec for (name, _), spec in SPECS.items() if name == protocol]
+    if not modes:
+        raise ValueError(f"unknown protocol {protocol!r}; choose from {', '.join(PROTOCOLS)}")
+    first, labels = modes[0], modes[0].subsystems
+    exchange = ", ".join(labels[i] for i in first.exchange)
+    targets = ", ".join(labels[i] for i in range(len(labels)) if i not in first.exchange)
+    levels = "d levels each" if first.takes_d else "qubits"
+    lines = [f"{protocol}: targets {targets}; exchange {exchange}; {levels}", ""]
+    for i, step in enumerate(first.steps):
+        numeral = ("I", "II", "III", "IV", "V", "VI")[i]
+        ops = "; ".join(_op_text(first, op) for op in step.ops) or "start state"
+        lines.append(f"  {numeral:<5}{step.label:<18}{ops}")
+    for spec in modes:
+        parts, pairs = spec.outcome_sides()
+        keys = [key for step in spec.steps for key in spec.recorded(step)]
+        if spec.deterministic is not None:
+            finish = f"a local map replaces the measurement of {exchange}"
+        else:
+            count = "d" if spec.takes_d else 2 ** len(spec.measured)
+            zero = "0" if len(spec.measured) == 1 else str((0,) * len(spec.measured))
+            finish = f"measure {', '.join(spec.measured)}; {count} outcomes, success on {zero}"
+            keys += [f"{name}@success" for name in parts] + list(pairs)
+        lines += ["", f"{spec.mode}:", f"  finish: {finish}"]
+        lines += _wrapped(" ".join(["records:", *keys]))
+        for kind, chains in ("identity", spec.identity_chains), ("symmetry", spec.symmetry_chains):
+            for name, members in chains.items():
+                lines += _wrapped(f"{kind} chain {name}: {' = '.join(members)}")
+        forms = [fid for kind in CLOSED_FORM_KINDS for fid in spec.formulas(kind)]
+        forms += filter(None, map(spec.critical_formula, CLOSED_FORM_KINDS))
+        lines += _wrapped(" ".join(["closed forms:", *forms]))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -778,8 +802,8 @@ def critical_noise(
     fn: Callable[[float], float],
     lo: float = 0.0,
     hi: float = 1.0,
-    zero_atol: float = 1e-12,
-    tol: float = 1e-12,
+    zero_atol: float = ROOT_ZERO_ATOL,
+    tol: float = ROOT_TOL,
 ) -> float:
     """Boundary above which a nonincreasing nonnegative curve is (numerically) zero.
 

@@ -7,6 +7,7 @@ Piecewise formulas return 0 in their zero region.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,18 +42,6 @@ def _check_dim(d: int) -> int:
     return int(d)
 
 
-def _tq_depol_success_prob(p: float) -> float:
-    return (2.0 + p) / 6.0
-
-
-def _tq_depol_success_neg(p: float) -> float:
-    return (2.0 - 3.0 * p) / (2.0 + p) if p <= 2.0 / 3.0 else 0.0
-
-
-def _tq_depol_average(p: float) -> float:
-    return (2.0 - 3.0 * p) / 6.0 if p <= 2.0 / 3.0 else 0.0
-
-
 TWO_QUBIT_DEPOL_DET_CRITICAL = (3.0 - math.sqrt(5.0)) / 2.0
 
 
@@ -60,18 +49,6 @@ def _tq_depol_deterministic(p: float) -> float:
     if p >= TWO_QUBIT_DEPOL_DET_CRITICAL:
         return 0.0
     return (math.sqrt(17.0 * p * p - 40.0 * p + 32.0) - p - 4.0) / 12.0
-
-
-def _tq_ad_success_prob(g: float) -> float:
-    return (2.0 + g) / 6.0
-
-
-def _tq_ad_success_neg(g: float) -> float:
-    return (2.0 - 2.0 * g) / (2.0 + g)
-
-
-def _tq_ad_average(g: float) -> float:
-    return (1.0 - g) / 3.0
 
 
 def _tq_ad_deterministic(g: float) -> float:
@@ -161,17 +138,11 @@ def _qudit_ad_average(d: int, g: float) -> float:
 
 # One row per (protocol, quantity): its description, then its curve under
 # depolarizing and under amplitude-damping noise. The formula id is
-# <protocol>_<kind>_<quantity>; qudit curves take the dimension d first.
+# <protocol>_<kind>_<quantity>; qudit curves take the dimension d first. The
+# two-qubit protocol is the qudit one at d = 2 (equal start states, and the inverse
+# CNOT is the CNOT), so ``_registry`` registers each qudit curve at d = 2 as the
+# two_qubit curve of the same quantity.
 _CURVES = (
-    ("two_qubit", "success_probability",
-     "probability of the entangling measurement outcome",
-     _tq_depol_success_prob, _tq_ad_success_prob),
-    ("two_qubit", "success_negativity",
-     "negativity of the post-measurement pair on success",
-     _tq_depol_success_neg, _tq_ad_success_neg),
-    ("two_qubit", "average_negativity",
-     "branch-averaged negativity distributed between a and b",
-     _tq_depol_average, _tq_ad_average),
     ("two_qubit", "deterministic_negativity",
      "negativity of the deterministic-variant output pair",
      _tq_depol_deterministic, _tq_ad_deterministic),
@@ -194,7 +165,7 @@ _CURVES = (
      "probability of the entangling measurement outcome",
      _qudit_depol_success_prob, _qudit_ad_success_prob),
     ("qudit", "success_negativity",
-     "negativity of the post-measurement qudit pair on success",
+     "negativity of the post-measurement pair on success",
      _qudit_depol_success_neg, _qudit_ad_success_neg),
     ("qudit", "average_negativity",
      "branch-averaged negativity distributed between a and b",
@@ -214,6 +185,9 @@ def _registry() -> dict[str, Formula]:
     for protocol, quantity, description, depolarizing, damping in _CURVES:
         for kind, fn in zip(CLOSED_FORM_KINDS, (depolarizing, damping)):
             noise = CHANNEL_PARAMS[kind][0]
+            if protocol == "qudit":
+                fid = f"two_qubit_{kind}_{quantity}"
+                entries.append(Formula(fid, (noise,), description, functools.partial(fn, 2)))
             params = ("d", noise) if protocol == "qudit" else (noise,)
             entries.append(Formula(f"{protocol}_{kind}_{quantity}", params, description, fn))
     return {f.formula_id: f for f in entries}

@@ -29,6 +29,8 @@ from .tensor import (
 # Branch probabilities below this are reported as exactly zero with a null
 # post state, keeping branch indexing stable across noise values.
 ZERO_PROBABILITY_ATOL = 1e-12
+# A state vector's norm may miss 1 by the rounding of its amplitudes (~1e-16 each).
+UNIT_NORM_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +46,7 @@ class PureState:
         if amps.shape[0] != prod(dims):
             raise ValueError(f"amplitude count {amps.shape[0]} does not match dims {dims}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > UNIT_NORM_ATOL:
             raise ValueError(f"state vector must have unit norm, got {norm}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)

@@ -245,22 +245,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for row in rows:
         check_failures.extend(_row_checks(spec, row))
 
+    # each cell formatted once; the chart plots the printed values
+    cells = [[format_float(row[c]) for c in columns] for row in rows]
     csv_path = Path(spec.csv_path)
     with open(csv_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_float(row[c]) for c in columns])
+        writer.writerows(cells)
 
     svg_path = None
     if spec.svg_path is not None:
         svg_path = Path(spec.svg_path)
-        xs = [float(format_float(row[spec.param])) for row in rows]
-        series = [
-            (c, [float(format_float(row[c])) for row in rows])
-            for c in columns
-            if c != spec.param
-        ]
+        xs, *ys = ([float(cell) for cell in column] for column in zip(*cells))
+        series = list(zip(columns[1:], ys))  # column 0 is the swept parameter
         title = f"{spec.protocol} / {spec.channel} ({spec.mode})"
         svg_path.write_text(
             render_line_chart(xs, series, title, x_label=spec.param), encoding="utf-8"

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,6 +343,8 @@ class TestClosedFormRegistry:
 
     def test_every_formula_is_finite_on_domain(self):
         for fid, formula in FORMULAS.items():
+            # a curve registered with the wrong arity fails here, not mid-sweep
+            assert len(inspect.signature(formula.fn).parameters) == len(formula.params), fid
             params = {}
             if "d" in formula.params:
                 params["d"] = 3
@@ -369,6 +373,27 @@ class TestClosedFormRegistry:
             with pytest.raises(ValueError, match=rf"integer >= 2, got {d}"):
                 closed_form(fid, d=d, p=0.1)
         assert closed_form(fid, d=3.0, p=0.1) == closed_form(fid, d=3, p=0.1)
+
+
+class TestTwoQubitIsQuditAtDTwo:
+    """The two-qubit protocol is the qudit one at d = 2; the two-qubit
+    probabilistic closed forms are registered as the qudit ones at d = 2."""
+
+    @pytest.mark.parametrize("make", [depolarizing, amplitude_damping])
+    def test_runs_agree_bit_for_bit_on_the_lattice(self, make):
+        pairs = [
+            ("a|bc@channel", "a|bc@channel"),
+            ("a|bc@bob_cnot", "a|bc@bob_inverse_cnot"),
+            ("b|ac@bob_cnot", "b|ac@bob_inverse_cnot"),
+            ("a|b@success", "a|b@success"),
+        ]
+        for x in np.linspace(0.0, 1.0, 201):
+            ch = make(2, x)
+            pair, qudit = run_two_qubit(ch), run_qudit(2, ch)
+            assert pair.success_probability == qudit.success_probability, x
+            assert pair.average_negativity == qudit.average_negativity, x
+            for key, qudit_key in pairs:
+                assert pair.value_of(key) == qudit.value_of(qudit_key), (x, key)
 
 
 class TestCriticalNoise:

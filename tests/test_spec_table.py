@@ -12,8 +12,8 @@ import re
 import pytest
 
 from edss import FORMULAS, SweepError, SweepSpec, run_sweep
-from edss.channels import CHANNEL_PARAMS
-from edss.protocols import MODES, PROTOCOLS, SPECS, _drive
+from edss.channels import CHANNEL_PARAMS, noise_channel
+from edss.protocols import MODES, PROTOCOLS, SPECS, _drive, describe
 from edss.reference import CLOSED_FORM_KINDS
 from edss.sweep import sweep_columns
 
@@ -113,6 +113,21 @@ def test_every_formula_is_read_by_some_entry():
 @pytest.mark.parametrize("key", list(SPECS), ids="-".join)
 def test_describe_cites_only_step_labels(key):
     spec = SPECS[key]
-    cited = set(re.findall(r"@(\w+)", spec.describe))
+    cited = set(re.findall(r"@(\w+)", describe(spec.protocol)))
     assert cited
     assert cited <= {step.label for step in spec.steps} | {"success"}
+
+
+@pytest.mark.parametrize("key", list(SPECS), ids="-".join)
+def test_describe_names_what_a_run_records(key):
+    spec = SPECS[key]
+    tokens = {token.strip(",;:()") for token in describe(spec.protocol).split()}
+    channels = (noise_channel("depolarizing", 2, 0.25),) * len(spec.channel_roles)
+    trace = _drive(spec, [channels])[0]
+    assert set(trace.partition_negativities) <= tokens
+    for chains in (spec.identity_chains, spec.symmetry_chains):
+        for name, members in chains.items():
+            assert {name, *members} <= tokens
+    for kind in CLOSED_FORM_KINDS:
+        fids = [*spec.formulas(kind), spec.critical_formula(kind)]
+        assert {fid for fid in fids if fid is not None} <= tokens

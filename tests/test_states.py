@@ -134,6 +134,12 @@ class TestConstructionOracles:
             np.abs(qudit_initial_state(2).matrix - edss_initial_two_qubit().matrix)
         ) < 1e-12
 
+    def test_qudit_and_two_qubit_entries_are_equal_at_d2(self):
+        # the two-qubit closed forms are the qudit ones at d = 2 on this fact
+        pair, qudit = edss_initial_two_qubit()._entries(), qudit_initial_state(2)._entries()
+        for field in ("rows", "cols", "values"):
+            assert np.array_equal(getattr(pair, field), getattr(qudit, field)), field
+
 
 class TestPhaseMixtures:
     """The start states against literal k-sums of their product phase states,
