@@ -18,7 +18,15 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .tensor import VALIDITY_ATOL, DensityOperator, _Entries, _hermitian_defect
+from .tensor import (
+    VALIDITY_ATOL,
+    DensityOperator,
+    _Entries,
+    _hermitian_defect,
+    _index_plan,
+    _sum_plan,
+    _summed,
+)
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -77,11 +85,19 @@ class CanonicalChannel(_Channel):
         return 2
 
     def _build_transfer_tensor(self) -> np.ndarray:
-        # T[i,j,k,l] = (1/2) sum_mn R[m,n] s_m[i,j] s_n[l,k], since
-        # tr(s_n |k><l|) = s_n[l,k]; R holds 1, the lambdas and the z shift.
-        r = np.diag([1.0, self.lambda1, self.lambda2, self.lambda3])
-        r[3, 0] = self.t3
-        return 0.5 * np.einsum("mn,mij,nlk->ijkl", r, _PAULI_BASIS, _PAULI_BASIS)
+        params = [[self.lambda1, self.lambda2, self.lambda3, self.t3]]
+        return _canonical_tensors(np.array(params))[0]
+
+
+def _canonical_tensors(params: np.ndarray) -> np.ndarray:
+    """Transfer tensors of the canonical channels with the rows (l1, l2, l3, t3) of ``params``."""
+    # T[i,j,k,l] = (1/2) sum_mn R[m,n] s_m[i,j] s_n[l,k], since
+    # tr(s_n |k><l|) = s_n[l,k]; R holds 1, the lambdas and the z shift.
+    r = np.zeros((len(params), 4, 4))
+    r[:, 0, 0] = 1.0
+    r.reshape(-1, 16)[:, 5::5] = params[:, :3]  # the diagonal after R[0, 0]
+    r[:, 3, 0] = params[:, 3]
+    return 0.5 * np.einsum("bmn,mij,nlk->bijkl", r, _PAULI_BASIS, _PAULI_BASIS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,17 +261,24 @@ def _embed_entries(t4: np.ndarray, m: _Entries, d: int, stride: int) -> _Entries
     each point's value ``T[i, j, k, l]`` times its own; entries that land on
     one position are then summed."""
     joint = np.any(t4 != 0, axis=tuple(range(t4.ndim - 4)))
-    k, l, i, j = np.nonzero(joint.transpose(2, 3, 0, 1))  # ordered by (k, l)
-    count = np.bincount(k * d + l, minlength=d * d)
-    entry_key = (m.rows // stride) % d * d + (m.cols // stride) % d
-    fan = count[entry_key]
-    source = np.repeat(np.arange(len(entry_key)), fan)
-    first = np.cumsum(count) - count
-    term = np.arange(fan.sum()) + np.repeat(first[entry_key] - (np.cumsum(fan) - fan), fan)
-    i, j, k, l = i[term], j[term], k[term], l[term]
-    rows = m.rows[source] + (i - k) * stride
-    cols = m.cols[source] + (j - l) * stride
-    return _Entries.summed(rows, cols, t4[..., i, j, k, l] * m.values[..., source], m.dims)
+
+    def plan() -> tuple:
+        k, l, i, j = np.nonzero(joint.transpose(2, 3, 0, 1))  # ordered by (k, l)
+        count = np.bincount(k * d + l, minlength=d * d)
+        entry_key = (m.rows // stride) % d * d + (m.cols // stride) % d
+        fan = count[entry_key]
+        source = np.repeat(np.arange(len(entry_key)), fan)
+        first = np.cumsum(count) - count
+        term = np.arange(fan.sum()) + np.repeat(first[entry_key] - (np.cumsum(fan) - fan), fan)
+        i, j, k, l = i[term], j[term], k[term], l[term]
+        rows = m.rows[source] + (i - k) * stride
+        cols = m.cols[source] + (j - l) * stride
+        return ((i * d + j) * d + k) * d + l, source, _sum_plan(rows, cols, m.dims)
+
+    key = None if m.key is None else ("embed", m.key, stride, joint.tobytes())
+    term, source, summing = _index_plan(key, plan)
+    products = t4.reshape(*t4.shape[:-4], d**4)[..., term] * m.values[..., source]
+    return _summed(summing, products, m.dims, key)
 
 
 def choi_matrix(ch: QuditChannel) -> np.ndarray:

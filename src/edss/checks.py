@@ -9,11 +9,12 @@ grid that is the largest ``edss.sweep.row_deviations`` over the sweep rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .channels import CHANNEL_PARAMS, CanonicalChannel, canonical_channel, is_cpt
+from .channels import CHANNEL_PARAMS, CanonicalChannel, _canonical_tensors, _cpt_reports
+from .channels import canonical_channel
 from .protocols import (
     CHAIN_ATOL,
     PROTOCOLS,
@@ -33,6 +34,8 @@ from .sweep import SweepSpec, row_deviations, sweep_rows
 DEFAULT_SEED = 20230711
 # Draws are CP up to eigensolver rounding, not merely within admission's VALIDITY_ATOL.
 RANDOM_CP_TOL = 1e-12
+# Candidates per stacked CPT test of the identity suite's draws (about 1 in 6 is CP).
+DRAW_BLOCK = 64
 QUDIT_DIMS = (2, 3, 4, 5, 6)
 
 
@@ -50,12 +53,23 @@ class CheckResult:
 
 def random_cp_canonical(rng: np.random.Generator, max_tries: int = 10_000) -> CanonicalChannel:
     """Rejection-sample a CP-valid canonical channel (Choi-validated)."""
-    for _ in range(max_tries):
-        l1, l2, l3, t3 = rng.uniform(-1.0, 1.0, size=4)
-        ch = canonical_channel(l1, l2, l3, t3)
-        if is_cpt(ch, tol=RANDOM_CP_TOL):
-            return ch
-    raise RuntimeError("could not sample a CP canonical channel")
+    return next(_random_cp_canonicals(rng, 1, max_tries))
+
+
+def _random_cp_canonicals(rng, block: int, max_tries: int = 10_000) -> Iterator[CanonicalChannel]:
+    """``random_cp_canonical`` draws in order, the candidates drawn ``block`` at a
+    time and admitted by one stacked CPT test. ``uniform(size=(block, 4))`` gives
+    the numbers of ``block`` draws of size 4, so ``block`` moves no channel."""
+    misses = 0
+    while True:
+        params = rng.uniform(-1.0, 1.0, size=(block, 4))
+        reports = _cpt_reports(_canonical_tensors(params), RANDOM_CP_TOL)
+        for row, report in zip(params.tolist(), reports):
+            if report:
+                misses = 0
+                yield canonical_channel(*row)
+            elif (misses := misses + 1) >= max_tries:
+                raise RuntimeError("could not sample a CP canonical channel")
 
 
 def _default_specs() -> list[ProtocolSpec]:
@@ -100,16 +114,17 @@ def identity_suite(
 
     A protocol draws ``random_channels // random_divisor`` random CP
     canonical channels (its table entry sets the divisor), one chunk at a
-    time as the driver's chunk loop ``protocols._runs`` runs them. ``grids``
+    time as the driver's chunk loop ``protocols._runs`` runs them, all from one
+    stream of ``DRAW_BLOCK`` candidate blocks in table order. ``grids``
     is a grid memo shared with the other suites of one ``run_checks`` call
     (see ``_worst``).
     """
-    rng, grids = np.random.default_rng(seed), {} if grids is None else grids
-    results = []
+    draws = _random_cp_canonicals(np.random.default_rng(seed), DRAW_BLOCK)
+    grids, results = {} if grids is None else grids, []
     for spec in _default_specs():
         if spec.random_divisor:
             count = random_channels // spec.random_divisor
-            drawn = ((random_cp_canonical(rng),) * len(spec.channel_roles) for _ in range(count))
+            drawn = ((next(draws),) * len(spec.channel_roles) for _ in range(count))
             chains = map(verify_identity_chain, _runs(spec, drawn))
             dev = max((chain.max_deviation for chain in chains), default=0.0)
             name = f"identity_{spec.protocol}_random_canonical"

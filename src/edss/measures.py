@@ -62,7 +62,7 @@ def _from_spectra(
     eigs: np.ndarray, dims: tuple[int, ...], part: Bipartition
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Trace norms, negativity values and min_dim from partial-transpose spectra."""
-    tn = np.sum(np.abs(eigs), axis=-1)
+    tn = np.abs(eigs).sum(axis=-1)
     min_dim = min(prod(dims[i] for i in part.side_a), prod(dims[i] for i in part.side_b))
     return tn, np.maximum(0.0, (tn - 1.0) / (min_dim - 1)), min_dim
 

@@ -29,15 +29,15 @@ together at its end, one batched ``eigvalsh`` per block size.
 
 from __future__ import annotations
 
+import functools
 import textwrap
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QuditChannel, _covariant, _cpt_reports, _embed, noise_channel
+from .channels import QuditChannel, _covariant, _cpt_reports, _embed, _off_phase, noise_channel
 from .measures import _batch_negativities, _concurrences
 from .reference import CLOSED_FORM_KINDS, FORMULAS
 from .states import (
@@ -68,10 +68,12 @@ SAME_CHANNEL_ATOL = 1e-12
 ROOT_ZERO_ATOL = 1e-12
 # critical_noise stops at a bracket this wide, a thousandth of CLOSED_FORM_ATOL.
 ROOT_TOL = 1e-12
-# A qudit state held as entries has at most d^3 + d^2 - d of them; what caps d
+# A qudit state held as entries has at most 396 of them at d = 6 (see _chunk_points); what caps d
 # is channel admission: at d = 32 one transfer tensor is 16 MB and its CPT
 # eigensolve takes about 0.5 s. _register holds every run and sweep to it.
 MAX_DIM_CEILING = 10
+# The first subsystem against the second, of a two-subsystem register.
+_PAIR_SIDE = Bipartition.split((0,), 2)
 # Bytes per stacked state of one driver pass (see _chunk_points). Over one-point
 # chunks, 256 KiB adds 0.5 MB peak RSS on qubit_sweeps, 1 MiB 4.6 MB.
 STACK_BYTES = 256 * 1024
@@ -215,13 +217,13 @@ class ProtocolSpec:
     # canonical channels for this entry (0: none)
     random_divisor: int = 0
 
-    @property
+    @functools.cached_property
     def exchange(self) -> tuple[int, ...]:
         """The subsystems the channels act on, in step order; this side must
         stay PPT with the rest at every step."""
         return tuple(op.target for step in self.steps for op in step.ops if isinstance(op, Noise))
 
-    @property
+    @functools.cached_property
     def measured(self) -> tuple[str, ...]:
         """Labels of the subsystems measured at the finish, in order: the
         exchange, unless a deterministic map replaces the measurement."""
@@ -242,6 +244,21 @@ class ProtocolSpec:
         parts = {partition_name(rest, side): side for side in self.finish}
         pairs = {f"{''.join(rest[i] for i in p)}_pair@success": p for p in self.success_pairs}
         return parts, pairs
+
+    @functools.cached_property
+    def _queue_sides(self) -> tuple:
+        """What ``_drive`` queues, built once per entry: per step the trace key
+        and bipartition of each side ``recorded`` there (the exchange first),
+        then the finish bipartitions by name and the success pairs of
+        ``outcome_sides``."""
+        n = len(self.subsystems)
+        steps = [
+            [(key, Bipartition.split(side, n)) for key, side in self.recorded(step).items()]
+            for step in self.steps
+        ]
+        parts, pairs = self.outcome_sides()
+        rest = n - len(self.measured)
+        return steps, {name: Bipartition.split(side, rest) for name, side in parts.items()}, pairs
 
     def formulas(self, kind: str) -> dict[str, tuple[str, ...]]:
         """Per-point formula id -> predicted columns for a ``kind`` sweep."""
@@ -357,7 +374,6 @@ def _new_trace(
     noise = _noise_summary(*channels)
     if spec.takes_d:
         noise["d"] = d
-    exchange = partition_name(spec.subsystems, spec.exchange)
     trace = ProtocolTrace(
         protocol=spec.protocol,
         mode=spec.mode,
@@ -365,7 +381,7 @@ def _new_trace(
         subsystems=spec.subsystems,
         steps=[],
         identity_chains=dict(spec.identity_chains),
-        exchange_keys=tuple(f"{exchange}@{step.label}" for step in spec.steps),
+        exchange_keys=tuple(sides[0][0] for sides in spec._queue_sides[0]),
         warnings=warnings,
     )
     first = channels[0].transfer_tensor()
@@ -404,24 +420,24 @@ def _drive(
     states = _evolve(spec, batch, dims)
     queue: list[tuple[_Entries, Bipartition]] = []
 
-    def queued(stack: _Entries, side: Sequence[int]) -> int:
-        queue.append((stack, Bipartition.split(side, len(stack.dims))))
+    def queued(stack: _Entries, part: Bipartition) -> int:
+        queue.append((stack, part))
         return len(queue) - 1
 
+    step_sides, parts, pairs = spec._queue_sides
     recorded = {}  # step key -> queue index; a stack of one row holds for every point
-    for step, (label, stack) in zip(spec.steps, states):
+    for sides, (label, stack) in zip(step_sides, states):
         for b, trace in enumerate(traces):
             trace.steps.append((label, DensityOperator._trusted(stack[b % len(stack)])))
-        for key, side in spec.recorded(step).items():
-            recorded[key] = queued(stack, side)
+        for key, part in sides:
+            recorded[key] = queued(stack, part)
 
     final = states[-1][1]
     if spec.deterministic is not None:
         out = spec.deterministic(final)
         _check_unit_trace(out)
-        queued(out, (0,))  # the last item
+        queued(out, _PAIR_SIDE)  # the last item
     else:
-        parts, pairs = spec.outcome_sides()
         measured = []  # per branch: outcome, probabilities, live posts, queue indices
         for n, (outcome, probs, posts) in enumerate(_branches(spec, final)):
             posts = posts[probs > 0.0]
@@ -434,16 +450,16 @@ def _drive(
                 for key, pair in pairs.items():
                     reduced = _partial_trace(posts, pair)
                     _check_unit_trace(reduced)
-                    success[key] = queued(reduced, (0,))
+                    success[key] = queued(reduced, _PAIR_SIDE)
             measured.append((outcome, probs, posts, names, success))
 
     solved = _batch_negativities(queue)
     for key, i in recorded.items():
-        for trace, value in zip(traces, np.broadcast_to(solved[i], (len(traces),)).tolist()):
+        for trace, value in zip(traces, _per_point(solved[i], len(traces))):
             trace.partition_negativities[key] = value
     if spec.deterministic is not None:
         concurrences = _concurrences(_scatter(out)).tolist()
-        values = zip(np.broadcast_to(solved[-1], (len(traces),)).tolist(), concurrences)
+        values = zip(_per_point(solved[-1], len(traces)), concurrences)
         for b, (trace, (value, conc)) in enumerate(zip(traces, values)):
             state = DensityOperator._trusted(out[b])
             trace.deterministic_output = DeterministicOutcome(state, value, conc)
@@ -474,18 +490,29 @@ def _drive(
     return traces
 
 
+def _per_point(values: np.ndarray, points: int) -> list[float]:
+    """One value per point from a stack's ``values``; a stack of one row holds for every point."""
+    return values.tolist() * (points // len(values))
+
+
 def _chunk_points(spec: ProtocolSpec, d: int) -> int:
     """Points per pass: as many as fit in ``STACK_BYTES`` per stacked state, and
-    at least one. A state holds at most side^2 entries per point, and at most the
-    start state's entry count times, for each channel step, the entries one entry
-    can fan out to: d at d > 2, where only phase-covariant channels are admitted
-    and map |k><l| into the d entries with i - j = k - l (mod d), and d^2 at
-    d = 2, where any CPT channel is admitted."""
-    side = prod(_register(spec, d))
-    steps = sum(isinstance(op, Noise) for step in spec.steps for op in step.ops)
-    fan_out = d if d > 2 else d * d
-    values = min(side * side, len(spec.initial(d)._entries().rows) * fan_out**steps)
-    return max(1, STACK_BYTES // (16 * values))
+    at least one. The entry count is exact: the most entries of any step's stack
+    when the start pattern, with positive values, is evolved under the full
+    admissible transfer-tensor mask. That is the phase-covariant mask
+    ``i - j = k - l (mod d)`` at d > 2, where only phase-covariant channels are
+    admitted, and every entry at d = 2, where any CPT channel is. A tensor
+    admitted with rounding-level entries off that mask (a Z-twirled Kraus sum)
+    reaches more entries than the bound."""
+    dims = _register(spec, d)
+    t4 = np.ones((d,) * 4) if d == 2 else (~_off_phase(d)).astype(float)
+    start = spec.initial(d)._entries()
+    state = _Entries(start.rows, start.cols, np.ones(len(start.rows)), dims, start.key)
+    most = len(state.rows)
+    for op in (op for step in spec.steps for op in step.ops):
+        state = _cnot(state, *op) if isinstance(op, Cnot) else _embed(t4, state, dims, op.target)
+        most = max(most, len(state.rows))
+    return max(1, STACK_BYTES // (16 * most))
 
 
 def _runs(

@@ -11,6 +11,7 @@ their post-CNOT forms with projector sums.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 from math import prod
 
@@ -21,8 +22,11 @@ from .tensor import (
     DensityOperator,
     _check_unit_trace,
     _Entries,
+    _index_plan,
     _partial_trace,
     _scatter,
+    _sum_plan,
+    _summed,
     _traces,
 )
 
@@ -31,6 +35,8 @@ from .tensor import (
 ZERO_PROBABILITY_ATOL = 1e-12
 # A state vector's norm may miss 1 by the rounding of its amplitudes (~1e-16 each).
 UNIT_NORM_ATOL = 1e-12
+# Names of the start states' patterns (see tensor._Entries.key).
+_START_KEYS = itertools.count()
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +137,8 @@ def _phase_mixture(
     x, y = np.nonzero((e[:, None] - e[None, :]) % modulus == 0)
     tagged = np.array([_flat_index(dims, digits) for digits in tags], dtype=np.int64)
     values = np.concatenate([np.full(x.size, weight / e.size), np.full(tagged.size, tag_weight)])
-    entries = _Entries.summed(
-        np.concatenate([x * stride, tagged]), np.concatenate([y * stride, tagged]), values, dims
-    )
+    rows, cols = np.concatenate([x * stride, tagged]), np.concatenate([y * stride, tagged])
+    entries = _summed(_sum_plan(rows, cols, dims), values, dims, ("start", next(_START_KEYS)))
     _check_unit_trace(entries)
     for array in (entries.rows, entries.cols, entries.values):
         array.flags.writeable = False
@@ -212,7 +217,9 @@ def _cnot(m: _Entries, control: int, target: int, inverse: bool) -> _Entries:
         t = (index // at) % d
         return index + ((t + sign * ((index // by) % d)) % d - t) * at
 
-    return _Entries(moved(m.rows), moved(m.cols), m.values, dims)
+    key = None if m.key is None else ("cnot", m.key, control, target, inverse)
+    rows, cols = _index_plan(key, lambda: (moved(m.rows), moved(m.cols)))
+    return _Entries(rows, cols, m.values, dims, key)
 
 
 def measure_computational(rho: DensityOperator, target: int) -> list[MeasurementBranch]:
@@ -238,16 +245,20 @@ def _measure(m: _Entries, target: int) -> list[tuple[np.ndarray, _Entries]]:
     ``m``: the probabilities, 0 below ``ZERO_PROBABILITY_ATOL``, and the post
     states, normalized where the probability is not 0 (left unscaled there)."""
     d, right = m.dims[target], prod(m.dims[target + 1 :])
-    row_digit, col_digit = (m.rows // right) % d, (m.cols // right) % d
 
     def drop(index: np.ndarray) -> np.ndarray:  # the target digit of each index
         return index // (d * right) * right + index % right
 
+    def plan() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        row_digit, col_digit = (m.rows // right) % d, (m.cols // right) % d
+        ats = [np.flatnonzero((row_digit == k) & (col_digit == k)) for k in range(d)]
+        return [(at, drop(m.rows[at]), drop(m.cols[at])) for at in ats]
+
+    key = None if m.key is None else ("measure", m.key, target)
     rest = m.dims[:target] + m.dims[target + 1 :]
     outcomes = []
-    for k in range(d):
-        at = (row_digit == k) & (col_digit == k)
-        block = _Entries(drop(m.rows[at]), drop(m.cols[at]), m.values[..., at], rest)
+    for k, (at, rows, cols) in enumerate(_index_plan(key, plan)):
+        block = _Entries(rows, cols, m.values[..., at], rest, None if key is None else (key, k))
         p = _traces(block).real
         p = np.where(p < ZERO_PROBABILITY_ATOL, 0.0, p)
         scale = np.where(p > 0.0, p, 1.0)[..., None]

@@ -11,9 +11,13 @@ matrix at the call and scatters the result back.
 Spectra go through a block plan (:func:`_plan`): the index arrays that put a
 pattern's entries, partially transposed, into its diagonal blocks. A plan
 depends on positions only, so the last ``PLAN_CACHE_SIZE`` plans are kept,
-keyed by ``(dims, side_a, rows bytes, cols bytes)``; they hold integer arrays
-and never a value. :func:`_batch_spectra` solves any number of
-``(plan, values)`` items in one pass, one batched ``eigvalsh`` per block size.
+keyed by the pattern's name (``_Entries.key``) or else by ``(dims, side_a,
+rows bytes, cols bytes)``; they hold integer arrays and never a value.
+:func:`_batch_spectra` solves any number of ``(plan, values)`` items in one
+pass, one batched ``eigvalsh`` per block size. The index work of the
+driver's other kernels (a CNOT's moved positions, a channel embedding's
+gather, a measurement's outcome masks, a partial trace's sums) is kept the
+same way, per named input pattern (see :func:`_index_plan`).
 """
 
 from __future__ import annotations
@@ -28,10 +32,32 @@ import numpy as np
 # noise. All matrices here are small (side <= 1000, the qudit register at
 # d = 10) with entries of magnitude <= 1.
 VALIDITY_ATOL = 1e-9
-# Block plans kept, least recently used dropped first: run_checks("all") solves
-# 222 distinct patterns, whose plans and keys take 0.35 MB.
-PLAN_CACHE_SIZE = 256
+# Plans kept per cache, least recently used dropped first: run_checks("all")
+# solves 222 distinct patterns, whose block plans take 0.6 MB under 528 keys
+# (a pattern's name and its positions), and builds 127 index plans (0.3 MB).
+PLAN_CACHE_SIZE = 1024
 _PLANS: dict[tuple, tuple] = {}
+_INDEX_PLANS: dict[tuple, tuple] = {}
+
+
+def _index_plan(key, build):
+    """``build()``, kept in ``_INDEX_PLANS`` under ``key`` (see ``_memo``)."""
+    return _memo(_INDEX_PLANS, key, build)
+
+
+def _memo(cache: dict, key, build):
+    """``build()``, kept in ``cache`` under ``key`` with the last
+    ``PLAN_CACHE_SIZE`` others, least recently used dropped first; a ``None``
+    key builds on every call."""
+    if key is None:
+        return build()
+    plan = cache.pop(key, None)
+    if plan is None:
+        plan = build()
+        if len(cache) >= PLAN_CACHE_SIZE:  # pop, not del: another thread may evict too
+            cache.pop(next(iter(cache)), None)
+    cache[key] = plan
+    return plan
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,12 +87,18 @@ class _Entries:
     """A stack of matrices on the register ``dims`` that share one pattern:
     matrix ``b`` holds ``values[b, e]`` at ``(rows[e], cols[e])`` and zeros
     elsewhere, with no two entries at one position. Values of shape ``(nnz,)``
-    are one matrix; indexing selects matrices, as on a dense stack."""
+    are one matrix; indexing selects matrices, as on a dense stack.
+
+    ``key`` names the pattern (stacks with one key share rows, cols and dims):
+    a kernel keeps its index plan under its input's name and names its result
+    after that, itself and its arguments, so a named pattern met again is
+    neither scanned nor hashed. ``None``: unnamed."""
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     dims: tuple[int, ...]
+    key: tuple | None = None
 
     @classmethod
     def of(cls, m: np.ndarray, dims: tuple[int, ...]) -> "_Entries":
@@ -74,27 +106,36 @@ class _Entries:
         rows, cols = _pattern(m)
         return cls(rows, cols, m[..., rows, cols], dims)
 
-    @classmethod
-    def summed(
-        cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dims: tuple[int, ...]
-    ) -> "_Entries":
-        """Entries at positions that may repeat: the values at one position are
-        summed, and positions that are zero in every matrix dropped."""
-        side = prod(dims)
-        keys, where = np.unique(rows * side + cols, return_inverse=True)
-        flat = values.reshape(-1, values.shape[-1])
-        at = (where + len(keys) * np.arange(len(flat))[:, None]).ravel()
-        size = len(flat) * len(keys)
-        real, imag = (np.bincount(at, part.ravel(), size) for part in (flat.real, flat.imag))
-        sums = (real + 1j * imag).reshape(*values.shape[:-1], len(keys))
-        keep = np.any(sums != 0, axis=tuple(range(sums.ndim - 1)))
-        return cls(*np.divmod(keys[keep], side), sums[..., keep], dims)
-
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, index) -> "_Entries":
-        return _Entries(self.rows, self.cols, self.values[index], self.dims)
+        return _Entries(self.rows, self.cols, self.values[index], self.dims, self.key)
+
+
+def _sum_plan(rows: np.ndarray, cols: np.ndarray, dims: tuple[int, ...]) -> tuple:
+    """``(rows, cols, where)`` of entries at positions that may repeat: the
+    distinct positions, ascending, and the one each entry lands on."""
+    side = prod(dims)
+    keys, where = np.unique(rows * side + cols, return_inverse=True)
+    return (*np.divmod(keys, side), where)
+
+
+def _summed(plan: tuple, values: np.ndarray, dims: tuple[int, ...], key=None) -> _Entries:
+    """The entries ``values`` (``(..., nnz)``) summed at the positions of their
+    ``_sum_plan``, with the positions that are zero in every matrix dropped.
+    Which are dropped depends on the values, so a result that drops one is
+    unnamed; else it is named ``key``."""
+    rows, cols, where = plan
+    flat = values.reshape(-1, values.shape[-1])
+    at = (where + len(rows) * np.arange(len(flat))[:, None]).ravel()
+    size = len(flat) * len(rows)
+    real, imag = (np.bincount(at, part.ravel(), size) for part in (flat.real, flat.imag))
+    sums = (real + 1j * imag).reshape(*values.shape[:-1], len(rows))
+    keep = np.any(sums != 0, axis=tuple(range(sums.ndim - 1)))
+    if keep.all():
+        return _Entries(rows, cols, sums, dims, key)
+    return _Entries(rows[keep], cols[keep], sums[..., keep], dims)
 
 
 def _pattern(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,18 +291,24 @@ def _partial_trace(m: _Entries, keep: Iterable[int]) -> _Entries:
     """Each matrix of the stack ``m`` reduced to the subsystems ``keep``: the
     entries whose row and column digits agree on every other subsystem, with
     those digits dropped, summed where they land on one position."""
-    keep, dims = set(keep), m.dims
-    rows = cols = np.zeros_like(m.rows)
-    same = np.ones(len(m.rows), dtype=bool)
-    for i, d in enumerate(dims):
-        stride = prod(dims[i + 1 :])
-        row, col = (m.rows // stride) % d, (m.cols // stride) % d
-        if i in keep:
-            rows, cols = rows * d + row, cols * d + col
-        else:
-            same &= row == col
-    kept = tuple(d for i, d in enumerate(dims) if i in keep)
-    return _Entries.summed(rows[same], cols[same], m.values[..., same], kept)
+    keep, dims = tuple(sorted(set(keep))), m.dims
+    kept = tuple(dims[i] for i in keep)
+
+    def plan() -> tuple:
+        rows = cols = np.zeros_like(m.rows)
+        same = np.ones(len(m.rows), dtype=bool)
+        for i, d in enumerate(dims):
+            stride = prod(dims[i + 1 :])
+            row, col = (m.rows // stride) % d, (m.cols // stride) % d
+            if i in keep:
+                rows, cols = rows * d + row, cols * d + col
+            else:
+                same &= row == col
+        return same, _sum_plan(rows[same], cols[same], kept)
+
+    key = None if m.key is None else ("trace", m.key, keep)
+    same, summing = _index_plan(key, plan)
+    return _summed(summing, m.values[..., same], kept, key)
 
 
 def partial_transpose(rho: DensityOperator, part: Bipartition) -> np.ndarray:
@@ -321,7 +368,13 @@ def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndar
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or not h.shape[-1] == h.shape[-2] > 0:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
-    entries = _Entries.of(h, (h.shape[-1],))
+    n = h.shape[-1]
+    nonzero = np.any(h != 0, axis=tuple(range(h.ndim - 2)))
+    if nonzero.all():  # one block holding each matrix as it is: no gather, no bytes key
+        rows, cols = _index_plan(("full", n), lambda: np.divmod(np.arange(n * n), n))
+        entries = _Entries(rows, cols, h.reshape(*h.shape[:-2], n * n), (n,), ("full", n))
+    else:
+        entries = _Entries.of(h, (n,))
     return _batch_spectra([(_plan(entries), entries.values)], atol)[0]
 
 
@@ -329,15 +382,15 @@ def _plan(e: _Entries, side_a: Iterable[int] = ()) -> tuple:
     """The block plan of the partial transposes across ``side_a`` of the stack
     ``e`` (see :func:`_block_plan`), built on the first call for its pattern."""
     side_a = tuple(sorted(side_a))
-    key = (e.dims, side_a, e.rows.tobytes(), e.cols.tobytes())
-    plan = _PLANS.pop(key, None)
-    if plan is None:
+
+    def plan() -> tuple:
         pt = _partial_transpose(e, side_a)
-        plan = _block_plan(pt.rows, pt.cols, _component_labels(pt))
-        if len(_PLANS) >= PLAN_CACHE_SIZE:  # pop, not del: another thread may evict too
-            _PLANS.pop(next(iter(_PLANS)), None)
-    _PLANS[key] = plan
-    return plan
+        return _block_plan(pt.rows, pt.cols, _component_labels(pt))
+
+    def by_positions() -> tuple:  # one pattern may be reached under several names
+        return _memo(_PLANS, (e.dims, side_a, e.rows.tobytes(), e.cols.tobytes()), plan)
+
+    return by_positions() if e.key is None else _memo(_PLANS, (e.key, side_a), by_positions)
 
 
 def _block_plan(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> tuple:

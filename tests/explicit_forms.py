@@ -284,6 +284,17 @@ def depol_pair_states(p):
     return rho0, rho1
 
 
+def depol_pair_average_negativity(p):
+    """Branch-averaged a|b negativity of the depolarizing two-qubit run: each
+    branch state of ``depol_pair_states`` (weights (2 + p)/6 and (4 - p)/6)
+    transposed on a, its trace norm less one summed with its weight."""
+    total = 0.0
+    for weight, rho in zip(((2.0 + p) / 6.0, (4.0 - p) / 6.0), depol_pair_states(p)):
+        pt = rho.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+        total += weight * (np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0)
+    return total
+
+
 def depol_deterministic_output(p):
     """Deterministic-variant output pair under depolarizing noise."""
     i_p0 = np.kron(I2, proj((2,), (0,)))

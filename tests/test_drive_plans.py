@@ -1,0 +1,261 @@
+"""Index plans of the driver, and the identity suite's stacked draws.
+
+A named pattern (``tensor._Entries.key``) lets each entry kernel keep its
+index plan, so a drive that meets a pattern again does only the numeric pass.
+That pass must give the same bits as building every plan afresh, including
+where a sum of exactly zero drops a position. The identity suite draws its
+random canonical channels in blocks, admitted by one stacked CPT test; it
+must draw the channels that one-at-a-time ``random_cp_canonical`` calls do.
+"""
+
+from dataclasses import replace
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import edss.channels
+import edss.checks
+import edss.tensor
+from edss import protocols
+from edss.channels import (
+    _PAULI_BASIS,
+    CanonicalChannel,
+    KrausChannel,
+    _canonical_tensors,
+    canonical_channel,
+    is_cpt,
+    noise_channel,
+)
+from edss.checks import DEFAULT_SEED, identity_suite, random_cp_canonical
+from edss.protocols import SPECS, _drive, _evolve
+from edss.tensor import DensityOperator, hermitian_eigenvalues
+
+from explicit_forms import stinespring_kraus, z_twirl
+
+HADAMARD = KrausChannel((np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),))
+
+
+def drawn_by_identity_suite(monkeypatch, seed):
+    """The canonical channels ``identity_suite`` hands the driver, in order."""
+    drawn, runs = [], edss.checks._runs
+
+    def spy(spec, batch, *args):
+        batch = list(batch)
+        drawn.extend(channels[0] for channels in batch)
+        assert all(len(set(map(id, channels))) == 1 for channels in batch)
+        return runs(spec, batch, *args)
+
+    monkeypatch.setattr(edss.checks, "_runs", spy)
+    identity_suite(seed=seed, grid_points=2, qudit_dims=(2,))
+    return drawn
+
+
+def params_hex(ch):
+    return tuple(float(x).hex() for x in (ch.lambda1, ch.lambda2, ch.lambda3, ch.t3))
+
+
+@pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED])
+def test_block_draws_equal_one_at_a_time_draws(monkeypatch, seed):
+    drawn = drawn_by_identity_suite(monkeypatch, seed)
+    assert len(drawn) == 60  # 50 two-qubit draws, then 10 GHZ draws
+    rng = np.random.default_rng(seed)
+    one_at_a_time = [random_cp_canonical(rng) for _ in drawn]
+    assert list(map(params_hex, drawn)) == list(map(params_hex, one_at_a_time))
+
+
+def one_candidate_at_a_time(rng):
+    """The rejection loop with one CPT test per candidate."""
+    while True:
+        ch = canonical_channel(*rng.uniform(-1.0, 1.0, size=4))
+        if is_cpt(ch, tol=edss.checks.RANDOM_CP_TOL):
+            return ch
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_channel_per_call_leaves_the_stream_where_the_loop_does(seed):
+    rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        assert params_hex(random_cp_canonical(rng)) == params_hex(one_candidate_at_a_time(loop))
+        assert rng.uniform() == loop.uniform()
+
+
+def test_draws_give_up_after_max_tries():
+    with patch.object(edss.checks, "_cpt_reports", lambda t4, tol: [False] * len(t4)):
+        with pytest.raises(RuntimeError, match="could not sample a CP canonical channel"):
+            random_cp_canonical(np.random.default_rng(0), max_tries=5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*[st.floats(-1.0, 1.0, allow_subnormal=False)] * 4), min_size=1, max_size=64
+    )
+)
+def test_stacked_canonical_tensors_equal_the_one_channel_build(rows):
+    stacked = _canonical_tensors(np.array(rows))
+    for row, t4 in zip(rows, stacked):
+        assert t4.tobytes() == CanonicalChannel(*row)._build_transfer_tensor().tobytes()
+        # the per-channel formula the stacked kernel replaced, term for term
+        r = np.diag([1.0, *row[:3]])
+        r[3, 0] = row[3]
+        old = 0.5 * np.einsum("mn,mij,nlk->ijkl", r, _PAULI_BASIS, _PAULI_BASIS)
+        assert t4.tobytes() == old.tobytes()
+
+
+def trace_bits(trace):
+    """Every number and state of a trace, as exact bytes."""
+    hexed = lambda values: {k: float(v).hex() for k, v in values.items()}  # noqa: E731
+    bits = [
+        hexed(trace.partition_negativities),
+        hexed(trace.averages),
+        [(label, rho.matrix.tobytes()) for label, rho in trace.steps],
+        [hexed(negs) for negs in trace.branch_negativities],
+        [
+            (b.outcome, float(b.probability).hex(), None if b.post_state is None
+             else b.post_state.matrix.tobytes())
+            for b in trace.branches
+        ],
+        trace.warnings,
+    ]
+    out = trace.deterministic_output
+    if out is not None:
+        bits.append((out.state.matrix.tobytes(), out.negativity.hex(), out.concurrence.hex()))
+    return bits
+
+
+def unnamed(spec):
+    """``spec`` with an unnamed start pattern: every kernel builds its index
+    plan afresh and block plans are keyed by positions, as without names."""
+    def initial(d):
+        return DensityOperator._trusted(replace(spec.initial(d)._entries(), key=None))
+
+    return replace(spec, initial=initial)
+
+
+def drive_cases():
+    for key, spec in SPECS.items():
+        roles = len(spec.channel_roles)
+        for d in range(2, 7) if spec.takes_d else (2,):
+            for kind in ("depolarizing", "amplitude_damping"):
+                batch = [(noise_channel(kind, d, x),) * roles for x in (0.0, 0.3, 0.7, 1.0)]
+                yield pytest.param(key, d, batch, id=f"{'-'.join(key)}-d{d}-{kind}")
+        if not spec.takes_d:  # the Hadamard's sums drop positions (see test below)
+            batch = [(HADAMARD,) * roles, (noise_channel("depolarizing", 2, 0.4),) * roles]
+            yield pytest.param(key, 2, batch, id=f"{'-'.join(key)}-hadamard")
+
+
+@pytest.mark.parametrize("key,d,batch", list(drive_cases()))
+def test_plan_hit_drive_equals_a_cold_drive_bit_for_bit(monkeypatch, key, d, batch):
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    monkeypatch.setattr(edss.tensor, "_INDEX_PLANS", {})
+    spec = SPECS[key]
+    cold = list(map(trace_bits, _drive(spec, batch, d)))
+    assert edss.tensor._INDEX_PLANS
+    hit = list(map(trace_bits, _drive(spec, batch, d)))
+    fresh = list(map(trace_bits, _drive(unnamed(spec), batch, d)))
+    assert hit == cold == fresh
+    one_point = [trace_bits(_drive(spec, [channels], d)[0]) for channels in batch]
+    fresh_one_point = [trace_bits(_drive(unnamed(spec), [channels], d)[0]) for channels in batch]
+    assert one_point == fresh_one_point
+
+
+def test_a_sum_of_zero_drops_its_position_and_the_name():
+    spec = SPECS["two_qubit", "probabilistic"]
+    dims = (2, 2, 2)
+    stacks = [stack for _, stack in _evolve(spec, [(HADAMARD,)], dims)]
+    assert all(stack.key is not None for stack in stacks[:2])
+    # the Hadamard's four terms cancel on some positions of the channel step
+    assert stacks[2].key is None and stacks[3].key is None
+
+
+def test_a_repeated_pattern_builds_no_plan():
+    spec = SPECS["qudit", "probabilistic"]
+    _drive(spec, [(noise_channel("depolarizing", 4, 0.2),)], 4)
+    sizes = len(edss.tensor._PLANS), len(edss.tensor._INDEX_PLANS)
+    with (
+        patch.object(np, "unique", wraps=np.unique) as unique,
+        patch.object(edss.tensor, "_component_labels") as labels,
+    ):
+        _drive(spec, [(noise_channel("depolarizing", 4, 0.6),)], 4)
+    assert unique.call_count == labels.call_count == 0
+    assert (len(edss.tensor._PLANS), len(edss.tensor._INDEX_PLANS)) == sizes
+
+
+def leaves(value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+def test_index_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    monkeypatch.setattr(edss.tensor, "_INDEX_PLANS", {})
+    monkeypatch.setattr(edss.tensor, "PLAN_CACHE_SIZE", 5)
+    _drive(SPECS["ghz", "probabilistic"], [(noise_channel("amplitude_damping", 2, 0.3),) * 2])
+    for d in (3, 4):
+        _drive(SPECS["qudit", "probabilistic"], [(noise_channel("depolarizing", d, 0.5),)], d)
+    assert len(edss.tensor._INDEX_PLANS) == len(edss.tensor._PLANS) == 5
+    for key, plan in edss.tensor._INDEX_PLANS.items():
+        assert all(isinstance(leaf, (str, int, bytes)) for leaf in leaves(key))
+        for leaf in leaves(plan):
+            assert isinstance(leaf, np.ndarray) and leaf.dtype.kind in "bi"
+
+
+class Filling:
+    """A trace-preserving map whose transfer tensor fills the admissible mask
+    at ``d``: a random channel, Z-twirled at d > 2 with the rounding-level
+    entries it leaves off the phase-covariant mask set to zero."""
+
+    def __init__(self, d, seed):
+        ops = stinespring_kraus(seed, d)
+        t4 = KrausChannel(tuple(ops if d == 2 else z_twirl(ops, d))).transfer_tensor()
+        self.t4 = t4 if d == 2 else np.where(edss.channels._off_phase(d), 0.0, t4)
+
+    def transfer_tensor(self):
+        return self.t4
+
+
+@pytest.mark.parametrize(
+    "key,d",
+    [(key, d) for key, spec in SPECS.items() for d in (range(2, 7) if spec.takes_d else (2,))],
+)
+def test_chunk_bound_is_the_largest_stack_a_filling_channel_reaches(key, d):
+    spec = SPECS[key]
+    batch = [(Filling(d, 11 + i),) * len(spec.channel_roles) for i in range(2)]
+    most = max(len(stack.rows) for _, stack in _evolve(spec, batch, (d,) * len(spec.subsystems)))
+    assert protocols._chunk_points(spec, d) == max(1, protocols.STACK_BYTES // (16 * most))
+
+
+def test_a_d10_qudit_chunk_holds_eight_points():
+    # 1900 entries at most; the fan-out product bound counted 2800 and allowed 5
+    assert protocols._chunk_points(SPECS["qudit", "probabilistic"], 10) == 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 27])
+def test_full_pattern_spectra_are_the_dense_solve_bit_for_bit(monkeypatch, n):
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    h = a + a.conj().swapaxes(1, 2)
+    h[1, 0, n - 1] = h[1, n - 1, 0] = 0.0  # zero in one matrix: the joint pattern stays full
+    assert hermitian_eigenvalues(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
+    assert hermitian_eigenvalues(h[0]).tobytes() == np.linalg.eigvalsh(h[0]).tobytes()
+    # one plan, found by the side alone once it is built
+    assert (("full", n), ()) in edss.tensor._PLANS and len(edss.tensor._PLANS) == 2
+    with patch.object(np, "flatnonzero") as scan:
+        hermitian_eigenvalues(h)
+    assert scan.call_count == 0 and len(edss.tensor._PLANS) == 2
+
+
+def test_canonical_channel_factory_builds_through_the_stacked_kernel():
+    ch = canonical_channel(0.3, -0.2, 0.1, 0.05)
+    with patch.object(
+        edss.channels, "_canonical_tensors", wraps=edss.channels._canonical_tensors
+    ) as kernel:
+        ch.transfer_tensor()
+    assert kernel.call_count == 1

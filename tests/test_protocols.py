@@ -35,6 +35,7 @@ from edss.reference import CLOSED_FORM_ATOL
 from explicit_forms import (
     ad_deterministic_output,
     ad_pair_states,
+    depol_pair_average_negativity,
     depol_pair_states,
     ghz_ad_success_state,
     ghz_branches,
@@ -335,11 +336,12 @@ class TestClosedFormRegistry:
         assert abs(closed_form("ghz_depolarizing_negativity_a_bc", p=2 / 3)) < 1e-15
 
     def test_qudit_formula_reduces_to_pair_formula(self):
+        # against the two-qubit average written out from its branch states
         for p in np.linspace(0.0, 1.0, 21):
             assert abs(
                 closed_form("qudit_depolarizing_average_negativity", d=2, p=p)
-                - closed_form("two_qubit_depolarizing_average_negativity", p=p)
-            ) < 1e-15
+                - depol_pair_average_negativity(p)
+            ) < 1e-14
 
     def test_every_formula_is_finite_on_domain(self):
         for fid, formula in FORMULAS.items():

@@ -37,6 +37,8 @@ from explicit_forms import stinespring_kraus, z_twirl
 VALUE_ATOL = 1e-12
 STATE_ATOL = 1e-14
 GHZ_CHUNK = protocols._chunk_points(SPECS["ghz", "probabilistic"], 2)
+# one full GHZ chunk, then one more point
+GHZ_POINTS = GHZ_CHUNK + 1
 
 seed = st.integers(0, 2**32 - 1)
 probability = st.floats(0.0, 1.0)
@@ -158,7 +160,7 @@ def test_null_branches_differ_across_one_batch(protocol):
 
 
 def test_ghz_sweep_spans_chunks_and_matches_point_by_point(monkeypatch):
-    spec = SweepSpec("ghz", "amplitude_damping", "gamma", "", points=101)
+    spec = SweepSpec("ghz", "amplitude_damping", "gamma", "", points=GHZ_POINTS)
     sizes = []
 
     def counting(entry, batch, *args):
@@ -167,12 +169,12 @@ def test_ghz_sweep_spans_chunks_and_matches_point_by_point(monkeypatch):
 
     monkeypatch.setattr(protocols, "_drive", counting)
     rows = sweep_rows(spec)
-    assert len(sizes) > 1 and sum(sizes) == 101
+    assert len(sizes) > 1 and sum(sizes) == GHZ_POINTS
     assert max(sizes) == GHZ_CHUNK
     monkeypatch.setattr(protocols, "STACK_BYTES", 0)  # one point per chunk
     sizes.clear()
     single = sweep_rows(spec)
-    assert sizes == [1] * 101
+    assert sizes == [1] * GHZ_POINTS
     for got, want in zip(rows, single):
         assert list(got) == list(want)
         for column, value in want.items():
@@ -206,7 +208,7 @@ def test_qudit_sweep_builds_no_dense_state(monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: sweep_rows(SweepSpec("ghz", "depolarizing", "p", "", points=101)),
+        lambda: sweep_rows(SweepSpec("ghz", "depolarizing", "p", "", points=GHZ_POINTS)),
         # GHZ_CHUNK + 1 GHZ draws: one full chunk, then one more
         lambda: identity_suite(
             random_channels=SPECS["ghz", "probabilistic"].random_divisor * (GHZ_CHUNK + 1),

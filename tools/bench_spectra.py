@@ -19,7 +19,9 @@ Four parts, all written to ``--out`` as JSON:
   p = 0.5) of the qudit protocol at d = 2..6 and of the GHZ protocol, on the
   parent checkout and on this one, each in a fresh interpreter: seconds per
   drive (min, median and max of ``--repeat``), and the ``np.linalg.eigvalsh``
-  calls of one drive, channel admission included.
+  calls of one drive, channel admission included. ``checks`` holds, from the
+  same interpreters, ``run_checks("all")``: its first call, with every cache
+  cold, and then ``--repeat`` more calls (min, median and max).
 * ``end_to_end``: ``benchmarks/run.py`` of the parent checkout ``--parent``
   and of this checkout, run in alternating order, ``PAIRS`` pairs per
   ``--run`` entry (default: each workload at seed 0, two pairs). Each run
@@ -188,20 +190,33 @@ def drive_rows(repeat: int) -> list[dict]:
     return rows
 
 
-def drives(parent: Path, repeat: int) -> dict[str, list[dict]]:
-    """``drive_rows`` of the parent checkout and of this one, each in a fresh
-    interpreter with that checkout's sources first on ``sys.path``."""
-    report = {}
+def checks_row(repeat: int) -> dict:
+    """Seconds of ``run_checks("all")`` of the ``edss`` on ``sys.path``: the
+    first call in this interpreter, then ``repeat`` more."""
+    from edss.checks import run_checks
+
+    start = time.perf_counter()
+    run_checks("all")
+    first = time.perf_counter() - start
+    return {"first_s": first, "repeat_s": timed(lambda: run_checks("all"), repeat, 1)}
+
+
+def drives(parent: Path, repeat: int) -> tuple[dict[str, list[dict]], dict[str, dict]]:
+    """``drive_rows`` and ``checks_row`` of the parent checkout and of this one,
+    each in a fresh interpreter with that checkout's sources first on
+    ``sys.path``; ``checks_row`` runs first, so its first call is cold."""
+    rows, checks = {}, {}
     for side, checkout in (("parent", parent), ("change", ROOT)):
         code = (
             f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
             f"{str(ROOT / 'tools')!r}]; import bench_spectra; "
-            f"print(json.dumps(bench_spectra.drive_rows({repeat})))"
+            f"checks = bench_spectra.checks_row({repeat}); "
+            f"print(json.dumps([bench_spectra.drive_rows({repeat}), checks]))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=600, check=True)
-        report[side] = json.loads(proc.stdout.strip().splitlines()[-1])
-    return report
+        rows[side], checks[side] = json.loads(proc.stdout.strip().splitlines()[-1])
+    return rows, checks
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -270,14 +285,10 @@ def main() -> int:
         return 2
     sys.path.insert(0, str(ROOT / "src"))
     runs = args.run or [(w, 0, 2) for w in WORKLOADS]
-    report = {
-        "micro": micro(args.repeat),
-        "plans": plans(args.repeat),
-        "drives": drives(args.parent.resolve(), args.repeat),
-    }
-    print(json.dumps(report["micro"]["per_d"], indent=1), flush=True)
-    print(json.dumps(report["plans"], indent=1), flush=True)
-    print(json.dumps(report["drives"], indent=1), flush=True)
+    report = {"micro": micro(args.repeat), "plans": plans(args.repeat)}
+    report["drives"], report["checks"] = drives(args.parent.resolve(), args.repeat)
+    for part in ("plans", "drives", "checks"):
+        print(json.dumps(report[part], indent=1), flush=True)
     records, summary = end_to_end(args.parent, runs, args.seconds)
     report.update({"seconds": args.seconds, "end_to_end": records, "summary": summary})
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
