@@ -173,17 +173,26 @@ def canonical_channel(
     return CanonicalChannel(*params)
 
 
+def _dimension(d: object) -> int:
+    """The channel factories' one dimension rule: ``d`` as an ``int`` of at least 2,
+    from an integer (``numpy`` ones too) or an integral float such as 3.0."""
+    integral = isinstance(d, (float, np.floating)) and float(d).is_integer()
+    if not (isinstance(d, (int, np.integer)) or integral):
+        raise ValueError(f"channel dimension d must be an integer, got {d!r}")
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    return int(d)
+
+
 def depolarizing(d: int, p: float) -> QuditChannel:
     """Depolarizing channel in dimension ``d`` with error probability ``p``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing probability must be in [0, 1], got {p}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if d == 2:
+    if (d := _dimension(d)) == 2:
         return CanonicalChannel(
             1.0 - p, 1.0 - p, 1.0 - p, 0.0, kind="depolarizing", noise_param=float(p)
         )
-    return DepolarizingChannel(int(d), float(p))
+    return DepolarizingChannel(d, float(p))
 
 
 def amplitude_damping(d: int, gamma: float) -> KrausChannel:
@@ -194,8 +203,7 @@ def amplitude_damping(d: int, gamma: float) -> KrausChannel:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"damping rate must be in [0, 1], got {gamma}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     e0 = np.zeros((d, d), dtype=complex)
     e0[0, 0] = 1.0
     for i in range(1, d):
@@ -209,7 +217,7 @@ def amplitude_damping(d: int, gamma: float) -> KrausChannel:
 
 
 def identity_channel(d: int = 2) -> QuditChannel:
-    if d == 2:
+    if (d := _dimension(d)) == 2:
         return CanonicalChannel(1.0, 1.0, 1.0, 0.0, kind="identity")
     return DepolarizingChannel(d, 0.0, kind="identity")
 
@@ -408,10 +416,7 @@ def channel_from_config(config: Mapping[str, object]) -> QuditChannel:
         params = [float(values[name]) for name in CHANNEL_PARAMS[kind]]
     except KeyError as exc:
         raise ValueError(f"{kind} channel requires key {exc}") from exc
-    d = config.get("d", 2)
-    if not float(d).is_integer():
-        raise ValueError(f"channel dimension d must be an integer, got {d!r}")
-    d = int(float(d))
+    d = _dimension(config.get("d", 2))
     if kind == "depolarizing":
         return depolarizing(d, *params)
     if kind == "amplitude_damping":

@@ -178,10 +178,10 @@ class ProtocolSpec:
     ``Noise`` steps, and a probabilistic finish measures them; closed forms
     and critical noise levels are the ``reference.FORMULAS`` ids the spec's
     protocol and columns name. The trace keys a run records are those of
-    ``recorded`` and ``outcome_sides``, and :func:`describe` renders the
-    ``edss describe`` text from the entries alone. ``initial`` and
-    ``average_only`` call module-level functions by name, so wrappers
-    installed on those names (profilers, tracers) see every call.
+    ``layout``, and :func:`describe` renders the ``edss describe`` text from
+    the entries alone. ``initial`` and ``average_only`` call module-level
+    functions by name, so wrappers installed on those names (profilers,
+    tracers) see every call.
     """
 
     protocol: str
@@ -231,34 +231,24 @@ class ProtocolSpec:
             return ()
         return tuple(self.subsystems[i] for i in self.exchange)
 
-    def recorded(self, step: Step) -> dict[str, tuple[int, ...]]:
-        """Trace key -> side of each partition recorded at ``step``: the exchange,
-        then ``step.record``."""
-        sides = (self.exchange, *step.record)
-        return {f"{partition_name(self.subsystems, side)}@{step.label}": side for side in sides}
-
-    def outcome_sides(self) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, int]]]:
-        """The post-measurement register's ``finish`` partitions (name -> side)
-        and its success pairs (trace key -> pair)."""
-        rest = [label for label in self.subsystems if label not in self.measured]
-        parts = {partition_name(rest, side): side for side in self.finish}
-        pairs = {f"{''.join(rest[i] for i in p)}_pair@success": p for p in self.success_pairs}
-        return parts, pairs
-
     @functools.cached_property
-    def _queue_sides(self) -> tuple:
-        """What ``_drive`` queues, built once per entry: per step the trace key
-        and bipartition of each side ``recorded`` there (the exchange first),
-        then the finish bipartitions by name and the success pairs of
-        ``outcome_sides``."""
+    def layout(self) -> tuple[list[dict[str, Bipartition]], dict[str, Bipartition], dict]:
+        """What a run records, built once per entry: per step, trace key ->
+        bipartition of the exchange, then of each ``step.record`` side; the
+        post-measurement register's ``finish`` bipartitions by partition name;
+        and its success pairs by trace key."""
         n = len(self.subsystems)
         steps = [
-            [(key, Bipartition.split(side, n)) for key, side in self.recorded(step).items()]
+            {
+                f"{partition_name(self.subsystems, side)}@{step.label}": Bipartition.split(side, n)
+                for side in (self.exchange, *step.record)
+            }
             for step in self.steps
         ]
-        parts, pairs = self.outcome_sides()
-        rest = n - len(self.measured)
-        return steps, {name: Bipartition.split(side, rest) for name, side in parts.items()}, pairs
+        rest = [label for label in self.subsystems if label not in self.measured]
+        parts = {partition_name(rest, s): Bipartition.split(s, len(rest)) for s in self.finish}
+        pairs = {f"{''.join(rest[i] for i in p)}_pair@success": p for p in self.success_pairs}
+        return steps, parts, pairs
 
     def formulas(self, kind: str) -> dict[str, tuple[str, ...]]:
         """Per-point formula id -> predicted columns for a ``kind`` sweep."""
@@ -297,6 +287,8 @@ def _evolve(
                 state = _cnot(state, op.control, op.target, op.inverse)
             else:
                 t4 = np.stack([channels[op.channel].transfer_tensor() for channels in batch])
+                if dims[op.target] > 2:  # off the covariance mask, admitted within _COVARIANCE_ATOL
+                    t4[:, _off_phase(dims[op.target])] = 0.0
                 state = _embed(t4, state, dims, op.target)
             _check_unit_trace(state)
         states.append((step.label, state))
@@ -381,7 +373,7 @@ def _new_trace(
         subsystems=spec.subsystems,
         steps=[],
         identity_chains=dict(spec.identity_chains),
-        exchange_keys=tuple(sides[0][0] for sides in spec._queue_sides[0]),
+        exchange_keys=tuple(next(iter(sides)) for sides in spec.layout[0]),
         warnings=warnings,
     )
     first = channels[0].transfer_tensor()
@@ -424,12 +416,12 @@ def _drive(
         queue.append((stack, part))
         return len(queue) - 1
 
-    step_sides, parts, pairs = spec._queue_sides
+    step_sides, parts, pairs = spec.layout
     recorded = {}  # step key -> queue index; a stack of one row holds for every point
     for sides, (label, stack) in zip(step_sides, states):
         for b, trace in enumerate(traces):
             trace.steps.append((label, DensityOperator._trusted(stack[b % len(stack)])))
-        for key, part in sides:
+        for key, part in sides.items():
             recorded[key] = queued(stack, part)
 
     final = states[-1][1]
@@ -501,9 +493,8 @@ def _chunk_points(spec: ProtocolSpec, d: int) -> int:
     when the start pattern, with positive values, is evolved under the full
     admissible transfer-tensor mask. That is the phase-covariant mask
     ``i - j = k - l (mod d)`` at d > 2, where only phase-covariant channels are
-    admitted, and every entry at d = 2, where any CPT channel is. A tensor
-    admitted with rounding-level entries off that mask (a Z-twirled Kraus sum)
-    reaches more entries than the bound."""
+    admitted (``_evolve`` zeroes what an admitted tensor holds off the mask),
+    and every entry at d = 2, where any CPT channel is."""
     dims = _register(spec, d)
     t4 = np.ones((d,) * 4) if d == 2 else (~_off_phase(d)).astype(float)
     start = spec.initial(d)._entries()
@@ -757,8 +748,8 @@ def describe(protocol: str) -> str:
         ops = "; ".join(_op_text(first, op) for op in step.ops) or "start state"
         lines.append(f"  {numeral:<5}{step.label:<18}{ops}")
     for spec in modes:
-        parts, pairs = spec.outcome_sides()
-        keys = [key for step in spec.steps for key in spec.recorded(step)]
+        steps, parts, pairs = spec.layout
+        keys = [key for sides in steps for key in sides]
         if spec.deterministic is not None:
             finish = f"a local map replaces the measurement of {exchange}"
         else:

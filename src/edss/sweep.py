@@ -96,6 +96,8 @@ class SweepSpec:
             raise SweepError(
                 f"need 0 <= start <= stop <= 1, got [{self.start}, {self.stop}]"
             )
+        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
+            raise SweepError(f"points must be an integer, got {self.points!r}")
         if not 2 <= self.points <= MAX_POINTS:
             raise SweepError(f"points must be in [2, {MAX_POINTS}], got {self.points}")
         bad_checks = set(self.checks) - set(CHECK_NAMES)

@@ -1,0 +1,94 @@
+"""``tools/ab.py`` without starting a benchmark: the pair order, the summary,
+the ``--run`` parser, the parent-checkout check and the public-name rule."""
+
+import argparse
+import ast
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+_spec = importlib.util.spec_from_file_location("ab", TOOLS / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+def fake_bench_runs(monkeypatch, parent, walls):
+    """Stand in for ``ab.bench_run``: each call logs its side and returns that
+    side's next ``wall_s`` from ``walls``."""
+    sides = []
+
+    def bench_run(checkout, workload, seed, seconds):
+        sides.append("parent" if checkout == parent else "change")
+        value = walls[sides[-1]][sides.count(sides[-1]) - 1]
+        return {"environment": {}, "result": {"metrics": {"wall_s": {"value": value}}, "failed": 0}}
+
+    monkeypatch.setattr(ab, "bench_run", bench_run)
+    return sides
+
+
+def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path):
+    sides = fake_bench_runs(monkeypatch, tmp_path, {"parent": [1.0] * 4, "change": [1.0] * 4})
+    records, _ = ab.end_to_end(tmp_path, [("check_all", 0, 4)], 5)
+    assert sides == ["parent", "change", "change", "parent"] * 2
+    assert [(r["pair"], r["side"]) for r in records] == [
+        (pair, side) for pair in range(4) for side in sides[2 * pair : 2 * pair + 2]
+    ]
+
+
+def test_summary_counts_wins_and_a_tie_for_neither_side(monkeypatch, tmp_path):
+    walls = {"parent": [1.0, 2.0, 3.0, 4.0, 5.0], "change": [0.5, 2.0, 3.5, 1.0, 5.0]}
+    fake_bench_runs(monkeypatch, tmp_path, walls)
+    _, (row,) = ab.end_to_end(tmp_path, [("qubit_sweeps", 3, 5)], 5)
+    assert (row["workload"], row["seed"], row["pairs"]) == ("qubit_sweeps", 3, 5)
+    assert row["change_wins"] == 2  # pairs 0 and 3 won, 1 and 4 tied, 2 lost
+    assert row["wall_s"]["parent"] == {"runs": walls["parent"], "q1": 1.5, "median": 3.0, "q3": 4.5}
+
+
+def test_quartiles():
+    assert ab.quartiles([4.0, 1.0, 3.0, 2.0]) == {"q1": 1.25, "median": 2.5, "q3": 3.75}
+    assert ab.quartiles([2.0]) == {"q1": 2.0, "median": 2.0, "q3": 2.0}
+
+
+def test_run_entry_parses():
+    assert ab.parse_run("qudit_d6_sweeps:7:10") == ("qudit_d6_sweeps", 7, 10)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["check_al:0:2", "bogus:0:2", "check_all:0", "check_all:0:2:1", "check_all:x:2",
+     "check_all:0:0", "check_all", ""],
+)
+def test_run_entry_is_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        ab.parse_run(text)
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [((), "no benchmarks/run.py under"), (("--run", "qubit:0:2"), "need a workload of")],
+)
+def test_refusals_exit_2_before_any_run(tmp_path, extra, message):
+    out = tmp_path / "ab.json"
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "ab.py"), "--parent", str(tmp_path), "--out", str(out),
+         *extra],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and message in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(TOOLS.glob("*.py")), ids=lambda p: p.name)
+def test_tools_read_no_underscore_prefixed_name(path):
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            dotted = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            names += [part for name in dotted for part in name.split(".")]
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    assert not [n for n in names if n.startswith("_") and not n.startswith("__")]

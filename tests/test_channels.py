@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -414,6 +415,42 @@ class TestChannelFromConfig:
         message = f"dimension d must be an integer, got {config['d']!r}"
         with pytest.raises(ValueError, match=message):
             channel_from_config(config)
+
+    @pytest.mark.parametrize(
+        "factory,d",
+        [
+            (partial(depolarizing, p=0.2), 3.7),
+            (partial(depolarizing, p=0.2), 2.5),
+            (partial(depolarizing, p=0.2), "3"),
+            (partial(amplitude_damping, gamma=0.2), 3.5),
+            (partial(amplitude_damping, gamma=0.2), np.float64(2.5)),
+            (identity_channel, 3.5),
+        ],
+    )
+    def test_factories_refuse_a_non_integer_dimension(self, factory, d):
+        message = re.escape(f"dimension d must be an integer, got {d!r}")
+        with pytest.raises(ValueError, match=message):
+            factory(d=d)
+
+    @pytest.mark.parametrize("d", [3, 3.0, np.int64(3), np.float64(3.0)])
+    @pytest.mark.parametrize("factory", [depolarizing, amplitude_damping])
+    def test_factories_take_an_integral_dimension(self, factory, d):
+        ch = factory(d, 0.2)
+        assert ch.dim == 3 and type(ch.dim) is int
+        assert np.array_equal(ch.transfer_tensor(), factory(3, 0.2).transfer_tensor())
+        assert identity_channel(d).dim == 3
+
+    def test_a_qubit_dimension_given_as_a_float_builds_the_qubit_channel(self):
+        assert isinstance(depolarizing(2.0, 0.3), CanonicalChannel)
+        assert isinstance(identity_channel(np.int64(2)), CanonicalChannel)
+
+    @pytest.mark.parametrize("d", [1, 0, -3, 1.0])
+    def test_factories_refuse_a_dimension_below_two(self, d):
+        for factory in (partial(depolarizing, p=0.1), partial(amplitude_damping, gamma=0.1)):
+            with pytest.raises(ValueError, match="dimension must be >= 2"):
+                factory(d=d)
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            identity_channel(d)
 
     def test_integral_float_dimension_accepted(self):
         for kind, param in (("depolarizing", "p"), ("amplitude_damping", "gamma")):

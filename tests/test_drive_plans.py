@@ -208,13 +208,12 @@ def test_index_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
 
 class Filling:
     """A trace-preserving map whose transfer tensor fills the admissible mask
-    at ``d``: a random channel, Z-twirled at d > 2 with the rounding-level
-    entries it leaves off the phase-covariant mask set to zero."""
+    at ``d``: a random channel, Z-twirled at d > 2, where it keeps
+    rounding-level entries off the phase-covariant mask for the driver to drop."""
 
     def __init__(self, d, seed):
         ops = stinespring_kraus(seed, d)
-        t4 = KrausChannel(tuple(ops if d == 2 else z_twirl(ops, d))).transfer_tensor()
-        self.t4 = t4 if d == 2 else np.where(edss.channels._off_phase(d), 0.0, t4)
+        self.t4 = KrausChannel(tuple(ops if d == 2 else z_twirl(ops, d))).transfer_tensor()
 
     def transfer_tensor(self):
         return self.t4

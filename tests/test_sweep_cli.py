@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,16 @@ class TestSpecValidation:
     def test_non_integer_dimension_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"dimension d must be an integer, got 2\.5"):
             small_spec(tmp_path, protocol="qudit", d=2.5).validate()
+
+    @pytest.mark.parametrize("points", [2.5, 21.0, True, "5", None])
+    def test_non_integer_point_count_rejected(self, tmp_path, points):
+        message = re.escape(f"points must be an integer, got {points!r}")
+        with pytest.raises(SweepError, match=message):
+            small_spec(tmp_path, points=points).validate()
+
+    def test_numpy_integer_point_count_accepted(self, tmp_path):
+        spec = small_spec(tmp_path, points=np.int64(3))
+        assert spec.validate() is spec and len(spec.grid()) == 3
 
     def test_non_cpt_grid_point_rejected(self, tmp_path):
         spec = small_spec(

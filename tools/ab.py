@@ -1,0 +1,180 @@
+"""A/B runs of the benchmark: a parent checkout against this one.
+
+    python3 tools/ab.py --parent DIR --out BENCH.json \\
+        [--run WORKLOAD:SEED:PAIRS ...] [--seconds 20] [--repeat 7]
+
+Sections of ``--out`` (JSON): ``end_to_end``, ``benchmarks/run.py`` of both
+sides in alternating order, PAIRS pairs per ``--run`` (default: each workload
+at seed 0, two pairs); ``summary``, per ``--run`` each side's ``wall_s``
+quartiles and the pairs the change won (a tie counts for neither);
+``layers``, per side and workload one ``benchmarks/run.py --trace 1`` run;
+and ``in_process``, per side in fresh interpreters with that side's ``src``
+first on ``sys.path``, through public names only: each workload's entry
+calls as a benchmark pass makes them (the first call, then min, median and
+max of ``--repeat``), and warm one-point depolarizing runs of ``run_qudit``
+(d = 2..6) and ``run_ghz``, with the ``np.linalg.eigvalsh`` calls of one.
+``layers`` and ``in_process`` run a workload at its first seed. BLAS and
+OpenMP pools are pinned to one thread. Run from the repository root.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import timeit
+from pathlib import Path
+from unittest.mock import patch
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("qubit_sweeps", "qudit_d6_sweeps", "check_all")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def timed(fn, repeat: int, number: int) -> dict[str, float]:
+    """Seconds per call of ``fn``: min, median and max over ``repeat`` repeats."""
+    samples = [t / number for t in timeit.repeat(fn, "gc.enable()", repeat=repeat, number=number)]
+    return {"min": min(samples), "median": statistics.median(samples), "max": max(samples)}
+
+
+def entry_calls(workload: str, seed: int, repeat: int) -> dict:
+    """One workload's entry calls, through the edss and ``workloads`` on ``sys.path``."""
+    import workloads
+    from edss.checks import run_checks
+    from edss.cli import main as edss_main
+
+    with tempfile.TemporaryDirectory() as out:
+        sweeps = [] if workload == "check_all" else workloads.sweeps(workload, seed, Path(out))
+        identity = {"seed": workloads.identity_seed(seed)}
+
+        def call():
+            if not sweeps:
+                run_checks("all", identity=identity)
+            elif any(codes := [edss_main(list(sweep.argv)) for sweep in sweeps]):
+                raise RuntimeError(f"edss sweep exited {codes}")
+
+        return {"first_s": timed(call, 1, 1)["min"], "repeat_s": timed(call, repeat, 1)}
+
+
+def warm_runs(repeat: int) -> dict[str, dict]:
+    """Warm one-point runs through the edss on ``sys.path``."""
+    import numpy as np
+
+    from edss import depolarizing, run_ghz, run_qudit
+
+    runs = {f"qudit d={d}": functools.partial(run_qudit, d, depolarizing(d, 0.5))
+            for d in range(2, 7)}
+    runs["ghz"] = functools.partial(run_ghz, depolarizing(2, 0.5))
+    rows = {}
+    for name, run in runs.items():
+        run()  # warm: block plans built, transfer tensors kept
+        with patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            run()
+        rows[name] = {"eigvalsh_calls": spy.call_count, "run_s": timed(run, repeat, 50)}
+    return rows
+
+
+def child(cmd: list[str], checkout: Path, timeout: int) -> list[str]:
+    """Stdout lines of ``cmd`` run in ``checkout``; a nonzero exit raises."""
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=timeout)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: exited {proc.returncode}: {proc.stderr[-1000:]}")
+    return proc.stdout.strip().splitlines()
+
+
+def in_process(checkout: Path, call: str) -> object:
+    """``ab.<call>`` in a fresh interpreter, ``checkout``'s sources first on ``sys.path``."""
+    paths = [str(checkout / "src"), str(checkout / "benchmarks"), str(ROOT / "tools")]
+    code = f"import json, sys; sys.path[:0] = {paths!r}; import ab; print(json.dumps(ab.{call}))"
+    return json.loads(child([sys.executable, "-c", code], checkout, 900)[-1])
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    lines = child([sys.executable, "benchmarks/run.py", "--workload", workload, "--seed",
+                   str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+                  checkout, seconds + 300)
+    return {"environment": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"q1": q1, "median": q2, "q3": q3}
+
+
+def end_to_end(parent: Path, runs: list[tuple[str, int, int]], seconds: int) -> tuple[list, list]:
+    records, summary = [], []
+    for workload, seed, pairs in runs:
+        walls = {"parent": [], "change": []}
+        for pair in range(pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                out = bench_run(parent if side == "parent" else ROOT, workload, seed, seconds)
+                metrics = out["result"]["metrics"]
+                walls[side].append(metrics["wall_s"]["value"])
+                records.append({"workload": workload, "seed": seed, "pair": pair,
+                                "side": side, **out})
+                print(f"{workload} seed {seed} pair {pair} {side}: "
+                      f"wall_s {metrics['wall_s']['value']:.3f}, "
+                      f"failed {out['result']['failed']}", flush=True)
+        wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
+        summary.append({
+            "workload": workload, "seed": seed, "pairs": pairs,
+            "wall_s": {side: {"runs": v, **quartiles(v)} for side, v in walls.items()},
+            "change_wins": wins,
+        })
+    return records, summary
+
+
+def parse_run(text: str) -> tuple[str, int, int]:
+    workload, _, rest = text.partition(":")
+    try:
+        seed, pairs = map(int, rest.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not WORKLOAD:SEED:PAIRS") from None
+    if workload not in WORKLOADS or pairs < 1:
+        raise argparse.ArgumentTypeError(f"{text!r}: need a workload of {WORKLOADS}, PAIRS >= 1")
+    return workload, seed, pairs
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--run", type=parse_run, action="append",
+                        help="WORKLOAD:SEED:PAIRS; repeatable")
+    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--repeat", type=int, default=7)
+    args = parser.parse_args()
+    if not (args.parent / "benchmarks" / "run.py").is_file():
+        print(f"error: no benchmarks/run.py under {args.parent}", file=sys.stderr)
+        return 2
+    if any(os.environ.get(name) != "1" for name in THREAD_VARS):
+        env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
+        os.execve(sys.executable, [sys.executable, *sys.argv], env)
+    runs = args.run or [(w, 0, 2) for w in WORKLOADS]
+    seeds = {w: next(s for v, s, _ in runs if v == w) for w, _, _ in runs}
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    records, summary = end_to_end(sides["parent"], runs, args.seconds)
+    report = {"seconds": args.seconds, "repeat": args.repeat, "end_to_end": records,
+              "summary": summary, "layers": {}, "in_process": {}}
+    for side, path in sides.items():
+        report["layers"][side] = {w: bench_run(path, w, s, args.seconds, trace=1)
+                                  for w, s in seeds.items()}
+        calls = {w: in_process(path, f"entry_calls({w!r}, {s}, {args.repeat})")
+                 for w, s in seeds.items()}
+        warm = in_process(path, f"warm_runs({args.repeat})")
+        report["in_process"][side] = {"entry_calls": calls, "warm_runs": warm}
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(json.dumps(summary, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
