@@ -21,9 +21,11 @@ import numpy as np
 from .tensor import (
     VALIDITY_ATOL,
     DensityOperator,
+    _dimension,
     _Entries,
     _hermitian_defect,
     _index_plan,
+    _integer,
     _sum_plan,
     _summed,
 )
@@ -112,10 +114,9 @@ class KrausChannel(_Channel):
         ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus_ops)
         if not ops:
             raise ValueError("at least one Kraus operator is required")
-        d = ops[0].shape[0]
-        for a in ops:
-            if a.shape != (d, d):
-                raise ValueError("all Kraus operators must be square with equal shape")
+        shape = ops[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in ops):
+            raise ValueError("all Kraus operators must be square with equal shape")
         object.__setattr__(self, "kraus_ops", ops)
 
     @property
@@ -173,17 +174,6 @@ def canonical_channel(
     return CanonicalChannel(*params)
 
 
-def _dimension(d: object) -> int:
-    """The channel factories' one dimension rule: ``d`` as an ``int`` of at least 2,
-    from an integer (``numpy`` ones too) or an integral float such as 3.0."""
-    integral = isinstance(d, (float, np.floating)) and float(d).is_integer()
-    if not (isinstance(d, (int, np.integer)) or integral):
-        raise ValueError(f"channel dimension d must be an integer, got {d!r}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    return int(d)
-
-
 def depolarizing(d: int, p: float) -> QuditChannel:
     """Depolarizing channel in dimension ``d`` with error probability ``p``."""
     if not 0.0 <= p <= 1.0:
@@ -233,9 +223,7 @@ def apply_to_subsystem(
     state would pay on each of its side^2 entries. A two-Kraus channel on a
     full-rank d = 6 three-qudit state took 1.9 ms dense, against 0.36 s and
     a 250 MB peak through the entries (one BLAS thread)."""
-    n = len(rho.dims)
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for {n} subsystems")
+    target = _integer(target, "target", 0, len(rho.dims) - 1)
     d = rho.dims[target]
     if ch.dim != d:
         raise ValueError(f"channel dimension {ch.dim} != subsystem dimension {d}")

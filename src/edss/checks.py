@@ -16,9 +16,7 @@ import numpy as np
 from .channels import CHANNEL_PARAMS, CanonicalChannel, _canonical_tensors, _cpt_reports
 from .channels import canonical_channel
 from .protocols import (
-    CHAIN_ATOL,
     PROTOCOLS,
-    SEPARABILITY_ATOL,
     SPECS,
     ProtocolSpec,
     _runs,
@@ -28,8 +26,9 @@ from .protocols import (
 
 # The average-only paths live with the driver; callers import them from here.
 from .protocols import ghz_average_only, qudit_average_only, two_qubit_average_only  # noqa: F401
-from .reference import CLOSED_FORM_ATOL, CLOSED_FORM_KINDS, FORMULAS
-from .sweep import SweepSpec, row_deviations, sweep_rows
+from .reference import CLOSED_FORM_KINDS, FORMULAS
+from .sweep import SweepSpec, check_atol, row_deviations, sweep_rows
+from .tensor import _dimension, _integer
 
 DEFAULT_SEED = 20230711
 # Draws are CP up to eigensolver rounding, not merely within admission's VALIDITY_ATOL.
@@ -47,7 +46,9 @@ class CheckResult:
     passed: bool
 
     @classmethod
-    def from_deviation(cls, name: str, dev: float, threshold: float) -> "CheckResult":
+    def from_deviation(cls, name: str, dev: float, check: str) -> "CheckResult":
+        """Row ``name`` at ``dev`` against the tolerance of its check (``sweep.check_atol``)."""
+        threshold = check_atol(check)
         return cls(name, float(dev), threshold, bool(dev <= threshold))
 
 
@@ -78,7 +79,7 @@ def _default_specs() -> list[ProtocolSpec]:
 
 
 def _dims(spec: ProtocolSpec, qudit_dims: Iterable[int]) -> tuple[int, ...]:
-    return tuple(qudit_dims) if spec.takes_d else (2,)
+    return tuple(map(_dimension, qudit_dims)) if spec.takes_d else (2,)
 
 
 def _suffix(spec: ProtocolSpec, d: int) -> str:
@@ -119,6 +120,7 @@ def identity_suite(
     is a grid memo shared with the other suites of one ``run_checks`` call
     (see ``_worst``).
     """
+    random_channels = _integer(random_channels, "random_channels", 0)
     draws = _random_cp_canonicals(np.random.default_rng(seed), DRAW_BLOCK)
     grids, results = {} if grids is None else grids, []
     for spec in _default_specs():
@@ -128,12 +130,12 @@ def identity_suite(
             chains = map(verify_identity_chain, _runs(spec, drawn))
             dev = max((chain.max_deviation for chain in chains), default=0.0)
             name = f"identity_{spec.protocol}_random_canonical"
-            results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))
+            results.append(CheckResult.from_deviation(name, dev, "identity"))
         for kind in CLOSED_FORM_KINDS:
             for d in _dims(spec, qudit_dims):
                 dev = _worst(grids, spec, kind, d, grid_points)["identity"]
                 name = f"identity_{spec.protocol}_{kind}{_suffix(spec, d)}"
-                results.append(CheckResult.from_deviation(name, dev, CHAIN_ATOL))
+                results.append(CheckResult.from_deviation(name, dev, "identity"))
     return results
 
 
@@ -147,7 +149,7 @@ def separability_suite(
             for d in _dims(spec, qudit_dims):
                 dev = _worst(grids, spec, kind, d, grid_points)["separability"]
                 name = f"separability_{spec.protocol}_{kind}{_suffix(spec, d)}"
-                results.append(CheckResult.from_deviation(name, dev, SEPARABILITY_ATOL))
+                results.append(CheckResult.from_deviation(name, dev, "separability"))
     return results
 
 
@@ -164,9 +166,7 @@ def closed_form_suite(
                 for spec in specs:
                     worst = _worst(grids, spec, kind, d, grid_points)
                     results.extend(
-                        CheckResult.from_deviation(
-                            f"{fid}{_suffix(spec, d)}", worst[fid], CLOSED_FORM_ATOL
-                        )
+                        CheckResult.from_deviation(f"{fid}{_suffix(spec, d)}", worst[fid], fid)
                         for fid in spec.formulas(kind)
                     )
 
@@ -177,7 +177,7 @@ def closed_form_suite(
             for d in _dims(spec, qudit_dims):
                 found = critical_noise(lambda x: spec.average_only(kind, x, d))
                 name, dev = f"{fid}{_suffix(spec, d)}", abs(found - FORMULAS[fid].fn(d))
-                results.append(CheckResult.from_deviation(name, dev, CLOSED_FORM_ATOL))
+                results.append(CheckResult.from_deviation(name, dev, fid))
     return results
 
 

@@ -16,8 +16,6 @@ from .tensor import (
     _Entries,
     _batch_spectra,
     _plan,
-    hermitian_eigenvalues,
-    partial_transpose,
 )
 
 # Eigenvalues in (-NEGATIVE_EIG_ATOL, 0) are treated as solver noise.
@@ -42,8 +40,11 @@ class NegativityResult:
 
 
 def negativity(rho: DensityOperator, part: Bipartition) -> NegativityResult:
-    """Negativity of ``rho`` across ``part`` (transpose applied to side_a)."""
-    eigs = hermitian_eigenvalues(partial_transpose(rho, part))
+    """Negativity of ``rho`` across ``part`` (transpose applied to side_a), solved
+    through the block plan of its entries as the driver's are (see ``_batch_negativities``)."""
+    part.check(len(rho.dims))
+    e = rho._entries()
+    eigs = _batch_spectra([(_plan(e, part.side_a), e.values)])[0]
     tn, value, min_dim = _from_spectra(eigs, rho.dims, part)
     negatives = tuple(eigs[eigs < -NEGATIVE_EIG_ATOL].tolist())
     return NegativityResult(float(value), float(tn), min_dim, negatives)

@@ -53,6 +53,7 @@ from .tensor import (
     Bipartition,
     DensityOperator,
     _check_unit_trace,
+    _dimension,
     _Entries,
     _partial_trace,
     _scatter,
@@ -296,11 +297,10 @@ def _evolve(
 
 
 def _register(spec: ProtocolSpec, d: int) -> tuple[int, ...]:
-    if not isinstance(d, (int, np.integer)):
-        raise ValueError(f"dimension d must be an integer, got {d!r}")
+    d = _dimension(d)
     if not spec.takes_d and d != 2:
         raise ValueError(f"protocol {spec.protocol} works with qubits; drop d={d}")
-    if not 2 <= d <= MAX_DIM_CEILING:
+    if d > MAX_DIM_CEILING:
         raise ValueError(f"dimension {d} outside the allowed range [2, {MAX_DIM_CEILING}]")
     return (d,) * len(spec.subsystems)
 
@@ -408,6 +408,7 @@ def _drive(
     is prefixed with ``labels[b]`` when labels are given.
     """
     dims = _register(spec, d)
+    d = dims[0]
     traces = [_new_trace(spec, ch, d, w) for ch, w in zip(batch, _admit(spec, batch, d, labels))]
     states = _evolve(spec, batch, dims)
     queue: list[tuple[_Entries, Bipartition]] = []
@@ -496,6 +497,7 @@ def _chunk_points(spec: ProtocolSpec, d: int) -> int:
     admitted (``_evolve`` zeroes what an admitted tensor holds off the mask),
     and every entry at d = 2, where any CPT channel is."""
     dims = _register(spec, d)
+    d = dims[0]
     t4 = np.ones((d,) * 4) if d == 2 else (~_off_phase(d)).astype(float)
     start = spec.initial(d)._entries()
     state = _Entries(start.rows, start.cols, np.ones(len(start.rows)), dims, start.key)
@@ -839,8 +841,9 @@ def critical_noise(
     for name, value in (("lo", lo), ("hi", hi), ("zero_atol", zero_atol), ("tol", tol)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    # a bracket narrower than two float spacings of its ends may never shrink again
+    if tol < (floor := 2 * float(np.spacing(max(abs(lo), abs(hi))))):
+        raise ValueError(f"tol must be at least {floor!r} on this bracket, got {tol!r}")
     if lo > hi:
         raise ValueError(f"lo ({lo!r}) exceeds hi ({hi!r})")
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .channels import CHANNEL_PARAMS
+from .tensor import _dimension
 
 # Simulated values carry ~1e-15 rounding and the root search stops at 1e-12.
 CLOSED_FORM_ATOL = 1e-9
@@ -34,12 +35,6 @@ def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value
-
-
-def _check_dim(d: int) -> int:
-    if not float(d).is_integer() or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    return int(d)
 
 
 TWO_QUBIT_DEPOL_DET_CRITICAL = (3.0 - math.sqrt(5.0)) / 2.0
@@ -208,10 +203,8 @@ def closed_form(formula_id: str, **params: float) -> float:
     extra = [name for name in params if name not in formula.params]
     if extra:
         raise ValueError(f"{formula_id} does not take parameters {extra}")
-    args = []
-    for name in formula.params:
-        if name == "d":
-            args.append(_check_dim(params[name]))
-        else:
-            args.append(_check_unit(name, params[name]))
+    args = [
+        _dimension(params[name]) if name == "d" else _check_unit(name, params[name])
+        for name in formula.params
+    ]
     return float(formula.fn(*args))

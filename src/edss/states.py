@@ -21,8 +21,10 @@ from .channels import KrausChannel, _embed
 from .tensor import (
     DensityOperator,
     _check_unit_trace,
+    _dimension,
     _Entries,
     _index_plan,
+    _integer,
     _partial_trace,
     _scatter,
     _sum_plan,
@@ -48,7 +50,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_dimension(d, "subsystem dimension") for d in self.dims)
         if amps.shape[0] != prod(dims):
             raise ValueError(f"amplitude count {amps.shape[0]} does not match dims {dims}")
         norm = float(np.linalg.norm(amps))
@@ -89,8 +91,7 @@ def _flat_index(dims: tuple[int, ...], digits: tuple[int, ...]) -> int:
 
 def ghz_state(n: int, d: int) -> PureState:
     """n-party, d-level GHZ state (1/sqrt(d)) sum_i |i>^(x n)."""
-    if n < 2 or d < 2:
-        raise ValueError("GHZ states need n >= 2 parties of dimension >= 2")
+    n, d = _integer(n, "party count n", 2), _dimension(d)
     dims = (d,) * n
     amps = np.zeros(d**n, dtype=complex)
     for i in range(d):
@@ -177,8 +178,7 @@ def qudit_initial_state(d: int) -> DensityOperator:
     k and tagged by |0> on the exchange qudit, plus the diagonal correlated
     terms |j, j, l-j> for j != l.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     s = tuple(2**j - 1 for j in range(d))
     basis = tuple((j, j, (l - j) % d) for j in range(d) for l in range(d) if j != l)
     start = _phase_mixture(
@@ -195,7 +195,8 @@ def cnot(
     ``inverse=True`` subtracts the control digit instead.
     """
     n = len(rho.dims)
-    if not (0 <= control < n and 0 <= target < n) or control == target:
+    control, target = _integer(control, "control", 0, n - 1), _integer(target, "target", 0, n - 1)
+    if control == target:
         raise ValueError(f"invalid control/target pair ({control}, {target})")
     if rho.dims[control] != rho.dims[target]:
         raise ValueError(
@@ -229,10 +230,8 @@ def measure_computational(rho: DensityOperator, target: int) -> list[Measurement
     post state on the remaining subsystems. Zero-probability outcomes keep
     their slot with probability 0 and a null post state.
     """
-    n = len(rho.dims)
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for {n} subsystems")
-    if n == 1:
+    target = _integer(target, "target", 0, len(rho.dims) - 1)
+    if len(rho.dims) == 1:
         raise ValueError("measuring the only subsystem leaves an empty register")
     return [
         MeasurementBranch(m, float(p), DensityOperator(_scatter(post), post.dims) if p else None)

@@ -32,6 +32,7 @@ from .protocols import (
 )
 from .reference import CLOSED_FORM_ATOL, FORMULAS
 from .svgchart import render_line_chart
+from .tensor import _integer
 
 CHECK_NAMES = ("identity", "separability", "closed_form")
 # Canonical parameters a sweep leaves unset take their identity-channel values.
@@ -72,6 +73,7 @@ class SweepSpec:
             raise SweepError(f"unknown channel kind {self.channel!r}")
         try:
             _register(SPECS[self.protocol, self.mode], self.d)
+            _integer(self.points, "points", 2, MAX_POINTS)
         except ValueError as exc:
             raise SweepError(str(exc)) from exc
         if self.channel == "canonical" and self.d != 2:
@@ -96,10 +98,6 @@ class SweepSpec:
             raise SweepError(
                 f"need 0 <= start <= stop <= 1, got [{self.start}, {self.stop}]"
             )
-        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
-            raise SweepError(f"points must be an integer, got {self.points!r}")
-        if not 2 <= self.points <= MAX_POINTS:
-            raise SweepError(f"points must be in [2, {MAX_POINTS}], got {self.points}")
         bad_checks = set(self.checks) - set(CHECK_NAMES)
         if bad_checks:
             raise SweepError(f"unknown checks {sorted(bad_checks)}")
@@ -213,19 +211,22 @@ def row_deviations(spec: SweepSpec, row: Mapping[str, float]) -> dict[str, float
     return devs
 
 
+def check_atol(check: str) -> float:
+    """Tolerance of a ``row_deviations`` check; every formula id's is ``CLOSED_FORM_ATOL``."""
+    return {"identity": CHAIN_ATOL, "separability": SEPARABILITY_ATOL}.get(check, CLOSED_FORM_ATOL)
+
+
 def _row_checks(spec: SweepSpec, row: dict[str, float]) -> list[str]:
     at = f"{spec.param}={format_float(row[spec.param])}"
     devs = row_deviations(spec, row)
     failures = []
-    for check, what, atol in (
-        ("identity", "identity chain deviation", CHAIN_ATOL),
-        ("separability", "exchange negativity", SEPARABILITY_ATOL),
-    ):
+    labels = {"identity": "identity chain deviation", "separability": "exchange negativity"}
+    for check, what in labels.items():
         dev = devs.pop(check)
-        if check in spec.checks and dev > atol:
+        if check in spec.checks and dev > check_atol(check):
             failures.append(f"{at}: {what} {dev:.3e}")
     for fid, dev in devs.items():
-        if "closed_form" in spec.checks and dev > CLOSED_FORM_ATOL:
+        if "closed_form" in spec.checks and dev > check_atol(fid):
             failures.append(f"{at}: {fid} deviates from closed form by {dev:.3e}")
     return failures
 

@@ -60,6 +60,26 @@ def _memo(cache: dict, key, build):
     return plan
 
 
+def _integer(value: object, name: str, lo: int, hi: int | None = None) -> int:
+    """The one rule for subsystem indices and counts: ``value`` as an ``int`` in
+    ``[lo, hi]`` (no upper bound for ``hi=None``). An ``int`` or a numpy integer
+    passes; a bool, a float or anything else raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
+def _dimension(d: object, name: str = "dimension d") -> int:
+    """The one rule for dimensions: ``d`` as an ``int`` of at least 2, from an
+    integer (numpy ones too) or an integral float such as 3.0 (see ``_integer``)."""
+    if isinstance(d, (float, np.floating)) and float(d).is_integer():
+        d = int(d)
+    return _integer(d, name, 2)
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -184,9 +204,9 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         mat = np.ascontiguousarray(np.asarray(self.matrix, dtype=complex))
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 2 for d in dims):
-            raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
+        dims = tuple(_dimension(d, "subsystem dimension") for d in self.dims)
+        if not dims:
+            raise ValueError("a register needs at least one subsystem")
         side = prod(dims)
         if mat.shape != (side, side):
             raise ValueError(
@@ -256,12 +276,10 @@ class Bipartition:
     @classmethod
     def split(cls, side_a: Iterable[int], n_subsystems: int) -> "Bipartition":
         """Bipartition with ``side_a`` against all remaining indices."""
-        a = frozenset(int(i) for i in side_a)
-        full = frozenset(range(n_subsystems))
-        if not a or not a <= full or a == full:
-            raise ValueError(
-                f"side_a {sorted(a)} must be a nonempty proper subset of 0..{n_subsystems - 1}"
-            )
+        full = frozenset(range(_integer(n_subsystems, "subsystem count", 2)))
+        a = frozenset(_integer(i, "subsystem index", 0, len(full) - 1) for i in side_a)
+        if not a or a == full:
+            raise ValueError(f"side_a {sorted(a)} must be a nonempty proper subset of {set(full)}")
         return cls(a, full - a)
 
     def check(self, n_subsystems: int) -> None:
@@ -277,12 +295,9 @@ class Bipartition:
 
 def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     """Reduced operator over ``keep``, in the original subsystem order."""
-    keep_sorted = sorted(set(int(k) for k in keep))
-    n = len(rho.dims)
+    keep_sorted = sorted({_integer(k, "subsystem index", 0, len(rho.dims) - 1) for k in keep})
     if not keep_sorted:
         raise ValueError("keep must be nonempty")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
-        raise ValueError(f"subsystem index out of range for {n} subsystems")
     reduced = _partial_trace(rho._entries(), keep_sorted)
     return DensityOperator(_scatter(reduced), reduced.dims)
 

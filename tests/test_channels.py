@@ -349,6 +349,20 @@ class TestIsCpt:
             choi_says = bool(is_cpt(canonical_channel(l1, l2, l3, 0.0)))
             assert choi_says == unital_cp_condition(l1, l2, l3, tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (np.array(1.0),),
+            (np.ones(2),),
+            (np.ones((2, 3)),),
+            (np.ones((2, 2, 2)),),
+            (np.eye(2), np.eye(3)),
+        ],
+    )
+    def test_kraus_operators_must_be_square_matrices_of_one_shape(self, ops):
+        with pytest.raises(ValueError, match="must be square with equal shape"):
+            KrausChannel(ops)
+
     def test_trace_defect_reported(self):
         ops = tuple(0.9 * a for a in amplitude_damping(2, 0.4).kraus_ops)
         report = is_cpt(KrausChannel(ops))
@@ -447,9 +461,9 @@ class TestChannelFromConfig:
     @pytest.mark.parametrize("d", [1, 0, -3, 1.0])
     def test_factories_refuse_a_dimension_below_two(self, d):
         for factory in (partial(depolarizing, p=0.1), partial(amplitude_damping, gamma=0.1)):
-            with pytest.raises(ValueError, match="dimension must be >= 2"):
+            with pytest.raises(ValueError, match="dimension d must be >= 2"):
                 factory(d=d)
-        with pytest.raises(ValueError, match="dimension must be >= 2"):
+        with pytest.raises(ValueError, match="dimension d must be >= 2"):
             identity_channel(d)
 
     def test_integral_float_dimension_accepted(self):

@@ -227,8 +227,8 @@ class TestQuditProtocol:
         assert trace.noise["d"] == 7
 
     def test_non_integer_dimension_rejected(self):
-        with pytest.raises(ValueError, match=r"dimension d must be an integer, got 3\.0"):
-            run_qudit(3.0, depolarizing(3, 0.1))
+        with pytest.raises(ValueError, match=r"dimension d must be an integer, got 2\.5"):
+            run_qudit(2.5, depolarizing(3, 0.1))
 
     def test_ceiling_holds_on_every_driver_path(self, monkeypatch):
         # a d^3-sided start state is 28 MB at d = 11: refuse d before building it
@@ -372,7 +372,7 @@ class TestClosedFormRegistry:
     def test_non_integral_dimension_rejected(self):
         fid = "qudit_depolarizing_average_negativity"
         for d in (2.5, float("inf"), float("nan")):
-            with pytest.raises(ValueError, match=rf"integer >= 2, got {d}"):
+            with pytest.raises(ValueError, match=rf"dimension d must be an integer, got {d}"):
                 closed_form(fid, d=d, p=0.1)
         assert closed_form(fid, d=3.0, p=0.1) == closed_form(fid, d=3, p=0.1)
 
@@ -441,6 +441,28 @@ class TestCriticalNoise:
 
         with pytest.raises(ValueError, match=rf"^{name}\b"):
             critical_noise(fn, **kwargs)
+
+    @pytest.mark.parametrize(
+        "curve", [lambda x: max(0.0, (6 - 7 * x) / 66), lambda x: max(0.0, 0.5 - x)]
+    )
+    def test_a_tol_below_two_float_spacings_is_refused(self, curve):
+        """Below two float spacings of the bracket's ends the search may never
+        end; 10 000 evaluations stand in for a hang."""
+        calls = []
+
+        def fn(x):
+            if len(calls) >= 10_000:
+                raise AssertionError("critical_noise is still searching")
+            calls.append(x)
+            return curve(x)
+
+        with pytest.raises(ValueError, match=r"^tol must be at least 4\.4\d*e-16"):
+            critical_noise(fn, tol=1e-16)
+        assert not calls
+        for tol in (2 * np.spacing(1.0), 1e-15, 1e-13):
+            calls.clear()
+            critical_noise(fn, tol=tol)
+            assert len(calls) <= 90
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_linear_qudit_curve_takes_five_evaluations(self, d):
