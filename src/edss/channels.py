@@ -24,8 +24,8 @@ from .tensor import (
     _dimension,
     _Entries,
     _hermitian_defect,
-    _index_plan,
     _integer,
+    _pattern_plan,
     _sum_plan,
     _summed,
 )
@@ -141,6 +141,9 @@ class DepolarizingChannel(_Channel):
     d: int
     p: float
     kind: str = "depolarizing"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", _dimension(self.d))
 
     @property
     def dim(self) -> int:
@@ -271,10 +274,9 @@ def _embed_entries(t4: np.ndarray, m: _Entries, d: int, stride: int) -> _Entries
         cols = m.cols[source] + (j - l) * stride
         return ((i * d + j) * d + k) * d + l, source, _sum_plan(rows, cols, m.dims)
 
-    key = None if m.key is None else ("embed", m.key, stride, joint.tobytes())
-    term, source, summing = _index_plan(key, plan)
+    term, source, summing = _pattern_plan(("embed", stride, joint.tobytes()), m, plan)
     products = t4.reshape(*t4.shape[:-4], d**4)[..., term] * m.values[..., source]
-    return _summed(summing, products, m.dims, key)
+    return _summed(summing, products, m.dims)
 
 
 def choi_matrix(ch: QuditChannel) -> np.ndarray:

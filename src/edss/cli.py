@@ -13,6 +13,7 @@ from .channels import CHANNEL_PARAMS
 from .checks import SUITES, run_checks
 from .protocols import PROTOCOLS, describe
 from .sweep import CHECK_NAMES, MAX_DIM_CEILING, MAX_POINTS, SweepError, SweepSpec, run_sweep
+from .tensor import _dimension
 
 MODE_ALIASES = {
     "prob": "probabilistic",
@@ -26,7 +27,7 @@ SWEEP_OPTIONS: dict[str, dict] = {
     "protocol": {"choices": PROTOCOLS},
     "mode": {"choices": tuple(MODE_ALIASES)},
     "channel": {"choices": tuple(CHANNEL_PARAMS)},
-    "d": {"type": int, "help": f"qudit dimension, 2 to {MAX_DIM_CEILING} (qudit protocol only)"},
+    "d": {"type": float, "help": f"qudit dimension, 2 to {MAX_DIM_CEILING} (qudit protocol only)"},
     "param": {
         "choices": tuple(name for names in CHANNEL_PARAMS.values() for name in names),
         "help": "swept channel parameter",
@@ -108,6 +109,8 @@ def _merged_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     optional = {"d": "d", "from": "start", "to": "stop", "points": "points"}
     try:
         values = {key: SWEEP_OPTIONS[key].get("type", str)(value) for key, value in merged.items()}
+        if "d" in values:  # the library's dimension rule: 3.0 is d = 3
+            values["d"] = _dimension(values["d"])
         return SweepSpec(
             protocol=values["protocol"],
             mode=mode,

@@ -500,7 +500,7 @@ def _chunk_points(spec: ProtocolSpec, d: int) -> int:
     d = dims[0]
     t4 = np.ones((d,) * 4) if d == 2 else (~_off_phase(d)).astype(float)
     start = spec.initial(d)._entries()
-    state = _Entries(start.rows, start.cols, np.ones(len(start.rows)), dims, start.key)
+    state = _Entries(start.rows, start.cols, np.ones(len(start.rows)), dims)
     most = len(state.rows)
     for op in (op for step in spec.steps for op in step.ops):
         state = _cnot(state, *op) if isinstance(op, Cnot) else _embed(t4, state, dims, op.target)

@@ -11,7 +11,6 @@ their post-CNOT forms with projector sums.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, replace
 from math import prod
 
@@ -23,9 +22,9 @@ from .tensor import (
     _check_unit_trace,
     _dimension,
     _Entries,
-    _index_plan,
     _integer,
     _partial_trace,
+    _pattern_plan,
     _scatter,
     _sum_plan,
     _summed,
@@ -37,8 +36,6 @@ from .tensor import (
 ZERO_PROBABILITY_ATOL = 1e-12
 # A state vector's norm may miss 1 by the rounding of its amplitudes (~1e-16 each).
 UNIT_NORM_ATOL = 1e-12
-# Names of the start states' patterns (see tensor._Entries.key).
-_START_KEYS = itertools.count()
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +136,7 @@ def _phase_mixture(
     tagged = np.array([_flat_index(dims, digits) for digits in tags], dtype=np.int64)
     values = np.concatenate([np.full(x.size, weight / e.size), np.full(tagged.size, tag_weight)])
     rows, cols = np.concatenate([x * stride, tagged]), np.concatenate([y * stride, tagged])
-    entries = _summed(_sum_plan(rows, cols, dims), values, dims, ("start", next(_START_KEYS)))
+    entries = _summed(_sum_plan(rows, cols, dims), values, dims)
     _check_unit_trace(entries)
     for array in (entries.rows, entries.cols, entries.values):
         array.flags.writeable = False
@@ -218,9 +215,8 @@ def _cnot(m: _Entries, control: int, target: int, inverse: bool) -> _Entries:
         t = (index // at) % d
         return index + ((t + sign * ((index // by) % d)) % d - t) * at
 
-    key = None if m.key is None else ("cnot", m.key, control, target, inverse)
-    rows, cols = _index_plan(key, lambda: (moved(m.rows), moved(m.cols)))
-    return _Entries(rows, cols, m.values, dims, key)
+    plan = _pattern_plan(("cnot", control, target, sign), m, lambda: (moved(m.rows), moved(m.cols)))
+    return _Entries(*plan, m.values, dims)
 
 
 def measure_computational(rho: DensityOperator, target: int) -> list[MeasurementBranch]:
@@ -253,11 +249,10 @@ def _measure(m: _Entries, target: int) -> list[tuple[np.ndarray, _Entries]]:
         ats = [np.flatnonzero((row_digit == k) & (col_digit == k)) for k in range(d)]
         return [(at, drop(m.rows[at]), drop(m.cols[at])) for at in ats]
 
-    key = None if m.key is None else ("measure", m.key, target)
     rest = m.dims[:target] + m.dims[target + 1 :]
     outcomes = []
-    for k, (at, rows, cols) in enumerate(_index_plan(key, plan)):
-        block = _Entries(rows, cols, m.values[..., at], rest, None if key is None else (key, k))
+    for at, rows, cols in _pattern_plan(("measure", target), m, plan):
+        block = _Entries(rows, cols, m.values[..., at], rest)
         p = _traces(block).real
         p = np.where(p < ZERO_PROBABILITY_ATOL, 0.0, p)
         scale = np.where(p > 0.0, p, 1.0)[..., None]

@@ -9,15 +9,16 @@ entries only (``channels._embed`` also keeps a dense contraction; see
 matrix at the call and scatters the result back.
 
 Spectra go through a block plan (:func:`_plan`): the index arrays that put a
-pattern's entries, partially transposed, into its diagonal blocks. A plan
-depends on positions only, so the last ``PLAN_CACHE_SIZE`` plans are kept,
-keyed by the pattern's name (``_Entries.key``) or else by ``(dims, side_a,
-rows bytes, cols bytes)``; they hold integer arrays and never a value.
+pattern's entries, partially transposed, into its diagonal blocks.
 :func:`_batch_spectra` solves any number of ``(plan, values)`` items in one
-pass, one batched ``eigvalsh`` per block size. The index work of the
-driver's other kernels (a CNOT's moved positions, a channel embedding's
-gather, a measurement's outcome masks, a partial trace's sums) is kept the
-same way, per named input pattern (see :func:`_index_plan`).
+pass, one batched ``eigvalsh`` per block size. The driver's other kernels
+keep their index work as plans too: a CNOT's moved positions, a channel
+embedding's gather, a measurement's outcome masks, a partial trace's sums.
+A plan depends on positions only, so every plan has one key: the kernel's
+tag and arguments plus the pattern it reads, ``(dims, rows bytes, cols
+bytes)``, built by :func:`_pattern_plan` (a matrix with no zero entry finds
+its one block by its side). The last ``PLAN_CACHE_SIZE`` plans are kept in
+one cache, as integer arrays and never a value.
 """
 
 from __future__ import annotations
@@ -32,32 +33,28 @@ import numpy as np
 # noise. All matrices here are small (side <= 1000, the qudit register at
 # d = 10) with entries of magnitude <= 1.
 VALIDITY_ATOL = 1e-9
-# Plans kept per cache, least recently used dropped first: run_checks("all")
-# solves 222 distinct patterns, whose block plans take 0.6 MB under 528 keys
-# (a pattern's name and its positions), and builds 127 index plans (0.3 MB).
+# Plans kept, least recently used dropped first: run_checks("all") leaves 339 (222 of
+# them block plans), 0.4 MB of index arrays under 0.3 MB of key bytes.
 PLAN_CACHE_SIZE = 1024
 _PLANS: dict[tuple, tuple] = {}
-_INDEX_PLANS: dict[tuple, tuple] = {}
 
 
-def _index_plan(key, build):
-    """``build()``, kept in ``_INDEX_PLANS`` under ``key`` (see ``_memo``)."""
-    return _memo(_INDEX_PLANS, key, build)
-
-
-def _memo(cache: dict, key, build):
-    """``build()``, kept in ``cache`` under ``key`` with the last
-    ``PLAN_CACHE_SIZE`` others, least recently used dropped first; a ``None``
-    key builds on every call."""
-    if key is None:
-        return build()
-    plan = cache.pop(key, None)
+def _cached(key: tuple, build):
+    """``build()``, kept in ``_PLANS`` under ``key`` with the last
+    ``PLAN_CACHE_SIZE`` others, least recently used dropped first."""
+    plan = _PLANS.pop(key, None)
     if plan is None:
         plan = build()
-        if len(cache) >= PLAN_CACHE_SIZE:  # pop, not del: another thread may evict too
-            cache.pop(next(iter(cache)), None)
-    cache[key] = plan
+        if len(_PLANS) >= PLAN_CACHE_SIZE:  # pop, not del: another thread may evict too
+            _PLANS.pop(next(iter(_PLANS)), None)
+    _PLANS[key] = plan
     return plan
+
+
+def _pattern_plan(tag: tuple, e: _Entries, build):
+    """``build()``, the plan of a kernel for the pattern of ``e``, cached under
+    the kernel's ``tag`` (its name and arguments) and that pattern."""
+    return _cached((*tag, e.dims, e.rows.tobytes(), e.cols.tobytes()), build)
 
 
 def _integer(value: object, name: str, lo: int, hi: int | None = None) -> int:
@@ -107,18 +104,12 @@ class _Entries:
     """A stack of matrices on the register ``dims`` that share one pattern:
     matrix ``b`` holds ``values[b, e]`` at ``(rows[e], cols[e])`` and zeros
     elsewhere, with no two entries at one position. Values of shape ``(nnz,)``
-    are one matrix; indexing selects matrices, as on a dense stack.
-
-    ``key`` names the pattern (stacks with one key share rows, cols and dims):
-    a kernel keeps its index plan under its input's name and names its result
-    after that, itself and its arguments, so a named pattern met again is
-    neither scanned nor hashed. ``None``: unnamed."""
+    are one matrix; indexing selects matrices, as on a dense stack."""
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     dims: tuple[int, ...]
-    key: tuple | None = None
 
     @classmethod
     def of(cls, m: np.ndarray, dims: tuple[int, ...]) -> "_Entries":
@@ -130,7 +121,7 @@ class _Entries:
         return len(self.values)
 
     def __getitem__(self, index) -> "_Entries":
-        return _Entries(self.rows, self.cols, self.values[index], self.dims, self.key)
+        return _Entries(self.rows, self.cols, self.values[index], self.dims)
 
 
 def _sum_plan(rows: np.ndarray, cols: np.ndarray, dims: tuple[int, ...]) -> tuple:
@@ -141,11 +132,9 @@ def _sum_plan(rows: np.ndarray, cols: np.ndarray, dims: tuple[int, ...]) -> tupl
     return (*np.divmod(keys, side), where)
 
 
-def _summed(plan: tuple, values: np.ndarray, dims: tuple[int, ...], key=None) -> _Entries:
+def _summed(plan: tuple, values: np.ndarray, dims: tuple[int, ...]) -> _Entries:
     """The entries ``values`` (``(..., nnz)``) summed at the positions of their
-    ``_sum_plan``, with the positions that are zero in every matrix dropped.
-    Which are dropped depends on the values, so a result that drops one is
-    unnamed; else it is named ``key``."""
+    ``_sum_plan``, with the positions that are zero in every matrix dropped."""
     rows, cols, where = plan
     flat = values.reshape(-1, values.shape[-1])
     at = (where + len(rows) * np.arange(len(flat))[:, None]).ravel()
@@ -154,7 +143,7 @@ def _summed(plan: tuple, values: np.ndarray, dims: tuple[int, ...], key=None) ->
     sums = (real + 1j * imag).reshape(*values.shape[:-1], len(rows))
     keep = np.any(sums != 0, axis=tuple(range(sums.ndim - 1)))
     if keep.all():
-        return _Entries(rows, cols, sums, dims, key)
+        return _Entries(rows, cols, sums, dims)
     return _Entries(rows[keep], cols[keep], sums[..., keep], dims)
 
 
@@ -321,9 +310,8 @@ def _partial_trace(m: _Entries, keep: Iterable[int]) -> _Entries:
                 same &= row == col
         return same, _sum_plan(rows[same], cols[same], kept)
 
-    key = None if m.key is None else ("trace", m.key, keep)
-    same, summing = _index_plan(key, plan)
-    return _summed(summing, m.values[..., same], kept, key)
+    same, summing = _pattern_plan(("trace", keep), m, plan)
+    return _summed(summing, m.values[..., same], kept)
 
 
 def partial_transpose(rho: DensityOperator, part: Bipartition) -> np.ndarray:
@@ -386,11 +374,10 @@ def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndar
     n = h.shape[-1]
     nonzero = np.any(h != 0, axis=tuple(range(h.ndim - 2)))
     if nonzero.all():  # one block holding each matrix as it is: no gather, no bytes key
-        rows, cols = _index_plan(("full", n), lambda: np.divmod(np.arange(n * n), n))
-        entries = _Entries(rows, cols, h.reshape(*h.shape[:-2], n * n), (n,), ("full", n))
-    else:
-        entries = _Entries.of(h, (n,))
-    return _batch_spectra([(_plan(entries), entries.values)], atol)[0]
+        plan = _cached(("full", n), lambda: ((n, 1, np.arange(n * n), np.arange(n * n)),))
+        return _batch_spectra([(plan, h.reshape(*h.shape[:-2], n * n))], atol)[0]
+    e = _Entries.of(h, (n,))
+    return _batch_spectra([(_plan(e), e.values)], atol)[0]
 
 
 def _plan(e: _Entries, side_a: Iterable[int] = ()) -> tuple:
@@ -402,10 +389,7 @@ def _plan(e: _Entries, side_a: Iterable[int] = ()) -> tuple:
         pt = _partial_transpose(e, side_a)
         return _block_plan(pt.rows, pt.cols, _component_labels(pt))
 
-    def by_positions() -> tuple:  # one pattern may be reached under several names
-        return _memo(_PLANS, (e.dims, side_a, e.rows.tobytes(), e.cols.tobytes()), plan)
-
-    return by_positions() if e.key is None else _memo(_PLANS, (e.key, side_a), by_positions)
+    return _pattern_plan(("block", side_a), e, plan)
 
 
 def _block_plan(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> tuple:

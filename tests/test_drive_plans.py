@@ -1,14 +1,14 @@
 """Index plans of the driver, and the identity suite's stacked draws.
 
-A named pattern (``tensor._Entries.key``) lets each entry kernel keep its
-index plan, so a drive that meets a pattern again does only the numeric pass.
-That pass must give the same bits as building every plan afresh, including
-where a sum of exactly zero drops a position. The identity suite draws its
-random canonical channels in blocks, admitted by one stacked CPT test; it
-must draw the channels that one-at-a-time ``random_cp_canonical`` calls do.
+Each entry kernel keeps its index plan under its tag and arguments plus the
+pattern it reads, so a drive that meets a pattern again does only the
+numeric pass. That pass must give the same bits as building every plan
+afresh, including where a sum of exactly zero drops a position. The
+identity suite draws its random canonical channels in blocks, admitted by
+one stacked CPT test; it must draw the channels that one-at-a-time
+``random_cp_canonical`` calls do.
 """
 
-from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -31,7 +31,8 @@ from edss.channels import (
 )
 from edss.checks import DEFAULT_SEED, identity_suite, random_cp_canonical
 from edss.protocols import SPECS, _drive, _evolve
-from edss.tensor import DensityOperator, hermitian_eigenvalues
+from edss.states import cnot, ghz_initial_state, measure_computational
+from edss.tensor import DensityOperator, hermitian_eigenvalues, partial_trace
 
 from explicit_forms import stinespring_kraus, z_twirl
 
@@ -126,15 +127,6 @@ def trace_bits(trace):
     return bits
 
 
-def unnamed(spec):
-    """``spec`` with an unnamed start pattern: every kernel builds its index
-    plan afresh and block plans are keyed by positions, as without names."""
-    def initial(d):
-        return DensityOperator._trusted(replace(spec.initial(d)._entries(), key=None))
-
-    return replace(spec, initial=initial)
-
-
 def drive_cases():
     for key, spec in SPECS.items():
         roles = len(spec.channel_roles)
@@ -149,39 +141,72 @@ def drive_cases():
 
 @pytest.mark.parametrize("key,d,batch", list(drive_cases()))
 def test_plan_hit_drive_equals_a_cold_drive_bit_for_bit(monkeypatch, key, d, batch):
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
-    monkeypatch.setattr(edss.tensor, "_INDEX_PLANS", {})
     spec = SPECS[key]
-    cold = list(map(trace_bits, _drive(spec, batch, d)))
-    assert edss.tensor._INDEX_PLANS
-    hit = list(map(trace_bits, _drive(spec, batch, d)))
-    fresh = list(map(trace_bits, _drive(unnamed(spec), batch, d)))
-    assert hit == cold == fresh
-    one_point = [trace_bits(_drive(spec, [channels], d)[0]) for channels in batch]
-    fresh_one_point = [trace_bits(_drive(unnamed(spec), [channels], d)[0]) for channels in batch]
-    assert one_point == fresh_one_point
+    # the batch, then each of its points alone: a drive on an emptied cache, then the same
+    # drive again, which finds every plan
+    for points in [batch, *([channels] for channels in batch)]:
+        monkeypatch.setattr(edss.tensor, "_PLANS", {})
+        cold = list(map(trace_bits, _drive(spec, points, d)))
+        planned = len(edss.tensor._PLANS)
+        hit = list(map(trace_bits, _drive(spec, points, d)))
+        assert planned and len(edss.tensor._PLANS) == planned
+        assert hit == cold
 
 
-def test_a_sum_of_zero_drops_its_position_and_the_name():
+def test_a_sum_of_zero_drops_its_position_from_the_next_plan(monkeypatch):
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
     spec = SPECS["two_qubit", "probabilistic"]
-    dims = (2, 2, 2)
-    stacks = [stack for _, stack in _evolve(spec, [(HADAMARD,)], dims)]
-    assert all(stack.key is not None for stack in stacks[:2])
+    stacks = [stack for _, stack in _evolve(spec, [(HADAMARD,)], (2, 2, 2))]
+    plans = edss.tensor._PLANS
     # the Hadamard's four terms cancel on some positions of the channel step
-    assert stacks[2].key is None and stacks[3].key is None
+    summed = next(plan for key, plan in plans.items() if key[0] == "embed")[2]
+    assert len(stacks[2].rows) < len(summed[0])
+    # Bob's CNOT plans for the pattern that is left
+    left = stacks[2].rows.tobytes(), stacks[2].cols.tobytes()
+    assert any(key[0] == "cnot" and key[-2:] == left for key in plans)
 
 
 def test_a_repeated_pattern_builds_no_plan():
     spec = SPECS["qudit", "probabilistic"]
     _drive(spec, [(noise_channel("depolarizing", 4, 0.2),)], 4)
-    sizes = len(edss.tensor._PLANS), len(edss.tensor._INDEX_PLANS)
+    size = len(edss.tensor._PLANS)
     with (
         patch.object(np, "unique", wraps=np.unique) as unique,
         patch.object(edss.tensor, "_component_labels") as labels,
     ):
         _drive(spec, [(noise_channel("depolarizing", 4, 0.6),)], 4)
     assert unique.call_count == labels.call_count == 0
-    assert (len(edss.tensor._PLANS), len(edss.tensor._INDEX_PLANS)) == sizes
+    assert len(edss.tensor._PLANS) == size
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: cnot(rho, 0, 2),
+        lambda rho: partial_trace(rho, [1, 2]),
+        lambda rho: measure_computational(rho, 4),
+    ],
+    ids=["cnot", "partial_trace", "measure_computational"],
+)
+def test_a_public_one_state_call_reuses_its_index_plan(monkeypatch, call):
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    rho = DensityOperator(ghz_initial_state().matrix, (2,) * 5)  # dense, as a caller's state is
+    first = result_bits(call(rho))
+    assert len(edss.tensor._PLANS) == 1
+    with patch.object(np, "unique", wraps=np.unique) as unique:
+        second = result_bits(call(rho))
+    assert unique.call_count == 0 and len(edss.tensor._PLANS) == 1
+    assert second == first
+
+
+def result_bits(result):
+    """A state's matrix, or each branch of a measurement, as exact bytes."""
+    if isinstance(result, DensityOperator):
+        return result.matrix.tobytes()
+    return [
+        (b.outcome, float(b.probability).hex(), b.post_state and b.post_state.matrix.tobytes())
+        for b in result
+    ]
 
 
 def leaves(value):
@@ -193,17 +218,23 @@ def leaves(value):
 
 
 def test_index_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
+    def drives():
+        _drive(SPECS["ghz", "probabilistic"], [(noise_channel("amplitude_damping", 2, 0.3),) * 2])
+        for d in (3, 4):
+            _drive(SPECS["qudit", "probabilistic"], [(noise_channel("depolarizing", d, 0.5),)], d)
+
     monkeypatch.setattr(edss.tensor, "_PLANS", {})
-    monkeypatch.setattr(edss.tensor, "_INDEX_PLANS", {})
-    monkeypatch.setattr(edss.tensor, "PLAN_CACHE_SIZE", 5)
-    _drive(SPECS["ghz", "probabilistic"], [(noise_channel("amplitude_damping", 2, 0.3),) * 2])
-    for d in (3, 4):
-        _drive(SPECS["qudit", "probabilistic"], [(noise_channel("depolarizing", d, 0.5),)], d)
-    assert len(edss.tensor._INDEX_PLANS) == len(edss.tensor._PLANS) == 5
-    for key, plan in edss.tensor._INDEX_PLANS.items():
+    drives()
+    # one cache holds every kernel's plans
+    assert {key[0] for key in edss.tensor._PLANS} == {"cnot", "embed", "measure", "trace", "block"}
+    for key, plan in edss.tensor._PLANS.items():
         assert all(isinstance(leaf, (str, int, bytes)) for leaf in leaves(key))
-        for leaf in leaves(plan):
-            assert isinstance(leaf, np.ndarray) and leaf.dtype.kind in "bi"
+        for leaf in leaves(plan):  # a block plan's sizes and counts are ints
+            assert isinstance(leaf, int) or isinstance(leaf, np.ndarray) and leaf.dtype.kind in "bi"
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    monkeypatch.setattr(edss.tensor, "PLAN_CACHE_SIZE", 5)
+    drives()
+    assert len(edss.tensor._PLANS) == 5
 
 
 class Filling:
@@ -245,10 +276,10 @@ def test_full_pattern_spectra_are_the_dense_solve_bit_for_bit(monkeypatch, n):
     assert hermitian_eigenvalues(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
     assert hermitian_eigenvalues(h[0]).tobytes() == np.linalg.eigvalsh(h[0]).tobytes()
     # one plan, found by the side alone once it is built
-    assert (("full", n), ()) in edss.tensor._PLANS and len(edss.tensor._PLANS) == 2
+    assert ("full", n) in edss.tensor._PLANS and len(edss.tensor._PLANS) == 1
     with patch.object(np, "flatnonzero") as scan:
         hermitian_eigenvalues(h)
-    assert scan.call_count == 0 and len(edss.tensor._PLANS) == 2
+    assert scan.call_count == 0 and len(edss.tensor._PLANS) == 1
 
 
 def test_canonical_channel_factory_builds_through_the_stacked_kernel():

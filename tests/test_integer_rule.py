@@ -14,6 +14,7 @@ import pytest
 from edss import (
     Bipartition,
     DensityOperator,
+    DepolarizingChannel,
     PureState,
     SweepError,
     SweepSpec,
@@ -62,6 +63,7 @@ DIMENSION_SITES = {
     "ghz_state": lambda d: ghz_state(2, d),
     "qudit_initial_state": qudit_initial_state,
     "depolarizing": lambda d: depolarizing(d, 0.1),
+    "DepolarizingChannel": lambda d: DepolarizingChannel(d, 0.1),
     "amplitude_damping": lambda d: amplitude_damping(d, 0.1),
     "identity_channel": identity_channel,
     "channel_from_config": lambda d: channel_from_config({"kind": "depolarizing", "d": d, "p": 0}),
@@ -124,16 +126,27 @@ def test_dimensions_are_stored_as_ints():
     assert ghz_state(np.int64(2), 3.0).dims == (3, 3)
 
 
-@pytest.mark.parametrize("d", [3.0, np.int64(3)])
-def test_a_qudit_run_at_an_integral_float_is_the_integer_run_bit_for_bit(d):
-    ch = depolarizing(3, 0.3)
-    got, want = run_qudit(d, ch), run_qudit(3, ch)
+def assert_same_run(got, want):
     assert got.partition_negativities == want.partition_negativities
     assert got.averages == want.averages and got.noise == want.noise
     assert [b.probability for b in got.branches] == [b.probability for b in want.branches]
     for (label, rho), (want_label, want_rho) in zip(got.steps, want.steps, strict=True):
         assert label == want_label and rho.dims == want_rho.dims == (3, 3, 3)
         assert np.array_equal(rho.matrix, want_rho.matrix)
+
+
+@pytest.mark.parametrize("d", [3.0, np.int64(3)])
+def test_a_qudit_run_at_an_integral_float_is_the_integer_run_bit_for_bit(d):
+    ch = depolarizing(3, 0.3)
+    assert_same_run(run_qudit(d, ch), run_qudit(3, ch))
+
+
+@pytest.mark.parametrize("d", [3.0, np.float64(3.0), np.int64(3)])
+def test_a_depolarizing_channel_at_an_integral_float_is_the_integer_one_bit_for_bit(d):
+    ch = DepolarizingChannel(d, 0.3)
+    assert type(ch.d) is int
+    assert ch.transfer_tensor().tobytes() == DepolarizingChannel(3, 0.3).transfer_tensor().tobytes()
+    assert_same_run(run_qudit(3, ch), run_qudit(3, DepolarizingChannel(3, 0.3)))
 
 
 def test_a_qudit_sweep_and_suite_at_an_integral_float_are_the_integer_ones():

@@ -508,6 +508,27 @@ class TestCli:
         assert main(argv) == 0
         capsys.readouterr()
 
+    def test_d_follows_the_library_dimension_rule(self, tmp_path, capsys):
+        def sweep(name, *extra, config=""):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(config, encoding="utf-8")
+            argv = ["sweep", "--config", str(path), "--protocol", "qudit"]
+            argv += ["--channel", "depolarizing", "--param", "p", "--points", "3", *extra]
+            return main(argv + ["--csv", str(tmp_path / f"{name}.csv")])
+
+        assert sweep("int", "--d", "3") == 0
+        assert sweep("flag", "--d", "3.0") == 0
+        assert sweep("config", config="d = 3.0\n") == 0
+        want = (tmp_path / "int.csv").read_bytes()
+        assert (tmp_path / "flag.csv").read_bytes() == want
+        assert (tmp_path / "config.csv").read_bytes() == want
+        capsys.readouterr()
+        assert sweep("fraction", "--d", "2.5") == 2
+        assert "dimension d must be an integer, got 2.5" in capsys.readouterr().err
+        assert sweep("points", "--d", "3", "--points", "3.0") == 2
+        assert "argument --points: invalid int value: '3.0'" in capsys.readouterr().err
+        assert not (tmp_path / "fraction.csv").exists() and not (tmp_path / "points.csv").exists()
+
     def test_max_dim_is_an_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "c.cfg"
         config.write_text("protocol = qudit\nd = 7\nmax_dim = 8\n", encoding="utf-8")
