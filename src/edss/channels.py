@@ -314,21 +314,54 @@ def is_cpt(ch: QuditChannel, tol: float = VALIDITY_ATOL) -> CptReport:
     return _cpt_reports(ch.transfer_tensor()[None], tol)[0]
 
 
-def _cpt_reports(t4: np.ndarray, tol: float = VALIDITY_ATOL) -> list[CptReport]:
-    """``is_cpt`` of each transfer tensor in the stack ``t4`` (``(B, d, d, d, d)``):
-    one batched eigensolve over the Choi matrices that are finite and Hermitian;
-    the others report ``nan`` and never reach LAPACK."""
+def _cpt_reports(
+    t4: np.ndarray, tol: float = VALIDITY_ATOL, covariant: np.ndarray | None = None
+) -> list[CptReport]:
+    """``is_cpt`` of each transfer tensor in the stack ``t4`` (``(B, d, d, d, d)``).
+    The trace defect and the finiteness test read ``t4`` itself. The Choi
+    matrices that are finite and Hermitian go through one batched eigensolve;
+    the others report ``nan`` and never reach LAPACK.
+
+    At d > 2 the rows that ``covariant`` marks are solved on their d Choi
+    sectors (:func:`_sector_index`), each of side d, in place of the d²-sided
+    Choi matrix; their hermiticity defect is taken over the sectors. The
+    sectors read the tensor with its entries off the covariance mask taken as
+    zero, which is the tensor the driver applies (``protocols._evolve``). A
+    row the sectors refuse, or that ``covariant`` does not mark, is solved
+    again densely, so its report is the dense one."""
     count, d = t4.shape[0], t4.shape[-1]
-    choi = _choi(t4)
-    herm_err = _hermitian_defect(choi)
-    tp = np.einsum("bkili->bkl", choi.reshape(count, d, d, d, d)) - np.eye(d)
-    tp_err = np.abs(tp).max(axis=(1, 2))
-    solve = ~(herm_err > tol) & np.isfinite(choi).all(axis=(1, 2))
+    tp_err = np.abs(np.einsum("biikl->bkl", t4) - np.eye(d)).max(axis=(1, 2))
+    solve = np.isfinite(t4).all(axis=(1, 2, 3, 4))
+    sectors = covariant is not None and d > 2
+    if sectors:
+        h = t4.reshape(count, d**4)[:, _sector_index(d)]  # (B, d, d, d): sector s of each row
+        herm_err = _hermitian_defect(h).max(axis=1)
+        solve &= covariant
+    else:
+        h = _choi(t4)
+        herm_err = _hermitian_defect(h)
+    solve &= ~(herm_err > tol)
     min_eig = np.full(count, np.nan)
-    h = choi[solve]
-    min_eig[solve] = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(1, 2))).min(axis=1)
+    if solve.any():
+        s = h[solve]
+        eigs = np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2)))
+        min_eig[solve] = eigs.min(axis=tuple(range(1, eigs.ndim)))
     ok = (min_eig >= -tol) & (tp_err <= tol)
-    return list(map(CptReport, ok.tolist(), min_eig.tolist(), tp_err.tolist(), herm_err.tolist()))
+    reports = list(map(CptReport, ok.tolist(), min_eig.tolist(), tp_err.tolist(), herm_err.tolist()))
+    if sectors and not ok.all():
+        redo = np.flatnonzero(~ok)
+        for i, report in zip(redo.tolist(), _cpt_reports(t4[redo], tol)):
+            reports[i] = report
+    return reports
+
+
+@functools.cache
+def _sector_index(d: int) -> np.ndarray:
+    """Flat transfer-tensor positions of the Choi sectors: entry ``[s, k, l]``
+    is ``T[(k + s) % d, (l + s) % d, k, l]``. A phase-covariant Choi matrix is
+    the direct sum of these d blocks, each closed under the adjoint."""
+    s, k, l = np.indices((d,) * 3, sparse=True)
+    return (((k + s) % d * d + (l + s) % d) * d + k) * d + l
 
 
 def is_extreme_point(ch: CanonicalChannel, tol: float = VALIDITY_ATOL) -> bool:

@@ -70,9 +70,11 @@ ROOT_ZERO_ATOL = 1e-12
 # critical_noise stops at a bracket this wide, a thousandth of CLOSED_FORM_ATOL.
 ROOT_TOL = 1e-12
 # A qudit state held as entries has at most 396 of them at d = 6 (see _chunk_points); what caps d
-# is channel admission: at d = 32 one transfer tensor is 16 MB and its CPT
-# eigensolve takes about 0.5 s. _register holds every run and sweep to it.
-MAX_DIM_CEILING = 10
+# is the dense d^4 transfer tensor, with amplitude damping's d^5 Kraus build. Against a budget of
+# 0.25 s and 100 MB peak RSS, one warm qudit_average_only takes 33-64 ms and 59-70 MB at d = 24,
+# and 87-225 ms (127 ms of it the Kraus build) and 123-143 MB at d = 32.
+# _register holds every run and sweep to it.
+MAX_DIM_CEILING = 24
 # The first subsystem against the second, of a two-subsystem register.
 _PAIR_SIDE = Bipartition.split((0,), 2)
 # Bytes per stacked state of one driver pass (see _chunk_points). Over one-point
@@ -333,7 +335,9 @@ def _admit(
     stacked CPT test and one stacked covariance mask, before the points are walked."""
     distinct = list(dict.fromkeys(ch for channels in batch for ch in channels if ch.dim == d))
     t4 = np.array([ch.transfer_tensor() for ch in distinct]).reshape(-1, d, d, d, d)
-    checked = dict(zip(distinct, zip(_cpt_reports(t4), _covariant(t4).tolist())))
+    covariant = _covariant(t4)
+    reports = _cpt_reports(t4, covariant=covariant)
+    checked = dict(zip(distinct, zip(reports, covariant.tolist())))
     admitted = []
     for b, channels in enumerate(batch):
         at, warnings = f"{labels[b]}: " if labels else "", []
@@ -490,14 +494,19 @@ def _per_point(values: np.ndarray, points: int) -> list[float]:
 
 def _chunk_points(spec: ProtocolSpec, d: int) -> int:
     """Points per pass: as many as fit in ``STACK_BYTES`` per stacked state, and
-    at least one. The entry count is exact: the most entries of any step's stack
-    when the start pattern, with positive values, is evolved under the full
-    admissible transfer-tensor mask. That is the phase-covariant mask
+    at least one (see ``_most_entries``)."""
+    return max(1, STACK_BYTES // (16 * _most_entries(spec, _register(spec, d)[0])))
+
+
+@functools.cache
+def _most_entries(spec: ProtocolSpec, d: int) -> int:
+    """The most entries of any step's stack of ``spec`` at ``d``, exactly: the
+    start pattern, with positive values, evolved under the full admissible
+    transfer-tensor mask. That is the phase-covariant mask
     ``i - j = k - l (mod d)`` at d > 2, where only phase-covariant channels are
     admitted (``_evolve`` zeroes what an admitted tensor holds off the mask),
     and every entry at d = 2, where any CPT channel is."""
-    dims = _register(spec, d)
-    d = dims[0]
+    dims = (d,) * len(spec.subsystems)
     t4 = np.ones((d,) * 4) if d == 2 else (~_off_phase(d)).astype(float)
     start = spec.initial(d)._entries()
     state = _Entries(start.rows, start.cols, np.ones(len(start.rows)), dims)
@@ -505,7 +514,7 @@ def _chunk_points(spec: ProtocolSpec, d: int) -> int:
     for op in (op for step in spec.steps for op in step.ops):
         state = _cnot(state, *op) if isinstance(op, Cnot) else _embed(t4, state, dims, op.target)
         most = max(most, len(state.rows))
-    return max(1, STACK_BYTES // (16 * most))
+    return most
 
 
 def _runs(

@@ -17,8 +17,9 @@ embedding's gather, a measurement's outcome masks, a partial trace's sums.
 A plan depends on positions only, so every plan has one key: the kernel's
 tag and arguments plus the pattern it reads, ``(dims, rows bytes, cols
 bytes)``, built by :func:`_pattern_plan` (a matrix with no zero entry finds
-its one block by its side). The last ``PLAN_CACHE_SIZE`` plans are kept in
-one cache, as integer arrays and never a value.
+its one block by its side). Plans are kept in one cache, bounded by the bytes
+of their keys and arrays (``PLAN_CACHE_BYTES``), as integer arrays and never
+a value.
 """
 
 from __future__ import annotations
@@ -30,25 +31,44 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Validity checks (hermiticity, unit trace, positivity) tolerate eigensolver
-# noise. All matrices here are small (side <= 1000, the qudit register at
-# d = 10) with entries of magnitude <= 1.
+# noise. All matrices here have entries of magnitude <= 1, and the qudit
+# register's side is at most 13824 (d = 24), held as entries.
 VALIDITY_ATOL = 1e-9
-# Plans kept, least recently used dropped first: run_checks("all") leaves 339 (222 of
-# them block plans), 0.4 MB of index arrays under 0.3 MB of key bytes.
-PLAN_CACHE_SIZE = 1024
+# Bytes of plans kept, key bytes and index arrays, least recently used dropped first.
+# run_checks("all") leaves 339 plans in 0.69 MB; one depolarizing and one amplitude-damping
+# qudit drive at d = 24 leave 47 plans in 6.4 MB. A full side-216 pattern's key holds 0.75 MB.
+PLAN_CACHE_BYTES = 16 << 20
 _PLANS: dict[tuple, tuple] = {}
+_held: list = [_PLANS, 0]  # the cache whose bytes are counted, and their count
 
 
 def _cached(key: tuple, build):
-    """``build()``, kept in ``_PLANS`` under ``key`` with the last
-    ``PLAN_CACHE_SIZE`` others, least recently used dropped first."""
+    """``build()``, kept in ``_PLANS`` under ``key``; older plans are dropped,
+    least recently used first, while the plans kept hold more than
+    ``PLAN_CACHE_BYTES`` (the newest plan is always kept)."""
     plan = _PLANS.pop(key, None)
     if plan is None:
         plan = build()
-        if len(_PLANS) >= PLAN_CACHE_SIZE:  # pop, not del: another thread may evict too
-            _PLANS.pop(next(iter(_PLANS)), None)
+        plans, held = _held
+        if plans is not _PLANS or not _PLANS:  # replaced or emptied: count what it holds
+            held = sum(map(_plan_bytes, _PLANS.items()))
+        held += _plan_bytes((key, plan))
+        while held > PLAN_CACHE_BYTES and _PLANS:
+            oldest = next(iter(_PLANS))
+            # pop with a default: another thread may evict it too
+            held -= _plan_bytes((oldest, _PLANS.pop(oldest, ())))
+        _held[:] = _PLANS, held
     _PLANS[key] = plan
     return plan
+
+
+def _plan_bytes(item: tuple) -> int:
+    """Bytes of a cached ``(key, plan)``: its byte strings and index arrays."""
+    if isinstance(item, (tuple, list)):
+        return sum(map(_plan_bytes, item))
+    if isinstance(item, np.ndarray):
+        return item.nbytes
+    return len(item) if isinstance(item, bytes) else 0
 
 
 def _pattern_plan(tag: tuple, e: _Entries, build):

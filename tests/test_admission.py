@@ -32,6 +32,8 @@ from explicit_forms import (
     phase_covariant,
     same_channels,
     stinespring_kraus,
+    weyl_diagonal_kraus,
+    z_twirl,
 )
 
 
@@ -120,7 +122,9 @@ class TestStackedAdmission:
         seen = []
         stacked = protocols._cpt_reports
         monkeypatch.setattr(
-            protocols, "_cpt_reports", lambda t4: seen.append(len(t4)) or stacked(t4)
+            protocols,
+            "_cpt_reports",
+            lambda t4, **kwargs: seen.append(len(t4)) or stacked(t4, **kwargs),
         )
         shared, other = depolarizing(2, 0.2), amplitude_damping(2, 0.3)
         batch = [(shared, shared), (shared, other), (other, other), (depolarizing(2, 0.2),) * 2]
@@ -182,8 +186,8 @@ class TestCptReports:
         d = 3
         good = [ch.transfer_tensor() for ch in (depolarizing(d, 0.2), amplitude_damping(d, 0.5))]
         nan_row, inf_row = good[0].copy(), good[1].copy()
-        nan_row[0, 0, 1, 1] = np.nan
-        inf_row[1, 1, 0, 0] = np.inf
+        nan_row[0, 0, 1, 1] = np.nan  # off the covariance mask
+        inf_row[1, 1, 0, 0] = np.inf  # on it: covariant, so it reaches the sector route
         skew = good[0] + 1e-3j * np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d))
         stack = np.stack([nan_row, good[0], skew, inf_row, good[1]])
         seen = []
@@ -194,11 +198,66 @@ class TestCptReports:
             return eigvalsh(h)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        with np.errstate(invalid="ignore"):
-            reports = _cpt_reports(stack)
-        assert [r.is_cpt for r in reports] == [False, True, False, False, True]
-        failed = [np.isnan(r.min_choi_eigenvalue) for r in reports]
-        assert failed == [True, False, True, True, False]
-        assert reports[2].choi_hermiticity_error > 1e-9
-        assert len(seen) == 1 and seen[0].shape == (2, d * d, d * d)
-        assert np.isfinite(seen[0]).all()
+        # the two good rows, as two Choi matrices, then as their 2 x d sectors
+        for covariant, shape in ((None, (2, d * d, d * d)), (_covariant(stack), (2, d, d, d))):
+            seen.clear()
+            with np.errstate(invalid="ignore"):
+                reports = _cpt_reports(stack, covariant=covariant)
+            assert [r.is_cpt for r in reports] == [False, True, False, False, True]
+            failed = [np.isnan(r.min_choi_eigenvalue) for r in reports]
+            assert failed == [True, False, True, True, False]
+            assert reports[2].choi_hermiticity_error > 1e-9
+            assert len(seen) == 1 and seen[0].shape == shape
+            assert np.isfinite(seen[0]).all()
+
+
+def covariant_rows(d, rng):
+    """Phase-covariant transfer tensors at ``d``: depolarizing and amplitude
+    damping on their grids, Weyl-diagonal, Z_d-twirled random Kraus channels,
+    and covariant maps that are not CP, not trace-preserving or neither."""
+    chs = [depolarizing(d, p) for p in (0.0, 0.3, 1.0)]
+    chs += [amplitude_damping(d, g) for g in (0.0, 0.4, 1.0)]
+    chs += [KrausChannel(tuple(weyl_diagonal_kraus(rng.dirichlet(np.ones(d * d)).reshape(d, d))))]
+    chs += [KrausChannel(tuple(z_twirl(stinespring_kraus(int(rng.integers(1 << 30)), d), d)))]
+    rows = [ch.transfer_tensor() for ch in chs]
+    ident = np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d))
+    rows += [rows[-1] - rng.uniform(0.1, 2.0) * ident, 1.5 * rows[1], rows[4] - 0.5 * ident]
+    return np.stack(rows)
+
+
+def assert_sector_reports_match_dense(t4):
+    covariant = _covariant(t4)
+    assert covariant.all()
+    for report, row in zip(_cpt_reports(t4, covariant=covariant), t4):
+        ok, min_eig, tp_err, _ = cpt_report_fields(row)
+        assert report.is_cpt == ok
+        assert same_bits(report.trace_preservation_error, tp_err)
+        assert abs(report.min_choi_eigenvalue - min_eig) <= 1e-12, (report, min_eig)
+
+
+class TestSectorRoute:
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_fields_match_the_dense_formula(self, d):
+        t4 = covariant_rows(d, np.random.default_rng(d))
+        assert_sector_reports_match_dense(t4)
+        assert {r.is_cpt for r in _cpt_reports(t4)} == {True, False}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 12), st.integers(1, 3), st.integers(0, 1 << 30))
+    def test_twirled_channels_match_the_dense_formula(self, d, count, seed):
+        ch = KrausChannel(tuple(z_twirl(stinespring_kraus(seed, d, count=count), d)))
+        assert_sector_reports_match_dense(ch.transfer_tensor()[None])
+
+    def test_admission_at_d6_solves_only_sectors(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: seen.append(h.shape) or eigvalsh(h))
+        batch = [(depolarizing(6, p),) for p in np.linspace(0.0, 1.0, 21)]
+        assert _admit(SPECS["qudit", "probabilistic"], batch, 6) == [[]] * 21
+        assert seen and all(shape[-2:] == (6, 6) for shape in seen)
+
+    def test_refusals_keep_the_dense_report(self):
+        t4 = covariant_rows(4, np.random.default_rng(4))
+        sectors, dense = _cpt_reports(t4, covariant=_covariant(t4)), _cpt_reports(t4)
+        refused = [(a, b) for a, b in zip(sectors, dense) if not b.is_cpt]
+        assert refused and all(all(map(same_bits, astuple(a), astuple(b))) for a, b in refused)

@@ -277,20 +277,27 @@ def test_plan_hit_refuses_non_hermitian_values():
 
 
 def test_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
-    monkeypatch.setattr(edss.tensor, "PLAN_CACHE_SIZE", 5)
     batch = [(noise_channel("amplitude_damping", 3, g),) for g in (0.2, 0.6)]
+
+    def held():
+        return sum(map(edss.tensor._plan_bytes, edss.tensor._PLANS.items()))
+
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    _drive(SPECS["qudit", "probabilistic"], batch, 3)
+    budget, unbounded = held() // 3, len(edss.tensor._PLANS)
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    monkeypatch.setattr(edss.tensor, "PLAN_CACHE_BYTES", budget)
     seen = []
     build = edss.tensor._block_plan
 
     def bounded(*args):
-        assert len(edss.tensor._PLANS) <= 5
+        assert held() <= budget
         seen.append(1)
         return build(*args)
 
     monkeypatch.setattr(edss.tensor, "_block_plan", bounded)
     _drive(SPECS["qudit", "probabilistic"], batch, 3)
-    assert len(seen) > 5 and len(edss.tensor._PLANS) == 5
+    assert len(seen) > 5 and held() <= budget and len(edss.tensor._PLANS) < unbounded
     for plan in edss.tensor._PLANS.values():
         for size, count, take, at in plan:
             assert isinstance(size, int) and isinstance(count, int)

@@ -231,10 +231,34 @@ def test_index_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
         assert all(isinstance(leaf, (str, int, bytes)) for leaf in leaves(key))
         for leaf in leaves(plan):  # a block plan's sizes and counts are ints
             assert isinstance(leaf, int) or isinstance(leaf, np.ndarray) and leaf.dtype.kind in "bi"
+    unbounded = held_bytes()
+    count = len(edss.tensor._PLANS)
     monkeypatch.setattr(edss.tensor, "_PLANS", {})
-    monkeypatch.setattr(edss.tensor, "PLAN_CACHE_SIZE", 5)
+    monkeypatch.setattr(edss.tensor, "PLAN_CACHE_BYTES", unbounded // 4)
     drives()
-    assert len(edss.tensor._PLANS) == 5
+    assert held_bytes() <= unbounded // 4 and len(edss.tensor._PLANS) < count
+    assert edss.tensor._held == [edss.tensor._PLANS, held_bytes()]
+
+
+def held_bytes():
+    """Bytes of every key and plan in the cache, counted afresh."""
+    return sum(map(edss.tensor._plan_bytes, edss.tensor._PLANS.items()))
+
+
+def test_public_calls_on_distinct_patterns_stay_in_the_byte_budget(monkeypatch):
+    # each state has its own zero row, so each call keys a new side-216 pattern of ~0.75 MB
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    rng = np.random.default_rng(5)
+    calls = 24
+    for row in range(calls):
+        a = rng.standard_normal((216, 216)) + 1j * rng.standard_normal((216, 216))
+        a[row] = 0.0
+        rho = a @ a.conj().T
+        reduced = partial_trace(DensityOperator(rho / np.trace(rho), (6, 6, 6)), [0, 1])
+        assert reduced.dims == (6, 6)
+        assert held_bytes() <= edss.tensor.PLAN_CACHE_BYTES
+    assert 1 < len(edss.tensor._PLANS) < calls
+    assert edss.tensor._held == [edss.tensor._PLANS, held_bytes()]
 
 
 class Filling:
@@ -259,6 +283,16 @@ def test_chunk_bound_is_the_largest_stack_a_filling_channel_reaches(key, d):
     batch = [(Filling(d, 11 + i),) * len(spec.channel_roles) for i in range(2)]
     most = max(len(stack.rows) for _, stack in _evolve(spec, batch, (d,) * len(spec.subsystems)))
     assert protocols._chunk_points(spec, d) == max(1, protocols.STACK_BYTES // (16 * most))
+
+
+def test_the_entry_count_is_found_once_per_spec_and_d(monkeypatch):
+    spec = SPECS["ghz", "probabilistic"]
+    first = protocols._chunk_points(spec, 2)
+    with patch.object(protocols, "_embed") as embed:
+        assert protocols._chunk_points(spec, 2) == first
+        monkeypatch.setattr(protocols, "STACK_BYTES", 32 * protocols.STACK_BYTES)
+        assert protocols._chunk_points(spec, 2) > first  # the bytes are read at each call
+    assert embed.call_count == 0
 
 
 def test_a_d10_qudit_chunk_holds_eight_points():

@@ -220,7 +220,7 @@ class TestGhzProtocol:
 class TestQuditProtocol:
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):
-            run_qudit(11, depolarizing(11, 0.1))
+            run_qudit(MAX_DIM_CEILING + 1, depolarizing(MAX_DIM_CEILING + 1, 0.1))
         with pytest.raises(ValueError):
             run_qudit(1, depolarizing(2, 0.1))
         trace = run_qudit(7, depolarizing(7, 0.1))
@@ -231,7 +231,8 @@ class TestQuditProtocol:
             run_qudit(2.5, depolarizing(3, 0.1))
 
     def test_ceiling_holds_on_every_driver_path(self, monkeypatch):
-        # a d^3-sided start state is 28 MB at d = 11: refuse d before building it
+        # refuse d before admission or the start state: at d = 25 one transfer tensor is
+        # 6 MB (d^4 entries) and the register 15625-sided
         def refuse(*args):
             raise AssertionError("a d above the ceiling reached admission or the start state")
 

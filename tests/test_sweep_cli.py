@@ -74,8 +74,8 @@ class TestSpecValidation:
 
     def test_qudit_dimension_cap(self, tmp_path):
         with pytest.raises(SweepError):
-            small_spec(tmp_path, protocol="qudit", d=11).validate()
-        for d in (9, 10):
+            small_spec(tmp_path, protocol="qudit", d=MAX_DIM_CEILING + 1).validate()
+        for d in (MAX_DIM_CEILING - 1, MAX_DIM_CEILING):
             spec = small_spec(tmp_path, protocol="qudit", d=d)
             assert spec.validate() is spec
 
