@@ -52,11 +52,7 @@ class _Channel:
     def transfer_tensor(self) -> np.ndarray:
         """``T[i, j, k, l] = E(|k><l|)[i, j]``, built once per channel, read-only."""
         t4 = _TRANSFER_TENSORS.get(self)
-        if t4 is None:
-            t4 = self._build_transfer_tensor()
-            t4.flags.writeable = False
-            _TRANSFER_TENSORS[self] = t4
-        return t4
+        return _transfer_tensors([self])[0] if t4 is None else t4
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -86,9 +82,10 @@ class CanonicalChannel(_Channel):
     def dim(self) -> int:
         return 2
 
-    def _build_transfer_tensor(self) -> np.ndarray:
-        params = [[self.lambda1, self.lambda2, self.lambda3, self.t3]]
-        return _canonical_tensors(np.array(params))[0]
+    @staticmethod
+    def _tensors(group: list[CanonicalChannel]) -> np.ndarray:
+        params = [[c.lambda1, c.lambda2, c.lambda3, c.t3] for c in group]
+        return _canonical_tensors(np.array(params))
 
 
 def _canonical_tensors(params: np.ndarray) -> np.ndarray:
@@ -123,9 +120,10 @@ class KrausChannel(_Channel):
     def dim(self) -> int:
         return self.kraus_ops[0].shape[0]
 
-    def _build_transfer_tensor(self) -> np.ndarray:
-        ops = np.stack(self.kraus_ops)
-        return np.einsum("mik,mjl->ijkl", ops, ops.conj())
+    @staticmethod
+    def _tensors(group: list[KrausChannel]) -> np.ndarray:
+        ops = np.array([c.kraus_ops for c in group])  # (B, m, d, d): one operator shape per group
+        return np.einsum("bmik,bmjl->bijkl", ops, ops.conj())
 
     def completeness_defect(self) -> float:
         """Max-entry deviation of sum(A^dag A) from the identity."""
@@ -153,8 +151,9 @@ class DepolarizingChannel(_Channel):
     def noise_param(self) -> float:
         return self.p
 
-    def _build_transfer_tensor(self) -> np.ndarray:
-        d, p = self.d, self.p
+    @staticmethod
+    def _tensors(group: list[DepolarizingChannel]) -> np.ndarray:
+        d, p = group[0].d, np.array([c.p for c in group])[:, None, None, None, None]
         eye = np.eye(d)
         t4 = (1.0 - p) * np.einsum("ik,jl->ijkl", eye, eye).astype(complex)
         t4 += (p / d) * np.einsum("kl,ij->ijkl", eye, eye)
@@ -162,6 +161,17 @@ class DepolarizingChannel(_Channel):
 
 
 QuditChannel = Union[CanonicalChannel, KrausChannel, DepolarizingChannel]
+
+
+def _transfer_tensors(channels: list[QuditChannel]) -> list[np.ndarray]:
+    """``transfer_tensor()`` of each; one ``_tensors`` build per class, d and Kraus count."""
+    groups: dict[tuple, list] = {}
+    for ch in dict.fromkeys(ch for ch in channels if ch not in _TRANSFER_TENSORS):
+        groups.setdefault((type(ch), ch.dim, len(getattr(ch, "kraus_ops", ()))), []).append(ch)
+    for group in groups.values():
+        (stack := type(group[0])._tensors(group)).flags.writeable = False
+        _TRANSFER_TENSORS.update(zip(group, stack))
+    return [_TRANSFER_TENSORS[ch] for ch in channels]
 
 
 def canonical_channel(

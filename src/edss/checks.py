@@ -19,9 +19,9 @@ from .protocols import (
     PROTOCOLS,
     SPECS,
     ProtocolSpec,
+    _Chunk,
     _runs,
     critical_noise,
-    verify_identity_chain,
 )
 
 # The average-only paths live with the driver; callers import them from here.
@@ -127,8 +127,8 @@ def identity_suite(
         if spec.random_divisor:
             count = random_channels // spec.random_divisor
             drawn = ((next(draws),) * len(spec.channel_roles) for _ in range(count))
-            chains = map(verify_identity_chain, _runs(spec, drawn))
-            dev = max((chain.max_deviation for chain in chains), default=0.0)
+            spreads = map(_Chunk.chain_spread, _runs(spec, drawn))
+            dev = max((s for spread in spreads for s in spread.tolist()), default=0.0)
             name = f"identity_{spec.protocol}_random_canonical"
             results.append(CheckResult.from_deviation(name, dev, "identity"))
         for kind in CLOSED_FORM_KINDS:

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 check failure, 2 invalid input, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -44,6 +45,7 @@ SWEEP_OPTIONS: dict[str, dict] = {
     },
 }
 CONFIG_KEYS = set(SWEEP_OPTIONS)
+_parser = functools.cache(lambda: build_parser())  # main's; parsing leaves a parser as built
 
 
 def load_config(path: str | Path) -> dict[str, str]:
@@ -162,9 +164,8 @@ def _run_describe_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, which matches the CLI contract
         return int(exc.code or 0)

@@ -24,7 +24,8 @@ dense matrix only when it is read, and can then be checked elementwise
 against analytic block forms. The negativities a pass records (each step's
 partitions, each live branch's finish sides, the GHZ success pairs and the
 deterministic output) are queued as the pass reaches them and solved
-together at its end, one batched ``eigvalsh`` per block size.
+together at its end, one batched ``eigvalsh`` per block size, into one
+column per trace key; a trace is a per-point view of the pass (``_Chunk``).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .channels import QuditChannel, _covariant, _cpt_reports, _embed, _off_phase, noise_channel
+from .channels import _transfer_tensors
 from .measures import _batch_negativities, _concurrences
 from .reference import CLOSED_FORM_KINDS, FORMULAS
 from .states import (
@@ -267,13 +269,8 @@ class ProtocolSpec:
 
 
 def _noise_summary(*channels: QuditChannel) -> dict[str, object]:
-    if len(channels) == 1:
-        ch = channels[0]
-        return {"kind": ch.kind, "dim": ch.dim, "noise_param": ch.noise_param}
-    return {
-        f"channel_{i + 1}": {"kind": ch.kind, "dim": ch.dim, "noise_param": ch.noise_param}
-        for i, ch in enumerate(channels)
-    }
+    each = [{"kind": ch.kind, "dim": ch.dim, "noise_param": ch.noise_param} for ch in channels]
+    return each[0] if len(each) == 1 else {f"channel_{i}": s for i, s in enumerate(each, 1)}
 
 
 def _evolve(
@@ -334,7 +331,7 @@ def _admit(
     Each distinct channel of dimension ``d`` is checked once: all of them by one
     stacked CPT test and one stacked covariance mask, before the points are walked."""
     distinct = list(dict.fromkeys(ch for channels in batch for ch in channels if ch.dim == d))
-    t4 = np.array([ch.transfer_tensor() for ch in distinct]).reshape(-1, d, d, d, d)
+    t4 = np.array(_transfer_tensors(distinct)).reshape(-1, d, d, d, d)
     covariant = _covariant(t4)
     reports = _cpt_reports(t4, covariant=covariant)
     checked = dict(zip(distinct, zip(reports, covariant.tolist())))
@@ -363,36 +360,78 @@ def _admit(
     return admitted
 
 
-def _new_trace(
-    spec: ProtocolSpec, channels: Sequence[QuditChannel], d: int, warnings: list[str]
-) -> ProtocolTrace:
-    """An empty trace of one point, with its identity chains and warnings."""
-    noise = _noise_summary(*channels)
-    if spec.takes_d:
-        noise["d"] = d
-    trace = ProtocolTrace(
-        protocol=spec.protocol,
-        mode=spec.mode,
-        noise=noise,
-        subsystems=spec.subsystems,
-        steps=[],
-        identity_chains=dict(spec.identity_chains),
-        exchange_keys=tuple(next(iter(sides)) for sides in spec.layout[0]),
-        warnings=warnings,
-    )
-    first = channels[0].transfer_tensor()
-    if all(
-        ch is channels[0]
-        or np.allclose(first, ch.transfer_tensor(), atol=SAME_CHANNEL_ATOL, rtol=0.0)
-        for ch in channels[1:]
-    ):
-        trace.identity_chains.update(spec.symmetry_chains)
-    else:
-        targets = " and ".join(spec.subsystems[i] for i in spec.exchange)
-        trace.warnings.append(
-            f"channels on {targets} differ; the symmetry relations are not guaranteed"
+def _same(batch: Sequence[Sequence[QuditChannel]]) -> np.ndarray:
+    """Per point, whether its channels' tensors agree within ``SAME_CHANNEL_ATOL``."""
+    same = {}  # one comparison per distinct channel tuple, none for one object in every role
+    for ch0, *rest in dict.fromkeys(map(tuple, batch)):
+        t4, others = ch0.transfer_tensor(), [ch.transfer_tensor() for ch in rest if ch is not ch0]
+        same[(ch0, *rest)] = all(np.allclose(t4, o, atol=SAME_CHANNEL_ATOL, rtol=0) for o in others)
+    return np.array([same[tuple(chs)] for chs in batch])
+
+
+@dataclass(eq=False)
+class _Chunk:
+    """One driver pass over a batch. ``columns`` holds each ``ProtocolTrace.value_of``
+    key as one float array, a value per point (a ``@success`` or pair key reads 0
+    where the success branch is null). Indexed, the chunk is the sequence of
+    per-point traces, each built from the columns and stacks as it is read."""
+
+    spec: ProtocolSpec
+    batch: Sequence[Sequence[QuditChannel]]
+    d: int
+    warnings: list[list[str]]
+    same: np.ndarray
+    states: list[tuple[str, _Entries]]
+    columns: dict[str, np.ndarray] = field(default_factory=dict)
+    branches: list[tuple] = field(default_factory=list)  # outcome, probs, live posts, columns
+    out: _Entries | None = None  # the deterministic finish's pair states
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+    def __getitem__(self, b: int) -> ProtocolTrace:
+        b, spec, (steps, parts, pairs) = range(len(self))[b], self.spec, self.spec.layout
+        value = {key: float(column[b]) for key, column in self.columns.items()}
+        trace = ProtocolTrace(
+            protocol=spec.protocol,
+            mode=spec.mode,
+            noise=_noise_summary(*self.batch[b]) | ({"d": self.d} if spec.takes_d else {}),
+            subsystems=spec.subsystems,
+            steps=[(label, DensityOperator._trusted(s[b % len(s)])) for label, s in self.states],
+            partition_negativities={key: value[key] for sides in steps for key in sides},
+            identity_chains=spec.identity_chains | (spec.symmetry_chains if self.same[b] else {}),
+            exchange_keys=tuple(next(iter(sides)) for sides in steps),
+            warnings=list(self.warnings[b]),
         )
-    return trace
+        if self.out is not None:
+            state = DensityOperator._trusted(self.out[b])
+            fields = (value[f"deterministic:{name}"] for name in ("negativity", "concurrence"))
+            trace.deterministic_output = DeterministicOutcome(state, *fields)
+            return trace
+        for outcome, probs, posts, negs in self.branches:
+            state, live = None, probs > 0.0
+            if live[b]:  # the posts hold the live points only
+                state = DensityOperator._trusted(posts[np.count_nonzero(live[:b])])
+            trace.branches.append(MeasurementBranch(outcome, float(probs[b]), state))
+            trace.branch_negativities.append({k: float(v[b]) for k, v in negs.items() if live[b]})
+        if trace.branches[0].probability > 0.0:
+            success = [f"{name}@success" for name in parts] + list(pairs)
+            trace.partition_negativities.update((key, value[key]) for key in success)
+        trace.averages = {name: value[f"avg:{name}"] for name in parts}
+        trace.average_negativity = value["average_negativity"]
+        trace.success_probability = value["success_probability"]
+        return trace
+
+    def chain_spread(self) -> np.ndarray:
+        """Per point, the ``max_deviation`` of ``verify_identity_chain``: the
+        largest max - min over a chain's member columns, a symmetry chain
+        counted where the channels are the same."""
+        worst, spec = np.zeros(len(self)), self.spec
+        for chains, where in (spec.identity_chains, True), (spec.symmetry_chains, self.same):
+            for keys in chains.values():
+                members = np.array([self.columns[key] for key in keys])
+                worst = np.where(where, np.maximum(worst, members.max(0) - members.min(0)), worst)
+        return worst
 
 
 def _drive(
@@ -400,96 +439,70 @@ def _drive(
     batch: Sequence[Sequence[QuditChannel]],
     d: int = 2,
     labels: Sequence[str] = (),
-) -> list[ProtocolTrace]:
+) -> _Chunk:
     """Run ``spec`` once per channel tuple in ``batch``, with every partition,
-    branch and chain recorded; one trace per tuple, in order.
+    branch and chain recorded: a ``_Chunk`` of one trace per tuple, in order.
 
-    The points are evolved, transposed, solved and measured together, as
-    stacks with one row per point. Every negativity the traces record is
-    queued as its stack comes up, and the queue is solved in one pass
-    (``measures._batch_negativities``) before any value is recorded. Every
-    channel is admitted, in point order, before any state is built; a refusal
-    is prefixed with ``labels[b]`` when labels are given.
-    """
+    The points are evolved, transposed, solved and measured together, as stacks
+    with one row per point; every negativity is queued as its stack comes up and
+    solved in one pass (``measures._batch_negativities``). Every channel is
+    admitted, in point order, before any state is built; a refusal is prefixed
+    with ``labels[b]`` when labels are given."""
     dims = _register(spec, d)
-    d = dims[0]
-    traces = [_new_trace(spec, ch, d, w) for ch, w in zip(batch, _admit(spec, batch, d, labels))]
-    states = _evolve(spec, batch, dims)
-    queue: list[tuple[_Entries, Bipartition]] = []
+    warnings, same = _admit(spec, batch, dims[0], labels), _same(batch)
+    targets = " and ".join(spec.subsystems[i] for i in spec.exchange)
+    differ = f"channels on {targets} differ; the symmetry relations are not guaranteed"
+    warnings = [w + [differ] * (not s) for w, s in zip(warnings, same.tolist())]
+    chunk = _Chunk(spec, batch, dims[0], warnings, same, _evolve(spec, batch, dims))
+    queue: list[tuple[_Entries, Bipartition, np.ndarray | slice]] = []
 
-    def queued(stack: _Entries, part: Bipartition) -> int:
-        queue.append((stack, part))
+    # the matrices of ``stack`` are the points ``rows`` picks; one matrix holds for every point
+    def queued(stack: _Entries, part: Bipartition, rows: np.ndarray | slice = slice(None)) -> int:
+        queue.append((stack, part, rows))
         return len(queue) - 1
 
     step_sides, parts, pairs = spec.layout
-    recorded = {}  # step key -> queue index; a stack of one row holds for every point
-    for sides, (label, stack) in zip(step_sides, states):
-        for b, trace in enumerate(traces):
-            trace.steps.append((label, DensityOperator._trusted(stack[b % len(stack)])))
-        for key, part in sides.items():
-            recorded[key] = queued(stack, part)
-
-    final = states[-1][1]
+    recorded = {}  # trace key -> queue index; None reads 0 at every point
+    for sides, (_, stack) in zip(step_sides, chunk.states):
+        recorded.update((key, queued(stack, part)) for key, part in sides.items())
+    final = chunk.states[-1][1]
     if spec.deterministic is not None:
-        out = spec.deterministic(final)
-        _check_unit_trace(out)
-        queued(out, _PAIR_SIDE)  # the last item
-    else:
-        measured = []  # per branch: outcome, probabilities, live posts, queue indices
-        for n, (outcome, probs, posts) in enumerate(_branches(spec, final)):
-            posts = posts[probs > 0.0]
-            _check_unit_trace(posts)
-            names, success = {}, {}  # a branch null at every point queues nothing
-            if len(posts):
-                names = {name: queued(posts, s) for name, s in parts.items()}
-            if len(posts) and n == 0:  # the success branch
-                success = {f"{name}@success": i for name, i in names.items()}
-                for key, pair in pairs.items():
-                    reduced = _partial_trace(posts, pair)
-                    _check_unit_trace(reduced)
-                    success[key] = queued(reduced, _PAIR_SIDE)
-            measured.append((outcome, probs, posts, names, success))
-
-    solved = _batch_negativities(queue)
-    for key, i in recorded.items():
-        for trace, value in zip(traces, _per_point(solved[i], len(traces))):
-            trace.partition_negativities[key] = value
-    if spec.deterministic is not None:
-        concurrences = _concurrences(_scatter(out)).tolist()
-        values = zip(_per_point(solved[-1], len(traces)), concurrences)
-        for b, (trace, (value, conc)) in enumerate(zip(traces, values)):
-            state = DensityOperator._trusted(out[b])
-            trace.deterministic_output = DeterministicOutcome(state, value, conc)
-        return traces
-
-    for trace in traces:
-        trace.averages = dict.fromkeys(parts, 0.0)
-    for outcome, probs, posts, names, success in measured:
+        chunk.out = spec.deterministic(final)
+        _check_unit_trace(chunk.out)
+        recorded["deterministic:negativity"] = queued(chunk.out, _PAIR_SIDE)
+    for n, (outcome, probs, posts) in enumerate(_branches(spec, final) if spec.measured else ()):
+        live = probs > 0.0
+        posts = posts[live]
+        _check_unit_trace(posts)
+        # a branch null at every point queues nothing
+        names = {name: queued(posts, s, live) for name, s in parts.items() if len(posts)}
+        if n == 0:  # the success branch
+            recorded.update(dict.fromkeys([f"{name}@success" for name in parts] + list(pairs)))
+            recorded.update((f"{name}@success", i) for name, i in names.items())
+            for key, pair in pairs.items() if len(posts) else ():
+                reduced = _partial_trace(posts, pair)
+                _check_unit_trace(reduced)
+                recorded[key] = queued(reduced, _PAIR_SIDE, live)
         outcome = outcome[0] if len(spec.measured) == 1 else outcome
-        negs_of = {name: solved[i].tolist() for name, i in names.items()}
-        success_of = {key: solved[i].tolist() for key, i in success.items()}
-        rows = iter(range(len(posts)))  # live points only
-        for trace, prob in zip(traces, probs.tolist()):
-            state, negs = None, {}
-            if prob > 0.0:
-                i = next(rows)
-                state = DensityOperator._trusted(posts[i])
-                negs = {name: value[i] for name, value in negs_of.items()}
-                trace.partition_negativities.update((k, v[i]) for k, v in success_of.items())
-            trace.branches.append(MeasurementBranch(outcome, prob, state))
-            trace.branch_negativities.append(negs)
-            # average_negativity's sum, term for term in branch order
-            for name, value in negs.items():
-                trace.averages[name] += prob * value
-    for trace in traces:
-        trace.average_negativity = trace.averages[next(iter(parts))]
-        trace.success_probability = trace.branches[0].probability
-    return traces
+        chunk.branches.append((outcome, probs, posts, names))
 
-
-def _per_point(values: np.ndarray, points: int) -> list[float]:
-    """One value per point from a stack's ``values``; a stack of one row holds for every point."""
-    return values.tolist() * (points // len(values))
+    full, zeros = [np.zeros(len(batch)) for _ in queue], np.zeros(len(batch))
+    solved = _batch_negativities([(stack, part) for stack, part, _ in queue])
+    for values, (_, _, rows), column in zip(solved, queue, full):
+        column[rows] = values
+    chunk.columns = {key: zeros if i is None else full[i] for key, i in recorded.items()}
+    if chunk.out is not None:
+        chunk.columns["deterministic:concurrence"] = _concurrences(_scatter(chunk.out))
+        return chunk
+    averages = {name: np.zeros(len(batch)) for name in parts}
+    for n, (outcome, probs, posts, names) in enumerate(chunk.branches):
+        chunk.branches[n] = outcome, probs, posts, {name: full[i] for name, i in names.items()}
+        for name, i in names.items():  # average_negativity's sum, term for term in branch order
+            np.add(averages[name], probs * full[i], out=averages[name], where=probs > 0.0)
+    chunk.columns.update((f"avg:{name}", values) for name, values in averages.items())
+    chunk.columns["average_negativity"] = averages[next(iter(parts))]
+    chunk.columns["success_probability"] = chunk.branches[0][1]
+    return chunk
 
 
 def _chunk_points(spec: ProtocolSpec, d: int) -> int:
@@ -522,14 +535,14 @@ def _runs(
     batch: Iterable[Sequence[QuditChannel]],
     d: int = 2,
     labels: Iterable[str] = (),
-) -> Iterator[ProtocolTrace]:
-    """``_drive`` over a batch of any length, ``_chunk_points`` points per pass;
-    a chunk is drawn only once the previous chunk's traces are all taken, so a
-    consumer that keeps none of them holds one chunk's states at a time."""
+) -> Iterator[_Chunk]:
+    """``_drive``'s chunks over a batch of any length, ``_chunk_points`` points each;
+    a chunk's channels are drawn once the previous chunk is taken, so a consumer
+    that keeps no chunk holds one chunk's states at a time."""
     size = _chunk_points(spec, d)
     batch, labels = iter(batch), iter(labels)
-    while chunk := list(islice(batch, size)):
-        yield from _drive(spec, chunk, d, list(islice(labels, size)))
+    while points := list(islice(batch, size)):
+        yield _drive(spec, points, d, list(islice(labels, size)))
 
 
 def _states(
@@ -590,19 +603,19 @@ def run_qudit(d: int, ch: QuditChannel) -> ProtocolTrace:
 def qudit_average_only(d: int, kind: str, x: float) -> float:
     """Branch-averaged a|b negativity of one full qudit run, for d up to ``MAX_DIM_CEILING``."""
     ch = noise_channel(kind, d, x)
-    return _drive(SPECS["qudit", "probabilistic"], [(ch,)], d)[0].average_negativity
+    return float(_drive(SPECS["qudit", "probabilistic"], [(ch,)], d).columns["avg:a|b"][0])
 
 
 def ghz_average_only(kind: str, x: float, side: int) -> float:
     """Branch-averaged GHZ negativity across a|bc, b|ac or c|ab (``side`` 0, 1, 2)."""
-    ch = noise_channel(kind, 2, x)
-    return list(_drive(SPECS["ghz", "probabilistic"], [(ch, ch)])[0].averages.values())[side]
+    ch, spec = noise_channel(kind, 2, x), SPECS["ghz", "probabilistic"]
+    return float(_drive(spec, [(ch, ch)]).columns[f"avg:{list(spec.layout[1])[side]}"][0])
 
 
 def two_qubit_average_only(kind: str, x: float) -> float:
     """Branch-averaged a|b negativity of the two-qubit protocol, from one full run."""
     spec = SPECS["two_qubit", "probabilistic"]
-    return _drive(spec, [(noise_channel(kind, 2, x),)])[0].average_negativity
+    return float(_drive(spec, [(noise_channel(kind, 2, x),)]).columns["avg:a|b"][0])
 
 
 _TWO_QUBIT = ProtocolSpec(

@@ -68,9 +68,13 @@ def polyline_points(
     x_range: tuple[float, float],
     y_range: tuple[float, float],
 ) -> str:
-    """The exact ``points`` attribute a series renders to."""
+    """The exact ``points`` attribute a series renders to: per point ``_x_to_px``, ``_y_to_px``."""
+    left, top, right, bottom = _plot_box()
+    (x_lo, x_hi), (y_lo, y_hi) = x_range, y_range
+    x_span, y_span, width, height = x_hi - x_lo, y_hi - y_lo, right - left, bottom - top
     return " ".join(
-        f"{_x_to_px(x, *x_range):.3f},{_y_to_px(y, *y_range):.3f}"
+        f"{0.5 * (left + right) if x_hi == x_lo else left + (x - x_lo) / x_span * width:.3f},"
+        f"{0.5 * (top + bottom) if y_hi == y_lo else bottom - (y - y_lo) / y_span * height:.3f}"
         for x, y in zip(xs, ys)
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
@@ -23,12 +24,10 @@ from .protocols import (
     PROTOCOLS,
     SEPARABILITY_ATOL,
     SPECS,
-    ProtocolTrace,
+    _Chunk,
     _register,
     _runs,
     critical_noise,
-    separability_audit,
-    verify_identity_chain,
 )
 from .reference import CLOSED_FORM_ATOL, FORMULAS
 from .svgchart import render_line_chart
@@ -163,35 +162,38 @@ def sweep_columns(spec: SweepSpec) -> list[str]:
     return cols + [f"ref_{columns[0]}" for columns in _closed_forms(spec).values()]
 
 
-def _row(spec: SweepSpec, x: float, trace: ProtocolTrace) -> dict[str, float]:
-    """Simulated and reference columns of grid point ``x`` from its trace."""
-    entry = SPECS[spec.protocol, spec.mode]
-    row = {spec.param: x, **{column: trace.value_of(key) for column, key in entry.columns}}
-    row["exchange_negativity_max"] = separability_audit(trace).max_negativity
-    row["chain_max_deviation"] = verify_identity_chain(trace).max_deviation
-    values = {"d": spec.d, spec.param: x}
-    for fid, columns in _closed_forms(spec).items():
-        formula = FORMULAS[fid]
-        row[f"ref_{columns[0]}"] = float(formula.fn(*(values[n] for n in formula.params)))
-    return row
-
-
 def sweep_rows(spec: SweepSpec) -> list[dict[str, float]]:
     """The rows ``run_sweep`` writes for a valid ``spec``, without I/O and
     without ``critical_noise``; the ``ref_*`` columns come from ``FORMULAS``.
 
     The grid runs through the driver's chunk loop (``protocols._runs``); each
-    trace becomes a row, and is dropped, before the next chunk's channels
-    are built."""
+    chunk's columns become rows, and the chunk is dropped, before the next
+    chunk's channels are built."""
     entry = SPECS[spec.protocol, spec.mode]
     xs = [float(x) for x in spec.grid()]
     # one channel per point, on every exchange subsystem
     batch = ((spec.channel_at(x),) * len(entry.channel_roles) for x in xs)
     labels = (f"{spec.param}={format_float(x)}" for x in xs)
-    runs = _runs(entry, batch, spec.d, labels)
+    refs = {f"ref_{cols[0]}": FORMULAS[fid] for fid, cols in _closed_forms(spec).items()}
+    exchange, grid = [next(iter(sides)) for sides in entry.layout[0]], iter(xs)
+
+    def rows(chunk: _Chunk) -> list[dict[str, float]]:
+        table = {
+            spec.param: list(islice(grid, len(chunk))),
+            **{column: chunk.columns[key].tolist() for column, key in entry.columns},
+            # separability_audit's max_negativity and verify_identity_chain's max_deviation
+            "exchange_negativity_max": np.max([chunk.columns[k] for k in exchange], 0).tolist(),
+            "chain_max_deviation": chunk.chain_spread().tolist(),
+        }
+        out = [dict(zip(table, cells)) for cells in zip(*table.values())]
+        for row in out:
+            at = {"d": spec.d, spec.param: row[spec.param]}
+            row.update((ref, float(f.fn(*(at[n] for n in f.params)))) for ref, f in refs.items())
+        return out
+
     try:
-        # map, unlike a loop variable, keeps no trace while the next chunk runs
-        return list(map(lambda x, trace: _row(spec, x, trace), xs, runs))
+        # map, unlike a loop variable, keeps no chunk while the next one runs
+        return [row for part in map(rows, _runs(entry, batch, spec.d, labels)) for row in part]
     except ValueError as exc:
         raise SweepError(str(exc)) from exc
 

@@ -1,5 +1,6 @@
-"""``tools/ab.py`` without starting a benchmark: the pair order, the summary,
-the ``--run`` parser, the parent-checkout check and the public-name rule."""
+"""``tools/ab.py`` without starting a benchmark: the pair order, the in-process
+round order, the summaries, the ``--run`` parser, the parent-checkout check and the
+public-name rule."""
 
 import argparse
 import ast
@@ -46,6 +47,47 @@ def test_summary_counts_wins_and_a_tie_for_neither_side(monkeypatch, tmp_path):
     assert (row["workload"], row["seed"], row["pairs"]) == ("qubit_sweeps", 3, 5)
     assert row["change_wins"] == 2  # pairs 0 and 3 won, 1 and 4 tied, 2 lost
     assert row["wall_s"]["parent"] == {"runs": walls["parent"], "q1": 1.5, "median": 3.0, "q3": 4.5}
+
+
+def fake_in_process(monkeypatch, parent, mins):
+    """Stand in for ``ab.in_process``: each call logs its side and function, and an
+    ``entry_calls`` call returns that side's next repeated minimum from ``mins``."""
+    calls = []
+
+    def in_process(checkout, call):
+        side = "parent" if checkout == parent else "change"
+        calls.append((side, call.partition("(")[0]))
+        if call.startswith("warm_runs"):
+            return {"qudit d=2": {}}
+        count = sum(1 for s, c in calls if s == side and c == "entry_calls")
+        return {"first_s": 0.0, "repeat_s": {"min": mins[side][count - 1]}}
+
+    monkeypatch.setattr(ab, "in_process", in_process)
+    return calls
+
+
+def test_in_process_rounds_alternate_which_side_goes_first(monkeypatch, tmp_path):
+    calls = fake_in_process(monkeypatch, tmp_path, {"parent": [1.0] * 4, "change": [1.0] * 4})
+    sides = {"parent": tmp_path, "change": ab.ROOT}
+    rounds = ab.in_process_rounds(sides, {"qubit_sweeps": 7}, 3, 4)
+    # per side and round: the workload's entry calls, then the warm runs, each fresh
+    assert calls == [
+        (side, call)
+        for order in [("parent", "change"), ("change", "parent")] * 2
+        for side in order
+        for call in ("entry_calls", "warm_runs")
+    ]
+    for side in sides:
+        assert [r["round"] for r in rounds[side]] == [0, 1, 2, 3]
+        assert all(set(r) == {"round", "entry_calls", "warm_runs"} for r in rounds[side])
+
+
+def test_in_process_summary_counts_rounds_won(monkeypatch, tmp_path):
+    mins = {"parent": [2.0, 3.0, 1.0], "change": [1.0, 3.0, 1.5]}
+    fake_in_process(monkeypatch, tmp_path, mins)
+    rounds = ab.in_process_rounds({"parent": tmp_path, "change": ab.ROOT}, {"check_all": 0}, 3, 3)
+    summary = ab.in_process_summary(rounds)
+    assert summary == {"check_all": {"repeat_s_min": mins, "change_wins": 1}}
 
 
 def test_quartiles():

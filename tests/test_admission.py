@@ -24,7 +24,7 @@ from edss.channels import (
     canonical_channel,
     depolarizing,
 )
-from edss.protocols import SPECS, _admit, _drive, _new_trace
+from edss.protocols import SPECS, _admit, _drive, _same
 
 from explicit_forms import (
     admit_batch,
@@ -83,10 +83,12 @@ def admission_batches(draw):
 
 
 def symmetric(spec, channels, d):
-    """Whether ``_new_trace`` grants the point its symmetry chains."""
-    trace = _new_trace(spec, channels, d, [])
-    granted = set(spec.symmetry_chains) <= set(trace.identity_chains)
-    assert granted == (not trace.warnings)
+    """Whether the driver grants the point its symmetry chains: the flag of
+    ``_same``, which the point's trace view must agree with."""
+    granted = bool(_same([channels])[0])
+    trace = _drive(spec, [channels], d)[0]
+    assert (set(spec.symmetry_chains) <= set(trace.identity_chains)) == granted
+    assert any("differ" in warning for warning in trace.warnings) == (not granted)
     return granted
 
 
@@ -137,6 +139,15 @@ class TestStackedAdmission:
         spec = SPECS["ghz", "probabilistic"]
         pairs = [(a, b) for a in channels for b in channels]
         assert [symmetric(spec, pair, 2) for pair in pairs] == list(map(same_channels, pairs))
+
+    def test_one_comparison_per_distinct_channel_tuple(self, monkeypatch):
+        compared = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *a, **k: compared.append(1) or allclose(*a, **k))
+        a, b, c = depolarizing(2, 0.2), depolarizing(2, 0.2), amplitude_damping(2, 0.2)
+        batch = [(a, b), (a, c), (a, b), (c, c), (a, c), (b, a)]
+        assert _same(batch).tolist() == [True, False, True, True, False, True]
+        assert len(compared) == 3  # (a, b), (a, c) and (b, a); (c, c) is one object
 
     def test_symmetry_compares_no_tensors_when_one_object_fills_every_role(self, monkeypatch):
         ch = depolarizing(2, 0.4)

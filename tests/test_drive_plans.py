@@ -98,7 +98,7 @@ def test_draws_give_up_after_max_tries():
 def test_stacked_canonical_tensors_equal_the_one_channel_build(rows):
     stacked = _canonical_tensors(np.array(rows))
     for row, t4 in zip(rows, stacked):
-        assert t4.tobytes() == CanonicalChannel(*row)._build_transfer_tensor().tobytes()
+        assert t4.tobytes() == CanonicalChannel(*row).transfer_tensor().tobytes()
         # the per-channel formula the stacked kernel replaced, term for term
         r = np.diag([1.0, *row[:3]])
         r[3, 0] = row[3]

@@ -223,14 +223,14 @@ def test_no_trace_outlives_its_chunk(monkeypatch, run):
 
     def tracking(entry, batch, *args):
         alive = sum(ref() is not None for chunk in chunks for ref in chunk)
-        assert not alive, f"{alive} traces of earlier chunks alive as a chunk starts"
+        assert not alive, f"{alive} chunks or traces of earlier chunks alive as a chunk starts"
         traces = _drive(entry, batch, *args)
-        chunks.append([weakref.ref(trace) for trace in traces])
+        chunks.append([weakref.ref(traces), *(weakref.ref(trace) for trace in traces)])
         return traces
 
     monkeypatch.setattr(protocols, "_drive", tracking)
     run()
-    assert GHZ_CHUNK in map(len, chunks[:-1])  # a full GHZ chunk, then more
+    assert GHZ_CHUNK + 1 in map(len, chunks[:-1])  # a full GHZ chunk and its traces, then more
 
 
 def test_ghz_stacks_hold_no_more_entries_than_the_chunk_assumes():
@@ -286,13 +286,13 @@ class TestTransferTensorCache:
     def builds(self, monkeypatch):
         built = Counter()
         for cls in (CanonicalChannel, KrausChannel, DepolarizingChannel):
-            original = cls._build_transfer_tensor
+            original = cls._tensors
 
-            def counting(ch, original=original):
-                built[id(ch)] += 1
-                return original(ch)
+            def counting(group, original=original):
+                built.update(id(ch) for ch in group)
+                return original(group)
 
-            monkeypatch.setattr(cls, "_build_transfer_tensor", counting)
+            monkeypatch.setattr(cls, "_tensors", staticmethod(counting))
         return built
 
     def test_one_build_per_distinct_channel_per_run(self, builds):

@@ -9,11 +9,12 @@ import edss.checks
 import edss.reference
 from edss import SweepError, SweepSpec, closed_form, run_sweep
 from edss.checks import SUITES, CheckResult, closed_form_suite, identity_suite, run_checks
-from edss.cli import load_config, main
+from edss import cli
+from edss.cli import build_parser, load_config, main
 from edss import protocols
 from edss.protocols import SPECS
 from edss.reference import Formula
-from edss.svgchart import render_line_chart
+from edss.svgchart import _x_to_px, _y_to_px, polyline_points, render_line_chart
 from edss.sweep import (
     MAX_DIM_CEILING,
     MAX_POINTS,
@@ -529,6 +530,37 @@ class TestCli:
         assert "argument --points: invalid int value: '3.0'" in capsys.readouterr().err
         assert not (tmp_path / "fraction.csv").exists() and not (tmp_path / "points.csv").exists()
 
+    def test_one_parser_per_process_and_bad_usage_leaves_it_fresh(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        calls = [
+            ["sweep", "--points", "many"],  # bad usage: argparse exits 2
+            ["describe", "ghz"],
+            ["bogus"],
+            ["sweep", "--protocol", "qudit", "--channel", "depolarizing", "--param", "p",
+             "--d", "3", "--points", "3", "--csv", str(tmp_path / "q.csv")],
+            ["describe", "two_qubit"],
+        ]
+
+        def run(fresh):
+            outputs = []
+            for argv in calls:
+                if fresh:
+                    cli._parser.cache_clear()
+                outputs.append((main(list(argv)), *capsys.readouterr()))
+            return outputs
+
+        fresh = run(fresh=True)
+        assert len(built) == len(calls)
+        built.clear()
+        cli._parser.cache_clear()
+        assert run(fresh=False) == fresh  # each call as if it were the first
+        assert len(built) == 1
+        assert [code for code, _, _ in fresh] == [2, 0, 2, 0, 0]
+        assert build_parser() is not build_parser()
+
     def test_max_dim_is_an_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "c.cfg"
         config.write_text("protocol = qudit\nd = 7\nmax_dim = 8\n", encoding="utf-8")
@@ -628,3 +660,19 @@ class TestInputGuards:
             assert spec.validate() is spec
         with pytest.raises(SweepError):
             small_spec(tmp_path, protocol="qudit", d=MAX_DIM_CEILING + 1).validate()
+
+
+class TestPolylinePoints:
+    @pytest.mark.parametrize(
+        "x_range,y_range",
+        [((0.0, 1.0), (-0.05, 1.05)), ((0.25, 0.25), (0.0, 0.8)), ((0.0, 0.5), (0.3, 0.3)),
+         ((2.0, 2.0), (-1.0, -1.0)), ((-3.0, 7.5), (1e-9, 2e-9))],
+    )
+    def test_matches_the_per_point_transforms(self, x_range, y_range):
+        rng = np.random.default_rng(5)
+        xs, ys = rng.uniform(-4, 8, 301).tolist(), rng.uniform(-1, 2, 301).tolist()
+        xs[:3], ys[:3] = [*x_range, 0.0], [*y_range, -0.0]
+        want = " ".join(
+            f"{_x_to_px(x, *x_range):.3f},{_y_to_px(y, *y_range):.3f}" for x, y in zip(xs, ys)
+        )
+        assert polyline_points(xs, ys, x_range, y_range) == want

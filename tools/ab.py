@@ -8,13 +8,16 @@ sides in alternating order, PAIRS pairs per ``--run`` (default: each workload
 at seed 0, two pairs); ``summary``, per ``--run`` each side's ``wall_s``
 quartiles and the pairs the change won (a tie counts for neither);
 ``layers``, per side and workload one ``benchmarks/run.py --trace 1`` run;
-and ``in_process``, per side in fresh interpreters with that side's ``src``
-first on ``sys.path``, through public names only: each workload's entry
-calls as a benchmark pass makes them (the first call, then min, median and
-max of ``--repeat``), and warm one-point depolarizing runs of ``run_qudit``
-(d = 2..6) and ``run_ghz``, with the ``np.linalg.eigvalsh`` calls of one.
-``layers`` and ``in_process`` run a workload at its first seed. BLAS and
-OpenMP pools are pinned to one thread. Run from the repository root.
+and ``in_process``, per side a list of ``ROUNDS`` rounds, each side in fresh
+interpreters with its ``src`` first on ``sys.path`` and the side that goes
+first alternating between rounds, as in ``end_to_end``. A round reads public
+names only: each workload's entry calls as a benchmark pass makes them (the
+first call, then min, median and max of ``--repeat``), and warm one-point
+depolarizing runs of ``run_qudit`` (d = 2..6) and ``run_ghz``, with the
+``np.linalg.eigvalsh`` calls of one. ``in_process_summary`` gives per workload
+each side's per-round minimum of the repeated entry calls and the rounds the
+change won. ``layers`` and ``in_process`` run a workload at its first seed.
+BLAS and OpenMP pools are pinned to one thread. Run from the repository root.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("qubit_sweeps", "qudit_d6_sweeps", "check_all")
+# In-process rounds; the side that goes first alternates, so an even count is balanced.
+ROUNDS = 4
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -93,6 +98,33 @@ def in_process(checkout: Path, call: str) -> object:
     paths = [str(checkout / "src"), str(checkout / "benchmarks"), str(ROOT / "tools")]
     code = f"import json, sys; sys.path[:0] = {paths!r}; import ab; print(json.dumps(ab.{call}))"
     return json.loads(child([sys.executable, "-c", code], checkout, 900)[-1])
+
+
+def in_process_rounds(sides: dict[str, Path], seeds: dict[str, int], repeat: int,
+                      rounds: int) -> dict[str, list]:
+    """Per side, ``rounds`` rounds of ``entry_calls`` and ``warm_runs``, each in
+    fresh interpreters; the parent goes first in even rounds, the change in odd."""
+    out: dict[str, list] = {side: [] for side in sides}
+    for r in range(rounds):
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            path = sides[side]
+            calls = {w: in_process(path, f"entry_calls({w!r}, {s}, {repeat})")
+                     for w, s in seeds.items()}
+            warm = in_process(path, f"warm_runs({repeat})")
+            out[side].append({"round": r, "entry_calls": calls, "warm_runs": warm})
+    return out
+
+
+def in_process_summary(rounds: dict[str, list]) -> dict[str, dict]:
+    """Per workload, each side's per-round minimum of the repeated entry calls,
+    and the rounds the change won (a tie counts for neither)."""
+    summary = {}
+    for workload in rounds["parent"][0]["entry_calls"]:
+        mins = {side: [r["entry_calls"][workload]["repeat_s"]["min"] for r in runs]
+                for side, runs in rounds.items()}
+        wins = sum(c < p for p, c in zip(mins["parent"], mins["change"]))
+        summary[workload] = {"repeat_s_min": mins, "change_wins": wins}
+    return summary
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
@@ -162,17 +194,15 @@ def main() -> int:
     seeds = {w: next(s for v, s, _ in runs if v == w) for w, _, _ in runs}
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     records, summary = end_to_end(sides["parent"], runs, args.seconds)
-    report = {"seconds": args.seconds, "repeat": args.repeat, "end_to_end": records,
-              "summary": summary, "layers": {}, "in_process": {}}
+    report = {"seconds": args.seconds, "repeat": args.repeat, "rounds": ROUNDS,
+              "end_to_end": records, "summary": summary, "layers": {}}
     for side, path in sides.items():
         report["layers"][side] = {w: bench_run(path, w, s, args.seconds, trace=1)
                                   for w, s in seeds.items()}
-        calls = {w: in_process(path, f"entry_calls({w!r}, {s}, {args.repeat})")
-                 for w, s in seeds.items()}
-        warm = in_process(path, f"warm_runs({args.repeat})")
-        report["in_process"][side] = {"entry_calls": calls, "warm_runs": warm}
+    report["in_process"] = in_process_rounds(sides, seeds, args.repeat, ROUNDS)
+    report["in_process_summary"] = in_process_summary(report["in_process"])
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps(summary, indent=1))
+    print(json.dumps({"end_to_end": summary, "in_process": report["in_process_summary"]}, indent=1))
     return 0
 
 
