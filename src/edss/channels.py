@@ -10,7 +10,6 @@ no Kraus decomposition is ever required for maps defined by their action alone.
 from __future__ import annotations
 
 import functools
-import math
 import weakref
 from dataclasses import dataclass
 from math import prod
@@ -180,22 +179,12 @@ def canonical_channel(
     """Canonical affine qubit channel. Parameters must be finite but are not
     CP-validated here; use :func:`is_cpt` to check and note that protocol
     drivers refuse non-CPT channels."""
-    params = (float(lambda1), float(lambda2), float(lambda3), float(t3))
-    for name, value in zip(CHANNEL_PARAMS["canonical"], params):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    return CanonicalChannel(*params)
+    return _channels("canonical", 2, [[lambda1, lambda2, lambda3, t3]])[0]
 
 
 def depolarizing(d: int, p: float) -> QuditChannel:
     """Depolarizing channel in dimension ``d`` with error probability ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing probability must be in [0, 1], got {p}")
-    if (d := _dimension(d)) == 2:
-        return CanonicalChannel(
-            1.0 - p, 1.0 - p, 1.0 - p, 0.0, kind="depolarizing", noise_param=float(p)
-        )
-    return DepolarizingChannel(d, float(p))
+    return _channels("depolarizing", d, [[p]])[0]
 
 
 def amplitude_damping(d: int, gamma: float) -> KrausChannel:
@@ -204,19 +193,33 @@ def amplitude_damping(d: int, gamma: float) -> KrausChannel:
     Kraus set: a no-decay operator |0><0| + sqrt(1-gamma) sum_i |i><i|, plus
     one decay operator sqrt(gamma) |0><m| per excited level m.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"damping rate must be in [0, 1], got {gamma}")
-    d = _dimension(d)
-    e0 = np.zeros((d, d), dtype=complex)
-    e0[0, 0] = 1.0
-    for i in range(1, d):
-        e0[i, i] = np.sqrt(1.0 - gamma)
-    ops = [e0]
-    for m in range(1, d):
-        em = np.zeros((d, d), dtype=complex)
-        em[0, m] = np.sqrt(gamma)
-        ops.append(em)
-    return KrausChannel(tuple(ops), kind="amplitude_damping", noise_param=float(gamma))
+    return _channels("amplitude_damping", d, [[gamma]])[0]
+
+
+def _channels(kind: str, d: int, params) -> list[QuditChannel]:
+    """One ``kind`` channel of dimension ``d`` per row of ``params`` (values of
+    ``CHANNEL_PARAMS[kind]``), behind every factory and sweep grid: the rows are
+    validated together, the first bad value giving the one-point refusal, and
+    amplitude damping's Kraus operators come from one stacked array."""
+    values = np.asarray(params, dtype=float)
+    if kind == "canonical":
+        if not (finite := np.isfinite(values)).all():
+            b, i = np.argwhere(~finite)[0]
+            raise ValueError(f"{CHANNEL_PARAMS[kind][i]} must be finite, got {values[b, i]}")
+        return [CanonicalChannel(*row) for row in values.tolist()]
+    if not (unit := (0.0 <= values) & (values <= 1.0)).all():
+        what = "depolarizing probability" if kind == "depolarizing" else "damping rate"
+        raise ValueError(f"{what} must be in [0, 1], got {params[np.flatnonzero(~unit)[0]][0]}")
+    d, x = _dimension(d), values[:, 0]
+    if kind == "depolarizing":
+        if d > 2:
+            return [DepolarizingChannel(d, p) for p in x.tolist()]
+        return [CanonicalChannel(*[1.0 - p] * 3, 0.0, kind, p) for p in x.tolist()]
+    ops = np.zeros((len(x), d, d, d), dtype=complex)  # (point, operator, row, column)
+    ops[:, 0, 0, 0], excited = 1.0, np.arange(1, d)
+    ops[:, 0, excited, excited] = np.sqrt(1.0 - x)[:, None]
+    ops[:, excited, 0, excited] = np.sqrt(x)[:, None]
+    return [KrausChannel(tuple(group), kind, g) for group, g in zip(ops, x.tolist())]
 
 
 def identity_channel(d: int = 2) -> QuditChannel:
@@ -450,13 +453,9 @@ def channel_from_config(config: Mapping[str, object]) -> QuditChannel:
     except KeyError as exc:
         raise ValueError(f"{kind} channel requires key {exc}") from exc
     d = _dimension(config.get("d", 2))
-    if kind == "depolarizing":
-        return depolarizing(d, *params)
-    if kind == "amplitude_damping":
-        return amplitude_damping(d, *params)
-    if d != 2:
+    if kind == "canonical" and d != 2:
         raise ValueError("canonical channels are qubit (d=2) channels")
-    return canonical_channel(*params)
+    return _channels(kind, d, [params])[0]
 
 
 def noise_channel(kind: str, d: int, x: float) -> QuditChannel:

@@ -2,8 +2,10 @@
 
 These back the ``edss check`` command. Each suite walks the protocol table
 ``edss.protocols.SPECS`` and returns a list of :class:`CheckResult` rows
-with the observed worst-case deviation against its threshold; on a noise
-grid that is the largest ``edss.sweep.row_deviations`` over the sweep rows.
+with the observed worst-case deviation against its threshold. On a noise
+grid that is the column maximum of ``edss.sweep.row_deviations`` over the
+grid's table (``edss.sweep.sweep_table``), a NaN row making the maximum NaN,
+which fails.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .protocols import (
 # The average-only paths live with the driver; callers import them from here.
 from .protocols import ghz_average_only, qudit_average_only, two_qubit_average_only  # noqa: F401
 from .reference import CLOSED_FORM_KINDS, FORMULAS
-from .sweep import SweepSpec, check_atol, row_deviations, sweep_rows
+from .sweep import SweepSpec, check_atol, row_deviations, sweep_table
 from .tensor import _dimension, _integer
 
 DEFAULT_SEED = 20230711
@@ -95,11 +97,8 @@ def _worst(grids: dict, spec: ProtocolSpec, kind: str, d: int, points: int) -> d
         return grids[key]
     param = CHANNEL_PARAMS[kind][0]
     sweep = SweepSpec(spec.protocol, kind, param, "", mode=spec.mode, d=d, points=points).validate()
-    worst: dict[str, float] = {}
-    for row in sweep_rows(sweep):
-        for check, dev in row_deviations(sweep, row).items():
-            worst[check] = max(worst.get(check, 0.0), dev)
-    grids[key] = worst
+    devs = row_deviations(sweep, sweep_table(sweep))
+    grids[key] = worst = {check: float(np.max(dev, initial=0.0)) for check, dev in devs.items()}
     return worst
 
 

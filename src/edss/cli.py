@@ -133,7 +133,7 @@ def _merged_sweep_spec(args: argparse.Namespace) -> SweepSpec:
 def _run_sweep_command(args: argparse.Namespace) -> int:
     spec = _merged_sweep_spec(args)
     result = run_sweep(spec)
-    print(f"wrote {result.csv_path} ({len(result.rows)} rows)")
+    print(f"wrote {result.csv_path} ({result.spec.points} rows)")
     if result.svg_path is not None:
         print(f"wrote {result.svg_path}")
     for failure in result.check_failures:

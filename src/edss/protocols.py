@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import textwrap
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, compress, count, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -274,11 +274,15 @@ def _noise_summary(*channels: QuditChannel) -> dict[str, object]:
 
 
 def _evolve(
-    spec: ProtocolSpec, batch: Sequence[Sequence[QuditChannel]], dims: tuple[int, ...]
+    spec: ProtocolSpec, t4: np.ndarray, index: np.ndarray, dims: tuple[int, ...]
 ) -> list[tuple[str, _Entries]]:
     """Labelled state stacks of ``spec`` on the register ``dims``, row b evolved
-    under the channels ``batch[b]``. Until the first channel every point holds the
-    same state, so those stacks keep one row; the channel step broadcasts to the batch."""
+    under the transfer tensors ``t4[index[b]]`` of its roles (see ``_admit``), with
+    ``t4`` zeroed in place off the covariance mask at d > 2. Until the first
+    channel every point holds the same state, so those stacks keep one row; the
+    channel step broadcasts to the batch."""
+    if dims[0] > 2:  # admitted within _COVARIANCE_ATOL there
+        t4[:, _off_phase(dims[0])] = 0.0
     state = spec.initial(dims[0])._entries()[None]
     states = []
     for step in spec.steps:
@@ -286,10 +290,7 @@ def _evolve(
             if isinstance(op, Cnot):
                 state = _cnot(state, op.control, op.target, op.inverse)
             else:
-                t4 = np.stack([channels[op.channel].transfer_tensor() for channels in batch])
-                if dims[op.target] > 2:  # off the covariance mask, admitted within _COVARIANCE_ATOL
-                    t4[:, _off_phase(dims[op.target])] = 0.0
-                state = _embed(t4, state, dims, op.target)
+                state = _embed(t4[index[:, op.channel]], state, dims, op.target)
             _check_unit_trace(state)
         states.append((step.label, state))
     return states
@@ -324,49 +325,50 @@ def _branches(
 
 
 def _admit(
-    spec: ProtocolSpec, batch: Sequence[Sequence[QuditChannel]], d: int, labels: Sequence[str] = ()
-) -> list[list[str]]:
-    """Warnings of each point's channels, in batch order; the first channel the
-    protocol refuses raises, prefixed with ``labels[b]`` when labels are given.
-    Each distinct channel of dimension ``d`` is checked once: all of them by one
-    stacked CPT test and one stacked covariance mask, before the points are walked."""
-    distinct = list(dict.fromkeys(ch for channels in batch for ch in channels if ch.dim == d))
-    t4 = np.array(_transfer_tensors(distinct)).reshape(-1, d, d, d, d)
+    spec: ProtocolSpec, batch: Sequence[Sequence[QuditChannel]], d: int, label: Callable = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct channels' transfer tensors, stacked; per point and role the
+    index of its channel there, and whether that channel is warned of (not
+    phase-covariant, at d = 2). One stacked CPT test and covariance mask check
+    them all; the first point and role the protocol refuses, in batch order,
+    raises, prefixed with ``label(b)`` of that point when a label is given."""
+    channels = dict(zip(dict.fromkeys(chain.from_iterable(batch)), count()))
+    index = np.fromiter(map(channels.__getitem__, chain.from_iterable(batch)), int)
+    index = index.reshape(len(batch), len(spec.channel_roles))
+    fits = [ch.dim == d for ch in channels]
+    t4 = np.array(_transfer_tensors(list(compress(channels, fits)))).reshape(-1, d, d, d, d)
     covariant = _covariant(t4)
     reports = _cpt_reports(t4, covariant=covariant)
-    checked = dict(zip(distinct, zip(reports, covariant.tolist())))
-    admitted = []
-    for b, channels in enumerate(batch):
-        at, warnings = f"{labels[b]}: " if labels else "", []
-        for role, ch in zip(spec.channel_roles, channels):
-            if ch.dim != d:
-                raise ValueError(f"{at}{role} has dimension {ch.dim}; the register needs {d}")
-            report, covariant = checked[ch]
+    if all(fits) and all(reports) and (d == 2 or covariant.all()):
+        return t4, index, ~covariant[index]
+    checked = iter(zip(reports, covariant.tolist()))
+    verdicts = [next(checked) if fit else ch.dim for ch, fit in zip(channels, fits)]
+    for b, row in enumerate(index.tolist()):
+        at = f"{label(b)}: " if label else ""
+        for role, verdict in zip(spec.channel_roles, map(verdicts.__getitem__, row)):
+            if isinstance(verdict, int):
+                raise ValueError(f"{at}{role} has dimension {verdict}; the register needs {d}")
+            report, covariant = verdict
             if not report:
                 raise ValueError(
                     f"{at}{role} is not a CPT map (min Choi eigenvalue "
                     f"{report.min_choi_eigenvalue:.3e}, trace defect "
                     f"{report.trace_preservation_error:.3e})"
                 )
-            if covariant:
-                continue
-            if d > 2:
+            if not covariant and d > 2:
                 raise ValueError(f"{at}{role} is not phase-covariant, which d > 2 requires")
-            warnings.append(
-                f"{role} is not Bloch-diagonal or otherwise phase-covariant; identity chains "
-                "are not guaranteed"
-            )
-        admitted.append(warnings)
-    return admitted
 
 
-def _same(batch: Sequence[Sequence[QuditChannel]]) -> np.ndarray:
-    """Per point, whether its channels' tensors agree within ``SAME_CHANNEL_ATOL``."""
-    same = {}  # one comparison per distinct channel tuple, none for one object in every role
-    for ch0, *rest in dict.fromkeys(map(tuple, batch)):
-        t4, others = ch0.transfer_tensor(), [ch.transfer_tensor() for ch in rest if ch is not ch0]
-        same[(ch0, *rest)] = all(np.allclose(t4, o, atol=SAME_CHANNEL_ATOL, rtol=0) for o in others)
-    return np.array([same[tuple(chs)] for chs in batch])
+def _same(t4: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per point, whether its roles' tensors ``t4[index[b]]`` agree within ``SAME_CHANNEL_ATOL``;
+    one comparison per distinct index row, none where one channel fills every role."""
+    same, close = np.ones(len(index), dtype=bool), {}
+    for b in np.flatnonzero((index != index[:, :1]).any(axis=1)).tolist():
+        if (row := tuple(index[b].tolist())) not in close:
+            first, *others = [t4[j] for j in dict.fromkeys(row)]
+            close[row] = all(np.allclose(first, t, atol=SAME_CHANNEL_ATOL, rtol=0) for t in others)
+        same[b] = close[row]
+    return same
 
 
 @dataclass(eq=False)
@@ -379,7 +381,7 @@ class _Chunk:
     spec: ProtocolSpec
     batch: Sequence[Sequence[QuditChannel]]
     d: int
-    warnings: list[list[str]]
+    warned: np.ndarray  # per point and role: the channel is not phase-covariant
     same: np.ndarray
     states: list[tuple[str, _Entries]]
     columns: dict[str, np.ndarray] = field(default_factory=dict)
@@ -391,6 +393,7 @@ class _Chunk:
 
     def __getitem__(self, b: int) -> ProtocolTrace:
         b, spec, (steps, parts, pairs) = range(len(self))[b], self.spec, self.spec.layout
+        targets = " and ".join(spec.subsystems[i] for i in spec.exchange)
         value = {key: float(column[b]) for key, column in self.columns.items()}
         trace = ProtocolTrace(
             protocol=spec.protocol,
@@ -401,7 +404,11 @@ class _Chunk:
             partition_negativities={key: value[key] for sides in steps for key in sides},
             identity_chains=spec.identity_chains | (spec.symmetry_chains if self.same[b] else {}),
             exchange_keys=tuple(next(iter(sides)) for sides in steps),
-            warnings=list(self.warnings[b]),
+            warnings=[
+                f"{role} is not Bloch-diagonal or otherwise phase-covariant; identity chains "
+                "are not guaranteed" for role in compress(spec.channel_roles, self.warned[b])
+            ] + [f"channels on {targets} differ; the symmetry relations are not guaranteed"]
+            * (not self.same[b]),
         )
         if self.out is not None:
             state = DensityOperator._trusted(self.out[b])
@@ -438,7 +445,7 @@ def _drive(
     spec: ProtocolSpec,
     batch: Sequence[Sequence[QuditChannel]],
     d: int = 2,
-    labels: Sequence[str] = (),
+    label: Callable[[int], str] | None = None,
 ) -> _Chunk:
     """Run ``spec`` once per channel tuple in ``batch``, with every partition,
     branch and chain recorded: a ``_Chunk`` of one trace per tuple, in order.
@@ -447,13 +454,11 @@ def _drive(
     with one row per point; every negativity is queued as its stack comes up and
     solved in one pass (``measures._batch_negativities``). Every channel is
     admitted, in point order, before any state is built; a refusal is prefixed
-    with ``labels[b]`` when labels are given."""
+    with ``label(b)`` of its point when a label is given."""
     dims = _register(spec, d)
-    warnings, same = _admit(spec, batch, dims[0], labels), _same(batch)
-    targets = " and ".join(spec.subsystems[i] for i in spec.exchange)
-    differ = f"channels on {targets} differ; the symmetry relations are not guaranteed"
-    warnings = [w + [differ] * (not s) for w, s in zip(warnings, same.tolist())]
-    chunk = _Chunk(spec, batch, dims[0], warnings, same, _evolve(spec, batch, dims))
+    t4, index, warned = _admit(spec, batch, dims[0], label)
+    chunk = _Chunk(spec, batch, dims[0], warned, _same(t4, index), _evolve(spec, t4, index, dims))
+    del t4  # not held through the negativity solve
     queue: list[tuple[_Entries, Bipartition, np.ndarray | slice]] = []
 
     # the matrices of ``stack`` are the points ``rows`` picks; one matrix holds for every point
@@ -534,15 +539,15 @@ def _runs(
     spec: ProtocolSpec,
     batch: Iterable[Sequence[QuditChannel]],
     d: int = 2,
-    labels: Iterable[str] = (),
+    label: Callable[[int], str] | None = None,
 ) -> Iterator[_Chunk]:
     """``_drive``'s chunks over a batch of any length, ``_chunk_points`` points each;
     a chunk's channels are drawn once the previous chunk is taken, so a consumer
-    that keeps no chunk holds one chunk's states at a time."""
-    size = _chunk_points(spec, d)
-    batch, labels = iter(batch), iter(labels)
-    while points := list(islice(batch, size)):
-        yield _drive(spec, points, d, list(islice(labels, size)))
+    that keeps no chunk holds one chunk's states at a time. ``label(b)`` names point
+    b of the whole batch in a refusal."""
+    size, batch = _chunk_points(spec, d), iter(batch)
+    for start, points in zip(count(0, size), iter(lambda: list(islice(batch, size)), [])):
+        yield _drive(spec, points, d, label and (lambda b, start=start: label(start + b)))
 
 
 def _states(

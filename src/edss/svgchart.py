@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 WIDTH = 960
 HEIGHT = 600
 MARGIN_LEFT = 80
@@ -68,15 +70,16 @@ def polyline_points(
     x_range: tuple[float, float],
     y_range: tuple[float, float],
 ) -> str:
-    """The exact ``points`` attribute a series renders to: per point ``_x_to_px``, ``_y_to_px``."""
+    """The exact ``points`` attribute a series renders to: per point ``_x_to_px``,
+    ``_y_to_px``, evaluated on arrays with the same floating-point operations."""
     left, top, right, bottom = _plot_box()
     (x_lo, x_hi), (y_lo, y_hi) = x_range, y_range
     x_span, y_span, width, height = x_hi - x_lo, y_hi - y_lo, right - left, bottom - top
-    return " ".join(
-        f"{0.5 * (left + right) if x_hi == x_lo else left + (x - x_lo) / x_span * width:.3f},"
-        f"{0.5 * (top + bottom) if y_hi == y_lo else bottom - (y - y_lo) / y_span * height:.3f}"
-        for x, y in zip(xs, ys)
-    )
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    pixels = np.empty((len(xs), 2))
+    pixels[:, 0] = 0.5 * (left + right) if x_hi == x_lo else left + (xs - x_lo) / x_span * width
+    pixels[:, 1] = 0.5 * (top + bottom) if y_hi == y_lo else bottom - (ys - y_lo) / y_span * height
+    return " ".join(["%.3f,%.3f"] * len(xs)) % tuple(pixels.ravel().tolist())
 
 
 def render_line_chart(
@@ -87,14 +90,14 @@ def render_line_chart(
     y_label: str = "value",
 ) -> str:
     """Render a complete SVG document for the given series."""
-    if not xs:
+    if not len(xs := np.asarray(xs, dtype=float)):
         raise ValueError("no x values to plot")
     if not series:
         raise ValueError("no series to plot")
-    x_lo, x_hi = min(xs), max(xs)
-    all_y = [y for _, ys in series for y in ys]
-    y_lo = min(0.0, min(all_y))
-    y_hi = max(all_y)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    all_y = np.concatenate([np.asarray(ys, dtype=float) for _, ys in series])
+    y_lo = min(0.0, float(all_y.min()))
+    y_hi = float(all_y.max())
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     y_hi *= 1.05

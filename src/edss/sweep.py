@@ -5,26 +5,30 @@ the swept parameter, the rest are simulated quantities, derived quantities,
 and closed-form reference values where a formula exists. Floats are
 formatted with 12 significant digits, so identical specs give byte-identical
 files.
+
+A grid flows as columns from its parameter array to the file: channels built
+per driver chunk (``SweepSpec.channels``), one float array per CSV column
+(``sweep_table``), checks on whole columns (``row_deviations``), and one
+formatting pass over the table for the CSV and one for the SVG.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .channels import CHANNEL_PARAMS, channel_from_config
+from .channels import CHANNEL_PARAMS, QuditChannel, _channels
 from .protocols import (
     CHAIN_ATOL,
     MAX_DIM_CEILING,  # noqa: F401  (re-exported: edss.sweep.MAX_DIM_CEILING)
     PROTOCOLS,
     SEPARABILITY_ATOL,
     SPECS,
-    _Chunk,
+    _chunk_points,
     _register,
     _runs,
     critical_noise,
@@ -109,23 +113,21 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
-    def channel_at(self, x: float):
-        return channel_from_config(
-            {
-                "kind": self.channel,
-                "d": self.d,
-                **CANONICAL_DEFAULTS,
-                **self.channel_args,
-                self.param: x,
-            }
-        )
+    def channels(self) -> Iterator[QuditChannel]:
+        """The ``channel_from_config`` channel of each grid point of a valid spec, in
+        order, built by one ``channels._channels`` call per driver chunk
+        (``protocols._chunk_points``): one chunk's channels are held at a time."""
+        fixed = {**CANONICAL_DEFAULTS, **self.channel_args, self.param: self.grid()}
+        params = np.column_stack(np.broadcast_arrays(*map(fixed.get, CHANNEL_PARAMS[self.channel])))
+        size = _chunk_points(SPECS[self.protocol, self.mode], self.d)
+        for start in range(0, self.points, size):
+            yield from _channels(self.channel, self.d, params[start : start + size])
 
 
 @dataclass
 class SweepResult:
     spec: SweepSpec
-    columns: list[str]
-    rows: list[dict[str, float]]
+    table: dict[str, np.ndarray]  # CSV column -> one float per grid point, in CSV order
     check_failures: list[str]
     csv_path: Path
     svg_path: Path | None
@@ -136,10 +138,8 @@ class SweepResult:
 
 
 def format_float(x: float) -> str:
-    """12 significant digits via %g; negative zero collapses to 0."""
-    if x == 0.0:
-        return "0"
-    return f"{float(x):.12g}"
+    """12 significant digits via %g, ``+ 0.0`` collapsing negative zero to 0: a CSV cell."""
+    return "%.12g" % (float(x) + 0.0)
 
 
 def _closed_forms(spec: SweepSpec) -> dict[str, tuple[str, ...]]:
@@ -162,54 +162,52 @@ def sweep_columns(spec: SweepSpec) -> list[str]:
     return cols + [f"ref_{columns[0]}" for columns in _closed_forms(spec).values()]
 
 
-def sweep_rows(spec: SweepSpec) -> list[dict[str, float]]:
-    """The rows ``run_sweep`` writes for a valid ``spec``, without I/O and
-    without ``critical_noise``; the ``ref_*`` columns come from ``FORMULAS``.
+def _label(spec: SweepSpec, xs: np.ndarray, b: int) -> str:
+    """The name of grid point ``b`` in refusals and failure lines."""
+    return f"{spec.param}={format_float(xs[b])}"
 
-    The grid runs through the driver's chunk loop (``protocols._runs``); each
-    chunk's columns become rows, and the chunk is dropped, before the next
-    chunk's channels are built."""
+
+def sweep_table(spec: SweepSpec) -> dict[str, np.ndarray]:
+    """The columns ``run_sweep`` writes for a valid ``spec``, one float per grid
+    point each, without I/O and ``critical_noise``; ``ref_*`` from ``FORMULAS``.
+    The grid runs through the driver's chunk loop (``protocols._runs``): each
+    chunk's columns are kept and the chunk dropped before the next is built."""
     entry = SPECS[spec.protocol, spec.mode]
-    xs = [float(x) for x in spec.grid()]
-    # one channel per point, on every exchange subsystem
-    batch = ((spec.channel_at(x),) * len(entry.channel_roles) for x in xs)
-    labels = (f"{spec.param}={format_float(x)}" for x in xs)
-    refs = {f"ref_{cols[0]}": FORMULAS[fid] for fid, cols in _closed_forms(spec).items()}
-    exchange, grid = [next(iter(sides)) for sides in entry.layout[0]], iter(xs)
+    xs, keys = spec.grid(), [key for _, key in entry.columns]
+    exchange = [next(iter(sides)) for sides in entry.layout[0]]
 
-    def rows(chunk: _Chunk) -> list[dict[str, float]]:
-        table = {
-            spec.param: list(islice(grid, len(chunk))),
-            **{column: chunk.columns[key].tolist() for column, key in entry.columns},
-            # separability_audit's max_negativity and verify_identity_chain's max_deviation
-            "exchange_negativity_max": np.max([chunk.columns[k] for k in exchange], 0).tolist(),
-            "chain_max_deviation": chunk.chain_spread().tolist(),
-        }
-        out = [dict(zip(table, cells)) for cells in zip(*table.values())]
-        for row in out:
-            at = {"d": spec.d, spec.param: row[spec.param]}
-            row.update((ref, float(f.fn(*(at[n] for n in f.params)))) for ref, f in refs.items())
-        return out
+    def columns(chunk) -> list[np.ndarray]:
+        # separability_audit's max_negativity and verify_identity_chain's max_deviation
+        exchange_max = np.max([chunk.columns[k] for k in exchange], 0)
+        return [*map(chunk.columns.get, keys), exchange_max, chunk.chain_spread()]
 
+    batch = ((ch,) * len(entry.channel_roles) for ch in spec.channels())
     try:
         # map, unlike a loop variable, keeps no chunk while the next one runs
-        return [row for part in map(rows, _runs(entry, batch, spec.d, labels)) for row in part]
+        parts = list(map(columns, _runs(entry, batch, spec.d, partial(_label, spec, xs))))
     except ValueError as exc:
         raise SweepError(str(exc)) from exc
+    names = [c for c, _ in entry.columns] + ["exchange_negativity_max", "chain_max_deviation"]
+    table = {spec.param: xs, **dict(zip(names, map(np.concatenate, zip(*parts))))}
+    for fid, cols in _closed_forms(spec).items():
+        f, at = FORMULAS[fid], {"d": [spec.d] * spec.points, spec.param: xs.tolist()}
+        table[f"ref_{cols[0]}"] = np.array([float(f.fn(*a)) for a in zip(*map(at.get, f.params))])
+    return table
 
 
-def row_deviations(spec: SweepSpec, row: Mapping[str, float]) -> dict[str, float]:
-    """Check name -> deviation of one row: ``identity``, ``separability``, and per
-    formula id the worst of its columns against its reference (critical noise
-    once the row has it). ``edss sweep --check`` and ``edss check`` read this."""
+def row_deviations(spec: SweepSpec, table: Mapping) -> dict[str, np.ndarray]:
+    """Check name -> deviation per row of ``table`` (columns, or one row of floats):
+    ``identity``, ``separability``, and per formula id the worst of its columns
+    against its reference (critical noise once the table has it), NaN where a
+    row's inputs hold one. ``edss sweep --check`` and ``edss check`` read this."""
     devs = {
-        "identity": row["chain_max_deviation"],
-        "separability": row["exchange_negativity_max"],
+        "identity": table["chain_max_deviation"],
+        "separability": table["exchange_negativity_max"],
     }
     for fid, columns in _closed_forms(spec).items():
-        if columns[0] in row:
-            ref = row[f"ref_{columns[0]}"]
-            devs[fid] = max(abs(row[column] - ref) for column in columns)
+        if columns[0] in table:
+            ref = table[f"ref_{columns[0]}"]
+            devs[fid] = np.max([np.abs(table[c] - ref) for c in columns], 0)
     return devs
 
 
@@ -218,53 +216,48 @@ def check_atol(check: str) -> float:
     return {"identity": CHAIN_ATOL, "separability": SEPARABILITY_ATOL}.get(check, CLOSED_FORM_ATOL)
 
 
-def _row_checks(spec: SweepSpec, row: dict[str, float]) -> list[str]:
-    at = f"{spec.param}={format_float(row[spec.param])}"
-    devs = row_deviations(spec, row)
-    failures = []
-    labels = {"identity": "identity chain deviation", "separability": "exchange negativity"}
-    for check, what in labels.items():
-        dev = devs.pop(check)
-        if check in spec.checks and dev > check_atol(check):
-            failures.append(f"{at}: {what} {dev:.3e}")
-    for fid, dev in devs.items():
-        if "closed_form" in spec.checks and dev > check_atol(fid):
-            failures.append(f"{at}: {fid} deviates from closed form by {dev:.3e}")
-    return failures
+def _failures(spec: SweepSpec, table: dict[str, np.ndarray]) -> list[str]:
+    """Per row in order, a line for each deviation of ``spec.checks`` not within its
+    tolerance (NaN included), in ``row_deviations`` order; failing rows only."""
+    texts = {"identity": "identity chain deviation", "separability": "exchange negativity"}
+    devs = row_deviations(spec, table)
+    checks = [c for c in devs if (c if c in texts else "closed_form") in spec.checks]
+    what = [texts.get(c, f"{c} deviates from closed form by") for c in checks]
+    failed = np.array([~(devs[c] <= check_atol(c)) for c in checks])
+    return [
+        f"{_label(spec, table[spec.param], b)}: {what[k]} {devs[checks[k]][b]:.3e}"
+        for b, k in zip(*np.nonzero(failed.T))
+    ]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid, write CSV (and SVG if requested), run row checks."""
+    """Evaluate the grid, write CSV (and SVG if requested), run the checks."""
     spec = replace(spec, checks=frozenset(spec.checks)).validate()
     if not spec.csv_path:
         raise SweepError("csv output path is required")
-    rows = sweep_rows(spec)
+    table = sweep_table(spec)
     entry = SPECS[spec.protocol, spec.mode]
     if entry.critical_formula(spec.channel) is not None:
         crit = critical_noise(lambda x: entry.average_only(spec.channel, x, spec.d))
-        for row in rows:
-            row["critical_noise"] = crit
-
+        table["critical_noise"] = np.full(spec.points, crit)
     columns = sweep_columns(spec)
-    check_failures: list[str] = []
-    for row in rows:
-        check_failures.extend(_row_checks(spec, row))
+    table = {column: table[column] for column in columns}
+    check_failures = _failures(spec, table)
 
-    # each cell formatted once; the chart plots the printed values
-    cells = [[format_float(row[c]) for c in columns] for row in rows]
+    # format_float of every cell, through one template for the whole table
+    template = (",".join(["%.12g"] * len(columns)) + "\n") * spec.points
+    values = np.column_stack(list(table.values())) + 0.0
+    text = ",".join(columns) + "\n" + template % tuple(values.ravel().tolist())
     csv_path = Path(spec.csv_path)
     with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(cells)
+        handle.write(text)
 
     svg_path = None
     if spec.svg_path is not None:
-        svg_path = Path(spec.svg_path)
-        xs, *ys = ([float(cell) for cell in column] for column in zip(*cells))
-        series = list(zip(columns[1:], ys))  # column 0 is the swept parameter
+        svg_path, cells = Path(spec.svg_path), text.replace("\n", ",").split(",")
+        # the chart plots the printed values; column 0 is the swept parameter
+        xs, *ys = np.array(cells[len(columns) : -1], dtype=float).reshape(-1, len(columns)).T
         title = f"{spec.protocol} / {spec.channel} ({spec.mode})"
-        svg_path.write_text(
-            render_line_chart(xs, series, title, x_label=spec.param), encoding="utf-8"
-        )
-    return SweepResult(spec, columns, rows, check_failures, csv_path, svg_path)
+        chart = render_line_chart(xs, list(zip(columns[1:], ys)), title, x_label=spec.param)
+        svg_path.write_text(chart, encoding="utf-8")
+    return SweepResult(spec, table, check_failures, csv_path, svg_path)

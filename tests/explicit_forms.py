@@ -7,6 +7,7 @@ with simulated states is a genuine cross-check.
 
 from __future__ import annotations
 
+import re
 from itertools import product
 from math import prod
 
@@ -573,3 +574,83 @@ def same_channels(channels):
     return all(
         np.allclose(first, ch.transfer_tensor(), atol=1e-12, rtol=0.0) for ch in channels[1:]
     )
+
+
+def evolve_batch(spec, batch, dims):
+    """``protocols._evolve`` of the channel tuples ``batch``, unadmitted: the
+    distinct channels' tensors stacked, and per point and role the index of
+    its channel."""
+    from edss.protocols import _evolve
+
+    distinct = list(dict.fromkeys(ch for channels in batch for ch in channels))
+    index = np.array([[distinct.index(ch) for ch in channels] for channels in batch])
+    return _evolve(spec, np.array([ch.transfer_tensor() for ch in distinct]), index, dims)
+
+
+def table_rows(table):
+    """The rows of a sweep table (column -> one value per point), as dicts of floats."""
+    columns = (np.asarray(column).tolist() for column in table.values())
+    return [dict(zip(table, cells)) for cells in zip(*columns)]
+
+
+def format_cell(x):
+    """A CSV cell as rows were written one cell at a time: 12 significant digits, -0 as 0."""
+    return "0" if x == 0.0 else f"{float(x):.12g}"
+
+
+def row_by_row_outputs(spec, table):
+    """What ``run_sweep`` writes for ``spec`` and its full table (``critical_noise``
+    included), rebuilt one row at a time the way rows were written before the
+    columnar output: the CSV text, the SVG text (None without ``svg_path``) and
+    the check failure lines, one ``row_deviations`` call per row."""
+    import csv
+    import io
+
+    from edss.svgchart import _x_to_px, _y_to_px, render_line_chart
+    from edss.sweep import _closed_forms, check_atol, sweep_columns
+
+    columns = sweep_columns(spec)
+    rows = table_rows(table)
+    failures = []
+    for row in rows:
+        at = f"{spec.param}={format_cell(row[spec.param])}"
+        devs = {
+            "identity": row["chain_max_deviation"],
+            "separability": row["exchange_negativity_max"],
+        }
+        for fid, cols in _closed_forms(spec).items():
+            if cols[0] in row:
+                ref = row[f"ref_{cols[0]}"]
+                devs[fid] = max(abs(row[c] - ref) for c in cols)
+        for check, what in (("identity", "identity chain deviation"),
+                            ("separability", "exchange negativity")):
+            dev = devs.pop(check)
+            if check in spec.checks and not dev <= check_atol(check):
+                failures.append(f"{at}: {what} {dev:.3e}")
+        for fid, dev in devs.items():
+            if "closed_form" in spec.checks and not dev <= check_atol(fid):
+                failures.append(f"{at}: {fid} deviates from closed form by {dev:.3e}")
+    cells = [[format_cell(row[c]) for c in columns] for row in rows]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(cells)
+    svg = None
+    if spec.svg_path is not None:
+        xs, *ys = ([float(cell) for cell in column] for column in zip(*cells))
+        title = f"{spec.protocol} / {spec.channel} ({spec.mode})"
+        svg = render_line_chart(xs, list(zip(columns[1:], ys)), title, x_label=spec.param)
+        # every polyline point by the one-point transforms, on the ranges taken
+        # with the builtin min and max over the printed values
+        all_y = [y for series in ys for y in series]
+        y_lo, y_hi = min(0.0, min(all_y)), max(all_y)
+        y_hi = (y_lo + 1.0 if y_hi <= y_lo else y_hi) * 1.05
+        points = iter([
+            " ".join(
+                f"{_x_to_px(x, min(xs), max(xs)):.3f},{_y_to_px(y, y_lo, y_hi):.3f}"
+                for x, y in zip(xs, series)
+            )
+            for series in ys
+        ])
+        svg = re.sub(r'points="[^"]*"', lambda _: f'points="{next(points)}"', svg)
+    return text.getvalue(), svg, failures

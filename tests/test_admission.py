@@ -82,10 +82,23 @@ def admission_batches(draw):
     return spec, batch, d, labels
 
 
+def admitted(spec, batch, d, labels=()):
+    """Per point, the warnings that ``_admit``'s flags stand for; a refusal is
+    prefixed with ``labels[b]`` when labels are given."""
+    _, _, warned = _admit(spec, batch, d, labels.__getitem__ if labels else None)
+    warning = (
+        "{} is not Bloch-diagonal or otherwise phase-covariant; identity chains are not guaranteed"
+    )
+    return [
+        [warning.format(role) for role, flag in zip(spec.channel_roles, row) if flag]
+        for row in warned.tolist()
+    ]
+
+
 def symmetric(spec, channels, d):
     """Whether the driver grants the point its symmetry chains: the flag of
     ``_same``, which the point's trace view must agree with."""
-    granted = bool(_same([channels])[0])
+    granted = bool(_same(*_admit(spec, [channels], d)[:2])[0])
     trace = _drive(spec, [channels], d)[0]
     assert (set(spec.symmetry_chains) <= set(trace.identity_chains)) == granted
     assert any("differ" in warning for warning in trace.warnings) == (not granted)
@@ -106,7 +119,7 @@ class TestStackedAdmission:
         spec, batch, d, labels = case
         with np.errstate(invalid="ignore"):
             expected = outcome(admit_batch, spec.channel_roles, batch, d, labels)
-            got = outcome(_admit, spec, batch, d, labels)
+            got = outcome(admitted, spec, batch, d, labels)
         assert got == expected
         if expected[0] == "ok":
             got = [symmetric(spec, channels, d) for channels in batch]
@@ -118,7 +131,7 @@ class TestStackedAdmission:
             (depolarizing(2, 0.1),), (canonical_channel(1.0, 1.0, -1.0),), (depolarizing(3, 0.1),)
         ]
         with pytest.raises(ValueError, match=r"^b: communication channel is not a CPT map"):
-            _admit(spec, batch, 2, ["a", "b", "c"])
+            _admit(spec, batch, 2, ["a", "b", "c"].__getitem__)
 
     def test_each_distinct_channel_reaches_the_kernels_once(self, monkeypatch):
         seen = []
@@ -146,7 +159,8 @@ class TestStackedAdmission:
         monkeypatch.setattr(np, "allclose", lambda *a, **k: compared.append(1) or allclose(*a, **k))
         a, b, c = depolarizing(2, 0.2), depolarizing(2, 0.2), amplitude_damping(2, 0.2)
         batch = [(a, b), (a, c), (a, b), (c, c), (a, c), (b, a)]
-        assert _same(batch).tolist() == [True, False, True, True, False, True]
+        t4, index, _ = _admit(SPECS["ghz", "probabilistic"], batch, 2)
+        assert _same(t4, index).tolist() == [True, False, True, True, False, True]
         assert len(compared) == 3  # (a, b), (a, c) and (b, a); (c, c) is one object
 
     def test_symmetry_compares_no_tensors_when_one_object_fills_every_role(self, monkeypatch):
@@ -264,7 +278,7 @@ class TestSectorRoute:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: seen.append(h.shape) or eigvalsh(h))
         batch = [(depolarizing(6, p),) for p in np.linspace(0.0, 1.0, 21)]
-        assert _admit(SPECS["qudit", "probabilistic"], batch, 6) == [[]] * 21
+        assert not _admit(SPECS["qudit", "probabilistic"], batch, 6)[2].any()
         assert seen and all(shape[-2:] == (6, 6) for shape in seen)
 
     def test_refusals_keep_the_dense_report(self):

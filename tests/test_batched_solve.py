@@ -22,8 +22,10 @@ import edss
 from edss import protocols
 from edss.channels import amplitude_damping, depolarizing, identity_channel
 from edss.measures import _batch_negativities
-from edss.protocols import SPECS, _branches, _drive, _evolve, partition_name
+from edss.protocols import SPECS, _branches, _drive, partition_name
 from edss.tensor import Bipartition, DensityOperator, _partial_trace, _plan
+
+from explicit_forms import evolve_batch
 
 CASES = [(key, d) for key in SPECS for d in ((2, 3, 4, 5) if SPECS[key].takes_d else (2,))]
 
@@ -64,7 +66,7 @@ def one_item_records(spec, batch, d):
     key order, the branch negativities, and the deterministic negativity
     (``None`` in the probabilistic mode)."""
     dims, n = (d,) * len(spec.subsystems), len(batch)
-    states = _evolve(spec, batch, dims)
+    states = evolve_batch(spec, batch, dims)
     parts = [{} for _ in batch]
     for step, (label, stack) in zip(spec.steps, states):
         for side in (spec.exchange, *step.record):

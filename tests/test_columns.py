@@ -1,7 +1,7 @@
 """Sweep grids as columns: the driver's chunk columns against its per-point traces.
 
 ``protocols._drive`` returns a ``_Chunk``: every trace key as one float column,
-and the traces as per-point views. ``sweep.sweep_rows`` and the identity suite
+and the traces as per-point views. ``sweep.sweep_table`` and the identity suite
 read the columns; the rows they make must be, bit for bit, the rows that the
 per-point traces give through ``value_of``, ``verify_identity_chain`` and
 ``separability_audit``. The transfer tensors of a batch come from one stacked
@@ -21,14 +21,15 @@ from edss.channels import (
     _transfer_tensors,
     amplitude_damping,
     canonical_channel,
+    channel_from_config,
     depolarizing,
 )
 from edss.protocols import SPECS, _drive, _runs, separability_audit, verify_identity_chain
 from edss.reference import FORMULAS
 from edss.tensor import DensityOperator
-from edss.sweep import SweepError, SweepSpec, _closed_forms, sweep_rows
+from edss.sweep import CANONICAL_DEFAULTS, SweepError, SweepSpec, _closed_forms, sweep_table
 
-from explicit_forms import stinespring_kraus, z_twirl
+from explicit_forms import stinespring_kraus, table_rows, z_twirl
 
 PARAM = {"depolarizing": "p", "amplitude_damping": "gamma", "canonical": "lambda3"}
 # 101-point grids: [0, 1] reaches p = 1 and gamma = 1, and the canonical grids
@@ -72,10 +73,12 @@ def test_columnar_rows_equal_rows_from_per_point_traces(grid):
     spec = grid_spec(*grid)
     entry = SPECS[spec.protocol, spec.mode]
     xs = [float(x) for x in spec.grid()]
-    batch = [(spec.channel_at(x),) * len(entry.channel_roles) for x in xs]
+    fixed = {"kind": spec.channel, "d": spec.d, **CANONICAL_DEFAULTS, **spec.channel_args}
+    roles = len(entry.channel_roles)
+    batch = [(channel_from_config({**fixed, spec.param: x}),) * roles for x in xs]
     traces = [trace for chunk in _runs(entry, batch, spec.d) for trace in chunk]
     want = [bits(trace_row(spec, x, trace)) for x, trace in zip(xs, traces, strict=True)]
-    assert [bits(row) for row in sweep_rows(spec)] == want
+    assert [bits(row) for row in table_rows(sweep_table(spec))] == want
 
 
 def basis_start(key, index=0):
@@ -181,7 +184,7 @@ def test_a_refused_point_in_a_later_chunk_names_its_value():
     ).validate()
     assert protocols._chunk_points(SPECS["ghz", "probabilistic"], 2) <= 141
     with pytest.raises(SweepError, match=r"^lambda1=0\.705: channel on d1 is not a CPT map"):
-        sweep_rows(spec)
+        sweep_table(spec)
 
 
 def kraus_tensor(ch):
@@ -246,6 +249,6 @@ def test_a_sweep_chunk_builds_its_tensors_in_one_call_per_class(monkeypatch):
     monkeypatch.setattr(
         KrausChannel, "_tensors", staticmethod(lambda g: calls.append(len(g)) or build(g))
     )
-    sweep_rows(SweepSpec("qudit", "amplitude_damping", "gamma", "", d=5, points=101).validate())
+    sweep_table(SweepSpec("qudit", "amplitude_damping", "gamma", "", d=5, points=101).validate())
     size = protocols._chunk_points(SPECS["qudit", "probabilistic"], 5)
     assert calls == [size, 101 - size]

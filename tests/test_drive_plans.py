@@ -30,11 +30,11 @@ from edss.channels import (
     noise_channel,
 )
 from edss.checks import DEFAULT_SEED, identity_suite, random_cp_canonical
-from edss.protocols import SPECS, _drive, _evolve
+from edss.protocols import SPECS, _drive
 from edss.states import cnot, ghz_initial_state, measure_computational
 from edss.tensor import DensityOperator, hermitian_eigenvalues, partial_trace
 
-from explicit_forms import stinespring_kraus, z_twirl
+from explicit_forms import evolve_batch, stinespring_kraus, z_twirl
 
 HADAMARD = KrausChannel((np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),))
 
@@ -156,7 +156,7 @@ def test_plan_hit_drive_equals_a_cold_drive_bit_for_bit(monkeypatch, key, d, bat
 def test_a_sum_of_zero_drops_its_position_from_the_next_plan(monkeypatch):
     monkeypatch.setattr(edss.tensor, "_PLANS", {})
     spec = SPECS["two_qubit", "probabilistic"]
-    stacks = [stack for _, stack in _evolve(spec, [(HADAMARD,)], (2, 2, 2))]
+    stacks = [stack for _, stack in evolve_batch(spec, [(HADAMARD,)], (2, 2, 2))]
     plans = edss.tensor._PLANS
     # the Hadamard's four terms cancel on some positions of the channel step
     summed = next(plan for key, plan in plans.items() if key[0] == "embed")[2]
@@ -281,7 +281,8 @@ class Filling:
 def test_chunk_bound_is_the_largest_stack_a_filling_channel_reaches(key, d):
     spec = SPECS[key]
     batch = [(Filling(d, 11 + i),) * len(spec.channel_roles) for i in range(2)]
-    most = max(len(stack.rows) for _, stack in _evolve(spec, batch, (d,) * len(spec.subsystems)))
+    dims = (d,) * len(spec.subsystems)
+    most = max(len(stack.rows) for _, stack in evolve_batch(spec, batch, dims))
     assert protocols._chunk_points(spec, d) == max(1, protocols.STACK_BYTES // (16 * most))
 
 

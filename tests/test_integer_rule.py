@@ -32,7 +32,9 @@ from edss import (
     run_qudit,
 )
 from edss.checks import closed_form_suite, identity_suite
-from edss.sweep import sweep_rows
+from edss.sweep import sweep_table
+
+from explicit_forms import table_rows
 
 RHO3 = DensityOperator(np.eye(8) / 8, (2, 2, 2))
 
@@ -151,7 +153,7 @@ def test_a_depolarizing_channel_at_an_integral_float_is_the_integer_one_bit_for_
 
 def test_a_qudit_sweep_and_suite_at_an_integral_float_are_the_integer_ones():
     specs = [SweepSpec("qudit", "depolarizing", "p", "", d=d, points=3) for d in (3.0, 3)]
-    assert sweep_rows(specs[0]) == sweep_rows(specs[1])
+    assert table_rows(sweep_table(specs[0])) == table_rows(sweep_table(specs[1]))
     suites = [closed_form_suite(grid_points=3, qudit_dims=(d,)) for d in (np.float64(3.0), 3)]
     assert suites[0] == suites[1]
 

@@ -29,10 +29,10 @@ from edss.checks import identity_suite, random_cp_canonical
 from edss.measures import _batch_negativities
 from edss.protocols import SPECS, _drive, run_ghz, run_qudit, run_two_qubit
 from edss.states import qudit_initial_state
-from edss.sweep import SweepError, SweepSpec, run_sweep, sweep_rows
+from edss.sweep import SweepError, SweepSpec, run_sweep, sweep_table
 from edss.tensor import Bipartition, DensityOperator, _Entries, hermitian_eigenvalues
 
-from explicit_forms import stinespring_kraus, z_twirl
+from explicit_forms import evolve_batch, stinespring_kraus, table_rows, z_twirl
 
 VALUE_ATOL = 1e-12
 STATE_ATOL = 1e-14
@@ -168,12 +168,12 @@ def test_ghz_sweep_spans_chunks_and_matches_point_by_point(monkeypatch):
         return _drive(entry, batch, *args)
 
     monkeypatch.setattr(protocols, "_drive", counting)
-    rows = sweep_rows(spec)
+    rows = table_rows(sweep_table(spec))
     assert len(sizes) > 1 and sum(sizes) == GHZ_POINTS
     assert max(sizes) == GHZ_CHUNK
     monkeypatch.setattr(protocols, "STACK_BYTES", 0)  # one point per chunk
     sizes.clear()
-    single = sweep_rows(spec)
+    single = table_rows(sweep_table(spec))
     assert sizes == [1] * GHZ_POINTS
     for got, want in zip(rows, single):
         assert list(got) == list(want)
@@ -194,11 +194,11 @@ def test_qudit_sweep_builds_no_dense_state(monkeypatch):
     monkeypatch.setattr(protocols, "_drive", counting)
     for module in (tensor, states, protocols):
         monkeypatch.setattr(module, "_scatter", lambda e: scattered.append(e) or scatter(e))
-    rows = sweep_rows(SweepSpec("qudit", "depolarizing", "p", "", d=6, points=21))
-    assert len(rows) == 21 and sizes == [21]
+    table = sweep_table(SweepSpec("qudit", "depolarizing", "p", "", d=6, points=21))
+    assert len(table["p"]) == 21 and sizes == [21]
     for protocol in ("two_qubit", "ghz"):
-        rows = sweep_rows(SweepSpec(protocol, "depolarizing", "p", "", points=101))
-        assert len(rows) == 101
+        table = sweep_table(SweepSpec(protocol, "depolarizing", "p", "", points=101))
+        assert len(table["p"]) == 101
     assert len(scattered) == 0
     # the spy sees a dense read of an entry state
     run_qudit(6, depolarizing(6, 0.3)).steps[-1][1].matrix
@@ -208,7 +208,7 @@ def test_qudit_sweep_builds_no_dense_state(monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: sweep_rows(SweepSpec("ghz", "depolarizing", "p", "", points=GHZ_POINTS)),
+        lambda: sweep_table(SweepSpec("ghz", "depolarizing", "p", "", points=GHZ_POINTS)),
         # GHZ_CHUNK + 1 GHZ draws: one full chunk, then one more
         lambda: identity_suite(
             random_channels=SPECS["ghz", "probabilistic"].random_divisor * (GHZ_CHUNK + 1),
@@ -216,7 +216,7 @@ def test_qudit_sweep_builds_no_dense_state(monkeypatch):
             qudit_dims=(2,),
         ),
     ],
-    ids=["sweep_rows", "identity_suite"],
+    ids=["sweep_table", "identity_suite"],
 )
 def test_no_trace_outlives_its_chunk(monkeypatch, run):
     chunks = []
@@ -239,7 +239,7 @@ def test_ghz_stacks_hold_no_more_entries_than_the_chunk_assumes():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     hadamard, noisy = KrausChannel((h,)), depolarizing(2, 0.3)
     batch = [(hadamard, hadamard), (hadamard, noisy), (noisy, noisy)]
-    for label, stack in protocols._evolve(SPECS["ghz", "probabilistic"], batch, (2,) * 5):
+    for label, stack in evolve_batch(SPECS["ghz", "probabilistic"], batch, (2,) * 5):
         assert 16 * len(stack.rows) * GHZ_CHUNK <= protocols.STACK_BYTES, label
 
 
@@ -260,7 +260,11 @@ def test_one_perturbed_matrix_fails_the_stacked_solve(d):
 
 
 def test_unit_trace_checked_per_stack(monkeypatch):
-    monkeypatch.setattr(protocols, "_admit", lambda spec, batch, d, labels: [[] for _ in batch])
+    def unchecked(spec, batch, d, label):  # every channel admitted, none warned of
+        t4 = np.array([channels[0].transfer_tensor() for channels in batch])
+        return t4, np.arange(len(batch))[:, None], np.zeros((len(batch), 1), dtype=bool)
+
+    monkeypatch.setattr(protocols, "_admit", unchecked)
     # entry stacks of side 8 and side 64
     for key, d in ((("two_qubit", "probabilistic"), 2), (("qudit", "probabilistic"), 4)):
         leaky = KrausChannel((np.sqrt(0.5) * np.eye(d, dtype=complex),))
@@ -313,7 +317,7 @@ class TestTransferTensorCache:
         assert builds == {id(qutrit): 1}
 
     def test_sweep_builds_each_point_once(self, builds):
-        sweep_rows(SweepSpec("ghz", "depolarizing", "p", "", points=21))
+        sweep_table(SweepSpec("ghz", "depolarizing", "p", "", points=21))
         assert len(builds) == 21 and set(builds.values()) == {1}
 
     def test_read_only_and_kept_out_of_the_fields(self):

@@ -21,8 +21,10 @@ from edss.sweep import (
     format_float,
     row_deviations,
     sweep_columns,
-    sweep_rows,
+    sweep_table,
 )
+
+from explicit_forms import table_rows
 
 
 def read_csv(path):
@@ -270,7 +272,7 @@ class TestChecksSuites:
 
     def test_grid_rows_are_worst_sweep_row_deviations(self, tmp_path):
         spec = small_spec(tmp_path, protocol="qudit", d=2, points=3).validate()
-        rows = sweep_rows(spec)
+        rows = table_rows(sweep_table(spec))
         by_name = {r.name: r for r in identity_suite(random_channels=0, grid_points=3)}
         worst = max(row_deviations(spec, row)["identity"] for row in rows)
         assert by_name["identity_qudit_depolarizing_d2"].max_deviation == worst
@@ -281,9 +283,9 @@ class TestChecksSuites:
 
         def counting(spec, *args):
             calls.append(spec)
-            return sweep_rows(spec, *args)
+            return sweep_table(spec, *args)
 
-        monkeypatch.setattr(edss.checks, "sweep_rows", counting)
+        monkeypatch.setattr(edss.checks, "sweep_table", counting)
         return calls
 
     def test_all_sweeps_each_grid_once(self, monkeypatch):
@@ -309,15 +311,15 @@ class TestChecksSuites:
 class TestSweepRows:
     def test_rows_are_the_rows_run_sweep_writes(self, tmp_path):
         spec = small_spec(tmp_path, protocol="qudit", d=3, points=4)
-        written = run_sweep(spec).rows
-        rows = sweep_rows(spec.validate())
+        written = table_rows(run_sweep(spec).table)
+        rows = table_rows(sweep_table(spec.validate()))
         assert all("critical_noise" not in row for row in rows)
         crit = written[0]["critical_noise"]
         assert [{**row, "critical_noise": crit} for row in rows] == written
 
     def test_deviation_of_every_check(self, tmp_path):
         spec = small_spec(tmp_path, protocol="ghz", points=2).validate()
-        row = sweep_rows(spec)[1]
+        row = table_rows(sweep_table(spec))[1]
         devs = row_deviations(spec, row)
         assert devs["identity"] == row["chain_max_deviation"]
         assert devs["separability"] == row["exchange_negativity_max"]
@@ -331,11 +333,11 @@ class TestSweepRows:
     def test_qubit_protocol_refuses_a_qudit_dimension(self):
         spec = SweepSpec("ghz", "depolarizing", "p", "", d=3, points=2)
         with pytest.raises(SweepError, match="works with qubits"):
-            sweep_rows(spec)
+            sweep_table(spec)
 
     def test_critical_noise_deviation_once_the_row_has_it(self, tmp_path):
         spec = small_spec(tmp_path, protocol="qudit", d=3, points=2).validate()
-        row = sweep_rows(spec)[0]
+        row = table_rows(sweep_table(spec))[0]
         assert "qudit_depolarizing_critical_noise" not in row_deviations(spec, row)
         devs = row_deviations(spec, {**row, "critical_noise": 0.5})
         assert devs["qudit_depolarizing_critical_noise"] == pytest.approx(0.25)
