@@ -36,7 +36,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # (I, sx, sy, sz): the basis of the Pauli transfer matrix R[m, n] = tr(s_m E(s_n)) / 2.
 _PAULI_BASIS = np.stack((I2, *PAULIS))
-# Built channels leave ~1e-16 off the covariance mask; an entry e there moved chains < 0.05 e.
+# Built channels leave ~1e-16 off the Choi sectors; an entry e there moved chains < 0.05 e.
 _COVARIANCE_ATOL = 1e-10
 
 
@@ -338,10 +338,10 @@ def _cpt_reports(
     At d > 2 the rows that ``covariant`` marks are solved on their d Choi
     sectors (:func:`_sector_index`), each of side d, in place of the d²-sided
     Choi matrix; their hermiticity defect is taken over the sectors. The
-    sectors read the tensor with its entries off the covariance mask taken as
-    zero, which is the tensor the driver applies (``protocols._evolve``). A
-    row the sectors refuse, or that ``covariant`` does not mark, is solved
-    again densely, so its report is the dense one."""
+    sectors read the tensor with its entries off them taken as zero, which is
+    the tensor the driver applies (``protocols._evolve``). A row the sectors
+    refuse, or that ``covariant`` does not mark, is solved again densely, so
+    its report is the dense one."""
     count, d = t4.shape[0], t4.shape[-1]
     tp_err = np.abs(np.einsum("biikl->bkl", t4) - np.eye(d)).max(axis=(1, 2))
     solve = np.isfinite(t4).all(axis=(1, 2, 3, 4))
@@ -416,16 +416,18 @@ def has_canonical_form(ch: QuditChannel, atol: float = _COVARIANCE_ATOL) -> bool
 
 
 def _covariant(t4: np.ndarray, atol: float = _COVARIANCE_ATOL) -> np.ndarray:
-    """``has_canonical_form`` of each transfer tensor in the stack ``t4``."""
-    off = t4[:, _off_phase(t4.shape[-1])]
-    return np.abs(off).max(axis=1, initial=0.0) <= atol
+    """``has_canonical_form`` of each transfer tensor in the stack ``t4``; a NaN
+    off the Choi sectors fails it, one on them is left to the CPT test."""
+    return np.abs(_off_sectors(t4)).max(axis=(1, 2, 3, 4), initial=0.0) <= atol
 
 
-@functools.cache
-def _off_phase(d: int) -> np.ndarray:
-    """Mask of the transfer-tensor entries with ``i - j != k - l (mod d)``."""
-    i, j, k, l = np.indices((d,) * 4, sparse=True)
-    return (i - j - k + l) % d != 0
+def _off_sectors(t4: np.ndarray) -> np.ndarray:
+    """A copy of the stack ``t4`` (``(B, d, d, d, d)``) with the entries on the
+    Choi sectors (:func:`_sector_index`) set to zero: what each tensor holds
+    off them, which is nothing for a phase-covariant one."""
+    d, off = t4.shape[-1], t4.copy()
+    off.reshape(len(off), d**4)[:, _sector_index(d)] = 0.0
+    return off
 
 
 # Channel kinds and their parameters, in the order the factories take them.

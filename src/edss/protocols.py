@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QuditChannel, _covariant, _cpt_reports, _embed, _off_phase, noise_channel
+from .channels import QuditChannel, _covariant, _cpt_reports, _embed, _off_sectors, noise_channel
 from .channels import _transfer_tensors
 from .measures import _batch_negativities, _concurrences
 from .reference import CLOSED_FORM_KINDS, FORMULAS
@@ -73,8 +73,8 @@ ROOT_ZERO_ATOL = 1e-12
 ROOT_TOL = 1e-12
 # A qudit state held as entries has at most 396 of them at d = 6 (see _chunk_points); what caps d
 # is the dense d^4 transfer tensor, with amplitude damping's d^5 Kraus build. Against a budget of
-# 0.25 s and 100 MB peak RSS, one warm qudit_average_only takes 33-64 ms and 59-70 MB at d = 24,
-# and 87-225 ms (127 ms of it the Kraus build) and 123-143 MB at d = 32.
+# 0.25 s and 100 MB peak RSS, one warm qudit_average_only (one BLAS thread) takes 18-50 ms and
+# 54-60 MB at d = 24, and 45-155 ms and 101-116 MB at d = 32; the Kraus build is 35 and 113 ms.
 # _register holds every run and sweep to it.
 MAX_DIM_CEILING = 24
 # The first subsystem against the second, of a two-subsystem register.
@@ -278,11 +278,11 @@ def _evolve(
 ) -> list[tuple[str, _Entries]]:
     """Labelled state stacks of ``spec`` on the register ``dims``, row b evolved
     under the transfer tensors ``t4[index[b]]`` of its roles (see ``_admit``), with
-    ``t4`` zeroed in place off the covariance mask at d > 2. Until the first
-    channel every point holds the same state, so those stacks keep one row; the
-    channel step broadcasts to the batch."""
-    if dims[0] > 2:  # admitted within _COVARIANCE_ATOL there
-        t4[:, _off_phase(dims[0])] = 0.0
+    ``t4`` zeroed in place off its Choi sectors at d > 2 (``channels._off_sectors``).
+    Until the first channel every point holds the same state, so those stacks
+    keep one row; the channel step broadcasts to the batch."""
+    if dims[0] > 2:  # admitted within _COVARIANCE_ATOL there; finite, so exactly zero
+        t4 -= _off_sectors(t4)
     state = spec.initial(dims[0])._entries()[None]
     states = []
     for step in spec.steps:
@@ -329,9 +329,9 @@ def _admit(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct channels' transfer tensors, stacked; per point and role the
     index of its channel there, and whether that channel is warned of (not
-    phase-covariant, at d = 2). One stacked CPT test and covariance mask check
-    them all; the first point and role the protocol refuses, in batch order,
-    raises, prefixed with ``label(b)`` of that point when a label is given."""
+    phase-covariant, at d = 2). One stacked CPT test and covariance test
+    (``channels._covariant``) check them all; the first point and role the
+    protocol refuses, in batch order, raises, prefixed with ``label(b)``."""
     channels = dict(zip(dict.fromkeys(chain.from_iterable(batch)), count()))
     index = np.fromiter(map(channels.__getitem__, chain.from_iterable(batch)), int)
     index = index.reshape(len(batch), len(spec.channel_roles))
@@ -519,13 +519,14 @@ def _chunk_points(spec: ProtocolSpec, d: int) -> int:
 @functools.cache
 def _most_entries(spec: ProtocolSpec, d: int) -> int:
     """The most entries of any step's stack of ``spec`` at ``d``, exactly: the
-    start pattern, with positive values, evolved under the full admissible
-    transfer-tensor mask. That is the phase-covariant mask
-    ``i - j = k - l (mod d)`` at d > 2, where only phase-covariant channels are
-    admitted (``_evolve`` zeroes what an admitted tensor holds off the mask),
-    and every entry at d = 2, where any CPT channel is."""
+    start pattern, with positive values, evolved under a tensor of ones on every
+    admissible entry. At d > 2, where only phase-covariant channels are
+    admitted, those are the Choi sectors, ``i - j = k - l (mod d)``: the tensor
+    is zeroed off them as ``_evolve`` zeroes an admitted one. At d = 2, where
+    any CPT channel is, every entry is admissible."""
     dims = (d,) * len(spec.subsystems)
-    t4 = np.ones((d,) * 4) if d == 2 else (~_off_phase(d)).astype(float)
+    ones = np.ones((1,) + (d,) * 4)
+    t4 = ones - _off_sectors(ones) if d > 2 else ones
     start = spec.initial(d)._entries()
     state = _Entries(start.rows, start.cols, np.ones(len(start.rows)), dims)
     most = len(state.rows)

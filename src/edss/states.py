@@ -1,7 +1,7 @@
 """Initial states, reference entangled states, and circuit elements.
 
 The protocol start states are phase-state mixtures whose k-average keeps
-exactly the coherences with phase exponents equal modulo the phase count;
+exactly the diagonal and the coherences between constant digit strings;
 ``_phase_mixture`` writes that 0/1 pattern directly, as entries built once
 per state. Each start state is held as those entries and builds its dense
 matrix on its first read. The tests compare them with literal k-sums, and
@@ -79,21 +79,17 @@ def basis_ket(d: int, i: int) -> np.ndarray:
     return v
 
 
-def _flat_index(dims: tuple[int, ...], digits: tuple[int, ...]) -> int:
-    idx = 0
-    for d, x in zip(dims, digits):
-        idx = idx * d + x
-    return idx
+def _constant_strings(n: int, d: int) -> np.ndarray:
+    """Flat indices of the n-digit strings |m...m>, m < d: m (1 + d + ... + d^(n-1))."""
+    return np.arange(d) * ((d**n - 1) // (d - 1))
 
 
 def ghz_state(n: int, d: int) -> PureState:
     """n-party, d-level GHZ state (1/sqrt(d)) sum_i |i>^(x n)."""
     n, d = _integer(n, "party count n", 2), _dimension(d)
-    dims = (d,) * n
     amps = np.zeros(d**n, dtype=complex)
-    for i in range(d):
-        amps[_flat_index(dims, (i,) * n)] = 1.0
-    return PureState(amps / np.sqrt(d), dims)
+    amps[_constant_strings(n, d)] = 1.0
+    return PureState(amps / np.sqrt(d), (d,) * n)
 
 
 def bell_chi0(d: int) -> PureState:
@@ -108,33 +104,29 @@ def psi_plus() -> PureState:
 
 @functools.cache
 def _phase_mixture(
-    exponents: tuple[tuple[int, ...], ...],
-    modulus: int,
+    n: int,
+    d: int,
     weight: float,
     exchange_dims: tuple[int, ...],
     tags: tuple[tuple[int, ...], ...],
     tag_weight: float,
 ) -> _Entries:
-    """Entries of ``weight * M (x) |0...0><0...0|`` on the exchange register,
-    plus ``tag_weight |t><t|`` for every tag digit tuple t; built once per
-    argument tuple, read-only.
+    """Entries of ``weight * M (x) |0...0><0...0|`` on ``n`` phase digits of
+    dimension ``d`` and the exchange register, plus ``tag_weight |t><t|`` for
+    every tag digit tuple t; built once per argument tuple, read-only.
 
-    M is the even mixture over k < D = ``modulus`` of the product phase
-    states with amplitudes w^(k e(x)) / sqrt(side), w = exp(2 pi i / D) and
-    e(x) = sum_t exponents[t][x_t]. Its entries are exact 0/1 values, since
-    (1/D) sum_{k<D} w^(k (e(x) - e(y))) = [e(x) = e(y) mod D]:
-    M[x, y] = [e(x) = e(y) mod D] / side. A mixture of positive terms with
-    real symmetric entries, the result is positive and Hermitian by
-    construction and gets no eigenvalue or hermiticity check.
+    M is the k-average of the product phase states, which keeps a coherence
+    where the phase exponents of x and y agree: M[x, y] = 1 / d^n where x = y
+    or x and y are both constant strings |m...m>, else 0 (each caller says
+    why). Positive, real and symmetric by construction, the result gets no
+    eigenvalue or hermiticity check.
     """
-    e = np.zeros(1, dtype=np.int64)
-    for row in exponents:
-        e = (e[:, None] + np.asarray(row, dtype=np.int64)[None, :]).reshape(-1)
-    dims = tuple(len(row) for row in exponents) + exchange_dims
-    stride = prod(exchange_dims)
-    x, y = np.nonzero((e[:, None] - e[None, :]) % modulus == 0)
-    tagged = np.array([_flat_index(dims, digits) for digits in tags], dtype=np.int64)
-    values = np.concatenate([np.full(x.size, weight / e.size), np.full(tagged.size, tag_weight)])
+    side, stride, constant = d**n, prod(exchange_dims), _constant_strings(n, d)
+    pairs = (constant[:, None] * side + constant)[~np.eye(d, dtype=bool)]  # |m..m><n..n|, m != n
+    x, y = np.divmod(np.concatenate([np.arange(side) * (side + 1), pairs]), side)
+    dims = (d,) * n + exchange_dims
+    tagged = np.ravel_multi_index(np.transpose(tags), dims)
+    values = np.concatenate([np.full(x.size, weight / side), np.full(tagged.size, tag_weight)])
     rows, cols = np.concatenate([x * stride, tagged]), np.concatenate([y * stride, tagged])
     entries = _summed(_sum_plan(rows, cols, dims), values, dims)
     _check_unit_trace(entries)
@@ -148,9 +140,10 @@ def edss_initial_two_qubit() -> DensityOperator:
 
     An even mixture of four pairs |psi_k, psi_-k>, psi_k = (|0> + i^k |1>)/sqrt(2),
     tagged by |0> on the exchange qubit, plus the two correlated basis
-    states tagged by |1>, all at weight 1/6.
+    states tagged by |1>, all at weight 1/6. Of the pairs, only |00> and |11>
+    share a phase exponent x1 - x2 (mod 4), so keep a coherence.
     """
-    start = _phase_mixture(((0, 1), (0, -1)), 4, 2.0 / 3.0, (2,), ((0, 0, 1), (1, 1, 1)), 1.0 / 6.0)
+    start = _phase_mixture(2, 2, 2.0 / 3.0, (2,), ((0, 0, 1), (1, 1, 1)), 1.0 / 6.0)
     return DensityOperator._trusted(start)
 
 
@@ -160,10 +153,11 @@ def ghz_initial_state() -> DensityOperator:
     Mixes seven three-qubit phase products |phi_1(k), phi_2(k), phi_3(k)>
     with phi_n(k) = (|0> + exp(2^n pi i k / 7) |1>)/sqrt(2), tagged by |00>
     on the ancilla pair, with basis terms |mmm> tagged by the remaining
-    ancilla basis states.
+    ancilla basis states. Only |000> and |111> share a phase exponent
+    x1 + 2 x2 + 4 x3 (mod 7), so keep a coherence.
     """
     basis = tuple((m, m, m, j, l) for m in range(2) for j in range(2) for l in range(2) if j or l)
-    start = _phase_mixture(((0, 1), (0, 2), (0, 4)), 7, 4.0 / 7.0, (2, 2), basis, 1.0 / 14.0)
+    start = _phase_mixture(3, 2, 4.0 / 7.0, (2, 2), basis, 1.0 / 14.0)
     return DensityOperator._trusted(start)
 
 
@@ -173,14 +167,13 @@ def qudit_initial_state(d: int) -> DensityOperator:
     Built from phase states |phi(+-k)> = (1/sqrt(d)) sum_j w^(+-s_j k) |j>
     with w = exp(2 pi i / D), D = 2^d - 1 and s_j = 2^j - 1, mixed over all
     k and tagged by |0> on the exchange qudit, plus the diagonal correlated
-    terms |j, j, l-j> for j != l.
+    terms |j, j, l-j> for j != l. By the uniqueness of binary expansions,
+    2^a - 2^b = 2^c - 2^e (mod D) only where a = c and b = e, or a = b and
+    c = e: only the pairs |jj> share a phase exponent s_x1 - s_x2.
     """
     d = _dimension(d)
-    s = tuple(2**j - 1 for j in range(d))
     basis = tuple((j, j, (l - j) % d) for j in range(d) for l in range(d) if j != l)
-    start = _phase_mixture(
-        (s, tuple(-x for x in s)), 2**d - 1, d / (2 * d - 1), (d,), basis, 1.0 / (d * (2 * d - 1))
-    )
+    start = _phase_mixture(2, d, d / (2 * d - 1), (d,), basis, 1.0 / (d * (2 * d - 1)))
     return DensityOperator._trusted(start)
 
 

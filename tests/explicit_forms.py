@@ -112,6 +112,46 @@ def qudit_initial_ksum(d):
     return _mix(kets, tags, 1.0 / (d * (2 * d - 1)), (d, d, d))
 
 
+def phase_rule_entries(exponents, modulus, weight, exchange_dims, tags, tag_weight):
+    """(rows, cols, values), ordered by position, of ``weight * M (x) |0...0><0...0|``
+    plus ``tag_weight`` on every tag projector, where M is the k-average of the
+    product phase states with exponents e(x) = sum_t exponents[t][x_t] and
+    phase count ``modulus``: (1/D) sum_{k<D} w^(k (e(x) - e(y))) is 1 where
+    e(x) = e(y) mod D and 0 elsewhere, so M[x, y] = [e(x) = e(y) mod D] / side."""
+    e = np.zeros(1, dtype=np.int64)
+    for row in exponents:
+        e = (e[:, None] + np.asarray(row, dtype=np.int64)[None, :]).reshape(-1)
+    dims = tuple(len(row) for row in exponents) + tuple(exchange_dims)
+    x, y = np.nonzero((e[:, None] - e[None, :]) % modulus == 0)
+    stride = prod(exchange_dims)
+    tagged = np.array([flat(dims, digits) for digits in tags], dtype=np.int64)
+    rows, cols = np.concatenate([x * stride, tagged]), np.concatenate([y * stride, tagged])
+    values = np.concatenate([np.full(x.size, weight / e.size), np.full(tagged.size, tag_weight)])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], values[order].astype(complex)
+
+
+def two_qubit_initial_rule():
+    """The two-qubit start state by the modular rule: e(x) = x1 - x2, mod 4."""
+    return phase_rule_entries(((0, 1), (0, -1)), 4, 2 / 3, (2,), [(0, 0, 1), (1, 1, 1)], 1 / 6)
+
+
+def ghz_initial_rule():
+    """The GHZ start state by the modular rule: e(x) = x1 + 2 x2 + 4 x3, mod 7."""
+    tags = [(m, m, m, j, l) for m, j, l in product(range(2), repeat=3) if (j, l) != (0, 0)]
+    return phase_rule_entries(((0, 1), (0, 2), (0, 4)), 7, 4 / 7, (2, 2), tags, 1 / 14)
+
+
+def qudit_initial_rule(d):
+    """The qudit start state by the modular rule: e(x) = s_x1 - s_x2 with
+    s_j = 2^j - 1, mod 2^d - 1."""
+    s = [2**j - 1 for j in range(d)]
+    tags = [(j, j, (l - j) % d) for j in range(d) for l in range(d) if j != l]
+    return phase_rule_entries(
+        (s, [-x for x in s]), 2**d - 1, d / (2 * d - 1), (d,), tags, 1 / (d * (2 * d - 1))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Post-CNOT forms of the three start states.
 
@@ -519,11 +559,15 @@ def cpt_report_fields(t4, tol=1e-9):
     return min_eig >= -tol and tp_err <= tol, min_eig, tp_err, herm_err
 
 
+def off_phase_mask(d):
+    """Mask of the transfer-tensor entries with i - j != k - l (mod d)."""
+    i, j, k, l = np.indices((d,) * 4, sparse=True)
+    return (i - j - k + l) % d != 0
+
+
 def phase_covariant(t4, atol=1e-10):
     """Whether T[i, j, k, l] = 0, within ``atol``, unless i - j = k - l (mod d)."""
-    d = t4.shape[0]
-    i, j, k, l = np.indices((d,) * 4, sparse=True)
-    off = t4[(i - j - k + l) % d != 0]
+    off = t4[off_phase_mask(t4.shape[0])]
     return float(np.max(np.abs(off), initial=0.0)) <= atol
 
 

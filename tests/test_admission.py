@@ -1,7 +1,7 @@
 """Stacked channel admission against the one-point oracle in explicit_forms.
 
 ``protocols._admit`` checks a batch with one stacked CPT test and one stacked
-covariance mask; it must give each point the warnings, and the batch the
+covariance test; it must give each point the warnings, and the batch the
 first refusal, that checking one channel and one point at a time gives.
 ``channels._cpt_reports`` must give each channel the report of the one-channel
 formula, bit for bit.
@@ -20,15 +20,17 @@ from edss.channels import (
     KrausChannel,
     _cpt_reports,
     _covariant,
+    _off_sectors,
     amplitude_damping,
     canonical_channel,
     depolarizing,
 )
-from edss.protocols import SPECS, _admit, _drive, _same
+from edss.protocols import SPECS, _admit, _drive, _evolve, _same
 
 from explicit_forms import (
     admit_batch,
     cpt_report_fields,
+    off_phase_mask,
     phase_covariant,
     same_channels,
     stinespring_kraus,
@@ -211,8 +213,8 @@ class TestCptReports:
         d = 3
         good = [ch.transfer_tensor() for ch in (depolarizing(d, 0.2), amplitude_damping(d, 0.5))]
         nan_row, inf_row = good[0].copy(), good[1].copy()
-        nan_row[0, 0, 1, 1] = np.nan  # off the covariance mask
-        inf_row[1, 1, 0, 0] = np.inf  # on it: covariant, so it reaches the sector route
+        nan_row[0, 0, 1, 1] = np.nan  # both on a Choi sector: covariant, so both rows
+        inf_row[1, 1, 0, 0] = np.inf  # reach the sector route
         skew = good[0] + 1e-3j * np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d))
         stack = np.stack([nan_row, good[0], skew, inf_row, good[1]])
         seen = []
@@ -286,3 +288,61 @@ class TestSectorRoute:
         sectors, dense = _cpt_reports(t4, covariant=_covariant(t4)), _cpt_reports(t4)
         refused = [(a, b) for a, b in zip(sectors, dense) if not b.is_cpt]
         assert refused and all(all(map(same_bits, astuple(a), astuple(b))) for a, b in refused)
+
+
+def covariance_cases(d, rng):
+    """Transfer tensors at ``d`` against the covariance test, with its verdict:
+    a covariant channel, off-sector entries below and above ``_COVARIANCE_ATOL``,
+    a NaN on a sector and one off them, a random tensor and its sector part."""
+    off = off_phase_mask(d)
+    base = depolarizing(d, 0.3).transfer_tensor()
+    noise = np.where(off, rng.standard_normal(off.shape) + 1j * rng.standard_normal(off.shape), 0)
+    nan_on, nan_off = base.copy(), base.copy()
+    nan_on[0, 0, 1, 1] = nan_off[0, 1, 0, 0] = np.nan  # i - j = k - l, and i - j != k - l
+    random = rng.standard_normal(off.shape) + 1j * rng.standard_normal(off.shape)
+    cases = [
+        (base, True), (base + 1e-11 * noise, True), (base + 1e-9 * noise, False),
+        (nan_on, True), (nan_off, False), (random, False), (np.where(off, 0, random), True),
+    ]
+    return np.stack([t4 for t4, _ in cases]), [verdict for _, verdict in cases]
+
+
+class TestCovarianceIndex:
+    """``_covariant`` and the off-sector zeroing, which read the Choi sector
+    index, against the mask of i - j != k - l (mod d) in explicit_forms."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 16, 24])
+    def test_covariant_and_zeroing_match_the_mask(self, d):
+        t4, verdicts = covariance_cases(d, np.random.default_rng(d))
+        assert _covariant(t4).tolist() == [phase_covariant(row) for row in t4] == verdicts
+        off = off_phase_mask(d)
+        assert _off_sectors(t4).tobytes() == np.where(off, t4, 0).tobytes()
+        finite = t4[np.isfinite(t4).all(axis=(1, 2, 3, 4))]
+        assert (finite - _off_sectors(finite)).tobytes() == np.where(off, 0, finite).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 24])
+    def test_an_empty_stack_has_no_verdicts(self, d):
+        empty = np.zeros((0,) + (d,) * 4, dtype=complex)
+        assert _covariant(empty).shape == (0,) and _off_sectors(empty).shape == empty.shape
+        assert _cpt_reports(empty, covariant=_covariant(empty)) == []
+        # no channel fits the register: admission checks an empty stack, then refuses
+        with pytest.raises(ValueError, match=f"has dimension {d + 1}; the register needs {d}"):
+            _admit(SPECS["qudit", "probabilistic"], [(depolarizing(d + 1, 0.1),)], d)
+
+    @pytest.mark.parametrize("d", [3, 4, 6, 16, 24])
+    def test_the_driver_zeroes_an_admitted_tensor_off_the_sectors(self, d):
+        """Off-sector entries within ``_COVARIANCE_ATOL`` pass admission; ``_evolve``
+        zeroes them in place, so its states are those of the tensor without them."""
+        rng = np.random.default_rng(d)
+        off, (i, j) = off_phase_mask(d), np.indices((d, d, 1, 1), sparse=True)[:2]
+        base = depolarizing(d, 0.3).transfer_tensor()[None]
+        # entries with i != j move no trace, so every stack stays unit-trace
+        noise = rng.standard_normal(off.shape) + 1j * rng.standard_normal(off.shape)
+        t4 = base + 1e-11 * np.where(off & (i != j), noise, 0)
+        assert _covariant(t4).all() and not np.array_equal(t4, base)
+        spec, index, dims = SPECS["qudit", "probabilistic"], np.zeros((1, 1), dtype=int), (d,) * 3
+        evolved, expected = _evolve(spec, t4, index, dims), _evolve(spec, base.copy(), index, dims)
+        assert t4.tobytes() == base.tobytes()
+        for (_, got), (_, want) in zip(evolved, expected):
+            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+            assert got.values.tobytes() == want.values.tobytes()

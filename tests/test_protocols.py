@@ -9,16 +9,21 @@ from edss import (
     FORMULAS,
     Bipartition,
     amplitude_damping,
+    apply_to_subsystem,
     average_negativity,
     bloch_affine,
     canonical_channel,
     closed_form,
+    cnot,
     critical_noise,
     depolarizing,
     ghz_states,
     identity_channel,
     is_cpt,
     is_extreme_point,
+    measure_computational,
+    negativity,
+    qudit_initial_state,
     qudit_states,
     run_ghz,
     run_qudit,
@@ -707,6 +712,20 @@ def assert_admitted(ch, d):
         assert trace.warnings == []
 
 
+def distribution_chain_spread(ch, d):
+    """Spread of the qudit protocol's distribution chain under ``ch``: the
+    averaged a|b negativity, a|bc after the channel and a|bc, b|ac at the end.
+    Built from the public one-state functions alone, none of which admits a
+    channel, so it runs the channels the drivers refuse."""
+    a_side = Bipartition.split((0,), 3)
+    rho = apply_to_subsystem(ch, cnot(qudit_initial_state(d), 0, 2), 2)
+    chain = [negativity(rho, a_side).value]
+    rho = cnot(rho, 1, 2, inverse=True)
+    chain += [negativity(rho, a_side).value, negativity(rho, Bipartition.split((1,), 3)).value]
+    chain.append(average_negativity(measure_computational(rho, 2), Bipartition.split((0,), 2)))
+    return max(chain) - min(chain)
+
+
 class TestAdmittedClass:
     """Phase-covariant channels are the admitted class: an empirical class,
     held to the identity chains here rather than proved."""
@@ -741,6 +760,16 @@ class TestAdmittedClass:
         trace = run_two_qubit(KrausChannel(tuple(stinespring_kraus(11, 2))))
         assert trace.warnings[0].startswith("communication channel is not Bloch-diagonal")
         assert verify_identity_chain(trace).max_deviation > CHAIN_ATOL
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_generic_channels_break_the_chain_above_two_and_their_twirls_keep_it(self, d, s):
+        """The negative control for the refusal at d > 2: a generic channel
+        spreads the chain by 0.059 to 0.100 on these draws, its Z_d twirl by
+        3.2e-16 at most."""
+        ops = stinespring_kraus(s, d)
+        assert distribution_chain_spread(KrausChannel(tuple(ops)), d) > 0.05
+        assert distribution_chain_spread(KrausChannel(tuple(z_twirl(ops, d))), d) <= CHAIN_ATOL
 
 
 class TestExtraCarrierNoise:

@@ -17,18 +17,22 @@ from edss import (
 )
 from edss.states import PureState, bob_deterministic_kraus
 from edss.channels import SIGMA_X
+from edss.protocols import MAX_DIM_CEILING
 
 from explicit_forms import (
     depol_deterministic_output,
     flat,
     ghz_after_alice_cnots,
     ghz_initial_ksum,
+    ghz_initial_rule,
     ghz_matrix,
     proj,
     qudit_after_alice_cnot,
     qudit_initial_ksum,
+    qudit_initial_rule,
     two_qubit_after_alice_cnot,
     two_qubit_initial_ksum,
+    two_qubit_initial_rule,
 )
 
 
@@ -142,8 +146,9 @@ class TestConstructionOracles:
 
 
 class TestPhaseMixtures:
-    """The start states against literal k-sums of their product phase states,
-    and the exact 0/1 coherence pattern that the k-average leaves."""
+    """The start states against literal k-sums of their product phase states
+    (d <= 6), against the modular rule those sums reduce to (every d), and the
+    exact 0/1 coherence pattern that the k-average leaves."""
 
     def test_two_qubit_matches_k_sum(self):
         assert np.max(np.abs(edss_initial_two_qubit().matrix - two_qubit_initial_ksum())) < 1e-12
@@ -156,6 +161,27 @@ class TestPhaseMixtures:
         assert np.max(np.abs(qudit_initial_state(d).matrix - qudit_initial_ksum(d))) < 1e-12
 
     @pytest.mark.parametrize(
+        "build, rule",
+        [
+            pytest.param(edss_initial_two_qubit, two_qubit_initial_rule, id="two_qubit"),
+            pytest.param(ghz_initial_state, ghz_initial_rule, id="ghz"),
+        ]
+        + [
+            pytest.param(
+                lambda d=d: qudit_initial_state(d),
+                lambda d=d: qudit_initial_rule(d),
+                id=f"qudit-d{d}",
+            )
+            for d in range(2, MAX_DIM_CEILING + 1)
+        ],
+    )
+    def test_entries_match_the_modular_rule_bit_for_bit(self, build, rule):
+        entries = build()._entries()
+        rows, cols, values = rule()
+        assert np.array_equal(entries.rows, rows) and np.array_equal(entries.cols, cols)
+        assert entries.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
         "build, nonzeros",
         [
             pytest.param(edss_initial_two_qubit, 8, id="two_qubit"),
@@ -163,13 +189,14 @@ class TestPhaseMixtures:
         ]
         + [
             pytest.param(lambda d=d: qudit_initial_state(d), 3 * d * d - 2 * d, id=f"qudit-d{d}")
-            for d in range(2, 7)
+            for d in range(2, MAX_DIM_CEILING + 1)
         ],
     )
     def test_exact_structure(self, build, nonzeros):
-        m = build().matrix
-        assert np.all(m.imag == 0)
-        assert np.count_nonzero(m) == nonzeros
+        # the entries, not the dense matrix: the qudit state's side reaches 13824 at d = 24
+        values = build()._entries().values
+        assert np.all(values.imag == 0)
+        assert np.count_nonzero(values) == len(values) == nonzeros
 
 
 class TestCnot:

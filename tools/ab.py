@@ -13,8 +13,9 @@ interpreters with its ``src`` first on ``sys.path`` and the side that goes
 first alternating between rounds, as in ``end_to_end``. A round reads public
 names only: each workload's entry calls as a benchmark pass makes them (the
 first call, then min, median and max of ``--repeat``), and warm one-point
-depolarizing runs of ``run_qudit`` (d = 2..6) and ``run_ghz``, with the
-``np.linalg.eigvalsh`` calls of one. ``in_process_summary`` gives per workload
+depolarizing runs of ``run_qudit`` (d = 2..6 and 24) and ``run_ghz``, and an
+amplitude-damping ``run_qudit`` at d = 24, with the ``np.linalg.eigvalsh``
+calls of one. ``in_process_summary`` gives per workload
 each side's per-round minimum of the repeated entry calls and the rounds the
 change won. ``layers`` and ``in_process`` run a workload at its first seed.
 BLAS and OpenMP pools are pinned to one thread. Run from the repository root.
@@ -68,20 +69,23 @@ def entry_calls(workload: str, seed: int, repeat: int) -> dict:
 
 
 def warm_runs(repeat: int) -> dict[str, dict]:
-    """Warm one-point runs through the edss on ``sys.path``."""
+    """Warm one-point runs through the edss on ``sys.path``, each with its
+    number of calls per repeat: the d = 24 runs take tens of ms a call."""
     import numpy as np
 
-    from edss import depolarizing, run_ghz, run_qudit
+    from edss import amplitude_damping, depolarizing, run_ghz, run_qudit
 
-    runs = {f"qudit d={d}": functools.partial(run_qudit, d, depolarizing(d, 0.5))
+    runs = {f"qudit d={d}": (functools.partial(run_qudit, d, depolarizing(d, 0.5)), 50)
             for d in range(2, 7)}
-    runs["ghz"] = functools.partial(run_ghz, depolarizing(2, 0.5))
+    runs["ghz"] = functools.partial(run_ghz, depolarizing(2, 0.5)), 50
+    for name, channel in (("depolarizing", depolarizing), ("amplitude_damping", amplitude_damping)):
+        runs[f"qudit d=24 {name}"] = functools.partial(run_qudit, 24, channel(24, 0.5)), 3
     rows = {}
-    for name, run in runs.items():
+    for name, (run, number) in runs.items():
         run()  # warm: block plans built, transfer tensors kept
         with patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
             run()
-        rows[name] = {"eigvalsh_calls": spy.call_count, "run_s": timed(run, repeat, 50)}
+        rows[name] = {"eigvalsh_calls": spy.call_count, "run_s": timed(run, repeat, number)}
     return rows
 
 
