@@ -22,8 +22,8 @@ from .protocols import (
     SPECS,
     ProtocolSpec,
     _Chunk,
+    _critical_noise,
     _runs,
-    critical_noise,
 )
 
 # The average-only paths live with the driver; callers import them from here.
@@ -38,6 +38,7 @@ RANDOM_CP_TOL = 1e-12
 # Candidates per stacked CPT test of the identity suite's draws (about 1 in 6 is CP).
 DRAW_BLOCK = 64
 QUDIT_DIMS = (2, 3, 4, 5, 6)
+GRID_POINTS = 21  # of every suite's [0, 1] noise grids: one density, so suites share a grid
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def _worst(grids: dict, spec: ProtocolSpec, kind: str, d: int, points: int) -> d
 
 def identity_suite(
     random_channels: int = 50,
-    grid_points: int = 11,
+    grid_points: int = GRID_POINTS,
     seed: int = DEFAULT_SEED,
     qudit_dims: Iterable[int] = (2, 3),
     *,
@@ -139,7 +140,7 @@ def identity_suite(
 
 
 def separability_suite(
-    grid_points: int = 11, qudit_dims: Iterable[int] = (2, 3), *, grids: dict | None = None
+    grid_points: int = GRID_POINTS, qudit_dims: Iterable[int] = (2, 3), *, grids: dict | None = None
 ) -> list[CheckResult]:
     """Exchange-vs-rest negativities stay at zero at every protocol step."""
     grids, results = {} if grids is None else grids, []
@@ -153,7 +154,10 @@ def separability_suite(
 
 
 def closed_form_suite(
-    grid_points: int = 21, qudit_dims: Iterable[int] = QUDIT_DIMS, *, grids: dict | None = None
+    grid_points: int = GRID_POINTS,
+    qudit_dims: Iterable[int] = QUDIT_DIMS,
+    *,
+    grids: dict | None = None,
 ) -> list[CheckResult]:
     """Compare every closed-form curve of ``reference.FORMULAS`` against the
     simulation on a grid, and every critical noise level against a root search."""
@@ -174,7 +178,7 @@ def closed_form_suite(
             if (fid := spec.critical_formula(kind)) is None:
                 continue
             for d in _dims(spec, qudit_dims):
-                found = critical_noise(lambda x: spec.average_only(kind, x, d))
+                found = _critical_noise(lambda xs: spec.average_only(kind, xs, d))
                 name, dev = f"{fid}{_suffix(spec, d)}", abs(found - FORMULAS[fid].fn(d))
                 results.append(CheckResult.from_deviation(name, dev, fid))
     return results

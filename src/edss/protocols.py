@@ -38,8 +38,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QuditChannel, _covariant, _cpt_reports, _embed, _off_sectors, noise_channel
-from .channels import _transfer_tensors
+from .channels import CHANNEL_PARAMS, QuditChannel, _channels, _covariant, _cpt_reports, _embed
+from .channels import _off_sectors, _transfer_tensors, noise_channel
 from .measures import _batch_negativities, _concurrences
 from .reference import CLOSED_FORM_KINDS, FORMULAS
 from .states import (
@@ -198,7 +198,7 @@ class ProtocolSpec:
     # one role per channel of a run, in ``Noise.channel`` order
     channel_roles: tuple[str, ...]
     # (kind, x, d) -> the a|b branch average whose root a critical_formula
-    # level predicts
+    # level predicts; x a float, or a 1-D array taken in one pass
     average_only: Callable[..., float] | None = None
     # one-vs-rest sides of the post-measurement register; the first one
     # carries the distributed entanglement
@@ -606,10 +606,16 @@ def run_qudit(d: int, ch: QuditChannel) -> ProtocolTrace:
     return _drive(SPECS["qudit", "probabilistic"], [(ch,)], d)[0]
 
 
-def qudit_average_only(d: int, kind: str, x: float) -> float:
-    """Branch-averaged a|b negativity of one full qudit run, for d up to ``MAX_DIM_CEILING``."""
-    ch = noise_channel(kind, d, x)
-    return float(_drive(SPECS["qudit", "probabilistic"], [(ch,)], d).columns["avg:a|b"][0])
+def qudit_average_only(d: int, kind: str, x: float | np.ndarray) -> float | np.ndarray:
+    """Branch-averaged a|b negativity of qudit runs, for d up to ``MAX_DIM_CEILING``:
+    a float for a float ``x``, else a value per entry of the 1-D array ``x``, all from
+    one ``channels._channels`` build and one driver pass per chunk (``_runs``)."""
+    if len(CHANNEL_PARAMS.get(kind, ())) != 1:
+        raise ValueError(f"unknown one-parameter channel kind {kind!r}")
+    xs, spec = np.asarray(x, dtype=float), SPECS["qudit", "probabilistic"]
+    batch = ((ch,) for ch in _channels(kind, d, xs.reshape(-1, 1)))
+    column = np.concatenate([chunk.columns["avg:a|b"] for chunk in _runs(spec, batch, d)] or [[]])
+    return float(column[0]) if xs.ndim == 0 else column
 
 
 def ghz_average_only(kind: str, x: float, side: int) -> float:
@@ -856,16 +862,22 @@ def critical_noise(
     """Boundary above which a nonincreasing nonnegative curve is (numerically) zero.
 
     Returns ``hi`` if the curve is positive at ``hi``, ``lo`` if it vanishes
-    there, else a point within ``tol/2`` of the boundary. Each round aims the
-    secant through the last two positive iterates at ``zero_atol`` and adds one
-    iterate: probes tol apart differ by ~1e-13 against rounding noise of ~1e-16,
-    too little to aim by. The guess is probed once while the miss it predicts
+    there, else a point within ``tol/2`` of the boundary. ``fn`` is mapped over
+    rounds of probes: ``hi``, ``lo`` and the first step's bisection, then each a
+    secant guess through the last two positive iterates, aimed at ``zero_atol``
+    (probes tol apart differ by ~1e-13 against rounding noise of ~1e-16, too
+    little to aim by). The guess is probed once while the miss it predicts
     (step^2 / previous step) exceeds tol/2; below that, and right after a
-    bisection, it is probed at guess ± tol/2 and stands once ``fn`` straddles
-    ``zero_atol`` there. The first step, guesses outside the bracket and all
-    rounds after three failed pairs bisect. A non-finite value of ``fn`` raises,
-    since no comparison could place it.
+    bisection, at guess ± tol/2, and it stands once ``fn`` straddles
+    ``zero_atol`` there. Guesses outside the bracket and all rounds after three
+    failed pairs bisect. The first non-finite value in probe order raises.
     """
+    return _critical_noise(lambda xs: [fn(x) for x in xs.tolist()], lo, hi, zero_atol, tol)
+
+
+def _critical_noise(curve, lo=0.0, hi=1.0, zero_atol=ROOT_ZERO_ATOL, tol=ROOT_TOL) -> float:
+    """``critical_noise`` with each round's probes handed to ``curve`` as one 1-D
+    array, the values returned in order; ``qudit_average_only`` takes it in one pass."""
     for name, value in (("lo", lo), ("hi", hi), ("zero_atol", zero_atol), ("tol", tol)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -875,17 +887,20 @@ def critical_noise(
     if lo > hi:
         raise ValueError(f"lo ({lo!r}) exceeds hi ({hi!r})")
 
-    def f(x: float) -> float:
-        if not np.isfinite(value := fn(x)):
-            raise ValueError(f"curve value at x={x!r} is not finite: {value!r}")
-        return value
+    def f(probes: tuple[float, ...]) -> list[float]:
+        values = np.asarray(curve(np.array(probes, dtype=float)), dtype=float).tolist()
+        if bad := [(x, value) for x, value in zip(probes, values) if not np.isfinite(value)]:
+            raise ValueError("curve value at x=%r is not finite: %r" % bad[0])
+        return values
 
-    if f(hi) > zero_atol:
+    at_hi, at_lo, *ahead = f((hi, lo, (lo + hi) / 2))
+    if at_hi > zero_atol:
         return hi
-    # The last two points where fn > zero_atol; both start at lo, so step one bisects.
-    prev = last = (lo, f(lo))
-    if last[1] <= zero_atol:
+    if at_lo <= zero_atol:
         return lo
+    # The last two points where the curve > zero_atol; both start at lo, so step one
+    # bisects, at the midpoint the first round has probed.
+    prev = last = (lo, at_lo)
     low, high, failed, bisected = lo, hi, 0, True
     while high - low > tol:
         (x0, f0), (x1, f1) = prev, last
@@ -898,7 +913,7 @@ def critical_noise(
         else:
             probes = (guess,)
         bisected = not low < guess < high
-        values = [f(x) for x in probes]
+        values, ahead = ahead or f(probes), None
         if len(probes) == 2 and values[0] > zero_atol >= values[1]:
             return guess
         high = min([high] + [x for x, value in zip(probes, values) if value <= zero_atol])

@@ -29,9 +29,9 @@ from .protocols import (
     SEPARABILITY_ATOL,
     SPECS,
     _chunk_points,
+    _critical_noise,
     _register,
     _runs,
-    critical_noise,
 )
 from .reference import CLOSED_FORM_ATOL, FORMULAS
 from .svgchart import render_line_chart
@@ -238,7 +238,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     table = sweep_table(spec)
     entry = SPECS[spec.protocol, spec.mode]
     if entry.critical_formula(spec.channel) is not None:
-        crit = critical_noise(lambda x: entry.average_only(spec.channel, x, spec.d))
+        crit = _critical_noise(lambda xs: entry.average_only(spec.channel, xs, spec.d))
         table["critical_noise"] = np.full(spec.points, crit)
     columns = sweep_columns(spec)
     table = {column: table[column] for column in columns}

@@ -1,6 +1,6 @@
 """``tools/ab.py`` without starting a benchmark: the pair order, the in-process
-round order, the summaries, the ``--run`` parser, the parent-checkout check and the
-public-name rule."""
+round order, the summaries, the output digests, the ``--run`` parser, the
+parent-checkout check and the public-name rule."""
 
 import argparse
 import ast
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+BENCHMARKS = TOOLS.parent / "benchmarks"
 _spec = importlib.util.spec_from_file_location("ab", TOOLS / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
@@ -88,6 +89,47 @@ def test_in_process_summary_counts_rounds_won(monkeypatch, tmp_path):
     rounds = ab.in_process_rounds({"parent": tmp_path, "change": ab.ROOT}, {"check_all": 0}, 3, 3)
     summary = ab.in_process_summary(rounds)
     assert summary == {"check_all": {"repeat_s_min": mins, "change_wins": 1}}
+
+
+def test_output_digests_name_what_differs_between_the_sides(monkeypatch, tmp_path):
+    digests = {
+        "parent": {"check_all": {"a": "0x1p-52", "b": "0x1p-53"}, "qubit_sweeps": {"x.csv": "1"}},
+        "change": {"check_all": {"a": "0x1p-52", "b": "0x1p-52"}, "qubit_sweeps": {"y.csv": "1"}},
+    }
+    calls = []
+
+    def in_process(checkout, call):
+        side = "parent" if checkout == tmp_path else "change"
+        calls.append((side, call))
+        return digests[side][call.split("'")[1]]
+
+    monkeypatch.setattr(ab, "in_process", in_process)
+    seeds = {"check_all": 0, "qubit_sweeps": 7}
+    out = ab.output_digests({"parent": tmp_path, "change": ab.ROOT}, seeds)
+    assert calls == [(side, f"outputs({w!r}, {s})") for side in digests for w, s in seeds.items()]
+    differ = {"check_all": ["b"], "qubit_sweeps": ["x.csv", "y.csv"]}
+    assert out == {"digests": digests, "differ": differ}
+
+
+def test_outputs_are_the_check_rows_by_hex(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from edss.checks import DEFAULT_SEED, run_checks
+
+    rows = run_checks("all", identity={"seed": DEFAULT_SEED})
+    assert ab.outputs("check_all", 0) == {row.name: row.max_deviation.hex() for row in rows}
+
+
+def test_outputs_hash_every_csv_and_svg_of_a_sweep_workload(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    sweeps = workloads.sweeps("qubit_sweeps", 7, tmp_path)
+    files = [path for sweep in sweeps for path in (sweep.csv_path, sweep.svg_path) if path]
+    digests = ab.outputs("qubit_sweeps", 7)
+    assert sorted(digests) == sorted(path.name for path in files)
+    assert any(name.endswith(".svg") for name in digests)
+    assert all(len(digest) == 64 for digest in digests.values())
+    assert ab.outputs("qubit_sweeps", 7) == digests
 
 
 def test_quartiles():

@@ -253,6 +253,21 @@ class TestQuditProtocol:
             with pytest.raises(ValueError, match=rf"allowed range \[2, {MAX_DIM_CEILING}\]"):
                 call()
 
+    @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+    def test_average_only_takes_a_float_or_an_array(self, kind):
+        xs = np.linspace(0.0, 1.0, 4)
+        values = checks.qudit_average_only(3, kind, xs)
+        assert isinstance(values, np.ndarray) and values.shape == (4,)
+        alone = [checks.qudit_average_only(3, kind, x) for x in xs.tolist()]
+        assert all(isinstance(value, float) for value in alone)
+        assert values.tolist() == alone
+        assert checks.qudit_average_only(3, kind, xs[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["canonical", "bogus"])
+    def test_average_only_refuses_a_kind_without_one_parameter(self, kind):
+        with pytest.raises(ValueError, match=f"unknown one-parameter channel kind '{kind}'"):
+            checks.qudit_average_only(3, kind, 0.5)
+
     def test_channel_kind_restriction_above_two(self):
         with pytest.raises(ValueError, match="phase-covariant"):
             run_qudit(3, KrausChannel(tuple(stinespring_kraus(7, 3))))
@@ -495,6 +510,41 @@ class TestCriticalNoise:
         found = critical_noise(fn)
         assert len(calls) == 5
         assert abs(found - d / (d + 1)) <= CLOSED_FORM_ATOL
+
+    def test_a_curve_positive_at_hi_takes_one_round(self):
+        rounds = []
+
+        def curve(xs):
+            rounds.append(xs.tolist())
+            return np.ones(len(xs))
+
+        assert protocols._critical_noise(curve, 0.25, 0.75) == 0.75
+        assert rounds == [[0.75, 0.25, 0.5]]
+
+    def test_a_curve_zero_at_lo_takes_one_round(self):
+        rounds = []
+
+        def curve(xs):
+            rounds.append(xs.tolist())
+            return np.zeros(len(xs))
+
+        assert protocols._critical_noise(curve) == 0.0
+        assert rounds == [[1.0, 0.0, 0.5]]
+
+    @pytest.mark.parametrize(
+        "values, at",
+        [
+            ({1.0: 0.0, 0.0: float("nan"), 0.5: float("inf")}, "x=0.0 is not finite: nan"),
+            ({1.0: float("inf"), 0.0: float("nan"), 0.5: 1.0}, "x=1.0 is not finite: inf"),
+            ({1.0: 0.0, 0.0: 1.0, 0.5: 1.0}, r"x=0.75\d* is not finite: nan"),
+        ],
+    )
+    def test_the_first_non_finite_value_in_probe_order_is_named(self, values, at):
+        def curve(xs):
+            return [values.get(x, float("nan")) for x in xs.tolist()]
+
+        with pytest.raises(ValueError, match=rf"^curve value at {at}$"):
+            protocols._critical_noise(curve)
 
     @pytest.mark.parametrize(
         "side, ulps",

@@ -8,11 +8,12 @@ import pytest
 import edss.checks
 import edss.reference
 from edss import SweepError, SweepSpec, closed_form, run_sweep
-from edss.checks import SUITES, CheckResult, closed_form_suite, identity_suite, run_checks
+from edss.checks import GRID_POINTS, SUITES, CheckResult, closed_form_suite, identity_suite
+from edss.checks import run_checks
 from edss import cli
 from edss.cli import build_parser, load_config, main
 from edss import protocols
-from edss.protocols import SPECS
+from edss.protocols import SPECS, _drive
 from edss.reference import Formula
 from edss.svgchart import _x_to_px, _y_to_px, polyline_points, render_line_chart
 from edss.sweep import (
@@ -170,6 +171,17 @@ class TestSweepOutput:
             assert record["critical_noise"] == pytest.approx(0.75, abs=1e-9)
             assert record["ref_critical_noise"] == 0.75
 
+    def test_qudit_root_search_takes_two_driver_passes(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def counting(spec, batch, *args):
+            sizes.append(len(batch))
+            return _drive(spec, batch, *args)
+
+        monkeypatch.setattr(protocols, "_drive", counting)
+        run_sweep(small_spec(tmp_path, protocol="qudit", d=3, points=5))
+        assert sizes == [5, 3, 2]  # the grid, then the root search's two rounds
+
     def test_critical_noise_above_the_default_dimension_cap(self, tmp_path):
         """The root search of a d=7 sweep runs under the one dimension
         ceiling that the sweep itself is held to."""
@@ -289,15 +301,28 @@ class TestChecksSuites:
         return calls
 
     def test_all_sweeps_each_grid_once(self, monkeypatch):
-        # identity and separability check the same 8 (protocol, kind, d) grids
-        # at 11 points; closed_form adds 16 grids at 21 points
+        # every suite checks GRID_POINTS-point grids: identity and separability the same
+        # 8 (protocol, kind, d) grids, which closed_form's 16 include
         calls = self.count_sweeps(monkeypatch)
         run_checks("all")
-        assert len(calls) == 24
-        assert len({(s.protocol, s.mode, s.channel, s.d, s.points) for s in calls}) == 24
+        assert len(calls) == 16
+        assert len({(s.protocol, s.mode, s.channel, s.d, s.points) for s in calls}) == 16
+        assert {s.points for s in calls} == {GRID_POINTS}
         calls.clear()  # a later call shares nothing with this one
         run_checks("separability")
         assert len(calls) == 8
+
+    def test_all_takes_28_driver_passes(self, monkeypatch):
+        # 16 grids, the two random-channel chunk loops and 5 root searches of 2 rounds
+        passes = []
+
+        def counting(*args):
+            passes.append(args)
+            return _drive(*args)
+
+        monkeypatch.setattr(protocols, "_drive", counting)
+        run_checks("all")
+        assert len(passes) == 28
 
     def test_all_rows_are_the_suites_run_alone(self):
         alone = [row for name in SUITES for row in run_checks(name)]

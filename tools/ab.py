@@ -17,14 +17,20 @@ depolarizing runs of ``run_qudit`` (d = 2..6 and 24) and ``run_ghz``, and an
 amplitude-damping ``run_qudit`` at d = 24, with the ``np.linalg.eigvalsh``
 calls of one. ``in_process_summary`` gives per workload
 each side's per-round minimum of the repeated entry calls and the rounds the
-change won. ``layers`` and ``in_process`` run a workload at its first seed.
-BLAS and OpenMP pools are pinned to one thread. Run from the repository root.
+change won. ``outputs`` holds per side, in a fresh interpreter, the sha256 of
+every CSV and SVG that each sweep workload writes and the ``max_deviation`` of
+every ``run_checks("all")`` row by ``float.hex``, and per workload the names
+whose digest differs between the sides (or that one side lacks). ``layers``,
+``in_process`` and ``outputs`` run a workload at its first seed (seed 0 for a
+workload no ``--run`` names). BLAS and OpenMP pools are pinned to one thread.
+Run from the repository root.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import os
 import statistics
@@ -66,6 +72,36 @@ def entry_calls(workload: str, seed: int, repeat: int) -> dict:
                 raise RuntimeError(f"edss sweep exited {codes}")
 
         return {"first_s": timed(call, 1, 1)["min"], "repeat_s": timed(call, repeat, 1)}
+
+
+def outputs(workload: str, seed: int) -> dict[str, str]:
+    """Name -> digest of one workload's outputs through the edss on ``sys.path``:
+    the sha256 of each file a sweep workload writes, or each ``run_checks("all")``
+    row's ``max_deviation`` by ``float.hex``."""
+    import workloads
+    from edss.checks import run_checks
+    from edss.cli import main as edss_main
+
+    if workload == "check_all":
+        rows = run_checks("all", identity={"seed": workloads.identity_seed(seed)})
+        return {row.name: row.max_deviation.hex() for row in rows}
+    with tempfile.TemporaryDirectory() as out:
+        sweeps = workloads.sweeps(workload, seed, Path(out))
+        if any(codes := [edss_main(list(sweep.argv)) for sweep in sweeps]):
+            raise RuntimeError(f"edss sweep exited {codes}")
+        files = sorted(Path(out).iterdir())
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+
+
+def output_digests(sides: dict[str, Path], seeds: dict[str, int]) -> dict[str, dict]:
+    """Per side and workload the ``outputs`` digests, each workload in a fresh
+    interpreter, and per workload the names whose digests differ between the sides."""
+    digests = {side: {w: in_process(path, f"outputs({w!r}, {s})") for w, s in seeds.items()}
+               for side, path in sides.items()}
+    parent, change = digests["parent"], digests["change"]
+    differ = {w: sorted(name for name in parent[w].keys() | change[w].keys()
+                        if parent[w].get(name) != change[w].get(name)) for w in seeds}
+    return {"digests": digests, "differ": differ}
 
 
 def warm_runs(repeat: int) -> dict[str, dict]:
@@ -205,8 +241,10 @@ def main() -> int:
                                   for w, s in seeds.items()}
     report["in_process"] = in_process_rounds(sides, seeds, args.repeat, ROUNDS)
     report["in_process_summary"] = in_process_summary(report["in_process"])
+    report["outputs"] = output_digests(sides, {w: seeds.get(w, 0) for w in WORKLOADS})
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps({"end_to_end": summary, "in_process": report["in_process_summary"]}, indent=1))
+    print(json.dumps({"end_to_end": summary, "in_process": report["in_process_summary"],
+                      "outputs_differ": report["outputs"]["differ"]}, indent=1))
     return 0
 
 
