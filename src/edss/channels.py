@@ -51,7 +51,7 @@ class _Channel:
     def transfer_tensor(self) -> np.ndarray:
         """``T[i, j, k, l] = E(|k><l|)[i, j]``, built once per channel, read-only."""
         t4 = _TRANSFER_TENSORS.get(self)
-        return _transfer_tensors([self])[0] if t4 is None else t4
+        return _built([self])[0] if t4 is None else t4
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -162,15 +162,12 @@ class DepolarizingChannel(_Channel):
 QuditChannel = Union[CanonicalChannel, KrausChannel, DepolarizingChannel]
 
 
-def _transfer_tensors(channels: list[QuditChannel]) -> list[np.ndarray]:
-    """``transfer_tensor()`` of each; one ``_tensors`` build per class, d and Kraus count."""
-    groups: dict[tuple, list] = {}
-    for ch in dict.fromkeys(ch for ch in channels if ch not in _TRANSFER_TENSORS):
-        groups.setdefault((type(ch), ch.dim, len(getattr(ch, "kraus_ops", ()))), []).append(ch)
-    for group in groups.values():
-        (stack := type(group[0])._tensors(group)).flags.writeable = False
-        _TRANSFER_TENSORS.update(zip(group, stack))
-    return [_TRANSFER_TENSORS[ch] for ch in channels]
+def _built(group: list[QuditChannel]) -> list[np.ndarray]:
+    """The ``transfer_tensor()`` of each channel of ``group``, channels of one class, d
+    and Kraus count: read-only views of one ``_tensors`` build, kept for each channel."""
+    (stack := type(group[0])._tensors(group)).flags.writeable = False
+    _TRANSFER_TENSORS.update(zip(group, views := list(stack)))
+    return views
 
 
 def canonical_channel(

@@ -11,6 +11,7 @@ which fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -57,13 +58,14 @@ class CheckResult:
 
 def random_cp_canonical(rng: np.random.Generator, max_tries: int = 10_000) -> CanonicalChannel:
     """Rejection-sample a CP-valid canonical channel (Choi-validated)."""
-    return next(_random_cp_canonicals(rng, 1, max_tries))
+    return canonical_channel(*next(_random_cp_canonicals(rng, 1, max_tries)))
 
 
-def _random_cp_canonicals(rng, block: int, max_tries: int = 10_000) -> Iterator[CanonicalChannel]:
-    """``random_cp_canonical`` draws in order, the candidates drawn ``block`` at a
-    time and admitted by one stacked CPT test. ``uniform(size=(block, 4))`` gives
-    the numbers of ``block`` draws of size 4, so ``block`` moves no channel."""
+def _random_cp_canonicals(rng, block: int, max_tries: int = 10_000) -> Iterator[list[float]]:
+    """The parameter rows (l1, l2, l3, t3) of ``random_cp_canonical`` draws in order,
+    the candidates drawn ``block`` at a time and admitted by one stacked CPT test.
+    ``uniform(size=(block, 4))`` gives the numbers of ``block`` draws of size 4, so
+    ``block`` moves no channel."""
     misses = 0
     while True:
         params = rng.uniform(-1.0, 1.0, size=(block, 4))
@@ -71,7 +73,7 @@ def _random_cp_canonicals(rng, block: int, max_tries: int = 10_000) -> Iterator[
         for row, report in zip(params.tolist(), reports):
             if report:
                 misses = 0
-                yield canonical_channel(*row)
+                yield row
             elif (misses := misses + 1) >= max_tries:
                 raise RuntimeError("could not sample a CP canonical channel")
 
@@ -114,8 +116,8 @@ def identity_suite(
     """Identity-chain deviations across random channels and noise grids.
 
     A protocol draws ``random_channels // random_divisor`` random CP
-    canonical channels (its table entry sets the divisor), one chunk at a
-    time as the driver's chunk loop ``protocols._runs`` runs them, all from one
+    canonical channels (its table entry sets the divisor) as parameter rows,
+    which the driver's chunk loop ``protocols._runs`` runs, all from one
     stream of ``DRAW_BLOCK`` candidate blocks in table order. ``grids``
     is a grid memo shared with the other suites of one ``run_checks`` call
     (see ``_worst``).
@@ -125,9 +127,8 @@ def identity_suite(
     grids, results = {} if grids is None else grids, []
     for spec in _default_specs():
         if spec.random_divisor:
-            count = random_channels // spec.random_divisor
-            drawn = ((next(draws),) * len(spec.channel_roles) for _ in range(count))
-            spreads = map(_Chunk.chain_spread, _runs(spec, drawn))
+            rows = list(islice(draws, random_channels // spec.random_divisor))
+            spreads = map(_Chunk.chain_spread, _runs(spec, "canonical", 2, rows))
             dev = max((s for spread in spreads for s in spread.tolist()), default=0.0)
             name = f"identity_{spec.protocol}_random_canonical"
             results.append(CheckResult.from_deviation(name, dev, "identity"))

@@ -33,13 +33,13 @@ from __future__ import annotations
 import functools
 import textwrap
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, count, islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, compress, count
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import CHANNEL_PARAMS, QuditChannel, _channels, _covariant, _cpt_reports, _embed
-from .channels import _off_sectors, _transfer_tensors, noise_channel
+from .channels import CHANNEL_PARAMS, QuditChannel, _built, _channels, _covariant, _cpt_reports
+from .channels import _embed, _off_sectors, noise_channel
 from .measures import _batch_negativities, _concurrences
 from .reference import CLOSED_FORM_KINDS, FORMULAS
 from .states import (
@@ -327,16 +327,16 @@ def _branches(
 def _admit(
     spec: ProtocolSpec, batch: Sequence[Sequence[QuditChannel]], d: int, label: Callable = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct channels' transfer tensors, stacked; per point and role the
-    index of its channel there, and whether that channel is warned of (not
-    phase-covariant, at d = 2). One stacked CPT test and covariance test
+    """The distinct channels' transfer tensors, stacked in a fresh, writable array; per
+    point and role the index of its channel there, and whether that channel is warned
+    of (not phase-covariant, at d = 2). One stacked CPT test and covariance test
     (``channels._covariant``) check them all; the first point and role the
     protocol refuses, in batch order, raises, prefixed with ``label(b)``."""
     channels = dict(zip(dict.fromkeys(chain.from_iterable(batch)), count()))
     index = np.fromiter(map(channels.__getitem__, chain.from_iterable(batch)), int)
     index = index.reshape(len(batch), len(spec.channel_roles))
     fits = [ch.dim == d for ch in channels]
-    t4 = np.array(_transfer_tensors(list(compress(channels, fits)))).reshape(-1, d, d, d, d)
+    t4 = np.array([ch.transfer_tensor() for ch in compress(channels, fits)]).reshape(-1, d, d, d, d)
     covariant = _covariant(t4)
     reports = _cpt_reports(t4, covariant=covariant)
     if all(fits) and all(reports) and (d == 2 or covariant.all()):
@@ -538,17 +538,23 @@ def _most_entries(spec: ProtocolSpec, d: int) -> int:
 
 def _runs(
     spec: ProtocolSpec,
-    batch: Iterable[Sequence[QuditChannel]],
-    d: int = 2,
+    kind: str,
+    d: int,
+    params: Sequence[Sequence[float]],
     label: Callable[[int], str] | None = None,
 ) -> Iterator[_Chunk]:
-    """``_drive``'s chunks over a batch of any length, ``_chunk_points`` points each;
-    a chunk's channels are drawn once the previous chunk is taken, so a consumer
-    that keeps no chunk holds one chunk's states at a time. ``label(b)`` names point
-    b of the whole batch in a refusal."""
-    size, batch = _chunk_points(spec, d), iter(batch)
-    for start, points in zip(count(0, size), iter(lambda: list(islice(batch, size)), [])):
-        yield _drive(spec, points, d, label and (lambda b, start=start: label(start + b)))
+    """``_drive``'s chunks over one ``kind`` channel per row of ``params`` (values of
+    ``CHANNEL_PARAMS[kind]``), in every role of its point, ``_chunk_points`` rows each.
+    A chunk's channels (one ``channels._channels`` call) and transfer tensors (one
+    stacked ``channels._built``) are made once the previous chunk is taken, so a
+    consumer that keeps no chunk holds one chunk's channels and states at a time.
+    ``label(b)`` names row b of ``params`` in a refusal."""
+    size = _chunk_points(spec, d)
+    for start in range(0, len(params), size):
+        _built(points := _channels(kind, d, params[start : start + size]))
+        batch = [(ch,) * len(spec.channel_roles) for ch in points]
+        yield _drive(spec, batch, d, label and (lambda b, start=start: label(start + b)))
+        del batch  # the taken chunk's tensors go before the next chunk's are built
 
 
 def _states(
@@ -608,13 +614,14 @@ def run_qudit(d: int, ch: QuditChannel) -> ProtocolTrace:
 
 def qudit_average_only(d: int, kind: str, x: float | np.ndarray) -> float | np.ndarray:
     """Branch-averaged a|b negativity of qudit runs, for d up to ``MAX_DIM_CEILING``:
-    a float for a float ``x``, else a value per entry of the 1-D array ``x``, all from
-    one ``channels._channels`` build and one driver pass per chunk (``_runs``)."""
+    a float for a float ``x``, else a value per entry of the 1-D array ``x``, from one
+    driver pass per chunk (``_runs``)."""
     if len(CHANNEL_PARAMS.get(kind, ())) != 1:
         raise ValueError(f"unknown one-parameter channel kind {kind!r}")
-    xs, spec = np.asarray(x, dtype=float), SPECS["qudit", "probabilistic"]
-    batch = ((ch,) for ch in _channels(kind, d, xs.reshape(-1, 1)))
-    column = np.concatenate([chunk.columns["avg:a|b"] for chunk in _runs(spec, batch, d)] or [[]])
+    if (xs := np.asarray(x, dtype=float)).ndim > 1:
+        raise ValueError(f"x must be a float or a 1-D array, got shape {xs.shape}")
+    runs = _runs(SPECS["qudit", "probabilistic"], kind, d, xs.reshape(-1, 1))
+    column = np.concatenate([chunk.columns["avg:a|b"] for chunk in runs] or [[]])
     return float(column[0]) if xs.ndim == 0 else column
 
 

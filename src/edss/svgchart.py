@@ -50,18 +50,12 @@ def _plot_box() -> tuple[float, float, float, float]:
     )
 
 
-def _x_to_px(x: float, lo: float, hi: float) -> float:
-    left, _, right, _ = _plot_box()
+def _to_px(v, lo: float, hi: float, start: float, stop: float):
+    """Pixels of the values ``v`` (a float or an array) on an axis that maps ``lo``
+    to ``start`` and ``hi`` to ``stop``; the axis middle for a one-value range."""
     if hi == lo:
-        return 0.5 * (left + right)
-    return left + (x - lo) / (hi - lo) * (right - left)
-
-
-def _y_to_px(y: float, lo: float, hi: float) -> float:
-    _, top, _, bottom = _plot_box()
-    if hi == lo:
-        return 0.5 * (top + bottom)
-    return bottom - (y - lo) / (hi - lo) * (bottom - top)
+        return 0.5 * (start + stop)
+    return start + (v - lo) / (hi - lo) * (stop - start)
 
 
 def polyline_points(
@@ -70,15 +64,12 @@ def polyline_points(
     x_range: tuple[float, float],
     y_range: tuple[float, float],
 ) -> str:
-    """The exact ``points`` attribute a series renders to: per point ``_x_to_px``,
-    ``_y_to_px``, evaluated on arrays with the same floating-point operations."""
+    """The exact ``points`` attribute a series renders to: ``_to_px`` of every
+    point, on the x axis from left to right and the y axis from bottom to top."""
     left, top, right, bottom = _plot_box()
-    (x_lo, x_hi), (y_lo, y_hi) = x_range, y_range
-    x_span, y_span, width, height = x_hi - x_lo, y_hi - y_lo, right - left, bottom - top
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     pixels = np.empty((len(xs), 2))
-    pixels[:, 0] = 0.5 * (left + right) if x_hi == x_lo else left + (xs - x_lo) / x_span * width
-    pixels[:, 1] = 0.5 * (top + bottom) if y_hi == y_lo else bottom - (ys - y_lo) / y_span * height
+    pixels[:, 0] = _to_px(np.asarray(xs, dtype=float), *x_range, left, right)
+    pixels[:, 1] = _to_px(np.asarray(ys, dtype=float), *y_range, bottom, top)
     return " ".join(["%.3f,%.3f"] * len(xs)) % tuple(pixels.ravel().tolist())
 
 
@@ -114,7 +105,7 @@ def render_line_chart(
     n_ticks = 5
     for i in range(n_ticks + 1):
         yv = y_lo + (y_hi - y_lo) * i / n_ticks
-        py = _y_to_px(yv, y_lo, y_hi)
+        py = _to_px(yv, y_lo, y_hi, bottom, top)
         lines.append(
             f'<line x1="{left:.1f}" y1="{py:.3f}" x2="{right:.1f}" y2="{py:.3f}" '
             'stroke="#dddddd" stroke-width="1"/>'
@@ -124,7 +115,7 @@ def render_line_chart(
             f'font-size="12" font-family="sans-serif">{yv:.3g}</text>'
         )
         xv = x_lo + (x_hi - x_lo) * i / n_ticks
-        px = _x_to_px(xv, x_lo, x_hi)
+        px = _to_px(xv, x_lo, x_hi, left, right)
         lines.append(
             f'<line x1="{px:.3f}" y1="{bottom:.1f}" x2="{px:.3f}" y2="{bottom + 6:.1f}" '
             'stroke="#000000" stroke-width="1"/>'

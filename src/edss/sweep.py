@@ -6,8 +6,9 @@ and closed-form reference values where a formula exists. Floats are
 formatted with 12 significant digits, so identical specs give byte-identical
 files.
 
-A grid flows as columns from its parameter array to the file: channels built
-per driver chunk (``SweepSpec.channels``), one float array per CSV column
+A grid flows as columns from its parameter array to the file: one row of
+channel parameters per point (``SweepSpec.params``), which the driver's chunk
+loop turns into channels a chunk at a time, one float array per CSV column
 (``sweep_table``), checks on whole columns (``row_deviations``), and one
 formatting pass over the table for the CSV and one for the SVG.
 """
@@ -17,18 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .channels import CHANNEL_PARAMS, QuditChannel, _channels
+from .channels import CHANNEL_PARAMS
 from .protocols import (
     CHAIN_ATOL,
     MAX_DIM_CEILING,  # noqa: F401  (re-exported: edss.sweep.MAX_DIM_CEILING)
     PROTOCOLS,
     SEPARABILITY_ATOL,
     SPECS,
-    _chunk_points,
     _critical_noise,
     _register,
     _runs,
@@ -113,15 +113,11 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
-    def channels(self) -> Iterator[QuditChannel]:
-        """The ``channel_from_config`` channel of each grid point of a valid spec, in
-        order, built by one ``channels._channels`` call per driver chunk
-        (``protocols._chunk_points``): one chunk's channels are held at a time."""
+    def params(self) -> np.ndarray:
+        """One row of ``CHANNEL_PARAMS[channel]`` values per grid point of a valid spec,
+        the values ``channel_from_config`` reads for that point's channel."""
         fixed = {**CANONICAL_DEFAULTS, **self.channel_args, self.param: self.grid()}
-        params = np.column_stack(np.broadcast_arrays(*map(fixed.get, CHANNEL_PARAMS[self.channel])))
-        size = _chunk_points(SPECS[self.protocol, self.mode], self.d)
-        for start in range(0, self.points, size):
-            yield from _channels(self.channel, self.d, params[start : start + size])
+        return np.column_stack(np.broadcast_arrays(*map(fixed.get, CHANNEL_PARAMS[self.channel])))
 
 
 @dataclass
@@ -181,10 +177,10 @@ def sweep_table(spec: SweepSpec) -> dict[str, np.ndarray]:
         exchange_max = np.max([chunk.columns[k] for k in exchange], 0)
         return [*map(chunk.columns.get, keys), exchange_max, chunk.chain_spread()]
 
-    batch = ((ch,) * len(entry.channel_roles) for ch in spec.channels())
+    runs = _runs(entry, spec.channel, spec.d, spec.params(), partial(_label, spec, xs))
     try:
         # map, unlike a loop variable, keeps no chunk while the next one runs
-        parts = list(map(columns, _runs(entry, batch, spec.d, partial(_label, spec, xs))))
+        parts = list(map(columns, runs))
     except ValueError as exc:
         raise SweepError(str(exc)) from exc
     names = [c for c, _ in entry.columns] + ["exchange_negativity_max", "chain_max_deviation"]

@@ -642,6 +642,26 @@ def format_cell(x):
     return "0" if x == 0.0 else f"{float(x):.12g}"
 
 
+def x_to_px(x, lo, hi):
+    """The chart pixel of one x value, as points were placed one at a time."""
+    from edss.svgchart import _plot_box
+
+    left, _, right, _ = _plot_box()
+    if hi == lo:
+        return 0.5 * (left + right)
+    return left + (x - lo) / (hi - lo) * (right - left)
+
+
+def y_to_px(y, lo, hi):
+    """The chart pixel of one y value, as points were placed one at a time."""
+    from edss.svgchart import _plot_box
+
+    _, top, _, bottom = _plot_box()
+    if hi == lo:
+        return 0.5 * (top + bottom)
+    return bottom - (y - lo) / (hi - lo) * (bottom - top)
+
+
 def row_by_row_outputs(spec, table):
     """What ``run_sweep`` writes for ``spec`` and its full table (``critical_noise``
     included), rebuilt one row at a time the way rows were written before the
@@ -650,7 +670,7 @@ def row_by_row_outputs(spec, table):
     import csv
     import io
 
-    from edss.svgchart import _x_to_px, _y_to_px, render_line_chart
+    from edss.svgchart import render_line_chart
     from edss.sweep import _closed_forms, check_atol, sweep_columns
 
     columns = sweep_columns(spec)
@@ -691,7 +711,7 @@ def row_by_row_outputs(spec, table):
         y_hi = (y_lo + 1.0 if y_hi <= y_lo else y_hi) * 1.05
         points = iter([
             " ".join(
-                f"{_x_to_px(x, min(xs), max(xs)):.3f},{_y_to_px(y, y_lo, y_hi):.3f}"
+                f"{x_to_px(x, min(xs), max(xs)):.3f},{y_to_px(y, y_lo, y_hi):.3f}"
                 for x, y in zip(xs, series)
             )
             for series in ys

@@ -1,8 +1,9 @@
 """Sweep grids as columns from parameter to file, against row-by-row oracles.
 
-A sweep builds its channels by one ``channels._channels`` call per driver chunk,
-checks whole columns (``sweep.row_deviations``) and formats the CSV and SVG in
-one pass over its float table. Each output must be, byte for byte, what
+A sweep hands the driver's chunk loop one row of channel parameters per point,
+which builds its channels by one ``channels._channels`` call per chunk; it checks
+whole columns (``sweep.row_deviations``) and formats the CSV and SVG in one pass
+over its float table. Each output must be, byte for byte, what
 ``explicit_forms.row_by_row_outputs`` rebuilds one row and one cell at a time,
 and each grid-built channel the ``channel_from_config`` channel of its point.
 A NaN deviation fails its check instead of vanishing from a comparison or a max.
@@ -18,7 +19,7 @@ import edss.sweep
 from edss import channels, protocols
 from edss.channels import CHANNEL_PARAMS, KrausChannel, channel_from_config
 from edss.checks import closed_form_suite, identity_suite
-from edss.protocols import SPECS
+from edss.protocols import SPECS, _runs
 from edss.sweep import CANONICAL_DEFAULTS, SweepSpec, _failures, run_sweep, sweep_table
 
 from explicit_forms import row_by_row_outputs
@@ -79,7 +80,8 @@ def test_grid_built_channels_are_the_factory_channels(kind, d):
         "qudit", kind, CHANNEL_PARAMS[kind][-2 if kind == "canonical" else 0], "", d=d,
         points=101, stop=0.8 if kind == "canonical" else 1.0, channel_args=fixed,
     ).validate()
-    built = list(spec.channels())
+    entry = SPECS[spec.protocol, spec.mode]
+    built = [chs[0] for chunk in _runs(entry, kind, d, spec.params()) for chs in chunk.batch]
     assert len(built) == 101
     for x, got in zip(spec.grid().tolist(), built, strict=True):
         want = factory_channel(spec, x)
@@ -101,12 +103,15 @@ def test_a_grid_refusal_names_the_first_bad_value():
 
 def test_no_per_point_channel_build_check_or_tensor_lookup(monkeypatch):
     """A 101-point GHZ sweep reads each channel's tensor from one stacked build:
-    ``transfer_tensor()`` at most once per channel, ``channel_from_config`` never,
-    and one ``row_deviations`` call for the grid."""
-    reads, configs, deviations = Counter(), [], []
-    read = channels._Channel.transfer_tensor
+    one ``_tensors`` build, ``transfer_tensor()`` once per channel (not per role),
+    ``channel_from_config`` never, and one ``row_deviations`` call for the grid."""
+    reads, builds, configs, deviations = Counter(), [], [], []
+    read, build = channels._Channel.transfer_tensor, KrausChannel._tensors
     monkeypatch.setattr(
         channels._Channel, "transfer_tensor", lambda ch: reads.update([id(ch)]) or read(ch)
+    )
+    monkeypatch.setattr(
+        KrausChannel, "_tensors", staticmethod(lambda g: builds.append(len(g)) or build(g))
     )
     monkeypatch.setattr(channels, "channel_from_config", lambda c: configs.append(c) or 1 / 0)
     row_deviations = edss.sweep.row_deviations
@@ -116,7 +121,7 @@ def test_no_per_point_channel_build_check_or_tensor_lookup(monkeypatch):
     spec = SweepSpec("ghz", "amplitude_damping", "gamma", "", points=101, checks={"identity"})
     table = sweep_table(spec.validate())
     assert len(table["gamma"]) == 101
-    assert max(reads.values(), default=0) <= 1 and sum(reads.values()) < 101
+    assert builds == [101] and len(reads) == 101 and set(reads.values()) == {1}
     assert configs == []
     assert _failures(spec, table) == [] and deviations == [1]
 

@@ -4,10 +4,12 @@
 and the traces as per-point views. ``sweep.sweep_table`` and the identity suite
 read the columns; the rows they make must be, bit for bit, the rows that the
 per-point traces give through ``value_of``, ``verify_identity_chain`` and
-``separability_audit``. The transfer tensors of a batch come from one stacked
-build per channel class; each must be the one-channel build, byte for byte.
+``separability_audit``. The chunk loop ``protocols._runs`` makes a chunk's
+channels and its transfer tensors, in one stacked build, only when the chunk is
+taken; each tensor must be the one-channel build, byte for byte.
 """
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +17,13 @@ import pytest
 
 from edss import channels, protocols
 from edss.channels import (
+    CHANNEL_PARAMS,
     CanonicalChannel,
     DepolarizingChannel,
     KrausChannel,
-    _transfer_tensors,
+    _built,
     amplitude_damping,
     canonical_channel,
-    channel_from_config,
     depolarizing,
 )
 from edss.protocols import SPECS, _drive, _runs, separability_audit, verify_identity_chain
@@ -73,10 +75,9 @@ def test_columnar_rows_equal_rows_from_per_point_traces(grid):
     spec = grid_spec(*grid)
     entry = SPECS[spec.protocol, spec.mode]
     xs = [float(x) for x in spec.grid()]
-    fixed = {"kind": spec.channel, "d": spec.d, **CANONICAL_DEFAULTS, **spec.channel_args}
-    roles = len(entry.channel_roles)
-    batch = [(channel_from_config({**fixed, spec.param: x}),) * roles for x in xs]
-    traces = [trace for chunk in _runs(entry, batch, spec.d) for trace in chunk]
+    fixed = {**CANONICAL_DEFAULTS, **spec.channel_args}
+    rows = [[{**fixed, spec.param: x}[name] for name in CHANNEL_PARAMS[spec.channel]] for x in xs]
+    traces = [trace for chunk in _runs(entry, spec.channel, spec.d, rows) for trace in chunk]
     want = [bits(trace_row(spec, x, trace)) for x, trace in zip(xs, traces, strict=True)]
     assert [bits(row) for row in table_rows(sweep_table(spec))] == want
 
@@ -224,13 +225,16 @@ def test_stacked_tensors_equal_one_channel_builds_byte_for_byte(monkeypatch):
         monkeypatch.setattr(
             cls, "_tensors", staticmethod(lambda g, build=build: calls.append(len(g)) or build(g))
         )
-    pool = stacked_pool()
-    stacked = _transfer_tensors(pool)
-    # one build per class, dimension and Kraus count: canonical; depolarizing at
-    # d = 3..6; Kraus with 1 and 2 operators at d = 2 (amplitude damping has d),
-    # and with 1, 2 and d at d = 3..6
-    assert len(calls) == 1 + 4 + 2 + 3 * 4 and max(calls) > 2
-    for ch, t4 in zip(pool, stacked):
+    # the pool in stackable groups, one class, dimension and Kraus count each
+    groups = {}
+    for ch in stacked_pool():
+        groups.setdefault((type(ch), ch.dim, len(getattr(ch, "kraus_ops", ()))), []).append(ch)
+    pool, stacked = [], []
+    for group in groups.values():
+        pool += group
+        stacked += _built(group)
+    assert calls == [len(group) for group in groups.values()] and max(calls) > 2
+    for ch, t4 in zip(pool, stacked, strict=True):
         assert ch.transfer_tensor() is t4 and not t4.flags.writeable
         alone = type(ch)(**vars(ch)).transfer_tensor()  # an equal channel, built alone
         assert t4.tobytes() == alone.tobytes()
@@ -241,6 +245,40 @@ def test_stacked_tensors_equal_one_channel_builds_byte_for_byte(monkeypatch):
         else:
             params = np.array([[ch.lambda1, ch.lambda2, ch.lambda3, ch.t3]])
             assert t4.tobytes() == channels._canonical_tensors(params)[0].tobytes()
+
+
+def test_runs_makes_a_chunk_only_when_next_reaches_it(monkeypatch):
+    """No chunk's channels or tensors exist before ``next`` reaches it, and the
+    channels of a chunk the caller dropped are gone before the next chunk's
+    tensors are built."""
+    spec, d = SPECS["qudit", "probabilistic"], 5
+    size = protocols._chunk_points(spec, d)
+    # per chunk, weak references to its channels; per build, its size and, per
+    # earlier chunk, whether that chunk's channels are gone
+    made, builds = [], []
+    make, build = protocols._channels, KrausChannel._tensors
+
+    def making(*args):
+        points = make(*args)
+        made.append([weakref.ref(ch) for ch in points])
+        return points
+
+    def building(group):
+        dropped = [all(ref() is None for ref in refs) for refs in made[:-1]]
+        builds.append((len(group), dropped))
+        return build(group)
+
+    monkeypatch.setattr(protocols, "_channels", making)
+    monkeypatch.setattr(KrausChannel, "_tensors", staticmethod(building))
+    runs = _runs(spec, "amplitude_damping", d, np.linspace(0.0, 1.0, 2 * size + 1)[:, None])
+    assert made == builds == []
+    sizes = [size, size, 1]
+    for n, points in enumerate(sizes, 1):
+        assert len(next(runs)) == points
+        assert [len(refs) for refs in made] == sizes[:n]
+        assert builds == [(p, [True] * i) for i, p in enumerate(sizes[:n])]
+    with pytest.raises(StopIteration):
+        next(runs)
 
 
 def test_a_sweep_chunk_builds_its_tensors_in_one_call_per_class(monkeypatch):

@@ -40,14 +40,13 @@ HADAMARD = KrausChannel((np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def drawn_by_identity_suite(monkeypatch, seed):
-    """The canonical channels ``identity_suite`` hands the driver, in order."""
+    """The canonical parameter rows ``identity_suite`` hands the driver, in order."""
     drawn, runs = [], edss.checks._runs
 
-    def spy(spec, batch, *args):
-        batch = list(batch)
-        drawn.extend(channels[0] for channels in batch)
-        assert all(len(set(map(id, channels))) == 1 for channels in batch)
-        return runs(spec, batch, *args)
+    def spy(spec, kind, d, params, *args):
+        assert (kind, d) == ("canonical", 2)
+        drawn.extend(params)
+        return runs(spec, kind, d, params, *args)
 
     monkeypatch.setattr(edss.checks, "_runs", spy)
     identity_suite(seed=seed, grid_points=2, qudit_dims=(2,))
@@ -55,7 +54,11 @@ def drawn_by_identity_suite(monkeypatch, seed):
 
 
 def params_hex(ch):
-    return tuple(float(x).hex() for x in (ch.lambda1, ch.lambda2, ch.lambda3, ch.t3))
+    return row_hex((ch.lambda1, ch.lambda2, ch.lambda3, ch.t3))
+
+
+def row_hex(row):
+    return tuple(float(x).hex() for x in row)
 
 
 @pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED])
@@ -64,7 +67,7 @@ def test_block_draws_equal_one_at_a_time_draws(monkeypatch, seed):
     assert len(drawn) == 60  # 50 two-qubit draws, then 10 GHZ draws
     rng = np.random.default_rng(seed)
     one_at_a_time = [random_cp_canonical(rng) for _ in drawn]
-    assert list(map(params_hex, drawn)) == list(map(params_hex, one_at_a_time))
+    assert list(map(row_hex, drawn)) == list(map(params_hex, one_at_a_time))
 
 
 def one_candidate_at_a_time(rng):

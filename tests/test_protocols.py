@@ -263,6 +263,12 @@ class TestQuditProtocol:
         assert values.tolist() == alone
         assert checks.qudit_average_only(3, kind, xs[:0]).shape == (0,)
 
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (1, 1, 1), (0, 3)])
+    def test_average_only_refuses_an_array_of_more_than_one_dimension(self, shape):
+        x = np.full(shape, 0.1)
+        with pytest.raises(ValueError, match=rf"1-D array, got shape \({shape[0]}, {shape[1]}"):
+            checks.qudit_average_only(3, "depolarizing", x)
+
     @pytest.mark.parametrize("kind", ["canonical", "bogus"])
     def test_average_only_refuses_a_kind_without_one_parameter(self, kind):
         with pytest.raises(ValueError, match=f"unknown one-parameter channel kind '{kind}'"):

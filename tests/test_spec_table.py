@@ -14,7 +14,7 @@ import pytest
 
 from edss import FORMULAS, SweepError, SweepSpec, run_sweep
 from edss.channels import CHANNEL_PARAMS, noise_channel
-from edss.protocols import MODES, PROTOCOLS, SPECS, _drive, describe
+from edss.protocols import MODES, PROTOCOLS, SPECS, _drive, _runs, describe
 from edss.reference import CLOSED_FORM_KINDS
 from edss.sweep import sweep_columns
 
@@ -68,8 +68,7 @@ def test_table_entry_matches_its_runs(spec, tmp_path):
     for fid in fids:
         assert fid in FORMULAS
 
-    channel = next(replace(spec, start=0.25).channels())
-    trace = _drive(entry, [(channel,) * len(entry.channel_roles)], spec.d)[0]
+    trace = next(_runs(entry, spec.channel, spec.d, replace(spec, start=0.25).params()[:1]))[0]
     recorded = set(trace.partition_negativities) | {f"avg:{k}" for k in trace.averages}
     for chain in trace.identity_chains.values():
         assert set(chain) <= recorded

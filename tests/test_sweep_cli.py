@@ -15,7 +15,7 @@ from edss.cli import build_parser, load_config, main
 from edss import protocols
 from edss.protocols import SPECS, _drive
 from edss.reference import Formula
-from edss.svgchart import _x_to_px, _y_to_px, polyline_points, render_line_chart
+from edss.svgchart import polyline_points, render_line_chart
 from edss.sweep import (
     MAX_DIM_CEILING,
     MAX_POINTS,
@@ -25,7 +25,7 @@ from edss.sweep import (
     sweep_table,
 )
 
-from explicit_forms import table_rows
+from explicit_forms import table_rows, x_to_px, y_to_px
 
 
 def read_csv(path):
@@ -700,6 +700,6 @@ class TestPolylinePoints:
         xs, ys = rng.uniform(-4, 8, 301).tolist(), rng.uniform(-1, 2, 301).tolist()
         xs[:3], ys[:3] = [*x_range, 0.0], [*y_range, -0.0]
         want = " ".join(
-            f"{_x_to_px(x, *x_range):.3f},{_y_to_px(y, *y_range):.3f}" for x, y in zip(xs, ys)
+            f"{x_to_px(x, *x_range):.3f},{y_to_px(y, *y_range):.3f}" for x, y in zip(xs, ys)
         )
         assert polyline_points(xs, ys, x_range, y_range) == want
