@@ -13,15 +13,11 @@ from .channels import (
     QuditChannel,
     amplitude_damping,
     apply_to_subsystem,
-    bloch_affine,
     canonical_channel,
     channel_from_config,
-    choi_matrix,
     depolarizing,
     identity_channel,
     is_cpt,
-    is_extreme_point,
-    unital_cp_condition,
 )
 from .checks import CheckResult, run_checks
 from .measures import NegativityResult, average_negativity, concurrence, negativity
@@ -43,15 +39,11 @@ from .protocols import (
 from .reference import FORMULAS, Formula, closed_form
 from .states import (
     MeasurementBranch,
-    PureState,
-    bell_chi0,
     bob_deterministic_map,
     cnot,
     edss_initial_two_qubit,
     ghz_initial_state,
-    ghz_state,
     measure_computational,
-    psi_plus,
     qudit_initial_state,
 )
 from .sweep import SweepError, SweepResult, SweepSpec, run_sweep
@@ -59,10 +51,8 @@ from .tensor import (
     Bipartition,
     DensityOperator,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
     partial_transpose,
-    trace_norm,
 )
 
 __all__ = [
@@ -80,7 +70,6 @@ __all__ = [
     "MeasurementBranch",
     "NegativityResult",
     "ProtocolTrace",
-    "PureState",
     "QuditChannel",
     "SeparabilityReport",
     "SweepError",
@@ -89,12 +78,9 @@ __all__ = [
     "amplitude_damping",
     "apply_to_subsystem",
     "average_negativity",
-    "bell_chi0",
-    "bloch_affine",
     "bob_deterministic_map",
     "canonical_channel",
     "channel_from_config",
-    "choi_matrix",
     "closed_form",
     "cnot",
     "concurrence",
@@ -102,18 +88,14 @@ __all__ = [
     "depolarizing",
     "edss_initial_two_qubit",
     "ghz_initial_state",
-    "ghz_state",
     "ghz_states",
     "hermitian_eigenvalues",
     "identity_channel",
     "is_cpt",
-    "is_extreme_point",
-    "kron",
     "measure_computational",
     "negativity",
     "partial_trace",
     "partial_transpose",
-    "psi_plus",
     "qudit_initial_state",
     "qudit_states",
     "run_checks",
@@ -122,9 +104,7 @@ __all__ = [
     "run_sweep",
     "run_two_qubit",
     "separability_audit",
-    "trace_norm",
     "two_qubit_states",
-    "unital_cp_condition",
     "verify_identity_chain",
 ]
 

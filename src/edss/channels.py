@@ -3,8 +3,8 @@
 A channel is defined by its transfer tensor ``T[i, j, k, l]``, the matrix
 element ``E(|k><l|)[i, j]``; each class writes only that tensor. Everything
 else reads it: the action ``apply_matrix``, the embedding into a larger
-register, the Choi matrix, the CPT and covariance tests and Bloch parameters, so
-no Kraus decomposition is ever required for maps defined by their action alone.
+register and the CPT and covariance tests, so no Kraus decomposition is ever
+required for maps defined by their action alone.
 """
 
 from __future__ import annotations
@@ -124,12 +124,6 @@ class KrausChannel(_Channel):
         ops = np.array([c.kraus_ops for c in group])  # (B, m, d, d): one operator shape per group
         return np.einsum("bmik,bmjl->bijkl", ops, ops.conj())
 
-    def completeness_defect(self) -> float:
-        """Max-entry deviation of sum(A^dag A) from the identity."""
-        d = self.dim
-        acc = sum(a.conj().T @ a for a in self.kraus_ops)
-        return float(np.max(np.abs(acc - np.eye(d))))
-
 
 @dataclass(frozen=True, eq=False)
 class DepolarizingChannel(_Channel):
@@ -220,6 +214,7 @@ def _channels(kind: str, d: int, params) -> list[QuditChannel]:
 
 
 def identity_channel(d: int = 2) -> QuditChannel:
+    """The identity map in dimension ``d``: the zero-noise reference."""
     if (d := _dimension(d)) == 2:
         return CanonicalChannel(1.0, 1.0, 1.0, 0.0, kind="identity")
     return DepolarizingChannel(d, 0.0, kind="identity")
@@ -287,11 +282,6 @@ def _embed_entries(t4: np.ndarray, m: _Entries, d: int, stride: int) -> _Entries
     term, source, summing = _pattern_plan(("embed", stride, joint.tobytes()), m, plan)
     products = t4.reshape(*t4.shape[:-4], d**4)[..., term] * m.values[..., source]
     return _summed(summing, products, m.dims)
-
-
-def choi_matrix(ch: QuditChannel) -> np.ndarray:
-    """Block matrix sum_{kl} |k><l| (x) E(|k><l|); PSD iff the map is CP."""
-    return np.ascontiguousarray(_choi(ch.transfer_tensor()))
 
 
 def _choi(t4: np.ndarray) -> np.ndarray:
@@ -374,36 +364,6 @@ def _sector_index(d: int) -> np.ndarray:
     return (((k + s) % d * d + (l + s) % d) * d + k) * d + l
 
 
-def is_extreme_point(ch: CanonicalChannel, tol: float = VALIDITY_ATOL) -> bool:
-    """Whether a canonical channel sits on an extreme point of the CPT set.
-
-    The condition is equality, for both signs, of (l1 +- l2)^2 and
-    (1 +- l3)^2 - t3^2.
-    """
-    if not isinstance(ch, CanonicalChannel):
-        raise TypeError("extreme-point test applies to canonical channels")
-    l1, l2, l3, t3 = ch.lambda1, ch.lambda2, ch.lambda3, ch.t3
-    plus = (l1 + l2) ** 2 - ((1 + l3) ** 2 - t3**2)
-    minus = (l1 - l2) ** 2 - ((1 - l3) ** 2 - t3**2)
-    return abs(plus) <= tol and abs(minus) <= tol
-
-
-def unital_cp_condition(l1: float, l2: float, l3: float, tol: float = 0.0) -> bool:
-    """Closed-form CP test for unital canonical channels: |l1 +- l2| <= |1 +- l3|."""
-    return (
-        abs(l1 + l2) <= abs(1 + l3) + tol and abs(l1 - l2) <= abs(1 - l3) + tol
-    )
-
-
-def bloch_affine(ch: QuditChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch representation (matrix, shift) of a qubit channel."""
-    if ch.dim != 2:
-        raise ValueError("Bloch representation applies to qubit channels")
-    # R[m, n] = tr(s_m E(s_n)) / 2 with E(s_n) = sum_kl T[:, :, k, l] s_n[k, l].
-    r = 0.5 * np.einsum("mji,ijkl,nkl->mn", _PAULI_BASIS, ch.transfer_tensor(), _PAULI_BASIS).real
-    return r[1:, 1:], r[1:, 0]
-
-
 def has_canonical_form(ch: QuditChannel, atol: float = _COVARIANCE_ATOL) -> bool:
     """True when the channel is Z_d phase-covariant, ``T[i, j, k, l] = 0`` unless
     ``i - j = k - l (mod d)``: the class, empirical and backed by property tests,
@@ -455,8 +415,3 @@ def channel_from_config(config: Mapping[str, object]) -> QuditChannel:
     if kind == "canonical" and d != 2:
         raise ValueError("canonical channels are qubit (d=2) channels")
     return _channels(kind, d, [params])[0]
-
-
-def noise_channel(kind: str, d: int, x: float) -> QuditChannel:
-    """One-parameter channel (depolarizing or amplitude damping) at ``x``."""
-    return channel_from_config({"kind": kind, "d": d, CHANNEL_PARAMS[kind][0]: x})

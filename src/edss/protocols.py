@@ -39,7 +39,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .channels import CHANNEL_PARAMS, QuditChannel, _built, _channels, _covariant, _cpt_reports
-from .channels import _embed, _off_sectors, noise_channel
+from .channels import _embed, _off_sectors
 from .measures import _batch_negativities, _concurrences
 from .reference import CLOSED_FORM_KINDS, FORMULAS
 from .states import (
@@ -612,29 +612,36 @@ def run_qudit(d: int, ch: QuditChannel) -> ProtocolTrace:
     return _drive(SPECS["qudit", "probabilistic"], [(ch,)], d)[0]
 
 
-def qudit_average_only(d: int, kind: str, x: float | np.ndarray) -> float | np.ndarray:
-    """Branch-averaged a|b negativity of qudit runs, for d up to ``MAX_DIM_CEILING``:
-    a float for a float ``x``, else a value per entry of the 1-D array ``x``, from one
-    driver pass per chunk (``_runs``)."""
+def _average_only(
+    spec: ProtocolSpec, kind: str, d: int, x: float | np.ndarray, partition: str
+) -> float | np.ndarray:
+    """The ``avg:<partition>`` column of ``spec`` under one ``kind`` channel in every
+    role: a float for a float ``x``, else a value per entry of the 1-D array ``x``,
+    from one driver pass per chunk (``_runs``)."""
     if len(CHANNEL_PARAMS.get(kind, ())) != 1:
         raise ValueError(f"unknown one-parameter channel kind {kind!r}")
     if (xs := np.asarray(x, dtype=float)).ndim > 1:
         raise ValueError(f"x must be a float or a 1-D array, got shape {xs.shape}")
-    runs = _runs(SPECS["qudit", "probabilistic"], kind, d, xs.reshape(-1, 1))
-    column = np.concatenate([chunk.columns["avg:a|b"] for chunk in runs] or [[]])
+    runs = _runs(spec, kind, d, xs.reshape(-1, 1))
+    column = np.concatenate([chunk.columns[f"avg:{partition}"] for chunk in runs] or [[]])
     return float(column[0]) if xs.ndim == 0 else column
 
 
-def ghz_average_only(kind: str, x: float, side: int) -> float:
+def qudit_average_only(d: int, kind: str, x: float | np.ndarray) -> float | np.ndarray:
+    """Branch-averaged a|b negativity of qudit runs, for d up to ``MAX_DIM_CEILING``;
+    ``x`` a float or a 1-D array, as for each ``*_average_only`` (``_average_only``)."""
+    return _average_only(SPECS["qudit", "probabilistic"], kind, d, x, "a|b")
+
+
+def ghz_average_only(kind: str, x: float | np.ndarray, side: int) -> float | np.ndarray:
     """Branch-averaged GHZ negativity across a|bc, b|ac or c|ab (``side`` 0, 1, 2)."""
-    ch, spec = noise_channel(kind, 2, x), SPECS["ghz", "probabilistic"]
-    return float(_drive(spec, [(ch, ch)]).columns[f"avg:{list(spec.layout[1])[side]}"][0])
+    spec = SPECS["ghz", "probabilistic"]
+    return _average_only(spec, kind, 2, x, list(spec.layout[1])[side])
 
 
-def two_qubit_average_only(kind: str, x: float) -> float:
-    """Branch-averaged a|b negativity of the two-qubit protocol, from one full run."""
-    spec = SPECS["two_qubit", "probabilistic"]
-    return float(_drive(spec, [(noise_channel(kind, 2, x),)]).columns["avg:a|b"][0])
+def two_qubit_average_only(kind: str, x: float | np.ndarray) -> float | np.ndarray:
+    """Branch-averaged a|b negativity of the two-qubit protocol."""
+    return _average_only(SPECS["two_qubit", "probabilistic"], kind, 2, x, "a|b")
 
 
 _TWO_QUBIT = ProtocolSpec(
@@ -884,7 +891,8 @@ def critical_noise(
 
 def _critical_noise(curve, lo=0.0, hi=1.0, zero_atol=ROOT_ZERO_ATOL, tol=ROOT_TOL) -> float:
     """``critical_noise`` with each round's probes handed to ``curve`` as one 1-D
-    array, the values returned in order; ``qudit_average_only`` takes it in one pass."""
+    array, the values returned in order; each ``*_average_only`` takes a round in
+    one driver pass per chunk."""
     for name, value in (("lo", lo), ("hi", hi), ("zero_atol", zero_atol), ("tol", tol)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")

@@ -1,4 +1,4 @@
-"""Initial states, reference entangled states, and circuit elements.
+"""Initial states and circuit elements.
 
 The protocol start states are phase-state mixtures whose k-average keeps
 exactly the diagonal and the coherences between constant digit strings;
@@ -34,30 +34,6 @@ from .tensor import (
 # Branch probabilities below this are reported as exactly zero with a null
 # post state, keeping branch indexing stable across noise values.
 ZERO_PROBABILITY_ATOL = 1e-12
-# A state vector's norm may miss 1 by the rounding of its amplitudes (~1e-16 each).
-UNIT_NORM_ATOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit-norm state vector over a multi-qudit register."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(_dimension(d, "subsystem dimension") for d in self.dims)
-        if amps.shape[0] != prod(dims):
-            raise ValueError(f"amplitude count {amps.shape[0]} does not match dims {dims}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > UNIT_NORM_ATOL:
-            raise ValueError(f"state vector must have unit norm, got {norm}")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", dims)
-
-    def density(self) -> DensityOperator:
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,24 +58,6 @@ def basis_ket(d: int, i: int) -> np.ndarray:
 def _constant_strings(n: int, d: int) -> np.ndarray:
     """Flat indices of the n-digit strings |m...m>, m < d: m (1 + d + ... + d^(n-1))."""
     return np.arange(d) * ((d**n - 1) // (d - 1))
-
-
-def ghz_state(n: int, d: int) -> PureState:
-    """n-party, d-level GHZ state (1/sqrt(d)) sum_i |i>^(x n)."""
-    n, d = _integer(n, "party count n", 2), _dimension(d)
-    amps = np.zeros(d**n, dtype=complex)
-    amps[_constant_strings(n, d)] = 1.0
-    return PureState(amps / np.sqrt(d), (d,) * n)
-
-
-def bell_chi0(d: int) -> PureState:
-    """Two-qudit maximally entangled state (1/sqrt(d)) sum_j |jj>."""
-    return ghz_state(2, d)
-
-
-def psi_plus() -> PureState:
-    """(|00> + |11>) / sqrt(2)."""
-    return ghz_state(2, 2)
 
 
 @functools.cache

@@ -97,11 +97,6 @@ def _dimension(d: object, name: str = "dimension d") -> int:
     return _integer(d, name, 2)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def is_hermitian(m: np.ndarray, atol: float = VALIDITY_ATOL) -> bool:
     """Whether every matrix of the stack ``m`` (shape ``(..., n, n)``) is
     Hermitian within ``atol``, taken as the largest ``|m - m^H|`` entry."""
@@ -245,10 +240,6 @@ class DensityOperator:
     def dim(self) -> int:
         """Side of the full matrix."""
         return prod(self.dims)
-
-    @property
-    def subsystem_count(self) -> int:
-        return len(self.dims)
 
     def validate(self, atol: float = VALIDITY_ATOL) -> "DensityOperator":
         """Full validity check including positivity; returns self."""
@@ -476,8 +467,3 @@ def _batch_spectra(
             spectra[i].append(solved[start : start + points * count].reshape(*lead, count * size))
             start += points * count
     return [np.sort(np.concatenate(eigs, axis=-1), axis=-1) for eigs in spectra]
-
-
-def trace_norm(h: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(h))))

@@ -49,6 +49,18 @@ def psi_plus_matrix():
     return ghz_matrix(2, 2)
 
 
+def random_density(rng, side):
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    m = g @ g.conj().T
+    return m / np.trace(m)
+
+
+def random_unitary(rng, side):
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 # ---------------------------------------------------------------------------
 # The three start states as literal k-sums of product phase states.
 
@@ -538,6 +550,57 @@ def transfer_from_action(action, d):
         for l in range(d):
             t4[:, :, k, l] = action(ketbra((d,), (k,), (l,)))
     return t4
+
+
+def noise_channel(kind, d, x):
+    """The one-parameter channel (depolarizing or amplitude damping) at ``x``,
+    from the package's one factory keyed by kind."""
+    from edss.channels import CHANNEL_PARAMS, channel_from_config
+
+    return channel_from_config({"kind": kind, "d": d, CHANNEL_PARAMS[kind][0]: x})
+
+
+# ---------------------------------------------------------------------------
+# Channel readers from their definitions, through a channel's action alone.
+
+
+def choi_matrix(ch):
+    """sum_kl |k><l| (x) E(|k><l|): PSD iff the map is CP."""
+    d = ch.dim
+    return sum(
+        np.kron(ketbra((d,), (k,), (l,)), ch.apply_matrix(ketbra((d,), (k,), (l,))))
+        for k in range(d)
+        for l in range(d)
+    )
+
+
+def bloch_affine(ch):
+    """Affine Bloch representation (M, t) of a qubit channel: E((I + r.s) / 2) is
+    (I + (M r + t).s) / 2, so M[m, n] = tr(s_m E(s_n / 2)) and t_m = tr(s_m E(I / 2))."""
+    paulis = (SX, SY, SZ)
+
+    def bloch_vector(x):
+        return np.array([np.trace(s @ ch.apply_matrix(x)).real for s in paulis])
+
+    return np.array([bloch_vector(s / 2) for s in paulis]).T, bloch_vector(I2 / 2)
+
+
+def is_extreme_point(ch, tol=1e-9):
+    """Whether a canonical qubit channel (Bloch matrix diag(l1, l2, l3), shift
+    (0, 0, t3)) is an extreme point of the CPT maps (Ruskai-Szarek-Werner):
+    (l1 +- l2)^2 = (1 +- l3)^2 - t3^2 for both signs. Other channels raise."""
+    m, t = bloch_affine(ch)
+    if np.max(np.abs(m - np.diag(np.diag(m)))) > tol or np.max(np.abs(t[:2])) > tol:
+        raise TypeError("extreme-point test applies to canonical channels")
+    (l1, l2, l3), t3 = np.diag(m), t[2]
+    plus = (l1 + l2) ** 2 - ((1 + l3) ** 2 - t3**2)
+    minus = (l1 - l2) ** 2 - ((1 - l3) ** 2 - t3**2)
+    return abs(plus) <= tol and abs(minus) <= tol
+
+
+def unital_cp_condition(l1, l2, l3, tol=0.0):
+    """The closed-form CP test of unital canonical channels: |l1 +- l2| <= |1 +- l3|."""
+    return abs(l1 + l2) <= abs(1 + l3) + tol and abs(l1 - l2) <= abs(1 - l3) + tol
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """``tools/ab.py`` without starting a benchmark: the pair order, the in-process
-round order, the summaries, the output digests, the ``--run`` parser, the
-parent-checkout check and the public-name rule."""
+round order, the summaries, the output digests, the bytecode directories, the
+``--run`` parser, the parent-checkout check and the public-name rule."""
 
 import argparse
 import ast
@@ -34,7 +34,7 @@ def fake_bench_runs(monkeypatch, parent, walls):
 
 def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path):
     sides = fake_bench_runs(monkeypatch, tmp_path, {"parent": [1.0] * 4, "change": [1.0] * 4})
-    records, _ = ab.end_to_end(tmp_path, [("check_all", 0, 4)], 5)
+    records, _ = ab.end_to_end({"parent": tmp_path, "change": ab.ROOT}, [("check_all", 0, 4)], 5)
     assert sides == ["parent", "change", "change", "parent"] * 2
     assert [(r["pair"], r["side"]) for r in records] == [
         (pair, side) for pair in range(4) for side in sides[2 * pair : 2 * pair + 2]
@@ -44,7 +44,7 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path):
 def test_summary_counts_wins_and_a_tie_for_neither_side(monkeypatch, tmp_path):
     walls = {"parent": [1.0, 2.0, 3.0, 4.0, 5.0], "change": [0.5, 2.0, 3.5, 1.0, 5.0]}
     fake_bench_runs(monkeypatch, tmp_path, walls)
-    _, (row,) = ab.end_to_end(tmp_path, [("qubit_sweeps", 3, 5)], 5)
+    _, (row,) = ab.end_to_end({"parent": tmp_path, "change": ab.ROOT}, [("qubit_sweeps", 3, 5)], 5)
     assert (row["workload"], row["seed"], row["pairs"]) == ("qubit_sweeps", 3, 5)
     assert row["change_wins"] == 2  # pairs 0 and 3 won, 1 and 4 tied, 2 lost
     assert row["wall_s"]["parent"] == {"runs": walls["parent"], "q1": 1.5, "median": 3.0, "q3": 4.5}
@@ -130,6 +130,34 @@ def test_outputs_hash_every_csv_and_svg_of_a_sweep_workload(monkeypatch, tmp_pat
     assert any(name.endswith(".svg") for name in digests)
     assert all(len(digest) == 64 for digest in digests.values())
     assert ab.outputs("qubit_sweeps", 7) == digests
+
+
+def test_each_side_runs_on_its_own_precompiled_bytecode(monkeypatch, tmp_path):
+    runs = []
+
+    def run(cmd, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        runs.append((cwd, cmd, prefix, sorted(prefix.iterdir()), env))
+        stdout = '{}\n{"metrics": {}}\n' if "benchmarks/run.py" in cmd else "{}\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    roots = {"parent": tmp_path / "parent", "change": ab.ROOT}
+    sides = {side: ab.precompiled(root, tmp_path / f"{side}-pycache") 
+             for side, root in roots.items()}
+    for checkout in sides.values():
+        ab.bench_run(checkout, "check_all", 0, 5)
+        ab.in_process(checkout, "outputs('check_all', 0)")
+    # first each side's src compiled into a fresh directory of its own
+    assert [(cwd, cmd[1:], prefix, held) for cwd, cmd, prefix, held, _ in runs[:2]] == [
+        (root, ["-m", "compileall", "-q", str(root / "src")], tmp_path / f"{side}-pycache", [])
+        for side, root in roots.items()
+    ]
+    # then every run of a side reads that directory, and may write to it
+    assert [(cwd, prefix) for cwd, _, prefix, _, _ in runs[2:]] == [
+        (root, tmp_path / f"{side}-pycache") for side, root in roots.items() for _ in range(2)
+    ]
+    assert all("PYTHONDONTWRITEBYTECODE" not in env for *_, env in runs)
 
 
 def test_quartiles():

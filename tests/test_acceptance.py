@@ -17,22 +17,22 @@ from edss import (
     edss_initial_two_qubit,
     ghz_initial_state,
     is_cpt,
-    is_extreme_point,
-    psi_plus,
     qudit_initial_state,
     run_ghz,
     run_qudit,
     run_two_qubit,
     separability_audit,
-    unital_cp_condition,
     verify_identity_chain,
 )
 from edss.checks import ghz_average_only, qudit_average_only, random_cp_canonical
 
 from explicit_forms import (
     ghz_after_alice_cnots,
+    is_extreme_point,
+    psi_plus_matrix,
     qudit_after_alice_cnot,
     two_qubit_after_alice_cnot,
+    unital_cp_condition,
 )
 
 GRID = np.linspace(0.0, 1.0, 21)
@@ -85,9 +85,8 @@ def qudit_runs():
 def test_criterion_01_noiseless_baseline():
     trace = run_two_qubit(depolarizing(2, 0.0))
     checks = [("success probability", abs(trace.success_probability - 1 / 3), 1e-12)]
-    target = psi_plus().amplitudes
     post = trace.branches[0].post_state.matrix
-    fidelity = float(np.real(target.conj() @ post @ target))
+    fidelity = float(np.real(np.trace(psi_plus_matrix() @ post)))
     checks.append(("success-state fidelity", 1.0 - fidelity, 1e-12))
     det = run_two_qubit(depolarizing(2, 0.0), mode="deterministic")
     checks.append(

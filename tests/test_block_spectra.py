@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import edss.measures
 import edss.tensor
-from edss.channels import KrausChannel, _embed, apply_to_subsystem, identity_channel, noise_channel
+from edss.channels import KrausChannel, _embed, apply_to_subsystem, identity_channel
 from edss.measures import _batch_negativities, negativity
 from edss.protocols import SPECS, Cnot, _drive, partition_name, qudit_states, run_qudit
 from edss.states import qudit_initial_state
@@ -29,7 +29,7 @@ from edss.tensor import (
     partial_transpose,
 )
 
-from explicit_forms import cnot_gather, stinespring_kraus, z_twirl
+from explicit_forms import cnot_gather, noise_channel, stinespring_kraus, z_twirl
 
 EIG_ATOL = 1e-12
 REPORTED_ATOL = 1e-9

@@ -10,48 +10,37 @@ from edss import (
     DensityOperator,
     amplitude_damping,
     apply_to_subsystem,
-    bloch_affine,
     canonical_channel,
     channel_from_config,
-    choi_matrix,
     cnot,
     depolarizing,
     edss_initial_two_qubit,
     identity_channel,
     is_cpt,
-    is_extreme_point,
-    unital_cp_condition,
 )
-from edss.channels import CanonicalChannel, KrausChannel, has_canonical_form, noise_channel
+from edss.channels import CanonicalChannel, KrausChannel, has_canonical_form
+from edss.checks import random_cp_canonical
 
 from explicit_forms import (
+    bloch_affine,
     canonical_action,
+    choi_matrix,
     depolarizing_action,
     depolarizing_kraus,
     ghz_matrix,
+    is_extreme_point,
     kraus_action,
+    noise_channel,
     proj,
+    random_density,
     transfer_from_action,
     two_qubit_noisy_middle,
+    unital_cp_condition,
 )
 
 # Finite channel parameters; the algebra below holds whether or not the map is CP.
 unit = st.floats(-1.0, 1.0)
 probability = st.floats(0.0, 1.0)
-
-
-def random_density(rng, side):
-    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    m = g @ g.conj().T
-    return m / np.trace(m)
-
-
-def random_cp_canonical(rng):
-    while True:
-        l1, l2, l3, t3 = rng.uniform(-1.0, 1.0, 4)
-        ch = canonical_channel(l1, l2, l3, t3)
-        if is_cpt(ch, tol=1e-12):
-            return ch
 
 
 class TestCanonicalChannel:
@@ -138,7 +127,8 @@ class TestAmplitudeDamping:
 
     def test_completeness(self):
         for d in (2, 3, 6):
-            assert amplitude_damping(d, 0.3).completeness_defect() < 1e-15
+            ops = amplitude_damping(d, 0.3).kraus_ops
+            assert np.max(np.abs(sum(a.conj().T @ a for a in ops) - np.eye(d))) < 1e-15
 
     def test_matches_canonical_form_on_operator_basis(self):
         # The qubit damping channel and its canonical parameterization must
@@ -389,8 +379,9 @@ class TestIsExtremePoint:
         assert is_extreme_point(canonical_channel(1.0, 1.0, 1.0, 0.0))
 
     def test_requires_canonical(self):
+        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         with pytest.raises(TypeError):
-            is_extreme_point(amplitude_damping(2, 0.1))
+            is_extreme_point(KrausChannel((hadamard,)))
 
 
 class TestChannelFromConfig:

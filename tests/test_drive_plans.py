@@ -27,14 +27,13 @@ from edss.channels import (
     _canonical_tensors,
     canonical_channel,
     is_cpt,
-    noise_channel,
 )
 from edss.checks import DEFAULT_SEED, identity_suite, random_cp_canonical
 from edss.protocols import SPECS, _drive
 from edss.states import cnot, ghz_initial_state, measure_computational
 from edss.tensor import DensityOperator, hermitian_eigenvalues, partial_trace
 
-from explicit_forms import evolve_batch, stinespring_kraus, z_twirl
+from explicit_forms import evolve_batch, noise_channel, stinespring_kraus, z_twirl
 
 HADAMARD = KrausChannel((np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),))
 

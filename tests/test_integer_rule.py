@@ -15,7 +15,6 @@ from edss import (
     Bipartition,
     DensityOperator,
     DepolarizingChannel,
-    PureState,
     SweepError,
     SweepSpec,
     amplitude_damping,
@@ -24,7 +23,6 @@ from edss import (
     closed_form,
     cnot,
     depolarizing,
-    ghz_state,
     identity_channel,
     measure_computational,
     partial_trace,
@@ -52,17 +50,9 @@ def _maximally_mixed(d):
     return DensityOperator(np.eye(_side(d)) / _side(d), (2, d))
 
 
-def _basis_state(d):
-    amps = np.zeros(_side(d))
-    amps[0] = 1.0
-    return PureState(amps, (d, 2))
-
-
 # site -> call with the dimension under test in its place
 DIMENSION_SITES = {
     "DensityOperator": _maximally_mixed,
-    "PureState": _basis_state,
-    "ghz_state": lambda d: ghz_state(2, d),
     "qudit_initial_state": qudit_initial_state,
     "depolarizing": lambda d: depolarizing(d, 0.1),
     "DepolarizingChannel": lambda d: DepolarizingChannel(d, 0.1),
@@ -92,7 +82,6 @@ COUNT_SITES = {
         lambda n: identity_suite(random_channels=n, grid_points=2, qudit_dims=(2,)),
         0,
     ),
-    "ghz_state.n": (lambda n: ghz_state(n, 2), 3),
     "Bipartition.split.n": (lambda n: Bipartition.split([0], n), 3),
 }
 
@@ -122,10 +111,10 @@ def test_an_integral_dimension_is_taken_as_an_int(site, d):
 
 
 def test_dimensions_are_stored_as_ints():
-    for dims in (_maximally_mixed(np.float64(3.0)).dims, _basis_state(np.int64(3)).dims):
-        assert dims == (2, 3) or dims == (3, 2)
+    for dims in (_maximally_mixed(np.float64(3.0)).dims, _maximally_mixed(np.int64(3)).dims):
+        assert dims == (2, 3)
         assert all(type(d) is int for d in dims)
-    assert ghz_state(np.int64(2), 3.0).dims == (3, 3)
+    assert qudit_initial_state(3.0).dims == (3, 3, 3)
 
 
 def assert_same_run(got, want):

@@ -7,23 +7,18 @@ from edss import (
     average_negativity,
     concurrence,
     negativity,
-    psi_plus,
 )
-from edss.states import MeasurementBranch, PureState
+from edss.states import MeasurementBranch
 
-from explicit_forms import depol_pair_states, ghz_depol_success_state, ghz_matrix, proj
-
-
-def random_density(rng, side):
-    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    m = g @ g.conj().T
-    return m / np.trace(m)
-
-
-def random_unitary(rng, side):
-    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from explicit_forms import (
+    depol_pair_states,
+    ghz_depol_success_state,
+    ghz_matrix,
+    proj,
+    psi_plus_matrix,
+    random_density,
+    random_unitary,
+)
 
 
 PAIR = Bipartition.split({0}, 2)
@@ -31,7 +26,7 @@ PAIR = Bipartition.split({0}, 2)
 
 class TestNegativity:
     def test_maximally_entangled_pair(self):
-        result = negativity(psi_plus().density(), PAIR)
+        result = negativity(DensityOperator(psi_plus_matrix(), (2, 2)), PAIR)
         assert abs(result.value - 1.0) < 1e-12
         assert abs(result.trace_norm - 2.0) < 1e-12
         assert result.min_dim == 2
@@ -119,14 +114,14 @@ class TestNegativity:
         assert abs(lhs - rhs) < 1e-10
 
     def test_invalid_partition(self):
-        rho = psi_plus().density()
+        rho = DensityOperator(psi_plus_matrix(), (2, 2))
         with pytest.raises(ValueError):
             negativity(rho, Bipartition.split({0}, 3))
 
 
 class TestConcurrence:
     def test_maximally_entangled(self):
-        assert abs(concurrence(psi_plus().density()) - 1.0) < 1e-12
+        assert abs(concurrence(DensityOperator(psi_plus_matrix(), (2, 2))) - 1.0) < 1e-12
 
     def test_maximally_mixed(self):
         rho = DensityOperator(np.eye(4) / 4, (2, 2))
@@ -142,7 +137,7 @@ class TestConcurrence:
         for _ in range(25):
             amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             amps /= np.linalg.norm(amps)
-            rho = PureState(amps, (2, 2)).density()
+            rho = DensityOperator(np.outer(amps, amps.conj()), (2, 2))
             expected = 2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2])
             assert abs(concurrence(rho) - expected) < 1e-10
 
@@ -166,7 +161,7 @@ class TestAverageNegativity:
         assert abs(average_negativity(branches, PAIR) - expected) < 1e-12
 
     def test_null_branches_ignored(self):
-        rho = psi_plus().density()
+        rho = DensityOperator(psi_plus_matrix(), (2, 2))
         branches = [
             MeasurementBranch(0, 0.5, rho),
             MeasurementBranch(1, 0.0, None),

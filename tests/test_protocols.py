@@ -11,7 +11,6 @@ from edss import (
     amplitude_damping,
     apply_to_subsystem,
     average_negativity,
-    bloch_affine,
     canonical_channel,
     closed_form,
     cnot,
@@ -20,7 +19,6 @@ from edss import (
     ghz_states,
     identity_channel,
     is_cpt,
-    is_extreme_point,
     measure_computational,
     negativity,
     qudit_initial_state,
@@ -34,18 +32,22 @@ from edss import (
 )
 from edss import checks, protocols
 from edss.channels import KrausChannel, has_canonical_form
+from edss.checks import random_cp_canonical
 from edss.protocols import CHAIN_ATOL, MAX_DIM_CEILING, SEPARABILITY_ATOL, SPECS
 from edss.reference import CLOSED_FORM_ATOL
 
 from explicit_forms import (
     ad_deterministic_output,
     ad_pair_states,
+    bloch_affine,
     depol_pair_average_negativity,
     depol_pair_states,
     ghz_ad_success_state,
     ghz_branches,
     ghz_depol_success_state,
     ghz_noisy_middle,
+    is_extreme_point,
+    noise_channel,
     qudit_ad_success_pair,
     qudit_depol_final_state,
     qudit_depol_success_pair,
@@ -54,14 +56,6 @@ from explicit_forms import (
     weyl_diagonal_kraus,
     z_twirl,
 )
-
-
-def sample_cp_canonical(rng):
-    while True:
-        l1, l2, l3, t3 = rng.uniform(-1.0, 1.0, 4)
-        ch = canonical_channel(l1, l2, l3, t3)
-        if is_cpt(ch, tol=1e-12):
-            return ch
 
 
 class TestTwoQubitProtocol:
@@ -106,7 +100,7 @@ class TestTwoQubitProtocol:
         # explicit mixed-coefficient block construction.
         rng = np.random.default_rng(61)
         for _ in range(8):
-            ch = sample_cp_canonical(rng)
+            ch = random_cp_canonical(rng)
             trace = run_two_qubit(ch)
             expected = two_qubit_pair_branches(ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
             for branch, (q, mat) in zip(trace.branches, expected):
@@ -141,7 +135,7 @@ class TestTwoQubitProtocol:
     def test_identity_chain_for_random_noise(self):
         rng = np.random.default_rng(67)
         for _ in range(10):
-            trace = run_two_qubit(sample_cp_canonical(rng))
+            trace = run_two_qubit(random_cp_canonical(rng))
             report = verify_identity_chain(trace)
             assert report.passed, report.per_chain
 
@@ -164,7 +158,7 @@ class TestGhzProtocol:
     def test_branches_match_block_form_for_random_noise(self):
         rng = np.random.default_rng(71)
         for _ in range(4):
-            ch = sample_cp_canonical(rng)
+            ch = random_cp_canonical(rng)
             trace = run_ghz(ch)
             expected = ghz_branches(ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
             assert [b.outcome for b in trace.branches] == [e[0] for e in expected]
@@ -175,7 +169,7 @@ class TestGhzProtocol:
 
     def test_noisy_middle_state_matches_block_form(self):
         rng = np.random.default_rng(69)
-        for ch in (depolarizing(2, 0.3), amplitude_damping(2, 0.5), sample_cp_canonical(rng)):
+        for ch in (depolarizing(2, 0.3), amplitude_damping(2, 0.5), random_cp_canonical(rng)):
             lam, t = bloch_affine(ch)
             trace = run_ghz(ch)
             noisy = trace.step_state("channels")
@@ -206,7 +200,7 @@ class TestGhzProtocol:
     def test_identity_chains(self):
         rng = np.random.default_rng(73)
         for _ in range(4):
-            trace = run_ghz(sample_cp_canonical(rng))
+            trace = run_ghz(random_cp_canonical(rng))
             report = verify_identity_chain(trace)
             assert report.passed, report.per_chain
             assert "bc_symmetry" in trace.identity_chains
@@ -220,6 +214,17 @@ class TestGhzProtocol:
     def test_refuses_non_cpt(self):
         with pytest.raises(ValueError):
             run_ghz(depolarizing(2, 0.2), canonical_channel(1.0, 1.0, -1.0, 0.0))
+
+
+# name -> ((kind, x) -> per-point average, protocol, d, the drive column it reads)
+AVERAGE_ONLY = {
+    "qudit_d3": (lambda kind, x: checks.qudit_average_only(3, kind, x), "qudit", 3, "avg:a|b"),
+    **{
+        f"ghz_{p}": (lambda kind, x, s=s: checks.ghz_average_only(kind, x, s), "ghz", 2, f"avg:{p}")
+        for s, p in enumerate(("a|bc", "b|ac", "c|ab"))
+    },
+    "two_qubit": (checks.two_qubit_average_only, "two_qubit", 2, "avg:a|b"),
+}
 
 
 class TestQuditProtocol:
@@ -254,25 +259,36 @@ class TestQuditProtocol:
                 call()
 
     @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
-    def test_average_only_takes_a_float_or_an_array(self, kind):
-        xs = np.linspace(0.0, 1.0, 4)
-        values = checks.qudit_average_only(3, kind, xs)
-        assert isinstance(values, np.ndarray) and values.shape == (4,)
-        alone = [checks.qudit_average_only(3, kind, x) for x in xs.tolist()]
+    @pytest.mark.parametrize("average", AVERAGE_ONLY)
+    def test_average_only_takes_a_float_or_an_array(self, average, kind):
+        call, protocol, d, key = AVERAGE_ONLY[average]
+        spec = SPECS[protocol, "probabilistic"]
+        xs = np.linspace(0.0, 1.0, 7)
+        values = call(kind, xs)
+        assert isinstance(values, np.ndarray) and values.shape == (7,)
+        alone = [call(kind, x) for x in xs.tolist()]
         assert all(isinstance(value, float) for value in alone)
-        assert values.tolist() == alone
-        assert checks.qudit_average_only(3, kind, xs[:0]).shape == (0,)
+        roles = len(spec.channel_roles)
+        drives = [
+            protocols._drive(spec, [(noise_channel(kind, d, x),) * roles], d).columns[key][0]
+            for x in xs.tolist()
+        ]
+        assert [value.hex() for value in values.tolist()] == [value.hex() for value in alone]
+        assert [value.hex() for value in alone] == [float(value).hex() for value in drives]
+        assert call(kind, xs[:0]).shape == (0,)
 
     @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (1, 1, 1), (0, 3)])
-    def test_average_only_refuses_an_array_of_more_than_one_dimension(self, shape):
+    @pytest.mark.parametrize("average", AVERAGE_ONLY)
+    def test_average_only_refuses_an_array_of_more_than_one_dimension(self, average, shape):
         x = np.full(shape, 0.1)
         with pytest.raises(ValueError, match=rf"1-D array, got shape \({shape[0]}, {shape[1]}"):
-            checks.qudit_average_only(3, "depolarizing", x)
+            AVERAGE_ONLY[average][0]("depolarizing", x)
 
     @pytest.mark.parametrize("kind", ["canonical", "bogus"])
-    def test_average_only_refuses_a_kind_without_one_parameter(self, kind):
+    @pytest.mark.parametrize("average", AVERAGE_ONLY)
+    def test_average_only_refuses_a_kind_without_one_parameter(self, average, kind):
         with pytest.raises(ValueError, match=f"unknown one-parameter channel kind '{kind}'"):
-            checks.qudit_average_only(3, kind, 0.5)
+            AVERAGE_ONLY[average][0](kind, 0.5)
 
     def test_channel_kind_restriction_above_two(self):
         with pytest.raises(ValueError, match="phase-covariant"):
@@ -280,7 +296,7 @@ class TestQuditProtocol:
 
     def test_qubit_case_accepts_any_cpt_channel(self):
         rng = np.random.default_rng(79)
-        trace = run_qudit(2, sample_cp_canonical(rng))
+        trace = run_qudit(2, random_cp_canonical(rng))
         assert len(trace.branches) == 2
 
     def test_channel_dimension_must_match(self):
@@ -635,7 +651,7 @@ class TestRecordedAverages:
     def test_averages_equal_average_negativity(self, protocol, run, channel):
         if channel == "random":
             # this draw leaves entanglement on the success branch of every protocol
-            ch = sample_cp_canonical(np.random.default_rng(102))
+            ch = random_cp_canonical(np.random.default_rng(102))
         else:
             ch = depolarizing(2, 0.3) if channel == "depolarizing" else amplitude_damping(2, 0.4)
         trace = run(ch)
@@ -836,7 +852,7 @@ class TestExtraCarrierNoise:
     @settings(deadline=None, max_examples=20)
     @given(seed, probability)
     def test_qubit_entries(self, s, q):
-        ch = sample_cp_canonical(np.random.default_rng(s))
+        ch = random_cp_canonical(np.random.default_rng(s))
         params = (ch.lambda1, ch.lambda2, ch.lambda3, ch.t3)
         noisier = canonical_channel(*((1.0 - q) * x for x in params))
         before, after = run_two_qubit(ch), run_two_qubit(noisier)

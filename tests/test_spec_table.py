@@ -13,10 +13,12 @@ from dataclasses import replace
 import pytest
 
 from edss import FORMULAS, SweepError, SweepSpec, run_sweep
-from edss.channels import CHANNEL_PARAMS, noise_channel
+from edss.channels import CHANNEL_PARAMS
 from edss.protocols import MODES, PROTOCOLS, SPECS, _drive, _runs, describe
 from edss.reference import CLOSED_FORM_KINDS
 from edss.sweep import sweep_columns
+
+from explicit_forms import noise_channel
 
 # With these fixed values every lambda3 in [0, 0.8] gives a CPT channel.
 CANONICAL_ARGS = {"lambda1": 0.4, "lambda2": 0.4, "t3": 0.1}

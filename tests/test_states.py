@@ -4,18 +4,15 @@ import pytest
 from edss import (
     Bipartition,
     DensityOperator,
-    bell_chi0,
     bob_deterministic_map,
     cnot,
     edss_initial_two_qubit,
     ghz_initial_state,
-    ghz_state,
     measure_computational,
     negativity,
-    psi_plus,
     qudit_initial_state,
 )
-from edss.states import PureState, bob_deterministic_kraus
+from edss.states import bob_deterministic_kraus
 from edss.channels import SIGMA_X
 from edss.protocols import MAX_DIM_CEILING
 
@@ -27,9 +24,11 @@ from explicit_forms import (
     ghz_initial_rule,
     ghz_matrix,
     proj,
+    psi_plus_matrix,
     qudit_after_alice_cnot,
     qudit_initial_ksum,
     qudit_initial_rule,
+    random_density,
     two_qubit_after_alice_cnot,
     two_qubit_initial_ksum,
     two_qubit_initial_rule,
@@ -52,32 +51,6 @@ def cnot_unitary(dims, control, target, inverse=False):
         digits[target] = (digits[target] + shift) % d
         u[flat(dims, tuple(digits)), i] = 1.0
     return u
-
-
-def random_density(rng, side):
-    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    m = g @ g.conj().T
-    return m / np.trace(m)
-
-
-class TestPureStates:
-    def test_psi_plus_equals_two_level_pair(self):
-        assert np.allclose(psi_plus().amplitudes, bell_chi0(2).amplitudes)
-        assert np.allclose(psi_plus().amplitudes, ghz_state(2, 2).amplitudes)
-
-    def test_ghz_normalized(self):
-        for n, d in ((2, 2), (3, 2), (3, 5), (5, 2)):
-            amps = ghz_state(n, d).amplitudes
-            assert abs(np.vdot(amps, amps) - 1.0) < 1e-14
-
-    def test_chi0_maximal_entanglement(self):
-        rho = bell_chi0(3).density()
-        result = negativity(rho, Bipartition.split({0}, 2))
-        assert abs(result.value - 1.0) < 1e-12
-
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError):
-            PureState(np.array([1.0, 1.0]), (2,))
 
 
 class TestInitialStates:
@@ -305,7 +278,7 @@ class TestMeasurement:
         assert np.allclose(branches[1].post_state.matrix, np.kron(a, c), atol=1e-13)
 
     def test_invalid_target(self):
-        rho = psi_plus().density()
+        rho = DensityOperator(psi_plus_matrix(), (2, 2))
         with pytest.raises(ValueError):
             measure_computational(rho, target=4)
 
@@ -337,4 +310,4 @@ class TestBobDeterministicMap:
 
     def test_requires_three_qubits(self):
         with pytest.raises(ValueError):
-            bob_deterministic_map(psi_plus().density())
+            bob_deterministic_map(DensityOperator(psi_plus_matrix(), (2, 2)))

@@ -9,18 +9,23 @@ from edss import (
     Bipartition,
     DensityOperator,
     hermitian_eigenvalues,
-    kron,
     negativity,
     partial_trace,
     partial_transpose,
     qudit_states,
-    trace_norm,
 )
-from edss.channels import noise_channel
-from edss.states import ghz_state, psi_plus
 from edss.tensor import _component_labels, _Entries
 
-from explicit_forms import SX, SZ, ghz_matrix, proj
+from explicit_forms import (
+    SX,
+    SZ,
+    ghz_matrix,
+    noise_channel,
+    proj,
+    psi_plus_matrix,
+    random_density,
+    random_unitary,
+)
 
 
 def labels_of(h):
@@ -28,21 +33,9 @@ def labels_of(h):
     return _component_labels(_Entries.of(h, (h.shape[-1],)))
 
 
-def random_density(rng, side):
-    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    m = g @ g.conj().T
-    return m / np.trace(m)
-
-
 def random_hermitian(rng, side):
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     return 0.5 * (g + g.conj().T)
-
-
-def random_unitary(rng, side):
-    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def hermitian_2x2_roots(h):
@@ -76,20 +69,21 @@ def hermitian_3x3_roots(h):
 
 
 class TestKron:
+    """``np.kron`` puts its first factor on the most significant digit, the
+    register order of ``DensityOperator`` and of the oracles' ``flat``."""
+
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_basis_projectors(self):
         p0 = proj((2,), (0,))
         p1 = proj((2,), (1,))
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        assert np.array_equal(kron(p0, p1), expected)
+        assert np.array_equal(np.kron(p0, p1), proj((2, 2), (0, 1)))
 
     def test_double_bit_flip(self):
         v00 = np.zeros(4)
         v00[0] = 1.0
-        v11 = kron(SX, SX) @ v00
+        v11 = np.kron(SX, SX) @ v00
         expected = np.zeros(4)
         expected[3] = 1.0
         assert np.allclose(v11, expected)
@@ -102,7 +96,7 @@ class TestKron:
             rng.integers(-9, 10, (n, n)) + 1j * rng.integers(-9, 10, (n, n))
         ).astype(complex)
         a, b, c = ints(2), ints(3), ints(2)
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
+        assert np.array_equal(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)))
 
     def test_associativity_float_inputs(self):
         rng = np.random.default_rng(13)
@@ -111,7 +105,7 @@ class TestKron:
             for n in (2, 3, 2)
         ]
         a, b, c = mats
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-14)
+        assert np.allclose(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)), atol=1e-14)
 
 
 class TestDensityOperator:
@@ -137,7 +131,7 @@ class TestDensityOperator:
 
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
-        rho = psi_plus().density()
+        rho = DensityOperator(psi_plus_matrix(), (2, 2))
         reduced = partial_trace(rho, keep={0})
         assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
 
@@ -179,7 +173,7 @@ class TestPartialTrace:
         assert np.allclose(reduced.matrix, np.kron(a, c), atol=1e-13)
 
     def test_bad_indices(self):
-        rho = psi_plus().density()
+        rho = DensityOperator(psi_plus_matrix(), (2, 2))
         with pytest.raises(ValueError):
             partial_trace(rho, keep=set())
         with pytest.raises(ValueError):
@@ -188,7 +182,7 @@ class TestPartialTrace:
 
 class TestPartialTranspose:
     def test_bell_spectrum(self):
-        rho = psi_plus().density()
+        rho = DensityOperator(psi_plus_matrix(), (2, 2))
         pt = partial_transpose(rho, Bipartition.split({0}, 2))
         eigs = hermitian_eigenvalues(pt)
         assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
@@ -205,10 +199,10 @@ class TestPartialTranspose:
         )
 
     def test_ghz3_trace_norm_and_spectrum(self):
-        rho = ghz_state(3, 2).density()
+        rho = DensityOperator(ghz_matrix(3, 2), (2, 2, 2))
         pt = partial_transpose(rho, Bipartition.split({0}, 3))
         eigs = hermitian_eigenvalues(pt)
-        assert abs(trace_norm(pt) - 2.0) < 1e-12
+        assert abs(np.abs(hermitian_eigenvalues(pt)).sum() - 2.0) < 1e-12
         assert np.allclose(
             eigs, [-0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5], atol=1e-12
         )
@@ -248,7 +242,7 @@ class TestPartialTranspose:
         assert np.array_equal(back, rho.matrix)
 
     def test_invalid_partition(self):
-        rho = psi_plus().density()
+        rho = DensityOperator(psi_plus_matrix(), (2, 2))
         with pytest.raises(ValueError):
             partial_transpose(rho, Bipartition(frozenset({0}), frozenset({0, 1})))
         with pytest.raises(ValueError):
@@ -310,7 +304,7 @@ class TestLocalUnitaryInvariance:
     def test_negativity_invariant_under_local_unitaries(self, d, p, seed):
         rng = np.random.default_rng(seed)
         rho = qudit_states(d, noise_channel("depolarizing", d, p))[-1][1]
-        u = kron(kron(random_unitary(rng, d), random_unitary(rng, d)), random_unitary(rng, d))
+        u = np.kron(np.kron(random_unitary(rng, d), random_unitary(rng, d)), random_unitary(rng, d))
         rotated = DensityOperator(u @ rho.matrix @ u.conj().T, rho.dims)
         for side in range(3):
             part = Bipartition.split({side}, 3)
@@ -324,14 +318,18 @@ class TestLocalUnitaryInvariance:
 
 
 class TestTraceNorm:
+    """The trace norm of a Hermitian matrix: its absolute eigenvalues summed."""
+
     def test_pauli_z(self):
-        assert abs(trace_norm(SZ) - 2.0) < 1e-14
+        assert abs(np.abs(hermitian_eigenvalues(SZ)).sum() - 2.0) < 1e-14
 
     def test_any_density_operator(self):
         rng = np.random.default_rng(59)
         for side in (2, 4, 6):
-            assert abs(trace_norm(random_density(rng, side)) - 1.0) < 1e-12
+            spectrum = hermitian_eigenvalues(random_density(rng, side))
+            assert abs(np.abs(spectrum).sum() - 1.0) < 1e-12
 
     def test_bell_partial_transpose(self):
-        pt = partial_transpose(psi_plus().density(), Bipartition.split({0}, 2))
-        assert abs(trace_norm(pt) - 2.0) < 1e-12
+        rho = DensityOperator(psi_plus_matrix(), (2, 2))
+        pt = partial_transpose(rho, Bipartition.split({0}, 2))
+        assert abs(np.abs(hermitian_eigenvalues(pt)).sum() - 2.0) < 1e-12

@@ -23,7 +23,10 @@ every ``run_checks("all")`` row by ``float.hex``, and per workload the names
 whose digest differs between the sides (or that one side lacks). ``layers``,
 ``in_process`` and ``outputs`` run a workload at its first seed (seed 0 for a
 workload no ``--run`` names). BLAS and OpenMP pools are pinned to one thread.
-Run from the repository root.
+Before any timing each side gets a fresh bytecode directory of its own
+(``PYTHONPYCACHEPREFIX``), its ``src`` compiled into it, which every later run
+of that side reads, so ``setup_s`` compares code with code, not the state of
+each checkout's ``__pycache__``. Run from the repository root.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import sys
 import tempfile
 import timeit
 from pathlib import Path
+from typing import NamedTuple
 from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,11 +97,11 @@ def outputs(workload: str, seed: int) -> dict[str, str]:
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
 
 
-def output_digests(sides: dict[str, Path], seeds: dict[str, int]) -> dict[str, dict]:
+def output_digests(sides: dict[str, Checkout], seeds: dict[str, int]) -> dict[str, dict]:
     """Per side and workload the ``outputs`` digests, each workload in a fresh
     interpreter, and per workload the names whose digests differ between the sides."""
-    digests = {side: {w: in_process(path, f"outputs({w!r}, {s})") for w, s in seeds.items()}
-               for side, path in sides.items()}
+    digests = {side: {w: in_process(checkout, f"outputs({w!r}, {s})") for w, s in seeds.items()}
+               for side, checkout in sides.items()}
     parent, change = digests["parent"], digests["change"]
     differ = {w: sorted(name for name in parent[w].keys() | change[w].keys()
                         if parent[w].get(name) != change[w].get(name)) for w in seeds}
@@ -125,32 +129,54 @@ def warm_runs(repeat: int) -> dict[str, dict]:
     return rows
 
 
-def child(cmd: list[str], checkout: Path, timeout: int) -> list[str]:
-    """Stdout lines of ``cmd`` run in ``checkout``; a nonzero exit raises."""
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=timeout)
+class Checkout(NamedTuple):
+    """One side: its source tree, and the bytecode directory every run of it reads."""
+
+    root: Path
+    pycache: Path
+
+
+def precompiled(root: Path, pycache: Path) -> Checkout:
+    """``root`` with the fresh bytecode directory ``pycache``, its ``src`` compiled into it."""
+    pycache.mkdir()
+    checkout = Checkout(root, pycache)
+    child([sys.executable, "-m", "compileall", "-q", str(root / "src")], checkout, 300)
+    return checkout
+
+
+def child(cmd: list[str], checkout: Checkout, timeout: int) -> list[str]:
+    """Stdout lines of ``cmd`` run in ``checkout`` with its bytecode directory; a
+    nonzero exit raises. Bytecode writing is on there, so the modules outside
+    ``src`` (numpy, the standard library) are compiled into it at their first
+    import and read back after, as an installed package's are."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(checkout.pycache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run(cmd, cwd=checkout.root, capture_output=True, text=True,
+                          timeout=timeout, env=env)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: exited {proc.returncode}: {proc.stderr[-1000:]}")
+        raise RuntimeError(f"{checkout.root}: exited {proc.returncode}: {proc.stderr[-1000:]}")
     return proc.stdout.strip().splitlines()
 
 
-def in_process(checkout: Path, call: str) -> object:
+def in_process(checkout: Checkout, call: str) -> object:
     """``ab.<call>`` in a fresh interpreter, ``checkout``'s sources first on ``sys.path``."""
-    paths = [str(checkout / "src"), str(checkout / "benchmarks"), str(ROOT / "tools")]
+    root = checkout.root
+    paths = [str(root / "src"), str(root / "benchmarks"), str(ROOT / "tools")]
     code = f"import json, sys; sys.path[:0] = {paths!r}; import ab; print(json.dumps(ab.{call}))"
     return json.loads(child([sys.executable, "-c", code], checkout, 900)[-1])
 
 
-def in_process_rounds(sides: dict[str, Path], seeds: dict[str, int], repeat: int,
+def in_process_rounds(sides: dict[str, Checkout], seeds: dict[str, int], repeat: int,
                       rounds: int) -> dict[str, list]:
     """Per side, ``rounds`` rounds of ``entry_calls`` and ``warm_runs``, each in
     fresh interpreters; the parent goes first in even rounds, the change in odd."""
     out: dict[str, list] = {side: [] for side in sides}
     for r in range(rounds):
         for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-            path = sides[side]
-            calls = {w: in_process(path, f"entry_calls({w!r}, {s}, {repeat})")
+            checkout = sides[side]
+            calls = {w: in_process(checkout, f"entry_calls({w!r}, {s}, {repeat})")
                      for w, s in seeds.items()}
-            warm = in_process(path, f"warm_runs({repeat})")
+            warm = in_process(checkout, f"warm_runs({repeat})")
             out[side].append({"round": r, "entry_calls": calls, "warm_runs": warm})
     return out
 
@@ -167,7 +193,7 @@ def in_process_summary(rounds: dict[str, list]) -> dict[str, dict]:
     return summary
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+def bench_run(checkout: Checkout, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     lines = child([sys.executable, "benchmarks/run.py", "--workload", workload, "--seed",
                    str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                   checkout, seconds + 300)
@@ -179,14 +205,15 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def end_to_end(parent: Path, runs: list[tuple[str, int, int]], seconds: int) -> tuple[list, list]:
+def end_to_end(sides: dict[str, Checkout], runs: list[tuple[str, int, int]],
+               seconds: int) -> tuple[list, list]:
     records, summary = [], []
     for workload, seed, pairs in runs:
         walls = {"parent": [], "change": []}
         for pair in range(pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                out = bench_run(parent if side == "parent" else ROOT, workload, seed, seconds)
+                out = bench_run(sides[side], workload, seed, seconds)
                 metrics = out["result"]["metrics"]
                 walls[side].append(metrics["wall_s"]["value"])
                 records.append({"workload": workload, "seed": seed, "pair": pair,
@@ -232,16 +259,18 @@ def main() -> int:
         os.execve(sys.executable, [sys.executable, *sys.argv], env)
     runs = args.run or [(w, 0, 2) for w in WORKLOADS]
     seeds = {w: next(s for v, s, _ in runs if v == w) for w, _, _ in runs}
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
-    records, summary = end_to_end(sides["parent"], runs, args.seconds)
-    report = {"seconds": args.seconds, "repeat": args.repeat, "rounds": ROUNDS,
-              "end_to_end": records, "summary": summary, "layers": {}}
-    for side, path in sides.items():
-        report["layers"][side] = {w: bench_run(path, w, s, args.seconds, trace=1)
-                                  for w, s in seeds.items()}
-    report["in_process"] = in_process_rounds(sides, seeds, args.repeat, ROUNDS)
-    report["in_process_summary"] = in_process_summary(report["in_process"])
-    report["outputs"] = output_digests(sides, {w: seeds.get(w, 0) for w in WORKLOADS})
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as pycache:
+        roots = {"parent": args.parent.resolve(), "change": ROOT}
+        sides = {side: precompiled(root, Path(pycache) / side) for side, root in roots.items()}
+        records, summary = end_to_end(sides, runs, args.seconds)
+        report = {"seconds": args.seconds, "repeat": args.repeat, "rounds": ROUNDS,
+                  "end_to_end": records, "summary": summary, "layers": {}}
+        for side, checkout in sides.items():
+            report["layers"][side] = {w: bench_run(checkout, w, s, args.seconds, trace=1)
+                                      for w, s in seeds.items()}
+        report["in_process"] = in_process_rounds(sides, seeds, args.repeat, ROUNDS)
+        report["in_process_summary"] = in_process_summary(report["in_process"])
+        report["outputs"] = output_digests(sides, {w: seeds.get(w, 0) for w in WORKLOADS})
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(json.dumps({"end_to_end": summary, "in_process": report["in_process_summary"],
                       "outputs_differ": report["outputs"]["differ"]}, indent=1))
