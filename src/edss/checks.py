@@ -91,18 +91,21 @@ def _suffix(spec: ProtocolSpec, d: int) -> str:
     return f"_d{d}" if spec.takes_d else ""
 
 
-def _worst(grids: dict, spec: ProtocolSpec, kind: str, d: int, points: int) -> dict[str, float]:
-    """Largest ``row_deviations`` per check over a [0, 1] sweep of ``kind`` noise,
-    kept in ``grids`` under ``(spec, kind, d, points)``: a grid memo, so the
-    suites that share it sweep each grid once."""
+def _worst(grids: dict, spec: ProtocolSpec, kind: str, d: int, points: int) -> tuple[dict, tuple]:
+    """Largest ``row_deviations`` per check over a [0, 1] sweep of ``kind`` noise, and
+    the sweep's noise levels and ``average_negativity`` column (empty where it has
+    none), the curve a root search reads: kept in ``grids`` under ``(spec, kind, d,
+    points)``, a grid memo, so the suites that share it sweep each grid once."""
     key = (spec, kind, d, points)
     if key in grids:
         return grids[key]
     param = CHANNEL_PARAMS[kind][0]
     sweep = SweepSpec(spec.protocol, kind, param, "", mode=spec.mode, d=d, points=points).validate()
-    devs = row_deviations(sweep, sweep_table(sweep))
-    grids[key] = worst = {check: float(np.max(dev, initial=0.0)) for check, dev in devs.items()}
-    return worst
+    table = sweep_table(sweep)
+    devs = row_deviations(sweep, table)
+    worst = {check: float(np.max(dev, initial=0.0)) for check, dev in devs.items()}
+    grids[key] = worst, (table[param], table.get("average_negativity", ()))
+    return grids[key]
 
 
 def identity_suite(
@@ -134,7 +137,7 @@ def identity_suite(
             results.append(CheckResult.from_deviation(name, dev, "identity"))
         for kind in CLOSED_FORM_KINDS:
             for d in _dims(spec, qudit_dims):
-                dev = _worst(grids, spec, kind, d, grid_points)["identity"]
+                dev = _worst(grids, spec, kind, d, grid_points)[0]["identity"]
                 name = f"identity_{spec.protocol}_{kind}{_suffix(spec, d)}"
                 results.append(CheckResult.from_deviation(name, dev, "identity"))
     return results
@@ -148,7 +151,7 @@ def separability_suite(
     for kind in CLOSED_FORM_KINDS:
         for spec in _default_specs():
             for d in _dims(spec, qudit_dims):
-                dev = _worst(grids, spec, kind, d, grid_points)["separability"]
+                dev = _worst(grids, spec, kind, d, grid_points)[0]["separability"]
                 name = f"separability_{spec.protocol}_{kind}{_suffix(spec, d)}"
                 results.append(CheckResult.from_deviation(name, dev, "separability"))
     return results
@@ -161,14 +164,15 @@ def closed_form_suite(
     grids: dict | None = None,
 ) -> list[CheckResult]:
     """Compare every closed-form curve of ``reference.FORMULAS`` against the
-    simulation on a grid, and every critical noise level against a root search."""
+    simulation on a grid, and every critical noise level against a root search,
+    which reads its probes from that grid where it holds them."""
     grids, results = {} if grids is None else grids, []
     for protocol in PROTOCOLS:
         specs = [spec for spec in SPECS.values() if spec.protocol == protocol]
         for kind in CLOSED_FORM_KINDS:
             for d in _dims(specs[0], qudit_dims):
                 for spec in specs:
-                    worst = _worst(grids, spec, kind, d, grid_points)
+                    worst, _ = _worst(grids, spec, kind, d, grid_points)
                     results.extend(
                         CheckResult.from_deviation(f"{fid}{_suffix(spec, d)}", worst[fid], fid)
                         for fid in spec.formulas(kind)
@@ -179,7 +183,8 @@ def closed_form_suite(
             if (fid := spec.critical_formula(kind)) is None:
                 continue
             for d in _dims(spec, qudit_dims):
-                found = _critical_noise(lambda xs: spec.average_only(kind, xs, d))
+                _, swept = _worst(grids, spec, kind, d, grid_points)
+                found = _critical_noise(lambda xs: spec.average_only(kind, xs, d), grid=swept)
                 name, dev = f"{fid}{_suffix(spec, d)}", abs(found - FORMULAS[fid].fn(d))
                 results.append(CheckResult.from_deviation(name, dev, fid))
     return results

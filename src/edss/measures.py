@@ -15,7 +15,7 @@ from .tensor import (
     DensityOperator,
     _Entries,
     _batch_spectra,
-    _plan,
+    _plans,
 )
 
 # Eigenvalues in (-NEGATIVE_EIG_ATOL, 0) are treated as solver noise.
@@ -44,7 +44,7 @@ def negativity(rho: DensityOperator, part: Bipartition) -> NegativityResult:
     through the block plan of its entries as the driver's are (see ``_batch_negativities``)."""
     part.check(len(rho.dims))
     e = rho._entries()
-    eigs = _batch_spectra([(_plan(e, part.side_a), e.values)])[0]
+    eigs = _batch_spectra([(_plans([(e, part.side_a)])[0], e.values)])[0]
     tn, value, min_dim = _from_spectra(eigs, rho.dims, part)
     negatives = tuple(eigs[eigs < -NEGATIVE_EIG_ATOL].tolist())
     return NegativityResult(float(value), float(tn), min_dim, negatives)
@@ -53,9 +53,10 @@ def negativity(rho: DensityOperator, part: Bipartition) -> NegativityResult:
 def _batch_negativities(items: Sequence[tuple[_Entries, Bipartition]]) -> list[np.ndarray]:
     """Negativity values of each ``(stack, part)`` of ``items``, one per matrix
     of the entry stack across ``part``: every partial transpose goes through
-    its pattern's plan, and all of them are solved in one pass (see
-    ``tensor._batch_spectra``). The plans are held until the pass is done."""
-    spectra = _batch_spectra([(_plan(m, part.side_a), m.values) for m, part in items])
+    its pattern's plan (the misses built together, ``tensor._plans``), and all of them
+    are solved in one pass (``tensor._batch_spectra``). The plans are held until then."""
+    plans = _plans([(m, part.side_a) for m, part in items])
+    spectra = _batch_spectra([(plan, m.values) for plan, (m, _) in zip(plans, items)])
     return [_from_spectra(eigs, m.dims, part)[1] for (m, part), eigs in zip(items, spectra)]
 
 

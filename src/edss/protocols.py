@@ -57,6 +57,7 @@ from .tensor import (
     _check_unit_trace,
     _dimension,
     _Entries,
+    _integer,
     _partial_trace,
     _scatter,
 )
@@ -636,7 +637,7 @@ def qudit_average_only(d: int, kind: str, x: float | np.ndarray) -> float | np.n
 def ghz_average_only(kind: str, x: float | np.ndarray, side: int) -> float | np.ndarray:
     """Branch-averaged GHZ negativity across a|bc, b|ac or c|ab (``side`` 0, 1, 2)."""
     spec = SPECS["ghz", "probabilistic"]
-    return _average_only(spec, kind, 2, x, list(spec.layout[1])[side])
+    return _average_only(spec, kind, 2, x, list(spec.layout[1])[_integer(side, "side", 0, 2)])
 
 
 def two_qubit_average_only(kind: str, x: float | np.ndarray) -> float | np.ndarray:
@@ -889,10 +890,14 @@ def critical_noise(
     return _critical_noise(lambda xs: [fn(x) for x in xs.tolist()], lo, hi, zero_atol, tol)
 
 
-def _critical_noise(curve, lo=0.0, hi=1.0, zero_atol=ROOT_ZERO_ATOL, tol=ROOT_TOL) -> float:
+def _critical_noise(
+    curve, lo=0.0, hi=1.0, zero_atol=ROOT_ZERO_ATOL, tol=ROOT_TOL, grid=((), ())
+) -> float:
     """``critical_noise`` with each round's probes handed to ``curve`` as one 1-D
     array, the values returned in order; each ``*_average_only`` takes a round in
-    one driver pass per chunk."""
+    one driver pass per chunk. A probe in ``xs`` of ``grid``, ``(xs, values)`` of a
+    sweep the caller made, is read from there, not driven; no value depends on its
+    batch, so the root is the one found without ``grid``, bit for bit."""
     for name, value in (("lo", lo), ("hi", hi), ("zero_atol", zero_atol), ("tol", tol)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -902,8 +907,12 @@ def _critical_noise(curve, lo=0.0, hi=1.0, zero_atol=ROOT_ZERO_ATOL, tol=ROOT_TO
     if lo > hi:
         raise ValueError(f"lo ({lo!r}) exceeds hi ({hi!r})")
 
+    known = dict(zip(*grid))
+
     def f(probes: tuple[float, ...]) -> list[float]:
-        values = np.asarray(curve(np.array(probes, dtype=float)), dtype=float).tolist()
+        missing = np.array([x for x in probes if x not in known], dtype=float)
+        driven = iter(np.asarray(curve(missing) if len(missing) else (), dtype=float).tolist())
+        values = [float(known[x]) if x in known else next(driven) for x in probes]
         if bad := [(x, value) for x, value in zip(probes, values) if not np.isfinite(value)]:
             raise ValueError("curve value at x=%r is not finite: %r" % bad[0])
         return values

@@ -234,7 +234,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     table = sweep_table(spec)
     entry = SPECS[spec.protocol, spec.mode]
     if entry.critical_formula(spec.channel) is not None:
-        crit = _critical_noise(lambda xs: entry.average_only(spec.channel, xs, spec.d))
+        swept = table[spec.param], table["average_negativity"]
+        crit = _critical_noise(lambda xs: entry.average_only(spec.channel, xs, spec.d), grid=swept)
         table["critical_noise"] = np.full(spec.points, crit)
     columns = sweep_columns(spec)
     table = {column: table[column] for column in columns}

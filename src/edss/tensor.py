@@ -8,15 +8,16 @@ entries only (``channels._embed`` also keeps a dense contraction; see
 ``apply_to_subsystem``). A public one-state function converts its dense
 matrix at the call and scatters the result back.
 
-Spectra go through a block plan (:func:`_plan`): the index arrays that put a
-pattern's entries, partially transposed, into its diagonal blocks.
-:func:`_batch_spectra` solves any number of ``(plan, values)`` items in one
-pass, one batched ``eigvalsh`` per block size. The driver's other kernels
-keep their index work as plans too: a CNOT's moved positions, a channel
+Spectra go through a block plan: the index arrays that put a pattern's
+entries, partially transposed, into its diagonal blocks. :func:`_plans` finds
+a pass's plans and builds the missing ones together, on the disjoint union of
+their patterns; :func:`_batch_spectra` solves any number of ``(plan, values)``
+items in one pass, one batched ``eigvalsh`` per block size. The driver's other
+kernels keep their index work as plans too: a CNOT's moved positions, a channel
 embedding's gather, a measurement's outcome masks, a partial trace's sums.
 A plan depends on positions only, so every plan has one key: the kernel's
 tag and arguments plus the pattern it reads, ``(dims, rows bytes, cols
-bytes)``, built by :func:`_pattern_plan` (a matrix with no zero entry finds
+bytes)``, built by :func:`_pattern_key` (a matrix with no zero entry finds
 its one block by its side). Plans are kept in one cache, bounded by the bytes
 of their keys and arrays (``PLAN_CACHE_BYTES``), as integer arrays and never
 a value.
@@ -25,6 +26,8 @@ a value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 from math import prod
 from typing import Iterable, Sequence
 
@@ -71,20 +74,26 @@ def _plan_bytes(item: tuple) -> int:
     return len(item) if isinstance(item, bytes) else 0
 
 
+def _pattern_key(tag: tuple, e: _Entries) -> tuple:
+    """The key of a kernel's plan for the pattern of ``e``: the kernel's ``tag``
+    (its name and arguments) and that pattern."""
+    return (*tag, e.dims, e.rows.tobytes(), e.cols.tobytes())
+
+
 def _pattern_plan(tag: tuple, e: _Entries, build):
     """``build()``, the plan of a kernel for the pattern of ``e``, cached under
-    the kernel's ``tag`` (its name and arguments) and that pattern."""
-    return _cached((*tag, e.dims, e.rows.tobytes(), e.cols.tobytes()), build)
+    its ``_pattern_key``."""
+    return _cached(_pattern_key(tag, e), build)
 
 
 def _integer(value: object, name: str, lo: int, hi: int | None = None) -> int:
     """The one rule for subsystem indices and counts: ``value`` as an ``int`` in
     ``[lo, hi]`` (no upper bound for ``hi=None``). An ``int`` or a numpy integer
-    passes; a bool, a float or anything else raises ``ValueError``."""
+    passes; a bool, a float or anything else raises ``ValueError``, naming the range."""
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r} (expected one {bound})")
     if value < lo or (hi is not None and value > hi):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)
 
@@ -178,9 +187,11 @@ def _scatter(e: _Entries) -> np.ndarray:
 
 def _traces(m: np.ndarray | _Entries) -> np.ndarray:
     """Trace of each matrix of the stack ``m``; diagonal entries summed in entry order at any
-    width (``sum`` adds one row pairwise), so no trace depends on its stack, and 0 for none."""
+    width (``sum`` adds one row pairwise), so no trace depends on its stack, and 0 for none. A
+    trace is a copy of the sums' last column, as a view would keep every partial sum held."""
     if isinstance(m, _Entries):
-        return np.cumsum(m.values[..., m.rows == m.cols], axis=-1)[..., -1:].sum(axis=-1)
+        diag = m.values[..., m.rows == m.cols]
+        return np.cumsum(diag, axis=-1)[..., -1].copy() if diag.shape[-1] else diag.sum(-1)
     return np.trace(m, axis1=-2, axis2=-1)
 
 
@@ -369,7 +380,7 @@ def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndar
 
     The stack is taken at its joint nonzero pattern and split into the
     connected components of that pattern (see :func:`_component_labels`),
-    through its block plan (:func:`_plan`); entries between components are
+    through its block plan (:func:`_plans`); entries between components are
     exact zeros in every matrix, so each spectrum is the union of its blocks'
     spectra. :func:`_batch_spectra` fills the blocks, checks their
     hermiticity, solves the blocks of one size with one batched ``eigvalsh``
@@ -389,19 +400,40 @@ def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndar
         plan = _cached(("full", n), lambda: ((n, 1, np.arange(n * n), np.arange(n * n)),))
         return _batch_spectra([(plan, h.reshape(*h.shape[:-2], n * n))], atol)[0]
     e = _Entries.of(h, (n,))
-    return _batch_spectra([(_plan(e), e.values)], atol)[0]
+    return _batch_spectra([(_plans([(e, ())])[0], e.values)], atol)[0]
 
 
-def _plan(e: _Entries, side_a: Iterable[int] = ()) -> tuple:
-    """The block plan of the partial transposes across ``side_a`` of the stack
-    ``e`` (see :func:`_block_plan`), built on the first call for its pattern."""
-    side_a = tuple(sorted(side_a))
-
-    def plan() -> tuple:
-        pt = _partial_transpose(e, side_a)
-        return _block_plan(pt.rows, pt.cols, _component_labels(pt))
-
-    return _pattern_plan(("block", side_a), e, plan)
+def _plans(items: Sequence[tuple[_Entries, Iterable[int]]]) -> list[tuple]:
+    """The block plan (see :func:`_block_plan`) of the partial transposes across
+    ``side_a`` of each ``(stack, side_a)`` of ``items``, cached under its pattern's
+    key, as found or built (the bound may evict it). The misses are built at once on
+    the disjoint union of their transposed patterns, rows offset past the sides
+    before, and split back: a component's label is its smallest row, so each part
+    is its pattern's own build, byte for byte."""
+    items = [(e, tuple(sorted(side_a))) for e, side_a in items]
+    keys = [_pattern_key(("block", side_a), e) for e, side_a in items]
+    held = {key: plan for key in keys if (plan := _PLANS.get(key)) is not None}
+    misses = {key: (e, side_a) for key, (e, side_a) in zip(keys, items) if key not in held}
+    if misses:
+        pts = [_partial_transpose(e, side_a) for e, side_a in misses.values()]
+        sides = list(accumulate((prod(pt.dims) for pt in pts), initial=0))
+        starts = list(accumulate((len(pt.rows) for pt in pts), initial=0))
+        rows = np.concatenate([pt.rows + side for pt, side in zip(pts, sides)])
+        cols = np.concatenate([pt.cols + side for pt, side in zip(pts, sides)])
+        labels = _component_labels(_Entries(rows, cols, np.empty((0, len(rows))), (sides[-1],)))
+        count = np.bincount(labels, minlength=len(labels))
+        built: list[list] = [[] for _ in pts]
+        for size, _, take, at in _block_plan(rows, cols, labels):
+            # each pattern's first block of this size, and its first entry among them
+            first = np.searchsorted(np.flatnonzero(count == size), sides).tolist()
+            cut = np.searchsorted(take, starts).tolist()
+            for i, plan in enumerate(built):
+                if first[i] < first[i + 1]:
+                    span, blocks = slice(cut[i], cut[i + 1]), first[i + 1] - first[i]
+                    at_i = at[span] - first[i] * size * size
+                    plan.append((size, blocks, take[span] - starts[i], at_i))
+        held.update(zip(misses, map(tuple, built)))
+    return [_cached(key, partial(held.get, key)) for key in keys]
 
 
 def _block_plan(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> tuple:

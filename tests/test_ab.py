@@ -93,22 +93,39 @@ def test_in_process_summary_counts_rounds_won(monkeypatch, tmp_path):
 
 def test_output_digests_name_what_differs_between_the_sides(monkeypatch, tmp_path):
     digests = {
-        "parent": {"check_all": {"a": "0x1p-52", "b": "0x1p-53"}, "qubit_sweeps": {"x.csv": "1"}},
-        "change": {"check_all": {"a": "0x1p-52", "b": "0x1p-52"}, "qubit_sweeps": {"y.csv": "1"}},
+        "parent": {
+            "check_all:0": {"a": "0x1p-52", "b": "0x1p-53"},
+            "check_all:7": {"a": "0x1p-52", "b": "0x1p-53"},
+            "qubit_sweeps:7": {"x.csv": "1"},
+        },
+        "change": {
+            "check_all:0": {"a": "0x1p-52", "b": "0x1p-53"},
+            "check_all:7": {"a": "0x1p-52", "b": "0x1p-52"},
+            "qubit_sweeps:7": {"y.csv": "1"},
+        },
     }
     calls = []
 
     def in_process(checkout, call):
         side = "parent" if checkout == tmp_path else "change"
         calls.append((side, call))
-        return digests[side][call.split("'")[1]]
+        workload, seed = call.split("'")[1], call.split(", ")[1].rstrip(")")
+        return digests[side][f"{workload}:{seed}"]
 
     monkeypatch.setattr(ab, "in_process", in_process)
-    seeds = {"check_all": 0, "qubit_sweeps": 7}
-    out = ab.output_digests({"parent": tmp_path, "change": ab.ROOT}, seeds)
-    assert calls == [(side, f"outputs({w!r}, {s})") for side in digests for w, s in seeds.items()]
-    differ = {"check_all": ["b"], "qubit_sweeps": ["x.csv", "y.csv"]}
+    targets = [("check_all", 0), ("check_all", 7), ("qubit_sweeps", 7)]
+    out = ab.output_digests({"parent": tmp_path, "change": ab.ROOT}, targets)
+    assert calls == [(side, f"outputs({w!r}, {s})") for side in digests for w, s in targets]
+    differ = {"check_all:0": [], "check_all:7": ["b"], "qubit_sweeps:7": ["x.csv", "y.csv"]}
     assert out == {"digests": digests, "differ": differ}
+
+
+def test_outputs_are_taken_at_every_seed_a_run_names():
+    runs = [("check_all", 0, 10), ("check_all", 7, 10), ("qubit_sweeps", 7, 2), ("check_all", 0, 1)]
+    assert ab.output_targets(runs) == [
+        ("check_all", 0), ("check_all", 7), ("qubit_sweeps", 7), ("qudit_d6_sweeps", 0)
+    ]
+    assert ab.output_targets([]) == [(w, 0) for w in ab.WORKLOADS]
 
 
 def test_outputs_are_the_check_rows_by_hex(monkeypatch):

@@ -5,7 +5,8 @@ equal, bit for bit (by ``float.hex``), the cell of the same point driven alone:
 over 11-point [0, 1] grids of every ``SPECS`` entry, across GHZ batches whose two
 exchange channels differ, and at the probes of the qudit root search, which
 ``qudit_average_only`` takes as one array per round, so that the search by
-rounds lands where the one-point search does.
+rounds lands where the one-point search does, and where a swept grid answers
+the probes it holds.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from edss.channels import _channels
 from edss.protocols import MAX_DIM_CEILING, SPECS, _critical_noise, _drive, critical_noise
 from edss.protocols import qudit_average_only
 from edss.reference import CLOSED_FORM_KINDS
+from edss.sweep import SweepSpec, sweep_table
 
 GRID = np.linspace(0.0, 1.0, 11)
 
@@ -68,3 +70,33 @@ def test_root_search_rounds_are_their_one_point_passes(d):
     assert [len(xs) for xs, _ in rounds] == [3, 2] and rounds[0][0] == [1.0, 0.0, 0.5]
     assert found.hex() == critical_noise(fn).hex()
     assert calls == [(x, float(v).hex()) for xs, values in rounds for x, v in zip(xs, values)]
+
+
+@pytest.mark.parametrize(
+    "start, stop, points",
+    [(0.0, 1.0, 5), (0.5, 1.0, 3), (0.0, 0.5, 2), (0.1, 0.8, 2)],
+    ids=["all", "hi-and-mid", "lo-and-mid", "none"],
+)
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_a_swept_grid_answers_the_probes_it_holds(d, start, stop, points):
+    """A search handed a sweep's grid drives only the probes that grid lacks,
+    round by round, and lands on the root of the search without it, bit for bit."""
+
+    def searched(grid=((), ())):
+        rounds = []
+
+        def curve(xs):
+            rounds.append(xs.tolist())
+            return qudit_average_only(d, "depolarizing", xs)
+
+        return _critical_noise(curve, grid=grid), rounds
+
+    spec = SweepSpec("qudit", "depolarizing", "p", "", d=d, start=start, stop=stop, points=points)
+    table = sweep_table(spec.validate())
+    held = set(table["p"].tolist())
+    want, rounds = searched()
+    found, driven = searched((table["p"], table["average_negativity"]))
+    assert found.hex() == want.hex()
+    assert driven == [r for r in ([x for x in xs if x not in held] for xs in rounds) if r]
+    assert rounds[0] == [1.0, 0.0, 0.5]  # a grid holding all three saves the round
+    assert len(driven) == len(rounds) - (held >= {1.0, 0.0, 0.5})

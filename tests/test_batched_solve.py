@@ -23,7 +23,7 @@ from edss import protocols
 from edss.channels import amplitude_damping, depolarizing, identity_channel
 from edss.measures import _batch_negativities
 from edss.protocols import SPECS, _branches, _drive, partition_name
-from edss.tensor import Bipartition, DensityOperator, _partial_trace, _plan
+from edss.tensor import Bipartition, DensityOperator, _partial_trace, _plans
 
 from explicit_forms import evolve_batch
 
@@ -147,12 +147,11 @@ def test_one_non_hermitian_record_fails_the_pass_before_any_solve():
     assert len(items) > 1
     # the record with the largest block, perturbed there: every smaller size
     # is checked before it, and none may be solved yet
-    largest = max(_plan(stack, part.side_a)[-1][0] for stack, part in items)
-    at = next(
-        i for i, (stack, part) in enumerate(items) if _plan(stack, part.side_a)[-1][0] == largest
-    )
+    plans = _plans([(stack, part.side_a) for stack, part in items])
+    largest = max(plan[-1][0] for plan in plans)
+    at = next(i for i, plan in enumerate(plans) if plan[-1][0] == largest)
     stack, part = items[at]
-    take = _plan(stack, part.side_a)[-1][2]
+    take = plans[at][-1][2]
     values = stack.values.copy()
     values[-1, take[0]] += 1e-6j
     items[at] = (edss.tensor._Entries(stack.rows, stack.cols, values, stack.dims), part)
@@ -173,9 +172,8 @@ def test_one_eigvalsh_per_block_size(monkeypatch, key, d, most):
     counts, sizes = [], set()
 
     def counting(items):
-        sizes.update(
-            block[0] for stack, part in items for block in _plan(stack, part.side_a)
-        )
+        plans = _plans([(stack, part.side_a) for stack, part in items])
+        sizes.update(block[0] for plan in plans for block in plan)
         with patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
             values = _batch_negativities(items)
         counts.append(spy.call_count)

@@ -24,7 +24,7 @@ from edss.tensor import (
     _batch_spectra,
     _component_labels,
     _Entries,
-    _plan,
+    _plans,
     hermitian_eigenvalues,
     partial_transpose,
 )
@@ -115,7 +115,7 @@ def test_every_qudit_partial_transpose_matches_dense(d, kind):
             pt = assert_matches_dense(rho, part, dense_spectra)
             dense = dense_spectra[pt.tobytes()]
             entries = rho._entries()
-            eigs = _batch_spectra([(_plan(entries, part.side_a), entries.values)])[0]
+            eigs = _batch_spectra([(_plans([(entries, part.side_a)])[0], entries.values)])[0]
             assert np.max(np.abs(eigs - dense)) <= EIG_ATOL
             with patch.object(edss.measures, "_batch_spectra", lambda items: [dense]):
                 assert abs(recorded - negativity(rho, part).value) <= REPORTED_ATOL
@@ -230,10 +230,12 @@ def test_stacked_drive_labels_each_stack_once(monkeypatch):
         # 12 solves: one c|ab at each of the four steps, a|bc and b|ac after
         # the channel and after Bob's CNOT, and a|b on each of the four
         # outcomes' post states, which are entry stacks as well; the post
-        # states of outcomes 1 to 3 share one pattern
-        assert spy.call_count == 10
+        # states of outcomes 1 to 3 share one pattern. Their 10 plans are
+        # labelled together, once for the pass
+        assert spy.call_count == 1
+        assert sum(key[0] == "block" for key in edss.tensor._PLANS) == 10
         _drive(SPECS["qudit", "probabilistic"], batch, 4)
-        assert spy.call_count == 10  # every pattern again: all plan hits
+        assert spy.call_count == 1  # every pattern again: all plan hits
 
 
 def entry_stack(d):
@@ -249,7 +251,7 @@ def test_plan_hit_spectra_equal_a_cold_solve_bit_for_bit(monkeypatch, d):
         stack = joint_stack(d, part)  # the dense partial transposes of e
         solves = [
             lambda: hermitian_eigenvalues(stack),
-            lambda: _batch_spectra([(_plan(e, part.side_a), e.values)])[0],
+            lambda: _batch_spectra([(_plans([(e, part.side_a)])[0], e.values)])[0],
             lambda: _batch_negativities([(e, part)])[0],
         ]
         monkeypatch.setattr(edss.tensor, "_PLANS", {})
@@ -266,7 +268,7 @@ def test_plan_hit_spectra_equal_a_cold_solve_bit_for_bit(monkeypatch, d):
 def test_plan_hit_refuses_non_hermitian_values():
     e = entry_stack(4)
     part = ONE_VS_REST[0]
-    take = next(block[2] for block in _plan(e, part.side_a) if block[0] > 1)
+    take = next(block[2] for block in _plans([(e, part.side_a)])[0] if block[0] > 1)
     values = e.values.copy()
     values[2, take[0]] += 1e-6j  # one entry of a block, on one point
     bad = _Entries(e.rows, e.cols, values, e.dims)
@@ -288,16 +290,16 @@ def test_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
     monkeypatch.setattr(edss.tensor, "_PLANS", {})
     monkeypatch.setattr(edss.tensor, "PLAN_CACHE_BYTES", budget)
     seen = []
-    build = edss.tensor._block_plan
+    cached = edss.tensor._cached
 
-    def bounded(*args):
+    def bounded(key, build):  # every plan a drive finds or builds, its block plans included
         assert held() <= budget
-        seen.append(1)
-        return build(*args)
+        seen.append(key[0])
+        return cached(key, build)
 
-    monkeypatch.setattr(edss.tensor, "_block_plan", bounded)
+    monkeypatch.setattr(edss.tensor, "_cached", bounded)
     _drive(SPECS["qudit", "probabilistic"], batch, 3)
-    assert len(seen) > 5 and held() <= budget and len(edss.tensor._PLANS) < unbounded
+    assert seen.count("block") > 5 and held() <= budget and len(edss.tensor._PLANS) < unbounded
     for plan in edss.tensor._PLANS.values():
         for size, count, take, at in plan:
             assert isinstance(size, int) and isinstance(count, int)

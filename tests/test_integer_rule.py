@@ -30,6 +30,7 @@ from edss import (
     run_qudit,
 )
 from edss.checks import closed_form_suite, identity_suite
+from edss.protocols import ghz_average_only
 from edss.sweep import sweep_table
 
 from explicit_forms import table_rows
@@ -182,3 +183,10 @@ def test_a_numpy_count_is_taken(site):
 def test_a_negative_random_channel_count_is_not_a_pass():
     with pytest.raises(ValueError, match="random_channels must be >= 0, got -5"):
         identity_suite(random_channels=-5)
+
+
+@pytest.mark.parametrize("side", [-1, 3, 1.0, True])
+def test_a_ghz_side_off_0_1_2_is_refused_naming_the_range(side):
+    # before, -1 read the c|ab average, 3 raised IndexError and 1.0 TypeError
+    with pytest.raises(ValueError, match=r"^side must be .*\[0, 2\]"):
+        ghz_average_only("depolarizing", 0.5, side)

@@ -180,7 +180,8 @@ class TestSweepOutput:
 
         monkeypatch.setattr(protocols, "_drive", counting)
         run_sweep(small_spec(tmp_path, protocol="qudit", d=3, points=5))
-        assert sizes == [5, 3, 2]  # the grid, then the root search's two rounds
+        # the grid, then the root search's second round: the grid holds the first's probes
+        assert sizes == [5, 2]
 
     def test_critical_noise_above_the_default_dimension_cap(self, tmp_path):
         """The root search of a d=7 sweep runs under the one dimension
@@ -312,8 +313,9 @@ class TestChecksSuites:
         run_checks("separability")
         assert len(calls) == 8
 
-    def test_all_takes_28_driver_passes(self, monkeypatch):
-        # 16 grids, the two random-channel chunk loops and 5 root searches of 2 rounds
+    def test_all_takes_23_driver_passes(self, monkeypatch):
+        # 16 grids, the two random-channel chunk loops and 5 root searches of 2 rounds,
+        # the first of which the closed-form grid answers
         passes = []
 
         def counting(*args):
@@ -322,7 +324,7 @@ class TestChecksSuites:
 
         monkeypatch.setattr(protocols, "_drive", counting)
         run_checks("all")
-        assert len(passes) == 28
+        assert len(passes) == 23
 
     def test_all_rows_are_the_suites_run_alone(self):
         alone = [row for name in SUITES for row in run_checks(name)]

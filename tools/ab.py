@@ -20,9 +20,10 @@ each side's per-round minimum of the repeated entry calls and the rounds the
 change won. ``outputs`` holds per side, in a fresh interpreter, the sha256 of
 every CSV and SVG that each sweep workload writes and the ``max_deviation`` of
 every ``run_checks("all")`` row by ``float.hex``, and per workload the names
-whose digest differs between the sides (or that one side lacks). ``layers``,
-``in_process`` and ``outputs`` run a workload at its first seed (seed 0 for a
-workload no ``--run`` names). BLAS and OpenMP pools are pinned to one thread.
+whose digest differs between the sides (or that one side lacks), at every
+``WORKLOAD:SEED`` that ``--run`` names and at seed 0 for a workload it does not
+name. ``layers`` and ``in_process`` run a workload at its first seed. BLAS and
+OpenMP pools are pinned to one thread.
 Before any timing each side gets a fresh bytecode directory of its own
 (``PYTHONPYCACHEPREFIX``), its ``src`` compiled into it, which every later run
 of that side reads, so ``setup_s`` compares code with code, not the state of
@@ -97,14 +98,23 @@ def outputs(workload: str, seed: int) -> dict[str, str]:
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
 
 
-def output_digests(sides: dict[str, Checkout], seeds: dict[str, int]) -> dict[str, dict]:
-    """Per side and workload the ``outputs`` digests, each workload in a fresh
-    interpreter, and per workload the names whose digests differ between the sides."""
-    digests = {side: {w: in_process(checkout, f"outputs({w!r}, {s})") for w, s in seeds.items()}
+def output_targets(runs: list[tuple[str, int, int]]) -> list[tuple[str, int]]:
+    """The ``(workload, seed)`` of each ``--run`` in order, once each, then seed 0
+    of every workload that no ``--run`` names."""
+    named = dict.fromkeys((w, s) for w, s, _ in runs)
+    covered = {w for w, _ in named}
+    return [*named, *((w, 0) for w in WORKLOADS if w not in covered)]
+
+
+def output_digests(sides: dict[str, Checkout], targets: list[tuple[str, int]]) -> dict[str, dict]:
+    """Per side and ``WORKLOAD:SEED`` of ``targets`` the ``outputs`` digests, each in a
+    fresh interpreter, and per ``WORKLOAD:SEED`` the names whose digests differ
+    between the sides."""
+    digests = {side: {f"{w}:{s}": in_process(checkout, f"outputs({w!r}, {s})") for w, s in targets}
                for side, checkout in sides.items()}
     parent, change = digests["parent"], digests["change"]
-    differ = {w: sorted(name for name in parent[w].keys() | change[w].keys()
-                        if parent[w].get(name) != change[w].get(name)) for w in seeds}
+    differ = {t: sorted(name for name in parent[t].keys() | change[t].keys()
+                        if parent[t].get(name) != change[t].get(name)) for t in parent}
     return {"digests": digests, "differ": differ}
 
 
@@ -270,7 +280,7 @@ def main() -> int:
                                       for w, s in seeds.items()}
         report["in_process"] = in_process_rounds(sides, seeds, args.repeat, ROUNDS)
         report["in_process_summary"] = in_process_summary(report["in_process"])
-        report["outputs"] = output_digests(sides, {w: seeds.get(w, 0) for w in WORKLOADS})
+        report["outputs"] = output_digests(sides, output_targets(runs))
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(json.dumps({"end_to_end": summary, "in_process": report["in_process_summary"],
                       "outputs_differ": report["outputs"]["differ"]}, indent=1))
