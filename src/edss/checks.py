@@ -2,44 +2,43 @@
 
 These back the ``edss check`` command. Each suite walks the protocol table
 ``edss.protocols.SPECS`` and returns a list of :class:`CheckResult` rows
-with the observed worst-case deviation against its threshold. On a noise
-grid that is the column maximum of ``edss.sweep.row_deviations`` over the
-grid's table (``edss.sweep.sweep_table``), a NaN row making the maximum NaN,
-which fails.
+with the observed worst-case deviation against its threshold. Every row but
+the random-channel ones is a column maximum of ``edss.sweep.row_deviations``
+over a ``GRID_POINTS``-point [0, 1] noise grid's table
+(``edss.sweep.sweep_table``), the critical noise levels included: the table
+runs their root search. A NaN row makes the maximum NaN, which fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .channels import CHANNEL_PARAMS, CanonicalChannel, _canonical_tensors, _cpt_reports
 from .channels import canonical_channel
-from .protocols import (
-    PROTOCOLS,
-    SPECS,
-    ProtocolSpec,
-    _Chunk,
-    _critical_noise,
-    _runs,
-)
+from .protocols import PROTOCOLS, SPECS, ProtocolSpec, _Chunk, _runs
 
 # The average-only paths live with the driver; callers import them from here.
 from .protocols import ghz_average_only, qudit_average_only, two_qubit_average_only  # noqa: F401
-from .reference import CLOSED_FORM_KINDS, FORMULAS
+from .reference import CLOSED_FORM_KINDS
 from .sweep import SweepSpec, check_atol, row_deviations, sweep_table
-from .tensor import _dimension, _integer
+from .tensor import _integer
 
 DEFAULT_SEED = 20230711
 # Draws are CP up to eigensolver rounding, not merely within admission's VALIDITY_ATOL.
 RANDOM_CP_TOL = 1e-12
 # Candidates per stacked CPT test of the identity suite's draws (about 1 in 6 is CP).
 DRAW_BLOCK = 64
+# The closed-form suite's qudit dims; the identity and separability suites check the
+# first two, a subset of its grids.
 QUDIT_DIMS = (2, 3, 4, 5, 6)
+SHORT_QUDIT_DIMS = QUDIT_DIMS[:2]
 GRID_POINTS = 21  # of every suite's [0, 1] noise grids: one density, so suites share a grid
+# Random CP canonical channels the identity suite draws, before each entry's random_divisor.
+RANDOM_CHANNELS = 50
 
 
 @dataclass(frozen=True)
@@ -83,96 +82,77 @@ def _default_specs() -> list[ProtocolSpec]:
     return [SPECS[protocol, "probabilistic"] for protocol in PROTOCOLS]
 
 
-def _dims(spec: ProtocolSpec, qudit_dims: Iterable[int]) -> tuple[int, ...]:
-    return tuple(map(_dimension, qudit_dims)) if spec.takes_d else (2,)
+def _dims(spec: ProtocolSpec, qudit_dims: tuple[int, ...]) -> tuple[int, ...]:
+    return qudit_dims if spec.takes_d else (2,)
 
 
 def _suffix(spec: ProtocolSpec, d: int) -> str:
     return f"_d{d}" if spec.takes_d else ""
 
 
-def _worst(grids: dict, spec: ProtocolSpec, kind: str, d: int, points: int) -> tuple[dict, tuple]:
-    """Largest ``row_deviations`` per check over a [0, 1] sweep of ``kind`` noise, and
-    the sweep's noise levels and ``average_negativity`` column (empty where it has
-    none), the curve a root search reads: kept in ``grids`` under ``(spec, kind, d,
-    points)``, a grid memo, so the suites that share it sweep each grid once."""
-    key = (spec, kind, d, points)
-    if key in grids:
-        return grids[key]
-    param = CHANNEL_PARAMS[kind][0]
-    sweep = SweepSpec(spec.protocol, kind, param, "", mode=spec.mode, d=d, points=points).validate()
-    table = sweep_table(sweep)
-    devs = row_deviations(sweep, table)
-    worst = {check: float(np.max(dev, initial=0.0)) for check, dev in devs.items()}
-    grids[key] = worst, (table[param], table.get("average_negativity", ()))
+def _worst(grids: dict, spec: ProtocolSpec, kind: str, d: int) -> dict[str, float]:
+    """Largest ``row_deviations`` per check over a ``GRID_POINTS``-point [0, 1] sweep
+    of ``kind`` noise: kept in ``grids`` under ``(spec, kind, d)``, a grid memo, so
+    the suites that share it sweep each grid once."""
+    key = (spec, kind, d)
+    if key not in grids:
+        param = CHANNEL_PARAMS[kind][0]
+        sweep = SweepSpec(spec.protocol, kind, param, "", mode=spec.mode, d=d, points=GRID_POINTS)
+        devs = row_deviations(sweep, sweep_table(sweep.validate()))
+        grids[key] = {check: float(np.max(dev, initial=0.0)) for check, dev in devs.items()}
     return grids[key]
 
 
-def identity_suite(
-    random_channels: int = 50,
-    grid_points: int = GRID_POINTS,
-    seed: int = DEFAULT_SEED,
-    qudit_dims: Iterable[int] = (2, 3),
-    *,
-    grids: dict | None = None,
-) -> list[CheckResult]:
+def identity_suite(seed: int = DEFAULT_SEED, *, grids: dict | None = None) -> list[CheckResult]:
     """Identity-chain deviations across random channels and noise grids.
 
-    A protocol draws ``random_channels // random_divisor`` random CP
+    A protocol draws ``RANDOM_CHANNELS // random_divisor`` random CP
     canonical channels (its table entry sets the divisor) as parameter rows,
     which the driver's chunk loop ``protocols._runs`` runs, all from one
-    stream of ``DRAW_BLOCK`` candidate blocks in table order. ``grids``
-    is a grid memo shared with the other suites of one ``run_checks`` call
-    (see ``_worst``).
+    stream of ``DRAW_BLOCK`` candidate blocks in table order, seeded by
+    ``seed``, a nonnegative integer. ``grids`` is a grid memo shared with
+    the other suites of one ``run_checks`` call (see ``_worst``).
     """
-    random_channels = _integer(random_channels, "random_channels", 0)
-    draws = _random_cp_canonicals(np.random.default_rng(seed), DRAW_BLOCK)
+    draws = _random_cp_canonicals(np.random.default_rng(_integer(seed, "seed", 0)), DRAW_BLOCK)
     grids, results = {} if grids is None else grids, []
     for spec in _default_specs():
         if spec.random_divisor:
-            rows = list(islice(draws, random_channels // spec.random_divisor))
+            rows = list(islice(draws, RANDOM_CHANNELS // spec.random_divisor))
             spreads = map(_Chunk.chain_spread, _runs(spec, "canonical", 2, rows))
             dev = max((s for spread in spreads for s in spread.tolist()), default=0.0)
             name = f"identity_{spec.protocol}_random_canonical"
             results.append(CheckResult.from_deviation(name, dev, "identity"))
         for kind in CLOSED_FORM_KINDS:
-            for d in _dims(spec, qudit_dims):
-                dev = _worst(grids, spec, kind, d, grid_points)[0]["identity"]
+            for d in _dims(spec, SHORT_QUDIT_DIMS):
+                dev = _worst(grids, spec, kind, d)["identity"]
                 name = f"identity_{spec.protocol}_{kind}{_suffix(spec, d)}"
                 results.append(CheckResult.from_deviation(name, dev, "identity"))
     return results
 
 
-def separability_suite(
-    grid_points: int = GRID_POINTS, qudit_dims: Iterable[int] = (2, 3), *, grids: dict | None = None
-) -> list[CheckResult]:
+def separability_suite(*, grids: dict | None = None) -> list[CheckResult]:
     """Exchange-vs-rest negativities stay at zero at every protocol step."""
     grids, results = {} if grids is None else grids, []
     for kind in CLOSED_FORM_KINDS:
         for spec in _default_specs():
-            for d in _dims(spec, qudit_dims):
-                dev = _worst(grids, spec, kind, d, grid_points)[0]["separability"]
+            for d in _dims(spec, SHORT_QUDIT_DIMS):
+                dev = _worst(grids, spec, kind, d)["separability"]
                 name = f"separability_{spec.protocol}_{kind}{_suffix(spec, d)}"
                 results.append(CheckResult.from_deviation(name, dev, "separability"))
     return results
 
 
-def closed_form_suite(
-    grid_points: int = GRID_POINTS,
-    qudit_dims: Iterable[int] = QUDIT_DIMS,
-    *,
-    grids: dict | None = None,
-) -> list[CheckResult]:
+def closed_form_suite(*, grids: dict | None = None) -> list[CheckResult]:
     """Compare every closed-form curve of ``reference.FORMULAS`` against the
-    simulation on a grid, and every critical noise level against a root search,
-    which reads its probes from that grid where it holds them."""
+    simulation on a grid, and every critical noise level against the root
+    search of that grid's table."""
     grids, results = {} if grids is None else grids, []
     for protocol in PROTOCOLS:
         specs = [spec for spec in SPECS.values() if spec.protocol == protocol]
         for kind in CLOSED_FORM_KINDS:
-            for d in _dims(specs[0], qudit_dims):
+            for d in _dims(specs[0], QUDIT_DIMS):
                 for spec in specs:
-                    worst, _ = _worst(grids, spec, kind, d, grid_points)
+                    worst = _worst(grids, spec, kind, d)
                     results.extend(
                         CheckResult.from_deviation(f"{fid}{_suffix(spec, d)}", worst[fid], fid)
                         for fid in spec.formulas(kind)
@@ -182,11 +162,9 @@ def closed_form_suite(
         for kind in CLOSED_FORM_KINDS:
             if (fid := spec.critical_formula(kind)) is None:
                 continue
-            for d in _dims(spec, qudit_dims):
-                _, swept = _worst(grids, spec, kind, d, grid_points)
-                found = _critical_noise(lambda xs: spec.average_only(kind, xs, d), grid=swept)
-                name, dev = f"{fid}{_suffix(spec, d)}", abs(found - FORMULAS[fid].fn(d))
-                results.append(CheckResult.from_deviation(name, dev, fid))
+            for d in _dims(spec, QUDIT_DIMS):
+                dev = _worst(grids, spec, kind, d)[fid]
+                results.append(CheckResult.from_deviation(f"{fid}{_suffix(spec, d)}", dev, fid))
     return results
 
 

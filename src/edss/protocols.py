@@ -219,7 +219,7 @@ class ProtocolSpec:
     closed_forms: tuple[tuple[str, ...], ...]
     # the register dimension d is a parameter of the protocol
     takes_d: bool = False
-    # the identity suite draws random_channels // random_divisor random
+    # the identity suite draws checks.RANDOM_CHANNELS // random_divisor random
     # canonical channels for this entry (0: none)
     random_divisor: int = 0
 
@@ -255,6 +255,11 @@ class ProtocolSpec:
         parts = {partition_name(rest, s): Bipartition.split(s, len(rest)) for s in self.finish}
         pairs = {f"{''.join(rest[i] for i in p)}_pair@success": p for p in self.success_pairs}
         return steps, parts, pairs
+
+    @functools.cached_property
+    def exchange_keys(self) -> tuple[str, ...]:
+        """Per step, the trace key of the exchange's bipartition: its first in ``layout``."""
+        return tuple(next(iter(sides)) for sides in self.layout[0])
 
     def formulas(self, kind: str) -> dict[str, tuple[str, ...]]:
         """Per-point formula id -> predicted columns for a ``kind`` sweep."""
@@ -404,7 +409,7 @@ class _Chunk:
             steps=[(label, DensityOperator._trusted(s[b % len(s)])) for label, s in self.states],
             partition_negativities={key: value[key] for sides in steps for key in sides},
             identity_chains=spec.identity_chains | (spec.symmetry_chains if self.same[b] else {}),
-            exchange_keys=tuple(next(iter(sides)) for sides in steps),
+            exchange_keys=spec.exchange_keys,
             warnings=[
                 f"{role} is not Bloch-diagonal or otherwise phase-covariant; identity chains "
                 "are not guaranteed" for role in compress(spec.channel_roles, self.warned[b])
@@ -867,47 +872,30 @@ def separability_audit(
     return SeparabilityReport(max_negativity=worst, entries=entries, passed=worst <= atol)
 
 
-def critical_noise(
-    fn: Callable[[float], float],
-    lo: float = 0.0,
-    hi: float = 1.0,
-    zero_atol: float = ROOT_ZERO_ATOL,
-    tol: float = ROOT_TOL,
-) -> float:
-    """Boundary above which a nonincreasing nonnegative curve is (numerically) zero.
+def critical_noise(fn: Callable[[float], float]) -> float:
+    """Boundary in [0, 1] above which a nonincreasing nonnegative curve is (numerically) zero.
 
-    Returns ``hi`` if the curve is positive at ``hi``, ``lo`` if it vanishes
-    there, else a point within ``tol/2`` of the boundary. ``fn`` is mapped over
-    rounds of probes: ``hi``, ``lo`` and the first step's bisection, then each a
-    secant guess through the last two positive iterates, aimed at ``zero_atol``
-    (probes tol apart differ by ~1e-13 against rounding noise of ~1e-16, too
-    little to aim by). The guess is probed once while the miss it predicts
-    (step^2 / previous step) exceeds tol/2; below that, and right after a
-    bisection, at guess ± tol/2, and it stands once ``fn`` straddles
-    ``zero_atol`` there. Guesses outside the bracket and all rounds after three
-    failed pairs bisect. The first non-finite value in probe order raises.
+    Returns 1 if the curve is above ``ROOT_ZERO_ATOL`` at 1, 0 if it is not at 0,
+    else a point within ``ROOT_TOL/2`` of the boundary. ``fn`` is mapped over
+    rounds of probes: 1, 0 and the first step's bisection, then each a secant
+    guess through the last two positive iterates, aimed at ``ROOT_ZERO_ATOL``
+    (probes ``ROOT_TOL`` apart differ by ~1e-13 against rounding noise of ~1e-16,
+    too little to aim by). The guess is probed once while the miss it predicts
+    (step^2 / previous step) exceeds ``ROOT_TOL/2``; below that, and right after a
+    bisection, at guess ± ``ROOT_TOL/2``, and it stands once ``fn`` straddles
+    ``ROOT_ZERO_ATOL`` there. Guesses outside the bracket and all rounds after
+    three failed pairs bisect. The first non-finite value in probe order raises.
     """
-    return _critical_noise(lambda xs: [fn(x) for x in xs.tolist()], lo, hi, zero_atol, tol)
+    return _critical_noise(lambda xs: [fn(x) for x in xs.tolist()])
 
 
-def _critical_noise(
-    curve, lo=0.0, hi=1.0, zero_atol=ROOT_ZERO_ATOL, tol=ROOT_TOL, grid=((), ())
-) -> float:
+def _critical_noise(curve, grid=((), ())) -> float:
     """``critical_noise`` with each round's probes handed to ``curve`` as one 1-D
     array, the values returned in order; each ``*_average_only`` takes a round in
     one driver pass per chunk. A probe in ``xs`` of ``grid``, ``(xs, values)`` of a
     sweep the caller made, is read from there, not driven; no value depends on its
     batch, so the root is the one found without ``grid``, bit for bit."""
-    for name, value in (("lo", lo), ("hi", hi), ("zero_atol", zero_atol), ("tol", tol)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    # a bracket narrower than two float spacings of its ends may never shrink again
-    if tol < (floor := 2 * float(np.spacing(max(abs(lo), abs(hi))))):
-        raise ValueError(f"tol must be at least {floor!r} on this bracket, got {tol!r}")
-    if lo > hi:
-        raise ValueError(f"lo ({lo!r}) exceeds hi ({hi!r})")
-
-    known = dict(zip(*grid))
+    zero, tol, known = ROOT_ZERO_ATOL, ROOT_TOL, dict(zip(*grid))
 
     def f(probes: tuple[float, ...]) -> list[float]:
         missing = np.array([x for x in probes if x not in known], dtype=float)
@@ -917,19 +905,19 @@ def _critical_noise(
             raise ValueError("curve value at x=%r is not finite: %r" % bad[0])
         return values
 
-    at_hi, at_lo, *ahead = f((hi, lo, (lo + hi) / 2))
-    if at_hi > zero_atol:
-        return hi
-    if at_lo <= zero_atol:
-        return lo
-    # The last two points where the curve > zero_atol; both start at lo, so step one
+    at_hi, at_lo, *ahead = f((1.0, 0.0, 0.5))
+    if at_hi > zero:
+        return 1.0
+    if at_lo <= zero:
+        return 0.0
+    # The last two points where the curve > zero; both start at 0, so step one
     # bisects, at the midpoint the first round has probed.
-    prev = last = (lo, at_lo)
-    low, high, failed, bisected = lo, hi, 0, True
+    prev = last = (0.0, at_lo)
+    low, high, failed, bisected = 0.0, 1.0, 0, True
     while high - low > tol:
         (x0, f0), (x1, f1) = prev, last
         # The kinked GHZ averages fail at most two pairs; a concave curve fails every one.
-        guess = x1 + (zero_atol - f1) * (x1 - x0) / (f1 - f0) if failed < 3 and f1 != f0 else low
+        guess = x1 + (zero - f1) * (x1 - x0) / (f1 - f0) if failed < 3 and f1 != f0 else low
         if not low < guess < high:
             probes = ((low + high) / 2,)
         elif bisected or (guess - x1) ** 2 <= tol / 2 * (x1 - x0):
@@ -938,10 +926,10 @@ def _critical_noise(
             probes = (guess,)
         bisected = not low < guess < high
         values, ahead = ahead or f(probes), None
-        if len(probes) == 2 and values[0] > zero_atol >= values[1]:
+        if len(probes) == 2 and values[0] > zero >= values[1]:
             return guess
-        high = min([high] + [x for x, value in zip(probes, values) if value <= zero_atol])
-        if above := [(x, value) for x, value in zip(probes, values) if value > zero_atol]:
+        high = min([high] + [x for x, value in zip(probes, values) if value <= zero])
+        if above := [(x, value) for x, value in zip(probes, values) if value > zero]:
             prev, last = last, above[-1]
             low = max(low, last[0])
         failed += len(probes) == 2

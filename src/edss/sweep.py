@@ -9,7 +9,8 @@ files.
 A grid flows as columns from its parameter array to the file: one row of
 channel parameters per point (``SweepSpec.params``), which the driver's chunk
 loop turns into channels a chunk at a time, one float array per CSV column
-(``sweep_table``), checks on whole columns (``row_deviations``), and one
+(``sweep_table``, whose root search for a ``critical_noise`` column reads
+the grid it has swept), checks on whole columns (``row_deviations``), and one
 formatting pass over the table for the CSV and one for the SVG.
 """
 
@@ -164,17 +165,19 @@ def _label(spec: SweepSpec, xs: np.ndarray, b: int) -> str:
 
 
 def sweep_table(spec: SweepSpec) -> dict[str, np.ndarray]:
-    """The columns ``run_sweep`` writes for a valid ``spec``, one float per grid
-    point each, without I/O and ``critical_noise``; ``ref_*`` from ``FORMULAS``.
-    The grid runs through the driver's chunk loop (``protocols._runs``): each
-    chunk's columns are kept and the chunk dropped before the next is built."""
+    """The columns ``run_sweep`` writes for a valid ``spec``, in CSV order
+    (``sweep_columns``), one float per grid point each, without I/O. The grid
+    runs through the driver's chunk loop (``protocols._runs``): each chunk's
+    columns are kept and the chunk dropped before the next is built. Where the
+    spec has a critical formula, the root search (``protocols._critical_noise``)
+    reads its probes from the swept ``average_negativity`` where the grid holds
+    them and fills ``critical_noise``; ``ref_*`` come from ``FORMULAS``."""
     entry = SPECS[spec.protocol, spec.mode]
     xs, keys = spec.grid(), [key for _, key in entry.columns]
-    exchange = [next(iter(sides)) for sides in entry.layout[0]]
 
     def columns(chunk) -> list[np.ndarray]:
         # separability_audit's max_negativity and verify_identity_chain's max_deviation
-        exchange_max = np.max([chunk.columns[k] for k in exchange], 0)
+        exchange_max = np.max([chunk.columns[k] for k in entry.exchange_keys], 0)
         return [*map(chunk.columns.get, keys), exchange_max, chunk.chain_spread()]
 
     runs = _runs(entry, spec.channel, spec.d, spec.params(), partial(_label, spec, xs))
@@ -185,6 +188,10 @@ def sweep_table(spec: SweepSpec) -> dict[str, np.ndarray]:
         raise SweepError(str(exc)) from exc
     names = [c for c, _ in entry.columns] + ["exchange_negativity_max", "chain_max_deviation"]
     table = {spec.param: xs, **dict(zip(names, map(np.concatenate, zip(*parts))))}
+    if entry.critical_formula(spec.channel) is not None:
+        swept = xs, table["average_negativity"]
+        crit = _critical_noise(lambda ps: entry.average_only(spec.channel, ps, spec.d), grid=swept)
+        table["critical_noise"] = np.full(spec.points, crit)
     for fid, cols in _closed_forms(spec).items():
         f, at = FORMULAS[fid], {"d": [spec.d] * spec.points, spec.param: xs.tolist()}
         table[f"ref_{cols[0]}"] = np.array([float(f.fn(*a)) for a in zip(*map(at.get, f.params))])
@@ -194,16 +201,15 @@ def sweep_table(spec: SweepSpec) -> dict[str, np.ndarray]:
 def row_deviations(spec: SweepSpec, table: Mapping) -> dict[str, np.ndarray]:
     """Check name -> deviation per row of ``table`` (columns, or one row of floats):
     ``identity``, ``separability``, and per formula id the worst of its columns
-    against its reference (critical noise once the table has it), NaN where a
-    row's inputs hold one. ``edss sweep --check`` and ``edss check`` read this."""
+    against its reference (critical noise included), NaN where a row's inputs
+    hold one. ``edss sweep --check`` and ``edss check`` read this."""
     devs = {
         "identity": table["chain_max_deviation"],
         "separability": table["exchange_negativity_max"],
     }
     for fid, columns in _closed_forms(spec).items():
-        if columns[0] in table:
-            ref = table[f"ref_{columns[0]}"]
-            devs[fid] = np.max([np.abs(table[c] - ref) for c in columns], 0)
+        ref = table[f"ref_{columns[0]}"]
+        devs[fid] = np.max([np.abs(table[c] - ref) for c in columns], 0)
     return devs
 
 
@@ -232,13 +238,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if not spec.csv_path:
         raise SweepError("csv output path is required")
     table = sweep_table(spec)
-    entry = SPECS[spec.protocol, spec.mode]
-    if entry.critical_formula(spec.channel) is not None:
-        swept = table[spec.param], table["average_negativity"]
-        crit = _critical_noise(lambda xs: entry.average_only(spec.channel, xs, spec.d), grid=swept)
-        table["critical_noise"] = np.full(spec.points, crit)
-    columns = sweep_columns(spec)
-    table = {column: table[column] for column in columns}
+    columns = list(table)
     check_failures = _failures(spec, table)
 
     # format_float of every cell, through one template for the whole table

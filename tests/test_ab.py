@@ -4,6 +4,7 @@ round order, the summaries, the output digests, the bytecode directories, the
 
 import argparse
 import ast
+import dataclasses
 import importlib.util
 import subprocess
 import sys
@@ -133,7 +134,32 @@ def test_outputs_are_the_check_rows_by_hex(monkeypatch):
     from edss.checks import DEFAULT_SEED, run_checks
 
     rows = run_checks("all", identity={"seed": DEFAULT_SEED})
-    assert ab.outputs("check_all", 0) == {row.name: row.max_deviation.hex() for row in rows}
+    assert ab.outputs("check_all", 0) == {
+        row.name: f"{i}:{row.max_deviation.hex()}:{row.threshold.hex()}:{row.passed}"
+        for i, row in enumerate(rows)
+    }
+
+
+def test_a_reordered_or_rejudged_check_row_is_a_difference(monkeypatch):
+    """Keyed by name, deviations alone would compare a reordered row list equal."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import edss.checks
+
+    rows = edss.checks.run_checks("all", identity={"seed": edss.checks.DEFAULT_SEED})
+    variants = {
+        "reordered": [rows[1], rows[0], *rows[2:]],
+        "failed": [dataclasses.replace(rows[0], passed=False), *rows[1:]],
+        "threshold": [dataclasses.replace(rows[0], threshold=1.0), *rows[1:]],
+    }
+    digests = {}
+    for name, variant in {"same": rows, **variants}.items():
+        monkeypatch.setattr(edss.checks, "run_checks", lambda *a, v=variant, **k: v)
+        digests[name] = ab.outputs("check_all", 0)
+    same = digests.pop("same")
+    for name, digest in digests.items():
+        differ = [row for row in same if digest[row] != same[row]]
+        want = [rows[0].name, rows[1].name] if name == "reordered" else [rows[0].name]
+        assert differ == want, name
 
 
 def test_outputs_hash_every_csv_and_svg_of_a_sweep_workload(monkeypatch, tmp_path):

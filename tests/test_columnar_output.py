@@ -154,10 +154,10 @@ def test_a_nan_chain_deviation_fails_the_sweep_check(tmp_path, monkeypatch):
 
 def test_a_nan_deviation_fails_the_suite_rows(monkeypatch):
     nan_at(monkeypatch, "a|b@success", 1)
-    by_name = {r.name: r for r in closed_form_suite(grid_points=3, qudit_dims=(3,))}
+    by_name = {r.name: r for r in closed_form_suite()}
     row = by_name["qudit_depolarizing_success_negativity_d3"]
     assert np.isnan(row.max_deviation) and not row.passed
     assert by_name["qudit_depolarizing_success_probability_d3"].passed
     nan_at(monkeypatch, "a|bc@channel", 1)
-    by_name = {r.name: r for r in identity_suite(random_channels=0, grid_points=3)}
+    by_name = {r.name: r for r in identity_suite()}
     assert not by_name["identity_qudit_depolarizing_d2"].passed

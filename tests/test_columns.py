@@ -26,7 +26,14 @@ from edss.channels import (
     canonical_channel,
     depolarizing,
 )
-from edss.protocols import SPECS, _drive, _runs, separability_audit, verify_identity_chain
+from edss.protocols import (
+    SPECS,
+    _drive,
+    _runs,
+    critical_noise,
+    separability_audit,
+    verify_identity_chain,
+)
 from edss.reference import FORMULAS
 from edss.tensor import DensityOperator
 from edss.sweep import CANONICAL_DEFAULTS, SweepError, SweepSpec, _closed_forms, sweep_table
@@ -53,12 +60,15 @@ def grid_spec(protocol, mode, kind, d):
     ).validate()
 
 
-def trace_row(spec, x, trace):
-    """A sweep row from one point's trace, as rows were built per point."""
+def trace_row(spec, x, trace, crit):
+    """A sweep row from one point's trace, as rows were built per point, with
+    ``crit`` as its ``critical_noise`` unless it is None."""
     entry = SPECS[spec.protocol, spec.mode]
     row = {spec.param: x, **{column: trace.value_of(key) for column, key in entry.columns}}
     row["exchange_negativity_max"] = separability_audit(trace).max_negativity
     row["chain_max_deviation"] = verify_identity_chain(trace).max_deviation
+    if crit is not None:
+        row["critical_noise"] = crit
     values = {"d": spec.d, spec.param: x}
     for fid, columns in _closed_forms(spec).items():
         formula = FORMULAS[fid]
@@ -78,7 +88,10 @@ def test_columnar_rows_equal_rows_from_per_point_traces(grid):
     fixed = {**CANONICAL_DEFAULTS, **spec.channel_args}
     rows = [[{**fixed, spec.param: x}[name] for name in CHANNEL_PARAMS[spec.channel]] for x in xs]
     traces = [trace for chunk in _runs(entry, spec.channel, spec.d, rows) for trace in chunk]
-    want = [bits(trace_row(spec, x, trace)) for x, trace in zip(xs, traces, strict=True)]
+    crit = None
+    if entry.critical_formula(spec.channel) is not None:  # the scalar search, a probe a call
+        crit = critical_noise(lambda x: entry.average_only(spec.channel, x, spec.d))
+    want = [bits(trace_row(spec, x, trace, crit)) for x, trace in zip(xs, traces, strict=True)]
     assert [bits(row) for row in table_rows(sweep_table(spec))] == want
 
 

@@ -48,7 +48,7 @@ def drawn_by_identity_suite(monkeypatch, seed):
         return runs(spec, kind, d, params, *args)
 
     monkeypatch.setattr(edss.checks, "_runs", spy)
-    identity_suite(seed=seed, grid_points=2, qudit_dims=(2,))
+    identity_suite(seed=seed)
     return drawn
 
 

@@ -1,8 +1,10 @@
 """Every name ``edss`` exports is read outside the tests: by the README, a tool,
 the benchmark, or code of ``src/edss`` that one of those reaches. A name that
-only tests read belongs with the tests (``explicit_forms.py``)."""
+only tests read belongs with the tests (``explicit_forms.py``). The check suites
+and the root search keep the signatures pinned here."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -49,3 +51,23 @@ READ = read_outside_the_tests()
 @pytest.mark.parametrize("name", edss.__all__)
 def test_every_exported_name_is_read_outside_the_tests(name):
     assert name in READ, f"edss.{name} is read only by tests"
+
+
+# The suites and the root search take no grid density, dimension list, draw count,
+# bracket or tolerance: those are the named constants of ``edss.checks`` and
+# ``edss.protocols``. The benchmark calls ``run_checks("all", identity={"seed": s})``.
+SIGNATURES = {
+    "critical_noise": "(fn: 'Callable[[float], float]') -> 'float'",
+    "identity_suite": (
+        "(seed: 'int' = 20230711, *, grids: 'dict | None' = None) -> 'list[CheckResult]'"
+    ),
+    "separability_suite": "(*, grids: 'dict | None' = None) -> 'list[CheckResult]'",
+    "closed_form_suite": "(*, grids: 'dict | None' = None) -> 'list[CheckResult]'",
+    "run_checks": "(suite: 'str' = 'all', **kwargs) -> 'list[CheckResult]'",
+}
+
+
+@pytest.mark.parametrize("name", SIGNATURES)
+def test_suite_and_root_search_signatures(name):
+    fn = getattr(edss, name, None) or getattr(edss.checks, name)
+    assert str(inspect.signature(fn)) == SIGNATURES[name]

@@ -14,7 +14,7 @@ import pytest
 
 from edss import FORMULAS, SweepError, SweepSpec, run_sweep
 from edss.channels import CHANNEL_PARAMS
-from edss.protocols import MODES, PROTOCOLS, SPECS, _drive, _runs, describe
+from edss.protocols import MODES, PROTOCOLS, SPECS, _drive, _runs, describe, partition_name
 from edss.reference import CLOSED_FORM_KINDS
 from edss.sweep import sweep_columns
 
@@ -74,6 +74,7 @@ def test_table_entry_matches_its_runs(spec, tmp_path):
     recorded = set(trace.partition_negativities) | {f"avg:{k}" for k in trace.averages}
     for chain in trace.identity_chains.values():
         assert set(chain) <= recorded
+    assert trace.exchange_keys == entry.exchange_keys
     assert set(trace.exchange_keys) <= set(trace.partition_negativities)
     for _, key in entry.columns:
         assert isinstance(trace.value_of(key), float)
@@ -83,7 +84,7 @@ def test_table_entry_matches_its_runs(spec, tmp_path):
     )
     with open(result.csv_path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == columns
+    assert rows[0] == columns == list(result.table)
     assert len(rows) == 1 + spec.points
     assert all(len(row) == len(columns) for row in rows)
 
@@ -101,6 +102,8 @@ EXCHANGE = {
 def test_exchange_and_measured_follow_from_the_steps(key):
     spec = SPECS[key]
     assert (spec.exchange, spec.measured) == EXCHANGE[key]
+    exchange = partition_name(spec.subsystems, spec.exchange)
+    assert spec.exchange_keys == tuple(f"{exchange}@{step.label}" for step in spec.steps)
     for kind in CHANNEL_PARAMS:
         critical = spec.critical_formula(kind)
         assert (critical is not None) == ((spec.protocol, kind) == ("qudit", "depolarizing"))

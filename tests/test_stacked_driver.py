@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edss.checks
 from edss import protocols, states, tensor
 from edss.channels import (
     CanonicalChannel,
@@ -195,7 +196,8 @@ def test_qudit_sweep_builds_no_dense_state(monkeypatch):
     for module in (tensor, states, protocols):
         monkeypatch.setattr(module, "_scatter", lambda e: scattered.append(e) or scatter(e))
     table = sweep_table(SweepSpec("qudit", "depolarizing", "p", "", d=6, points=21))
-    assert len(table["p"]) == 21 and sizes == [21]
+    # the grid, then the root search's second round: the grid holds the first's probes
+    assert len(table["p"]) == 21 and sizes == [21, 2]
     for protocol in ("two_qubit", "ghz"):
         table = sweep_table(SweepSpec(protocol, "depolarizing", "p", "", points=101))
         assert len(table["p"]) == 101
@@ -205,16 +207,18 @@ def test_qudit_sweep_builds_no_dense_state(monkeypatch):
     assert len(scattered) == 1
 
 
+def ghz_chunk_and_one_draws(monkeypatch):
+    """The identity suite with GHZ_CHUNK + 1 GHZ draws: one full chunk, then one more."""
+    draws = SPECS["ghz", "probabilistic"].random_divisor * (GHZ_CHUNK + 1)
+    monkeypatch.setattr(edss.checks, "RANDOM_CHANNELS", draws)
+    identity_suite()
+
+
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: sweep_table(SweepSpec("ghz", "depolarizing", "p", "", points=GHZ_POINTS)),
-        # GHZ_CHUNK + 1 GHZ draws: one full chunk, then one more
-        lambda: identity_suite(
-            random_channels=SPECS["ghz", "probabilistic"].random_divisor * (GHZ_CHUNK + 1),
-            grid_points=2,
-            qudit_dims=(2,),
-        ),
+        lambda _: sweep_table(SweepSpec("ghz", "depolarizing", "p", "", points=GHZ_POINTS)),
+        ghz_chunk_and_one_draws,
     ],
     ids=["sweep_table", "identity_suite"],
 )
@@ -229,7 +233,7 @@ def test_no_trace_outlives_its_chunk(monkeypatch, run):
         return traces
 
     monkeypatch.setattr(protocols, "_drive", tracking)
-    run()
+    run(monkeypatch)
     assert GHZ_CHUNK + 1 in map(len, chunks[:-1])  # a full GHZ chunk and its traces, then more
 
 

@@ -1,6 +1,8 @@
+import ast
 import csv
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,13 @@ import pytest
 import edss.checks
 import edss.reference
 from edss import SweepError, SweepSpec, closed_form, run_sweep
-from edss.checks import GRID_POINTS, SUITES, CheckResult, closed_form_suite, identity_suite
-from edss.checks import run_checks
+from edss.checks import GRID_POINTS, QUDIT_DIMS, SUITES, CheckResult, closed_form_suite
+from edss.checks import identity_suite, run_checks
 from edss import cli
 from edss.cli import build_parser, load_config, main
 from edss import protocols
-from edss.protocols import SPECS, _drive
-from edss.reference import Formula
+from edss.protocols import SPECS, _drive, critical_noise, qudit_average_only
+from edss.reference import CLOSED_FORM_ATOL, Formula
 from edss.svgchart import polyline_points, render_line_chart
 from edss.sweep import (
     MAX_DIM_CEILING,
@@ -244,25 +246,16 @@ class TestChecksSuites:
             fid, ("p",), "wrong constant", lambda p: (2.0 - 3.0 * p) / 7.0 if p <= 2 / 3 else 0.0
         )
         monkeypatch.setitem(edss.reference.FORMULAS, fid, wrong)
-        results = closed_form_suite(grid_points=5, qudit_dims=(2,))
+        results = closed_form_suite()
         by_name = {r.name: r for r in results}
         bad = by_name["two_qubit_depolarizing_average_negativity"]
         assert not bad.passed
         assert bad.max_deviation > 1e-3
         assert by_name["two_qubit_depolarizing_success_probability"].passed
 
-    def test_small_suites_pass(self):
-        results = run_checks(
-            "identity",
-            identity={"random_channels": 5, "grid_points": 3, "qudit_dims": (2,)},
-        )
-        results += run_checks(
-            "separability", separability={"grid_points": 3, "qudit_dims": (2,)}
-        )
-        results += run_checks(
-            "closed_form", closed_form={"grid_points": 5, "qudit_dims": (2, 3)}
-        )
-        assert results
+    def test_every_suite_row_passes(self):
+        results = run_checks("all")
+        assert len(results) == 71
         for res in results:
             assert res.passed, (res.name, res.max_deviation)
 
@@ -270,23 +263,14 @@ class TestChecksSuites:
         with pytest.raises(ValueError):
             run_checks("everything")
 
-    @pytest.mark.parametrize("points", [0, 1, -3, MAX_POINTS + 1])
-    def test_bad_grid_refused_before_any_run(self, monkeypatch, points):
-        def no_run(*args):
-            raise AssertionError("a check grid ran before validation")
-
-        monkeypatch.setattr(protocols, "_drive", no_run)
-        with pytest.raises(SweepError, match=rf"points must be in \[2, {MAX_POINTS}\]"):
-            run_checks("separability", separability={"grid_points": points})
-
     def test_misspelled_suite_keyword_rejected(self):
         with pytest.raises(ValueError, match="separabilty"):
-            run_checks("separability", separabilty={"grid_points": 2})
+            run_checks("separability", separabilty={})
 
     def test_grid_rows_are_worst_sweep_row_deviations(self, tmp_path):
-        spec = small_spec(tmp_path, protocol="qudit", d=2, points=3).validate()
+        spec = small_spec(tmp_path, protocol="qudit", d=2, points=GRID_POINTS).validate()
         rows = table_rows(sweep_table(spec))
-        by_name = {r.name: r for r in identity_suite(random_channels=0, grid_points=3)}
+        by_name = {r.name: r for r in identity_suite()}
         worst = max(row_deviations(spec, row)["identity"] for row in rows)
         assert by_name["identity_qudit_depolarizing_d2"].max_deviation == worst
 
@@ -313,6 +297,40 @@ class TestChecksSuites:
         run_checks("separability")
         assert len(calls) == 8
 
+    @pytest.mark.parametrize("suite", ["identity", "separability"])
+    def test_a_short_suite_alone_runs_the_d2_and_d3_root_searches(self, monkeypatch, suite):
+        # its qudit depolarizing grids are sweep tables, and each table runs its search:
+        # the grid holds the first round, so each search drives one 2-point pass
+        sizes = []
+
+        def counting(spec, batch, *args):
+            sizes.append((spec.protocol, len(batch)))
+            return _drive(spec, batch, *args)
+
+        monkeypatch.setattr(protocols, "_drive", counting)
+        run_checks(suite)
+        assert [size for size in sizes if size[1] == 2] == [("qudit", 2)] * 2
+
+    @pytest.mark.parametrize("d", QUDIT_DIMS)
+    def test_a_critical_row_is_the_scalar_root_against_its_closed_form(self, d):
+        # the scalar search drives one probe a call; the row reads the table's column
+        row = {r.name: r for r in closed_form_suite()}[f"qudit_depolarizing_critical_noise_d{d}"]
+        found = critical_noise(lambda x: qudit_average_only(d, "depolarizing", x))
+        want = abs(found - closed_form("qudit_depolarizing_critical_noise", d=d))
+        assert row.max_deviation.hex() == want.hex()
+        assert row.passed and row.threshold == CLOSED_FORM_ATOL
+
+    def test_only_the_sweep_table_and_critical_noise_call_the_root_search(self):
+        callers = set()
+        for path in Path(edss.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.FunctionDef):
+                    calls = {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call)
+                             and isinstance(n.func, ast.Name)}
+                    if "_critical_noise" in calls:
+                        callers.add((path.name, node.name))
+        assert callers == {("sweep.py", "sweep_table"), ("protocols.py", "critical_noise")}
+
     def test_all_takes_23_driver_passes(self, monkeypatch):
         # 16 grids, the two random-channel chunk loops and 5 root searches of 2 rounds,
         # the first of which the closed-form grid answers
@@ -338,11 +356,10 @@ class TestChecksSuites:
 class TestSweepRows:
     def test_rows_are_the_rows_run_sweep_writes(self, tmp_path):
         spec = small_spec(tmp_path, protocol="qudit", d=3, points=4)
-        written = table_rows(run_sweep(spec).table)
-        rows = table_rows(sweep_table(spec.validate()))
-        assert all("critical_noise" not in row for row in rows)
-        crit = written[0]["critical_noise"]
-        assert [{**row, "critical_noise": crit} for row in rows] == written
+        written = run_sweep(spec).table
+        table = sweep_table(spec.validate())
+        assert list(table) == list(written) == sweep_columns(spec)
+        assert table_rows(table) == table_rows(written)
 
     def test_deviation_of_every_check(self, tmp_path):
         spec = small_spec(tmp_path, protocol="ghz", points=2).validate()
@@ -361,13 +378,6 @@ class TestSweepRows:
         spec = SweepSpec("ghz", "depolarizing", "p", "", d=3, points=2)
         with pytest.raises(SweepError, match="works with qubits"):
             sweep_table(spec)
-
-    def test_critical_noise_deviation_once_the_row_has_it(self, tmp_path):
-        spec = small_spec(tmp_path, protocol="qudit", d=3, points=2).validate()
-        row = table_rows(sweep_table(spec))[0]
-        assert "qudit_depolarizing_critical_noise" not in row_deviations(spec, row)
-        devs = row_deviations(spec, {**row, "critical_noise": 0.5})
-        assert devs["qudit_depolarizing_critical_noise"] == pytest.approx(0.25)
 
 
 class TestCli:

@@ -18,8 +18,9 @@ amplitude-damping ``run_qudit`` at d = 24, with the ``np.linalg.eigvalsh``
 calls of one. ``in_process_summary`` gives per workload
 each side's per-round minimum of the repeated entry calls and the rounds the
 change won. ``outputs`` holds per side, in a fresh interpreter, the sha256 of
-every CSV and SVG that each sweep workload writes and the ``max_deviation`` of
-every ``run_checks("all")`` row by ``float.hex``, and per workload the names
+every CSV and SVG that each sweep workload writes and, for every
+``run_checks("all")`` row, its position, its ``max_deviation`` and threshold by
+``float.hex`` and its pass flag, and per workload the names
 whose digest differs between the sides (or that one side lacks), at every
 ``WORKLOAD:SEED`` that ``--run`` names and at seed 0 for a workload it does not
 name. ``layers`` and ``in_process`` run a workload at its first seed. BLAS and
@@ -79,17 +80,23 @@ def entry_calls(workload: str, seed: int, repeat: int) -> dict:
         return {"first_s": timed(call, 1, 1)["min"], "repeat_s": timed(call, repeat, 1)}
 
 
+def check_digest(position: int, row) -> str:
+    """One ``run_checks`` row's digest in ``outputs``: what a change must keep."""
+    return f"{position}:{row.max_deviation.hex()}:{row.threshold.hex()}:{row.passed}"
+
+
 def outputs(workload: str, seed: int) -> dict[str, str]:
     """Name -> digest of one workload's outputs through the edss on ``sys.path``:
     the sha256 of each file a sweep workload writes, or each ``run_checks("all")``
-    row's ``max_deviation`` by ``float.hex``."""
+    row's position, ``max_deviation`` and threshold by ``float.hex`` and pass flag,
+    so a reordered, re-thresholded or re-judged row differs too."""
     import workloads
     from edss.checks import run_checks
     from edss.cli import main as edss_main
 
     if workload == "check_all":
         rows = run_checks("all", identity={"seed": workloads.identity_seed(seed)})
-        return {row.name: row.max_deviation.hex() for row in rows}
+        return {row.name: check_digest(i, row) for i, row in enumerate(rows)}
     with tempfile.TemporaryDirectory() as out:
         sweeps = workloads.sweeps(workload, seed, Path(out))
         if any(codes := [edss_main(list(sweep.argv)) for sweep in sweeps]):
