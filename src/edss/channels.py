@@ -303,15 +303,15 @@ class CptReport:
         return self.is_cpt
 
 
-def is_cpt(ch: QuditChannel, tol: float = VALIDITY_ATOL) -> CptReport:
-    """Check complete positivity (Choi PSD) and trace preservation.
+def is_cpt(ch: QuditChannel) -> CptReport:
+    """Check complete positivity (Choi PSD) and trace preservation within ``VALIDITY_ATOL``.
 
     The trace defect is reported as the max-entry deviation of the Choi
     matrix traced over its output factor from the identity, which for Kraus
     channels coincides with the usual completeness defect. A transfer tensor
     with non-finite entries fails without reaching the eigensolver.
     """
-    return _cpt_reports(ch.transfer_tensor()[None], tol)[0]
+    return _cpt_reports(ch.transfer_tensor()[None])[0]
 
 
 def _cpt_reports(
@@ -364,18 +364,18 @@ def _sector_index(d: int) -> np.ndarray:
     return (((k + s) % d * d + (l + s) % d) * d + k) * d + l
 
 
-def has_canonical_form(ch: QuditChannel, atol: float = _COVARIANCE_ATOL) -> bool:
-    """True when the channel is Z_d phase-covariant, ``T[i, j, k, l] = 0`` unless
-    ``i - j = k - l (mod d)``: the class, empirical and backed by property tests,
-    for which the protocol identity chains are admitted. At d = 2 it contains
-    the Bloch-diagonal channels with a z shift."""
-    return bool(_covariant(ch.transfer_tensor()[None], atol)[0])
+def has_canonical_form(ch: QuditChannel) -> bool:
+    """True when the channel is Z_d phase-covariant, ``T[i, j, k, l] = 0`` (within
+    ``_COVARIANCE_ATOL``) unless ``i - j = k - l (mod d)``: the class, empirical
+    and backed by property tests, for which the protocol identity chains are
+    admitted. At d = 2 it contains the Bloch-diagonal channels with a z shift."""
+    return bool(_covariant(ch.transfer_tensor()[None])[0])
 
 
-def _covariant(t4: np.ndarray, atol: float = _COVARIANCE_ATOL) -> np.ndarray:
+def _covariant(t4: np.ndarray) -> np.ndarray:
     """``has_canonical_form`` of each transfer tensor in the stack ``t4``; a NaN
     off the Choi sectors fails it, one on them is left to the CPT test."""
-    return np.abs(_off_sectors(t4)).max(axis=(1, 2, 3, 4), initial=0.0) <= atol
+    return np.abs(_off_sectors(t4)).max(axis=(1, 2, 3, 4), initial=0.0) <= _COVARIANCE_ATOL
 
 
 def _off_sectors(t4: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -32,6 +32,8 @@ DEFAULT_SEED = 20230711
 RANDOM_CP_TOL = 1e-12
 # Candidates per stacked CPT test of the identity suite's draws (about 1 in 6 is CP).
 DRAW_BLOCK = 64
+# Refused candidates in a row before a draw gives up; at 5 in 6 refused, (5/6)^10_000 ~ 1e-792.
+MAX_TRIES = 10_000
 # The closed-form suite's qudit dims; the identity and separability suites check the
 # first two, a subset of its grids.
 QUDIT_DIMS = (2, 3, 4, 5, 6)
@@ -55,12 +57,13 @@ class CheckResult:
         return cls(name, float(dev), threshold, bool(dev <= threshold))
 
 
-def random_cp_canonical(rng: np.random.Generator, max_tries: int = 10_000) -> CanonicalChannel:
-    """Rejection-sample a CP-valid canonical channel (Choi-validated)."""
-    return canonical_channel(*next(_random_cp_canonicals(rng, 1, max_tries)))
+def random_cp_canonical(rng: np.random.Generator) -> CanonicalChannel:
+    """Rejection-sample a CP-valid canonical channel (Choi-validated), giving up
+    after ``MAX_TRIES`` refused candidates in a row."""
+    return canonical_channel(*next(_random_cp_canonicals(rng, 1)))
 
 
-def _random_cp_canonicals(rng, block: int, max_tries: int = 10_000) -> Iterator[list[float]]:
+def _random_cp_canonicals(rng, block: int) -> Iterator[list[float]]:
     """The parameter rows (l1, l2, l3, t3) of ``random_cp_canonical`` draws in order,
     the candidates drawn ``block`` at a time and admitted by one stacked CPT test.
     ``uniform(size=(block, 4))`` gives the numbers of ``block`` draws of size 4, so
@@ -73,7 +76,7 @@ def _random_cp_canonicals(rng, block: int, max_tries: int = 10_000) -> Iterator[
             if report:
                 misses = 0
                 yield row
-            elif (misses := misses + 1) >= max_tries:
+            elif (misses := misses + 1) >= MAX_TRIES:
                 raise RuntimeError("could not sample a CP canonical channel")
 
 
@@ -177,14 +180,17 @@ SUITES = {
 
 def run_checks(suite: str = "all", **kwargs) -> list[CheckResult]:
     """Run one named suite or all of them; ``kwargs`` maps a suite name to
-    the keyword arguments of that suite. The suites of one call share a grid
-    memo, so a noise grid that two of them check is swept once per call."""
+    the keyword arguments of that suite, and names only suites the call runs. The
+    suites of one call share a grid memo, so a noise grid that two of them check is
+    swept once per call."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all', *SUITES)}")
-    unknown = sorted(set(kwargs) - set(SUITES))
-    if unknown:
-        raise ValueError(f"unknown suite keywords {unknown}; choose from {tuple(SUITES)}")
-    names, grids = SUITES if suite == "all" else (suite,), {}
+    names, grids = tuple(SUITES) if suite == "all" else (suite,), {}
+    if unknown := sorted(set(kwargs) - set(names)):
+        raise ValueError(f"suite keywords {unknown} name no suite this call runs; it runs {names}")
+    for name, options in kwargs.items():
+        if not isinstance(options, Mapping):
+            raise ValueError(f"{name}= takes a mapping of {name} suite keywords, got {options!r}")
     return [
         row for name in names for row in SUITES[name](**kwargs.get(name, {}), grids=grids)
     ]

@@ -145,12 +145,6 @@ class ProtocolTrace:
             return self.partition_negativities.get(key, 0.0)
         return self.partition_negativities[key]
 
-    def step_state(self, label: str) -> DensityOperator:
-        for name, state in self.steps:
-            if name == label:
-                return state
-        raise KeyError(f"no step labeled {label!r}")
-
 
 class Cnot(NamedTuple):
     """Generalized CNOT; ``inverse`` subtracts the control digit instead."""
@@ -769,7 +763,6 @@ SPECS: dict[tuple[str, str], ProtocolSpec] = {
 }
 
 PROTOCOLS = tuple(dict.fromkeys(protocol for protocol, _ in SPECS))
-MODES = ("probabilistic", "deterministic")
 
 
 def _op_text(spec: ProtocolSpec, op: Cnot | Noise) -> str:
@@ -835,8 +828,9 @@ class ChainReport:
     warnings: tuple[str, ...]
 
 
-def verify_identity_chain(trace: ProtocolTrace, atol: float = CHAIN_ATOL) -> ChainReport:
-    """Check that each identity chain of the trace collapses to one value."""
+def verify_identity_chain(trace: ProtocolTrace) -> ChainReport:
+    """Check that each identity chain of the trace collapses to one value,
+    within ``CHAIN_ATOL``."""
     per_chain: dict[str, float] = {}
     values: dict[str, dict[str, float]] = {}
     for chain_name, keys in trace.identity_chains.items():
@@ -849,7 +843,7 @@ def verify_identity_chain(trace: ProtocolTrace, atol: float = CHAIN_ATOL) -> Cha
         max_deviation=max_dev,
         per_chain=per_chain,
         values=values,
-        passed=max_dev <= atol,
+        passed=max_dev <= CHAIN_ATOL,
         warnings=tuple(trace.warnings),
     )
 
@@ -863,13 +857,12 @@ class SeparabilityReport:
     passed: bool
 
 
-def separability_audit(
-    trace: ProtocolTrace, atol: float = SEPARABILITY_ATOL
-) -> SeparabilityReport:
-    """Check the exchange subsystem stays PPT with the rest at every step."""
+def separability_audit(trace: ProtocolTrace) -> SeparabilityReport:
+    """Check the exchange subsystem stays PPT with the rest at every step, within
+    ``SEPARABILITY_ATOL``."""
     entries = {key: trace.partition_negativities[key] for key in trace.exchange_keys}
     worst = max(entries.values(), default=0.0)
-    return SeparabilityReport(max_negativity=worst, entries=entries, passed=worst <= atol)
+    return SeparabilityReport(worst, entries, worst <= SEPARABILITY_ATOL)
 
 
 def critical_noise(fn: Callable[[float], float]) -> float:

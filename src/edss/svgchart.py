@@ -78,7 +78,6 @@ def render_line_chart(
     series: Sequence[tuple[str, Sequence[float]]],
     title: str,
     x_label: str,
-    y_label: str = "value",
 ) -> str:
     """Render a complete SVG document for the given series."""
     if not len(xs := np.asarray(xs, dtype=float)):
@@ -140,7 +139,7 @@ def render_line_chart(
     lines.append(
         f'<text x="22" y="{(top + bottom) / 2:.1f}" text-anchor="middle" font-size="14" '
         f'font-family="sans-serif" transform="rotate(-90 22 {(top + bottom) / 2:.1f})">'
-        f"{_escape(y_label)}</text>"
+        "value</text>"
     )
 
     legend_x = right + 18

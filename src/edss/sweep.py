@@ -102,6 +102,8 @@ class SweepSpec:
             raise SweepError(
                 f"need 0 <= start <= stop <= 1, got [{self.start}, {self.stop}]"
             )
+        if isinstance(self.checks, str):
+            raise SweepError(f"checks must be a collection of check names, got {self.checks!r}")
         bad_checks = set(self.checks) - set(CHECK_NAMES)
         if bad_checks:
             raise SweepError(f"unknown checks {sorted(bad_checks)}")
@@ -135,8 +137,15 @@ class SweepResult:
 
 
 def format_float(x: float) -> str:
-    """12 significant digits via %g, ``+ 0.0`` collapsing negative zero to 0: a CSV cell."""
-    return "%.12g" % (float(x) + 0.0)
+    """The CSV cell of ``x`` (see ``_csv_rows``)."""
+    return _csv_rows(np.array([[x]], dtype=float))[:-1]
+
+
+def _csv_rows(values: np.ndarray) -> str:
+    """The CSV lines of the 2-D array ``values``, through one template for the whole
+    array: each cell 12 significant digits via %g, ``+ 0.0`` collapsing negative zero to 0."""
+    template = (",".join(["%.12g"] * values.shape[1]) + "\n") * len(values)
+    return template % tuple((values + 0.0).ravel().tolist())
 
 
 def _closed_forms(spec: SweepSpec) -> dict[str, tuple[str, ...]]:
@@ -149,24 +158,16 @@ def _closed_forms(spec: SweepSpec) -> dict[str, tuple[str, ...]]:
     return forms
 
 
-def sweep_columns(spec: SweepSpec) -> list[str]:
-    """Fixed column order for this (protocol, mode, channel) combination."""
-    entry = SPECS[spec.protocol, spec.mode]
-    cols = [spec.param, *(column for column, _ in entry.columns)]
-    cols += ["exchange_negativity_max", "chain_max_deviation"]
-    if entry.critical_formula(spec.channel) is not None:
-        cols.append("critical_noise")
-    return cols + [f"ref_{columns[0]}" for columns in _closed_forms(spec).values()]
-
-
 def _label(spec: SweepSpec, xs: np.ndarray, b: int) -> str:
     """The name of grid point ``b`` in refusals and failure lines."""
     return f"{spec.param}={format_float(xs[b])}"
 
 
 def sweep_table(spec: SweepSpec) -> dict[str, np.ndarray]:
-    """The columns ``run_sweep`` writes for a valid ``spec``, in CSV order
-    (``sweep_columns``), one float per grid point each, without I/O. The grid
+    """The columns ``run_sweep`` writes for a valid ``spec``, one float per grid point
+    each, without I/O, in CSV order: the swept parameter, the entry's columns,
+    ``exchange_negativity_max``, ``chain_max_deviation``, ``critical_noise``
+    where the spec has a critical formula, then one ``ref_*`` per closed form. The grid
     runs through the driver's chunk loop (``protocols._runs``): each chunk's
     columns are kept and the chunk dropped before the next is built. Where the
     spec has a critical formula, the root search (``protocols._critical_noise``)
@@ -234,17 +235,14 @@ def _failures(spec: SweepSpec, table: dict[str, np.ndarray]) -> list[str]:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid, write CSV (and SVG if requested), run the checks."""
-    spec = replace(spec, checks=frozenset(spec.checks)).validate()
+    spec = replace(spec.validate(), checks=frozenset(spec.checks))
     if not spec.csv_path:
         raise SweepError("csv output path is required")
     table = sweep_table(spec)
     columns = list(table)
     check_failures = _failures(spec, table)
 
-    # format_float of every cell, through one template for the whole table
-    template = (",".join(["%.12g"] * len(columns)) + "\n") * spec.points
-    values = np.column_stack(list(table.values())) + 0.0
-    text = ",".join(columns) + "\n" + template % tuple(values.ravel().tolist())
+    text = ",".join(columns) + "\n" + _csv_rows(np.column_stack(list(table.values())))
     csv_path = Path(spec.csv_path)
     with open(csv_path, "w", newline="", encoding="utf-8") as handle:
         handle.write(text)

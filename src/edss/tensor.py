@@ -42,25 +42,22 @@ VALIDITY_ATOL = 1e-9
 # qudit drive at d = 24 leave 47 plans in 6.4 MB. A full side-216 pattern's key holds 0.75 MB.
 PLAN_CACHE_BYTES = 16 << 20
 _PLANS: dict[tuple, tuple] = {}
-_held: list = [_PLANS, 0]  # the cache whose bytes are counted, and their count
+_held = 0  # bytes of the plans in _PLANS
 
 
 def _cached(key: tuple, build):
     """``build()``, kept in ``_PLANS`` under ``key``; older plans are dropped,
     least recently used first, while the plans kept hold more than
     ``PLAN_CACHE_BYTES`` (the newest plan is always kept)."""
+    global _held
     plan = _PLANS.pop(key, None)
     if plan is None:
         plan = build()
-        plans, held = _held
-        if plans is not _PLANS or not _PLANS:  # replaced or emptied: count what it holds
-            held = sum(map(_plan_bytes, _PLANS.items()))
-        held += _plan_bytes((key, plan))
-        while held > PLAN_CACHE_BYTES and _PLANS:
+        _held += _plan_bytes((key, plan))
+        while _held > PLAN_CACHE_BYTES and _PLANS:
             oldest = next(iter(_PLANS))
             # pop with a default: another thread may evict it too
-            held -= _plan_bytes((oldest, _PLANS.pop(oldest, ())))
-        _held[:] = _PLANS, held
+            _held -= _plan_bytes((oldest, _PLANS.pop(oldest, ())))
     _PLANS[key] = plan
     return plan
 
@@ -106,18 +103,18 @@ def _dimension(d: object, name: str = "dimension d") -> int:
     return _integer(d, name, 2)
 
 
-def is_hermitian(m: np.ndarray, atol: float = VALIDITY_ATOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     """Whether every matrix of the stack ``m`` (shape ``(..., n, n)``) is
-    Hermitian within ``atol``, taken as the largest ``|m - m^H|`` entry."""
+    Hermitian within ``VALIDITY_ATOL``, taken as the largest ``|m - m^H|`` entry."""
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return float(np.max(_hermitian_defect(m), initial=0.0)) <= atol
+    return float(np.max(_hermitian_defect(m), initial=0.0)) <= VALIDITY_ATOL
 
 
 def _hermitian_defect(m: np.ndarray) -> np.ndarray:
     """Largest ``|m - m^H|`` entry of each matrix of the stack ``m``. A NaN or inf
-    entry gives a NaN defect, which fails every ``<= atol`` gate; inf - inf
+    entry gives a NaN defect, which fails every ``<= tolerance`` gate; inf - inf
     raises no warning on the way, as the caller refuses the input anyway."""
     with np.errstate(invalid="ignore"):
         return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -252,10 +249,10 @@ class DensityOperator:
         """Side of the full matrix."""
         return prod(self.dims)
 
-    def validate(self, atol: float = VALIDITY_ATOL) -> "DensityOperator":
-        """Full validity check including positivity; returns self."""
+    def validate(self) -> "DensityOperator":
+        """Full validity check including positivity, within ``VALIDITY_ATOL``; returns self."""
         min_eig = float(np.min(np.linalg.eigvalsh(self.matrix)))
-        if min_eig < -atol:
+        if min_eig < -VALIDITY_ATOL:
             raise ValueError(f"density operator has negative eigenvalue {min_eig}")
         return self
 
@@ -371,7 +368,7 @@ def _component_labels(h: _Entries) -> np.ndarray:
         labels = jumped
 
 
-def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix, or of each matrix of
     a stack ``h`` (shape ``(..., n, n)``).
 
@@ -383,10 +380,10 @@ def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndar
     through its block plan (:func:`_plans`); entries between components are
     exact zeros in every matrix, so each spectrum is the union of its blocks'
     spectra. :func:`_batch_spectra` fills the blocks, checks their
-    hermiticity, solves the blocks of one size with one batched ``eigvalsh``
-    (a block of side 1 is the real part of its entry) and sorts each
-    spectrum. The hermiticity defect is taken over the blocks before any is
-    solved; it equals the whole stack's, as every other entry is zero. The
+    hermiticity within ``VALIDITY_ATOL``, solves the blocks of one size with one
+    batched ``eigvalsh`` (a block of side 1 is the real part of its entry) and
+    sorts each spectrum. The hermiticity defect is taken over the blocks before
+    any is solved; it equals the whole stack's, as every other entry is zero. The
     qudit partial transposes split into blocks of side at most d. A pattern
     of one component (after a random local unitary, say) is one block, and
     its spectrum is the dense ``eigvalsh`` of the matrix, bit for bit.
@@ -398,9 +395,9 @@ def hermitian_eigenvalues(h: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndar
     nonzero = np.any(h != 0, axis=tuple(range(h.ndim - 2)))
     if nonzero.all():  # one block holding each matrix as it is: no gather, no bytes key
         plan = _cached(("full", n), lambda: ((n, 1, np.arange(n * n), np.arange(n * n)),))
-        return _batch_spectra([(plan, h.reshape(*h.shape[:-2], n * n))], atol)[0]
+        return _batch_spectra([(plan, h.reshape(*h.shape[:-2], n * n))])[0]
     e = _Entries.of(h, (n,))
-    return _batch_spectra([(_plans([(e, ())])[0], e.values)], atol)[0]
+    return _batch_spectra([(_plans([(e, ())])[0], e.values)])[0]
 
 
 def _plans(items: Sequence[tuple[_Entries, Iterable[int]]]) -> list[tuple]:
@@ -460,14 +457,12 @@ def _block_plan(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray) -> tuple
     return tuple(plan)
 
 
-def _batch_spectra(
-    items: Sequence[tuple[tuple, np.ndarray]], atol: float = VALIDITY_ATOL
-) -> list[np.ndarray]:
+def _batch_spectra(items: Sequence[tuple[tuple, np.ndarray]]) -> list[np.ndarray]:
     """Ascending spectra of each item ``(plan, values)`` of ``items``: the stack
     of entries ``values`` (shape ``(..., nnz)``) in the diagonal blocks that
     ``plan`` (see :func:`_block_plan`) fills. In one pass, per block size, the
     blocks of every item are gathered into one zeroed array, checked for
-    hermiticity together, and, once every size has passed, solved by one
+    hermiticity within ``VALIDITY_ATOL`` together, and, once every size has passed, solved by one
     batched ``eigvalsh``. Each item's spectra are then sorted from its blocks
     in ascending size order, as if it had been solved alone."""
     groups: dict[int, list] = {}  # size -> (item, points, count, take, at)
@@ -486,7 +481,7 @@ def _batch_spectra(
             start += points * count
         stack = stack.reshape(-1, size, size)
         # as is_hermitian takes it; a NaN defect fails too, before LAPACK sees it
-        if not np.max(_hermitian_defect(stack), initial=0.0) <= atol:
+        if not np.max(_hermitian_defect(stack), initial=0.0) <= VALIDITY_ATOL:
             raise ValueError("input is not Hermitian within tolerance")
         blocks[size] = stack
     spectra: list[list] = [[] for _ in items]

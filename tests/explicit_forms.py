@@ -725,6 +725,30 @@ def y_to_px(y, lo, hi):
     return bottom - (y - lo) / (hi - lo) * (bottom - top)
 
 
+def fresh_plan_cache(monkeypatch):
+    """Install an empty plan cache (``edss.tensor._PLANS``) with its byte count at
+    zero; the test's end restores the package's cache and its count together."""
+    import edss.tensor
+
+    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    monkeypatch.setattr(edss.tensor, "_held", 0)
+
+
+def sweep_columns(spec):
+    """The CSV header of ``spec``, from its table entry alone: the swept parameter,
+    the entry's columns, the exchange and chain maxima, ``critical_noise`` where
+    the spec has a critical formula, then ``ref_<first column>`` per closed form."""
+    from edss.protocols import SPECS
+    from edss.sweep import _closed_forms
+
+    entry = SPECS[spec.protocol, spec.mode]
+    cols = [spec.param, *(column for column, _ in entry.columns)]
+    cols += ["exchange_negativity_max", "chain_max_deviation"]
+    if entry.critical_formula(spec.channel) is not None:
+        cols.append("critical_noise")
+    return cols + [f"ref_{columns[0]}" for columns in _closed_forms(spec).values()]
+
+
 def row_by_row_outputs(spec, table):
     """What ``run_sweep`` writes for ``spec`` and its full table (``critical_noise``
     included), rebuilt one row at a time the way rows were written before the
@@ -734,7 +758,7 @@ def row_by_row_outputs(spec, table):
     import io
 
     from edss.svgchart import render_line_chart
-    from edss.sweep import _closed_forms, check_atol, sweep_columns
+    from edss.sweep import _closed_forms, check_atol
 
     columns = sweep_columns(spec)
     rows = table_rows(table)
@@ -746,9 +770,8 @@ def row_by_row_outputs(spec, table):
             "separability": row["exchange_negativity_max"],
         }
         for fid, cols in _closed_forms(spec).items():
-            if cols[0] in row:
-                ref = row[f"ref_{cols[0]}"]
-                devs[fid] = max(abs(row[c] - ref) for c in cols)
+            ref = row[f"ref_{cols[0]}"]
+            devs[fid] = max(abs(row[c] - ref) for c in cols)
         for check, what in (("identity", "identity chain deviation"),
                             ("separability", "exchange negativity")):
             dev = devs.pop(check)

@@ -29,7 +29,7 @@ from edss.tensor import (
     partial_transpose,
 )
 
-from explicit_forms import cnot_gather, noise_channel, stinespring_kraus, z_twirl
+from explicit_forms import cnot_gather, fresh_plan_cache, noise_channel, stinespring_kraus, z_twirl
 
 EIG_ATOL = 1e-12
 REPORTED_ATOL = 1e-9
@@ -221,7 +221,7 @@ def test_joint_pattern_stack_matches_each_row_dense(d):
 
 
 def test_stacked_drive_labels_each_stack_once(monkeypatch):
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     batch = [(noise_channel("depolarizing", 4, p),) for p in (0.1, 0.3, 0.5, 0.7)]
     with patch.object(
         edss.tensor, "_component_labels", wraps=edss.tensor._component_labels
@@ -254,7 +254,7 @@ def test_plan_hit_spectra_equal_a_cold_solve_bit_for_bit(monkeypatch, d):
             lambda: _batch_spectra([(_plans([(e, part.side_a)])[0], e.values)])[0],
             lambda: _batch_negativities([(e, part)])[0],
         ]
-        monkeypatch.setattr(edss.tensor, "_PLANS", {})
+        fresh_plan_cache(monkeypatch)
         cold = [solve() for solve in solves]
         assert len(edss.tensor._PLANS) == 2
         hit = [solve() for solve in solves]
@@ -284,10 +284,10 @@ def test_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
     def held():
         return sum(map(edss.tensor._plan_bytes, edss.tensor._PLANS.items()))
 
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     _drive(SPECS["qudit", "probabilistic"], batch, 3)
     budget, unbounded = held() // 3, len(edss.tensor._PLANS)
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     monkeypatch.setattr(edss.tensor, "PLAN_CACHE_BYTES", budget)
     seen = []
     cached = edss.tensor._cached

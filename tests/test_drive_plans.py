@@ -25,15 +25,21 @@ from edss.channels import (
     CanonicalChannel,
     KrausChannel,
     _canonical_tensors,
+    _cpt_reports,
     canonical_channel,
-    is_cpt,
 )
 from edss.checks import DEFAULT_SEED, identity_suite, random_cp_canonical
 from edss.protocols import SPECS, _drive
 from edss.states import cnot, ghz_initial_state, measure_computational
 from edss.tensor import DensityOperator, hermitian_eigenvalues, partial_trace
 
-from explicit_forms import evolve_batch, noise_channel, stinespring_kraus, z_twirl
+from explicit_forms import (
+    evolve_batch,
+    fresh_plan_cache,
+    noise_channel,
+    stinespring_kraus,
+    z_twirl,
+)
 
 HADAMARD = KrausChannel((np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),))
 
@@ -73,7 +79,7 @@ def one_candidate_at_a_time(rng):
     """The rejection loop with one CPT test per candidate."""
     while True:
         ch = canonical_channel(*rng.uniform(-1.0, 1.0, size=4))
-        if is_cpt(ch, tol=edss.checks.RANDOM_CP_TOL):
+        if _cpt_reports(ch.transfer_tensor()[None], edss.checks.RANDOM_CP_TOL)[0]:
             return ch
 
 
@@ -85,10 +91,18 @@ def test_one_channel_per_call_leaves_the_stream_where_the_loop_does(seed):
         assert rng.uniform() == loop.uniform()
 
 
-def test_draws_give_up_after_max_tries():
-    with patch.object(edss.checks, "_cpt_reports", lambda t4, tol: [False] * len(t4)):
+def test_draws_give_up_after_max_tries(monkeypatch):
+    monkeypatch.setattr(edss.checks, "MAX_TRIES", 5)
+    refused = []
+
+    def refuse_all(t4, tol):
+        refused.append(len(t4))
+        return [False] * len(t4)
+
+    with patch.object(edss.checks, "_cpt_reports", refuse_all):
         with pytest.raises(RuntimeError, match="could not sample a CP canonical channel"):
-            random_cp_canonical(np.random.default_rng(0), max_tries=5)
+            random_cp_canonical(np.random.default_rng(0))
+    assert refused == [1] * 5
 
 
 @settings(max_examples=50, deadline=None)
@@ -147,7 +161,7 @@ def test_plan_hit_drive_equals_a_cold_drive_bit_for_bit(monkeypatch, key, d, bat
     # the batch, then each of its points alone: a drive on an emptied cache, then the same
     # drive again, which finds every plan
     for points in [batch, *([channels] for channels in batch)]:
-        monkeypatch.setattr(edss.tensor, "_PLANS", {})
+        fresh_plan_cache(monkeypatch)
         cold = list(map(trace_bits, _drive(spec, points, d)))
         planned = len(edss.tensor._PLANS)
         hit = list(map(trace_bits, _drive(spec, points, d)))
@@ -156,7 +170,7 @@ def test_plan_hit_drive_equals_a_cold_drive_bit_for_bit(monkeypatch, key, d, bat
 
 
 def test_a_sum_of_zero_drops_its_position_from_the_next_plan(monkeypatch):
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     spec = SPECS["two_qubit", "probabilistic"]
     stacks = [stack for _, stack in evolve_batch(spec, [(HADAMARD,)], (2, 2, 2))]
     plans = edss.tensor._PLANS
@@ -191,7 +205,7 @@ def test_a_repeated_pattern_builds_no_plan():
     ids=["cnot", "partial_trace", "measure_computational"],
 )
 def test_a_public_one_state_call_reuses_its_index_plan(monkeypatch, call):
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     rho = DensityOperator(ghz_initial_state().matrix, (2,) * 5)  # dense, as a caller's state is
     first = result_bits(call(rho))
     assert len(edss.tensor._PLANS) == 1
@@ -225,7 +239,7 @@ def test_index_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
         for d in (3, 4):
             _drive(SPECS["qudit", "probabilistic"], [(noise_channel("depolarizing", d, 0.5),)], d)
 
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     drives()
     # one cache holds every kernel's plans
     assert {key[0] for key in edss.tensor._PLANS} == {"cnot", "embed", "measure", "trace", "block"}
@@ -235,11 +249,11 @@ def test_index_plan_cache_stays_in_its_bound_and_holds_no_values(monkeypatch):
             assert isinstance(leaf, int) or isinstance(leaf, np.ndarray) and leaf.dtype.kind in "bi"
     unbounded = held_bytes()
     count = len(edss.tensor._PLANS)
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     monkeypatch.setattr(edss.tensor, "PLAN_CACHE_BYTES", unbounded // 4)
     drives()
     assert held_bytes() <= unbounded // 4 and len(edss.tensor._PLANS) < count
-    assert edss.tensor._held == [edss.tensor._PLANS, held_bytes()]
+    assert edss.tensor._held == held_bytes()
 
 
 def held_bytes():
@@ -249,7 +263,7 @@ def held_bytes():
 
 def test_public_calls_on_distinct_patterns_stay_in_the_byte_budget(monkeypatch):
     # each state has its own zero row, so each call keys a new side-216 pattern of ~0.75 MB
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     rng = np.random.default_rng(5)
     calls = 24
     for row in range(calls):
@@ -260,7 +274,7 @@ def test_public_calls_on_distinct_patterns_stay_in_the_byte_budget(monkeypatch):
         assert reduced.dims == (6, 6)
         assert held_bytes() <= edss.tensor.PLAN_CACHE_BYTES
     assert 1 < len(edss.tensor._PLANS) < calls
-    assert edss.tensor._held == [edss.tensor._PLANS, held_bytes()]
+    assert edss.tensor._held == held_bytes()
 
 
 class Filling:
@@ -305,7 +319,7 @@ def test_a_d10_qudit_chunk_holds_eight_points():
 
 @pytest.mark.parametrize("n", [1, 2, 27])
 def test_full_pattern_spectra_are_the_dense_solve_bit_for_bit(monkeypatch, n):
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     rng = np.random.default_rng(n)
     a = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
     h = a + a.conj().swapaxes(1, 2)

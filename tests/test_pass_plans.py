@@ -26,6 +26,8 @@ from edss.tensor import (
     _plans,
 )
 
+from explicit_forms import fresh_plan_cache
+
 
 def queue(key, d, channel):
     """The ``(stack, side_a)`` items of one two-point drive's negativity pass."""
@@ -92,7 +94,7 @@ def test_a_mixed_pass_covers_every_case():
 
 def test_a_cold_pass_labels_once_and_equals_one_pattern_builds(monkeypatch):
     items = mixed_pass()
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     with patch.object(edss.tensor, "_component_labels", wraps=_component_labels) as spy:
         plans = _plans(items)
         assert spy.call_count == 1
@@ -105,7 +107,7 @@ def test_a_cold_pass_labels_once_and_equals_one_pattern_builds(monkeypatch):
 
 def test_a_pass_over_a_partly_filled_cache_builds_only_its_misses(monkeypatch):
     items = mixed_pass()
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     held = _plans(items[::3])
     with patch.object(edss.tensor, "_partial_transpose", wraps=_partial_transpose) as spy:
         plans = _plans(items)
@@ -117,14 +119,14 @@ def test_a_pass_over_a_partly_filled_cache_builds_only_its_misses(monkeypatch):
 @pytest.mark.parametrize("share", [0, 3], ids=["one-byte", "a-third"])
 def test_a_bound_that_evicts_mid_pass_still_returns_every_plan(monkeypatch, share):
     items = mixed_pass()
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     _plans(items)
     everything = sum(map(_plan_bytes, edss.tensor._PLANS.items()))
     budget = everything // share if share else 1
-    monkeypatch.setattr(edss.tensor, "_PLANS", {})
+    fresh_plan_cache(monkeypatch)
     monkeypatch.setattr(edss.tensor, "PLAN_CACHE_BYTES", budget)
     plans = _plans(items)
     assert_plans_are_one_pattern_builds(items, plans)
     held = sum(map(_plan_bytes, edss.tensor._PLANS.items()))
     assert len(edss.tensor._PLANS) >= 1 and (held <= budget or len(edss.tensor._PLANS) == 1)
-    assert edss.tensor._held == [edss.tensor._PLANS, held]
+    assert edss.tensor._held == held

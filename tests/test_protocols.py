@@ -179,7 +179,7 @@ class TestGhzProtocol:
         for ch in (depolarizing(2, 0.3), amplitude_damping(2, 0.5), random_cp_canonical(rng)):
             lam, t = bloch_affine(ch)
             trace = run_ghz(ch)
-            noisy = trace.step_state("channels")
+            noisy = dict(trace.steps)["channels"]
             expected = ghz_noisy_middle(lam[0, 0], lam[1, 1], lam[2, 2], t[2])
             assert np.max(np.abs(noisy.matrix - expected)) < 1e-12
 
@@ -320,7 +320,7 @@ class TestQuditProtocol:
     def test_final_state_matches_block_form(self):
         d, p = 3, 0.3
         trace = run_qudit(d, depolarizing(d, p))
-        final = trace.step_state("bob_inverse_cnot")
+        final = dict(trace.steps)["bob_inverse_cnot"]
         assert np.max(np.abs(final.matrix - qudit_depol_final_state(d, p))) < 1e-12
 
     def test_success_pairs_match_printed_forms(self):

@@ -1,9 +1,11 @@
-"""Every name ``edss`` exports is read outside the tests: by the README, a tool,
-the benchmark, or code of ``src/edss`` that one of those reaches. A name that
-only tests read belongs with the tests (``explicit_forms.py``). The check suites
-and the root search keep the signatures pinned here."""
+"""Every function, class and constant that a module of ``src/edss`` defines, the
+names ``edss`` exports among them, is read outside the tests: by the README, a
+tool, the benchmark, or code of ``src/edss`` that one of those reaches. A name
+that only tests read belongs with the tests (``explicit_forms.py``). The check
+suites, the root search and the public checks keep the signatures pinned here."""
 
 import ast
+import functools
 import inspect
 import re
 from pathlib import Path
@@ -48,14 +50,32 @@ def read_outside_the_tests() -> set[str]:
 READ = read_outside_the_tests()
 
 
-@pytest.mark.parametrize("name", edss.__all__)
-def test_every_exported_name_is_read_outside_the_tests(name):
-    assert name in READ, f"edss.{name} is read only by tests"
+def defined_names() -> list[str]:
+    """``module.name`` of each function, class and assigned name (dunders aside)
+    at the top level of a module of ``src/edss``."""
+    found = []
+    for path in sorted((ROOT / "src" / "edss").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            found += [f"{path.stem}.{name}" for name in names if not name.startswith("__")]
+    return found
 
 
-# The suites and the root search take no grid density, dimension list, draw count,
-# bracket or tolerance: those are the named constants of ``edss.checks`` and
-# ``edss.protocols``. The benchmark calls ``run_checks("all", identity={"seed": s})``.
+@pytest.mark.parametrize("name", defined_names())
+def test_every_defined_name_is_read_outside_the_tests(name):
+    assert name.split(".")[1] in READ, f"edss.{name} is read only by tests"
+
+
+# The suites, the root search and the public checks take no grid density, dimension
+# list, draw count, bracket or tolerance: those are the named constants of
+# ``edss.checks``, ``edss.protocols``, ``edss.tensor`` and ``edss.channels``. The
+# benchmark calls ``run_checks("all", identity={"seed": s})``.
 SIGNATURES = {
     "critical_noise": "(fn: 'Callable[[float], float]') -> 'float'",
     "identity_suite": (
@@ -64,10 +84,24 @@ SIGNATURES = {
     "separability_suite": "(*, grids: 'dict | None' = None) -> 'list[CheckResult]'",
     "closed_form_suite": "(*, grids: 'dict | None' = None) -> 'list[CheckResult]'",
     "run_checks": "(suite: 'str' = 'all', **kwargs) -> 'list[CheckResult]'",
+    "tensor.is_hermitian": "(m: 'np.ndarray') -> 'bool'",
+    "hermitian_eigenvalues": "(h: 'np.ndarray') -> 'np.ndarray'",
+    "DensityOperator.validate": "(self) -> \"'DensityOperator'\"",
+    "is_cpt": "(ch: 'QuditChannel') -> 'CptReport'",
+    "channels.has_canonical_form": "(ch: 'QuditChannel') -> 'bool'",
+    "verify_identity_chain": "(trace: 'ProtocolTrace') -> 'ChainReport'",
+    "separability_audit": "(trace: 'ProtocolTrace') -> 'SeparabilityReport'",
+    "random_cp_canonical": "(rng: 'np.random.Generator') -> 'CanonicalChannel'",
+    "svgchart.render_line_chart": (
+        "(xs: 'Sequence[float]', series: 'Sequence[tuple[str, Sequence[float]]]', "
+        "title: 'str', x_label: 'str') -> 'str'"
+    ),
 }
 
 
 @pytest.mark.parametrize("name", SIGNATURES)
 def test_suite_and_root_search_signatures(name):
-    fn = getattr(edss, name, None) or getattr(edss.checks, name)
+    # a dotted name from edss, or a bare name of edss or edss.checks
+    fn = getattr(edss, name, None) or getattr(edss.checks, name, None)
+    fn = fn or functools.reduce(getattr, name.split("."), edss)
     assert str(inspect.signature(fn)) == SIGNATURES[name]

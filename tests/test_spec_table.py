@@ -14,11 +14,12 @@ import pytest
 
 from edss import FORMULAS, SweepError, SweepSpec, run_sweep
 from edss.channels import CHANNEL_PARAMS
-from edss.protocols import MODES, PROTOCOLS, SPECS, _drive, _runs, describe, partition_name
+from edss.protocols import PROTOCOLS, SPECS, _drive, _runs, describe, partition_name
 from edss.reference import CLOSED_FORM_KINDS
-from edss.sweep import sweep_columns
 
-from explicit_forms import noise_channel
+from explicit_forms import noise_channel, sweep_columns
+
+MODES = ("probabilistic", "deterministic")
 
 # With these fixed values every lambda3 in [0, 0.8] gives a CPT channel.
 CANONICAL_ARGS = {"lambda1": 0.4, "lambda2": 0.4, "t3": 0.1}

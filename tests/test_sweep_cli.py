@@ -23,11 +23,10 @@ from edss.sweep import (
     MAX_POINTS,
     format_float,
     row_deviations,
-    sweep_columns,
     sweep_table,
 )
 
-from explicit_forms import table_rows, x_to_px, y_to_px
+from explicit_forms import sweep_columns, table_rows, x_to_px, y_to_px
 
 
 def read_csv(path):
@@ -77,6 +76,15 @@ class TestSpecValidation:
         )
         with pytest.raises(SweepError):
             spec.validate()
+
+    def test_a_string_of_checks_is_refused(self, tmp_path):
+        # not split into its characters and reported as unknown checks
+        spec = small_spec(tmp_path, checks="identity")
+        message = "checks must be a collection of check names, got 'identity'"
+        for call in (spec.validate, lambda: run_sweep(spec)):
+            with pytest.raises(SweepError, match=message):
+                call()
+        assert not spec.csv_path.exists()
 
     def test_qudit_dimension_cap(self, tmp_path):
         with pytest.raises(SweepError):
@@ -266,6 +274,40 @@ class TestChecksSuites:
     def test_misspelled_suite_keyword_rejected(self):
         with pytest.raises(ValueError, match="separabilty"):
             run_checks("separability", separabilty={})
+
+    @pytest.mark.parametrize(
+        "suite, kwargs, message",
+        [
+            ("identity", {"identity": 5}, "identity= takes a mapping of identity suite keywords"),
+            ("all", {"closed_form": None}, "closed_form= takes a mapping of closed_form suite"),
+            ("separability", {"identity": {"seed": 3}}, r"\['identity'\] name no suite this call"),
+            ("closed_form", {"identity": {}, "separability": {}}, r"\['identity', 'separa"),
+        ],
+        ids=["not-a-mapping", "none-in-all", "a-suite-not-run", "two-suites-not-run"],
+    )
+    def test_suite_keywords_are_refused_before_any_suite_runs(
+        self, monkeypatch, suite, kwargs, message
+    ):
+        for name in SUITES:
+            monkeypatch.setitem(SUITES, name, lambda **_: pytest.fail("a suite ran"))
+        with pytest.raises(ValueError, match=message):
+            run_checks(suite, **kwargs)
+
+    def test_suite_keywords_reach_their_suite(self, monkeypatch):
+        # the benchmark's call: a seed for the identity suite of an "all" run
+        calls = []
+
+        def recorder(name):
+            return lambda **kwargs: calls.append((name, kwargs)) or []
+
+        for name in SUITES:
+            monkeypatch.setitem(SUITES, name, recorder(name))
+        assert run_checks("all", identity={"seed": 3}) == []
+        assert calls == [
+            ("identity", {"seed": 3, "grids": {}}),
+            ("separability", {"grids": {}}),
+            ("closed_form", {"grids": {}}),
+        ]
 
     def test_grid_rows_are_worst_sweep_row_deviations(self, tmp_path):
         spec = small_spec(tmp_path, protocol="qudit", d=2, points=GRID_POINTS).validate()
