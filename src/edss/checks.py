@@ -5,12 +5,14 @@ These back the ``edss check`` command. Each suite walks the protocol table
 with the observed worst-case deviation against its threshold. Every row but
 the random-channel ones is a column maximum of ``edss.sweep.row_deviations``
 over a ``GRID_POINTS``-point [0, 1] noise grid's table
-(``edss.sweep.sweep_table``), the critical noise levels included: the table
-runs their root search. A NaN row makes the maximum NaN, which fails.
+(``edss.sweep.sweep_table``): the closed-form rows are each entry's ``formulas``
+ids, the critical noise level among them, whose root search the table runs. A
+NaN row makes the maximum NaN, which fails.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Mapping
@@ -19,7 +21,7 @@ import numpy as np
 
 from .channels import CHANNEL_PARAMS, CanonicalChannel, _canonical_tensors, _cpt_reports
 from .channels import canonical_channel
-from .protocols import PROTOCOLS, SPECS, ProtocolSpec, _Chunk, _runs
+from .protocols import CRITICAL_NOISE, PROTOCOLS, SPECS, ProtocolSpec, _Chunk, _runs
 
 # The average-only paths live with the driver; callers import them from here.
 from .protocols import ghz_average_only, qudit_average_only, two_qubit_average_only  # noqa: F401
@@ -146,29 +148,21 @@ def separability_suite(*, grids: dict | None = None) -> list[CheckResult]:
 
 
 def closed_form_suite(*, grids: dict | None = None) -> list[CheckResult]:
-    """Compare every closed-form curve of ``reference.FORMULAS`` against the
-    simulation on a grid, and every critical noise level against the root
-    search of that grid's table."""
-    grids, results = {} if grids is None else grids, []
+    """Compare every formula of each entry's ``formulas`` against the simulation
+    on a grid: the curves first, then the critical noise levels, which the root
+    search of that grid's table finds."""
+    grids, rows = {} if grids is None else grids, []
     for protocol in PROTOCOLS:
         specs = [spec for spec in SPECS.values() if spec.protocol == protocol]
         for kind in CLOSED_FORM_KINDS:
             for d in _dims(specs[0], QUDIT_DIMS):
                 for spec in specs:
-                    worst = _worst(grids, spec, kind, d)
-                    results.extend(
-                        CheckResult.from_deviation(f"{fid}{_suffix(spec, d)}", worst[fid], fid)
-                        for fid in spec.formulas(kind)
-                    )
-
-    for spec in _default_specs():
-        for kind in CLOSED_FORM_KINDS:
-            if (fid := spec.critical_formula(kind)) is None:
-                continue
-            for d in _dims(spec, QUDIT_DIMS):
-                dev = _worst(grids, spec, kind, d)[fid]
-                results.append(CheckResult.from_deviation(f"{fid}{_suffix(spec, d)}", dev, fid))
-    return results
+                    worst, suffix = _worst(grids, spec, kind, d), _suffix(spec, d)
+                    for fid, cols in spec.formulas(kind).items():
+                        row = CheckResult.from_deviation(f"{fid}{suffix}", worst[fid], fid)
+                        rows.append((cols == CRITICAL_NOISE, row))
+    rows.sort(key=lambda row: row[0])  # the critical rows last, each part in order
+    return [row for _, row in rows]
 
 
 SUITES = {
@@ -191,6 +185,9 @@ def run_checks(suite: str = "all", **kwargs) -> list[CheckResult]:
     for name, options in kwargs.items():
         if not isinstance(options, Mapping):
             raise ValueError(f"{name}= takes a mapping of {name} suite keywords, got {options!r}")
+        takes = [key for key in inspect.signature(SUITES[name]).parameters if key != "grids"]
+        if unknown := [key for key in options if key not in takes]:
+            raise ValueError(f"the {name} suite takes no keyword {unknown[0]!r}; it takes {takes}")
     return [
         row for name in names for row in SUITES[name](**kwargs.get(name, {}), grids=grids)
     ]

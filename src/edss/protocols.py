@@ -72,6 +72,8 @@ SAME_CHANNEL_ATOL = 1e-12
 ROOT_ZERO_ATOL = 1e-12
 # critical_noise stops at a bracket this wide, a thousandth of CLOSED_FORM_ATOL.
 ROOT_TOL = 1e-12
+# The closed-form group of the noise level where average_only vanishes, found by root search.
+CRITICAL_NOISE = ("critical_noise",)
 # A qudit state held as entries has at most 396 of them at d = 6 (see _chunk_points); what caps d
 # is the dense d^4 transfer tensor, with amplitude damping's d^5 Kraus build. Against a budget of
 # 0.25 s and 100 MB peak RSS, one warm qudit_average_only (one BLAS thread) takes 18-50 ms and
@@ -175,9 +177,10 @@ class ProtocolSpec:
     """Declarative description of one (protocol, mode) pair.
 
     Each fact is stated once. The exchange subsystems are the targets of the
-    ``Noise`` steps, and a probabilistic finish measures them; closed forms
-    and critical noise levels are the ``reference.FORMULAS`` ids the spec's
-    protocol and columns name. The trace keys a run records are those of
+    ``Noise`` steps, and a probabilistic finish measures them; closed forms,
+    the critical noise level (``CRITICAL_NOISE``) among them, are the
+    ``reference.FORMULAS`` ids the spec's protocol and ``closed_forms`` groups
+    name (``formulas``). The trace keys a run records are those of
     ``layout``, and :func:`describe` renders the ``edss describe`` text from
     the entries alone. ``initial`` and ``average_only`` call module-level
     functions by name, so wrappers installed on those names (profilers,
@@ -192,8 +195,8 @@ class ProtocolSpec:
     steps: tuple[Step, ...]
     # one role per channel of a run, in ``Noise.channel`` order
     channel_roles: tuple[str, ...]
-    # (kind, x, d) -> the a|b branch average whose root a critical_formula
-    # level predicts; x a float, or a 1-D array taken in one pass
+    # (kind, x, d) -> the a|b branch average whose root the CRITICAL_NOISE
+    # group predicts; x a float, or a 1-D array taken in one pass
     average_only: Callable[..., float] | None = None
     # one-vs-rest sides of the post-measurement register; the first one
     # carries the distributed entanglement
@@ -255,17 +258,18 @@ class ProtocolSpec:
         """Per step, the trace key of the exchange's bipartition: its first in ``layout``."""
         return tuple(next(iter(sides)) for sides in self.layout[0])
 
-    def formulas(self, kind: str) -> dict[str, tuple[str, ...]]:
-        """Per-point formula id -> predicted columns for a ``kind`` sweep."""
-        if kind not in CLOSED_FORM_KINDS:
-            return {}
-        return {f"{self.protocol}_{kind}_{cols[0]}": cols for cols in self.closed_forms}
+    @functools.cached_property
+    def success_keys(self) -> tuple[str, ...]:
+        """The success branch's trace keys: ``<partition>@success`` per finish side, then
+        the pairs; each reads 0 where that branch is null."""
+        _, parts, pairs = self.layout
+        return (*(f"{name}@success" for name in parts), *pairs)
 
-    def critical_formula(self, kind: str) -> str | None:
-        """Formula id of the noise level where a ``kind`` sweep's average
-        vanishes, if ``reference.FORMULAS`` has one for this protocol."""
-        fid = f"{self.protocol}_{kind}_critical_noise"
-        return fid if fid in FORMULAS else None
+    def formulas(self, kind: str) -> dict[str, tuple[str, ...]]:
+        """Formula id -> predicted columns for a ``kind`` sweep: each ``closed_forms``
+        group that ``reference.FORMULAS`` registers a ``kind`` formula for."""
+        fids = {f"{self.protocol}_{kind}_{cols[0]}": cols for cols in self.closed_forms}
+        return {fid: cols for fid, cols in fids.items() if fid in FORMULAS}
 
 
 def _noise_summary(*channels: QuditChannel) -> dict[str, object]:
@@ -392,7 +396,7 @@ class _Chunk:
         return len(self.batch)
 
     def __getitem__(self, b: int) -> ProtocolTrace:
-        b, spec, (steps, parts, pairs) = range(len(self))[b], self.spec, self.spec.layout
+        b, spec, (steps, parts, _) = range(len(self))[b], self.spec, self.spec.layout
         targets = " and ".join(spec.subsystems[i] for i in spec.exchange)
         value = {key: float(column[b]) for key, column in self.columns.items()}
         trace = ProtocolTrace(
@@ -422,8 +426,7 @@ class _Chunk:
             trace.branches.append(MeasurementBranch(outcome, float(probs[b]), state))
             trace.branch_negativities.append({k: float(v[b]) for k, v in negs.items() if live[b]})
         if trace.branches[0].probability > 0.0:
-            success = [f"{name}@success" for name in parts] + list(pairs)
-            trace.partition_negativities.update((key, value[key]) for key in success)
+            trace.partition_negativities.update((key, value[key]) for key in spec.success_keys)
         trace.averages = {name: value[f"avg:{name}"] for name in parts}
         trace.average_negativity = value["average_negativity"]
         trace.success_probability = value["success_probability"]
@@ -482,7 +485,7 @@ def _drive(
         # a branch null at every point queues nothing
         names = {name: queued(posts, s, live) for name, s in parts.items() if len(posts)}
         if n == 0:  # the success branch
-            recorded.update(dict.fromkeys([f"{name}@success" for name in parts] + list(pairs)))
+            recorded.update(dict.fromkeys(spec.success_keys))
             recorded.update((f"{name}@success", i) for name, i in names.items())
             for key, pair in pairs.items() if len(posts) else ():
                 reduced = _partial_trace(posts, pair)
@@ -757,6 +760,7 @@ SPECS: dict[tuple[str, str], ProtocolSpec] = {
             ("negativity_a_bc_final", "a|bc@bob_inverse_cnot"),
             ("negativity_b_ac_final", "b|ac@bob_inverse_cnot"),
         ),
+        closed_forms=(*_TWO_QUBIT.closed_forms, CRITICAL_NOISE),
         takes_d=True,
         random_divisor=0,
     ),
@@ -797,23 +801,22 @@ def describe(protocol: str) -> str:
         ops = "; ".join(_op_text(first, op) for op in step.ops) or "start state"
         lines.append(f"  {numeral:<5}{step.label:<18}{ops}")
     for spec in modes:
-        steps, parts, pairs = spec.layout
-        keys = [key for sides in steps for key in sides]
+        keys = [key for sides in spec.layout[0] for key in sides]
         if spec.deterministic is not None:
             finish = f"a local map replaces the measurement of {exchange}"
         else:
             count = "d" if spec.takes_d else 2 ** len(spec.measured)
             zero = "0" if len(spec.measured) == 1 else str((0,) * len(spec.measured))
             finish = f"measure {', '.join(spec.measured)}; {count} outcomes, success on {zero}"
-            keys += [f"{name}@success" for name in parts] + list(pairs)
+            keys += spec.success_keys
         lines += ["", f"{spec.mode}:", f"  finish: {finish}"]
         lines += _wrapped(" ".join(["records:", *keys]))
         for kind, chains in ("identity", spec.identity_chains), ("symmetry", spec.symmetry_chains):
             for name, members in chains.items():
                 lines += _wrapped(f"{kind} chain {name}: {' = '.join(members)}")
-        forms = [fid for kind in CLOSED_FORM_KINDS for fid in spec.formulas(kind)]
-        forms += filter(None, map(spec.critical_formula, CLOSED_FORM_KINDS))
-        lines += _wrapped(" ".join(["closed forms:", *forms]))
+        forms = [form for kind in CLOSED_FORM_KINDS for form in spec.formulas(kind).items()]
+        forms.sort(key=lambda form: form[1] == CRITICAL_NOISE)  # curves first, stably
+        lines += _wrapped(" ".join(["closed forms:", *(fid for fid, _ in forms)]))
     return "\n".join(lines) + "\n"
 
 

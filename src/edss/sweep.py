@@ -9,9 +9,9 @@ files.
 A grid flows as columns from its parameter array to the file: one row of
 channel parameters per point (``SweepSpec.params``), which the driver's chunk
 loop turns into channels a chunk at a time, one float array per CSV column
-(``sweep_table``, whose root search for a ``critical_noise`` column reads
-the grid it has swept), checks on whole columns (``row_deviations``), and one
-formatting pass over the table for the CSV and one for the SVG.
+(``sweep_table``, whose root search for the ``critical_noise`` closed form
+reads the grid it has swept), checks on whole columns (``row_deviations``),
+and one formatting pass over the table for the CSV and one for the SVG.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from .channels import CHANNEL_PARAMS
 from .protocols import (
     CHAIN_ATOL,
+    CRITICAL_NOISE,
     MAX_DIM_CEILING,  # noqa: F401  (re-exported: edss.sweep.MAX_DIM_CEILING)
     PROTOCOLS,
     SEPARABILITY_ATOL,
@@ -73,10 +74,11 @@ class SweepSpec:
             raise SweepError(f"unknown protocol {self.protocol!r}")
         if (self.protocol, self.mode) not in SPECS:
             raise SweepError(f"mode {self.mode!r} does not exist for the {self.protocol} protocol")
+        entry = SPECS[self.protocol, self.mode]
         if self.channel not in CHANNEL_PARAMS:
             raise SweepError(f"unknown channel kind {self.channel!r}")
         try:
-            _register(SPECS[self.protocol, self.mode], self.d)
+            _register(entry, self.d)
             _integer(self.points, "points", 2, MAX_POINTS)
         except ValueError as exc:
             raise SweepError(str(exc)) from exc
@@ -107,7 +109,7 @@ class SweepSpec:
         bad_checks = set(self.checks) - set(CHECK_NAMES)
         if bad_checks:
             raise SweepError(f"unknown checks {sorted(bad_checks)}")
-        if "closed_form" in self.checks and not _closed_forms(self):
+        if "closed_form" in self.checks and not entry.formulas(self.channel):
             raise SweepError(
                 "closed_form check needs a depolarizing or amplitude_damping sweep"
             )
@@ -148,16 +150,6 @@ def _csv_rows(values: np.ndarray) -> str:
     return template % tuple((values + 0.0).ravel().tolist())
 
 
-def _closed_forms(spec: SweepSpec) -> dict[str, tuple[str, ...]]:
-    """Formula id -> the columns it predicts; ``ref_<first column>`` holds its value."""
-    entry = SPECS[spec.protocol, spec.mode]
-    forms = entry.formulas(spec.channel)
-    critical = entry.critical_formula(spec.channel)
-    if critical is not None:
-        forms[critical] = ("critical_noise",)
-    return forms
-
-
 def _label(spec: SweepSpec, xs: np.ndarray, b: int) -> str:
     """The name of grid point ``b`` in refusals and failure lines."""
     return f"{spec.param}={format_float(xs[b])}"
@@ -167,14 +159,15 @@ def sweep_table(spec: SweepSpec) -> dict[str, np.ndarray]:
     """The columns ``run_sweep`` writes for a valid ``spec``, one float per grid point
     each, without I/O, in CSV order: the swept parameter, the entry's columns,
     ``exchange_negativity_max``, ``chain_max_deviation``, ``critical_noise``
-    where the spec has a critical formula, then one ``ref_*`` per closed form. The grid
+    where the spec's formulas hold the ``CRITICAL_NOISE`` group, then
+    ``ref_<first column>`` per formula (``ProtocolSpec.formulas``). The grid
     runs through the driver's chunk loop (``protocols._runs``): each chunk's
-    columns are kept and the chunk dropped before the next is built. Where the
-    spec has a critical formula, the root search (``protocols._critical_noise``)
-    reads its probes from the swept ``average_negativity`` where the grid holds
-    them and fills ``critical_noise``; ``ref_*`` come from ``FORMULAS``."""
+    columns are kept and the chunk dropped before the next is built. The root
+    search (``protocols._critical_noise``) reads its probes from the swept
+    ``average_negativity`` where the grid holds them and fills
+    ``critical_noise``; ``ref_*`` come from ``FORMULAS``."""
     entry = SPECS[spec.protocol, spec.mode]
-    xs, keys = spec.grid(), [key for _, key in entry.columns]
+    xs, keys, forms = spec.grid(), [key for _, key in entry.columns], entry.formulas(spec.channel)
 
     def columns(chunk) -> list[np.ndarray]:
         # separability_audit's max_negativity and verify_identity_chain's max_deviation
@@ -189,11 +182,11 @@ def sweep_table(spec: SweepSpec) -> dict[str, np.ndarray]:
         raise SweepError(str(exc)) from exc
     names = [c for c, _ in entry.columns] + ["exchange_negativity_max", "chain_max_deviation"]
     table = {spec.param: xs, **dict(zip(names, map(np.concatenate, zip(*parts))))}
-    if entry.critical_formula(spec.channel) is not None:
+    if CRITICAL_NOISE in forms.values():
         swept = xs, table["average_negativity"]
         crit = _critical_noise(lambda ps: entry.average_only(spec.channel, ps, spec.d), grid=swept)
         table["critical_noise"] = np.full(spec.points, crit)
-    for fid, cols in _closed_forms(spec).items():
+    for fid, cols in forms.items():
         f, at = FORMULAS[fid], {"d": [spec.d] * spec.points, spec.param: xs.tolist()}
         table[f"ref_{cols[0]}"] = np.array([float(f.fn(*a)) for a in zip(*map(at.get, f.params))])
     return table
@@ -208,7 +201,7 @@ def row_deviations(spec: SweepSpec, table: Mapping) -> dict[str, np.ndarray]:
         "identity": table["chain_max_deviation"],
         "separability": table["exchange_negativity_max"],
     }
-    for fid, columns in _closed_forms(spec).items():
+    for fid, columns in SPECS[spec.protocol, spec.mode].formulas(spec.channel).items():
         ref = table[f"ref_{columns[0]}"]
         devs[fid] = np.max([np.abs(table[c] - ref) for c in columns], 0)
     return devs

@@ -737,16 +737,16 @@ def fresh_plan_cache(monkeypatch):
 def sweep_columns(spec):
     """The CSV header of ``spec``, from its table entry alone: the swept parameter,
     the entry's columns, the exchange and chain maxima, ``critical_noise`` where
-    the spec has a critical formula, then ``ref_<first column>`` per closed form."""
+    the entry's formulas hold that group, then ``ref_<first column>`` per formula."""
     from edss.protocols import SPECS
-    from edss.sweep import _closed_forms
 
     entry = SPECS[spec.protocol, spec.mode]
+    forms = entry.formulas(spec.channel)
     cols = [spec.param, *(column for column, _ in entry.columns)]
     cols += ["exchange_negativity_max", "chain_max_deviation"]
-    if entry.critical_formula(spec.channel) is not None:
+    if ("critical_noise",) in forms.values():
         cols.append("critical_noise")
-    return cols + [f"ref_{columns[0]}" for columns in _closed_forms(spec).values()]
+    return cols + [f"ref_{columns[0]}" for columns in forms.values()]
 
 
 def row_by_row_outputs(spec, table):
@@ -757,8 +757,9 @@ def row_by_row_outputs(spec, table):
     import csv
     import io
 
+    from edss.protocols import SPECS
     from edss.svgchart import render_line_chart
-    from edss.sweep import _closed_forms, check_atol
+    from edss.sweep import check_atol
 
     columns = sweep_columns(spec)
     rows = table_rows(table)
@@ -769,7 +770,7 @@ def row_by_row_outputs(spec, table):
             "identity": row["chain_max_deviation"],
             "separability": row["exchange_negativity_max"],
         }
-        for fid, cols in _closed_forms(spec).items():
+        for fid, cols in SPECS[spec.protocol, spec.mode].formulas(spec.channel).items():
             ref = row[f"ref_{cols[0]}"]
             devs[fid] = max(abs(row[c] - ref) for c in cols)
         for check, what in (("identity", "identity chain deviation"),

@@ -5,6 +5,7 @@ round order, the summaries, the output digests, the bytecode directories, the
 import argparse
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -129,15 +130,38 @@ def test_outputs_are_taken_at_every_seed_a_run_names():
     assert ab.output_targets([]) == [(w, 0) for w in ab.WORKLOADS]
 
 
-def test_outputs_are_the_check_rows_by_hex(monkeypatch):
+def describe_digests(text):
+    """``outputs``' describe entries for the text ``text(protocol)`` of each protocol."""
+    from edss.protocols import PROTOCOLS
+
+    return {f"edss describe {p}": hashlib.sha256(text(p).encode()).hexdigest() for p in PROTOCOLS}
+
+
+def test_outputs_are_the_check_rows_by_hex_and_the_describe_texts(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     from edss.checks import DEFAULT_SEED, run_checks
+    from edss.protocols import describe
 
     rows = run_checks("all", identity={"seed": DEFAULT_SEED})
     assert ab.outputs("check_all", 0) == {
         row.name: f"{i}:{row.max_deviation.hex()}:{row.threshold.hex()}:{row.passed}"
         for i, row in enumerate(rows)
-    }
+    } | describe_digests(describe)
+    assert capsys.readouterr().out == ""  # the texts are digested, not printed
+
+
+def test_a_changed_describe_text_is_a_difference(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import edss.checks
+    import edss.cli
+    from edss.protocols import describe
+
+    monkeypatch.setattr(edss.checks, "run_checks", lambda *a, **k: [])
+    same = ab.outputs("check_all", 0)
+    assert same == describe_digests(describe)
+    monkeypatch.setattr(edss.cli, "describe", lambda p: describe(p) + "\n" * (p == "ghz"))
+    changed = ab.outputs("check_all", 0)
+    assert [name for name in same if changed[name] != same[name]] == ["edss describe ghz"]
 
 
 def test_a_reordered_or_rejudged_check_row_is_a_difference(monkeypatch):

@@ -27,6 +27,7 @@ from edss.channels import (
     depolarizing,
 )
 from edss.protocols import (
+    CRITICAL_NOISE,
     SPECS,
     _drive,
     _runs,
@@ -36,7 +37,7 @@ from edss.protocols import (
 )
 from edss.reference import FORMULAS
 from edss.tensor import DensityOperator
-from edss.sweep import CANONICAL_DEFAULTS, SweepError, SweepSpec, _closed_forms, sweep_table
+from edss.sweep import CANONICAL_DEFAULTS, SweepError, SweepSpec, sweep_table
 
 from explicit_forms import stinespring_kraus, table_rows, z_twirl
 
@@ -70,7 +71,7 @@ def trace_row(spec, x, trace, crit):
     if crit is not None:
         row["critical_noise"] = crit
     values = {"d": spec.d, spec.param: x}
-    for fid, columns in _closed_forms(spec).items():
+    for fid, columns in entry.formulas(spec.channel).items():
         formula = FORMULAS[fid]
         row[f"ref_{columns[0]}"] = float(formula.fn(*(values[n] for n in formula.params)))
     return row
@@ -89,7 +90,7 @@ def test_columnar_rows_equal_rows_from_per_point_traces(grid):
     rows = [[{**fixed, spec.param: x}[name] for name in CHANNEL_PARAMS[spec.channel]] for x in xs]
     traces = [trace for chunk in _runs(entry, spec.channel, spec.d, rows) for trace in chunk]
     crit = None
-    if entry.critical_formula(spec.channel) is not None:  # the scalar search, a probe a call
+    if CRITICAL_NOISE in entry.formulas(spec.channel).values():  # the scalar search, a probe a call
         crit = critical_noise(lambda x: entry.average_only(spec.channel, x, spec.d))
     want = [bits(trace_row(spec, x, trace, crit)) for x, trace in zip(xs, traces, strict=True)]
     assert [bits(row) for row in table_rows(sweep_table(spec))] == want

@@ -14,7 +14,7 @@ import pytest
 
 from edss import FORMULAS, SweepError, SweepSpec, run_sweep
 from edss.channels import CHANNEL_PARAMS
-from edss.protocols import PROTOCOLS, SPECS, _drive, _runs, describe, partition_name
+from edss.protocols import CRITICAL_NOISE, PROTOCOLS, SPECS, _drive, _runs, describe, partition_name
 from edss.reference import CLOSED_FORM_KINDS
 
 from explicit_forms import noise_channel, sweep_columns
@@ -65,11 +65,8 @@ def test_table_entry_matches_its_runs(spec, tmp_path):
     columns = sweep_columns(spec)
     assert len(columns) == len(set(columns))
 
-    fids = [*entry.formulas(spec.channel), entry.critical_formula(spec.channel)]
-    fids = [fid for fid in fids if fid is not None]
+    fids = entry.formulas(spec.channel)
     assert len([column for column in columns if column.startswith("ref_")]) == len(fids)
-    for fid in fids:
-        assert fid in FORMULAS
 
     trace = next(_runs(entry, spec.channel, spec.d, replace(spec, start=0.25).params()[:1]))[0]
     recorded = set(trace.partition_negativities) | {f"avg:{k}" for k in trace.averages}
@@ -106,14 +103,26 @@ def test_exchange_and_measured_follow_from_the_steps(key):
     exchange = partition_name(spec.subsystems, spec.exchange)
     assert spec.exchange_keys == tuple(f"{exchange}@{step.label}" for step in spec.steps)
     for kind in CHANNEL_PARAMS:
-        critical = spec.critical_formula(kind)
-        assert (critical is not None) == ((spec.protocol, kind) == ("qudit", "depolarizing"))
+        critical = CRITICAL_NOISE in spec.formulas(kind).values()
+        assert critical == ((spec.protocol, kind) == ("qudit", "depolarizing"))
+
+
+def test_every_closed_form_group_has_its_formulas():
+    """``formulas`` keeps only the groups ``FORMULAS`` registers, so a misspelt group
+    would drop out of every sweep and suite without a word."""
+    for spec in SPECS.values():
+        for cols, kind in itertools.product(spec.closed_forms, CLOSED_FORM_KINDS):
+            registered = f"{spec.protocol}_{kind}_{cols[0]}" in FORMULAS
+            critical_here = (spec.protocol, kind) == ("qudit", "depolarizing")
+            assert registered == (cols != CRITICAL_NOISE or critical_here), (spec.protocol, cols)
+        # sweep_table finds the critical level as the root of this curve
+        assert CRITICAL_NOISE not in spec.closed_forms or spec.average_only is not None
 
 
 def test_every_formula_is_read_by_some_entry():
     reached = set()
     for spec, kind in itertools.product(SPECS.values(), CLOSED_FORM_KINDS):
-        reached.update(spec.formulas(kind), [spec.critical_formula(kind)])
+        reached.update(spec.formulas(kind))
     assert set(FORMULAS) <= reached
 
 
@@ -136,5 +145,4 @@ def test_describe_names_what_a_run_records(key):
         for name, members in chains.items():
             assert {name, *members} <= tokens
     for kind in CLOSED_FORM_KINDS:
-        fids = [*spec.formulas(kind), spec.critical_formula(kind)]
-        assert {fid for fid in fids if fid is not None} <= tokens
+        assert set(spec.formulas(kind)) <= tokens

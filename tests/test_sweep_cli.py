@@ -1,5 +1,6 @@
 import ast
 import csv
+import functools
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -293,12 +294,38 @@ class TestChecksSuites:
         with pytest.raises(ValueError, match=message):
             run_checks(suite, **kwargs)
 
+    @pytest.mark.parametrize(
+        "suite, options, takes",
+        [
+            ("identity", {"sed": 3}, ["seed"]),
+            ("identity", {"seed": 3, "grids": {}}, ["seed"]),
+            ("closed_form", {"seed": 3}, []),
+        ],
+        ids=["misspelt", "the-grid-memo", "in-the-last-suite"],
+    )
+    def test_a_key_its_suite_does_not_take_is_refused_before_any_suite_runs(
+        self, monkeypatch, suite, options, takes
+    ):
+        # each stand-in keeps its suite's signature, which the check reads
+        for name, fn in SUITES.items():
+            stand_in = functools.wraps(fn)(lambda **_: pytest.fail("a suite ran"))
+            monkeypatch.setitem(SUITES, name, stand_in)
+        key = list(options)[-1]
+        message = f"the {suite} suite takes no keyword {key!r}; it takes {takes}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_checks("all", **{suite: options})
+
     def test_suite_keywords_reach_their_suite(self, monkeypatch):
         # the benchmark's call: a seed for the identity suite of an "all" run
         calls = []
 
         def recorder(name):
-            return lambda **kwargs: calls.append((name, kwargs)) or []
+            @functools.wraps(SUITES[name])  # the suite's signature, which run_checks reads
+            def record(**kwargs):
+                calls.append((name, kwargs))
+                return []
+
+            return record
 
         for name in SUITES:
             monkeypatch.setitem(SUITES, name, recorder(name))

@@ -20,7 +20,8 @@ each side's per-round minimum of the repeated entry calls and the rounds the
 change won. ``outputs`` holds per side, in a fresh interpreter, the sha256 of
 every CSV and SVG that each sweep workload writes and, for every
 ``run_checks("all")`` row, its position, its ``max_deviation`` and threshold by
-``float.hex`` and its pass flag, and per workload the names
+``float.hex`` and its pass flag, with the sha256 of each protocol's
+``edss describe`` text, and per workload the names
 whose digest differs between the sides (or that one side lacks), at every
 ``WORKLOAD:SEED`` that ``--run`` names and at seed 0 for a workload it does not
 name. ``layers`` and ``in_process`` run a workload at its first seed. BLAS and
@@ -34,8 +35,10 @@ each checkout's ``__pycache__``. Run from the repository root.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import statistics
@@ -89,14 +92,23 @@ def outputs(workload: str, seed: int) -> dict[str, str]:
     """Name -> digest of one workload's outputs through the edss on ``sys.path``:
     the sha256 of each file a sweep workload writes, or each ``run_checks("all")``
     row's position, ``max_deviation`` and threshold by ``float.hex`` and pass flag,
-    so a reordered, re-thresholded or re-judged row differs too."""
+    so a reordered, re-thresholded or re-judged row differs too, and the sha256 of
+    ``edss describe <protocol>``'s output per protocol, the table as it is listed."""
     import workloads
     from edss.checks import run_checks
     from edss.cli import main as edss_main
+    from edss.protocols import PROTOCOLS
 
     if workload == "check_all":
         rows = run_checks("all", identity={"seed": workloads.identity_seed(seed)})
-        return {row.name: check_digest(i, row) for i, row in enumerate(rows)}
+        digests = {row.name: check_digest(i, row) for i, row in enumerate(rows)}
+        for protocol in PROTOCOLS:
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                if code := edss_main(["describe", protocol]):
+                    raise RuntimeError(f"edss describe {protocol} exited {code}")
+            printed = text.getvalue().encode("utf-8")
+            digests[f"edss describe {protocol}"] = hashlib.sha256(printed).hexdigest()
+        return digests
     with tempfile.TemporaryDirectory() as out:
         sweeps = workloads.sweeps(workload, seed, Path(out))
         if any(codes := [edss_main(list(sweep.argv)) for sweep in sweeps]):
